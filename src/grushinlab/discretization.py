@@ -15,6 +15,12 @@ so a face whose segment touches {x1 = 0} with a non-integrable c^{-1}
 operator then decouples across the degeneracy set, reproducing the weak/strong
 separation dichotomy of the continuum operator without any ad-hoc switch.
 
+Because every coefficient depends on |x1| only, every assembled operator is
+a Kronecker sum  A = A1 (x) I + sum_j diag(g2_j) (x) L2_j  with L2_j the unit
+Neumann path Laplacian of x2 axis j.  Its exact spectrum is therefore
+factored (:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times
+the eigenpairs of one small x1 fiber per x2 mode.
+
 Assembled operators are immutable and safe to share between threads.
 """
 
@@ -24,14 +30,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
 from .coefficients import CoefficientField, GrusinParameters
 from .quadrature import segment_integrals
 
 __all__ = [
+    "CapacityError",
+    "FactorizationError",
     "Grid",
     "DivergenceFormOperator",
+    "FiberSpectrum",
     "build_grid",
     "face_conductance",
     "assemble",
@@ -45,6 +55,15 @@ BOUNDARY_MODES = (
     "half_line_positive",
     "half_line_negative",
 )
+
+
+class CapacityError(RuntimeError):
+    """A method guard (exact storage ceiling, Krylov halving depth) was exceeded."""
+
+
+class FactorizationError(ValueError):
+    """The operator matrix is not the Kronecker sum the fiber factorization
+    reads off it."""
 
 
 @dataclass(frozen=True)
@@ -207,6 +226,159 @@ def _axis_face_conductances(grid: Grid, coeffs: CoefficientField, axis: int) -> 
     return g
 
 
+def _cosine_basis(count: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix C[i, k]; column k is the eigenvector of the
+    unit Neumann path Laplacian on ``count`` nodes for 4 sin^2(pi k / (2 count))."""
+    C = np.cos(np.pi * np.outer(np.arange(count) + 0.5, np.arange(count)) / count)
+    C *= np.sqrt(2.0 / count)
+    C[:, 0] = np.sqrt(1.0 / count)
+    return C
+
+
+def _along_x2(V: np.ndarray, mats) -> np.ndarray:
+    """Contract axis 1 + j of V (shape (n1, *x2 counts)) with the rows of mats[j]."""
+    for j, M in enumerate(mats):
+        V = np.moveaxis(np.tensordot(V, M, axes=([1 + j], [0])), -1, 1 + j)
+    return V
+
+
+@dataclass(frozen=True)
+class FiberSpectrum:
+    """Exact spectrum of A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, factored.
+
+    Operator rows are ordered (x1 node a, x2 node i2), row = a * n2 + i2.
+    The eigenvectors are orthonormal cosine vectors along the x2 axes
+    (``cosines[j][i, k]``) times, for each x2 mode k, the eigenvectors of the
+    x1 fiber A1 + diag(sum_j nu_{k_j} g2_j).  Each fiber is diagonalized on
+    every connected component of A1's coupling separately, and every
+    evaluation works per component slice, so decoupled components never mix
+    (their cross-kernel is exactly zero).  ``blocks`` holds one
+    (x1 rows, lam (n2, s), Phi (n2, s, s)) triple per component.
+    """
+
+    n1: int
+    x2_counts: tuple
+    cosines: tuple
+    blocks: tuple
+
+    @property
+    def n2(self) -> int:
+        return int(np.prod(self.x2_counts))
+
+    def _grid(self, W: np.ndarray) -> np.ndarray:
+        return W.reshape((self.n1,) + self.x2_counts)
+
+    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
+        """exp(-tA) v."""
+        W = _along_x2(self._grid(v), self.cosines).reshape(self.n1, -1)
+        out = np.empty_like(W)
+        for rows, lam, Phi in self.blocks:
+            coef = (W[rows].T[:, None, :] @ Phi)[:, 0, :] * np.exp(-t * lam)
+            out[rows] = (Phi @ coef[:, :, None])[:, :, 0].T
+        return _along_x2(self._grid(out), [C.T for C in self.cosines]).ravel()
+
+    def diagonal(self, times) -> np.ndarray:
+        """Diagonal of exp(-tA) per time, shape (len(times), n_nodes):
+        sum_k C[i2, k]^2 sum_l Phi_k[a, l]^2 exp(-t lam_kl)."""
+        times = np.asarray(times, dtype=float)
+        D = np.empty((len(times), self.n1, self.n2))
+        for rows, lam, Phi in self.blocks:
+            decay = np.exp(-lam[:, :, None] * times)              # (n2, s, T)
+            D[:, rows] = ((Phi * Phi) @ decay).transpose(2, 1, 0)
+        squares = [(C * C).T for C in self.cosines]
+        return np.stack([_along_x2(self._grid(d), squares).ravel() for d in D])
+
+    def block(self, rows, times) -> np.ndarray:
+        """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R), formed
+        from the factors as P exp(-t lam) P^T."""
+        rows = np.asarray(rows)
+        a, i2 = np.divmod(rows, self.n2)
+        modes = np.ones((rows.size, 1))
+        if self.cosines:
+            for C, i in zip(self.cosines, np.unravel_index(i2, self.x2_counts)):
+                modes = (modes[:, :, None] * C[i][:, None, :]).reshape(rows.size, -1)
+        out = np.zeros((len(times), rows.size, rows.size))
+        for x1_rows, lam, Phi in self.blocks:
+            sel = np.nonzero(np.isin(a, x1_rows))[0]
+            if sel.size == 0:
+                continue
+            local = np.searchsorted(x1_rows, a[sel])
+            P = (Phi[:, local, :] * modes[sel].T[:, :, None]).transpose(1, 0, 2)
+            P = P.reshape(sel.size, -1)
+            for q, t in enumerate(times):
+                out[q][np.ix_(sel, sel)] = (P * np.exp(-t * lam).ravel()) @ P.T
+        return out
+
+
+def _path_laplacian(count: int) -> sp.csr_matrix:
+    diag = np.full(count, 2.0)
+    diag[[0, -1]] = 1.0
+    off = -np.ones(count - 1)
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+
+def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
+    """Read A1 and g2_j off the assembled matrix (the x2-index-0 slice and its
+    coupling to x2 index e_j), verify the Kronecker sum against the matrix,
+    then diagonalize every fiber per component of A1's coupling."""
+    n = op.grid.params.n
+    x2_counts = tuple(op.grid.counts[n:])
+    n1, n2 = op.fiber_shape
+    M = op.matrix
+    first = np.arange(n1) * n2
+    strides = [int(np.prod(x2_counts[j + 1:])) for j in range(len(x2_counts))]
+    g2 = [-np.asarray(M[first, first + s]).ravel() for s in strides]
+    A1 = M[first][:, first].tocsr()
+    d = A1.diagonal()
+    for g in reversed(g2):
+        d = d - g
+    A1.setdiag(d)
+
+    kron = sp.kron(A1, sp.identity(n2))
+    for j, g in enumerate(g2):
+        L2 = sp.identity(1)
+        for i, c in enumerate(x2_counts):
+            L2 = sp.kron(L2, _path_laplacian(c) if i == j else sp.identity(c))
+        kron = kron + sp.kron(sp.diags(g), L2)
+    err = abs(kron - M).max()
+    scale = abs(M).max()
+    if not err <= 1e-12 * scale:
+        raise FactorizationError(
+            f"operator is not a Kronecker sum A1 (x) I + diag(g2) (x) L2: "
+            f"max deviation {err:.3g} against max entry {scale:.3g}"
+        )
+
+    # mode k of the x2 axes shifts fiber row a by sum_j nu_{k_j} g2_j[a]
+    shift = np.zeros((n2, n1))
+    for j, (c, g) in enumerate(zip(x2_counts, g2)):
+        nu = 4.0 * np.sin(np.pi * np.arange(c) / (2.0 * c)) ** 2
+        shape = [1] * len(x2_counts)
+        shape[j] = c
+        shift += np.outer(np.broadcast_to(nu.reshape(shape), x2_counts).ravel(), g)
+
+    ncomp, labels = connected_components(A1 != 0.0, directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = []
+    for rows in np.split(order, np.cumsum(np.bincount(labels, minlength=ncomp))[:-1]):
+        s = rows.size
+        if n == 1:  # tridiagonal fibers; a component is a run of consecutive rows
+            lam, Phi = np.empty((n2, s)), np.empty((n2, s, s))
+            base, e = A1.diagonal()[rows], A1.diagonal(1)[rows[:-1]]
+            for k in range(n2):
+                lam[k], Phi[k] = eigh_tridiagonal(base + shift[k, rows], e)
+        else:
+            stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
+            stack[:, np.arange(s), np.arange(s)] += shift[:, rows]
+            lam, Phi = np.linalg.eigh(stack)
+        blocks.append((rows, lam, Phi))
+    return FiberSpectrum(
+        n1=n1,
+        x2_counts=x2_counts,
+        cosines=tuple(_cosine_basis(c) for c in x2_counts),
+        blocks=tuple(blocks),
+    )
+
+
 @dataclass
 class DivergenceFormOperator:
     """Sparse symmetric PSD matrix of the discrete Dirichlet form.
@@ -223,7 +395,7 @@ class DivergenceFormOperator:
     boundary: str
     kept: np.ndarray
     node_weight: float
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
+    _eig: FiberSpectrum | None = field(default=None, repr=False, compare=False)
     _components: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -252,25 +424,33 @@ class DivergenceFormOperator:
             self._components = (int(ncomp), labels)
         return self._components
 
-    def dense_eig(self, max_dimension: int = 4500):
-        """Eigendecomposition (lam, Phi), computed blockwise per connected
-        component so decoupled blocks never mix.  Cached."""
+    @property
+    def fiber_shape(self) -> tuple[int, int]:
+        """(n1, n2): kept x1 nodes and x2 nodes; row = x1 index * n2 + x2 index."""
+        n2 = int(np.prod(self.grid.counts[self.grid.params.n:]))
+        return self.n_nodes // n2, n2
+
+    def fits_exact(self, max_dimension: int) -> bool:
+        """Whether the n2 * n1^2 floats of the factored spectrum fit the
+        ceiling max_dimension^2 (for m = 0: n_nodes <= max_dimension)."""
+        n1, n2 = self.fiber_shape
+        return n2 * n1 * n1 <= max_dimension * max_dimension
+
+    def dense_eig(self, max_dimension: int = 4500) -> FiberSpectrum:
+        """Exact spectrum of the operator in factored form.  Cached.
+
+        Raises CapacityError when it does not fit (:meth:`fits_exact`) and
+        FactorizationError when the matrix is not the Kronecker sum
+        A1 (x) I + sum_j diag(g2_j) (x) L2_j.
+        """
         if self._eig is None:
-            N = self.n_nodes
-            if N > max_dimension:
-                raise ValueError(
-                    f"dense eigendecomposition guard: {N} unknowns > {max_dimension}"
+            if not self.fits_exact(max_dimension):
+                n1, n2 = self.fiber_shape
+                raise CapacityError(
+                    f"exact spectrum of {n2} fibers of {n1} x1 nodes stores "
+                    f"{n2 * n1 * n1} floats > {max_dimension}^2"
                 )
-            lam = np.empty(N)
-            Phi = np.zeros((N, N))
-            ncomp, labels = self.components()
-            dense = self.matrix.toarray()
-            for c in range(ncomp):
-                idx = np.nonzero(labels == c)[0]
-                lam_c, Phi_c = np.linalg.eigh(dense[np.ix_(idx, idx)])
-                lam[idx] = lam_c
-                Phi[np.ix_(idx, idx)] = Phi_c
-            self._eig = (lam, Phi)
+            self._eig = _factorize(self)
         return self._eig
 
     def dump_triplets(self, path) -> None:

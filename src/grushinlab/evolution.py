@@ -4,17 +4,19 @@ The generator is the assembled face-sum matrix A itself (uniform node
 weights), so the semigroup is exp(-tA) and the kernel column for a source
 node j is K_t(., j) = exp(-tA) e_j / weight.  Three evaluation methods:
 
-* exact_eigendecomposition -- dense eigh, blockwise per connected component
-  of the sparsity graph, so decoupled halves produce *exactly* zero
-  cross-kernel (guard: <= 4500 unknowns);
+* exact_eigendecomposition -- the operator's factored spectrum
+  (``DivergenceFormOperator.dense_eig``): cosine transforms along x2 and one
+  x1 fiber eigendecomposition per x2 mode, each split per connected
+  component, so decoupled halves produce *exactly* zero cross-kernel
+  (guard: n2 * n1^2 stored floats <= max_exact_dimension^2);
 * krylov_exponential -- Lanczos with full reorthogonalization and an
   a-posteriori stopping test against the requested tolerance (time is split
-  recursively if the basis cap is reached);
+  recursively, at most ``MAX_HALVINGS`` deep, if the basis cap is reached);
 * crank_nicolson -- retained as a cross-check only (violates positivity at
   O(dt^2)).
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
-operator and its cached eigendecomposition are immutable shared inputs.
+operator and its cached factored spectrum are immutable shared inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .coefficients import derive_exponents, piecewise_power
-from .discretization import DivergenceFormOperator
+from .discretization import CapacityError, DivergenceFormOperator
 from .geometry import ball_volume
 
 __all__ = [
@@ -46,12 +48,20 @@ __all__ = [
 ]
 
 
-class CapacityError(RuntimeError):
-    """A method guard (dense dimension, Krylov basis cap) was exceeded."""
+# Deepest time-halving recursion of the Lanczos exponential (2^depth pieces).
+MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
 class EvolutionMethod:
+    """How to evaluate exp(-tA).
+
+    ``max_exact_dimension`` is the storage ceiling of the exact method: its
+    factored spectrum stores n2 * n1^2 floats (n2 x2 modes, fibers of n1 x1
+    nodes), which must not exceed max_exact_dimension^2.  ``auto`` resolves
+    to the exact method whenever that holds and to Krylov otherwise.
+    """
+
     kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential | crank_nicolson
     tolerance: float = 1e-8
     max_exact_dimension: int = 4500
@@ -68,7 +78,7 @@ class EvolutionMethod:
             return self.kind
         return (
             "exact_eigendecomposition"
-            if op.n_nodes <= self.max_exact_dimension
+            if op.fits_exact(self.max_exact_dimension)
             else "krylov_exponential"
         )
 
@@ -90,11 +100,12 @@ class KernelSlice:
 
 
 def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
-                  max_basis: int = 600) -> np.ndarray:
+                  max_basis: int = 600, depth: int = 0) -> np.ndarray:
     """exp(-tA) v by Lanczos with full reorthogonalization.
 
-    Falls back to halving the time step when the basis cap is hit; the
-    stopping test compares iterates a few steps apart against tol * ||v||.
+    Falls back to halving the time step when the basis cap is hit, at most
+    ``MAX_HALVINGS`` levels deep (CapacityError beyond); the stopping test
+    compares iterates a few steps apart against tol * ||v||.
     """
     A = op.matrix
     beta0 = float(np.linalg.norm(v))
@@ -133,8 +144,13 @@ def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: floa
         if not last:
             V[:, j + 1] = w / b
     # basis cap reached without convergence: halve the time
-    half = _lanczos_expm(op, v, t / 2.0, tol / 2.0, max_basis)
-    return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis)
+    if depth == MAX_HALVINGS:
+        raise CapacityError(
+            f"Lanczos exponential at t={t:g} did not converge within a {m_cap}-vector "
+            f"basis after {depth} time halvings"
+        )
+    half = _lanczos_expm(op, v, t / 2.0, tol / 2.0, max_basis, depth + 1)
+    return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis, depth + 1)
 
 
 def _lanczos_basis(op: DivergenceFormOperator, v: np.ndarray, t_max: float, tol: float,
@@ -204,13 +220,7 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
         return v.copy()
     kind = method.resolve(op)
     if kind == "exact_eigendecomposition":
-        if op.n_nodes > method.max_exact_dimension:
-            raise CapacityError(
-                f"exact method capped at {method.max_exact_dimension} unknowns, "
-                f"operator has {op.n_nodes}"
-            )
-        lam, Phi = op.dense_eig(method.max_exact_dimension)
-        return Phi @ (np.exp(-t * lam) * (Phi.T @ v))
+        return op.dense_eig(method.max_exact_dimension).apply(v, t)
     if kind == "krylov_exponential":
         return _lanczos_expm(op, v, t, method.tolerance)
     return _crank_nicolson(op, v, t, method.tolerance)
@@ -282,9 +292,8 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
     if kind == "exact_eigendecomposition":
         if candidates is None:
             candidates = np.nonzero(op.matrix.diagonal() > 0.0)[0]
-        lam, Phi = op.dense_eig(method.max_exact_dimension)
-        P2 = Phi[np.asarray(candidates)] ** 2
-        sup = np.array([float((P2 @ np.exp(-t * lam)).max()) / w for t in times])
+        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)
+        sup = diag[:, np.asarray(candidates)].max(axis=1) / w
     else:
         if candidates is None:
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
@@ -392,15 +401,9 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
     rows = np.asarray(region_rows)
     e = derive_exponents(op_true.grid.params)
     w = op_true.node_weight
-    lam1, Phi1 = op_frozen.dense_eig(method.max_exact_dimension)
-    lam2, Phi2 = op_true.dense_eig(method.max_exact_dimension)
-    P1 = Phi1[rows]
-    P2 = Phi2[rows]
-    sup = np.empty(len(times))
-    for k, t in enumerate(times):
-        E1 = (P1 * np.exp(-t * lam1)) @ P1.T
-        E2 = (P2 * np.exp(-t * lam2)) @ P2.T
-        sup[k] = float(np.abs(E1 - E2).max()) / w
+    E1 = op_frozen.dense_eig(method.max_exact_dimension).block(rows, times)
+    E2 = op_true.dense_eig(method.max_exact_dimension).block(rows, times)
+    sup = np.abs(E1 - E2).max(axis=(1, 2)) / w
     s = times / rho**2
     ref = (1.0 / piecewise_power(s, e.D / 2.0, e.Dp / 2.0)) * np.sqrt(s) * np.exp(-1.0 / (4.0 * s))
     expo = rho**2 / (4.0 * times)

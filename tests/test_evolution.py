@@ -4,8 +4,10 @@ import pytest
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import assemble, build_grid
 from grushinlab.evolution import (
+    MAX_HALVINGS,
     CapacityError,
     EvolutionMethod,
+    _lanczos_expm,
     apply_semigroup,
     conservation_report,
     fit_loglog_slope,
@@ -124,6 +126,14 @@ def test_capacity_guard():
         apply_semigroup(op, v, 0.1, EvolutionMethod("exact_eigendecomposition", max_exact_dimension=100))
 
 
+def test_lanczos_halving_depth_is_bounded():
+    # a 3-vector basis never resolves exp(-tA) on a stiff operator, at any depth
+    op = _op_1d(count=513)
+    v = np.ones(op.n_nodes) + np.cos(op.coords()[:, 0] * 40.0)
+    with pytest.raises(CapacityError, match=rf"t=.*3-vector.*{MAX_HALVINGS} time halvings"):
+        _lanczos_expm(op, v, 1.0, 1e-8, max_basis=3)
+
+
 def test_ondiagonal_decay_euclidean_slope():
     op = _op_1d(count=1025, L=10.0)
     res = ondiagonal_decay(op, np.geomspace(0.02, 0.2, 6), method=EXACT)
@@ -153,7 +163,7 @@ def test_positive_definiteness_on_boxes():
     params = GrusinParameters(1, 1, 0.25, 0.25, 0.5, 0.5)
     g = build_grid(params, (2.0, 2.0), (21, 21))
     op = assemble(g, CoefficientField(params))
-    lam, Phi = op.dense_eig()
+    lam, Phi = np.linalg.eigh(op.matrix.toarray())
     t = 0.3
     E = (Phi * np.exp(-t * lam)) @ Phi.T / op.node_weight
     coords = op.coords()

@@ -1,0 +1,183 @@
+"""Property tests of the factored exact spectrum (``dense_eig``) against a
+dense eigendecomposition oracle built here, on small grids in every
+boundary mode."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grushinlab.coefficients import CoefficientField, GrusinParameters
+from grushinlab.discretization import (
+    BOUNDARY_MODES,
+    CapacityError,
+    FactorizationError,
+    assemble,
+    build_grid,
+    face_conductance,
+)
+from grushinlab.evolution import EvolutionMethod, apply_semigroup
+
+SHAPES = [(1, 0), (1, 1), (1, 2), (2, 1)]
+CASES = [(n, m, b) for n, m in SHAPES for b in BOUNDARY_MODES
+         if n == 1 or not b.startswith("half_line")]
+DELTA1 = [0.0, 0.25, 0.5, 0.75]
+TIMES = st.floats(-4.0, 2.0).map(lambda e: 10.0**e)
+EXACT = EvolutionMethod("exact_eigendecomposition")
+SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+@st.composite
+def operators(draw, n, m, boundary, deltas=DELTA1):
+    delta1 = draw(st.sampled_from(deltas))
+    delta2 = draw(st.sampled_from([0.0, 1.0])) if m else 0.0
+    dim = n + m
+    counts = tuple(draw(st.sampled_from([3, 5, 7])) for _ in range(dim))
+    extents = tuple(draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(dim))
+    params = GrusinParameters(n, m, delta1, delta1, delta2, 0.5 * delta2)
+    return assemble(build_grid(params, extents, counts), CoefficientField(params), boundary)
+
+
+def _oracle(op):
+    return np.linalg.eigh(op.matrix.toarray())
+
+
+def _semigroup(lam, Phi, t):
+    return (Phi * np.exp(-t * lam)) @ Phi.T
+
+
+def _tolerance(op, t):
+    # eigh's eigenvalues carry an absolute error of order eps * ||A||, which
+    # exp(-t lam) turns into eps * t * ||A||; below t ||A|| = 1 this is 1e-12
+    return 1e-12 * max(1.0, t * abs(op.matrix).sum(axis=1).max())
+
+
+def _factored_matrix(op, t):
+    spec = op.dense_eig()
+    return np.stack([spec.apply(e, t) for e in np.eye(op.n_nodes)], axis=1)
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_factored_spectrum_matches_dense_oracle(n, m, boundary, data, t):
+    op = data.draw(operators(n, m, boundary))
+    lam, Phi = _oracle(op)
+    spec = op.dense_eig()
+    tol = _tolerance(op, t)
+    factored = np.sort(np.concatenate([b[1].ravel() for b in spec.blocks]))
+    assert np.abs(factored - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
+
+    S = _factored_matrix(op, t)
+    oracle = _semigroup(lam, Phi, t)
+    assert np.abs(S - oracle).max() <= tol
+    assert np.abs(S - S.T).max() <= 1e-12
+    assert np.abs(spec.diagonal([t])[0] - np.diag(oracle)).max() <= tol
+    rows = np.arange(0, op.n_nodes, 3)
+    assert np.abs(spec.block(rows, [t])[0] - oracle[np.ix_(rows, rows)]).max() <= tol
+    if boundary != "dirichlet_origin":
+        assert np.abs(S.sum(axis=0) - 1.0).max() <= tol
+
+
+def _path_laplacian(count):
+    L = 2.0 * np.eye(count) - np.eye(count, k=1) - np.eye(count, k=-1)
+    L[0, 0] = L[-1, -1] = 1.0
+    return L
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_kronecker_sum_identity(n, m, boundary, data):
+    op = data.draw(operators(n, m, boundary))
+    # A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, with A1 assembled on the x1
+    # block alone and g2_j from single-face conductances
+    grid = op.grid
+    params1 = GrusinParameters(n, 0, grid.params.delta1, grid.params.delta1p)
+    grid1 = build_grid(params1, grid.extents[:n], grid.counts[:n])
+    op1 = assemble(grid1, CoefficientField(params1), boundary)
+    x2_counts = grid.counts[n:]
+    expected = np.kron(op1.matrix.toarray(), np.eye(int(np.prod(x2_counts))))
+    for j in range(m):
+        axis = n + j
+        g2 = [face_conductance(op.coeffs, axis, np.concatenate([x, np.zeros(m)]),
+                               grid.spacings[axis]) for x in op1.coords()]
+        L2 = np.ones((1, 1))
+        for i, ci in enumerate(x2_counts):
+            L2 = np.kron(L2, _path_laplacian(ci) if i == j else np.eye(ci))
+        expected += np.kron(np.diag(g2), L2)
+    A = op.matrix.toarray()
+    assert np.abs(A - expected).max() <= 1e-12 * np.abs(A).max()
+
+
+# for n = 2 the Dirichlet mode removes the only node that separates
+@pytest.mark.parametrize("n, m, boundary",
+                         [(n, m, b) for n, m, b in CASES if b == "neumann_truncation"
+                          or (n == 1 and b == "dirichlet_origin")])
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_strong_degeneracy_cross_kernel_is_exactly_zero(n, m, boundary, data, t):
+    op = data.draw(operators(n, m, boundary, deltas=[0.5, 0.75]))
+    # delta1 >= 1/2 cuts every face touching x1 = 0: for n = 1 the half-lines
+    # and the origin separate, for n = 2 the origin separates from the rest
+    x1 = op.coords()[:, :n]
+    part = np.sign(x1[:, 0]) if n == 1 else (np.abs(x1).sum(axis=1) > 0.0)
+    sources = np.union1d(np.arange(0, op.n_nodes, 4), np.nonzero(part == 0)[0])
+    for j in sources:
+        e = np.zeros(op.n_nodes)
+        e[j] = 1.0
+        col = apply_semigroup(op, e, t, EXACT)
+        cross = col[part != part[j]]
+        assert cross.size and np.all(cross == 0.0)
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), t=TIMES, s=TIMES)
+def test_semigroup_property(n, m, boundary, data, t, s):
+    op = data.draw(operators(n, m, boundary))
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    spec = op.dense_eig()
+    both = spec.apply(spec.apply(v, s), t)
+    assert np.abs(both - spec.apply(v, t + s)).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_size_predicate(n, m, boundary, data):
+    op = data.draw(operators(n, m, boundary))
+    n1, n2 = op.fiber_shape
+    stored = n2 * n1 * n1
+    tight = math.isqrt(stored - 1) + 1       # smallest ceiling that fits
+    assert EvolutionMethod(max_exact_dimension=tight).resolve(op) == "exact_eigendecomposition"
+    small = EvolutionMethod(max_exact_dimension=tight - 1)
+    assert small.resolve(op) == "krylov_exponential"
+    with pytest.raises(CapacityError):
+        apply_semigroup(op, np.ones(op.n_nodes), 0.1,
+                        dataclasses.replace(small, kind="exact_eigendecomposition"))
+
+
+def test_size_rule_on_one_dimensional_and_square_grids():
+    p1 = GrusinParameters(1, 0)
+    for count, kind in [(4499, "exact_eigendecomposition"), (4501, "krylov_exponential")]:
+        op = assemble(build_grid(p1, 8.0, count), CoefficientField(p1))
+        assert EvolutionMethod().resolve(op) == kind
+    p2 = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
+    op = assemble(build_grid(p2, 6.0, 129), CoefficientField(p2))
+    assert op.fiber_shape == (129, 129)
+    assert EvolutionMethod().resolve(op) == "exact_eigendecomposition"
+
+
+def test_non_kronecker_matrix_raises_named_error():
+    p = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
+    op = assemble(build_grid(p, 2.0, 5), CoefficientField(p))
+    M = op.matrix.tolil()
+    M[6, 7] = M[7, 6] = M[6, 7] * 1.5     # one x2 coupling off its fiber value
+    bad = dataclasses.replace(op, matrix=sp.csr_matrix(M))
+    with pytest.raises(FactorizationError, match="Kronecker"):
+        bad.dense_eig()
