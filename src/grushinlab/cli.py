@@ -2,14 +2,14 @@
 
 Subcommands: distance, volume, heat-kernel, conservation, decay, separation,
 compare, wave, nash, suite, report.  Every experiment subcommand takes
---config PATH (JSON, see grushinlab.config), --out DIR, --workers N and
---seed S; flags override the config file, and the environment variables
-GRUSHINLAB_CONFIG / GRUSHINLAB_OUT / GRUSHINLAB_WORKERS / GRUSHINLAB_SEED
-mirror the flags (flags win).  Without --config a built-in default
-configuration for that experiment kind is used.
+--config PATH (JSON, see grushinlab.config), --out DIR and --seed S; flags
+override the config file, and the environment variables GRUSHINLAB_CONFIG /
+GRUSHINLAB_OUT / GRUSHINLAB_SEED mirror the flags (flags win).  Without
+--config a built-in default configuration for that experiment kind is used.
 
 ``suite`` runs a manifest of configs (JSON list, or the built-in
-``acceptance`` manifest) concurrently and exits nonzero if any check fails;
+``acceptance`` manifest) on --workers N processes (GRUSHINLAB_WORKERS,
+default 1) and exits nonzero if any check fails;
 ``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
 when every check passed.
 """
@@ -132,9 +132,6 @@ def _load_config_dict(kind: str, args) -> dict:
     seed = args.seed if args.seed is not None else _env("SEED")
     if seed is not None:
         raw["seed"] = int(seed)
-    workers = args.workers if args.workers is not None else _env("WORKERS")
-    if workers is not None:
-        raw["workers"] = int(workers)
     out = args.out or _env("OUT")
     if out:
         raw["out"] = out
@@ -150,18 +147,14 @@ def _run_single(raw: dict, default_out: str) -> dict:
     return report
 
 
-def _suite_worker(raw: dict, out_dir: str) -> dict:
-    return _run_single(raw, out_dir)
-
-
 def run_suite(manifest: list[dict], out_dir: str, workers: int) -> dict:
     reports = []
     if workers <= 1 or len(manifest) <= 1:
         for raw in manifest:
-            reports.append(_suite_worker(raw, out_dir))
+            reports.append(_run_single(raw, out_dir))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_suite_worker, raw, out_dir) for raw in manifest]
+            futures = [pool.submit(_run_single, raw, out_dir) for raw in manifest]
             reports = [f.result() for f in futures]
     aggregate = {
         "experiments": [
@@ -193,7 +186,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", help="output directory (default ./results)")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("suite", help="run a manifest of experiments")
     p.add_argument("--manifest", default="acceptance",
@@ -210,10 +202,8 @@ def main(argv=None) -> int:
         with open(args.path) as fh:
             stored = json.load(fh)
         if "experiments" in stored:
-            ok = True
             for entry in stored["experiments"]:
                 _print_report(entry)
-                ok = ok and entry["passed"]
             print("SUITE:", "PASS" if stored["passed"] else "FAIL")
             return 0 if stored["passed"] else 1
         _print_report(stored)

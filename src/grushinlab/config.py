@@ -10,11 +10,11 @@ Schema (defaults in parentheses):
       "params":    {"n", "m", "delta1" (0), "delta1p" (0), "delta2" (0), "delta2p" (0)},
       "grid":      {"extents": number | [per axis], "counts": int | [per axis]},
       "method":    {"kind" ("auto"), "tolerance" (1e-8), "max_exact_dimension" (4500)},
-      "workers":   int (1),
       "out":       output directory or null,
       "knobs":     experiment-specific settings (see grushinlab.experiments)
     }
 
+"method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential".
 "max_exact_dimension" is the storage ceiling of the exact method: its
 factored spectrum stores n2 * n1^2 floats (n2 x2 nodes, n1 kept x1 nodes),
 which must not exceed max_exact_dimension^2; "auto" falls back to Krylov
@@ -75,7 +75,6 @@ class ExperimentConfig:
     grid_counts: tuple[int, ...] | None
     method: EvolutionMethod
     seed: int = 12345
-    workers: int = 1
     out: str | None = None
     name: str = ""
     knobs: dict = field(default_factory=dict)
@@ -84,7 +83,7 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
-        known = {"experiment", "name", "seed", "params", "grid", "method", "workers", "out", "knobs"}
+        known = {"experiment", "name", "seed", "params", "grid", "method", "out", "knobs"}
         for key in raw:
             _require(key in known, key, f"unknown field (expected one of {sorted(known)})")
         exp = raw.get("experiment")
@@ -131,8 +130,6 @@ class ExperimentConfig:
         seed = raw.get("seed", 12345)
         _require(isinstance(seed, int) and 0 <= seed < 2**63, "seed",
                  "must be a non-negative 64-bit integer")
-        workers = raw.get("workers", 1)
-        _require(isinstance(workers, int) and workers >= 1, "workers", "must be a positive integer")
         knobs = raw.get("knobs", {}) or {}
         _require(isinstance(knobs, dict), "knobs", "expected an object")
         return ExperimentConfig(
@@ -142,7 +139,6 @@ class ExperimentConfig:
             grid_counts=counts,
             method=method,
             seed=seed,
-            workers=workers,
             out=raw.get("out"),
             name=raw.get("name") or exp,
             knobs=dict(knobs),
@@ -171,7 +167,6 @@ class ExperimentConfig:
                 "tolerance": self.method.tolerance,
                 "max_exact_dimension": self.method.max_exact_dimension,
             },
-            "workers": self.workers,
             "out": self.out,
             "knobs": self.knobs,
         }
@@ -180,7 +175,7 @@ class ExperimentConfig:
         return out
 
     def hash(self) -> str:
-        # the output directory and worker budget are runtime knobs, not part
-        # of the experiment's identity: results must not depend on them
-        hashed = {k: v for k, v in self.to_dict().items() if k not in ("out", "workers")}
+        # the output directory is a runtime knob, not part of the
+        # experiment's identity: results must not depend on it
+        hashed = {k: v for k, v in self.to_dict().items() if k != "out"}
         return config_hash(hashed)

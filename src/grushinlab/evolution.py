@@ -2,7 +2,7 @@
 
 The generator is the assembled face-sum matrix A itself (uniform node
 weights), so the semigroup is exp(-tA) and the kernel column for a source
-node j is K_t(., j) = exp(-tA) e_j / weight.  Three evaluation methods:
+node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
 
 * exact_eigendecomposition -- the operator's factored spectrum
   (``DivergenceFormOperator.dense_eig``): cosine transforms along x2 and one
@@ -11,9 +11,7 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Three evaluation methods:
   (guard: n2 * n1^2 stored floats <= max_exact_dimension^2);
 * krylov_exponential -- Lanczos with full reorthogonalization and an
   a-posteriori stopping test against the requested tolerance (time is split
-  recursively, at most ``MAX_HALVINGS`` deep, if the basis cap is reached);
-* crank_nicolson -- retained as a cross-check only (violates positivity at
-  O(dt^2)).
+  recursively, at most ``MAX_HALVINGS`` deep, if the basis cap is reached).
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
@@ -24,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
 
 from .coefficients import derive_exponents, piecewise_power
 from .discretization import CapacityError, DivergenceFormOperator
@@ -38,10 +34,8 @@ __all__ = [
     "KernelSlice",
     "apply_semigroup",
     "heat_kernel",
-    "conservation_report",
     "ondiagonal_decay",
     "gaussian_upper_check",
-    "ondiagonal_lower_check",
     "kernel_comparison",
     "separation_check",
     "fit_loglog_slope",
@@ -62,12 +56,12 @@ class EvolutionMethod:
     to the exact method whenever that holds and to Krylov otherwise.
     """
 
-    kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential | crank_nicolson
+    kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential
     tolerance: float = 1e-8
     max_exact_dimension: int = 4500
 
     def __post_init__(self):
-        kinds = ("auto", "exact_eigendecomposition", "krylov_exponential", "crank_nicolson")
+        kinds = ("auto", "exact_eigendecomposition", "krylov_exponential")
         if self.kind not in kinds:
             raise ValueError(f"unknown method kind {self.kind!r}; expected one of {kinds}")
         if not 0 < self.tolerance < 1:
@@ -99,18 +93,18 @@ class KernelSlice:
         return float(self.weight * self.values.sum())
 
 
-def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
-                  max_basis: int = 600, depth: int = 0) -> np.ndarray:
-    """exp(-tA) v by Lanczos with full reorthogonalization.
+def _lanczos(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
+             max_basis: int = 600):
+    """Lanczos data (V, alpha, beta, beta0) for exp(-tA) v, with full
+    reorthogonalization, converged at time t (hence for every smaller time);
+    None if the basis cap is hit first.
 
-    Falls back to halving the time step when the basis cap is hit, at most
-    ``MAX_HALVINGS`` levels deep (CapacityError beyond); the stopping test
-    compares iterates a few steps apart against tol * ||v||.
+    Every ten steps the iterate is compared with the one before, see
+    :func:`_iterates_agree`; a happy breakdown ends the loop with the exact
+    result.
     """
     A = op.matrix
     beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0 or t == 0.0:
-        return v.copy()
     n = v.shape[0]
     m_cap = min(max_basis, n)
     V = np.empty((n, m_cap))
@@ -118,7 +112,6 @@ def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: floa
     beta = np.empty(m_cap)
     V[:, 0] = v / beta0
     prev = None
-    check_every = 10
     for j in range(m_cap):
         w = A @ V[:, j]
         alpha[j] = float(w @ V[:, j])
@@ -131,81 +124,61 @@ def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: floa
         b = float(np.linalg.norm(w))
         beta[j] = b
         happy = b <= 1e-14 * beta0
-        last = j == m_cap - 1
-        if happy or last or (j + 1) % check_every == 0:
-            lam, Q = eigh_tridiagonal(alpha[: j + 1], beta[:j])
-            y = Q @ (np.exp(-t * lam) * (Q.T[:, 0] * beta0))
-            u = V[:, : j + 1] @ y
-            if happy:
-                return u
-            if prev is not None and np.linalg.norm(u - prev) <= tol * beta0:
-                return u
-            prev = u
-        if not last:
-            V[:, j + 1] = w / b
-    # basis cap reached without convergence: halve the time
-    if depth == MAX_HALVINGS:
-        raise CapacityError(
-            f"Lanczos exponential at t={t:g} did not converge within a {m_cap}-vector "
-            f"basis after {depth} time halvings"
-        )
-    half = _lanczos_expm(op, v, t / 2.0, tol / 2.0, max_basis, depth + 1)
-    return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis, depth + 1)
-
-
-def _lanczos_basis(op: DivergenceFormOperator, v: np.ndarray, t_max: float, tol: float,
-                   max_basis: int = 600):
-    """Lanczos data (V, alpha, beta, beta0) converged for exp(-t A) v at
-    t = t_max (hence for every smaller t); None if the cap is hit."""
-    A = op.matrix
-    beta0 = float(np.linalg.norm(v))
-    n = v.shape[0]
-    m_cap = min(max_basis, n)
-    V = np.empty((n, m_cap))
-    alpha = np.empty(m_cap)
-    beta = np.empty(m_cap)
-    V[:, 0] = v / beta0
-    prev = None
-    for j in range(m_cap):
-        w = A @ V[:, j]
-        alpha[j] = float(w @ V[:, j])
-        w -= alpha[j] * V[:, j]
-        if j > 0:
-            w -= beta[j - 1] * V[:, j - 1]
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        b = float(np.linalg.norm(w))
-        beta[j] = b
-        happy = b <= 1e-14 * beta0
         if happy or (j + 1) % 10 == 0 or j == m_cap - 1:
-            lam, Q = eigh_tridiagonal(alpha[: j + 1], beta[:j])
-            y = Q @ (np.exp(-t_max * lam) * (Q.T[:, 0] * beta0))
-            u = V[:, : j + 1] @ y
-            if happy or (prev is not None and np.linalg.norm(u - prev) <= tol * beta0):
+            ritz = eigh_tridiagonal(alpha[: j + 1], beta[:j])
+            if happy or (prev is not None and _iterates_agree(ritz, prev, t, tol, beta0)):
                 return V[:, : j + 1], alpha[: j + 1], beta[:j], beta0
-            prev = u
+            prev = ritz
         if j < m_cap - 1:
             V[:, j + 1] = w / b
     return None
 
 
+def _krylov_coefficients(ritz, t: float, beta0: float) -> np.ndarray:
+    """exp(-tT) e_1 beta0 for the Lanczos tridiagonal T = Q diag(lam) Q^T."""
+    lam, Q = ritz
+    return Q @ (np.exp(-t * lam) * (Q.T[:, 0] * beta0))
+
+
+def _iterates_agree(ritz, prev, t: float, tol: float, beta0: float) -> bool:
+    """Whether the iterates of two basis sizes differ by at most tol * beta0
+    at time t and, if earlier, at 1/theta_1 (theta_1 the lowest Ritz value).
+
+    At large t both iterates can decay below that bound while the bottom of
+    the spectrum, which alone carries exp(-tA) v, is unresolved; at 1/theta_1
+    that mode is not yet damped, so its drift shows.  The basis is
+    orthonormal, so the difference is taken on the coefficients.
+    """
+    lowest = float(ritz[0][0])
+    for s in (t,) if lowest * t <= 1.0 else (t, 1.0 / lowest):
+        diff = _krylov_coefficients(ritz, s, beta0)
+        diff[: prev[0].size] -= _krylov_coefficients(prev, s, beta0)
+        if np.linalg.norm(diff) > tol * beta0:
+            return False
+    return True
+
+
 def _eval_lanczos(basis, t: float) -> np.ndarray:
     V, alpha, beta, beta0 = basis
-    lam, Q = eigh_tridiagonal(alpha, beta)
-    y = Q @ (np.exp(-t * lam) * (Q.T[:, 0] * beta0))
-    return V @ y
+    return V @ _krylov_coefficients(eigh_tridiagonal(alpha, beta), t, beta0)
 
 
-def _crank_nicolson(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float) -> np.ndarray:
-    steps = max(1, int(np.ceil(t / np.sqrt(tol))))
-    dt = t / steps
-    A = op.matrix.tocsc()
-    I = sp.identity(op.n_nodes, format="csc")
-    lu = splu((I + (dt / 2.0) * A).tocsc())
-    u = v.copy()
-    for _ in range(steps):
-        u = lu.solve(u - (dt / 2.0) * (A @ u))
-    return u
+def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
+                  max_basis: int = 600, depth: int = 0) -> np.ndarray:
+    """exp(-tA) v by :func:`_lanczos`, halving the time step when the basis
+    cap is hit, at most ``MAX_HALVINGS`` levels deep (CapacityError beyond)."""
+    if not np.any(v):
+        return v.copy()
+    basis = _lanczos(op, v, t, tol, max_basis)
+    if basis is not None:
+        return _eval_lanczos(basis, t)
+    if depth == MAX_HALVINGS:
+        raise CapacityError(
+            f"Lanczos exponential at t={t:g} did not converge within a "
+            f"{min(max_basis, v.shape[0])}-vector basis after {depth} time halvings"
+        )
+    half = _lanczos_expm(op, v, t / 2.0, tol / 2.0, max_basis, depth + 1)
+    return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis, depth + 1)
 
 
 def apply_semigroup(op: DivergenceFormOperator, v, t: float,
@@ -221,9 +194,7 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
     kind = method.resolve(op)
     if kind == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).apply(v, t)
-    if kind == "krylov_exponential":
-        return _lanczos_expm(op, v, t, method.tolerance)
-    return _crank_nicolson(op, v, t, method.tolerance)
+    return _lanczos_expm(op, v, t, method.tolerance)
 
 
 def heat_kernel(op: DivergenceFormOperator, source, t: float,
@@ -239,17 +210,6 @@ def heat_kernel(op: DivergenceFormOperator, source, t: float,
     e[j] = 1.0
     col = apply_semigroup(op, e, t, method)
     return KernelSlice(source_index=j, t=t, values=col / op.node_weight, weight=op.node_weight)
-
-
-def conservation_report(op: DivergenceFormOperator, times, sources,
-                        method: EvolutionMethod = DEFAULT_METHOD) -> float:
-    """max over sources and times of |1 - sum_x w K_t(x; y)|."""
-    worst = 0.0
-    for src in sources:
-        for t in times:
-            ks = heat_kernel(op, src, t, method)
-            worst = max(worst, abs(1.0 - ks.mass()))
-    return worst
 
 
 def fit_loglog_slope(x, y) -> float:
@@ -302,7 +262,7 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
         for j in np.asarray(candidates):
             e = np.zeros(op.n_nodes)
             e[j] = 1.0
-            basis = _lanczos_basis(op, e, t_max, method.tolerance)
+            basis = _lanczos(op, e, t_max, method.tolerance)
             for k, t in enumerate(times):
                 col = (_eval_lanczos(basis, float(t)) if basis is not None
                        else apply_semigroup(op, e, float(t), method))
@@ -317,6 +277,7 @@ class GaussianUpperReport:
     argmax: tuple          # (source row, other row, t)
     samples: int
     epsilon: float
+    lower: float           # min over sources and times of K_t(x; x) |B(x; sqrt t)|
 
 
 def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
@@ -335,17 +296,24 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
     sides of the pairing degrade consistently under coarsening.  Pairs with
     d^2/(4t) above ``exponent_cap`` or kernel values below ``kernel_floor``
     are skipped (solver noise would otherwise ride the growing exponential).
+
+    The same kernel columns give the on-diagonal lower constant ``lower``,
+    the minimum over sources and times of K_t(x; x) |B(x; sqrt t)|: the
+    single-cell box is the discrete stand-in for the averaged lower bound,
+    so K_t(x; x) is read off the column directly.
     """
     rows = sorted(source_fields)
     best = 0.0
     arg = None
     count = 0
+    lower = np.inf
     for j in rows:
         fj = source_fields[j]
         for t in times:
             ks = heat_kernel(op, j, float(t), method)
             rt = float(np.sqrt(t))
             vj = ball_volume(fj, rt)
+            lower = min(lower, float(ks.values[j] * vj))
             for i in rows:
                 d = float(source_fields[i].distances[op.kept[j]])
                 expo = d * d / (4.0 * t)
@@ -358,24 +326,8 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
                 if val > best:
                     best = float(val)
                     arg = (j, i, float(t))
-    return GaussianUpperReport(constant=best, argmax=arg, samples=count, epsilon=epsilon)
-
-
-def ondiagonal_lower_check(op: DivergenceFormOperator, source_fields: dict, times,
-                           method: EvolutionMethod = DEFAULT_METHOD) -> float:
-    """Fitted constant b = min over samples of K_t(x; x) |B(x; sqrt t)|.
-
-    The single-cell box is the discrete stand-in for the averaged lower
-    bound, so K_t(x; x) is read off the kernel column directly; ball volumes
-    are counted on the grid like in :func:`gaussian_upper_check`.
-    """
-    b = np.inf
-    for j, field in source_fields.items():
-        for t in times:
-            ks = heat_kernel(op, j, float(t), method)
-            vol = ball_volume(field, float(np.sqrt(t)))
-            b = min(b, float(ks.values[j] * vol))
-    return float(b)
+    return GaussianUpperReport(constant=best, argmax=arg, samples=count, epsilon=epsilon,
+                               lower=float(lower))
 
 
 @dataclass(frozen=True)
@@ -461,6 +413,8 @@ def separation_check(neumann_ops, dirichlet_ops, t: float, sources,
                 ext = float(np.abs(vals).max()) if strong else float(vals.min())
                 extreme = ext if extreme is None else (max(extreme, ext) if strong else min(extreme, ext))
         gaps.append(gap)
+    if extreme is None:
+        raise ValueError("no source has nodes across x1 = 0: the cross-kernel is undefined")
     return SeparationReport(
         strongly_degenerate=strong,
         cross_kernel_extreme=float(extreme),

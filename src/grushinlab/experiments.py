@@ -22,12 +22,12 @@ from .evolution import (
     heat_kernel,
     kernel_comparison,
     ondiagonal_decay,
-    ondiagonal_lower_check,
     separation_check,
 )
 from .geometry import MetricGraph, ball_volume_table, closed_form_distance, doubling_exponent
 from .multipliers import (
     MultiplierSpec,
+    bump,
     hardy_check,
     nash_check,
     operator_inequality_checks,
@@ -433,19 +433,6 @@ def run_compare(cfg: ExperimentConfig) -> dict:
 # ------------------------------------------------------------------------- wave
 
 
-def _bump_array(grid, center, width):
-    out = np.ones(grid.counts)
-    for i in range(grid.dim):
-        u = (grid.axis(i) - center[i]) / width
-        prof = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        shape = [1] * grid.dim
-        shape[i] = grid.counts[i]
-        out = out * prof.reshape(shape)
-    return out.ravel()
-
-
 def run_wave(cfg: ExperimentConfig) -> dict:
     t0 = time.time()
     rep = _report_skeleton(cfg)
@@ -466,7 +453,7 @@ def run_wave(cfg: ExperimentConfig) -> dict:
         for level in range(knobs.get("refinements", 2)):
             grid = build_grid(cfg.params, cfg.grid_extents, counts)
             op = assemble(grid, coeffs)
-            v = _bump_array(grid, center, width)[op.kept]
+            v = bump(grid, center, [width] * grid.dim).ravel()[op.kept]
             support = np.nonzero(v > 0)[0]
             if metric == "euclidean":
                 pts = op.coords()
@@ -567,11 +554,10 @@ def run_gaussian(cfg: ExperimentConfig) -> dict:
         upper = gaussian_upper_check(op, fields, times, eps,
                                      exponent_cap=knobs.get("exponent_cap", 16.0),
                                      method=cfg.method)
-        lower = ondiagonal_lower_check(op, fields, times, cfg.method)
         uppers.append(upper.constant)
-        lowers.append(lower)
+        lowers.append(upper.lower)
         rep["fitted"][f"upper_constant_level{level}"] = upper.constant
-        rep["fitted"][f"lower_constant_level{level}"] = lower
+        rep["fitted"][f"lower_constant_level{level}"] = upper.lower
         if level == 0:
             rep["fitted"]["upper_argmax"] = list(upper.argmax)
             rep["fitted"]["upper_samples"] = upper.samples
@@ -609,19 +595,16 @@ def run_nash(cfg: ExperimentConfig) -> dict:
         boundary = "half_line_positive" if half else "neumann_truncation"
         op = assemble(grid, coeffs, boundary)
         spec = MultiplierSpec(cfg.params)
-        members = random_bump_ensemble(grid, ensemble, cfg.seed, positive_axis0=half)
-        repA = nash_check(op, spec, members, r_grid,
-                          volume_factor=4.0 if half else 1.0, reflect_axis0=half)
-        members2 = random_bump_ensemble(grid, ensemble, cfg.seed + 1, positive_axis0=half)
-        repB = nash_check(op, spec, members2, r_grid,
-                          volume_factor=4.0 if half else 1.0, reflect_axis0=half)
+        repA, repB = (
+            nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half),
+                       r_grid, volume_factor=4.0 if half else 1.0, reflect_axis0=half)
+            for seed in (cfg.seed, cfg.seed + 1))
         rep["csv"]["nash_ratios.csv"] = {
             "columns": ["trial", "ratio"],
             "rows": [[k, r] for k, r in enumerate(repA.ratios)],
         }
-        worst_member = int(np.argmin(repA.ratios))
-        margins = _nash_margin_rows(op, spec, members[worst_member], repA, half)
-        rep["csv"]["nash_margins.csv"] = {"columns": ["r", "lhs", "rhs", "margin"], "rows": margins}
+        rep["csv"]["nash_margins.csv"] = {"columns": ["r", "lhs", "rhs", "margin"],
+                                           "rows": repA.display.tolist()}
         rep["fitted"]["constant_seedA"] = repA.fitted_constant
         rep["fitted"]["constant_seedB"] = repB.fitted_constant
         rep["fitted"]["worst_margin"] = repA.worst_margin
@@ -677,28 +660,6 @@ def run_nash(cfg: ExperimentConfig) -> dict:
         return _finish(rep, t0)
 
     raise ValueError(f"unknown nash task {task!r}")
-
-
-def _nash_margin_rows(op, spec, member, nash_rep, half):
-    from .multipliers import _even_reflect_axis0, _transform_pieces
-    from .discretization import form_value
-
-    grid = op.grid
-    if half:
-        phi_full = _even_reflect_axis0(member)
-        kept = member.ravel()[op.kept]
-        h_form = form_value(op, kept)
-        l2, l1, _ = (x / 2.0 for x in _transform_pieces(grid, spec, phi_full))
-    else:
-        h_form = form_value(op, member.ravel())
-        l2, l1, _ = _transform_pieces(grid, spec, member)
-    rows = []
-    d = grid.dim
-    for r in nash_rep.r_grid:
-        rhs = h_form / (nash_rep.fitted_constant * r * r) + nash_rep.volume_factor * (
-            2.0 * np.pi) ** (-d) * vf_volume(spec, r) * l1**2
-        rows.append([r, l2, rhs, rhs - l2])
-    return rows
 
 
 # --------------------------------------------------------------------- dispatch

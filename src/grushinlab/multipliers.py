@@ -33,6 +33,7 @@ __all__ = [
     "MultiplierSpec",
     "multiplier_value",
     "vf_volume",
+    "bump",
     "random_bump_ensemble",
     "nash_check",
     "NashReport",
@@ -143,20 +144,35 @@ def vf_volume(spec: MultiplierSpec, r: float, n_quad: int = 256) -> float:
     return float(p1_max * np.sum(w * integrand))
 
 
+def bump(grid: Grid, centers, widths) -> np.ndarray:
+    """Product of one-dimensional C^infty bumps exp(-1/(1-u^2)),
+    u = (x_i - centers[i]) / widths[i], as a full-shape grid array."""
+    out = np.ones(grid.counts)
+    for i in range(grid.dim):
+        u = (grid.axis(i) - centers[i]) / widths[i]
+        prof = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        shape = [1] * grid.dim
+        shape[i] = grid.counts[i]
+        out = out * prof.reshape(shape)
+    return out
+
+
 def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
                          margin_fraction: float = 0.25,
                          positive_axis0: bool = False) -> list[np.ndarray]:
     """Smooth compactly supported test bumps on the grid (full shape arrays).
 
-    Each member is a product of one-dimensional C^infty bumps
-    exp(-1/(1-u^2)) with random centers and widths; supports stay inside the
-    box by ``margin_fraction`` of each extent.  With ``positive_axis0`` the
-    support is placed in {x_0 > 0} (half-line ensembles).
+    Each member is a :func:`bump` with random centers and widths (drawn
+    width first, then center, axis by axis); supports stay inside the box by
+    ``margin_fraction`` of each extent.  With ``positive_axis0`` the support
+    is placed in {x_0 > 0} (half-line ensembles).
     """
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(n_members):
-        member = np.ones(grid.counts)
+        centers, widths = [], []
         for i in range(grid.dim):
             L = grid.extents[i]
             h = grid.spacings[i]
@@ -173,14 +189,9 @@ def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
                 center = rng.uniform(lo, hi)
             else:
                 center = rng.uniform(-(inner - width), inner - width)
-            u = (grid.axis(i) - center) / width
-            prof = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            shape = [1] * grid.dim
-            shape[i] = grid.counts[i]
-            member = member * prof.reshape(shape)
-        members.append(member)
+            centers.append(center)
+            widths.append(width)
+        members.append(bump(grid, centers, widths))
     return members
 
 
@@ -192,6 +203,7 @@ class NashReport:
     worst_margin: float         # min over members and r of the display margin
     volume_factor: float        # 1 full space, 4 half-line
     parseval_gap: float         # max |sum fhat2 - ||phi||_2^2| / ||phi||_2^2
+    display: np.ndarray         # (r, lhs, rhs, rhs - lhs) rows of the min-ratio member
 
 
 def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
@@ -234,7 +246,9 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
 
         ||phi||_2^2 <= r^{-2} h(phi)/a  +  volume_factor (2 pi)^{-d} V_F(r) ||phi||_1^2
 
-    with a the fitted constant; the worst margin (rhs - lhs) is returned.
+    with a the fitted constant; the worst margin (rhs - lhs) is returned,
+    and the display of the member with the smallest ratio (the first one if
+    tied) row by row.
     """
     grid = op.grid
     d = grid.dim
@@ -243,17 +257,14 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
     parseval_gap = 0.0
     for member in members:
         if reflect_axis0:
-            phi_full = _even_reflect_axis0(member)
             kept = member.ravel()[op.kept]
-            h_form = form_value(op, kept)
-            l2_full, l1_full, f_full = _transform_pieces(grid, spec, phi_full)
-            l2, l1, f_form = l2_full / 2.0, l1_full / 2.0, f_full / 2.0
-            direct_l2 = float(grid.node_weight * (kept @ kept))
+            full = _transform_pieces(grid, spec, _even_reflect_axis0(member))
+            l2, l1, f_form = (x / 2.0 for x in full)
         else:
-            flat = member.ravel()
-            h_form = form_value(op, flat)
+            kept = member.ravel()
             l2, l1, f_form = _transform_pieces(grid, spec, member)
-            direct_l2 = float(grid.node_weight * (flat @ flat))
+        h_form = form_value(op, kept)
+        direct_l2 = float(grid.node_weight * (kept @ kept))
         parseval_gap = max(parseval_gap, abs(l2 - direct_l2) / direct_l2)
         if f_form <= 0:
             raise ValueError("degenerate ensemble member with zero multiplier form")
@@ -264,9 +275,12 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
     vols = np.array([vf_volume(spec, r) for r in r_grid])
     worst = np.inf
-    for l2, l1, h_form in pieces:
+    shown = int(np.argmin(ratios))
+    for k, (l2, l1, h_form) in enumerate(pieces):
         rhs = h_form / (a_fit * r_grid**2) + volume_factor * (2.0 * pi) ** (-d) * vols * l1**2
         worst = min(worst, float((rhs - l2).min()))
+        if k == shown:
+            display = np.column_stack([r_grid, np.full_like(r_grid, l2), rhs, rhs - l2])
     return NashReport(
         ratios=ratios,
         fitted_constant=a_fit,
@@ -274,6 +288,7 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
         worst_margin=worst,
         volume_factor=volume_factor,
         parseval_gap=parseval_gap,
+        display=display,
     )
 
 
@@ -320,25 +335,19 @@ def hardy_check(n: int, gamma: float, fraction: float, extent: float = 1.0,
         V = r2 ** (-gamma)
         return L, V
 
-    if gamma == 1.0 and n >= 3:
+    if classical:
         a = (n - 2) ** 2 / 4.0
     else:
         Lc, Vc = _build(coarse_count)
-        lam_g = _matrix_power_psd(Lc, gamma)
+        lam_g = _matrix_fun_psd(Lc, lambda lam: lam**gamma)
         # largest a with L^gamma - a V >= 0 on the coarse grid
         from scipy.linalg import eigh as geigh
 
         a = float(geigh(lam_g, np.diag(Vc), eigvals_only=True)[0])
     L, V = _build(count)
-    Lg = _matrix_power_psd(L, gamma) if gamma != 1.0 else L
+    Lg = _matrix_fun_psd(L, lambda lam: lam**gamma) if gamma != 1.0 else L
     evals = np.linalg.eigvalsh(Lg - fraction * a * np.diag(V))
     return float(evals[0]), float(a)
-
-
-def _matrix_power_psd(M: np.ndarray, power: float) -> np.ndarray:
-    lam, Q = np.linalg.eigh(M)
-    lam = np.clip(lam, 0.0, None)
-    return (Q * lam**power) @ Q.T
 
 
 def _matrix_fun_psd(M: np.ndarray, fn) -> np.ndarray:
@@ -377,8 +386,8 @@ def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 
         diff = _matrix_fun_psd(A, phi) - _matrix_fun_psd(B, phi)
         worst_res = min(worst_res, float(np.linalg.eigvalsh(diff)[0]))
         for k in (1, 2):
-            pw = 0.5**k
-            lhs = _matrix_power_psd(A + B, pw)
-            rhs = 2.0 ** (-1.0 + 2.0 ** (-k)) * (_matrix_power_psd(A, pw) + _matrix_power_psd(B, pw))
+            root = lambda lam: lam ** (0.5**k)
+            lhs = _matrix_fun_psd(A + B, root)
+            rhs = 2.0 ** (-1.0 + 2.0 ** (-k)) * (_matrix_fun_psd(A, root) + _matrix_fun_psd(B, root))
             worst_root[k] = min(worst_root[k], float(np.linalg.eigvalsh(lhs - rhs)[0]))
     return {"resolvent_power": worst_res, "root_sum": worst_root}

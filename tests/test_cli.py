@@ -5,7 +5,7 @@ import pytest
 
 from grushinlab.cli import main, run_suite
 from grushinlab.config import ConfigError, ExperimentConfig, config_hash
-from grushinlab.experiments import run_experiment
+from grushinlab.experiments import acceptance_manifest, run_experiment
 from grushinlab.reporting import format_number, write_report
 
 FAST_CONFIG = {
@@ -53,6 +53,43 @@ def test_config_hash_is_stable_and_sensitive():
     other = json.loads(json.dumps(FAST_CONFIG))
     other["seed"] = 100
     assert ExperimentConfig.from_dict(other).hash() != h0
+
+
+# The frozen manifest's config hashes, which every CSV header carries.
+MANIFEST_HASHES = {
+    "c01_conservation_1d": "2c6fdd8db8105058",
+    "c01_conservation_2d": "f48a05510c4b6880",
+    "c02_decay_classical": "c50d65c237cf50c0",
+    "c02_decay_control": "b0ac30641415f1c2",
+    "c03_decay_1d": "b6aa25f28bae2520",
+    "c04_distance": "aa8f5dc78a9d7942",
+    "c05_volume_slopes": "d1b6333feeccbd16",
+    "c06_doubling": "acc446f78bed0d0d",
+    "c07_separation_strong": "e9b7e3aaf823b4a0",
+    "c07_separation_weak": "992ced1db45c716c",
+    "c08_gaussian_bounds": "9c2bbfe7faa29315",
+    "c09_davies_gaffney": "ad3c11d2d47055c9",
+    "c10_speed_classical": "bbf93c24ab0886d4",
+    "c10_speed_constant": "f83dd3b1344eb886",
+    "c11_compare": "115b97acb2e5d570",
+    "c12_nash_full": "41ec5d088ee5f051",
+    "c12_nash_half_line": "f2e349365c96e419",
+    "c13_hardy": "d92f725a6021fb8a",
+    "c13_operator_inequalities": "a0a5ae2fda8c99d5",
+    "c14_free_space_oracle": "57cb9a6ec4801c05",
+}
+
+
+def test_manifest_config_hashes_are_unchanged():
+    got = {raw["name"]: ExperimentConfig.from_dict(raw).hash() for raw in acceptance_manifest()}
+    assert got == MANIFEST_HASHES
+
+
+def test_worker_count_belongs_to_the_suite_only():
+    with pytest.raises(ConfigError, match="workers: unknown field"):
+        ExperimentConfig.from_dict(dict(FAST_CONFIG, workers=2))
+    with pytest.raises(SystemExit):
+        main(["conservation", "--workers", "2"])
 
 
 def test_reports_are_byte_reproducible(tmp_path):

@@ -1,6 +1,6 @@
 """Property tests of the factored exact spectrum (``dense_eig``) against a
-dense eigendecomposition oracle built here, on small grids in every
-boundary mode."""
+dense eigendecomposition oracle built here, and of the Lanczos path against
+the factored spectrum, on small grids in every boundary mode."""
 
 import dataclasses
 import math
@@ -20,7 +20,7 @@ from grushinlab.discretization import (
     build_grid,
     face_conductance,
 )
-from grushinlab.evolution import EvolutionMethod, apply_semigroup
+from grushinlab.evolution import EvolutionMethod, apply_semigroup, ondiagonal_decay
 
 SHAPES = [(1, 0), (1, 1), (1, 2), (2, 1)]
 CASES = [(n, m, b) for n, m in SHAPES for b in BOUNDARY_MODES
@@ -28,6 +28,9 @@ CASES = [(n, m, b) for n, m in SHAPES for b in BOUNDARY_MODES
 DELTA1 = [0.0, 0.25, 0.5, 0.75]
 TIMES = st.floats(-4.0, 2.0).map(lambda e: 10.0**e)
 EXACT = EvolutionMethod("exact_eigendecomposition")
+KRYLOV = EvolutionMethod("krylov_exponential", tolerance=1e-8)
+# error-to-tolerance ratio of test_evolution.test_methods_agree: 1e-7 at 1e-8
+KRYLOV_ERROR = 10.0 * KRYLOV.tolerance
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 
 
@@ -181,3 +184,22 @@ def test_non_kronecker_matrix_raises_named_error():
     bad = dataclasses.replace(op, matrix=sp.csr_matrix(M))
     with pytest.raises(FactorizationError, match="Kronecker"):
         bad.dense_eig()
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
+    op = data.draw(operators(n, m, boundary))
+    spec = op.dense_eig()
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    v /= np.linalg.norm(v)
+    krylov = apply_semigroup(op, v, t, KRYLOV)
+    assert np.abs(krylov - spec.apply(v, t)).max() <= KRYLOV_ERROR
+    # one Lanczos basis per candidate, converged at the largest time, serves
+    # every time; the sup is taken over K_t(x; x) = column / node weight
+    times = [t / 4.0, t / 2.0, t]
+    cands = np.arange(0, op.n_nodes, 2)
+    sup = ondiagonal_decay(op, times, candidates=cands, method=KRYLOV).sup_diag
+    exact = spec.diagonal(times)[:, cands].max(axis=1) / op.node_weight
+    assert np.abs(sup - exact).max() <= KRYLOV_ERROR / op.node_weight

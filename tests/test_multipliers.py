@@ -117,6 +117,23 @@ def test_nash_classical_grusin_margin_and_stability():
     assert rep2.fitted_constant >= rep.fitted_constant / 1.25
 
 
+def test_nash_display_rows():
+    g = build_grid(CLASSICAL, (2.0, 2.0), (65, 65))
+    op = assemble(g, CoefficientField(CLASSICAL))
+    members = random_bump_ensemble(g, 10, seed=7)
+    r_grid = np.geomspace(0.3, 60.0, 30)
+    rep = nash_check(op, MultiplierSpec(CLASSICAL), members, r_grid=r_grid)
+    r, lhs, rhs, margin = rep.display.T
+    assert rep.display.shape == (len(r_grid), 4)
+    assert np.array_equal(r, rep.r_grid)
+    # lhs is ||phi||_2^2 of the min-ratio member, the same for every r
+    worst = members[int(np.argmin(rep.ratios))].ravel()
+    assert np.all(lhs == lhs[0])
+    assert lhs[0] == pytest.approx(g.node_weight * (worst @ worst), rel=1e-10)
+    assert np.array_equal(margin, rhs - lhs)
+    assert margin.min() >= rep.worst_margin
+
+
 def test_nash_half_line_factor_four():
     # n = 1, delta in [1/2, 1): Neumann multiplier via even reflection
     params = GrusinParameters(1, 0, 0.75, 0.75)
