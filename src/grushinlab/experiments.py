@@ -35,7 +35,7 @@ from .multipliers import (
     vf_volume,
 )
 from .reporting import all_passed, check
-from .wave import davies_gaffney_check, finite_speed_check, wave_energy_drift
+from .wave import davies_gaffney_check, finite_speed_check
 
 __all__ = ["run_experiment", "acceptance_manifest"]
 
@@ -456,15 +456,14 @@ def run_wave(cfg: ExperimentConfig) -> dict:
             v = bump(grid, center, [width] * grid.dim).ravel()[op.kept]
             support = np.nonzero(v > 0)[0]
             if metric == "euclidean":
-                pts = op.coords()
-                d = _chunked_euclid(pts, pts[support])
+                d = _support_box_distance(grid, op.coords(), support)
             else:
                 graph = MetricGraph(grid, coeffs, 2)
                 d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
             leaks = []
             for t in times:
-                leak = finite_speed_check(op, d, v, float(t), eps, safety=knobs.get("safety", 0.5))
-                drift = wave_energy_drift(op, v, float(t), knobs.get("safety", 0.5))
+                leak, drift = finite_speed_check(op, d, v, float(t), eps,
+                                                 safety=knobs.get("safety", 0.5))
                 leaks.append(leak)
                 rows.append([t, leak, drift, level])
             leak_by_level.append(max(leaks))
@@ -522,13 +521,22 @@ def run_wave(cfg: ExperimentConfig) -> dict:
     raise ValueError(f"unknown wave task {task!r}")
 
 
-def _chunked_euclid(pts, sup_pts, chunk=2000):
-    out = np.empty(len(pts))
-    for k in range(0, len(pts), chunk):
-        blk = pts[k : k + chunk]
-        out[k : k + chunk] = np.min(
-            np.linalg.norm(blk[:, None, :] - sup_pts[None, :, :], axis=2), axis=1)
-    return out
+def _support_box_distance(grid, pts, support) -> np.ndarray:
+    """Euclidean distance from each node in ``pts`` to the nearest node of
+    ``support``, for a support that is every grid node of its bounding box
+    [lo, hi] (a product-form bump's is): the nearest one is the clamp of x
+    into the box, at distance ||max(lo - x, 0) + max(x - hi, 0)||."""
+    if support.size == 0:
+        raise ValueError("the bump has no support nodes on this grid")
+    sup = pts[support]
+    lo, hi = sup.min(axis=0), sup.max(axis=0)
+    box_nodes = np.prod([np.count_nonzero((ax >= a) & (ax <= b))
+                         for ax, a, b in zip(grid.axes(), lo, hi)])
+    if box_nodes != support.size:
+        raise ValueError(
+            f"the bump support has {support.size} nodes but its bounding box has "
+            f"{box_nodes}, so the box distance is not the distance to the support")
+    return np.linalg.norm(np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0), axis=1)
 
 
 # --------------------------------------------------------- gaussian bound checks

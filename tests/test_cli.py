@@ -93,13 +93,21 @@ def test_worker_count_belongs_to_the_suite_only():
 
 
 def test_reports_are_byte_reproducible(tmp_path):
+    # every CSV byte for byte, and report.json up to its wall-clock timings
     cfg = ExperimentConfig.from_dict(FAST_CONFIG)
-    paths = []
     for tag in ("a", "b"):
-        rep = run_experiment(cfg)
-        write_report(tmp_path / tag, rep)
-        paths.append(tmp_path / tag / "conservation.csv")
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        write_report(tmp_path / tag, run_experiment(cfg))
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "conservation.csv" in names and "report.json" in names
+    for name in names:
+        a, b = (tmp_path / tag / name for tag in ("a", "b"))
+        if name == "report.json":
+            a, b = (json.loads(p.read_text()) for p in (a, b))
+            assert a.pop("timings") and b.pop("timings")
+            assert a == b
+        else:
+            assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_header_carries_config_hash(tmp_path):

@@ -272,6 +272,25 @@ def test_kernel_comparison_decay_slope():
     assert np.all(np.diff(rep.sup_diff) > 0)  # smaller t, smaller difference
 
 
+def test_kernel_comparison_honours_krylov():
+    params = GrusinParameters(1, 0, 0.5, 0.0)
+    g = build_grid(params, 6.0, 193)
+    op_true = assemble(g, CoefficientField(params))
+    op_frozen = assemble(g, CoefficientField(params, floor_radius=0.5))
+    x = op_true.coords()[:, 0]
+    rows = np.nonzero((x >= 1.0) & (x <= 2.0))[0]
+    times = [0.05, 0.2, 0.5]
+    exact = kernel_comparison(op_true, op_frozen, rows, 1.0, times, EXACT)
+    krylov = kernel_comparison(op_true, op_frozen, rows, 1.0, times, KRYLOV)
+    assert not np.array_equal(krylov.sup_diff, exact.sup_diff)  # Lanczos, not the spectrum
+    err = np.abs(krylov.sup_diff - exact.sup_diff).max() * op_true.node_weight
+    assert err <= 10.0 * KRYLOV.tolerance
+    # beyond the exact storage ceiling Krylov runs instead of raising
+    beyond = EvolutionMethod("krylov_exponential", tolerance=1e-8, max_exact_dimension=10)
+    rep = kernel_comparison(op_true, op_frozen, rows, 1.0, times, beyond)
+    assert np.array_equal(rep.sup_diff, krylov.sup_diff)
+
+
 def test_gaussian_upper_and_lower_constants_euclidean():
     op = _op_1d(count=513, L=8.0)
     g = op.grid

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
-from grushinlab.discretization import assemble, build_grid
+from grushinlab.discretization import BOUNDARY_MODES, assemble, build_grid
 from grushinlab.evolution import EvolutionMethod
+from grushinlab.experiments import _support_box_distance
 from grushinlab.geometry import MetricGraph
+from grushinlab.multipliers import bump
 from grushinlab.wave import (
     cosine_propagator,
     davies_gaffney_check,
     estimate_lambda_max,
     finite_speed_check,
-    wave_energy_drift,
 )
 
 EXACT = EvolutionMethod("exact_eigendecomposition")
@@ -24,9 +25,24 @@ def _bump(x, center, width):
     return out
 
 
-def test_lambda_max_close_to_true():
-    p = GrusinParameters(1, 0)
-    op = assemble(build_grid(p, 1.0, 201), CoefficientField(p))
+# per (n, m): a small grid whose dense spectrum is cheap
+LAMBDA_GRIDS = {(1, 0): (1.0, 201), (1, 1): ((1.0, 1.0), (31, 31)),
+                (2, 1): ((1.0, 1.0, 1.0), (11, 11, 11))}
+
+
+@pytest.mark.parametrize("delta1", [0.0, 0.25, 0.75])
+@pytest.mark.parametrize("n, m, boundary", [
+    (n, m, b) for n, m in LAMBDA_GRIDS for b in BOUNDARY_MODES
+    if n == 1 or not b.startswith("half_line")])
+def test_lambda_max_close_to_true(n, m, boundary, delta1):
+    p = GrusinParameters(n, m, delta1, delta1, 1.0 if m else 0.0)
+    extents, counts = LAMBDA_GRIDS[(n, m)]
+    op = assemble(build_grid(p, extents, counts), CoefficientField(p), boundary)
+    # the premise of the Gershgorin bound 2 max A_ii: off-diagonals <= 0 and
+    # row sums >= 0, the latter up to the rounding of the summed diagonal
+    diag = op.matrix.diagonal()
+    assert (op.matrix - np.diag(diag)).max() <= 0.0
+    assert np.all(np.asarray(op.matrix.sum(axis=1)).ravel() >= -1e-14 * diag)
     lam = np.linalg.eigvalsh(op.matrix.toarray())[-1]
     est = estimate_lambda_max(op)
     assert lam <= est <= 1.2 * lam
@@ -68,7 +84,34 @@ def test_energy_drift_small():
     op = assemble(g, CoefficientField(p))
     coords = op.coords()
     v = _bump(coords[:, 0], 0.8, 0.4) * _bump(coords[:, 1], 0.0, 0.4)
-    assert wave_energy_drift(op, v, 5.0) < 1e-6
+    _, drift = finite_speed_check(op, np.zeros(op.n_nodes), v, 5.0, 0.1)
+    assert drift < 1e-6
+
+
+def test_fused_energy_drift_matches_separate_matvecs():
+    # reference: the leapfrog with its own A u_prev matvec for each energy
+    p = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
+    g = build_grid(p, (2.0, 2.0), (33, 33))
+    op = assemble(g, CoefficientField(p))
+    coords = op.coords()
+    v = _bump(coords[:, 0], 0.5, 0.6) * _bump(coords[:, 1], 0.0, 0.6)
+    t, safety = 3.0, 0.5
+    A, w = op.matrix, op.node_weight
+    cfl = 2.0 / np.sqrt(estimate_lambda_max(op))
+    steps = max(1, int(np.ceil(t / (safety * cfl))))
+    dt = t / steps
+    u_prev, u = v, v - 0.5 * dt * dt * (A @ v)
+    energies = []
+    for k in range(steps):
+        if k:
+            u_prev, u = u, 2.0 * u - u_prev - dt * dt * (A @ u)
+        vel = (u - u_prev) / dt
+        energies.append(w * float(vel @ vel) + w * float(u @ (A @ u_prev)))
+    ref = np.abs(np.asarray(energies) - energies[0]).max() / abs(energies[0])
+    assert steps > 10 and ref > 0.0
+    _, drift = finite_speed_check(op, np.zeros(op.n_nodes), v, t, 0.1, safety=safety)
+    assert drift == ref
+    assert np.array_equal(cosine_propagator(op, v, t, safety), u)
 
 
 def test_trig_doubling_identity():
@@ -96,9 +139,52 @@ def test_finite_speed_zero_time_and_leakage():
     support = np.nonzero(v > 0)[0]
     mg = MetricGraph(g, cf, 2)
     d = mg.field_from_nodes(op.kept[support]).distances[op.kept]
-    assert finite_speed_check(op, d, v, 0.0, 0.1) == 0.0
-    leak = finite_speed_check(op, d, v, 1.0, 0.1)
+    assert finite_speed_check(op, d, v, 0.0, 0.1) == (0.0, 0.0)
+    leak, _ = finite_speed_check(op, d, v, 1.0, 0.1)
     assert leak < 1e-6
+
+
+def test_finite_speed_is_even_in_time():
+    p = GrusinParameters(1, 0)
+    g = build_grid(p, 4.0, 257)
+    op = assemble(g, CoefficientField(p))
+    x = g.axis(0)
+    v = _bump(x, 0.0, 0.5)
+    support = np.nonzero(v > 0)[0]
+    d = np.abs(x - x[support][None].T).min(axis=0)
+    fwd = finite_speed_check(op, d, v, 1.0, 0.1)
+    assert fwd[0] < 1e-6
+    assert finite_speed_check(op, d, v, -1.0, 0.1) == fwd
+
+
+@pytest.mark.parametrize("counts", [(257, 257), (513, 513)])
+def test_support_box_distance_is_nearest_support_node(counts):
+    # the c10_speed_constant grids and bump
+    p = GrusinParameters(1, 1)
+    g = build_grid(p, (8.0, 8.0), counts)
+    op = assemble(g, CoefficientField(p))
+    pts = op.coords()
+    v = bump(g, [1.0, 0.0], [0.6, 0.6]).ravel()[op.kept]
+    support = np.nonzero(v > 0)[0]
+    d = _support_box_distance(g, pts, support)
+    # brute force over a subsample of every 7th node, plus the support
+    # and its neighbourhood, where the clamp is most often partial
+    rows = np.union1d(np.arange(0, op.n_nodes, 7),
+                      np.nonzero(np.abs(pts - [1.0, 0.0]).max(axis=1) < 1.0)[0])
+    brute = np.array([np.linalg.norm(pts[r] - pts[support], axis=1).min() for r in rows])
+    assert np.array_equal(d[rows], brute)
+    assert np.all(d[support] == 0.0)
+
+
+def test_support_box_distance_rejects_a_support_that_is_not_a_box():
+    p = GrusinParameters(1, 1)
+    g = build_grid(p, (2.0, 2.0), (17, 17))
+    pts = assemble(g, CoefficientField(p)).coords()
+    disc = np.nonzero(np.linalg.norm(pts, axis=1) < 1.0)[0]
+    with pytest.raises(ValueError, match="bounding box"):
+        _support_box_distance(g, pts, disc)
+    with pytest.raises(ValueError, match="no support"):
+        _support_box_distance(g, pts, disc[:0])
 
 
 def test_finite_speed_leakage_decreases_under_refinement():
@@ -112,7 +198,7 @@ def test_finite_speed_leakage_decreases_under_refinement():
         v = _bump(x, 0.0, 0.5)
         support = np.nonzero(v > 0)[0]
         d = np.abs(x - x[support][None].T).min(axis=0)  # exact Euclidean oracle
-        leaks.append(finite_speed_check(op, d, v, 1.0, 0.1))
+        leaks.append(finite_speed_check(op, d, v, 1.0, 0.1)[0])
     assert leaks[1] <= leaks[0]
     assert leaks[1] < 1e-6
 
