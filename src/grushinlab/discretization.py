@@ -58,7 +58,7 @@ BOUNDARY_MODES = (
 
 
 class CapacityError(RuntimeError):
-    """A method guard (exact storage ceiling, Krylov halving depth) was exceeded."""
+    """A method guard (storage ceiling, Krylov halving depth, Chebyshev length) was exceeded."""
 
 
 class FactorizationError(ValueError):

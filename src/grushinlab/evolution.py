@@ -181,6 +181,19 @@ def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: floa
     return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis, depth + 1)
 
 
+def _krylov_columns(op: DivergenceFormOperator, rows, times, method: EvolutionMethod):
+    """Yield (j, [exp(-tA) e_j for t in times]) for each row j, every time
+    from one Lanczos basis converged at max(times); if the basis cap is hit,
+    each time goes through :func:`apply_semigroup` (with its halving)."""
+    t_max = float(max(times))
+    for j in rows:
+        e = np.zeros(op.n_nodes)
+        e[j] = 1.0
+        basis = _lanczos(op, e, t_max, method.tolerance)
+        yield j, [_eval_lanczos(basis, float(t)) if basis is not None
+                  else apply_semigroup(op, e, float(t), method) for t in times]
+
+
 def apply_semigroup(op: DivergenceFormOperator, v, t: float,
                     method: EvolutionMethod = DEFAULT_METHOD) -> np.ndarray:
     """exp(-tA) v for the operator's generator A; t = 0 returns v."""
@@ -258,14 +271,8 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
         if candidates is None:
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
         sup = np.zeros(len(times))
-        t_max = float(times[-1])
-        for j in np.asarray(candidates):
-            e = np.zeros(op.n_nodes)
-            e[j] = 1.0
-            basis = _lanczos(op, e, t_max, method.tolerance)
-            for k, t in enumerate(times):
-                col = (_eval_lanczos(basis, float(t)) if basis is not None
-                       else apply_semigroup(op, e, float(t), method))
+        for j, cols in _krylov_columns(op, np.asarray(candidates), times, method):
+            for k, col in enumerate(cols):
                 sup[k] = max(sup[k], col[j] / w)
     return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup),
                        refused_times=refused)
@@ -371,12 +378,11 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
 def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarray,
                   method: EvolutionMethod) -> np.ndarray:
     """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R), by the
-    resolved method: from the factored spectrum, or column by column."""
+    resolved method: from the factored spectrum, or one Krylov column per row."""
     if method.resolve(op) == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
-    cols = [[apply_semigroup(op, np.eye(1, op.n_nodes, r)[0], t, method)[rows] for r in rows]
-            for t in times]
-    return np.transpose(cols, (0, 2, 1))
+    cols = [[col[rows] for col in cols] for _, cols in _krylov_columns(op, rows, times, method)]
+    return np.transpose(cols, (1, 2, 0))
 
 
 @dataclass(frozen=True)

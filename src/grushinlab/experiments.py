@@ -460,13 +460,9 @@ def run_wave(cfg: ExperimentConfig) -> dict:
             else:
                 graph = MetricGraph(grid, coeffs, 2)
                 d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
-            leaks = []
-            for t in times:
-                leak, drift = finite_speed_check(op, d, v, float(t), eps,
-                                                 safety=knobs.get("safety", 0.5))
-                leaks.append(leak)
-                rows.append([t, leak, drift, level])
-            leak_by_level.append(max(leaks))
+            results = finite_speed_check(op, d, v, times, eps)
+            rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
+            leak_by_level.append(max(leak for leak, _ in results))
             counts = _refine(counts)
         rep["csv"]["wave.csv"] = {
             "columns": ["t", "leaked_fraction", "energy_drift", "refinement"], "rows": rows}

@@ -1,20 +1,18 @@
-"""Discrete cosine propagator and finite-speed / Davies-Gaffney checks.
+"""Exact cosine propagator and finite-speed / Davies-Gaffney checks.
 
-cos(t sqrt(A)) v is evaluated with the standard leapfrog scheme
-
-    u_{k+1} = 2 u_k - u_{k-1} - dt^2 A u_k,    u_1 = u_0 - (dt^2/2) A u_0,
-
-whose time step is capped by the CFL bound 2 / sqrt(lambda_max), with
-lambda_max bounded above by Gershgorin's 2 max_i A_ii.  Each pass also
-tracks the conserved energy E_k = |(u_k - u_{k-1}) / dt|^2 + u_k . A u_{k-1},
-whose A u_{k-1} is the matvec of the step before, so a finite-speed check
-is one propagation with one matvec per step.  The discrete operator does
-not propagate at exactly finite speed (grid dispersion), so the light-cone
-check measures the mass leaking past an epsilon-inflated cone with a
-two-cell stencil slack.
-
-Single propagations are sequential in time; independent (v, t) runs can be
-executed concurrently since nothing here mutates shared state.
+cos(t sqrt(A)) v is summed as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 3967, 1984).  A is PSD with spectrum in [0, Lambda], Lambda = 2 max_i
+A_ii (Gershgorin), so x = (2/Lambda) A - I has spectrum in [-1, 1]; with z =
+|t| sqrt(Lambda), Jacobi-Anger gives cos(t sqrt(A)) = J_0(z) + 2 sum_k (-1)^k
+J_2k(z) T_k(x), and J_n' = (J_n-1 - J_n+1) / 2 gives the velocity.  One
+recurrence T_k+1 = 2x T_k - T_k-1 to the largest |t| serves every time, with
+about max|t| sqrt(Lambda) / 2 matvecs.  It stops after the last coefficient
+above ``COEFFICIENT_CUT``; one above it at K_max = ceil(z/2 + 10 z^(1/3) + 20)
+raises ``CapacityError``.  The energy drift |E(t) - E(0)| / E(0), with E(t) =
+w |u_t|^2 + w u.Au and E(0) = w v.Av from the matrix, checks the cut and the
+bound Lambda.  Grid dispersion makes propagation only approximately
+finite-speed, so the light-cone check measures the mass past an
+epsilon-inflated cone plus a two-cell stencil slack.
 """
 
 from __future__ import annotations
@@ -22,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.blas import dger
+from scipy.special import jv
 
-from .discretization import DivergenceFormOperator
+from .discretization import CapacityError, DivergenceFormOperator, form_value
 from .evolution import DEFAULT_METHOD, EvolutionMethod, apply_semigroup
 
 __all__ = [
@@ -34,11 +35,15 @@ __all__ = [
     "davies_gaffney_check",
 ]
 
+# Chebyshev coefficients at or below this are dropped from the series' tail.
+COEFFICIENT_CUT = 1e-17
+
 
 @dataclass(frozen=True)
 class WaveState:
-    current: np.ndarray
-    energy_drift: float  # max_k |E_k - E_1| / |E_1|, 0 when E_1 = 0
+    current: np.ndarray       # (times, nodes): cos(t sqrt A) v
+    velocity: np.ndarray      # (times, nodes): its time derivative
+    energy_drift: np.ndarray  # (times,): |E(t) - E(0)| / E(0), 0 when E(0) = 0
 
 
 def estimate_lambda_max(op: DivergenceFormOperator) -> float:
@@ -51,68 +56,62 @@ def estimate_lambda_max(op: DivergenceFormOperator) -> float:
     return 2.0 * float(op.matrix.diagonal().max())
 
 
-def _leapfrog(op: DivergenceFormOperator, v: np.ndarray, t: float, safety: float) -> WaveState:
-    if not 0.0 < safety < 1.0:
-        raise ValueError("CFL safety factor must lie in (0, 1)")
-    cfl = 2.0 / np.sqrt(estimate_lambda_max(op))
-    steps = max(1, int(np.ceil(t / (safety * cfl))))
-    dt = t / steps
-    if dt > cfl:
-        raise ValueError(f"time step {dt} violates the CFL bound {cfl}")
-    A = op.matrix
-    w = op.node_weight
-
-    def energy(u, u_prev, A_u_prev):
-        vel = (u - u_prev) / dt
-        return w * float(vel @ vel) + w * float(u @ A_u_prev)
-
-    Au = A @ v
-    u_prev, u = v, v - 0.5 * dt * dt * Au
-    energies = [energy(u, u_prev, Au)]
-    for _ in range(steps - 1):
-        Au = A @ u
-        u_prev, u = u, 2.0 * u - u_prev - dt * dt * Au
-        energies.append(energy(u, u_prev, Au))
-    e0 = energies[0]
-    drift = float(np.abs(np.asarray(energies) - e0).max() / abs(e0)) if e0 != 0.0 else 0.0
-    return WaveState(current=u, energy_drift=drift)
-
-
-def cosine_propagator(op: DivergenceFormOperator, v, t: float, safety: float = 0.5) -> np.ndarray:
-    """cos(t sqrt(A)) v by leapfrog time stepping; t = 0 returns v."""
+def cosine_propagator(op: DivergenceFormOperator, v, times) -> WaveState:
+    """cos(t sqrt(A)) v and its velocity for every t in ``times``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (op.n_nodes,):
-        raise ValueError(f"vector length {v.shape} does not match {op.n_nodes} nodes")
-    if t == 0.0:
-        return v.copy()
-    return _leapfrog(op, v, abs(t), safety).current  # the cosine group is even in t
+    times = np.asarray(times, dtype=float)
+    if v.shape != (op.n_nodes,) or times.ndim != 1 or not times.size:
+        raise ValueError("need one value of v per kept node and a non-empty list of times")
+    lam = estimate_lambda_max(op) or 1.0  # A = 0 (every face dead): any Lambda > 0 bounds it
+    z = np.abs(times) * np.sqrt(lam)
+    k_max = int(np.ceil(z.max() / 2.0 + 10.0 * z.max() ** (1.0 / 3.0) + 20.0))
+    k = np.arange(k_max + 1)
+    J = jv(np.arange(-1, 2 * k_max + 2), z[:, None])  # orders -1 .. 2 K_max + 1
+    weight = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k
+    coef = np.concatenate([weight * J[:, 2 * k + 1],  # cosine, then velocity / sqrt(Lambda)
+                           0.5 * weight * (J[:, 2 * k] - J[:, 2 * k + 2]) * np.sign(times)[:, None]])
+    above = np.abs(coef).max(axis=0) > COEFFICIENT_CUT
+    if above[-1]:
+        raise CapacityError(f"Chebyshev coefficient {np.abs(coef[:, -1]).max():.3g} at "
+                            f"K_max = {k_max} (z = {z.max():.6g}) is above {COEFFICIENT_CUT:g}")
+    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    acc = np.outer(coef[:, 0], v)  # sum_j coef_j (x) T_j v: state rows, then velocity rows
+    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
+    for j in range(1, np.nonzero(above)[0][-1] + 1):
+        if j > 1:  # T_j = 2x T_{j-1} - T_{j-2}, written over T_{j-2}
+            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
+        dger(1.0, t_cur, coef[:, j], a=acc.T, overwrite_a=True)  # one rank-1 update
+    current, velocity = acc[: times.size], np.sqrt(lam) * acc[times.size:]
+    e0 = form_value(op, v)
+    energy = op.node_weight * np.einsum("ij,ij->i", velocity, velocity)
+    energy += [form_value(op, u) for u in current]
+    drift = np.abs(energy - e0) / e0 if e0 != 0.0 else np.zeros(times.size)
+    return WaveState(current=current, velocity=velocity, energy_drift=drift)
 
 
-def finite_speed_check(op: DivergenceFormOperator, support_distance, v, t: float,
-                       epsilon: float, stencil_order: int = 2,
-                       safety: float = 0.5) -> tuple[float, float]:
-    """(leaked fraction, energy drift) of one leapfrog pass to time |t|.
+def finite_speed_check(op: DivergenceFormOperator, support_distance, v, times,
+                       epsilon: float, stencil_order: int = 2) -> list[tuple[float, float]]:
+    """(leaked fraction, energy drift) per time, from one propagation.
 
     The leaked fraction is the mass of cos(t sqrt A) v beyond the inflated
     light cone d <= (1 + epsilon) |t| plus a 2-cell stencil slack, relative
     to that of v.  ``support_distance``: per-kept-node distance to the
     support of v (from a geometry distance field).
     """
-    v = np.asarray(v, dtype=float)
     d = np.asarray(support_distance, dtype=float)
-    if v.shape != (op.n_nodes,) or d.shape != (op.n_nodes,):
-        raise ValueError("v and support_distance must give one value per kept node")
+    if d.shape != (op.n_nodes,):  # cosine_propagator checks v
+        raise ValueError("support_distance must give one value per kept node")
     norm = np.sqrt(op.node_weight) * np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("initial state must be nonzero")
-    t = abs(t)  # the cosine group is even in t
-    if t == 0.0:
-        return 0.0, 0.0
-    state = _leapfrog(op, v, t, safety)
+    state = cosine_propagator(op, v, times)
     slack = 2.0 * max(op.grid.spacings) * stencil_order
-    outside = d > (1.0 + epsilon) * t + slack
-    leaked = np.sqrt(op.node_weight) * np.linalg.norm(state.current[outside])
-    return float(leaked / norm), state.energy_drift
+    out = []
+    for t, u, drift in zip(times, state.current, state.energy_drift):
+        outside = d > (1.0 + epsilon) * abs(t) + slack  # the cosine group is even in t
+        leaked = np.sqrt(op.node_weight) * np.linalg.norm(u[outside])
+        out.append((float(leaked / norm), float(drift)))
+    return out
 
 
 def davies_gaffney_check(op: DivergenceFormOperator, set_distance: float,

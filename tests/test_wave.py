@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fibers import CASES, SETTINGS, operators
 
+from grushinlab import wave
 from grushinlab.coefficients import CoefficientField, GrusinParameters
-from grushinlab.discretization import BOUNDARY_MODES, assemble, build_grid
+from grushinlab.discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
 from grushinlab.evolution import EvolutionMethod
 from grushinlab.experiments import _support_box_distance
 from grushinlab.geometry import MetricGraph
@@ -48,22 +52,104 @@ def test_lambda_max_close_to_true(n, m, boundary, delta1):
     assert lam <= est <= 1.2 * lam
 
 
+# t in [-5, 5]; every call also asks for t = 0
+WAVE_TIMES = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3).map(lambda ts: [0.0] + ts)
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), times=WAVE_TIMES)
+def test_propagator_matches_dense_oracle(n, m, boundary, data, times):
+    op = data.draw(operators(n, m, boundary))
+    lam, Phi = np.linalg.eigh(op.matrix.toarray())
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    c = Phi.T @ v
+    state = cosine_propagator(op, v, times)
+    assert np.array_equal(state.current[0], v) and not state.velocity[0].any()
+    bound = estimate_lambda_max(op) or 1.0
+    scale = np.abs(v).max()
+    # energy identity: E(t) = w |u_t|^2 + w u.Au is w sum lam c^2 at every t
+    energy = op.node_weight * float(lam @ c**2)
+    energy_scale = op.node_weight * bound * float(v @ v)
+    for t, u, vel, drift in zip(times, state.current, state.velocity, state.energy_drift):
+        assert np.abs(u - Phi @ (np.cos(t * root) * c)).max() <= 1e-12 * scale
+        assert np.abs(vel - Phi @ (-root * np.sin(t * root) * c)).max() <= 1e-12 * scale * np.sqrt(bound)
+        e_t = op.node_weight * (vel @ vel + u @ (op.matrix @ u))
+        assert abs(e_t - energy) <= 1e-12 * energy_scale
+        assert drift <= 1e-12
+
+
+def test_multi_time_call_equals_single_time_calls():
+    p = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 0.5)
+    op = assemble(build_grid(p, (2.0, 2.0), (33, 33)), CoefficientField(p))
+    v = np.random.default_rng(7).normal(size=op.n_nodes)
+    times = [2.0, -0.3, 0.0, 1.1]
+    both = cosine_propagator(op, v, times)
+    for k, t in enumerate(times):
+        one = cosine_propagator(op, v, [t])
+        # the single call cuts its series earlier: the sums differ by rounding
+        assert np.abs(one.current[0] - both.current[k]).max() <= 1e-13 * np.abs(v).max()
+        assert np.abs(one.velocity[0] - both.velocity[k]).max() <= 1e-13 * np.abs(v).max()
+        assert abs(one.energy_drift[0] - both.energy_drift[k]) <= 1e-13
+
+
+def _leapfrog(op, v, t, steps):
+    # independent oracle: u_{k+1} = 2 u_k - u_{k-1} - dt^2 A u_k, second order in dt
+    dt = t / steps
+    u_prev, u = v, v - 0.5 * dt * dt * (op.matrix @ v)
+    for _ in range(steps - 1):
+        u_prev, u = u, 2.0 * u - u_prev - dt * dt * (op.matrix @ u)
+    return u
+
+
+def test_leapfrog_converges_to_the_series_at_second_order():
+    p = GrusinParameters(1, 0, 0.25, 0.25)
+    op = assemble(build_grid(p, 2.0, 129), CoefficientField(p))
+    v = _bump(op.coords()[:, 0], 0.3, 0.8)
+    t = 1.5
+    exact = cosine_propagator(op, v, [t]).current[0]
+    cfl_steps = int(np.ceil(t * np.sqrt(estimate_lambda_max(op)) / 2.0))
+    errors = [np.abs(_leapfrog(op, v, t, s) - exact).max() for s in (4 * cfl_steps, 8 * cfl_steps)]
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@pytest.mark.parametrize("fault", ["half_lambda", "cut_at_1e-4"])
+def test_a_wrong_interval_or_truncation_is_caught(monkeypatch, fault):
+    # half the Gershgorin bound leaves the top of the spectrum outside
+    # [-1, 1], where T_k grows geometrically; a cut at 1e-4 drops live terms
+    if fault == "half_lambda":
+        gershgorin = wave.estimate_lambda_max
+        monkeypatch.setattr(wave, "estimate_lambda_max", lambda op: 0.5 * gershgorin(op))
+    else:
+        monkeypatch.setattr(wave, "COEFFICIENT_CUT", 1e-4)
+    p = GrusinParameters(1, 0)
+    op = assemble(build_grid(p, 4.0, 257), CoefficientField(p))
+    x = op.coords()[:, 0]
+    v = _bump(x, 0.0, 0.5)
+    try:
+        [(_, drift)] = finite_speed_check(op, np.abs(x), v, [2.0], 0.1)
+    except CapacityError:
+        return
+    assert not drift <= 1e-6  # a NaN drift is caught too
+
+
+def test_series_that_does_not_decay_raises_named_error(monkeypatch):
+    monkeypatch.setattr(wave, "COEFFICIENT_CUT", 0.0)
+    p = GrusinParameters(1, 0)
+    op = assemble(build_grid(p, 1.0, 33), CoefficientField(p))
+    with pytest.raises(CapacityError, match="K_max"):
+        cosine_propagator(op, np.ones(op.n_nodes), [0.5])
+
+
 def test_cosine_identity_and_even_time():
     p = GrusinParameters(1, 0)
     op = assemble(build_grid(p, 2.0, 257), CoefficientField(p))
     v = _bump(op.coords()[:, 0], 0.0, 0.5)
-    assert np.array_equal(cosine_propagator(op, v, 0.0), v)
-    fwd = cosine_propagator(op, v, 0.7)
-    bwd = cosine_propagator(op, v, -0.7)
-    assert np.abs(fwd - bwd).max() < 1e-12
-
-
-def test_cfl_safety_validation():
-    p = GrusinParameters(1, 0)
-    op = assemble(build_grid(p, 1.0, 65), CoefficientField(p))
-    v = np.ones(op.n_nodes)
-    with pytest.raises(ValueError, match="CFL"):
-        cosine_propagator(op, v, 1.0, safety=1.5)
+    state = cosine_propagator(op, v, [0.0, 0.7, -0.7])
+    assert np.array_equal(state.current[0], v)
+    assert np.array_equal(state.current[1], state.current[2])
+    assert np.array_equal(state.velocity[1], -state.velocity[2])
 
 
 def test_dalembert_splitting():
@@ -73,7 +159,7 @@ def test_dalembert_splitting():
     op = assemble(g, CoefficientField(p))
     x = g.axis(0)
     v = _bump(x, 0.0, 0.5)
-    u = cosine_propagator(op, v, 1.0)
+    u = cosine_propagator(op, v, [1.0]).current[0]
     oracle = 0.5 * (_bump(x, 1.0, 0.5) + _bump(x, -1.0, 0.5))
     assert np.abs(u - oracle).max() < 1e-2
 
@@ -84,49 +170,22 @@ def test_energy_drift_small():
     op = assemble(g, CoefficientField(p))
     coords = op.coords()
     v = _bump(coords[:, 0], 0.8, 0.4) * _bump(coords[:, 1], 0.0, 0.4)
-    _, drift = finite_speed_check(op, np.zeros(op.n_nodes), v, 5.0, 0.1)
+    [(_, drift)] = finite_speed_check(op, np.zeros(op.n_nodes), v, [5.0], 0.1)
     assert drift < 1e-6
 
 
-def test_fused_energy_drift_matches_separate_matvecs():
-    # reference: the leapfrog with its own A u_prev matvec for each energy
-    p = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
-    g = build_grid(p, (2.0, 2.0), (33, 33))
-    op = assemble(g, CoefficientField(p))
-    coords = op.coords()
-    v = _bump(coords[:, 0], 0.5, 0.6) * _bump(coords[:, 1], 0.0, 0.6)
-    t, safety = 3.0, 0.5
-    A, w = op.matrix, op.node_weight
-    cfl = 2.0 / np.sqrt(estimate_lambda_max(op))
-    steps = max(1, int(np.ceil(t / (safety * cfl))))
-    dt = t / steps
-    u_prev, u = v, v - 0.5 * dt * dt * (A @ v)
-    energies = []
-    for k in range(steps):
-        if k:
-            u_prev, u = u, 2.0 * u - u_prev - dt * dt * (A @ u)
-        vel = (u - u_prev) / dt
-        energies.append(w * float(vel @ vel) + w * float(u @ (A @ u_prev)))
-    ref = np.abs(np.asarray(energies) - energies[0]).max() / abs(energies[0])
-    assert steps > 10 and ref > 0.0
-    _, drift = finite_speed_check(op, np.zeros(op.n_nodes), v, t, 0.1, safety=safety)
-    assert drift == ref
-    assert np.array_equal(cosine_propagator(op, v, t, safety), u)
-
-
 def test_trig_doubling_identity():
-    # 2 cos(t sqrt A)^2 - I = cos(2t sqrt A), within scheme error
+    # 2 cos(t sqrt A)^2 - I = cos(2t sqrt A), exact up to rounding
     p = GrusinParameters(1, 0, 0.25, 0.25)
     g = build_grid(p, 4.0, 513)
     op = assemble(g, CoefficientField(p))
     rng = np.random.default_rng(4)
     v = _bump(g.axis(0), 0.5, 0.8) * (1.0 + 0.1 * rng.normal(size=op.n_nodes))
     t = 0.6
-    once = cosine_propagator(op, v, t, safety=0.2)
-    twice = cosine_propagator(op, once, t, safety=0.2)
+    once, rhs = cosine_propagator(op, v, [t, 2 * t]).current
+    twice = cosine_propagator(op, once, [t]).current[0]
     lhs = 2.0 * twice - v  # cos a cos b = (cos(a+b) + cos(a-b)) / 2 with a = b = t
-    rhs = cosine_propagator(op, v, 2 * t, safety=0.2)
-    assert np.abs(lhs - rhs).max() < 5e-3
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_finite_speed_zero_time_and_leakage():
@@ -139,8 +198,8 @@ def test_finite_speed_zero_time_and_leakage():
     support = np.nonzero(v > 0)[0]
     mg = MetricGraph(g, cf, 2)
     d = mg.field_from_nodes(op.kept[support]).distances[op.kept]
-    assert finite_speed_check(op, d, v, 0.0, 0.1) == (0.0, 0.0)
-    leak, _ = finite_speed_check(op, d, v, 1.0, 0.1)
+    zero, (leak, _) = finite_speed_check(op, d, v, [0.0, 1.0], 0.1)
+    assert zero == (0.0, 0.0)
     assert leak < 1e-6
 
 
@@ -152,9 +211,10 @@ def test_finite_speed_is_even_in_time():
     v = _bump(x, 0.0, 0.5)
     support = np.nonzero(v > 0)[0]
     d = np.abs(x - x[support][None].T).min(axis=0)
-    fwd = finite_speed_check(op, d, v, 1.0, 0.1)
+    fwd, bwd = finite_speed_check(op, d, v, [1.0, -1.0], 0.1)
     assert fwd[0] < 1e-6
-    assert finite_speed_check(op, d, v, -1.0, 0.1) == fwd
+    assert bwd == fwd
+    assert finite_speed_check(op, d, v, [-1.0], 0.1) == [fwd]
 
 
 @pytest.mark.parametrize("counts", [(257, 257), (513, 513)])
@@ -198,7 +258,7 @@ def test_finite_speed_leakage_decreases_under_refinement():
         v = _bump(x, 0.0, 0.5)
         support = np.nonzero(v > 0)[0]
         d = np.abs(x - x[support][None].T).min(axis=0)  # exact Euclidean oracle
-        leaks.append(finite_speed_check(op, d, v, 1.0, 0.1)[0])
+        leaks.append(finite_speed_check(op, d, v, [1.0], 0.1)[0][0])
     assert leaks[1] <= leaks[0]
     assert leaks[1] < 1e-6
 
