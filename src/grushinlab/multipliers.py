@@ -22,9 +22,13 @@ Ensemble members are independent and deterministic given the recorded seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gamma as gamma_fn, pi
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 from .coefficients import GrusinParameters, derive_exponents
 from .discretization import DivergenceFormOperator, Grid, form_value
@@ -302,58 +306,55 @@ def _even_reflect_axis0(member: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hardy_operator(n: int, gamma: float, extent: float, count: int):
+    """Staggered-grid Dirichlet Laplacian on [-extent, extent]^n and |x|^(-2 gamma)."""
+    h = 2.0 * extent / count
+    axis = (np.arange(count) + 0.5) * h - extent
+    lap1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(count, count)) / (h * h)
+    L = reduce(sp.kronsum, [lap1] * n)
+    r2 = sum(x**2 for x in np.meshgrid(*([axis] * n), indexing="ij")).ravel()
+    return L, r2 ** (-gamma)
+
+
 def hardy_check(n: int, gamma: float, fraction: float, extent: float = 1.0,
                 count: int = 14, coarse_count: int = 8):
     """Smallest eigenvalue of L^gamma - fraction * a * |x|^(-2 gamma).
 
-    Dirichlet Laplacian on a staggered grid (no node at the origin) over
-    [-extent, extent]^n.  For gamma = 1 with n >= 3 the reference constant is
-    the optimal a = (n-2)^2 / 4; for fractional gamma the constant is fitted
+    Sparse Dirichlet Laplacian on a staggered grid over [-extent, extent]^n,
+    even counts only (no node at the origin).  a = (n-2)^2 / 4 is optimal for
+    gamma = 1, n >= 3; for fractional gamma, L^gamma is dense and a is fitted
     on a coarse pre-run (largest a keeping the difference PSD there).
-    Returns (lambda_min, a_used).
+    lambda_min is ARPACK's shift-invert eigenvalue next to Gershgorin's lower
+    bound minus one, started from ones.  Returns (lambda_min, a_used).
     """
     classical = gamma == 1.0 and n >= 3
     if not classical and not (0.0 <= gamma < min(1.0, n / 2.0)):
         raise ValueError("gamma must lie in [0, min(1, n/2)), or equal 1 with n >= 3")
     if not 0.0 <= fraction:
         raise ValueError("fraction must be non-negative")
+    if count % 2 or coarse_count % 2:
+        raise ValueError("counts must be even: an odd count puts a node at the origin")
 
-    def _build(cnt):
-        h = 2.0 * extent / cnt
-        axis = (np.arange(cnt) + 0.5) * h - extent
-        lap1 = (np.diag(np.full(cnt, 2.0)) - np.diag(np.ones(cnt - 1), 1)
-                - np.diag(np.ones(cnt - 1), -1)) / (h * h)
-        eye = np.eye(cnt)
-        L = np.zeros((cnt**n, cnt**n))
-        for i in range(n):
-            term = np.array([[1.0]])
-            for j in range(n):
-                term = np.kron(term, lap1 if j == i else eye)
-            L += term
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        r2 = sum(x**2 for x in mesh).ravel()
-        V = r2 ** (-gamma)
-        return L, V
-
+    L, V = _hardy_operator(n, gamma, extent, count)
     if classical:
         a = (n - 2) ** 2 / 4.0
     else:
-        Lc, Vc = _build(coarse_count)
-        lam_g = _matrix_fun_psd(Lc, lambda lam: lam**gamma)
+        Lc, Vc = _hardy_operator(n, gamma, extent, coarse_count)
+        [Lc], [L] = (_matrix_funs_psd(X.toarray(), lambda lam: lam**gamma) for X in (Lc, L))
         # largest a with L^gamma - a V >= 0 on the coarse grid
-        from scipy.linalg import eigh as geigh
+        a = float(eigh(Lc, np.diag(Vc), eigvals_only=True)[0])
+    M = (sp.csc_matrix(L) - fraction * a * sp.diags(V)).tocsc()
+    d = M.diagonal()
+    shift = float((d - np.ravel(abs(M).sum(axis=1)) + abs(d)).min()) - 1.0
+    lam = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(len(d)), return_eigenvectors=False)
+    return float(lam[0]), float(a)
 
-        a = float(geigh(lam_g, np.diag(Vc), eigvals_only=True)[0])
-    L, V = _build(count)
-    Lg = _matrix_fun_psd(L, lambda lam: lam**gamma) if gamma != 1.0 else L
-    evals = np.linalg.eigvalsh(Lg - fraction * a * np.diag(V))
-    return float(evals[0]), float(a)
 
-
-def _matrix_fun_psd(M: np.ndarray, fn) -> np.ndarray:
+def _matrix_funs_psd(M: np.ndarray, *fns) -> list[np.ndarray]:
+    """fn(M) for each fn from one eigh of the symmetric M, eigenvalues clipped at 0."""
     lam, Q = np.linalg.eigh(M)
     lam = np.clip(lam, 0.0, None)
-    return (Q * fn(lam)) @ Q.T
+    return [(Q * fn(lam)) @ Q.T for fn in fns]
 
 
 def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 0) -> dict:
@@ -379,15 +380,14 @@ def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 
         G = rng.normal(size=(dim, dim))
         return (G @ G.T) / dim
 
-    phi = lambda lam: lam * (1.0 + lam) ** (-gamma)
+    fns = [lambda lam: lam * (1.0 + lam) ** (-gamma)]
+    fns += [lambda lam, k=k: lam ** (0.5**k) for k in (1, 2)]
     for _ in range(trials):
         B = rand_psd()
         A = B + rand_psd()
-        diff = _matrix_fun_psd(A, phi) - _matrix_fun_psd(B, phi)
-        worst_res = min(worst_res, float(np.linalg.eigvalsh(diff)[0]))
+        f_A, f_B, f_AB = (_matrix_funs_psd(X, *fns) for X in (A, B, A + B))
+        worst_res = min(worst_res, float(np.linalg.eigvalsh(f_A[0] - f_B[0])[0]))
         for k in (1, 2):
-            root = lambda lam: lam ** (0.5**k)
-            lhs = _matrix_fun_psd(A + B, root)
-            rhs = 2.0 ** (-1.0 + 2.0 ** (-k)) * (_matrix_fun_psd(A, root) + _matrix_fun_psd(B, root))
-            worst_root[k] = min(worst_root[k], float(np.linalg.eigvalsh(lhs - rhs)[0]))
+            rhs = 2.0 ** (-1.0 + 2.0 ** (-k)) * (f_A[k] + f_B[k])
+            worst_root[k] = min(worst_root[k], float(np.linalg.eigvalsh(f_AB[k] - rhs)[0]))
     return {"resolvent_power": worst_res, "root_sum": worst_root}

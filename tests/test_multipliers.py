@@ -170,10 +170,42 @@ def test_hardy_classical_constants():
     assert lam_over < 0.0
 
 
+def _dense_hardy_lambda_min(n, count, fraction, extent=1.0):
+    """Reference lambda_min: the Laplacian as a dense sum of np.kron terms."""
+    h = 2.0 * extent / count
+    axis = (np.arange(count) + 0.5) * h - extent
+    lap1 = (2.0 * np.eye(count) - np.eye(count, k=1) - np.eye(count, k=-1)) / (h * h)
+    L = sum(np.kron(np.kron(np.eye(count**i), lap1), np.eye(count ** (n - 1 - i)))
+            for i in range(n))
+    r2 = sum(x**2 for x in np.meshgrid(*([axis] * n), indexing="ij")).ravel()
+    a = (n - 2) ** 2 / 4.0
+    return np.linalg.eigvalsh(L - fraction * a * np.diag(1.0 / r2))[0]
+
+
+@pytest.mark.parametrize("n, count", [(3, 6), (3, 8), (3, 10), (4, 6)])
+def test_hardy_sparse_lambda_min_matches_dense_oracle(n, count):
+    for fraction in (0.0, 0.5, 4.0):
+        lam, a = hardy_check(n, 1.0, fraction, count=count)
+        assert a == (n - 2) ** 2 / 4.0
+        ref = _dense_hardy_lambda_min(n, count, fraction)
+        assert abs(lam - ref) <= 1e-10 * abs(ref)
+        assert hardy_check(n, 1.0, fraction, count=count)[0] == lam
+
+
+def test_hardy_refinement_over_and_under_the_constant():
+    counts = (10, 14, 20)
+    over = [hardy_check(3, 1.0, 4.0, count=c)[0] for c in counts]
+    assert over[0] > over[1] > over[2]
+    assert min(hardy_check(3, 1.0, 0.5, count=c)[0] for c in counts) >= -1e-8
+
+
 def test_hardy_fractional_fitted_constant():
     lam, a = hardy_check(2, 0.5, fraction=0.5, extent=1.0, count=20, coarse_count=10)
     assert a > 0.0
     assert lam >= -1e-8
+    # reference values from a dense eigvalsh of the same operator
+    assert lam == pytest.approx(1.0884483038681907, rel=1e-12)
+    assert a == pytest.approx(0.5753938845186024, rel=1e-12)
 
 
 def test_hardy_validation():
@@ -181,6 +213,10 @@ def test_hardy_validation():
         hardy_check(2, 1.0, fraction=0.5)  # n = 2, gamma = 1 not allowed
     with pytest.raises(ValueError, match="fraction"):
         hardy_check(3, 1.0, fraction=-1.0)
+    with pytest.raises(ValueError, match="even"):
+        hardy_check(4, 1.0, fraction=0.5, count=5)  # node at the origin
+    with pytest.raises(ValueError, match="even"):
+        hardy_check(2, 0.5, fraction=0.5, coarse_count=9)
 
 
 def test_operator_inequalities_random_pairs():
@@ -194,10 +230,10 @@ def test_operator_inequalities_equal_pair_is_zero():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(8, 8))
     B = G @ G.T / 8
-    from grushinlab.multipliers import _matrix_fun_psd
+    from grushinlab.multipliers import _matrix_funs_psd
 
     phi = lambda lam: lam * (1.0 + lam) ** (-0.3)
-    diff = _matrix_fun_psd(B, phi) - _matrix_fun_psd(B, phi)
+    diff = _matrix_funs_psd(B, phi)[0] - _matrix_funs_psd(B, phi)[0]
     assert np.abs(diff).max() == 0.0
 
 
