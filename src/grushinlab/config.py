@@ -18,7 +18,9 @@ Schema (defaults in parentheses):
 "max_exact_dimension" is the storage ceiling of the exact method: its
 factored spectrum stores n2 * n1^2 floats (n2 x2 nodes, n1 kept x1 nodes),
 which must not exceed max_exact_dimension^2; "auto" falls back to Krylov
-beyond it.
+beyond it.  "tolerance" is the Krylov method's absolute error per unit |v|:
+its truncated Chebyshev series stops where the coefficient tail, a proven
+error bound, drops to it.
 
 Validation failures raise ConfigError with the offending field path in the
 message.  Re-running the same config byte-reproduces all CSV output.

@@ -58,7 +58,7 @@ BOUNDARY_MODES = (
 
 
 class CapacityError(RuntimeError):
-    """A method guard (storage ceiling, Krylov halving depth, Chebyshev length) was exceeded."""
+    """A method guard (storage ceiling, heat or wave Chebyshev series length) was exceeded."""
 
 
 class FactorizationError(ValueError):
@@ -452,15 +452,6 @@ class DivergenceFormOperator:
                 )
             self._eig = _factorize(self)
         return self._eig
-
-    def dump_triplets(self, path) -> None:
-        """Write 'row col value' lines, sorted by (row, col), 17 significant
-        digits, one face entry per stored nonzero."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", newline="\n") as fh:
-            for k in order:
-                fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
 
 
 def _kept_mask(grid: Grid, boundary: str) -> np.ndarray:

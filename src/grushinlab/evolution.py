@@ -9,9 +9,14 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   x1 fiber eigendecomposition per x2 mode, each split per connected
   component, so decoupled halves produce *exactly* zero cross-kernel
   (guard: n2 * n1^2 stored floats <= max_exact_dimension^2);
-* krylov_exponential -- Lanczos with full reorthogonalization and an
-  a-posteriori stopping test against the requested tolerance (time is split
-  recursively, at most ``MAX_HALVINGS`` deep, if the basis cap is reached).
+* krylov_exponential -- the Chebyshev series of exp(-tA) in
+  x = (2/Lambda) A - I, Lambda = 2 max_i A_ii (Gershgorin), so the spectrum
+  of x lies in [-1, 1]: with z = t Lambda / 2, exp(-tA) = e^-z [I_0(z) +
+  2 sum_k (-1)^k I_k(z) T_k(x)] (Sachdeva & Vishnoi, Faster Algorithms via
+  Approximation Theory, 2014).  |T_k(x)| <= 1 on the spectrum, so cutting
+  where the tail sum of |c_k| drops to the tolerance bounds the error by
+  tolerance * |v| a priori; about sqrt(2 z ln(1/tol)) matvecs.  The wave
+  layer sums cos(t sqrt A) through the same recurrence (``_chebyshev_sum``).
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
@@ -22,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.sparse as sp
+from scipy.linalg.blas import dger
+from scipy.special import ive
 
 from .coefficients import derive_exponents, piecewise_power
 from .discretization import CapacityError, DivergenceFormOperator
@@ -33,6 +40,7 @@ __all__ = [
     "EvolutionMethod",
     "KernelSlice",
     "apply_semigroup",
+    "estimate_lambda_max",
     "heat_kernel",
     "ondiagonal_decay",
     "gaussian_upper_check",
@@ -40,10 +48,6 @@ __all__ = [
     "separation_check",
     "fit_loglog_slope",
 ]
-
-
-# Deepest time-halving recursion of the Lanczos exponential (2^depth pieces).
-MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class EvolutionMethod:
     factored spectrum stores n2 * n1^2 floats (n2 x2 modes, fibers of n1 x1
     nodes), which must not exceed max_exact_dimension^2.  ``auto`` resolves
     to the exact method whenever that holds and to Krylov otherwise.
+    ``tolerance`` is the Krylov method's absolute error per unit |v|, a
+    proven bound: the tail of the truncated Chebyshev series.
     """
 
     kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential
@@ -93,105 +99,67 @@ class KernelSlice:
         return float(self.weight * self.values.sum())
 
 
-def _lanczos(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
-             max_basis: int = 600):
-    """Lanczos data (V, alpha, beta, beta0) for exp(-tA) v, with full
-    reorthogonalization, converged at time t (hence for every smaller time);
-    None if the basis cap is hit first.
+def estimate_lambda_max(op: DivergenceFormOperator) -> float:
+    """Gershgorin upper bound 2 max_i A_ii on the largest eigenvalue, 1.0
+    for A = 0 (every face dead), where any positive bound holds.
 
-    Every ten steps the iterate is compared with the one before, see
-    :func:`_iterates_agree`; a happy breakdown ends the loop with the exact
-    result.
+    Every assembled operator has off-diagonals <= 0 and row sums >= 0, so
+    each Gershgorin disc lies in [0, 2 A_ii] (up to the rounding of the
+    diagonal, which sums the row's face conductances).
     """
-    A = op.matrix
-    beta0 = float(np.linalg.norm(v))
-    n = v.shape[0]
-    m_cap = min(max_basis, n)
-    V = np.empty((n, m_cap))
-    alpha = np.empty(m_cap)
-    beta = np.empty(m_cap)
-    V[:, 0] = v / beta0
-    prev = None
-    for j in range(m_cap):
-        w = A @ V[:, j]
-        alpha[j] = float(w @ V[:, j])
-        w -= alpha[j] * V[:, j]
-        if j > 0:
-            w -= beta[j - 1] * V[:, j - 1]
-        # full reorthogonalization, two passes
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        b = float(np.linalg.norm(w))
-        beta[j] = b
-        happy = b <= 1e-14 * beta0
-        if happy or (j + 1) % 10 == 0 or j == m_cap - 1:
-            ritz = eigh_tridiagonal(alpha[: j + 1], beta[:j])
-            if happy or (prev is not None and _iterates_agree(ritz, prev, t, tol, beta0)):
-                return V[:, : j + 1], alpha[: j + 1], beta[:j], beta0
-            prev = ritz
-        if j < m_cap - 1:
-            V[:, j + 1] = w / b
-    return None
+    return 2.0 * float(op.matrix.diagonal().max()) or 1.0
 
 
-def _krylov_coefficients(ritz, t: float, beta0: float) -> np.ndarray:
-    """exp(-tT) e_1 beta0 for the Lanczos tridiagonal T = Q diag(lam) Q^T."""
-    lam, Q = ritz
-    return Q @ (np.exp(-t * lam) * (Q.T[:, 0] * beta0))
+def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of
+    ``coef``, from one three-term recurrence."""
+    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    acc = np.outer(coef[:, 0], v)
+    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
+    for j in range(1, coef.shape[1]):
+        if j > 1:  # T_j = 2x T_{j-1} - T_{j-2}, written over T_{j-2}
+            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
+        dger(1.0, t_cur, coef[:, j], a=acc.T, overwrite_a=True)  # one rank-1 update
+    return acc
 
 
-def _iterates_agree(ritz, prev, t: float, tol: float, beta0: float) -> bool:
-    """Whether the iterates of two basis sizes differ by at most tol * beta0
-    at time t and, if earlier, at 1/theta_1 (theta_1 the lowest Ritz value).
+def _heat_series_length(z: float, tol: float) -> int:
+    """K_max, the number of heat coefficients computed for the largest z."""
+    log_tol = np.log(1.0 / tol)
+    return int(np.ceil(np.sqrt(2.0 * z * (log_tol + 5.0)) + log_tol + 20.0))
 
-    At large t both iterates can decay below that bound while the bottom of
-    the spectrum, which alone carries exp(-tA) v, is unresolved; at 1/theta_1
-    that mode is not yet damped, so its drift shows.  The basis is
-    orthonormal, so the difference is taken on the coefficients.
+
+def _heat_coefficients(lam: float, times, tol: float) -> np.ndarray:
+    """Chebyshev coefficients of exp(-tA) in x = (2/lam) A - I, one row per
+    time: c_k = (2 - delta_k0) (-1)^k e^-z I_k(z), z = t lam / 2.
+
+    Each row keeps the terms before the first K whose tail sum_{k>=K} |c_k|
+    is <= tol, which bounds its error by tol |v|, and is zero past it, so a
+    pass over several times gives each the sum a call for it alone gives.
+    CapacityError if a tail at K_max is still above tol.
     """
-    lowest = float(ritz[0][0])
-    for s in (t,) if lowest * t <= 1.0 else (t, 1.0 / lowest):
-        diff = _krylov_coefficients(ritz, s, beta0)
-        diff[: prev[0].size] -= _krylov_coefficients(prev, s, beta0)
-        if np.linalg.norm(diff) > tol * beta0:
-            return False
-    return True
-
-
-def _eval_lanczos(basis, t: float) -> np.ndarray:
-    V, alpha, beta, beta0 = basis
-    return V @ _krylov_coefficients(eigh_tridiagonal(alpha, beta), t, beta0)
-
-
-def _lanczos_expm(op: DivergenceFormOperator, v: np.ndarray, t: float, tol: float,
-                  max_basis: int = 600, depth: int = 0) -> np.ndarray:
-    """exp(-tA) v by :func:`_lanczos`, halving the time step when the basis
-    cap is hit, at most ``MAX_HALVINGS`` levels deep (CapacityError beyond)."""
-    if not np.any(v):
-        return v.copy()
-    basis = _lanczos(op, v, t, tol, max_basis)
-    if basis is not None:
-        return _eval_lanczos(basis, t)
-    if depth == MAX_HALVINGS:
-        raise CapacityError(
-            f"Lanczos exponential at t={t:g} did not converge within a "
-            f"{min(max_basis, v.shape[0])}-vector basis after {depth} time halvings"
-        )
-    half = _lanczos_expm(op, v, t / 2.0, tol / 2.0, max_basis, depth + 1)
-    return _lanczos_expm(op, half, t / 2.0, tol / 2.0, max_basis, depth + 1)
+    z = 0.5 * lam * np.asarray(times, dtype=float)
+    k_max = _heat_series_length(float(z.max()), tol)
+    k = np.arange(k_max + 1)
+    coef = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * ive(k, z[:, None])
+    tail = np.cumsum(np.abs(coef[:, ::-1]), axis=1)[:, ::-1]
+    if tail[:, -1].max() > tol:
+        raise CapacityError(f"heat series tail {tail[:, -1].max():.3g} at K_max = {k_max} "
+                            f"(z = {z.max():.6g}) is above the tolerance {tol:g}")
+    coef[tail <= tol] = 0.0
+    return coef[:, : int((tail > tol).sum(axis=1).max())]
 
 
 def _krylov_columns(op: DivergenceFormOperator, rows, times, method: EvolutionMethod):
-    """Yield (j, [exp(-tA) e_j for t in times]) for each row j, every time
-    from one Lanczos basis converged at max(times); if the basis cap is hit,
-    each time goes through :func:`apply_semigroup` (with its halving)."""
-    t_max = float(max(times))
+    """Yield (j, exp(-tA) e_j for every t in times, shape (times, nodes)) for
+    each row j, all times from one Chebyshev pass."""
+    lam = estimate_lambda_max(op)
+    coef = _heat_coefficients(lam, times, method.tolerance)
     for j in rows:
         e = np.zeros(op.n_nodes)
         e[j] = 1.0
-        basis = _lanczos(op, e, t_max, method.tolerance)
-        yield j, [_eval_lanczos(basis, float(t)) if basis is not None
-                  else apply_semigroup(op, e, float(t), method) for t in times]
+        yield j, _chebyshev_sum(op, lam, e, coef)
 
 
 def apply_semigroup(op: DivergenceFormOperator, v, t: float,
@@ -207,7 +175,8 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
     kind = method.resolve(op)
     if kind == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).apply(v, t)
-    return _lanczos_expm(op, v, t, method.tolerance)
+    lam = estimate_lambda_max(op)
+    return _chebyshev_sum(op, lam, v, _heat_coefficients(lam, [t], method.tolerance))[0]
 
 
 def heat_kernel(op: DivergenceFormOperator, source, t: float,
@@ -246,7 +215,7 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
 
     ``candidates``: operator rows over which the sup is taken.  The exact
     method defaults to the full diagonal; the Krylov method requires an
-    explicit candidate set (one Lanczos basis per candidate serves every
+    explicit candidate set (one Chebyshev pass per candidate serves every
     time).  Isolated cells (zero-degree rows, cut off by dead faces) hold
     their unit mass forever and are excluded from the default sup.  Times
     whose boundary tail exp(-boundary_distance^2 / (4t)) exceeds ``guard``
@@ -381,7 +350,7 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
     resolved method: from the factored spectrum, or one Krylov column per row."""
     if method.resolve(op) == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
-    cols = [[col[rows] for col in cols] for _, cols in _krylov_columns(op, rows, times, method)]
+    cols = [cols[:, rows] for _, cols in _krylov_columns(op, rows, times, method)]
     return np.transpose(cols, (1, 2, 0))
 
 
@@ -410,20 +379,18 @@ def separation_check(neumann_ops, dirichlet_ops, t: float, sources,
     gaps = []
     extreme = None
     for opN, opD in zip(neumann_ops, dirichlet_ops):
+        # Dirichlet drops the x1 = 0 plane: its rows are the other Neumann rows
+        idxN = np.searchsorted(opN.kept, opD.kept)
+        if opN.grid != opD.grid or not np.array_equal(opN.kept[idxN], opD.kept):
+            raise ValueError("each Dirichlet operator must share its Neumann operator's grid")
         coordsN = opN.coords()
-        coordsD = opD.coords()
-        # compare on the common nodes (Dirichlet drops the x1 = 0 plane)
-        common_mask_N = np.abs(coordsN[:, 0]) > 0
-        posD = {tuple(np.round(c, 12)): i for i, c in enumerate(coordsD)}
-        idxN = np.nonzero(common_mask_N)[0]
-        idxD = np.array([posD[tuple(np.round(coordsN[i], 12))] for i in idxN])
         gap = 0.0
         for src in sources:
             jN = opN.node_index(src)
             jD = opD.node_index(src)
             kN = heat_kernel(opN, jN, t, method)
             kD = heat_kernel(opD, jD, t, method)
-            gap = max(gap, float(np.abs(kN.values[idxN] - kD.values[idxD]).max()))
+            gap = max(gap, float(np.abs(kN.values[idxN] - kD.values).max()))
             cross = coordsN[:, 0] * coordsN[jN, 0] < 0
             vals = kN.values[cross]
             if vals.size:

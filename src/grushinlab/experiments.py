@@ -237,32 +237,23 @@ def run_volume(cfg: ExperimentConfig) -> dict:
     graph = MetricGraph(grid, coeffs, knobs.get("stencil_order", 2))
 
     if task == "slopes":
-        origin = [0.0] * cfg.params.dim
-        spec = knobs.get("origin_radii", {"lo": 0.5, "hi": 5.0, "n": 9})
-        radii = np.geomspace(spec["lo"], spec["hi"], spec["n"])
-        field = graph.field_from_point(origin)
-        tab = ball_volume_table(field, origin, radii)
-        rows = [[r, v, cv] for r, v, cv in zip(
-            tab.radii, tab.volumes,
-            [ball_volume_table(cfg.params, origin, [r]).volumes[0] for r in tab.radii])]
-        rep["csv"]["volume_origin.csv"] = {"columns": ["r", "volume_numeric", "volume_closed"], "rows": rows}
-        slope = fit_loglog_slope(tab.radii, tab.volumes)
-        rep["fitted"]["origin_slope"] = slope
-        rep["checks"].append(check("origin_slope", slope, "within", e.D, knobs.get("tol", 0.1) * e.D))
-
-        center = knobs.get("off_center", [1.0] + [0.0] * (cfg.params.dim - 1))
-        spec2 = knobs.get("off_radii", {"lo": 0.1, "hi": 1.0, "n": 9})
-        radii2 = np.geomspace(spec2["lo"], spec2["hi"], spec2["n"])
-        field2 = graph.field_from_point(center)
-        tab2 = ball_volume_table(field2, center, radii2)
-        rows2 = [[r, v, cv] for r, v, cv in zip(
-            tab2.radii, tab2.volumes,
-            [ball_volume_table(cfg.params, center, [r]).volumes[0] for r in tab2.radii])]
-        rep["csv"]["volume_offcenter.csv"] = {"columns": ["r", "volume_numeric", "volume_closed"], "rows": rows2}
-        slope2 = fit_loglog_slope(tab2.radii, tab2.volumes)
         dim = cfg.params.dim
-        rep["fitted"]["offcenter_slope"] = slope2
-        rep["checks"].append(check("offcenter_slope", slope2, "within", dim, knobs.get("tol", 0.1) * dim))
+        for tag, center, spec, expected in [
+            ("origin", [0.0] * dim, knobs.get("origin_radii", {"lo": 0.5, "hi": 5.0, "n": 9}), e.D),
+            ("offcenter", knobs.get("off_center", [1.0] + [0.0] * (dim - 1)),
+             knobs.get("off_radii", {"lo": 0.1, "hi": 1.0, "n": 9}), dim),
+        ]:
+            radii = np.geomspace(spec["lo"], spec["hi"], spec["n"])
+            tab = ball_volume_table(graph.field_from_point(center), center, radii)
+            closed = ball_volume_table(cfg.params, center, tab.radii).volumes
+            rep["csv"][f"volume_{tag}.csv"] = {
+                "columns": ["r", "volume_numeric", "volume_closed"],
+                "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
+            }
+            slope = fit_loglog_slope(tab.radii, tab.volumes)
+            rep["fitted"][f"{tag}_slope"] = slope
+            rep["checks"].append(check(f"{tag}_slope", slope, "within", expected,
+                                       knobs.get("tol", 0.1) * expected))
         return _finish(rep, t0)
 
     if task == "doubling":
@@ -277,10 +268,10 @@ def run_volume(cfg: ExperimentConfig) -> dict:
             expo = doubling_exponent(tab)
             worst = max(worst, expo)
             tag = "_".join(f"{c:g}" for c in center)
+            closed = ball_volume_table(cfg.params, center, tab.radii).volumes
             rep["csv"][f"volume_doubling_{tag}.csv"] = {
                 "columns": ["r", "volume_numeric", "volume_closed"],
-                "rows": [[r, v, ball_volume_table(cfg.params, center, [r]).volumes[0]]
-                         for r, v in zip(tab.radii, tab.volumes)],
+                "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
             }
             rep["fitted"][f"doubling_exponent_{tag}"] = expo
         rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))

@@ -300,7 +300,7 @@ class BallVolumeTable:
     resolved: np.ndarray        # per radius: ball contains > 1 cell (field method)
 
 
-def ball_volume_table(source, center, radii, params: GrusinParameters | None = None) -> BallVolumeTable:
+def ball_volume_table(source, center, radii) -> BallVolumeTable:
     """Tabulate ball volumes; ``source`` is a DistanceField or a
     GrusinParameters (closed-form method)."""
     radii = np.asarray(sorted(float(r) for r in radii))
@@ -309,8 +309,7 @@ def ball_volume_table(source, center, radii, params: GrusinParameters | None = N
         resolved = vols > source.grid.node_weight
         center = np.asarray(center, dtype=float)
         return BallVolumeTable(center, radii, vols, "distance_field", resolved)
-    params = source if params is None else params
-    vols = np.array([ball_volume_closed_form(params, center, r) for r in radii])
+    vols = np.array([ball_volume_closed_form(source, center, r) for r in radii])
     return BallVolumeTable(
         np.asarray(center, dtype=float), radii, vols, "closed_form", np.ones(len(radii), dtype=bool)
     )

@@ -5,8 +5,9 @@ Phys. 81, 3967, 1984).  A is PSD with spectrum in [0, Lambda], Lambda = 2 max_i
 A_ii (Gershgorin), so x = (2/Lambda) A - I has spectrum in [-1, 1]; with z =
 |t| sqrt(Lambda), Jacobi-Anger gives cos(t sqrt(A)) = J_0(z) + 2 sum_k (-1)^k
 J_2k(z) T_k(x), and J_n' = (J_n-1 - J_n+1) / 2 gives the velocity.  One
-recurrence T_k+1 = 2x T_k - T_k-1 to the largest |t| serves every time, with
-about max|t| sqrt(Lambda) / 2 matvecs.  It stops after the last coefficient
+recurrence T_k+1 = 2x T_k - T_k-1 to the largest |t|, the one the heat series
+runs (``evolution._chebyshev_sum``), serves every time, with about
+max|t| sqrt(Lambda) / 2 matvecs.  It stops after the last coefficient
 above ``COEFFICIENT_CUT``; one above it at K_max = ceil(z/2 + 10 z^(1/3) + 20)
 raises ``CapacityError``.  The energy drift |E(t) - E(0)| / E(0), with E(t) =
 w |u_t|^2 + w u.Au and E(0) = w v.Av from the matrix, checks the cut and the
@@ -20,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dger
 from scipy.special import jv
 
 from .discretization import CapacityError, DivergenceFormOperator, form_value
-from .evolution import DEFAULT_METHOD, EvolutionMethod, apply_semigroup
+from .evolution import (DEFAULT_METHOD, EvolutionMethod, _chebyshev_sum, apply_semigroup,
+                        estimate_lambda_max)
 
 __all__ = [
     "WaveState",
@@ -46,23 +46,13 @@ class WaveState:
     energy_drift: np.ndarray  # (times,): |E(t) - E(0)| / E(0), 0 when E(0) = 0
 
 
-def estimate_lambda_max(op: DivergenceFormOperator) -> float:
-    """Gershgorin upper bound 2 max_i A_ii on the largest eigenvalue.
-
-    Every assembled operator has off-diagonals <= 0 and row sums >= 0, so
-    each Gershgorin disc lies in [0, 2 A_ii] (up to the rounding of the
-    diagonal, which sums the row's face conductances).
-    """
-    return 2.0 * float(op.matrix.diagonal().max())
-
-
 def cosine_propagator(op: DivergenceFormOperator, v, times) -> WaveState:
     """cos(t sqrt(A)) v and its velocity for every t in ``times``."""
     v = np.asarray(v, dtype=float)
     times = np.asarray(times, dtype=float)
     if v.shape != (op.n_nodes,) or times.ndim != 1 or not times.size:
         raise ValueError("need one value of v per kept node and a non-empty list of times")
-    lam = estimate_lambda_max(op) or 1.0  # A = 0 (every face dead): any Lambda > 0 bounds it
+    lam = estimate_lambda_max(op)
     z = np.abs(times) * np.sqrt(lam)
     k_max = int(np.ceil(z.max() / 2.0 + 10.0 * z.max() ** (1.0 / 3.0) + 20.0))
     k = np.arange(k_max + 1)
@@ -74,13 +64,8 @@ def cosine_propagator(op: DivergenceFormOperator, v, times) -> WaveState:
     if above[-1]:
         raise CapacityError(f"Chebyshev coefficient {np.abs(coef[:, -1]).max():.3g} at "
                             f"K_max = {k_max} (z = {z.max():.6g}) is above {COEFFICIENT_CUT:g}")
-    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
-    acc = np.outer(coef[:, 0], v)  # sum_j coef_j (x) T_j v: state rows, then velocity rows
-    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
-    for j in range(1, np.nonzero(above)[0][-1] + 1):
-        if j > 1:  # T_j = 2x T_{j-1} - T_{j-2}, written over T_{j-2}
-            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
-        dger(1.0, t_cur, coef[:, j], a=acc.T, overwrite_a=True)  # one rank-1 update
+    # state rows, then velocity rows
+    acc = _chebyshev_sum(op, lam, v, coef[:, : np.nonzero(above)[0][-1] + 1])
     current, velocity = acc[: times.size], np.sqrt(lam) * acc[times.size:]
     e0 = form_value(op, v)
     energy = op.node_weight * np.einsum("ij,ij->i", velocity, velocity)

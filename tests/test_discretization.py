@@ -199,17 +199,3 @@ def test_assembled_matches_single_face_conductance():
         j = idx[i0 + 1, i1] if axis == 0 else idx[i0, i1 + 1]
         expected = face_conductance(cf, axis, pts[i], g.spacings[axis])
         assert -op.matrix[i, j] == pytest.approx(expected, rel=1e-12)
-
-
-def test_dump_triplets_sorted(tmp_path):
-    g = build_grid(EUCLID_1D, 1.0, 5)
-    op = assemble(g, CoefficientField(EUCLID_1D))
-    path = tmp_path / "op.txt"
-    op.dump_triplets(path)
-    lines = path.read_text().strip().splitlines()
-    parsed = [(int(r), int(c), float(v)) for r, c, v in (ln.split() for ln in lines)]
-    assert parsed == sorted(parsed, key=lambda t: (t[0], t[1]))
-    dense = np.zeros((5, 5))
-    for r, c, v in parsed:
-        dense[r, c] = v
-    assert np.allclose(dense, op.matrix.toarray())

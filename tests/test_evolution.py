@@ -3,11 +3,10 @@ import pytest
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import assemble, build_grid
+from grushinlab import evolution
 from grushinlab.evolution import (
-    MAX_HALVINGS,
     CapacityError,
     EvolutionMethod,
-    _lanczos_expm,
     apply_semigroup,
     fit_loglog_slope,
     gaussian_upper_check,
@@ -128,12 +127,23 @@ def test_capacity_guard():
         apply_semigroup(op, v, 0.1, EvolutionMethod("exact_eigendecomposition", max_exact_dimension=100))
 
 
-def test_lanczos_halving_depth_is_bounded():
-    # a 3-vector basis never resolves exp(-tA) on a stiff operator, at any depth
-    op = _op_1d(count=513)
+def test_krylov_column_mass_deviation_is_within_tolerance():
+    # zero row sums make 1^T T_k(x) e_j = (-1)^k, so a column's mass is
+    # 1 minus the tail of the cut series, which is at most the tolerance
+    params = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
+    op2 = assemble(build_grid(params, (4.0, 4.0), (41, 41)), CoefficientField(params))
+    op1 = _op_1d(GrusinParameters(1, 0, 0.75, 0.75), count=257, boundary="half_line_positive")
+    times = [1e-3, 0.2, 5.0, 100.0]
+    assert _mass_deviation(op2, times, [[0.0, 0.0], [1.0, 1.0]], KRYLOV) <= KRYLOV.tolerance
+    assert _mass_deviation(op1, times, [[0.0], [3.0]], KRYLOV) <= KRYLOV.tolerance
+
+
+def test_too_short_heat_series_raises_capacity_error(monkeypatch):
+    op = _op_1d(count=129)
     v = np.ones(op.n_nodes) + np.cos(op.coords()[:, 0] * 40.0)
-    with pytest.raises(CapacityError, match=rf"t=.*3-vector.*{MAX_HALVINGS} time halvings"):
-        _lanczos_expm(op, v, 1.0, 1e-8, max_basis=3)
+    monkeypatch.setattr(evolution, "_heat_series_length", lambda z, tol: 5)
+    with pytest.raises(CapacityError, match="heat series tail .* K_max = 5"):
+        apply_semigroup(op, v, 1.0, KRYLOV)
 
 
 def test_ondiagonal_decay_euclidean_slope():
@@ -233,6 +243,15 @@ def test_separation_without_cross_nodes_raises_named_error():
                          [[0.0]], EXACT)
 
 
+def test_separation_with_mismatched_grids_raises_named_error():
+    params = GrusinParameters(1, 0, 0.25, 0.25)
+    cf = CoefficientField(params)
+    neumann = assemble(build_grid(params, 4.0, 41), cf)
+    dirichlet = assemble(build_grid(params, 4.0, 21), cf, "dirichlet_origin")
+    with pytest.raises(ValueError, match="grid"):
+        separation_check([neumann], [dirichlet], 1.0, [[1.0]], EXACT)
+
+
 def test_boundary_convention_at_half():
     params = GrusinParameters(1, 0, 0.5, 0.5)
     g = build_grid(params, 4.0, 101)
@@ -282,7 +301,7 @@ def test_kernel_comparison_honours_krylov():
     times = [0.05, 0.2, 0.5]
     exact = kernel_comparison(op_true, op_frozen, rows, 1.0, times, EXACT)
     krylov = kernel_comparison(op_true, op_frozen, rows, 1.0, times, KRYLOV)
-    assert not np.array_equal(krylov.sup_diff, exact.sup_diff)  # Lanczos, not the spectrum
+    assert not np.array_equal(krylov.sup_diff, exact.sup_diff)  # the series, not the spectrum
     err = np.abs(krylov.sup_diff - exact.sup_diff).max() * op_true.node_weight
     assert err <= 10.0 * KRYLOV.tolerance
     # beyond the exact storage ceiling Krylov runs instead of raising
