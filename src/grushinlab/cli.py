@@ -114,14 +114,28 @@ def _env(name: str):
     return os.environ.get(ENV_PREFIX + name)
 
 
+def _env_int(name: str, default=None):
+    value = _env(name)
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError as err:
+        raise ConfigError(f"{ENV_PREFIX}{name}: expected an integer, got {value!r}") from err
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: not valid JSON ({err})") from err
+
+
 def _load_config_dict(kind: str, args) -> dict:
     path = args.config or _env("CONFIG")
     if path:
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}: not valid JSON ({err})") from err
+        raw = _load_json(path)
     else:
         raw = json.loads(json.dumps(_DEFAULT_CONFIGS[kind]))
     if raw.get("experiment") is None:
@@ -129,9 +143,9 @@ def _load_config_dict(kind: str, args) -> dict:
     if raw.get("experiment") != kind:
         raise ConfigError(f"experiment: config is for {raw.get('experiment')!r}, "
                           f"but the {kind!r} subcommand was invoked")
-    seed = args.seed if args.seed is not None else _env("SEED")
+    seed = args.seed if args.seed is not None else _env_int("SEED")
     if seed is not None:
-        raw["seed"] = int(seed)
+        raw["seed"] = seed
     out = args.out or _env("OUT")
     if out:
         raw["out"] = out
@@ -211,17 +225,16 @@ def main(argv=None) -> int:
 
     out_dir = args.out or _env("OUT") or "results"
     if args.command == "suite":
-        if args.manifest == "acceptance":
-            manifest = acceptance_manifest()
-        else:
-            with open(args.manifest) as fh:
-                loaded = json.load(fh)
-            manifest = loaded["experiments"] if isinstance(loaded, dict) else loaded
-        if args.seed is not None:
-            for raw in manifest:
-                raw["seed"] = args.seed
-        workers = args.workers if args.workers is not None else int(_env("WORKERS") or 1)
         try:
+            if args.manifest == "acceptance":
+                manifest = acceptance_manifest()
+            else:
+                loaded = _load_json(args.manifest)
+                manifest = loaded["experiments"] if isinstance(loaded, dict) else loaded
+            if args.seed is not None:
+                for raw in manifest:
+                    raw["seed"] = args.seed
+            workers = args.workers if args.workers is not None else _env_int("WORKERS", 1)
             aggregate = run_suite(manifest, out_dir, workers)
         except ConfigError as err:
             print(f"configuration error: {err}", file=sys.stderr)

@@ -17,9 +17,14 @@ separation dichotomy of the continuum operator without any ad-hoc switch.
 
 Because every coefficient depends on |x1| only, every assembled operator is
 a Kronecker sum  A = A1 (x) I + sum_j diag(g2_j) (x) L2_j  with L2_j the unit
-Neumann path Laplacian of x2 axis j.  Its exact spectrum is therefore
-factored (:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times
-the eigenpairs of one small x1 fiber per x2 mode.
+Neumann path Laplacian of x2 axis j.  Assembly therefore integrates the x1
+block only: the x1 faces give the fiber operator A1, each x2 face has
+conductance g2_j = c2(|x1|) / h_j^2 at its x1 node, and the matrix is built
+from these factors, which the operator keeps (``fiber``).  The exact
+spectrum is factored from them (:class:`FiberSpectrum`): orthonormal cosine
+vectors along x2 times the eigenpairs of one small x1 fiber per x2 mode.
+A segment's |x1|^2 is fixed by its x1 start (:func:`segment_quadratic`), so
+the metric graph integrates its edges once per x1 start as well.
 
 Assembled operators are immutable and safe to share between threads.
 """
@@ -38,12 +43,12 @@ from .quadrature import segment_integrals
 
 __all__ = [
     "CapacityError",
-    "FactorizationError",
     "Grid",
     "DivergenceFormOperator",
     "FiberSpectrum",
     "build_grid",
     "face_conductance",
+    "segment_quadratic",
     "assemble",
     "form_value",
     "BOUNDARY_MODES",
@@ -59,11 +64,6 @@ BOUNDARY_MODES = (
 
 class CapacityError(RuntimeError):
     """A method guard (storage ceiling, heat or wave Chebyshev series length) was exceeded."""
-
-
-class FactorizationError(ValueError):
-    """The operator matrix is not the Kronecker sum the fiber factorization
-    reads off it."""
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,43 @@ def build_grid(params: GrusinParameters, extents, counts) -> Grid:
     return Grid(params=params, extents=extents, counts=counts)
 
 
-def _face_integral(coeffs: CoefficientField, block: int, qa, qb, qc):
-    """Mean of c_block^{-1} over segments parametrized on [0, 1]."""
+def segment_quadratic(grid: Grid, off1) -> tuple:
+    """Straight segments from every x1 node p with p + off1 on the grid to
+    p + off1 (integer offset ``off1`` on the x1 axes, in grid spacings).
+
+    Returns the start index range on each x1 axis and the coefficients of
+    |x1(s)|^2 = qa s^2 + qb s + qc, s in [0, 1], each shaped like the block
+    of x1 starts.  The x1 start alone fixes the quadratic, so one block
+    serves every x2 start alike.
+    """
+    n = grid.params.n
+    v = np.asarray(off1) * np.asarray(grid.spacings[:n])
+    starts, qb, qc = [], 0.0, 0.0
+    for i in range(n):
+        c, o = grid.counts[i], int(off1[i])
+        starts.append(np.arange(max(0, -o), c - max(0, o)))
+        x = grid.axis(i)[starts[i]]
+        sh = [1] * n
+        sh[i] = x.size
+        qc = qc + (x**2).reshape(sh)
+        qb = qb + (2.0 * v[i] * x).reshape(sh)
+    shape = tuple(s.size for s in starts)
+    qa = np.full(shape, float(np.sum(v**2)))
+    return starts, qa, np.broadcast_to(qb, shape), np.broadcast_to(qc, shape)
+
+
+def _conductances(coeffs: CoefficientField, block: int, h: float, qa, qb, qc):
+    """h^{-2} over the mean of c_block^{-1} along each segment (parametrized
+    on [0, 1]); exactly 0 where that mean diverges."""
     profile = coeffs.block(block)
 
     def inv_c(r):
         with np.errstate(divide="ignore"):
             return 1.0 / profile(r)
 
-    sing = 2.0 * coeffs.singular_exponent(block)
-    return segment_integrals(qa, qb, qc, inv_c, sing)
+    mean_inv = segment_integrals(qa, qb, qc, inv_c, 2.0 * coeffs.singular_exponent(block))
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(mean_inv), 1.0 / (h * h * mean_inv), 0.0)
 
 
 def face_conductance(coeffs: CoefficientField, axis: int, start, h: float) -> float:
@@ -188,42 +215,10 @@ def face_conductance(coeffs: CoefficientField, axis: int, start, h: float) -> fl
         raise ValueError("axis out of range")
     x1 = start[:n]
     if axis < n:
-        qa, qb, qc = h * h, 2.0 * x1[axis] * h, float(x1 @ x1)
-        block = 1
+        qa, qb, block = h * h, 2.0 * x1[axis] * h, 1
     else:
-        qa, qb, qc = 0.0, 0.0, float(x1 @ x1)
-        block = 2
-    mean_inv = float(_face_integral(coeffs, block, qa, qb, qc))
-    if not np.isfinite(mean_inv):
-        return 0.0
-    return 1.0 / (h * h * mean_inv)
-
-
-def _axis_face_conductances(grid: Grid, coeffs: CoefficientField, axis: int) -> np.ndarray:
-    """Conductances of all faces along ``axis`` (shape: counts with
-    counts[axis]-1 on that axis)."""
-    n = grid.params.n
-    h = grid.spacings[axis]
-    r2 = grid.block1_radius_sq()
-    sl = [slice(None)] * grid.dim
-    sl[axis] = slice(0, grid.counts[axis] - 1)
-    qc = r2[tuple(sl)]
-    if axis < n:
-        shape = [1] * grid.dim
-        shape[axis] = grid.counts[axis] - 1
-        x_start = grid.axis(axis)[:-1].reshape(shape)
-        qa = np.full_like(qc, h * h)
-        qb = 2.0 * h * np.broadcast_to(x_start, qc.shape)
-        block = 1
-    else:
-        qa = np.zeros_like(qc)
-        qb = np.zeros_like(qc)
-        block = 2
-    mean_inv = _face_integral(coeffs, block, qa, qb, qc)
-    with np.errstate(divide="ignore"):
-        g = 1.0 / (h * h * mean_inv)
-    g[~np.isfinite(mean_inv)] = 0.0
-    return g
+        qa, qb, block = 0.0, 0.0, 2
+    return float(_conductances(coeffs, block, h, qa, qb, float(x1 @ x1)))
 
 
 def _cosine_basis(count: int) -> np.ndarray:
@@ -310,43 +305,13 @@ class FiberSpectrum:
         return out
 
 
-def _path_laplacian(count: int) -> sp.csr_matrix:
-    diag = np.full(count, 2.0)
-    diag[[0, -1]] = 1.0
-    off = -np.ones(count - 1)
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
-
-
 def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
-    """Read A1 and g2_j off the assembled matrix (the x2-index-0 slice and its
-    coupling to x2 index e_j), verify the Kronecker sum against the matrix,
-    then diagonalize every fiber per component of A1's coupling."""
+    """Diagonalize the x1 fiber of every x2 mode from the assembled factors
+    A1 and g2_j, per connected component of A1's coupling."""
     n = op.grid.params.n
     x2_counts = tuple(op.grid.counts[n:])
     n1, n2 = op.fiber_shape
-    M = op.matrix
-    first = np.arange(n1) * n2
-    strides = [int(np.prod(x2_counts[j + 1:])) for j in range(len(x2_counts))]
-    g2 = [-np.asarray(M[first, first + s]).ravel() for s in strides]
-    A1 = M[first][:, first].tocsr()
-    d = A1.diagonal()
-    for g in reversed(g2):
-        d = d - g
-    A1.setdiag(d)
-
-    kron = sp.kron(A1, sp.identity(n2))
-    for j, g in enumerate(g2):
-        L2 = sp.identity(1)
-        for i, c in enumerate(x2_counts):
-            L2 = sp.kron(L2, _path_laplacian(c) if i == j else sp.identity(c))
-        kron = kron + sp.kron(sp.diags(g), L2)
-    err = abs(kron - M).max()
-    scale = abs(M).max()
-    if not err <= 1e-12 * scale:
-        raise FactorizationError(
-            f"operator is not a Kronecker sum A1 (x) I + diag(g2) (x) L2: "
-            f"max deviation {err:.3g} against max entry {scale:.3g}"
-        )
+    A1, g2 = op.fiber
 
     # mode k of the x2 axes shifts fiber row a by sum_j nu_{k_j} g2_j[a]
     shift = np.zeros((n2, n1))
@@ -356,6 +321,14 @@ def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
         shape[j] = c
         shift += np.outer(np.broadcast_to(nu.reshape(shape), x2_counts).ravel(), g)
 
+    # each fiber's diagonal is that of the x2-corner rows (x2 index 0, one
+    # forward face per x2 axis) less those faces, rounded as the matrix sums it
+    d = A1.diagonal()
+    for g in g2:
+        d = d + g
+    for g in reversed(g2):
+        d = d - g
+
     ncomp, labels = connected_components(A1 != 0.0, directed=False)
     order = np.argsort(labels, kind="stable")
     blocks = []
@@ -363,12 +336,12 @@ def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
         s = rows.size
         if n == 1:  # tridiagonal fibers; a component is a run of consecutive rows
             lam, Phi = np.empty((n2, s)), np.empty((n2, s, s))
-            base, e = A1.diagonal()[rows], A1.diagonal(1)[rows[:-1]]
+            e = A1.diagonal(1)[rows[:-1]]
             for k in range(n2):
-                lam[k], Phi[k] = eigh_tridiagonal(base + shift[k, rows], e)
+                lam[k], Phi[k] = eigh_tridiagonal(d[rows] + shift[k, rows], e)
         else:
             stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
-            stack[:, np.arange(s), np.arange(s)] += shift[:, rows]
+            stack[:, np.arange(s), np.arange(s)] = d[rows] + shift[:, rows]
             lam, Phi = np.linalg.eigh(stack)
         blocks.append((rows, lam, Phi))
     return FiberSpectrum(
@@ -386,7 +359,11 @@ class DivergenceFormOperator:
     ``matrix`` is the face sum  A = sum_f g_f (e_i - e_j)(e_i - e_j)^T
     restricted to the kept nodes; it is also the generator of the heat
     semigroup exp(-tA) with respect to the (uniform) weighted inner product.
-    ``kept`` maps operator rows to flat grid indices.
+    ``kept`` maps operator rows to flat grid indices.  ``fiber`` holds the
+    factors the matrix is built from, (A1, g2): A1 is the x1 fiber operator
+    on the kept x1 nodes (sparse) and g2[j] the x2-axis-j face conductance
+    c2(|x1|) / h_j^2 per kept x1 node, so that
+    A = A1 (x) I + sum_j diag(g2[j]) (x) L2_j.
     """
 
     matrix: sp.csr_matrix
@@ -395,8 +372,8 @@ class DivergenceFormOperator:
     boundary: str
     kept: np.ndarray
     node_weight: float
+    fiber: tuple
     _eig: FiberSpectrum | None = field(default=None, repr=False, compare=False)
-    _components: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -417,13 +394,6 @@ class DivergenceFormOperator:
     def form_value(self, u) -> float:
         return form_value(self, u)
 
-    def components(self):
-        """Connected components of the sparsity graph: (count, labels)."""
-        if self._components is None:
-            ncomp, labels = connected_components(self.matrix, directed=False)
-            self._components = (int(ncomp), labels)
-        return self._components
-
     @property
     def fiber_shape(self) -> tuple[int, int]:
         """(n1, n2): kept x1 nodes and x2 nodes; row = x1 index * n2 + x2 index."""
@@ -439,9 +409,7 @@ class DivergenceFormOperator:
     def dense_eig(self, max_dimension: int = 4500) -> FiberSpectrum:
         """Exact spectrum of the operator in factored form.  Cached.
 
-        Raises CapacityError when it does not fit (:meth:`fits_exact`) and
-        FactorizationError when the matrix is not the Kronecker sum
-        A1 (x) I + sum_j diag(g2_j) (x) L2_j.
+        Raises CapacityError when it does not fit (:meth:`fits_exact`).
         """
         if self._eig is None:
             if not self.fits_exact(max_dimension):
@@ -454,20 +422,36 @@ class DivergenceFormOperator:
         return self._eig
 
 
-def _kept_mask(grid: Grid, boundary: str) -> np.ndarray:
+def _kept_x1(grid: Grid, boundary: str, r2: np.ndarray) -> np.ndarray:
+    """Mask of the kept x1 nodes (shape: the x1 counts); r2 = |x1|^2."""
     if boundary == "neumann_truncation":
-        return np.ones(grid.counts, dtype=bool)
+        return np.ones(r2.shape, dtype=bool)
     if boundary == "dirichlet_origin":
-        return grid.block1_radius_sq() > 0.0
+        return r2 > 0.0
     if boundary in ("half_line_positive", "half_line_negative"):
         if grid.params.n != 1:
             raise ValueError("half-line boundaries require n = 1")
-        shape = [1] * grid.dim
-        shape[0] = grid.counts[0]
-        x = grid.axis(0).reshape(shape)
-        keep = x >= 0.0 if boundary == "half_line_positive" else x <= 0.0
-        return np.broadcast_to(keep, grid.counts).copy()
+        x = grid.axis(0)
+        return x >= 0.0 if boundary == "half_line_positive" else x <= 0.0
     raise ValueError(f"unknown boundary mode {boundary!r}; expected one of {BOUNDARY_MODES}")
+
+
+def _faces(counts, axis: int):
+    """Flat indices (lo, hi) of the node pairs one step apart along ``axis``."""
+    idx = np.arange(int(np.prod(counts))).reshape(counts)
+    return (np.take(idx, np.arange(counts[axis] - 1), axis).ravel(),
+            np.take(idx, np.arange(1, counts[axis]), axis).ravel())
+
+
+def _symmetric(rows, cols, vals, diag) -> sp.csr_matrix:
+    """CSR matrix of the off-diagonal entries (rows, cols, vals), mirrored,
+    plus every diagonal entry (explicit zeros included)."""
+    d = np.arange(diag.size)
+    mat = sp.coo_matrix((np.concatenate([vals, vals, diag]),
+                         (np.concatenate([rows, cols, d]), np.concatenate([cols, rows, d]))),
+                        shape=(diag.size, diag.size)).tocsr()
+    mat.sum_duplicates()
+    return mat
 
 
 def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_truncation") -> DivergenceFormOperator:
@@ -478,27 +462,28 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     contribution (the eliminated value is pinned to zero), while the
     half-line truncations drop such faces entirely (natural restriction of
     the form, which preserves zero row sums).
+
+    The matrix is the Kronecker sum of the factors (A1, g2), each diagonal
+    entry summed face by face, axis by axis.
     """
     if coeffs.params != grid.params:
         raise ValueError("grid and coefficient field disagree on parameters")
-    keep = _kept_mask(grid, boundary)
-    n_keep = int(keep.sum())
-    new_index = -np.ones(grid.n_nodes, dtype=np.int64)
-    kept_flat = np.nonzero(keep.ravel())[0]
-    new_index[kept_flat] = np.arange(n_keep)
+    n = grid.params.n
+    x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
+    n2 = int(np.prod(x2_counts))
+    _, qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
+    keep = _kept_x1(grid, boundary, r2).ravel()
+    kept1 = np.nonzero(keep)[0]
+    n1 = kept1.size
+    new_index = -np.ones(keep.size, dtype=np.int64)
+    new_index[kept1] = np.arange(n1)
 
     rows, cols, vals = [], [], []
-    diag = np.zeros(n_keep)
-    for axis in range(grid.dim):
-        g = _axis_face_conductances(grid, coeffs, axis)
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[axis] = slice(0, grid.counts[axis] - 1)
-        sl_hi[axis] = slice(1, grid.counts[axis])
-        idx = np.arange(grid.n_nodes).reshape(grid.counts)
-        i = idx[tuple(sl_lo)].ravel()
-        j = idx[tuple(sl_hi)].ravel()
-        gf = g.ravel()
+    diag = np.zeros(n1)
+    for axis in range(n):
+        _, *q = segment_quadratic(grid, np.eye(n, dtype=np.int64)[axis])
+        gf = _conductances(coeffs, 1, grid.spacings[axis], *q).ravel()
+        i, j = _faces(x1_counts, axis)
         live = gf > 0.0
         i, j, gf = i[live], j[live], gf[live]
         ki, kj = new_index[i], new_index[j]
@@ -513,22 +498,33 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
             into_j = (kj >= 0) & (ki < 0)
             np.add.at(diag, ki[into_i], gf[into_i])
             np.add.at(diag, kj[into_j], gf[into_j])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    A1 = _symmetric(rows, cols, vals, diag)
+    q_kept = [q.ravel()[kept1] for q in (qa, qb, r2)]
+    g2 = tuple(_conductances(coeffs, 2, grid.spacings[n + j], *q_kept) for j in range(grid.params.m))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    all_rows = np.concatenate([rows, cols, np.arange(n_keep)])
-    all_cols = np.concatenate([cols, rows, np.arange(n_keep)])
-    all_vals = np.concatenate([vals, vals, diag])
-    mat = sp.coo_matrix((all_vals, (all_rows, all_cols)), shape=(n_keep, n_keep)).tocsr()
-    mat.sum_duplicates()
+    # A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, row = x1 index * n2 + x2 index
+    x2 = np.arange(n2)
+    rows, cols = [(rows[:, None] * n2 + x2).ravel()], [(cols[:, None] * n2 + x2).ravel()]
+    vals = [np.repeat(vals, n2)]
+    full = np.broadcast_to(diag[:, None], (n1, n2))
+    for j, g in enumerate(g2):
+        lo, hi = _faces(x2_counts, j)
+        live = np.nonzero(g > 0.0)[0]
+        rows.append((live[:, None] * n2 + lo).ravel())
+        cols.append((live[:, None] * n2 + hi).ravel())
+        vals.append(np.repeat(-g[live], lo.size))
+        # each node adds its forward face, then its backward face
+        full = full + np.outer(g, np.isin(x2, lo)) + np.outer(g, np.isin(x2, hi))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     return DivergenceFormOperator(
-        matrix=mat,
+        matrix=_symmetric(rows, cols, vals, full.ravel()),
         grid=grid,
         coeffs=coeffs,
         boundary=boundary,
-        kept=kept_flat,
+        kept=(kept1[:, None] * n2 + x2).ravel(),
         node_weight=grid.node_weight,
+        fiber=(A1, g2),
     )
 
 

@@ -126,15 +126,14 @@ def _decay_candidates(op, spec):
     if spec == "all":
         return None
     if spec == "degeneracy_line":
-        # the sup lives on the degeneracy set; one near-line control row ([h, 0])
-        # is kept, far off-line rows would only drag the boundary guard down
-        pts = []
-        l2 = grid.extents[-1] if grid.dim > 1 else 0.0
-        for x2 in (0.0, 1.0, -1.0, 2.0):
-            if grid.dim > 1 and abs(x2) <= 0.5 * l2:
-                pts.append([0.0, x2])
-        if grid.dim == 1:
-            pts = [[0.0]]
+        # the sup lives on the degeneracy set {x1 = 0}, sampled along the first
+        # x2 axis; one near-set control row ([h, 0, ...]) is kept, far
+        # off-set rows would only drag the boundary guard down
+        n, m = grid.params.n, grid.params.m
+        pts = [[0.0] * grid.dim]
+        if m:
+            pts += [[0.0] * n + [x2] + [0.0] * (m - 1) for x2 in (1.0, -1.0, 2.0)
+                    if abs(x2) <= 0.5 * grid.extents[n]]
         pts.append([grid.spacings[0]] + [0.0] * (grid.dim - 1))
         return sorted(set(op.node_index(p) for p in pts))
     return sorted(set(op.node_index(p) for p in spec))

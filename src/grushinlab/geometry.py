@@ -12,6 +12,8 @@ Two routes to the control distance of the degenerate metric C^{-1}:
   integer offsets with max-norm <= stencil_order, weighted by the metric
   length of the straight segment, integral of
   sqrt(sum_k c_k^{-1} dx_k^2), evaluated with singularity-aware quadrature.
+  The integrand depends on |x1| only, so each offset's weights are
+  integrated once per x1 start and shared by every x2 start.
 
 The two are equivalent up to constants; the experiments fit the constant
 band and test its stability under refinement.  Ball volumes come either from
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .coefficients import CoefficientField, GrusinParameters, derive_exponents, piecewise_power
-from .discretization import Grid
+from .discretization import Grid, segment_quadratic
 from .quadrature import segment_integrals
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "MetricGraph",
     "delta_distance",
     "closed_form_distance",
-    "numerical_distance",
     "ball_volume",
     "ball_volume_closed_form",
     "ball_volume_table",
@@ -143,8 +144,9 @@ class DistanceField:
 class MetricGraph:
     """Weighted node graph of a grid under the degenerate metric.
 
-    Building the graph is the expensive part (one quadrature sweep per
-    stencil offset); Dijkstra runs from any number of sources afterwards.
+    Building the graph is the expensive part (one quadrature sweep over the
+    x1 starts per stencil offset); Dijkstra runs from any number of sources
+    afterwards.
     """
 
     def __init__(self, grid: Grid, coeffs: CoefficientField, stencil_order: int = 2):
@@ -157,38 +159,14 @@ class MetricGraph:
         self._csr = self._build()
 
     def _edge_weights(self, off: np.ndarray):
-        """Metric lengths of all edges with integer offset ``off``."""
+        """The edges with integer offset ``off`` and a finite metric length:
+        (start nodes, end nodes, lengths, number of infinite ones dropped).
+        Each length is integrated once per x1 start and serves every x2 start."""
         grid, coeffs = self.grid, self.coeffs
-        n, dim = grid.params.n, grid.dim
-        h = np.asarray(grid.spacings)
-        v = off * h
+        n = grid.params.n
+        v = off * np.asarray(grid.spacings)
         w1 = float(np.sum(v[:n] ** 2))
         w2 = float(np.sum(v[n:] ** 2))
-
-        # valid start nodes: p and p + off both inside the grid
-        starts = []
-        shape = []
-        for i in range(dim):
-            c, o = grid.counts[i], int(off[i])
-            lo, hi = (0, c - o) if o >= 0 else (-o, c)
-            starts.append(np.arange(lo, hi))
-            shape.append(hi - lo)
-        idx = np.ravel_multi_index(np.ix_(*starts), grid.counts).ravel()
-        jdx = idx + int(np.ravel_multi_index(tuple(np.maximum(off, 0)), grid.counts)
-                        - np.ravel_multi_index(tuple(np.maximum(-off, 0)), grid.counts))
-
-        # quadratic |x1(s)|^2 = qa s^2 + qb s + qc along the segment
-        qa = w1
-        qc = np.zeros(shape)
-        qb = np.zeros(shape)
-        for i in range(n):
-            ax = grid.axis(i)[starts[i]]
-            sh = [1] * dim
-            sh[i] = len(ax)
-            qc = qc + (ax**2).reshape(sh)
-            qb = qb + (2.0 * v[i] * ax).reshape(sh)
-        qa = np.full(shape, qa)
-
         c1, c2 = coeffs.block1, coeffs.block2
 
         def integrand(r):
@@ -205,23 +183,35 @@ class MetricGraph:
             sing = max(sing, coeffs.singular_exponent(1))
         if w2 > 0.0:
             sing = max(sing, coeffs.singular_exponent(2))
-        weights = segment_integrals(qa.ravel(), qb.ravel(), qc.ravel(), integrand, sing)
-        return idx, jdx, weights
+        starts1, qa, qb, qc = segment_quadratic(grid, off[:n])
+        weights = segment_integrals(qa, qb, qc, integrand, sing).ravel()
+        ok = np.isfinite(weights)
+
+        # valid start nodes: p and p + off both inside the grid, at flat
+        # index x1 index * n2 + x2 index
+        x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
+        starts2 = [np.arange(max(0, -o), c - max(0, o)) for c, o in zip(x2_counts, off[n:])]
+        x1 = np.arange(int(np.prod(x1_counts))).reshape(x1_counts)[np.ix_(*starts1)].ravel()
+        x2 = np.arange(int(np.prod(x2_counts))).reshape(x2_counts)[np.ix_(*starts2)].ravel()
+        idx = (x1[ok, None] * int(np.prod(x2_counts)) + x2).ravel()
+        step = int(np.ravel_multi_index(tuple(np.maximum(off, 0)), grid.counts)
+                   - np.ravel_multi_index(tuple(np.maximum(-off, 0)), grid.counts))
+        return idx, idx + step, np.repeat(weights[ok], x2.size), int((~ok).sum()) * x2.size
 
     def _build(self) -> sp.csr_matrix:
         N = self.grid.n_nodes
-        rows, cols, vals = [], [], []
-        for off in stencil_offsets(self.grid.dim, self.stencil_order):
-            i, j, w = self._edge_weights(off)
-            ok = np.isfinite(w)
-            self.dropped_edges += int((~ok).sum())
-            rows.append(i[ok])
-            cols.append(j[ok])
-            vals.append(w[ok])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+        offsets = stencil_offsets(self.grid.dim, self.stencil_order)
+        # one buffer with room for every edge, filled offset by offset, so no
+        # per-offset copies are concatenated (slots of dropped edges stay untouched)
+        size = sum(int(np.prod(np.asarray(self.grid.counts) - np.abs(off))) for off in offsets)
+        rows, cols, vals = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+        k = 0
+        for off in offsets:
+            i, j, w, dropped = self._edge_weights(off)
+            self.dropped_edges += dropped
+            rows[k:k + i.size], cols[k:k + i.size], vals[k:k + i.size] = i, j, w
+            k += i.size
+        return sp.coo_matrix((vals[:k], (rows[:k], cols[:k])), shape=(N, N)).tocsr()
 
     @property
     def edge_matrix(self) -> sp.csr_matrix:
@@ -257,11 +247,6 @@ class MetricGraph:
             stencil_order=self.stencil_order,
             distances=np.asarray(dist).ravel(),
         )
-
-
-def numerical_distance(coeffs: CoefficientField, grid: Grid, source, stencil_order: int = 2) -> DistanceField:
-    """Geodesic distance field from ``source`` (snapped to the nearest node)."""
-    return MetricGraph(grid, coeffs, stencil_order).field_from_point(source)
 
 
 def ball_volume(field: DistanceField, r: float) -> float:

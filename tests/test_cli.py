@@ -208,3 +208,29 @@ def test_suite_cli_with_manifest_file(tmp_path, capsys):
     assert "SUITE: PASS" in out
     stored = json.loads((tmp_path / "suite" / "suite_report.json").read_text())
     assert stored["passed"]
+
+
+def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FAST_CONFIG))
+    monkeypatch.setenv("GRUSHINLAB_SEED", "abc")
+    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "GRUSHINLAB_SEED" in capsys.readouterr().err
+
+
+def test_suite_rejects_non_integer_workers_variable(tmp_path, capsys, monkeypatch):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps([FAST_CONFIG]))
+    monkeypatch.setenv("GRUSHINLAB_WORKERS", "two")
+    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
+    assert code == 2
+    assert "GRUSHINLAB_WORKERS" in capsys.readouterr().err
+
+
+def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text("[{not json")
+    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
+    assert code == 2
+    assert str(mpath) in capsys.readouterr().err

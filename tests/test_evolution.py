@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
+from grushinlab.config import ExperimentConfig
 from grushinlab.discretization import assemble, build_grid
 from grushinlab import evolution
 from grushinlab.evolution import (
@@ -15,6 +16,7 @@ from grushinlab.evolution import (
     ondiagonal_decay,
     separation_check,
 )
+from grushinlab.experiments import _decay_candidates, run_experiment
 from grushinlab.geometry import MetricGraph, ball_volume
 
 EXACT = EvolutionMethod("exact_eigendecomposition")
@@ -353,3 +355,20 @@ def test_far_field_kernel_below_gaussian_tail():
 def test_fit_loglog_slope():
     x = np.geomspace(1, 10, 5)
     assert fit_loglog_slope(x, 3.0 * x**-1.5) == pytest.approx(-1.5)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (2, 0)])
+def test_degeneracy_line_candidates_in_every_dimension(n, m):
+    # the line runs along the first x2 axis through x1 = 0, plus one control
+    # row at [h, 0, ...]; with m = 0 the set {x1 = 0} is the origin alone
+    stage = {"label": "line", "extents": 4.0, "counts": 9, "times": [0.1, 0.2],
+             "slope": -1.0, "tol": 10.0, "candidates": "degeneracy_line"}
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "decay", "params": {"n": n, "m": m, "delta1": 0.25, "delta1p": 0.25},
+        "method": {"kind": "exact_eigendecomposition"}, "knobs": {"stages": [stage]}})
+    op = assemble(build_grid(cfg.params, 4.0, 9), CoefficientField(cfg.params))
+    got = op.coords()[_decay_candidates(op, "degeneracy_line")]
+    line = [[0.0] * n + [x2] + [0.0] * (m - 1) for x2 in (0.0, 1.0, -1.0, 2.0)] if m else [[0.0] * n]
+    expected = line + [[1.0] + [0.0] * (n + m - 1)]
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected))
+    assert run_experiment(cfg)["fitted"]["line_slope"] < 0.0

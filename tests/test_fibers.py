@@ -15,7 +15,6 @@ from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     BOUNDARY_MODES,
     CapacityError,
-    FactorizationError,
     assemble,
     build_grid,
     face_conductance,
@@ -91,35 +90,48 @@ def test_factored_spectrum_matches_dense_oracle(n, m, boundary, data, t):
         assert np.abs(S.sum(axis=0) - 1.0).max() <= tol
 
 
-def _path_laplacian(count):
-    L = 2.0 * np.eye(count) - np.eye(count, k=1) - np.eye(count, k=-1)
-    L[0, 0] = L[-1, -1] = 1.0
-    return L
+def _face_by_face(op):
+    """The operator of ``op``'s grid, coefficients and boundary, assembled
+    face by face over the whole grid with the scalar face_conductance:
+    (dense matrix, kept flat indices)."""
+    grid, boundary = op.grid, op.boundary
+    x = grid.coords()
+    x1 = x[:, :grid.params.n]
+    keep = {"neumann_truncation": np.ones(grid.n_nodes, dtype=bool),
+            "dirichlet_origin": (x1 * x1).sum(axis=1) > 0.0,
+            "half_line_positive": x[:, 0] >= 0.0,
+            "half_line_negative": x[:, 0] <= 0.0}[boundary]
+    kept = np.nonzero(keep)[0]
+    row = -np.ones(grid.n_nodes, dtype=int)
+    row[kept] = np.arange(kept.size)
+    A = np.zeros((kept.size, kept.size))
+    index = np.arange(grid.n_nodes).reshape(grid.counts)
+    for axis, h in enumerate(grid.spacings):
+        lo = np.take(index, np.arange(grid.counts[axis] - 1), axis).ravel()
+        for i in lo:
+            j = i + index.strides[axis] // index.itemsize
+            g = face_conductance(op.coeffs, axis, x[i], h)
+            a, b = row[i], row[j]
+            if a >= 0 and b >= 0:
+                A[[a, b], [a, b]] += g
+                A[[a, b], [b, a]] -= g
+            elif boundary == "dirichlet_origin" and max(a, b) >= 0:
+                A[max(a, b), max(a, b)] += g    # the face into the eliminated node
+    return A, kept
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
 @SETTINGS
 @given(data=st.data())
 def test_kronecker_sum_identity(n, m, boundary, data):
+    # the operator assembled from its Kronecker factors equals the one
+    # assembled face by face on the whole grid
     op = data.draw(operators(n, m, boundary))
-    # A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, with A1 assembled on the x1
-    # block alone and g2_j from single-face conductances
-    grid = op.grid
-    params1 = GrusinParameters(n, 0, grid.params.delta1, grid.params.delta1p)
-    grid1 = build_grid(params1, grid.extents[:n], grid.counts[:n])
-    op1 = assemble(grid1, CoefficientField(params1), boundary)
-    x2_counts = grid.counts[n:]
-    expected = np.kron(op1.matrix.toarray(), np.eye(int(np.prod(x2_counts))))
-    for j in range(m):
-        axis = n + j
-        g2 = [face_conductance(op.coeffs, axis, np.concatenate([x, np.zeros(m)]),
-                               grid.spacings[axis]) for x in op1.coords()]
-        L2 = np.ones((1, 1))
-        for i, ci in enumerate(x2_counts):
-            L2 = np.kron(L2, _path_laplacian(ci) if i == j else np.eye(ci))
-        expected += np.kron(np.diag(g2), L2)
-    A = op.matrix.toarray()
-    assert np.abs(A - expected).max() <= 1e-12 * np.abs(A).max()
+    A, kept = _face_by_face(op)
+    M = op.matrix.toarray()
+    assert np.array_equal(op.kept, kept)
+    assert np.array_equal(M != 0.0, A != 0.0)
+    assert np.all(np.abs(M - A) <= 1e-12 * np.abs(A))
 
 
 # for n = 2 the Dirichlet mode removes the only node that separates
@@ -179,16 +191,6 @@ def test_size_rule_on_one_dimensional_and_square_grids():
     op = assemble(build_grid(p2, 6.0, 129), CoefficientField(p2))
     assert op.fiber_shape == (129, 129)
     assert EvolutionMethod().resolve(op) == "exact_eigendecomposition"
-
-
-def test_non_kronecker_matrix_raises_named_error():
-    p = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
-    op = assemble(build_grid(p, 2.0, 5), CoefficientField(p))
-    M = op.matrix.tolil()
-    M[6, 7] = M[7, 6] = M[6, 7] * 1.5     # one x2 coupling off its fiber value
-    bad = dataclasses.replace(op, matrix=sp.csr_matrix(M))
-    with pytest.raises(FactorizationError, match="Kronecker"):
-        bad.dense_eig()
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)

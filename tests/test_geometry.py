@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters, derive_exponents
@@ -13,9 +14,9 @@ from grushinlab.geometry import (
     closed_form_distance,
     delta_distance,
     doubling_exponent,
-    numerical_distance,
     stencil_offsets,
 )
+from grushinlab.quadrature import segment_integrals
 
 CLASSICAL = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
 EUCLID_2D = GrusinParameters(1, 1)
@@ -96,7 +97,7 @@ def test_point_split():
 
 def test_numerical_distance_source_is_zero_and_euclidean_band():
     g = build_grid(EUCLID_2D, 2.0, 65)
-    df = numerical_distance(CoefficientField(EUCLID_2D), g, [0.0, 0.0], 2)
+    df = MetricGraph(g, CoefficientField(EUCLID_2D), 2).field_from_point([0.0, 0.0])
     assert df.at([0.0, 0.0]) == 0.0
     assert df.unreachable == 0
     pts = g.coords()
@@ -111,7 +112,7 @@ def test_numerical_distance_source_is_zero_and_euclidean_band():
 def test_numerical_distance_pure_power_quadrature_oracle():
     # d(0; x) for c = |s| matches the integral of s^{-1/2}: 2 sqrt(x)
     g = build_grid(POWER_HALF, 2.0, 513)
-    df = numerical_distance(CoefficientField(POWER_HALF), g, [0.0], 2)
+    df = MetricGraph(g, CoefficientField(POWER_HALF), 2).field_from_point([0.0])
     for x in (0.25, 0.5, 1.0, 2.0):
         oracle, _ = quad(lambda s: s**-0.5, 0, x, points=[0.0])
         assert df.at([x]) == pytest.approx(oracle, rel=0.02)
@@ -119,7 +120,7 @@ def test_numerical_distance_pure_power_quadrature_oracle():
 
 def test_numerical_distance_snaps_source():
     g = build_grid(EUCLID_2D, 1.0, 11)
-    df = numerical_distance(CoefficientField(EUCLID_2D), g, [0.03, -0.07], 1)
+    df = MetricGraph(g, CoefficientField(EUCLID_2D), 1).field_from_point([0.03, -0.07])
     assert df.snap_error == pytest.approx(np.hypot(0.03, 0.07 - 0.0) - 0.0, abs=0.2)
     assert df.at(df.source) == 0.0
 
@@ -127,7 +128,7 @@ def test_numerical_distance_snaps_source():
 def test_monotone_refinement_in_stencil_order():
     g = build_grid(CLASSICAL, (2.0, 2.0), (41, 41))
     cf = CoefficientField(CLASSICAL)
-    fields = [numerical_distance(cf, g, [0.0, 0.0], k) for k in (1, 2, 3)]
+    fields = [MetricGraph(g, cf, k).field_from_point([0.0, 0.0]) for k in (1, 2, 3)]
     d1, d2, d3 = (f.distances for f in fields)
     assert np.all(d2 <= d1 + 1e-12)
     assert np.all(d3 <= d2 + 1e-12)
@@ -165,6 +166,59 @@ def test_triangle_inequality_along_edges():
     assert np.all(d[coo.col][finite] <= d[coo.row][finite] + coo.data[finite] * (1 + 1e-12))
 
 
+def _edge_oracle(grid, coeffs, order):
+    """Edge matrix and dropped-edge count from one scalar quadrature per
+    segment of the whole grid."""
+    n = grid.params.n
+    h = np.asarray(grid.spacings)
+    pts = grid.coords()
+    index = np.arange(grid.n_nodes).reshape(grid.counts)
+    c1, c2 = coeffs.block1, coeffs.block2
+    rows, cols, vals, dropped = [], [], [], 0
+    for off in stencil_offsets(grid.dim, order):
+        v = off * h
+        w1, w2 = float(v[:n] @ v[:n]), float(v[n:] @ v[n:])
+        sing = max(coeffs.singular_exponent(1) if w1 else 0.0,
+                   coeffs.singular_exponent(2) if w2 else 0.0)
+
+        def f(r):
+            with np.errstate(divide="ignore"):
+                return np.sqrt((w1 / c1(r) if w1 else 0.0) + (w2 / c2(r) if w2 else 0.0))
+
+        for start in np.ndindex(*grid.counts):
+            end = np.asarray(start) + off
+            if np.any(end < 0) or np.any(end >= grid.counts):
+                continue
+            i, j = index[start], index[tuple(end)]
+            x1 = pts[i, :n]
+            w = float(segment_integrals(w1, 2.0 * (x1 @ v[:n]), x1 @ x1, f, sing))
+            if np.isfinite(w):
+                rows.append(i)
+                cols.append(j)
+                vals.append(w)
+            else:
+                dropped += 1
+    E = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+    return E, dropped
+
+
+@pytest.mark.parametrize("delta1", [0.0, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (1, 2), (2, 1)])
+def test_edge_weights_match_per_segment_oracle(n, m, delta1):
+    # the graph integrates once per x1 start; the oracle once per edge
+    params = GrusinParameters(n, m, delta1, 0.5 * delta1, 1.0, 0.5)
+    grid = build_grid(params, [1.0, 2.0, 1.5][: n + m], [5, 3, 3][: n + m])
+    coeffs = CoefficientField(params)
+    mg = MetricGraph(grid, coeffs, 2)
+    E, dropped = _edge_oracle(grid, coeffs, 2)
+    assert mg.dropped_edges == dropped
+    got = mg.edge_matrix
+    got.sort_indices()
+    E.sort_indices()
+    assert np.array_equal(got.indptr, E.indptr) and np.array_equal(got.indices, E.indices)
+    assert np.all(np.abs(got.data - E.data) <= 1e-12 * np.abs(E.data))
+
+
 def test_dropped_edges_reported():
     # delta2 = 1: x2-direction edges touching the line x1 = 0 are divergent
     g = build_grid(CLASSICAL, (1.0, 1.0), (21, 21))
@@ -174,7 +228,7 @@ def test_dropped_edges_reported():
 
 def test_ball_volume_counting_and_floor():
     g = build_grid(EUCLID_2D, 1.0, 41)
-    df = numerical_distance(CoefficientField(EUCLID_2D), g, [0.0, 0.0], 2)
+    df = MetricGraph(g, CoefficientField(EUCLID_2D), 2).field_from_point([0.0, 0.0])
     w = g.node_weight
     assert ball_volume(df, 1e-9) == w  # single-cell floor
     # Euclidean disc area within the lattice-counting error
@@ -215,7 +269,7 @@ def test_volume_slopes_both_regimes():
 
 def test_doubling_exponent_validation_and_euclidean():
     g = build_grid(GrusinParameters(1, 0), 30.0, 12001)
-    df = numerical_distance(CoefficientField(GrusinParameters(1, 0)), g, [0.0], 2)
+    df = MetricGraph(g, CoefficientField(GrusinParameters(1, 0)), 2).field_from_point([0.0])
     radii = 0.02 * 2.0 ** np.arange(8)
     tab = ball_volume_table(df, [0.0], radii)
     assert doubling_exponent(tab) == pytest.approx(1.0, abs=0.15)
@@ -228,7 +282,7 @@ def test_doubling_exponent_validation_and_euclidean():
 def test_doubling_exponent_respects_dimension_bound():
     params = GrusinParameters(1, 0, 0.5, 0.0)
     g = build_grid(params, 24.0, 49153)
-    df = numerical_distance(CoefficientField(params), g, [0.0], 2)
+    df = MetricGraph(g, CoefficientField(params), 2).field_from_point([0.0])
     radii = 0.1 * 2.0 ** np.arange(8)
     tab = ball_volume_table(df, [0.0], radii)
     e = derive_exponents(params)
