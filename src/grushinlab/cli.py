@@ -5,7 +5,10 @@ compare, wave, nash, suite, report.  Every experiment subcommand takes
 --config PATH (JSON, see grushinlab.config), --out DIR and --seed S; flags
 override the config file, and the environment variables GRUSHINLAB_CONFIG /
 GRUSHINLAB_OUT / GRUSHINLAB_SEED mirror the flags (flags win).  Without
---config a built-in default configuration for that experiment kind is used.
+--config a subcommand runs a copy of its kind's entry of the acceptance
+manifest (DEFAULT_ENTRIES), frozen check bounds included, and writes it to
+<out>/<entry name>/.  Each subcommand is its experiment kind with '_' written
+as '-'.
 
 ``suite`` runs a manifest of configs (JSON list, or the built-in
 ``acceptance`` manifest) on --workers N processes (GRUSHINLAB_WORKERS,
@@ -28,85 +31,17 @@ from .reporting import summary_lines, write_report
 
 ENV_PREFIX = "GRUSHINLAB_"
 
-_SUBCOMMAND_KIND = {
-    "distance": "distance",
-    "volume": "volume",
-    "heat-kernel": "heat_kernel",
-    "conservation": "conservation",
-    "decay": "decay",
-    "separation": "separation",
-    "compare": "compare",
-    "wave": "wave",
-    "nash": "nash",
-}
-
-_DEFAULT_CONFIGS = {
-    "conservation": {
-        "experiment": "conservation",
-        "params": {"n": 1, "m": 0, "delta1": 0.25, "delta1p": 0.25},
-        "grid": {"extents": 6.0, "counts": 401},
-        "method": {"kind": "exact_eigendecomposition"},
-        "knobs": {"bound": 1e-8, "times": [0.01, 0.1, 1.0], "n_sources": 5},
-    },
-    "decay": {
-        "experiment": "decay",
-        "params": {"n": 1, "m": 0, "delta1": 0.5},
-        "method": {"kind": "exact_eigendecomposition"},
-        "knobs": {"stages": [{
-            "label": "small_t", "extents": 8.0, "counts": 8193,
-            "boundary": "half_line_positive",
-            "times": [0.1, 0.16, 0.25, 0.4, 0.63, 1.0],
-            "slope": -1.0, "tol": 0.1,
-        }]},
-    },
-    "distance": {
-        "experiment": "distance",
-        "params": {"n": 1, "m": 1, "delta2": 1.0, "delta2p": 1.0},
-        "grid": {"extents": 4.0, "counts": 65},
-        "knobs": {"n_sources": 5, "n_targets": 8},
-    },
-    "volume": {
-        "experiment": "volume",
-        "params": {"n": 1, "m": 1, "delta2": 1.0, "delta2p": 1.0},
-        "grid": {"extents": [4.0, 10.0], "counts": [65, 641]},
-        "knobs": {"task": "slopes", "tol": 0.15,
-                  "origin_radii": {"lo": 0.7, "hi": 5.0, "n": 7},
-                  "off_center": [1.0, 0.0], "off_radii": {"lo": 0.15, "hi": 1.0, "n": 7}},
-    },
-    "heat_kernel": {
-        "experiment": "heat_kernel",
-        "params": {"n": 1, "m": 0},
-        "grid": {"extents": 8.0, "counts": 1025},
-        "method": {"kind": "exact_eigendecomposition"},
-        "knobs": {"source": [0.0], "t": 0.1, "oracle": "gauss_free_space", "oracle_tol": 1e-3},
-    },
-    "separation": {
-        "experiment": "separation",
-        "params": {"n": 1, "m": 0, "delta1": 0.75, "delta1p": 0.75},
-        "grid": {"extents": 4.0, "counts": 101},
-        "method": {"kind": "exact_eigendecomposition"},
-        "knobs": {"refinements": 3, "t": 1.0, "sources": [[1.0], [-0.5]]},
-    },
-    "compare": {
-        "experiment": "compare",
-        "params": {"n": 1, "m": 0, "delta1": 0.5},
-        "grid": {"extents": 6.0, "counts": 385},
-        "method": {"kind": "exact_eigendecomposition"},
-        "knobs": {"r_cut": 1.0, "region": [1.0, 2.0], "n_times": 6},
-    },
-    "wave": {
-        "experiment": "wave",
-        "params": {"n": 1, "m": 1, "delta2": 1.0, "delta2p": 1.0},
-        "grid": {"extents": 8.0, "counts": 129},
-        "knobs": {"task": "finite_speed", "bump_center": [1.0, 0.0], "bump_width": 0.6,
-                  "times": [1.0], "refinements": 2, "leak_bound": 1e-5},
-    },
-    "nash": {
-        "experiment": "nash",
-        "params": {"n": 1, "m": 1, "delta2": 1.0, "delta2p": 1.0},
-        "grid": {"extents": 2.0, "counts": 65},
-        "knobs": {"task": "nash", "ensemble": 40, "vf_slopes": True},
-    },
+# experiment kind -> the manifest entry its subcommand runs without --config
+DEFAULT_ENTRIES = {
+    "conservation": "c01_conservation_1d",
+    "decay": "c03_decay_1d",
+    "distance": "c04_distance",
+    "volume": "c05_volume_slopes",
+    "heat_kernel": "c14_free_space_oracle",
+    "separation": "c07_separation_weak",
+    "compare": "c11_compare",
+    "wave": "c10_speed_constant",
+    "nash": "c12_nash_full",
 }
 
 
@@ -137,7 +72,7 @@ def _load_config_dict(kind: str, args) -> dict:
     if path:
         raw = _load_json(path)
     else:
-        raw = json.loads(json.dumps(_DEFAULT_CONFIGS[kind]))
+        raw = next(e for e in acceptance_manifest() if e["name"] == DEFAULT_ENTRIES[kind])
     if raw.get("experiment") is None:
         raw["experiment"] = kind
     if raw.get("experiment") != kind:
@@ -196,8 +131,9 @@ def main(argv=None) -> int:
         description="Desk-scale verification experiments for Grushin-type degenerate diffusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_KIND:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for kind, entry in DEFAULT_ENTRIES.items():
+        p = sub.add_parser(kind.replace("_", "-"),
+                           help=f"run the {kind} experiment (default: manifest entry {entry})")
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", help="output directory (default ./results)")
         p.add_argument("--seed", type=int, default=None)
@@ -244,7 +180,7 @@ def main(argv=None) -> int:
         print("SUITE:", "PASS" if aggregate["passed"] else "FAIL")
         return 0 if aggregate["passed"] else 1
 
-    kind = _SUBCOMMAND_KIND[args.command]
+    kind = args.command.replace("-", "_")
     try:
         raw = _load_config_dict(kind, args)
         report = _run_single(raw, out_dir)

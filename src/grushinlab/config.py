@@ -22,6 +22,13 @@ beyond it.  "tolerance" is the Krylov method's absolute error per unit |v|:
 its truncated Chebyshev series stops where the coefficient tail, a proven
 error bound, drops to it.
 
+"knobs.task" selects the runner within an experiment kind: "slopes" or
+"doubling" (volume), "finite_speed" or "davies_gaffney" (wave), "nash",
+"hardy" or "operator_inequalities" (nash), "gaussian_bounds" (heat_kernel,
+whose plain run takes no task).  Without it a kind runs slopes, finite_speed,
+nash or the plain heat kernel; a task the kind does not have is a
+ConfigError when the experiment starts.
+
 Validation failures raise ConfigError with the offending field path in the
 message.  Re-running the same config byte-reproduces all CSV output.
 """

@@ -391,9 +391,6 @@ class DivergenceFormOperator:
         pts = self.coords()
         return int(np.argmin(np.linalg.norm(pts - np.asarray(point, dtype=float), axis=1)))
 
-    def form_value(self, u) -> float:
-        return form_value(self, u)
-
     @property
     def fiber_shape(self) -> tuple[int, int]:
         """(n1, n2): kept x1 nodes and x2 nodes; row = x1 index * n2 + x2 index."""

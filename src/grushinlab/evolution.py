@@ -252,7 +252,6 @@ class GaussianUpperReport:
     constant: float
     argmax: tuple          # (source row, other row, t)
     samples: int
-    epsilon: float
     lower: float           # min over sources and times of K_t(x; x) |B(x; sqrt t)|
 
 
@@ -302,15 +301,13 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
                 if val > best:
                     best = float(val)
                     arg = (j, i, float(t))
-    return GaussianUpperReport(constant=best, argmax=arg, samples=count, epsilon=epsilon,
-                               lower=float(lower))
+    return GaussianUpperReport(constant=best, argmax=arg, samples=count, lower=float(lower))
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     times: np.ndarray
     sup_diff: np.ndarray
-    rho: float
     reference: np.ndarray
     slope_vs_exponent: float
 
@@ -340,8 +337,7 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
         slope = float(np.polyfit(expo[good], np.log(sup[good]), 1)[0])
     else:
         slope = float("nan")
-    return ComparisonReport(times=times, sup_diff=sup, rho=rho, reference=ref,
-                            slope_vs_exponent=slope)
+    return ComparisonReport(times=times, sup_diff=sup, reference=ref, slope_vs_exponent=slope)
 
 
 def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarray,
@@ -359,7 +355,6 @@ class SeparationReport:
     strongly_degenerate: bool
     cross_kernel_extreme: float   # max |K| over cross pairs (strong) or min K (weak)
     dirichlet_gaps: tuple         # sup |K_Dir - K_Neu| per refinement level
-    t: float
 
 
 def separation_check(neumann_ops, dirichlet_ops, t: float, sources,
@@ -403,5 +398,4 @@ def separation_check(neumann_ops, dirichlet_ops, t: float, sources,
         strongly_degenerate=strong,
         cross_kernel_extreme=float(extreme),
         dirichlet_gaps=tuple(gaps),
-        t=float(t),
     )

@@ -1,10 +1,13 @@
 """Experiment implementations behind the CLI and the acceptance suite.
 
-Each experiment is a pure function of an ExperimentConfig returning a report
-dict: config echo and hash, derived exponents, a list of named checks (each
-with its bound and pass flag), fitted constants, CSV tables and timings.
-The acceptance manifest at the bottom freezes every tolerance of the
-verification suite; the test suite and the ``suite`` subcommand both run it.
+Each runner reads an ExperimentConfig and fills in a report's named checks
+(each with its bound and pass flag), fitted constants and CSV tables.
+``run_experiment`` is the only place that picks a runner: the table
+``_RUNNERS`` maps the config's experiment kind and ``knobs.task`` to one,
+and it builds the report frame around it (config echo and hash, derived
+exponents, timings, the overall pass flag).  The acceptance manifest at the
+bottom freezes every tolerance of the verification suite; the test suite,
+the ``suite`` subcommand and every experiment subcommand's default run use it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 import numpy as np
 
 from .coefficients import CoefficientField, GrusinParameters, derive_exponents
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .discretization import assemble, build_grid
 from .evolution import (
     fit_loglog_slope,
@@ -84,18 +87,10 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _finish(report: dict, t0: float) -> dict:
-    report["timings"]["total_s"] = time.time() - t0
-    report["passed"] = all_passed(report["checks"])
-    return report
-
-
 # ----------------------------------------------------------------- conservation
 
 
-def run_conservation(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_conservation(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     times = knobs.get("times", [0.01, 0.05, 0.25, 1.0, 4.0])
     n_sources = knobs.get("n_sources", 10)
@@ -115,7 +110,6 @@ def run_conservation(cfg: ExperimentConfig) -> dict:
     rep["csv"]["conservation.csv"] = {"columns": ["source_row", "t", "mass_deviation"], "rows": rows}
     rep["checks"].append(check("mass_deviation_max", worst, "<=", bound))
     rep["fitted"]["mass_deviation_max"] = worst
-    return _finish(rep, t0)
 
 
 # ------------------------------------------------------------------------ decay
@@ -139,12 +133,10 @@ def _decay_candidates(op, spec):
     return sorted(set(op.node_index(p) for p in spec))
 
 
-def run_decay(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_decay(cfg: ExperimentConfig, rep: dict) -> None:
     stages = cfg.knobs.get("stages")
     if not stages:
-        raise ValueError("decay experiment needs knobs.stages")
+        raise ConfigError("knobs.stages: required")
     coeffs = CoefficientField(cfg.params)
     rows = []
     for k, stage in enumerate(stages):
@@ -170,15 +162,12 @@ def run_decay(cfg: ExperimentConfig) -> dict:
             check(f"{label}_slope", res.slope, "within", stage["slope"], stage["tol"])
         )
     rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
-    return _finish(rep, t0)
 
 
 # --------------------------------------------------------------------- distance
 
 
-def run_distance(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_distance(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     n_sources = knobs.get("n_sources", 10)
     n_targets = knobs.get("n_targets", 10)
@@ -219,72 +208,58 @@ def run_distance(cfg: ExperimentConfig) -> dict:
         counts = _refine(counts)
     rep["checks"].append(check("band_finite", bands[0], "<", float("inf")))
     rep["checks"].append(check("band_refinement_stability", bands[1], "band_ratio", bands[0], stability))
-    return _finish(rep, t0)
 
 
 # ----------------------------------------------------------------------- volume
 
 
-def run_volume(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def _volume_csv(rep: dict, name: str, cfg: ExperimentConfig, center, tab) -> None:
+    closed = ball_volume_table(cfg.params, center, tab.radii).volumes
+    rep["csv"][name] = {
+        "columns": ["r", "volume_numeric", "volume_closed"],
+        "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
+    }
+
+
+def run_volume_slopes(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
-    task = knobs.get("task", "slopes")
-    coeffs = CoefficientField(cfg.params)
-    grid = cfg.grid()
     e = derive_exponents(cfg.params)
-    graph = MetricGraph(grid, coeffs, knobs.get("stencil_order", 2))
+    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), knobs.get("stencil_order", 2))
+    dim = cfg.params.dim
+    for tag, center, spec, expected in [
+        ("origin", [0.0] * dim, knobs.get("origin_radii", {"lo": 0.5, "hi": 5.0, "n": 9}), e.D),
+        ("offcenter", knobs.get("off_center", [1.0] + [0.0] * (dim - 1)),
+         knobs.get("off_radii", {"lo": 0.1, "hi": 1.0, "n": 9}), dim),
+    ]:
+        radii = np.geomspace(spec["lo"], spec["hi"], spec["n"])
+        tab = ball_volume_table(graph.field_from_point(center), center, radii)
+        _volume_csv(rep, f"volume_{tag}.csv", cfg, center, tab)
+        slope = fit_loglog_slope(tab.radii, tab.volumes)
+        rep["fitted"][f"{tag}_slope"] = slope
+        rep["checks"].append(check(f"{tag}_slope", slope, "within", expected,
+                                   knobs.get("tol", 0.1) * expected))
 
-    if task == "slopes":
-        dim = cfg.params.dim
-        for tag, center, spec, expected in [
-            ("origin", [0.0] * dim, knobs.get("origin_radii", {"lo": 0.5, "hi": 5.0, "n": 9}), e.D),
-            ("offcenter", knobs.get("off_center", [1.0] + [0.0] * (dim - 1)),
-             knobs.get("off_radii", {"lo": 0.1, "hi": 1.0, "n": 9}), dim),
-        ]:
-            radii = np.geomspace(spec["lo"], spec["hi"], spec["n"])
-            tab = ball_volume_table(graph.field_from_point(center), center, radii)
-            closed = ball_volume_table(cfg.params, center, tab.radii).volumes
-            rep["csv"][f"volume_{tag}.csv"] = {
-                "columns": ["r", "volume_numeric", "volume_closed"],
-                "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
-            }
-            slope = fit_loglog_slope(tab.radii, tab.volumes)
-            rep["fitted"][f"{tag}_slope"] = slope
-            rep["checks"].append(check(f"{tag}_slope", slope, "within", expected,
-                                       knobs.get("tol", 0.1) * expected))
-        return _finish(rep, t0)
 
-    if task == "doubling":
-        r0 = knobs.get("r0", 0.1)
-        n_radii = knobs.get("n_radii", 8)
-        radii = r0 * 2.0 ** np.arange(n_radii)
-        bound = e.doubling_dim + knobs.get("slack", 0.3)
-        worst = -np.inf
-        for center in knobs.get("centers", [[0.0], [5.0]]):
-            field = graph.field_from_point(center)
-            tab = ball_volume_table(field, center, radii)
-            expo = doubling_exponent(tab)
-            worst = max(worst, expo)
-            tag = "_".join(f"{c:g}" for c in center)
-            closed = ball_volume_table(cfg.params, center, tab.radii).volumes
-            rep["csv"][f"volume_doubling_{tag}.csv"] = {
-                "columns": ["r", "volume_numeric", "volume_closed"],
-                "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
-            }
-            rep["fitted"][f"doubling_exponent_{tag}"] = expo
-        rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))
-        return _finish(rep, t0)
-
-    raise ValueError(f"unknown volume task {task!r}")
+def run_doubling(cfg: ExperimentConfig, rep: dict) -> None:
+    knobs = cfg.knobs
+    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), knobs.get("stencil_order", 2))
+    radii = knobs.get("r0", 0.1) * 2.0 ** np.arange(knobs.get("n_radii", 8))
+    bound = derive_exponents(cfg.params).doubling_dim + knobs.get("slack", 0.3)
+    worst = -np.inf
+    for center in knobs.get("centers", [[0.0], [5.0]]):
+        tab = ball_volume_table(graph.field_from_point(center), center, radii)
+        expo = doubling_exponent(tab)
+        worst = max(worst, expo)
+        tag = "_".join(f"{c:g}" for c in center)
+        _volume_csv(rep, f"volume_doubling_{tag}.csv", cfg, center, tab)
+        rep["fitted"][f"doubling_exponent_{tag}"] = expo
+    rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))
 
 
 # ------------------------------------------------------------------ heat kernel
 
 
-def run_heat_kernel(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_heat_kernel(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     source = knobs.get("source", [0.0] * cfg.params.dim)
     t = knobs.get("t", 0.1)
@@ -307,15 +282,12 @@ def run_heat_kernel(cfg: ExperimentConfig) -> dict:
         err = float(np.abs(ks.values - oracle).max())
         rep["fitted"]["free_space_sup_error"] = err
         rep["checks"].append(check("free_space_sup_error", err, "<", knobs.get("oracle_tol", 1e-3)))
-    return _finish(rep, t0)
 
 
 # ------------------------------------------------------------------- separation
 
 
-def run_separation(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_separation(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     refinements = knobs.get("refinements", 3)
     t = knobs.get("t", 1.0)
@@ -347,15 +319,12 @@ def run_separation(cfg: ExperimentConfig) -> dict:
     else:
         rep["checks"].append(check("cross_kernel_min", res.cross_kernel_extreme, ">", 0.0))
         rep["checks"].append(check("dirichlet_gap_lower", min(gaps), ">=", knobs.get("weak_gap_min", 1e-3)))
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------- compare
 
 
-def run_compare(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_compare(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     r_cut = knobs.get("r_cut", 1.0)
     lo, hi = knobs.get("region", [1.0, 2.0])
@@ -417,94 +386,87 @@ def run_compare(cfg: ExperimentConfig) -> dict:
             check("identical_coefficients_control", float(res0.sup_diff.max()), "<=",
                   knobs.get("control_tol", 1e-10))
         )
-    return _finish(rep, t0)
 
 
 # ------------------------------------------------------------------------- wave
 
 
-def run_wave(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_finite_speed(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
-    task = knobs.get("task", "finite_speed")
     coeffs = CoefficientField(cfg.params)
-
-    if task == "finite_speed":
-        center = knobs.get("bump_center", [1.0] + [0.0] * (cfg.params.dim - 1))
-        width = knobs.get("bump_width", 0.6)
-        times = knobs.get("times", [1.0, 2.0])
-        eps = knobs.get("epsilon", 0.1)
-        metric = knobs.get("metric", "graph")
-        bound = knobs.get("leak_bound", 1e-6)
-        counts = cfg.grid_counts
-        leak_by_level = []
-        rows = []
-        for level in range(knobs.get("refinements", 2)):
-            grid = build_grid(cfg.params, cfg.grid_extents, counts)
-            op = assemble(grid, coeffs)
-            v = bump(grid, center, [width] * grid.dim).ravel()[op.kept]
-            support = np.nonzero(v > 0)[0]
-            if metric == "euclidean":
-                d = _support_box_distance(grid, op.coords(), support)
-            else:
-                graph = MetricGraph(grid, coeffs, 2)
-                d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
-            results = finite_speed_check(op, d, v, times, eps)
-            rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
-            leak_by_level.append(max(leak for leak, _ in results))
-            counts = _refine(counts)
-        rep["csv"]["wave.csv"] = {
-            "columns": ["t", "leaked_fraction", "energy_drift", "refinement"], "rows": rows}
-        rep["fitted"]["leak_by_level"] = leak_by_level
-        rep["checks"].append(check("leaked_fraction_finest", leak_by_level[-1], "<", bound))
-        if len(leak_by_level) > 1:
-            rep["checks"].append(
-                check("leak_decreases_under_refinement", leak_by_level[-1], "<=", leak_by_level[0]))
-        drift_max = max(r[2] for r in rows)
-        rep["checks"].append(check("energy_drift", drift_max, "<", knobs.get("drift_bound", 1e-6)))
-        return _finish(rep, t0)
-
-    if task == "davies_gaffney":
-        eps = knobs.get("epsilon", 0.2)
-        targets = knobs.get("exponent_targets", [4.0, 9.0, 16.0, 25.0, 36.0])
-        pair_specs = knobs.get("pairs", [
-            {"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
-            {"center_a": -1.5, "center_b": 1.5, "halfwidth": 0.4},
-            {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
-            {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3},
-        ])
-        grid = cfg.grid()
+    center = knobs.get("bump_center", [1.0] + [0.0] * (cfg.params.dim - 1))
+    width = knobs.get("bump_width", 0.6)
+    times = knobs.get("times", [1.0, 2.0])
+    eps = knobs.get("epsilon", 0.1)
+    metric = knobs.get("metric", "graph")
+    bound = knobs.get("leak_bound", 1e-6)
+    counts = cfg.grid_counts
+    leak_by_level = []
+    rows = []
+    for level in range(knobs.get("refinements", 2)):
+        grid = build_grid(cfg.params, cfg.grid_extents, counts)
         op = assemble(grid, coeffs)
-        graph = MetricGraph(grid, coeffs, 2)
-        coords = op.coords()[:, 0]
-        rows = []
-        worst = -np.inf
-        samples = 0
-        for spec in pair_specs:
-            in_a = np.abs(coords - spec["center_a"]) <= spec["halfwidth"]
-            in_b = np.abs(coords - spec["center_b"]) <= spec["halfwidth"]
-            rows_a = np.nonzero(in_a)[0]
-            rows_b = np.nonzero(in_b)[0]
-            field = graph.field_from_nodes(op.kept[rows_a])
-            dab = float(field.distances[op.kept[rows_b]].min())
-            for s in targets:
-                t = dab**2 / (4.0 * s)
-                margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], eps, cfg.method)
-                rows.append([spec["center_a"], spec["center_b"], dab, s, t, margin])
-                worst = max(worst, margin)
-                samples += 1
-        rep["csv"]["davies_gaffney.csv"] = {
-            "columns": ["center_a", "center_b", "d_ab", "exponent_target", "t", "log_margin"],
-            "rows": rows,
-        }
-        rep["fitted"]["worst_margin"] = worst
-        rep["fitted"]["samples"] = samples
-        rep["checks"].append(check("worst_margin", worst, "<", 0.0))
-        rep["checks"].append(check("sample_count", samples, ">=", knobs.get("min_samples", 20)))
-        return _finish(rep, t0)
+        v = bump(grid, center, [width] * grid.dim).ravel()[op.kept]
+        support = np.nonzero(v > 0)[0]
+        if metric == "euclidean":
+            d = _support_box_distance(grid, op.coords(), support)
+        else:
+            graph = MetricGraph(grid, coeffs, 2)
+            d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
+        results = finite_speed_check(op, d, v, times, eps)
+        rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
+        leak_by_level.append(max(leak for leak, _ in results))
+        counts = _refine(counts)
+    rep["csv"]["wave.csv"] = {
+        "columns": ["t", "leaked_fraction", "energy_drift", "refinement"], "rows": rows}
+    rep["fitted"]["leak_by_level"] = leak_by_level
+    rep["checks"].append(check("leaked_fraction_finest", leak_by_level[-1], "<", bound))
+    if len(leak_by_level) > 1:
+        rep["checks"].append(
+            check("leak_decreases_under_refinement", leak_by_level[-1], "<=", leak_by_level[0]))
+    drift_max = max(r[2] for r in rows)
+    rep["checks"].append(check("energy_drift", drift_max, "<", knobs.get("drift_bound", 1e-6)))
 
-    raise ValueError(f"unknown wave task {task!r}")
+
+def run_davies_gaffney(cfg: ExperimentConfig, rep: dict) -> None:
+    knobs = cfg.knobs
+    coeffs = CoefficientField(cfg.params)
+    eps = knobs.get("epsilon", 0.2)
+    targets = knobs.get("exponent_targets", [4.0, 9.0, 16.0, 25.0, 36.0])
+    pair_specs = knobs.get("pairs", [
+        {"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
+        {"center_a": -1.5, "center_b": 1.5, "halfwidth": 0.4},
+        {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
+        {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3},
+    ])
+    grid = cfg.grid()
+    op = assemble(grid, coeffs)
+    graph = MetricGraph(grid, coeffs, 2)
+    coords = op.coords()[:, 0]
+    rows = []
+    worst = -np.inf
+    samples = 0
+    for spec in pair_specs:
+        in_a = np.abs(coords - spec["center_a"]) <= spec["halfwidth"]
+        in_b = np.abs(coords - spec["center_b"]) <= spec["halfwidth"]
+        rows_a = np.nonzero(in_a)[0]
+        rows_b = np.nonzero(in_b)[0]
+        field = graph.field_from_nodes(op.kept[rows_a])
+        dab = float(field.distances[op.kept[rows_b]].min())
+        for s in targets:
+            t = dab**2 / (4.0 * s)
+            margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], eps, cfg.method)
+            rows.append([spec["center_a"], spec["center_b"], dab, s, t, margin])
+            worst = max(worst, margin)
+            samples += 1
+    rep["csv"]["davies_gaffney.csv"] = {
+        "columns": ["center_a", "center_b", "d_ab", "exponent_target", "t", "log_margin"],
+        "rows": rows,
+    }
+    rep["fitted"]["worst_margin"] = worst
+    rep["fitted"]["samples"] = samples
+    rep["checks"].append(check("worst_margin", worst, "<", 0.0))
+    rep["checks"].append(check("sample_count", samples, ">=", knobs.get("min_samples", 20)))
 
 
 def _support_box_distance(grid, pts, support) -> np.ndarray:
@@ -528,9 +490,7 @@ def _support_box_distance(grid, pts, support) -> np.ndarray:
 # --------------------------------------------------------- gaussian bound checks
 
 
-def run_gaussian(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
     eps = knobs.get("epsilon", 0.1)
     times = knobs.get("times", [0.1, 0.2, 0.4])
@@ -567,120 +527,125 @@ def run_gaussian(cfg: ExperimentConfig) -> dict:
     rep["checks"].append(check("lower_stability", lowers[1], "band_ratio", lowers[0],
                                knobs.get("stability_factor", 2.0)))
     rep["checks"].append(check("lower_below_upper", min(lowers), "<=", max(uppers)))
-    return _finish(rep, t0)
 
 
 # ------------------------------------------------------------------------- nash
 
 
-def run_nash(cfg: ExperimentConfig) -> dict:
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
+def run_nash(cfg: ExperimentConfig, rep: dict) -> None:
     knobs = cfg.knobs
-    task = knobs.get("task", "nash")
+    half = knobs.get("half_line", False)
+    ensemble = knobs.get("ensemble", 200)
+    rspec = knobs.get("r_grid", {"lo": 0.3, "hi": 60.0, "n": 30})
+    r_grid = np.geomspace(rspec["lo"], rspec["hi"], rspec["n"])
+    grid = cfg.grid()
+    coeffs = CoefficientField(cfg.params)
+    boundary = "half_line_positive" if half else "neumann_truncation"
+    op = assemble(grid, coeffs, boundary)
+    spec = MultiplierSpec(cfg.params)
+    repA, repB = (
+        nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half),
+                   r_grid, volume_factor=4.0 if half else 1.0, reflect_axis0=half)
+        for seed in (cfg.seed, cfg.seed + 1))
+    rep["csv"]["nash_ratios.csv"] = {
+        "columns": ["trial", "ratio"],
+        "rows": [[k, r] for k, r in enumerate(repA.ratios)],
+    }
+    rep["csv"]["nash_margins.csv"] = {"columns": ["r", "lhs", "rhs", "margin"],
+                                       "rows": repA.display.tolist()}
+    rep["fitted"]["constant_seedA"] = repA.fitted_constant
+    rep["fitted"]["constant_seedB"] = repB.fitted_constant
+    rep["fitted"]["worst_margin"] = repA.worst_margin
+    rep["fitted"]["parseval_gap"] = repA.parseval_gap
+    rep["checks"].append(check("fitted_constant_positive", repA.fitted_constant, ">", 0.0))
+    rep["checks"].append(check("fitted_constant_stability", repB.fitted_constant, "band_ratio",
+                               repA.fitted_constant, knobs.get("stability_factor", 1.25)))
+    rep["checks"].append(check("nash_margin", repA.worst_margin, ">=", 0.0))
+    if knobs.get("vf_slopes", True):
+        vf_params = GrusinParameters(**knobs.get(
+            "vf_params", {"n": 1, "m": 1, "delta2": 1.0}))
+        ve = derive_exponents(vf_params)
+        vspec = MultiplierSpec(vf_params)
+        for r0, expect, label in [(1e-3, ve.Dp, "vf_slope_small"), (1e3, ve.D, "vf_slope_large")]:
+            v0, v1 = vf_volume(vspec, r0), vf_volume(vspec, 1.3 * r0)
+            slope = np.log(v1 / v0) / np.log(1.3)
+            rep["fitted"][label] = slope
+            rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
 
-    if task == "nash":
-        half = knobs.get("half_line", False)
-        ensemble = knobs.get("ensemble", 200)
-        rspec = knobs.get("r_grid", {"lo": 0.3, "hi": 60.0, "n": 30})
-        r_grid = np.geomspace(rspec["lo"], rspec["hi"], rspec["n"])
-        grid = cfg.grid()
-        coeffs = CoefficientField(cfg.params)
-        boundary = "half_line_positive" if half else "neumann_truncation"
-        op = assemble(grid, coeffs, boundary)
-        spec = MultiplierSpec(cfg.params)
-        repA, repB = (
-            nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half),
-                       r_grid, volume_factor=4.0 if half else 1.0, reflect_axis0=half)
-            for seed in (cfg.seed, cfg.seed + 1))
-        rep["csv"]["nash_ratios.csv"] = {
-            "columns": ["trial", "ratio"],
-            "rows": [[k, r] for k, r in enumerate(repA.ratios)],
-        }
-        rep["csv"]["nash_margins.csv"] = {"columns": ["r", "lhs", "rhs", "margin"],
-                                           "rows": repA.display.tolist()}
-        rep["fitted"]["constant_seedA"] = repA.fitted_constant
-        rep["fitted"]["constant_seedB"] = repB.fitted_constant
-        rep["fitted"]["worst_margin"] = repA.worst_margin
-        rep["fitted"]["parseval_gap"] = repA.parseval_gap
-        rep["checks"].append(check("fitted_constant_positive", repA.fitted_constant, ">", 0.0))
-        rep["checks"].append(check("fitted_constant_stability", repB.fitted_constant, "band_ratio",
-                                   repA.fitted_constant, knobs.get("stability_factor", 1.25)))
-        rep["checks"].append(check("nash_margin", repA.worst_margin, ">=", 0.0))
-        if knobs.get("vf_slopes", True):
-            vf_params = GrusinParameters(**knobs.get(
-                "vf_params", {"n": 1, "m": 1, "delta2": 1.0}))
-            ve = derive_exponents(vf_params)
-            vspec = MultiplierSpec(vf_params)
-            for r0, expect, label in [(1e-3, ve.Dp, "vf_slope_small"), (1e3, ve.D, "vf_slope_large")]:
-                v0, v1 = vf_volume(vspec, r0), vf_volume(vspec, 1.3 * r0)
-                slope = np.log(v1 / v0) / np.log(1.3)
-                rep["fitted"][label] = slope
-                rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
-        return _finish(rep, t0)
 
-    if task == "hardy":
-        n = knobs.get("n", 3)
-        gamma = knobs.get("gamma", 1.0)
-        count = knobs.get("count", 14)
-        lam_ok, a_used = hardy_check(n, gamma, knobs.get("fraction_ok", 0.5), count=count)
-        lam_fail, _ = hardy_check(n, gamma, knobs.get("fraction_fail", 4.0), count=count)
-        rep["fitted"]["hardy_constant"] = a_used
-        rep["fitted"]["lambda_min_half"] = lam_ok
-        rep["fitted"]["lambda_min_over"] = lam_fail
-        rep["csv"]["hardy.csv"] = {
-            "columns": ["fraction", "lambda_min"],
-            "rows": [[knobs.get("fraction_ok", 0.5), lam_ok], [knobs.get("fraction_fail", 4.0), lam_fail]],
-        }
-        rep["checks"].append(check("half_constant_psd", lam_ok, ">=", -1e-8))
-        rep["checks"].append(check("over_constant_fails", lam_fail, "<", 0.0))
-        return _finish(rep, t0)
+def run_hardy(cfg: ExperimentConfig, rep: dict) -> None:
+    knobs = cfg.knobs
+    n = knobs.get("n", 3)
+    gamma = knobs.get("gamma", 1.0)
+    count = knobs.get("count", 14)
+    lam_ok, a_used = hardy_check(n, gamma, knobs.get("fraction_ok", 0.5), count=count)
+    lam_fail, _ = hardy_check(n, gamma, knobs.get("fraction_fail", 4.0), count=count)
+    rep["fitted"]["hardy_constant"] = a_used
+    rep["fitted"]["lambda_min_half"] = lam_ok
+    rep["fitted"]["lambda_min_over"] = lam_fail
+    rep["csv"]["hardy.csv"] = {
+        "columns": ["fraction", "lambda_min"],
+        "rows": [[knobs.get("fraction_ok", 0.5), lam_ok], [knobs.get("fraction_fail", 4.0), lam_fail]],
+    }
+    rep["checks"].append(check("half_constant_psd", lam_ok, ">=", -1e-8))
+    rep["checks"].append(check("over_constant_fails", lam_fail, "<", 0.0))
 
-    if task == "operator_inequalities":
-        res = operator_inequality_checks(
-            knobs.get("trials", 1000), knobs.get("dim", 20), knobs.get("gamma", 0.3), cfg.seed)
-        bound = knobs.get("violation_bound", -1e-10)
-        rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
-        rep["fitted"]["root_sum_worst"] = {str(k): v for k, v in res["root_sum"].items()}
-        rep["csv"]["operator_inequalities.csv"] = {
-            "columns": ["inequality", "worst_violation"],
-            "rows": [["resolvent_power", res["resolvent_power"]],
-                     ["root_sum_1", res["root_sum"][1]],
-                     ["root_sum_2", res["root_sum"][2]]],
-        }
-        rep["checks"].append(check("resolvent_power", res["resolvent_power"], ">=", bound))
-        rep["checks"].append(check("root_sum_1", res["root_sum"][1], ">=", bound))
-        rep["checks"].append(check("root_sum_2", res["root_sum"][2], ">=", bound))
-        return _finish(rep, t0)
 
-    raise ValueError(f"unknown nash task {task!r}")
+def run_operator_inequalities(cfg: ExperimentConfig, rep: dict) -> None:
+    knobs = cfg.knobs
+    res = operator_inequality_checks(
+        knobs.get("trials", 1000), knobs.get("dim", 20), knobs.get("gamma", 0.3), cfg.seed)
+    bound = knobs.get("violation_bound", -1e-10)
+    rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
+    rep["fitted"]["root_sum_worst"] = {str(k): v for k, v in res["root_sum"].items()}
+    rep["csv"]["operator_inequalities.csv"] = {
+        "columns": ["inequality", "worst_violation"],
+        "rows": [["resolvent_power", res["resolvent_power"]],
+                 ["root_sum_1", res["root_sum"][1]],
+                 ["root_sum_2", res["root_sum"][2]]],
+    }
+    rep["checks"].append(check("resolvent_power", res["resolvent_power"], ">=", bound))
+    rep["checks"].append(check("root_sum_1", res["root_sum"][1], ">=", bound))
+    rep["checks"].append(check("root_sum_2", res["root_sum"][2], ">=", bound))
 
 
 # --------------------------------------------------------------------- dispatch
 
 
+# experiment kind -> knobs.task -> runner.  A config without knobs.task runs
+# its kind's first entry; the key None is the run that takes no task.
 _RUNNERS = {
-    "conservation": run_conservation,
-    "decay": run_decay,
-    "distance": run_distance,
-    "volume": run_volume,
-    "heat_kernel": run_heat_kernel,
-    "separation": run_separation,
-    "compare": run_compare,
-    "wave": run_wave,
-    "nash": run_nash,
-    "gaussian": run_gaussian,
+    "conservation": {None: run_conservation},
+    "decay": {None: run_decay},
+    "distance": {None: run_distance},
+    "volume": {"slopes": run_volume_slopes, "doubling": run_doubling},
+    "heat_kernel": {None: run_heat_kernel, "gaussian_bounds": run_gaussian_bounds},
+    "separation": {None: run_separation},
+    "compare": {None: run_compare},
+    "wave": {"finite_speed": run_finite_speed, "davies_gaffney": run_davies_gaffney},
+    "nash": {"nash": run_nash, "hardy": run_hardy,
+             "operator_inequalities": run_operator_inequalities},
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    knobs_task = cfg.knobs.get("task")
-    if cfg.experiment == "heat_kernel" and knobs_task == "gaussian_bounds":
-        return run_gaussian(cfg)
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ValueError(f"no runner for experiment {cfg.experiment!r}")
-    return runner(cfg)
+    """Run the config's (experiment, knobs.task) runner and return its report.
+
+    The runner fills in checks, fitted constants and CSV tables; the report
+    frame, the total time and the pass flag are set here.
+    """
+    tasks = _RUNNERS[cfg.experiment]
+    task = cfg.knobs.get("task", next(iter(tasks)))
+    if task not in tasks:
+        valid = [t for t in tasks if t is not None]
+        raise ConfigError(f"knobs.task: {task!r} is not a task of {cfg.experiment!r}; "
+                          f"leave it out or use one of {valid}")
+    t0 = time.time()
+    rep = _report_skeleton(cfg)
+    tasks[task](cfg, rep)
+    rep["timings"]["total_s"] = time.time() - t0
+    rep["passed"] = all_passed(rep["checks"])
+    return rep
 
 
 # ----------------------------------------------------------- acceptance configs

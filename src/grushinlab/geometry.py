@@ -127,9 +127,7 @@ class DistanceField:
 
     grid: Grid
     source: np.ndarray          # snapped source coordinates (empty for sets)
-    source_nodes: np.ndarray    # flat grid indices of the source set
     snap_error: float
-    stencil_order: int
     distances: np.ndarray       # flat, one entry per grid node; +inf = unreachable
 
     @property
@@ -200,10 +198,13 @@ class MetricGraph:
 
     def _build(self) -> sp.csr_matrix:
         N = self.grid.n_nodes
-        offsets = stencil_offsets(self.grid.dim, self.stencil_order)
+        counts = np.asarray(self.grid.counts)
+        # an offset at least as long as its axis has no edge on this grid
+        offsets = [off for off in stencil_offsets(self.grid.dim, self.stencil_order)
+                   if np.all(np.abs(off) < counts)]
         # one buffer with room for every edge, filled offset by offset, so no
         # per-offset copies are concatenated (slots of dropped edges stay untouched)
-        size = sum(int(np.prod(np.asarray(self.grid.counts) - np.abs(off))) for off in offsets)
+        size = sum(int(np.prod(counts - np.abs(off))) for off in offsets)
         rows, cols, vals = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
         k = 0
         for off in offsets:
@@ -230,21 +231,16 @@ class MetricGraph:
         return DistanceField(
             grid=self.grid,
             source=self.grid.coords([flat])[0],
-            source_nodes=np.array([flat]),
             snap_error=snap,
-            stencil_order=self.stencil_order,
             distances=np.asarray(dist).ravel(),
         )
 
     def field_from_nodes(self, nodes) -> DistanceField:
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
         dist = self.distances_from_nodes(nodes)
         return DistanceField(
             grid=self.grid,
             source=np.empty(0),
-            source_nodes=nodes,
             snap_error=0.0,
-            stencil_order=self.stencil_order,
             distances=np.asarray(dist).ravel(),
         )
 
@@ -276,12 +272,12 @@ def ball_volume_closed_form(params: GrusinParameters, center, r: float) -> float
 
 @dataclass(frozen=True)
 class BallVolumeTable:
-    """Volumes over an increasing radius list, one method per table."""
+    """Volumes over an increasing radius list, from a distance field or the
+    closed form."""
 
     center: np.ndarray
     radii: np.ndarray
     volumes: np.ndarray
-    method: str                 # "distance_field" | "closed_form"
     resolved: np.ndarray        # per radius: ball contains > 1 cell (field method)
 
 
@@ -293,11 +289,9 @@ def ball_volume_table(source, center, radii) -> BallVolumeTable:
         vols = np.array([ball_volume(source, r) for r in radii])
         resolved = vols > source.grid.node_weight
         center = np.asarray(center, dtype=float)
-        return BallVolumeTable(center, radii, vols, "distance_field", resolved)
+        return BallVolumeTable(center, radii, vols, resolved)
     vols = np.array([ball_volume_closed_form(source, center, r) for r in radii])
-    return BallVolumeTable(
-        np.asarray(center, dtype=float), radii, vols, "closed_form", np.ones(len(radii), dtype=bool)
-    )
+    return BallVolumeTable(np.asarray(center, dtype=float), radii, vols, np.ones(len(radii), dtype=bool))
 
 
 def doubling_exponent(table: BallVolumeTable) -> float:

@@ -205,7 +205,6 @@ class NashReport:
     fitted_constant: float      # min ratio
     r_grid: np.ndarray
     worst_margin: float         # min over members and r of the display margin
-    volume_factor: float        # 1 full space, 4 half-line
     parseval_gap: float         # max |sum fhat2 - ||phi||_2^2| / ||phi||_2^2
     display: np.ndarray         # (r, lhs, rhs, rhs - lhs) rows of the min-ratio member
 
@@ -290,7 +289,6 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
         fitted_constant=a_fit,
         r_grid=r_grid,
         worst_margin=worst,
-        volume_factor=volume_factor,
         parseval_gap=parseval_gap,
         display=display,
     )

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from grushinlab.cli import main, run_suite
-from grushinlab.config import ConfigError, ExperimentConfig, config_hash
+from grushinlab import experiments
+from grushinlab.cli import DEFAULT_ENTRIES, main, run_suite
+from grushinlab.config import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, config_hash
 from grushinlab.experiments import acceptance_manifest, run_experiment
 from grushinlab.reporting import format_number, write_report
 
@@ -234,3 +235,74 @@ def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
     code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
     assert code == 2
     assert str(mpath) in capsys.readouterr().err
+
+
+def _manifest_entry(name):
+    return next(raw for raw in acceptance_manifest() if raw["name"] == name)
+
+
+def _stub_runners(monkeypatch):
+    """Replace every runner by one that records (experiment, task) and adds
+    no check; returns the record."""
+    ran = []
+    stubs = {kind: {task: (lambda cfg, rep, task=task: ran.append((cfg.experiment, task)))
+                    for task in tasks}
+             for kind, tasks in experiments._RUNNERS.items()}
+    monkeypatch.setattr(experiments, "_RUNNERS", stubs)
+    return ran
+
+
+def test_every_kind_defaults_to_a_manifest_entry_of_that_kind():
+    assert sorted(DEFAULT_ENTRIES) == sorted(EXPERIMENT_KINDS)
+    for kind, name in DEFAULT_ENTRIES.items():
+        assert _manifest_entry(name)["experiment"] == kind
+
+
+def test_every_manifest_entry_resolves_to_its_runner(monkeypatch):
+    manifest = acceptance_manifest()
+    assert all(callable(r) for tasks in experiments._RUNNERS.values() for r in tasks.values())
+    ran = _stub_runners(monkeypatch)
+    for raw in manifest:
+        rep = run_experiment(ExperimentConfig.from_dict(raw))
+        assert rep["name"] == raw["name"] and rep["passed"] and "total_s" in rep["timings"]
+    assert ran == [(raw["experiment"], raw["knobs"].get("task")) for raw in manifest]
+    assert ("heat_kernel", "gaussian_bounds") in ran and ("heat_kernel", None) in ran
+
+
+@pytest.mark.parametrize("kind, task", [("volume", "slopes"), ("wave", "finite_speed"),
+                                        ("nash", "nash"), ("heat_kernel", None)])
+def test_a_config_without_a_task_runs_its_kinds_default(monkeypatch, kind, task):
+    ran = _stub_runners(monkeypatch)
+    run_experiment(ExperimentConfig.from_dict({"experiment": kind, "params": {"n": 1, "m": 0}}))
+    assert ran == [(kind, task)]
+
+
+def test_cli_default_run_is_the_manifest_entry(tmp_path, capsys):
+    code = main(["heat-kernel", "--out", str(tmp_path)])
+    assert code == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+    stored = json.loads((tmp_path / "c14_free_space_oracle" / "report.json").read_text())
+    assert stored["config_hash"] == MANIFEST_HASHES["c14_free_space_oracle"]
+
+
+@pytest.mark.parametrize("kind, task", [("volume", "slops"), ("wave", "finite"),
+                                        ("nash", "hardyy"), ("heat_kernel", "gaussian_bound"),
+                                        ("conservation", "mass")])
+def test_cli_unknown_task_exits_2(tmp_path, capsys, kind, task):
+    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+    raw["knobs"]["task"] = task
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "knobs.task" in err and repr(task) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_decay_without_stages_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "decay", "params": {"n": 1, "m": 0}}))
+    code = main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "knobs.stages: required" in capsys.readouterr().err

@@ -226,6 +226,26 @@ def test_dropped_edges_reported():
     assert mg.dropped_edges > 0
 
 
+def test_offsets_longer_than_an_axis_add_no_edges():
+    coeffs = CoefficientField(CLASSICAL)
+    # on 3 x 3 nodes every offset that order 3 adds to order 2 has a component 3
+    grid = build_grid(CLASSICAL, 1.0, 3)
+    g2, g3 = MetricGraph(grid, coeffs, 2), MetricGraph(grid, coeffs, 3)
+    assert g3.dropped_edges == g2.dropped_edges
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g3.edge_matrix, part), getattr(g2.edge_matrix, part))
+    # on 3 x 9 nodes the order-4 offsets that fit along x2 keep their edges
+    grid = build_grid(CLASSICAL, (1.0, 4.0), (3, 9))
+    mg = MetricGraph(grid, coeffs, 4)
+    E, dropped = _edge_oracle(grid, coeffs, 4)
+    assert mg.dropped_edges == dropped
+    got = mg.edge_matrix
+    got.sort_indices()
+    E.sort_indices()
+    assert np.array_equal(got.indptr, E.indptr) and np.array_equal(got.indices, E.indices)
+    assert np.all(np.abs(got.data - E.data) <= 1e-12 * np.abs(E.data))
+
+
 def test_ball_volume_counting_and_floor():
     g = build_grid(EUCLID_2D, 1.0, 41)
     df = MetricGraph(g, CoefficientField(EUCLID_2D), 2).field_from_point([0.0, 0.0])
