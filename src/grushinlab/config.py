@@ -11,7 +11,7 @@ Schema (defaults in parentheses):
       "grid":      {"extents": number | [per axis], "counts": int | [per axis]},
       "method":    {"kind" ("auto"), "tolerance" (1e-8), "max_exact_dimension" (4500)},
       "out":       output directory or null,
-      "knobs":     experiment-specific settings (see grushinlab.experiments)
+      "knobs":     the runner's settings (see below)
     }
 
 "method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential".
@@ -26,8 +26,10 @@ error bound, drops to it.
 "doubling" (volume), "finite_speed" or "davies_gaffney" (wave), "nash",
 "hardy" or "operator_inequalities" (nash), "gaussian_bounds" (heat_kernel,
 whose plain run takes no task).  Without it a kind runs slopes, finite_speed,
-nash or the plain heat kernel; a task the kind does not have is a
-ConfigError when the experiment starts.
+nash or the plain heat kernel.  The other knobs are the runner's keyword-only
+parameters, and their defaults are the runner's (grushinlab.experiments).
+A task the kind does not have, a knob the runner does not declare or a
+required knob left out is a ConfigError naming it when the experiment starts.
 
 Validation failures raise ConfigError with the offending field path in the
 message.  Re-running the same config byte-reproduces all CSV output.

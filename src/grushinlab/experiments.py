@@ -1,18 +1,23 @@
 """Experiment implementations behind the CLI and the acceptance suite.
 
-Each runner reads an ExperimentConfig and fills in a report's named checks
-(each with its bound and pass flag), fitted constants and CSV tables.
-``run_experiment`` is the only place that picks a runner: the table
-``_RUNNERS`` maps the config's experiment kind and ``knobs.task`` to one,
-and it builds the report frame around it (config echo and hash, derived
-exponents, timings, the overall pass flag).  The acceptance manifest at the
-bottom freezes every tolerance of the verification suite; the test suite,
-the ``suite`` subcommand and every experiment subcommand's default run use it.
+Each runner fills in a report's named checks (each with its bound and pass
+flag), fitted constants and CSV tables.  Its keyword-only parameters are its
+knobs, with their defaults: ``_bind`` checks ``cfg.knobs`` and every nested
+spec (decay stage, radius grid, ``vf_params``) against a signature before
+anything runs, so an unknown or missing knob is a ConfigError naming it.
+``run_experiment`` picks the runner from ``_RUNNERS`` by experiment kind and
+``knobs.task`` and builds the report frame around it (config echo and hash,
+derived exponents, timings, the pass flag).  The acceptance manifest at the
+bottom freezes every tolerance of the verification suite; the tests, the
+``suite`` subcommand and each subcommand's default run use it.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -43,20 +48,36 @@ from .wave import davies_gaffney_check, finite_speed_check
 __all__ = ["run_experiment", "acceptance_manifest"]
 
 
+def _bind(fn, path: str, knobs, *head) -> partial:
+    """``fn(*head, **knobs)``, not yet called, once the JSON object ``knobs``
+    binds to the parameters of ``fn`` after ``head``.  A name ``fn`` does
+    not declare, or a parameter without a default that ``knobs`` leaves
+    out, is a ConfigError naming ``path.<name>``."""
+    if not isinstance(knobs, dict):
+        raise ConfigError(f"{path}: expected an object")
+    params = list(inspect.signature(fn).parameters.values())[len(head):]
+    names = [p.name for p in params]
+    for name in knobs:
+        if name not in names:
+            raise ConfigError(f"{path}.{name}: unknown (expected one of {names})")
+    for p in params:
+        if p.default is p.empty and p.name not in knobs:
+            raise ConfigError(f"{path}.{p.name}: required")
+    return partial(fn, *head, **knobs)
+
+
+def _geomspace(*, lo, hi, n):
+    """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically."""
+    return np.geomspace(lo, hi, n)
+
+
 def _refine(counts):
     return tuple(2 * (c - 1) + 1 for c in counts)
 
 
 def _boundary_nodes(grid):
     idx = np.arange(grid.n_nodes).reshape(grid.counts)
-    out = []
-    for axis in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[axis] = 0
-        out.append(idx[tuple(sl)].ravel())
-        sl[axis] = grid.counts[axis] - 1
-        out.append(idx[tuple(sl)].ravel())
-    return np.unique(np.concatenate(out))
+    return np.setdiff1d(idx, idx[(slice(1, -1),) * grid.dim])
 
 
 def _spread_sources(op, n, rng, box_fraction=0.6):
@@ -68,18 +89,12 @@ def _spread_sources(op, n, rng, box_fraction=0.6):
 
 
 def _report_skeleton(cfg: ExperimentConfig) -> dict:
-    e = derive_exponents(cfg.params)
     return {
         "experiment": cfg.experiment,
         "name": cfg.name,
         "config": cfg.to_dict(),
         "config_hash": cfg.hash(),
-        "derived_exponents": {
-            "D": e.D, "Dp": e.Dp, "beta": e.beta, "betap": e.betap,
-            "rho": e.rho, "rhop": e.rhop, "gamma": e.gamma, "gammap": e.gammap,
-            "sigma": e.sigma, "sigmap": e.sigmap, "alpha": e.alpha, "alphap": e.alphap,
-            "doubling_dim": e.doubling_dim,
-        },
+        "derived_exponents": asdict(derive_exponents(cfg.params)),
         "checks": [],
         "fitted": {},
         "csv": {},
@@ -90,12 +105,8 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------- conservation
 
 
-def run_conservation(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    times = knobs.get("times", [0.01, 0.05, 0.25, 1.0, 4.0])
-    n_sources = knobs.get("n_sources", 10)
-    bound = knobs.get("bound", 1e-8)
-    boundary = knobs.get("boundary", "neumann_truncation")
+def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
+                     n_sources=10, bound=1e-8, boundary="neumann_truncation") -> None:
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
     sources = _spread_sources(op, n_sources, rng)
@@ -133,51 +144,49 @@ def _decay_candidates(op, spec):
     return sorted(set(op.node_index(p) for p in spec))
 
 
-def run_decay(cfg: ExperimentConfig, rep: dict) -> None:
-    stages = cfg.knobs.get("stages")
+def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
     if not stages:
         raise ConfigError("knobs.stages: required")
     coeffs = CoefficientField(cfg.params)
-    rows = []
-    for k, stage in enumerate(stages):
-        grid = build_grid(cfg.params, stage["extents"], stage["counts"])
-        op = assemble(grid, coeffs, stage.get("boundary", "neumann_truncation"))
-        cands = _decay_candidates(op, stage.get("candidates", "all"))
-        bdist = None
-        if stage.get("guard", False):
-            graph = MetricGraph(grid, coeffs, 2)
-            guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
-            field = graph.field_from_nodes(op.kept[np.asarray(guard_rows)])
-            bdist = float(field.distances[_boundary_nodes(grid)].min())
-        res = ondiagonal_decay(op, stage["times"], candidates=cands,
-                               boundary_distance=bdist, guard=stage.get("guard_level", 1e-6),
-                               method=cfg.method)
-        label = stage.get("label", f"stage{k}")
-        for t, s in zip(res.times, res.sup_diag):
-            rows.append([t, s, res.slope, label])
-        rep["fitted"][f"{label}_slope"] = res.slope
-        if res.refused_times:
-            rep["fitted"][f"{label}_refused_times"] = list(res.refused_times)
-        rep["checks"].append(
-            check(f"{label}_slope", res.slope, "within", stage["slope"], stage["tol"])
-        )
+    # bind every stage first, so that a bad stage fails before any stage runs
+    runs = [_bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)
+            for k, stage in enumerate(stages)]
+    rows = [row for run in runs for row in run()]
     rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
+
+
+def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, counts, times,
+                 slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
+                 guard_level=1e-6, label=None) -> list:
+    """Stage k of a decay run; returns its decay.csv rows."""
+    label = f"stage{k}" if label is None else label
+    grid = build_grid(cfg.params, extents, counts)
+    op = assemble(grid, coeffs, boundary)
+    cands = _decay_candidates(op, candidates)
+    bdist = None
+    if guard:
+        graph = MetricGraph(grid, coeffs, 2)
+        guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
+        field = graph.field_from_nodes(op.kept[np.asarray(guard_rows)])
+        bdist = float(field.distances[_boundary_nodes(grid)].min())
+    res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
+                           guard=guard_level, method=cfg.method)
+    rep["fitted"][f"{label}_slope"] = res.slope
+    if res.refused_times:
+        rep["fitted"][f"{label}_refused_times"] = list(res.refused_times)
+    rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
+    return [[t, s, res.slope, label] for t, s in zip(res.times, res.sup_diag)]
 
 
 # --------------------------------------------------------------------- distance
 
 
-def run_distance(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    n_sources = knobs.get("n_sources", 10)
-    n_targets = knobs.get("n_targets", 10)
-    frac = knobs.get("box_fraction", 0.5)
-    order = knobs.get("stencil_order", 2)
-    min_closed = knobs.get("min_closed", 0.1)
-    stability = knobs.get("stability_factor", 1.25)
+def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
+                 box_fraction=0.5, stencil_order=2, min_closed=0.1,
+                 stability_factor=1.25) -> None:
     coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
-    lim = np.asarray(cfg.grid_extents) * frac
+    lim = np.asarray(cfg.grid_extents) * box_fraction
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
 
@@ -185,7 +194,7 @@ def run_distance(cfg: ExperimentConfig, rep: dict) -> None:
     counts = cfg.grid_counts
     for level in range(2):
         grid = build_grid(cfg.params, cfg.grid_extents, counts)
-        graph = MetricGraph(grid, coeffs, order)
+        graph = MetricGraph(grid, coeffs, stencil_order)
         rows = []
         ratios = []
         for src in sources:
@@ -207,7 +216,8 @@ def run_distance(cfg: ExperimentConfig, rep: dict) -> None:
         rep["fitted"][f"band_level{level}"] = band
         counts = _refine(counts)
     rep["checks"].append(check("band_finite", bands[0], "<", float("inf")))
-    rep["checks"].append(check("band_refinement_stability", bands[1], "band_ratio", bands[0], stability))
+    rep["checks"].append(check("band_refinement_stability", bands[1], "band_ratio", bands[0],
+                               stability_factor))
 
 
 # ----------------------------------------------------------------------- volume
@@ -221,32 +231,30 @@ def _volume_csv(rep: dict, name: str, cfg: ExperimentConfig, center, tab) -> Non
     }
 
 
-def run_volume_slopes(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    e = derive_exponents(cfg.params)
-    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), knobs.get("stencil_order", 2))
+def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
+                      origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
+                      off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1) -> None:
     dim = cfg.params.dim
-    for tag, center, spec, expected in [
-        ("origin", [0.0] * dim, knobs.get("origin_radii", {"lo": 0.5, "hi": 5.0, "n": 9}), e.D),
-        ("offcenter", knobs.get("off_center", [1.0] + [0.0] * (dim - 1)),
-         knobs.get("off_radii", {"lo": 0.1, "hi": 1.0, "n": 9}), dim),
-    ]:
-        radii = np.geomspace(spec["lo"], spec["hi"], spec["n"])
+    runs = [("origin", [0.0] * dim, _bind(_geomspace, "knobs.origin_radii", origin_radii)(),
+             derive_exponents(cfg.params).D),
+            ("offcenter", [1.0] + [0.0] * (dim - 1) if off_center is None else off_center,
+             _bind(_geomspace, "knobs.off_radii", off_radii)(), dim)]
+    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
+    for tag, center, radii, expected in runs:
         tab = ball_volume_table(graph.field_from_point(center), center, radii)
         _volume_csv(rep, f"volume_{tag}.csv", cfg, center, tab)
         slope = fit_loglog_slope(tab.radii, tab.volumes)
         rep["fitted"][f"{tag}_slope"] = slope
-        rep["checks"].append(check(f"{tag}_slope", slope, "within", expected,
-                                   knobs.get("tol", 0.1) * expected))
+        rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
 
-def run_doubling(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), knobs.get("stencil_order", 2))
-    radii = knobs.get("r0", 0.1) * 2.0 ** np.arange(knobs.get("n_radii", 8))
-    bound = derive_exponents(cfg.params).doubling_dim + knobs.get("slack", 0.3)
+def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n_radii=8,
+                 centers=([0.0], [5.0]), slack=0.3) -> None:
+    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
+    radii = r0 * 2.0 ** np.arange(n_radii)
+    bound = derive_exponents(cfg.params).doubling_dim + slack
     worst = -np.inf
-    for center in knobs.get("centers", [[0.0], [5.0]]):
+    for center in centers:
         tab = ball_volume_table(graph.field_from_point(center), center, radii)
         expo = doubling_exponent(tab)
         worst = max(worst, expo)
@@ -259,39 +267,35 @@ def run_doubling(cfg: ExperimentConfig, rep: dict) -> None:
 # ------------------------------------------------------------------ heat kernel
 
 
-def run_heat_kernel(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    source = knobs.get("source", [0.0] * cfg.params.dim)
-    t = knobs.get("t", 0.1)
-    op = assemble(cfg.grid(), CoefficientField(cfg.params), knobs.get("boundary", "neumann_truncation"))
+def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
+                    boundary="neumann_truncation", mass_tol=1e-8, symmetry_point=None,
+                    symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
+    source = [0.0] * cfg.params.dim if source is None else source
+    op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
     ks = heat_kernel(op, source, t, cfg.method)
     coords = op.coords()
     rows = [list(coords[i]) + [ks.values[i]] for i in range(op.n_nodes)]
     cols = [f"x{i}" for i in range(cfg.params.dim)] + ["kernel"]
     rep["csv"]["heat_kernel.csv"] = {"columns": cols, "rows": rows}
-    rep["checks"].append(check("mass_deviation", abs(1.0 - ks.mass()), "<=", knobs.get("mass_tol", 1e-8)))
+    rep["checks"].append(check("mass_deviation", abs(1.0 - ks.mass()), "<=", mass_tol))
     rep["checks"].append(check("min_value", float(ks.values.min()), ">=", -1e-12))
-    other = knobs.get("symmetry_point")
-    if other is not None:
-        ks2 = heat_kernel(op, other, t, cfg.method)
+    if symmetry_point is not None:
+        ks2 = heat_kernel(op, symmetry_point, t, cfg.method)
         gap = abs(ks.values[ks2.source_index] - ks2.values[ks.source_index])
-        rep["checks"].append(check("symmetry_gap", gap, "<=", knobs.get("symmetry_tol", 1e-8)))
-    if knobs.get("oracle") == "gauss_free_space":
+        rep["checks"].append(check("symmetry_gap", gap, "<=", symmetry_tol))
+    if oracle == "gauss_free_space":
         x = coords[:, 0]
-        oracle = (4 * np.pi * t) ** -0.5 * np.exp(-(x**2) / (4 * t))
-        err = float(np.abs(ks.values - oracle).max())
+        exact = (4 * np.pi * t) ** -0.5 * np.exp(-(x**2) / (4 * t))
+        err = float(np.abs(ks.values - exact).max())
         rep["fitted"]["free_space_sup_error"] = err
-        rep["checks"].append(check("free_space_sup_error", err, "<", knobs.get("oracle_tol", 1e-3)))
+        rep["checks"].append(check("free_space_sup_error", err, "<", oracle_tol))
 
 
 # ------------------------------------------------------------------- separation
 
 
-def run_separation(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    refinements = knobs.get("refinements", 3)
-    t = knobs.get("t", 1.0)
-    sources = knobs.get("sources", [[1.0], [-0.5]])
+def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
+                   sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
     coeffs = CoefficientField(cfg.params)
     ops_n, ops_d = [], []
     counts = cfg.grid_counts
@@ -313,23 +317,34 @@ def run_separation(cfg: ExperimentConfig, rep: dict) -> None:
     gaps = res.dirichlet_gaps
     if res.strongly_degenerate:
         rep["checks"].append(check("cross_kernel_exactly_zero", abs(res.cross_kernel_extreme), "<=", 0.0))
-        rep["checks"].append(check("dirichlet_gap_final", gaps[-1], "<=", knobs.get("strong_gap_bound", 1e-12)))
+        rep["checks"].append(check("dirichlet_gap_final", gaps[-1], "<=", strong_gap_bound))
         nonincreasing = all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))
         rep["checks"].append(check("dirichlet_gap_nonincreasing", 1.0 if nonincreasing else 0.0, ">=", 1.0))
     else:
         rep["checks"].append(check("cross_kernel_min", res.cross_kernel_extreme, ">", 0.0))
-        rep["checks"].append(check("dirichlet_gap_lower", min(gaps), ">=", knobs.get("weak_gap_min", 1e-3)))
+        rep["checks"].append(check("dirichlet_gap_lower", min(gaps), ">=", weak_gap_min))
 
 
 # ---------------------------------------------------------------------- compare
 
 
-def run_compare(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    r_cut = knobs.get("r_cut", 1.0)
-    lo, hi = knobs.get("region", [1.0, 2.0])
-    expo_range = knobs.get("exponent_range", [2.0, 16.0])
-    n_times = knobs.get("n_times", 8)
+def _region_rows(grid, lo, hi):
+    """Nodes of ``grid`` (all kept) with lo <= |x1| <= hi."""
+    coords = grid.coords()
+    x1 = np.abs(coords[:, 0]) if grid.params.n == 1 else np.linalg.norm(
+        coords[:, : grid.params.n], axis=1)
+    return np.nonzero((x1 >= lo) & (x1 <= hi))[0]
+
+
+def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0),
+                exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
+                control=True, control_tol=1e-10) -> None:
+    lo, hi = region
+    if lo <= r_cut / 2.0:
+        raise ConfigError(f"knobs.region: {list(region)} must stay outside the modified set "
+                          f"|x1| <= r_cut / 2 = {r_cut / 2.0}")
+    if _region_rows(cfg.grid(), lo, hi).size == 0:
+        raise ConfigError(f"knobs.region: no grid node has |x1| in {list(region)}")
     coeffs = CoefficientField(cfg.params)
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
@@ -339,18 +354,12 @@ def run_compare(cfg: ExperimentConfig, rep: dict) -> None:
         grid = build_grid(cfg.params, cfg.grid_extents, counts)
         op_true = assemble(grid, coeffs)
         op_frozen = assemble(grid, frozen)
-        x1 = np.abs(op_true.coords()[:, 0]) if cfg.params.n == 1 else np.linalg.norm(
-            op_true.coords()[:, : cfg.params.n], axis=1)
-        region_rows = np.nonzero((x1 >= lo) & (x1 <= hi))[0]
-        if region_rows.size == 0:
-            raise ValueError("comparison region contains no nodes")
-        if lo <= r_cut / 2.0:
-            raise ValueError("region must stay outside the modified set")
+        region_rows = _region_rows(grid, lo, hi)
         graph = MetricGraph(grid, frozen, 2)
         u_nodes = np.nonzero(grid.block1_radius_sq().ravel() <= (r_cut / 2.0) ** 2)[0]
         dfield = graph.field_from_nodes(u_nodes)
         rho = float(dfield.distances[op_true.kept][region_rows].min())
-        times = rho**2 / (4.0 * np.geomspace(expo_range[1], expo_range[0], n_times))
+        times = rho**2 / (4.0 * np.geomspace(exponent_range[1], exponent_range[0], n_times))
         res = kernel_comparison(op_true, op_frozen, region_rows, rho, times, cfg.method)
         # anchor the fitted prefactor at the largest time, where the
         # difference is well above discretization noise
@@ -364,81 +373,71 @@ def run_compare(cfg: ExperimentConfig, rep: dict) -> None:
             rep["fitted"]["rho"] = rho
             rep["fitted"]["slope_vs_exponent"] = res.slope_vs_exponent
             rep["checks"].append(
-                check("slope_vs_exponent", res.slope_vs_exponent, "<=", knobs.get("slope_bound", -0.8))
-            )
+                check("slope_vs_exponent", res.slope_vs_exponent, "<=", slope_bound))
         rep["fitted"][f"prefactor_level{level}"] = pref
         counts = _refine(counts)
     rep["checks"].append(
         check("prefactor_refinement_stability", prefactors[1], "band_ratio", prefactors[0],
-              knobs.get("stability_factor", 2.0))
+              stability_factor)
     )
-    if knobs.get("control", True):
+    if control:
         params0 = GrusinParameters(cfg.params.n, cfg.params.m)
         c0 = CoefficientField(params0)
-        op_a = assemble(build_grid(params0, cfg.grid_extents, cfg.grid_counts), c0)
-        op_b = assemble(build_grid(params0, cfg.grid_extents, cfg.grid_counts),
-                        CoefficientField(params0, floor_radius=r_cut / 2.0))
-        x1 = np.abs(op_a.coords()[:, 0])
-        region_rows = np.nonzero((x1 >= lo) & (x1 <= hi))[0]
-        res0 = kernel_comparison(op_a, op_b, region_rows, rho=1.0, times=[0.05, 0.2], method=cfg.method)
+        grid0 = build_grid(params0, cfg.grid_extents, cfg.grid_counts)
+        op_a = assemble(grid0, c0)
+        op_b = assemble(grid0, CoefficientField(params0, floor_radius=r_cut / 2.0))
+        res0 = kernel_comparison(op_a, op_b, _region_rows(grid0, lo, hi), rho=1.0,
+                                 times=[0.05, 0.2], method=cfg.method)
         rep["fitted"]["control_sup_diff"] = float(res0.sup_diff.max())
         rep["checks"].append(
-            check("identical_coefficients_control", float(res0.sup_diff.max()), "<=",
-                  knobs.get("control_tol", 1e-10))
+            check("identical_coefficients_control", float(res0.sup_diff.max()), "<=", control_tol)
         )
 
 
 # ------------------------------------------------------------------------- wave
 
 
-def run_finite_speed(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
+def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump_width=0.6,
+                     times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
+                     leak_bound=1e-6, drift_bound=1e-6) -> None:
     coeffs = CoefficientField(cfg.params)
-    center = knobs.get("bump_center", [1.0] + [0.0] * (cfg.params.dim - 1))
-    width = knobs.get("bump_width", 0.6)
-    times = knobs.get("times", [1.0, 2.0])
-    eps = knobs.get("epsilon", 0.1)
-    metric = knobs.get("metric", "graph")
-    bound = knobs.get("leak_bound", 1e-6)
+    center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     counts = cfg.grid_counts
     leak_by_level = []
     rows = []
-    for level in range(knobs.get("refinements", 2)):
+    for level in range(refinements):
         grid = build_grid(cfg.params, cfg.grid_extents, counts)
         op = assemble(grid, coeffs)
-        v = bump(grid, center, [width] * grid.dim).ravel()[op.kept]
+        v = bump(grid, center, [bump_width] * grid.dim).ravel()[op.kept]
         support = np.nonzero(v > 0)[0]
         if metric == "euclidean":
             d = _support_box_distance(grid, op.coords(), support)
         else:
             graph = MetricGraph(grid, coeffs, 2)
             d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
-        results = finite_speed_check(op, d, v, times, eps)
+        results = finite_speed_check(op, d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
         counts = _refine(counts)
     rep["csv"]["wave.csv"] = {
         "columns": ["t", "leaked_fraction", "energy_drift", "refinement"], "rows": rows}
     rep["fitted"]["leak_by_level"] = leak_by_level
-    rep["checks"].append(check("leaked_fraction_finest", leak_by_level[-1], "<", bound))
+    rep["checks"].append(check("leaked_fraction_finest", leak_by_level[-1], "<", leak_bound))
     if len(leak_by_level) > 1:
         rep["checks"].append(
             check("leak_decreases_under_refinement", leak_by_level[-1], "<=", leak_by_level[0]))
     drift_max = max(r[2] for r in rows)
-    rep["checks"].append(check("energy_drift", drift_max, "<", knobs.get("drift_bound", 1e-6)))
+    rep["checks"].append(check("energy_drift", drift_max, "<", drift_bound))
 
 
-def run_davies_gaffney(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
+def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
+                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0),
+                       pairs=({"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
+                              {"center_a": -1.5, "center_b": 1.5, "halfwidth": 0.4},
+                              {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
+                              {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3}),
+                       min_samples=20) -> None:
     coeffs = CoefficientField(cfg.params)
-    eps = knobs.get("epsilon", 0.2)
-    targets = knobs.get("exponent_targets", [4.0, 9.0, 16.0, 25.0, 36.0])
-    pair_specs = knobs.get("pairs", [
-        {"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
-        {"center_a": -1.5, "center_b": 1.5, "halfwidth": 0.4},
-        {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
-        {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3},
-    ])
     grid = cfg.grid()
     op = assemble(grid, coeffs)
     graph = MetricGraph(grid, coeffs, 2)
@@ -446,16 +445,16 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict) -> None:
     rows = []
     worst = -np.inf
     samples = 0
-    for spec in pair_specs:
+    for spec in pairs:
         in_a = np.abs(coords - spec["center_a"]) <= spec["halfwidth"]
         in_b = np.abs(coords - spec["center_b"]) <= spec["halfwidth"]
         rows_a = np.nonzero(in_a)[0]
         rows_b = np.nonzero(in_b)[0]
         field = graph.field_from_nodes(op.kept[rows_a])
         dab = float(field.distances[op.kept[rows_b]].min())
-        for s in targets:
+        for s in exponent_targets:
             t = dab**2 / (4.0 * s)
-            margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], eps, cfg.method)
+            margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], epsilon, cfg.method)
             rows.append([spec["center_a"], spec["center_b"], dab, s, t, margin])
             worst = max(worst, margin)
             samples += 1
@@ -466,7 +465,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict) -> None:
     rep["fitted"]["worst_margin"] = worst
     rep["fitted"]["samples"] = samples
     rep["checks"].append(check("worst_margin", worst, "<", 0.0))
-    rep["checks"].append(check("sample_count", samples, ">=", knobs.get("min_samples", 20)))
+    rep["checks"].append(check("sample_count", samples, ">=", min_samples))
 
 
 def _support_box_distance(grid, pts, support) -> np.ndarray:
@@ -490,12 +489,10 @@ def _support_box_distance(grid, pts, support) -> np.ndarray:
 # --------------------------------------------------------- gaussian bound checks
 
 
-def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    eps = knobs.get("epsilon", 0.1)
-    times = knobs.get("times", [0.1, 0.2, 0.4])
-    source_pts = knobs.get("sources", [[0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0],
-                                       [2.0, 1.0], [-1.5, -1.0], [0.5, 0.5], [3.0, 0.0]])
+def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
+                        sources=([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0],
+                                 [2.0, 1.0], [-1.5, -1.0], [0.5, 0.5], [3.0, 0.0]),
+                        exponent_cap=16.0, stability_factor=2.0) -> None:
     coeffs = CoefficientField(cfg.params)
     uppers, lowers = [], []
     counts = cfg.grid_counts
@@ -503,11 +500,10 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict) -> None:
         grid = build_grid(cfg.params, cfg.grid_extents, counts)
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
-        rows = sorted(set(op.node_index(p) for p in source_pts))
+        rows = sorted(set(op.node_index(p) for p in sources))
         fields = {j: graph.field_from_nodes([op.kept[j]]) for j in rows}
-        upper = gaussian_upper_check(op, fields, times, eps,
-                                     exponent_cap=knobs.get("exponent_cap", 16.0),
-                                     method=cfg.method)
+        upper = gaussian_upper_check(op, fields, times, epsilon,
+                                     exponent_cap=exponent_cap, method=cfg.method)
         uppers.append(upper.constant)
         lowers.append(upper.lower)
         rep["fitted"][f"upper_constant_level{level}"] = upper.constant
@@ -522,30 +518,35 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict) -> None:
     }
     rep["checks"].append(check("upper_constant_finite", uppers[0], "<", float("inf")))
     rep["checks"].append(check("upper_stability", uppers[1], "band_ratio", uppers[0],
-                               knobs.get("stability_factor", 2.0)))
+                               stability_factor))
     rep["checks"].append(check("lower_constant_positive", min(lowers), ">", 0.0))
     rep["checks"].append(check("lower_stability", lowers[1], "band_ratio", lowers[0],
-                               knobs.get("stability_factor", 2.0)))
+                               stability_factor))
     rep["checks"].append(check("lower_below_upper", min(lowers), "<=", max(uppers)))
 
 
 # ------------------------------------------------------------------------- nash
 
 
-def run_nash(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    half = knobs.get("half_line", False)
-    ensemble = knobs.get("ensemble", 200)
-    rspec = knobs.get("r_grid", {"lo": 0.3, "hi": 60.0, "n": 30})
-    r_grid = np.geomspace(rspec["lo"], rspec["hi"], rspec["n"])
+def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
+             r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
+             vf_params={"n": 1, "m": 1, "delta2": 1.0}) -> None:
+    radii = _bind(_geomspace, "knobs.r_grid", r_grid)()
+    if vf_slopes:
+        make_vf = _bind(GrusinParameters, "knobs.vf_params", vf_params)
+        try:
+            vf = make_vf()
+        except (TypeError, ValueError) as err:
+            # parameter messages start with the offending field name
+            raise ConfigError(f"knobs.vf_params.{err}") from err
     grid = cfg.grid()
     coeffs = CoefficientField(cfg.params)
-    boundary = "half_line_positive" if half else "neumann_truncation"
+    boundary = "half_line_positive" if half_line else "neumann_truncation"
     op = assemble(grid, coeffs, boundary)
     spec = MultiplierSpec(cfg.params)
     repA, repB = (
-        nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half),
-                   r_grid, volume_factor=4.0 if half else 1.0, reflect_axis0=half)
+        nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line),
+                   radii, volume_factor=4.0 if half_line else 1.0, reflect_axis0=half_line)
         for seed in (cfg.seed, cfg.seed + 1))
     rep["csv"]["nash_ratios.csv"] = {
         "columns": ["trial", "ratio"],
@@ -559,13 +560,11 @@ def run_nash(cfg: ExperimentConfig, rep: dict) -> None:
     rep["fitted"]["parseval_gap"] = repA.parseval_gap
     rep["checks"].append(check("fitted_constant_positive", repA.fitted_constant, ">", 0.0))
     rep["checks"].append(check("fitted_constant_stability", repB.fitted_constant, "band_ratio",
-                               repA.fitted_constant, knobs.get("stability_factor", 1.25)))
+                               repA.fitted_constant, stability_factor))
     rep["checks"].append(check("nash_margin", repA.worst_margin, ">=", 0.0))
-    if knobs.get("vf_slopes", True):
-        vf_params = GrusinParameters(**knobs.get(
-            "vf_params", {"n": 1, "m": 1, "delta2": 1.0}))
-        ve = derive_exponents(vf_params)
-        vspec = MultiplierSpec(vf_params)
+    if vf_slopes:
+        ve = derive_exponents(vf)
+        vspec = MultiplierSpec(vf)
         for r0, expect, label in [(1e-3, ve.Dp, "vf_slope_small"), (1e3, ve.D, "vf_slope_large")]:
             v0, v1 = vf_volume(vspec, r0), vf_volume(vspec, 1.3 * r0)
             slope = np.log(v1 / v0) / np.log(1.3)
@@ -573,29 +572,24 @@ def run_nash(cfg: ExperimentConfig, rep: dict) -> None:
             rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
 
 
-def run_hardy(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    n = knobs.get("n", 3)
-    gamma = knobs.get("gamma", 1.0)
-    count = knobs.get("count", 14)
-    lam_ok, a_used = hardy_check(n, gamma, knobs.get("fraction_ok", 0.5), count=count)
-    lam_fail, _ = hardy_check(n, gamma, knobs.get("fraction_fail", 4.0), count=count)
+def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,
+              fraction_fail=4.0) -> None:
+    lam_ok, a_used = hardy_check(n, gamma, fraction_ok, count=count)
+    lam_fail, _ = hardy_check(n, gamma, fraction_fail, count=count)
     rep["fitted"]["hardy_constant"] = a_used
     rep["fitted"]["lambda_min_half"] = lam_ok
     rep["fitted"]["lambda_min_over"] = lam_fail
     rep["csv"]["hardy.csv"] = {
         "columns": ["fraction", "lambda_min"],
-        "rows": [[knobs.get("fraction_ok", 0.5), lam_ok], [knobs.get("fraction_fail", 4.0), lam_fail]],
+        "rows": [[fraction_ok, lam_ok], [fraction_fail, lam_fail]],
     }
     rep["checks"].append(check("half_constant_psd", lam_ok, ">=", -1e-8))
     rep["checks"].append(check("over_constant_fails", lam_fail, "<", 0.0))
 
 
-def run_operator_inequalities(cfg: ExperimentConfig, rep: dict) -> None:
-    knobs = cfg.knobs
-    res = operator_inequality_checks(
-        knobs.get("trials", 1000), knobs.get("dim", 20), knobs.get("gamma", 0.3), cfg.seed)
-    bound = knobs.get("violation_bound", -1e-10)
+def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *, trials=1000, dim=20,
+                              gamma=0.3, violation_bound=-1e-10) -> None:
+    res = operator_inequality_checks(trials, dim, gamma, cfg.seed)
     rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
     rep["fitted"]["root_sum_worst"] = {str(k): v for k, v in res["root_sum"].items()}
     rep["csv"]["operator_inequalities.csv"] = {
@@ -604,9 +598,9 @@ def run_operator_inequalities(cfg: ExperimentConfig, rep: dict) -> None:
                  ["root_sum_1", res["root_sum"][1]],
                  ["root_sum_2", res["root_sum"][2]]],
     }
-    rep["checks"].append(check("resolvent_power", res["resolvent_power"], ">=", bound))
-    rep["checks"].append(check("root_sum_1", res["root_sum"][1], ">=", bound))
-    rep["checks"].append(check("root_sum_2", res["root_sum"][2], ">=", bound))
+    rep["checks"].append(check("resolvent_power", res["resolvent_power"], ">=", violation_bound))
+    rep["checks"].append(check("root_sum_1", res["root_sum"][1], ">=", violation_bound))
+    rep["checks"].append(check("root_sum_2", res["root_sum"][2], ">=", violation_bound))
 
 
 # --------------------------------------------------------------------- dispatch
@@ -631,18 +625,20 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the config's (experiment, knobs.task) runner and return its report.
 
-    The runner fills in checks, fitted constants and CSV tables; the report
-    frame, the total time and the pass flag are set here.
+    The other knobs bind to the runner's keyword-only parameters before it
+    starts.  The runner fills in checks, fitted constants and CSV tables;
+    the report frame, the total time and the pass flag are set here.
     """
     tasks = _RUNNERS[cfg.experiment]
-    task = cfg.knobs.get("task", next(iter(tasks)))
+    knobs = dict(cfg.knobs)
+    task = knobs.pop("task", next(iter(tasks)))
     if task not in tasks:
         valid = [t for t in tasks if t is not None]
         raise ConfigError(f"knobs.task: {task!r} is not a task of {cfg.experiment!r}; "
                           f"leave it out or use one of {valid}")
     t0 = time.time()
     rep = _report_skeleton(cfg)
-    tasks[task](cfg, rep)
+    _bind(tasks[task], "knobs", knobs, cfg, rep)()
     rep["timings"]["total_s"] = time.time() - t0
     rep["passed"] = all_passed(rep["checks"])
     return rep

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -242,11 +243,17 @@ def _manifest_entry(name):
 
 
 def _stub_runners(monkeypatch):
-    """Replace every runner by one that records (experiment, task) and adds
-    no check; returns the record."""
+    """Replace every runner by one that records (experiment, task), takes
+    the real runner's knobs and adds no check; returns the record."""
     ran = []
-    stubs = {kind: {task: (lambda cfg, rep, task=task: ran.append((cfg.experiment, task)))
-                    for task in tasks}
+
+    def stub(task, runner):
+        def record(cfg, rep, **knobs):
+            ran.append((cfg.experiment, task))
+        record.__signature__ = inspect.signature(runner)
+        return record
+
+    stubs = {kind: {task: stub(task, runner) for task, runner in tasks.items()}
              for kind, tasks in experiments._RUNNERS.items()}
     monkeypatch.setattr(experiments, "_RUNNERS", stubs)
     return ran
@@ -306,3 +313,60 @@ def test_cli_decay_without_stages_exits_2(tmp_path, capsys):
     code = main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "knobs.stages: required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", acceptance_manifest(), ids=lambda raw: raw["name"])
+def test_manifest_knobs_bind_to_their_runners_signature(raw):
+    # binds without running: the manifest and the signatures must not drift apart
+    knobs = dict(raw["knobs"])
+    tasks = experiments._RUNNERS[raw["experiment"]]
+    experiments._bind(tasks[knobs.pop("task", next(iter(tasks)))], "knobs", knobs, None, None)
+    for k, stage in enumerate(knobs.get("stages", [])):
+        experiments._bind(experiments._decay_stage, f"knobs.stages[{k}]", stage,
+                          None, None, None, k)
+    for name in ("origin_radii", "off_radii", "r_grid"):
+        if name in knobs:
+            experiments._bind(experiments._geomspace, f"knobs.{name}", knobs[name])
+    if "vf_params" in knobs:
+        experiments._bind(experiments.GrusinParameters, "knobs.vf_params", knobs["vf_params"])
+
+
+@pytest.mark.parametrize("kind, path, value, named", [
+    ("heat_kernel", ["oracle_tl"], 1e-30, "knobs.oracle_tl: unknown"),
+    ("decay", ["stages", 1, "guard_levl"], 1e-6, "knobs.stages[1].guard_levl: unknown"),
+    ("decay", ["stages", 0, "slope"], None, "knobs.stages[0].slope: required"),
+    ("compare", ["region"], [0.1, 0.4], "knobs.region: [0.1, 0.4] must stay outside"),
+    ("compare", ["region"], [7.0, 8.0], "knobs.region: no grid node"),
+    ("nash", ["r_grid", "hi"], None, "knobs.r_grid.hi: required"),
+    ("nash", ["r_grid", "hii"], 60.0, "knobs.r_grid.hii: unknown"),
+    ("nash", ["vf_params", "delta3"], 1.0, "knobs.vf_params.delta3: unknown"),
+    ("nash", ["vf_params", "delta1"], 1.5, "knobs.vf_params.delta1 must lie in [0, 1)"),
+])
+def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, kind, path, value, named):
+    # set the knob at ``path`` of the kind's default entry, or drop it (value None)
+    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+    *keys, last = path
+    node = raw["knobs"]
+    for key in keys:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_type_error_inside_a_runner_is_not_a_config_error(monkeypatch):
+    def runner(cfg, rep, *, t=1.0):
+        raise TypeError(f"raised inside the runner at t={t}")
+
+    monkeypatch.setitem(experiments._RUNNERS, "conservation", {None: runner})
+    cfg = ExperimentConfig.from_dict({"experiment": "conservation", "params": {"n": 1, "m": 0},
+                                      "knobs": {"t": 2.0}})
+    with pytest.raises(TypeError, match="inside the runner at t=2.0"):
+        run_experiment(cfg)
