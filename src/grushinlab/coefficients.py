@@ -81,17 +81,20 @@ class GrusinParameters:
     n >= 1 is the dimension of the x1 block carrying the degeneracy,
     m >= 0 the dimension of the x2 block (m = 0 gives the one-dimensional
     example).  The primed exponents govern behaviour at infinity.
-    Constraints: delta1, delta1p in [0, 1); delta2, delta2p >= 0.
+    Constraints: delta1, delta1p in [0, 1); delta2, delta2p >= 0.  The
+    exponents are stored as floats, so 0 and 0.0 make equal parameters.
     """
 
-    n: int
-    m: int
+    n: int = 1
+    m: int = 0
     delta1: float = 0.0
     delta1p: float = 0.0
     delta2: float = 0.0
     delta2p: float = 0.0
 
     def __post_init__(self):
+        for name in ("delta1", "delta1p", "delta2", "delta2p"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if int(self.m) != self.m or self.m < 0:

@@ -1,26 +1,33 @@
 """Experiment configuration: a single JSON document per run.
 
-Schema (defaults in parentheses):
+Schema:
 
     {
       "experiment": "conservation" | "decay" | "distance" | "volume" |
                     "heat_kernel" | "separation" | "compare" | "wave" | "nash",
       "name":      optional label used for output paths (experiment kind),
-      "seed":      64-bit integer (12345),
-      "params":    {"n", "m", "delta1" (0), "delta1p" (0), "delta2" (0), "delta2p" (0)},
-      "grid":      {"extents": number | [per axis], "counts": int | [per axis]},
-      "method":    {"kind" ("auto"), "tolerance" (1e-8), "max_exact_dimension" (4500)},
+      "seed":      64-bit integer,
+      "params":    GrusinParameters: {"n", "m", "delta1", "delta1p", "delta2", "delta2p"},
+      "grid":      build_grid: {"extents": number | [per axis], "counts": int | [per axis]},
+      "method":    EvolutionMethod: {"kind", "tolerance", "max_exact_dimension"},
       "out":       output directory or null,
       "knobs":     the runner's settings (see below)
     }
 
-"method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential".
-"max_exact_dimension" is the storage ceiling of the exact method: its
-factored spectrum stores n2 * n1^2 floats (n2 x2 nodes, n1 kept x1 nodes),
-which must not exceed max_exact_dimension^2; "auto" falls back to Krylov
-beyond it.  "tolerance" is the Krylov method's absolute error per unit |v|:
-its truncated Chebyshev series stops where the coefficient tail, a proven
-error bound, drops to it.
+Each object binds by name to the signature of the class or function it
+builds (``bind``), so its defaults are written once, there: the top level's
+on ``_from_fields``, "params" on GrusinParameters (n = 1, m = 0, every delta
+0), "method" on EvolutionMethod (an absent or null "method" is all its
+defaults).  An unknown key, a required key left out or a value the class
+rejects is a ConfigError naming its path ("params.delta_2: unknown field").
+
+"method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential",
+the name (kept for the frozen config hashes) of the Chebyshev series of
+exp(-tA).  "max_exact_dimension" is the storage ceiling of the exact method:
+its factored spectrum stores n2 * n1^2 floats (n2 x2 nodes, n1 kept x1
+nodes), which must not exceed max_exact_dimension^2; "auto" falls back to
+the series beyond it.  "tolerance" is the series' absolute error per unit
+|v|: it stops where the coefficient tail, a proven error bound, drops to it.
 
 "knobs.task" selects the runner within an experiment kind: "slopes" or
 "doubling" (volume), "finite_speed" or "davies_gaffney" (wave), "nash",
@@ -30,15 +37,15 @@ nash or the plain heat kernel.  The other knobs are the runner's keyword-only
 parameters, and their defaults are the runner's (grushinlab.experiments).
 A task the kind does not have, a knob the runner does not declare or a
 required knob left out is a ConfigError naming it when the experiment starts.
-
-Validation failures raise ConfigError with the offending field path in the
-message.  Re-running the same config byte-reproduces all CSV output.
+Re-running the same config byte-reproduces all CSV output.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from hashlib import sha256
 from typing import Any
 
@@ -46,7 +53,8 @@ from .coefficients import GrusinParameters
 from .discretization import Grid, build_grid
 from .evolution import EvolutionMethod
 
-__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENT_KINDS", "canonical_json", "config_hash"]
+__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENT_KINDS", "bind", "build", "canonical_json",
+           "config_hash"]
 
 EXPERIMENT_KINDS = (
     "conservation",
@@ -78,6 +86,37 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def bind(fn, path: str, raw, *head) -> partial:
+    """``fn(*head, **raw)``, not yet called, once the JSON object ``raw``
+    binds to the parameters of ``fn`` after ``head``.  A name ``fn`` does
+    not declare, or a parameter without a default that ``raw`` leaves out,
+    is a ConfigError naming ``path.<name>``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    params = list(inspect.signature(fn).parameters.values())[len(head):]
+    names = [p.name for p in params]
+    for name in raw:
+        _require(name in names, f"{path}.{name}".lstrip("."),
+                 f"unknown field (expected one of {names})")
+    for p in params:
+        _require(p.default is not p.empty or p.name in raw, f"{path}.{p.name}".lstrip("."),
+                 "required")
+    return partial(fn, *head, **raw)
+
+
+def build(fn, path: str, raw, *head):
+    """``bind``, then construct: a ValueError or TypeError raised by ``fn``
+    becomes a ConfigError naming ``path``, and the field when the message
+    starts with a parameter name (``params.delta1 must lie in [0, 1)``)."""
+    make = bind(fn, path, raw, *head)
+    try:
+        return make()
+    except (TypeError, ValueError) as err:
+        field = str(err).split(" ", 1)[0]
+        sep = "." if field in inspect.signature(fn).parameters else ": "
+        raise ConfigError(f"{path}{sep}{err}") from err
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -85,99 +124,28 @@ class ExperimentConfig:
     grid_extents: tuple[float, ...] | None
     grid_counts: tuple[int, ...] | None
     method: EvolutionMethod
-    seed: int = 12345
-    out: str | None = None
-    name: str = ""
-    knobs: dict = field(default_factory=dict)
+    seed: int
+    out: str | None
+    name: str
+    knobs: dict
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config: expected a JSON object")
-        known = {"experiment", "name", "seed", "params", "grid", "method", "out", "knobs"}
-        for key in raw:
-            _require(key in known, key, f"unknown field (expected one of {sorted(known)})")
-        exp = raw.get("experiment")
-        _require(exp in EXPERIMENT_KINDS, "experiment",
-                 f"must be one of {list(EXPERIMENT_KINDS)}, got {exp!r}")
+        return bind(_from_fields, "", raw)()
 
-        pdict = raw.get("params")
-        _require(isinstance(pdict, dict), "params", "required object with n, m, delta exponents")
-        try:
-            params = GrusinParameters(
-                n=pdict.get("n", 1),
-                m=pdict.get("m", 0),
-                delta1=float(pdict.get("delta1", 0.0)),
-                delta1p=float(pdict.get("delta1p", 0.0)),
-                delta2=float(pdict.get("delta2", 0.0)),
-                delta2p=float(pdict.get("delta2p", 0.0)),
-            )
-        except (TypeError, ValueError) as err:
-            # parameter messages start with the offending field name
-            raise ConfigError(f"params.{err}") from err
-
-        extents = counts = None
-        gdict = raw.get("grid")
-        if gdict is not None:
-            _require(isinstance(gdict, dict), "grid", "expected an object with extents and counts")
-            try:
-                probe = build_grid(params, gdict["extents"], gdict["counts"])
-            except KeyError as err:
-                raise ConfigError(f"grid.{err.args[0]}: required") from err
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"grid: {err}") from err
-            extents, counts = probe.extents, probe.counts
-
-        mdict = raw.get("method", {}) or {}
-        try:
-            method = EvolutionMethod(
-                kind=mdict.get("kind", "auto"),
-                tolerance=float(mdict.get("tolerance", 1e-8)),
-                max_exact_dimension=int(mdict.get("max_exact_dimension", 4500)),
-            )
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"method: {err}") from err
-
-        seed = raw.get("seed", 12345)
-        _require(isinstance(seed, int) and 0 <= seed < 2**63, "seed",
-                 "must be a non-negative 64-bit integer")
-        knobs = raw.get("knobs", {}) or {}
-        _require(isinstance(knobs, dict), "knobs", "expected an object")
-        return ExperimentConfig(
-            experiment=exp,
-            params=params,
-            grid_extents=extents,
-            grid_counts=counts,
-            method=method,
-            seed=seed,
-            out=raw.get("out"),
-            name=raw.get("name") or exp,
-            knobs=dict(knobs),
-        )
-
-    def grid(self) -> Grid:
-        if self.grid_extents is None or self.grid_counts is None:
+    def grid(self, counts=None) -> Grid:
+        """The configured grid, or the one with node ``counts`` on its box."""
+        if self.grid_extents is None:
             raise ConfigError("grid: required for this experiment")
-        return build_grid(self.params, self.grid_extents, self.grid_counts)
+        return build_grid(self.params, self.grid_extents, counts or self.grid_counts)
 
     def to_dict(self) -> dict:
         out = {
             "experiment": self.experiment,
             "name": self.name,
             "seed": self.seed,
-            "params": {
-                "n": self.params.n,
-                "m": self.params.m,
-                "delta1": self.params.delta1,
-                "delta1p": self.params.delta1p,
-                "delta2": self.params.delta2,
-                "delta2p": self.params.delta2p,
-            },
-            "method": {
-                "kind": self.method.kind,
-                "tolerance": self.method.tolerance,
-                "max_exact_dimension": self.method.max_exact_dimension,
-            },
+            "params": asdict(self.params),
+            "method": asdict(self.method),
             "out": self.out,
             "knobs": self.knobs,
         }
@@ -190,3 +158,22 @@ class ExperimentConfig:
         # experiment's identity: results must not depend on it
         hashed = {k: v for k, v in self.to_dict().items() if k != "out"}
         return config_hash(hashed)
+
+
+def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, out=None, name=None,
+                 knobs=None) -> ExperimentConfig:
+    """The top-level keys of a config document, with their defaults."""
+    _require(experiment in EXPERIMENT_KINDS, "experiment",
+             f"must be one of {list(EXPERIMENT_KINDS)}, got {experiment!r}")
+    params = build(GrusinParameters, "params", params)
+    if grid is not None:
+        grid = build(build_grid, "grid", grid, params)
+    method = build(EvolutionMethod, "method", {} if method is None else method)
+    _require(isinstance(seed, int) and 0 <= seed < 2**63, "seed",
+             "must be a non-negative 64-bit integer")
+    knobs = {} if knobs is None else knobs
+    _require(isinstance(knobs, dict), "knobs", "expected an object")
+    return ExperimentConfig(experiment=experiment, params=params,
+                            grid_extents=None if grid is None else grid.extents,
+                            grid_counts=None if grid is None else grid.counts, method=method,
+                            seed=seed, out=out, name=name or experiment, knobs=dict(knobs))

@@ -67,9 +67,11 @@ class EvolutionMethod:
     max_exact_dimension: int = 4500
 
     def __post_init__(self):
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "max_exact_dimension", int(self.max_exact_dimension))
         kinds = ("auto", "exact_eigendecomposition", "krylov_exponential")
         if self.kind not in kinds:
-            raise ValueError(f"unknown method kind {self.kind!r}; expected one of {kinds}")
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
 

@@ -2,9 +2,10 @@
 
 Each runner fills in a report's named checks (each with its bound and pass
 flag), fitted constants and CSV tables.  Its keyword-only parameters are its
-knobs, with their defaults: ``_bind`` checks ``cfg.knobs`` and every nested
-spec (decay stage, radius grid, ``vf_params``) against a signature before
-anything runs, so an unknown or missing knob is a ConfigError naming it.
+knobs, with their defaults: ``config.bind`` checks ``cfg.knobs`` and every
+nested spec (decay stage, radius grid, Davies-Gaffney pair, ``vf_params``)
+against a signature, so an unknown or missing knob is a ConfigError naming
+it; so is a value outside a knob's enumerated choices (``_one_of``).
 ``run_experiment`` picks the runner from ``_RUNNERS`` by experiment kind and
 ``knobs.task`` and builds the report frame around it (config echo and hash,
 derived exponents, timings, the pass flag).  The acceptance manifest at the
@@ -14,16 +15,14 @@ bottom freezes every tolerance of the verification suite; the tests, the
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import asdict
-from functools import partial
 
 import numpy as np
 
 from .coefficients import CoefficientField, GrusinParameters, derive_exponents
-from .config import ConfigError, ExperimentConfig
-from .discretization import assemble, build_grid
+from .config import ConfigError, ExperimentConfig, bind, build
+from .discretization import BOUNDARY_MODES, assemble, build_grid
 from .evolution import (
     fit_loglog_slope,
     gaussian_upper_check,
@@ -48,27 +47,20 @@ from .wave import davies_gaffney_check, finite_speed_check
 __all__ = ["run_experiment", "acceptance_manifest"]
 
 
-def _bind(fn, path: str, knobs, *head) -> partial:
-    """``fn(*head, **knobs)``, not yet called, once the JSON object ``knobs``
-    binds to the parameters of ``fn`` after ``head``.  A name ``fn`` does
-    not declare, or a parameter without a default that ``knobs`` leaves
-    out, is a ConfigError naming ``path.<name>``."""
-    if not isinstance(knobs, dict):
-        raise ConfigError(f"{path}: expected an object")
-    params = list(inspect.signature(fn).parameters.values())[len(head):]
-    names = [p.name for p in params]
-    for name in knobs:
-        if name not in names:
-            raise ConfigError(f"{path}.{name}: unknown (expected one of {names})")
-    for p in params:
-        if p.default is p.empty and p.name not in knobs:
-            raise ConfigError(f"{path}.{p.name}: required")
-    return partial(fn, *head, **knobs)
+def _one_of(path: str, value, choices):
+    """A ConfigError naming ``path`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
 
 
 def _geomspace(*, lo, hi, n):
     """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically."""
     return np.geomspace(lo, hi, n)
+
+
+def _pair(*, center_a, center_b, halfwidth):
+    """A Davies-Gaffney pair spec: the sets |x1 - center| <= halfwidth."""
+    return center_a, center_b, halfwidth
 
 
 def _refine(counts):
@@ -107,6 +99,7 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
                      n_sources=10, bound=1e-8, boundary="neumann_truncation") -> None:
+    _one_of("knobs.boundary", boundary, BOUNDARY_MODES)
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
     sources = _spread_sources(op, n_sources, rng)
@@ -149,7 +142,7 @@ def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
         raise ConfigError("knobs.stages: required")
     coeffs = CoefficientField(cfg.params)
     # bind every stage first, so that a bad stage fails before any stage runs
-    runs = [_bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)
+    runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)
             for k, stage in enumerate(stages)]
     rows = [row for run in runs for row in run()]
     rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
@@ -159,6 +152,9 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
                  slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
                  guard_level=1e-6, label=None) -> list:
     """Stage k of a decay run; returns its decay.csv rows."""
+    _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
+    if isinstance(candidates, str):
+        _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
     label = f"stage{k}" if label is None else label
     grid = build_grid(cfg.params, extents, counts)
     op = assemble(grid, coeffs, boundary)
@@ -186,14 +182,14 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
                  stability_factor=1.25) -> None:
     coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
-    lim = np.asarray(cfg.grid_extents) * box_fraction
+    lim = np.asarray(cfg.grid().extents) * box_fraction
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
 
     bands = []
     counts = cfg.grid_counts
     for level in range(2):
-        grid = build_grid(cfg.params, cfg.grid_extents, counts)
+        grid = cfg.grid(counts)
         graph = MetricGraph(grid, coeffs, stencil_order)
         rows = []
         ratios = []
@@ -235,10 +231,10 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
                       origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
                       off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1) -> None:
     dim = cfg.params.dim
-    runs = [("origin", [0.0] * dim, _bind(_geomspace, "knobs.origin_radii", origin_radii)(),
+    runs = [("origin", [0.0] * dim, build(_geomspace, "knobs.origin_radii", origin_radii),
              derive_exponents(cfg.params).D),
             ("offcenter", [1.0] + [0.0] * (dim - 1) if off_center is None else off_center,
-             _bind(_geomspace, "knobs.off_radii", off_radii)(), dim)]
+             build(_geomspace, "knobs.off_radii", off_radii), dim)]
     graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
     for tag, center, radii, expected in runs:
         tab = ball_volume_table(graph.field_from_point(center), center, radii)
@@ -270,6 +266,8 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n
 def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
                     boundary="neumann_truncation", mass_tol=1e-8, symmetry_point=None,
                     symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
+    _one_of("knobs.boundary", boundary, BOUNDARY_MODES)
+    _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
     ks = heat_kernel(op, source, t, cfg.method)
@@ -301,7 +299,7 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
     counts = cfg.grid_counts
     rows = []
     for _ in range(refinements):
-        grid = build_grid(cfg.params, cfg.grid_extents, counts)
+        grid = cfg.grid(counts)
         ops_n.append(assemble(grid, coeffs))
         ops_d.append(assemble(grid, coeffs, "dirichlet_origin"))
         counts = _refine(counts)
@@ -351,7 +349,7 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
     prefactors = []
     counts = cfg.grid_counts
     for level in range(2):
-        grid = build_grid(cfg.params, cfg.grid_extents, counts)
+        grid = cfg.grid(counts)
         op_true = assemble(grid, coeffs)
         op_frozen = assemble(grid, frozen)
         region_rows = _region_rows(grid, lo, hi)
@@ -400,13 +398,14 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
 def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump_width=0.6,
                      times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
                      leak_bound=1e-6, drift_bound=1e-6) -> None:
+    _one_of("knobs.metric", metric, ("graph", "euclidean"))
     coeffs = CoefficientField(cfg.params)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     counts = cfg.grid_counts
     leak_by_level = []
     rows = []
     for level in range(refinements):
-        grid = build_grid(cfg.params, cfg.grid_extents, counts)
+        grid = cfg.grid(counts)
         op = assemble(grid, coeffs)
         v = bump(grid, center, [bump_width] * grid.dim).ravel()[op.kept]
         support = np.nonzero(v > 0)[0]
@@ -437,6 +436,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
                               {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
                               {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3}),
                        min_samples=20) -> None:
+    pairs = [build(_pair, f"knobs.pairs[{k}]", spec) for k, spec in enumerate(pairs)]
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
@@ -445,9 +445,9 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
     rows = []
     worst = -np.inf
     samples = 0
-    for spec in pairs:
-        in_a = np.abs(coords - spec["center_a"]) <= spec["halfwidth"]
-        in_b = np.abs(coords - spec["center_b"]) <= spec["halfwidth"]
+    for center_a, center_b, halfwidth in pairs:
+        in_a = np.abs(coords - center_a) <= halfwidth
+        in_b = np.abs(coords - center_b) <= halfwidth
         rows_a = np.nonzero(in_a)[0]
         rows_b = np.nonzero(in_b)[0]
         field = graph.field_from_nodes(op.kept[rows_a])
@@ -455,7 +455,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
         for s in exponent_targets:
             t = dab**2 / (4.0 * s)
             margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], epsilon, cfg.method)
-            rows.append([spec["center_a"], spec["center_b"], dab, s, t, margin])
+            rows.append([center_a, center_b, dab, s, t, margin])
             worst = max(worst, margin)
             samples += 1
     rep["csv"]["davies_gaffney.csv"] = {
@@ -497,7 +497,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
     uppers, lowers = [], []
     counts = cfg.grid_counts
     for level in range(2):
-        grid = build_grid(cfg.params, cfg.grid_extents, counts)
+        grid = cfg.grid(counts)
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
         rows = sorted(set(op.node_index(p) for p in sources))
@@ -531,22 +531,16 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
 def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
              r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
              vf_params={"n": 1, "m": 1, "delta2": 1.0}) -> None:
-    radii = _bind(_geomspace, "knobs.r_grid", r_grid)()
+    radii = build(_geomspace, "knobs.r_grid", r_grid)
     if vf_slopes:
-        make_vf = _bind(GrusinParameters, "knobs.vf_params", vf_params)
-        try:
-            vf = make_vf()
-        except (TypeError, ValueError) as err:
-            # parameter messages start with the offending field name
-            raise ConfigError(f"knobs.vf_params.{err}") from err
+        vf = build(GrusinParameters, "knobs.vf_params", vf_params)
     grid = cfg.grid()
     coeffs = CoefficientField(cfg.params)
-    boundary = "half_line_positive" if half_line else "neumann_truncation"
-    op = assemble(grid, coeffs, boundary)
+    op = assemble(grid, coeffs, "half_line_positive" if half_line else "neumann_truncation")
     spec = MultiplierSpec(cfg.params)
     repA, repB = (
         nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line),
-                   radii, volume_factor=4.0 if half_line else 1.0, reflect_axis0=half_line)
+                   radii)
         for seed in (cfg.seed, cfg.seed + 1))
     rep["csv"]["nash_ratios.csv"] = {
         "columns": ["trial", "ratio"],
@@ -638,7 +632,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                           f"leave it out or use one of {valid}")
     t0 = time.time()
     rep = _report_skeleton(cfg)
-    _bind(tasks[task], "knobs", knobs, cfg, rep)()
+    bind(tasks[task], "knobs", knobs, cfg, rep)()
     rep["timings"]["total_s"] = time.time() - t0
     rep["passed"] = all_passed(rep["checks"])
     return rep

@@ -22,7 +22,7 @@ Ensemble members are independent and deterministic given the recorded seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gamma as gamma_fn, pi
 
 import numpy as np
@@ -118,7 +118,18 @@ def _sublevel_radius(f, budget) -> np.ndarray:
     return out
 
 
-def vf_volume(spec: MultiplierSpec, r: float, n_quad: int = 256) -> float:
+@cache
+def _vf_rule():
+    """The 256-node Gauss-Legendre rule on [0, 1] of the radial slice integral,
+    read-only because every call shares it."""
+    from .quadrature import gauss_legendre_01
+
+    u, w = gauss_legendre_01(256)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def vf_volume(spec: MultiplierSpec, r: float) -> float:
     """Lebesgue measure of the sublevel set {p : F(p) < r^2}.
 
     The symbol is a sum of two radial strictly increasing block symbols, so
@@ -136,9 +147,7 @@ def vf_volume(spec: MultiplierSpec, r: float, n_quad: int = 256) -> float:
     if p1_max == 0.0:
         return 0.0
     # Gauss-Legendre on [0, p1_max] for the radial slice integral
-    from .quadrature import gauss_legendre_01
-
-    u, w = gauss_legendre_01(n_quad)
+    u, w = _vf_rule()
     s = p1_max * u
     n, m = params.n, params.m
     wn, wm = _unit_ball_volume(n), _unit_ball_volume(m)
@@ -236,16 +245,15 @@ def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
     return l2, l1, f_form
 
 
-def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
-               r_grid, volume_factor: float = 1.0,
-               reflect_axis0: bool = False) -> NashReport:
+def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members, r_grid) -> NashReport:
     """Fitted domination constant and Nash-display margins for an ensemble.
 
-    ``members`` are full-grid arrays from :func:`random_bump_ensemble` (on
-    the operator's grid for the full-space case; for the half-line case the
-    operator lives on the restriction and the transform is taken of the even
-    reflection on the symmetric full grid).  The display checked for every
-    member and every r is
+    ``members`` are full-grid arrays from :func:`random_bump_ensemble` on the
+    operator's grid.  For a ``half_line_positive`` operator the members lie
+    in {x_0 > 0}, the operator lives on the restriction and the transform is
+    taken of the even reflection on the symmetric full grid; the volume
+    factor is then 4, else 1.  The display checked for every member and
+    every r is
 
         ||phi||_2^2 <= r^{-2} h(phi)/a  +  volume_factor (2 pi)^{-d} V_F(r) ||phi||_1^2
 
@@ -253,6 +261,10 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members,
     and the display of the member with the smallest ratio (the first one if
     tied) row by row.
     """
+    if op.boundary == "half_line_negative":
+        raise ValueError("nash_check reflects half_line_positive operators only")
+    reflect_axis0 = op.boundary == "half_line_positive"
+    volume_factor = 4.0 if reflect_axis0 else 1.0
     grid = op.grid
     d = grid.dim
     ratios = []

@@ -6,7 +6,8 @@ import pytest
 
 from grushinlab import experiments
 from grushinlab.cli import DEFAULT_ENTRIES, main, run_suite
-from grushinlab.config import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, config_hash
+from grushinlab.coefficients import GrusinParameters
+from grushinlab.config import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, bind, config_hash
 from grushinlab.experiments import acceptance_manifest, run_experiment
 from grushinlab.reporting import format_number, write_report
 
@@ -48,6 +49,31 @@ def test_config_grid_validation_path():
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("section, key, value", [("params", "delta_2", 1.0),
+                                                 ("method", "tolerence", 1e-3),
+                                                 ("grid", "spacing", 3)])
+def test_cli_misspelled_config_key_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    bad = json.loads(json.dumps(FAST_CONFIG))
+    bad[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(bad))
+    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_and_float_spellings_hash_equal():
+    ints = dict(FAST_CONFIG, params={"n": 1, "m": 0, "delta1": 0, "delta2": 1},
+                method={"kind": "auto", "max_exact_dimension": 4500.0})
+    floats = dict(FAST_CONFIG, params={"n": 1, "m": 0, "delta1": 0.0, "delta2": 1.0},
+                  method={"max_exact_dimension": 4500})
+    assert ExperimentConfig.from_dict(ints).hash() == ExperimentConfig.from_dict(floats).hash()
+    # n and m default to 1 and 0, and a null method to its defaults
+    bare = dict(floats, params={"delta2": 1.0}, method=None)
+    assert ExperimentConfig.from_dict(bare).hash() == ExperimentConfig.from_dict(ints).hash()
+
+
 def test_config_hash_is_stable_and_sensitive():
     cfg = ExperimentConfig.from_dict(FAST_CONFIG)
     h0 = cfg.hash()
@@ -85,6 +111,12 @@ MANIFEST_HASHES = {
 def test_manifest_config_hashes_are_unchanged():
     got = {raw["name"]: ExperimentConfig.from_dict(raw).hash() for raw in acceptance_manifest()}
     assert got == MANIFEST_HASHES
+
+
+def test_to_dict_round_trip_reproduces_every_manifest_hash():
+    for raw in acceptance_manifest():
+        again = ExperimentConfig.from_dict(ExperimentConfig.from_dict(raw).to_dict())
+        assert again.hash() == MANIFEST_HASHES[raw["name"]], raw["name"]
 
 
 def test_worker_count_belongs_to_the_suite_only():
@@ -320,18 +352,20 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # binds without running: the manifest and the signatures must not drift apart
     knobs = dict(raw["knobs"])
     tasks = experiments._RUNNERS[raw["experiment"]]
-    experiments._bind(tasks[knobs.pop("task", next(iter(tasks)))], "knobs", knobs, None, None)
+    bind(tasks[knobs.pop("task", next(iter(tasks)))], "knobs", knobs, None, None)
     for k, stage in enumerate(knobs.get("stages", [])):
-        experiments._bind(experiments._decay_stage, f"knobs.stages[{k}]", stage,
-                          None, None, None, k)
+        bind(experiments._decay_stage, f"knobs.stages[{k}]", stage, None, None, None, k)
     for name in ("origin_radii", "off_radii", "r_grid"):
         if name in knobs:
-            experiments._bind(experiments._geomspace, f"knobs.{name}", knobs[name])
+            bind(experiments._geomspace, f"knobs.{name}", knobs[name])
+    for k, pair in enumerate(knobs.get("pairs", [])):
+        bind(experiments._pair, f"knobs.pairs[{k}]", pair)
     if "vf_params" in knobs:
-        experiments._bind(experiments.GrusinParameters, "knobs.vf_params", knobs["vf_params"])
+        bind(GrusinParameters, "knobs.vf_params", knobs["vf_params"])
 
 
-@pytest.mark.parametrize("kind, path, value, named", [
+# ``entry`` is an experiment kind (its subcommand's default entry) or an entry name
+@pytest.mark.parametrize("entry, path, value, named", [
     ("heat_kernel", ["oracle_tl"], 1e-30, "knobs.oracle_tl: unknown"),
     ("decay", ["stages", 1, "guard_levl"], 1e-6, "knobs.stages[1].guard_levl: unknown"),
     ("decay", ["stages", 0, "slope"], None, "knobs.stages[0].slope: required"),
@@ -341,10 +375,19 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("nash", ["r_grid", "hii"], 60.0, "knobs.r_grid.hii: unknown"),
     ("nash", ["vf_params", "delta3"], 1.0, "knobs.vf_params.delta3: unknown"),
     ("nash", ["vf_params", "delta1"], 1.5, "knobs.vf_params.delta1 must lie in [0, 1)"),
+    ("heat_kernel", ["oracle"], "gauss_free_spce",
+     "knobs.oracle: 'gauss_free_spce' is not one of [None, 'gauss_free_space']"),
+    ("wave", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
+    ("decay", ["stages", 0, "candidates"], "degeneracy_lin",
+     "knobs.stages[0].candidates: 'degeneracy_lin' is not one of ['all', 'degeneracy_line']"),
+    ("conservation", ["boundary"], "neumann", "knobs.boundary: 'neumann' is not one of"),
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "centre_b": 1.5, "halfwidth": 0.5}],
+     "knobs.pairs[0].centre_b: unknown field"),
 ])
-def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, kind, path, value, named):
-    # set the knob at ``path`` of the kind's default entry, or drop it (value None)
-    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
+    # set the knob at ``path`` of the entry, or drop it (value None)
+    raw = _manifest_entry(DEFAULT_ENTRIES.get(entry, entry))
+    kind = raw["experiment"]
     *keys, last = path
     node = raw["knobs"]
     for key in keys:
@@ -358,6 +401,18 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, kind, path, value, nam
     code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["distance", "separation", "compare", "wave"])
+def test_cli_missing_grid_exits_2(tmp_path, capsys, kind):
+    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+    del raw["grid"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "grid: required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

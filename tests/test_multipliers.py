@@ -141,12 +141,13 @@ def test_nash_half_line_factor_four():
     op = assemble(g, CoefficientField(params), "half_line_positive")
     spec = MultiplierSpec(params)
     members = random_bump_ensemble(g, 30, seed=21, positive_axis0=True)
-    rep = nash_check(
-        op, spec, members, r_grid=np.geomspace(0.2, 50.0, 30),
-        volume_factor=4.0, reflect_axis0=True,
-    )
+    rep = nash_check(op, spec, members, r_grid=np.geomspace(0.2, 50.0, 30))
     assert rep.fitted_constant > 0
     assert rep.worst_margin >= 0.0
+
+    negative = assemble(g, CoefficientField(params), "half_line_negative")
+    with pytest.raises(ValueError, match="half_line_positive"):
+        nash_check(negative, spec, members, r_grid=[1.0])
 
 
 def test_bump_ensemble_respects_box_and_resolution():
