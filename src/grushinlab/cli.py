@@ -10,9 +10,9 @@ manifest (DEFAULT_ENTRIES), frozen check bounds included, and writes it to
 <out>/<entry name>/.  Each subcommand is its experiment kind with '_' written
 as '-'.
 
-``suite`` runs a manifest of configs (JSON list, or the built-in
-``acceptance`` manifest) on --workers N processes (GRUSHINLAB_WORKERS,
-default 1) and exits nonzero if any check fails;
+``suite`` runs a manifest of configs (JSON list, or the built-in ``acceptance``
+manifest) on --workers N processes (GRUSHINLAB_WORKERS, default 1), --seed S
+(GRUSHINLAB_SEED) replacing every seed, and exits nonzero if any check fails;
 ``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
 when every check passed.
 """
@@ -167,9 +167,10 @@ def main(argv=None) -> int:
             else:
                 loaded = _load_json(args.manifest)
                 manifest = loaded["experiments"] if isinstance(loaded, dict) else loaded
-            if args.seed is not None:
+            seed = args.seed if args.seed is not None else _env_int("SEED")
+            if seed is not None:
                 for raw in manifest:
-                    raw["seed"] = args.seed
+                    raw["seed"] = seed
             workers = args.workers if args.workers is not None else _env_int("WORKERS", 1)
             aggregate = run_suite(manifest, out_dir, workers)
         except ConfigError as err:

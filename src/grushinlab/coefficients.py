@@ -19,6 +19,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def coefficient(x, delta: float, deltap: float) -> float:
     return coefficient_profile(float(np.linalg.norm(x)), delta, deltap)
 
 
+def _as_int(name: str, value, positive: bool) -> int:
+    """An integral ``value`` (1.0 too, not True), positive or non-negative, as an int."""
+    if isinstance(value, bool) or not isinstance(value, Real) \
+            or not float(value).is_integer() or value < int(positive):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GrusinParameters:
     """Degeneracy exponents (n, m, delta1, delta1p, delta2, delta2p).
@@ -95,10 +105,8 @@ class GrusinParameters:
     def __post_init__(self):
         for name in ("delta1", "delta1p", "delta2", "delta2p"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if int(self.m) != self.m or self.m < 0:
-            raise ValueError(f"m must be a non-negative integer, got {self.m}")
+        object.__setattr__(self, "n", _as_int("n", self.n, positive=True))
+        object.__setattr__(self, "m", _as_int("m", self.m, positive=False))
         for name in ("delta1", "delta1p"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):

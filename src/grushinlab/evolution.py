@@ -18,6 +18,11 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   tolerance * |v| a priori; about sqrt(2 z ln(1/tol)) matvecs.  The wave
   layer sums cos(t sqrt A) through the same recurrence (``_chebyshev_sum``).
 
+Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
+time (``_region_block``): from the factors, or from the moments
+T_k(x)[rows][:, rows] of one recurrence on the (N, R) block of unit vectors
+(kernel polynomial method; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).
+
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
 """
@@ -31,7 +36,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dger
 from scipy.special import ive
 
-from .coefficients import derive_exponents, piecewise_power
+from .coefficients import _as_int, derive_exponents, piecewise_power
 from .discretization import CapacityError, DivergenceFormOperator
 from .geometry import ball_volume
 
@@ -68,7 +73,8 @@ class EvolutionMethod:
 
     def __post_init__(self):
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "max_exact_dimension", int(self.max_exact_dimension))
+        object.__setattr__(self, "max_exact_dimension",
+                           _as_int("max_exact_dimension", self.max_exact_dimension, positive=True))
         kinds = ("auto", "exact_eigendecomposition", "krylov_exponential")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
@@ -112,17 +118,25 @@ def estimate_lambda_max(op: DivergenceFormOperator) -> float:
     return 2.0 * float(op.matrix.diagonal().max()) or 1.0
 
 
+def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, count: int):
+    """Yield T_k(x) v, k < count, x = (2/lam) A - I, for a vector or an (N, R)
+    block v; each yielded array is overwritten two terms later."""
+    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
+    yield t_prev
+    for k in range(1, count):
+        if k > 1:  # T_k = 2x T_{k-1} - T_{k-2}, written over T_{k-2}
+            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
+        yield t_cur
+
+
 def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of
-    ``coef``, from one three-term recurrence."""
-    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
-    acc = np.outer(coef[:, 0], v)
-    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
-    for j in range(1, coef.shape[1]):
-        if j > 1:  # T_j = 2x T_{j-1} - T_{j-2}, written over T_{j-2}
-            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
-        dger(1.0, t_cur, coef[:, j], a=acc.T, overwrite_a=True)  # one rank-1 update
+    """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of ``coef``."""
+    terms = _chebyshev_terms(op, lam, v, coef.shape[1])
+    acc = np.outer(coef[:, 0], next(terms))
+    for t_k, c in zip(terms, coef.T[1:]):
+        dger(1.0, t_k, c, a=acc.T, overwrite_a=True)  # one rank-1 update
     return acc
 
 
@@ -153,17 +167,6 @@ def _heat_coefficients(lam: float, times, tol: float) -> np.ndarray:
     return coef[:, : int((tail > tol).sum(axis=1).max())]
 
 
-def _krylov_columns(op: DivergenceFormOperator, rows, times, method: EvolutionMethod):
-    """Yield (j, exp(-tA) e_j for every t in times, shape (times, nodes)) for
-    each row j, all times from one Chebyshev pass."""
-    lam = estimate_lambda_max(op)
-    coef = _heat_coefficients(lam, times, method.tolerance)
-    for j in rows:
-        e = np.zeros(op.n_nodes)
-        e[j] = 1.0
-        yield j, _chebyshev_sum(op, lam, e, coef)
-
-
 def apply_semigroup(op: DivergenceFormOperator, v, t: float,
                     method: EvolutionMethod = DEFAULT_METHOD) -> np.ndarray:
     """exp(-tA) v for the operator's generator A; t = 0 returns v."""
@@ -174,8 +177,7 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
         raise ValueError(f"vector length {v.shape} does not match {op.n_nodes} nodes")
     if t == 0.0:
         return v.copy()
-    kind = method.resolve(op)
-    if kind == "exact_eigendecomposition":
+    if method.resolve(op) == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).apply(v, t)
     lam = estimate_lambda_max(op)
     return _chebyshev_sum(op, lam, v, _heat_coefficients(lam, [t], method.tolerance))[0]
@@ -215,13 +217,12 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
                      method: EvolutionMethod = DEFAULT_METHOD) -> DecayResult:
     """sup_x K_t(x; x) per time and its log-log slope.
 
-    ``candidates``: operator rows over which the sup is taken.  The exact
-    method defaults to the full diagonal; the Krylov method requires an
-    explicit candidate set (one Chebyshev pass per candidate serves every
-    time).  Isolated cells (zero-degree rows, cut off by dead faces) hold
-    their unit mass forever and are excluded from the default sup.  Times
-    whose boundary tail exp(-boundary_distance^2 / (4t)) exceeds ``guard``
-    are refused and reported.
+    ``candidates``: operator rows over which the sup is taken, read off one
+    kernel block per time by either method.  Without them the exact method
+    takes the full diagonal and the Krylov method raises.  Isolated cells
+    (zero-degree rows, cut off by dead faces) hold their unit mass forever
+    and are excluded from the default sup.  Times whose boundary tail
+    exp(-boundary_distance^2 / (4t)) exceeds ``guard`` are refused.
     """
     times = np.asarray(sorted(float(t) for t in times))
     refused = ()
@@ -231,20 +232,14 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
         times = times[~bad]
     if len(times) < 2:
         raise ValueError("need at least two admissible times for a slope fit")
-    kind = method.resolve(op)
-    w = op.node_weight
-    if kind == "exact_eigendecomposition":
-        if candidates is None:
-            candidates = np.nonzero(op.matrix.diagonal() > 0.0)[0]
-        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)
-        sup = diag[:, np.asarray(candidates)].max(axis=1) / w
-    else:
-        if candidates is None:
+    if candidates is None:
+        if method.resolve(op) != "exact_eigendecomposition":
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
-        sup = np.zeros(len(times))
-        for j, cols in _krylov_columns(op, np.asarray(candidates), times, method):
-            for k, col in enumerate(cols):
-                sup[k] = max(sup[k], col[j] / w)
+        live = np.nonzero(op.matrix.diagonal() > 0.0)[0]
+        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)[:, live]
+    else:
+        diag = _region_block(op, np.asarray(candidates), times, method).diagonal(0, 1, 2)
+    sup = diag.max(axis=1) / op.node_weight
     return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup),
                        refused_times=refused)
 
@@ -274,36 +269,24 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
     d^2/(4t) above ``exponent_cap`` or kernel values below ``kernel_floor``
     are skipped (solver noise would otherwise ride the growing exponential).
 
-    The same kernel columns give the on-diagonal lower constant ``lower``,
-    the minimum over sources and times of K_t(x; x) |B(x; sqrt t)|: the
-    single-cell box is the discrete stand-in for the averaged lower bound,
-    so K_t(x; x) is read off the column directly.
+    One kernel block over the sources per time gives the entries and the
+    on-diagonal lower constant ``lower``, the minimum over sources and times
+    of K_t(x; x) |B(x; sqrt t)|: the single-cell box is the discrete
+    stand-in for the averaged lower bound, so K_t(x; x) is read directly.
     """
     rows = sorted(source_fields)
-    best = 0.0
-    arg = None
-    count = 0
-    lower = np.inf
-    for j in rows:
-        fj = source_fields[j]
-        for t in times:
-            ks = heat_kernel(op, j, float(t), method)
-            rt = float(np.sqrt(t))
-            vj = ball_volume(fj, rt)
-            lower = min(lower, float(ks.values[j] * vj))
-            for i in rows:
-                d = float(source_fields[i].distances[op.kept[j]])
-                expo = d * d / (4.0 * t)
-                kval = float(ks.values[i])
-                if expo > exponent_cap or kval <= kernel_floor or not np.isfinite(d):
-                    continue
-                vi = ball_volume(source_fields[i], rt)
-                val = kval * np.sqrt(vi * vj) * np.exp(expo / (1.0 + epsilon))
-                count += 1
-                if val > best:
-                    best = float(val)
-                    arg = (j, i, float(t))
-    return GaussianUpperReport(constant=best, argmax=arg, samples=count, lower=float(lower))
+    times = np.asarray(times, dtype=float)
+    # K[a, q, b] = K_t(rows[b]; rows[a]) at t = times[q]: (source, time, other)
+    K = np.transpose(_region_block(op, np.asarray(rows), times, method), (2, 0, 1)) / op.node_weight
+    vol = np.array([[ball_volume(source_fields[j], r) for r in np.sqrt(times)] for j in rows])
+    d = np.array([[source_fields[i].distances[op.kept[j]] for i in rows] for j in rows])
+    expo = (d * d)[:, None, :] / (4.0 * times[:, None])
+    a, q, b = np.nonzero((expo <= exponent_cap) & (K > kernel_floor) & np.isfinite(d)[:, None])
+    val = K[a, q, b] * np.sqrt(vol[b, q] * vol[a, q]) * np.exp(expo[a, q, b] / (1.0 + epsilon))
+    lower = float((K[np.arange(len(rows)), :, np.arange(len(rows))] * vol).min())
+    k = int(np.argmax(val))  # never empty: a diagonal pair has d = 0 and K above the floor
+    return GaussianUpperReport(constant=float(val[k]), samples=int(val.size), lower=lower,
+                               argmax=(rows[a[k]], rows[b[k]], float(times[q[k]])))
 
 
 @dataclass(frozen=True)
@@ -344,12 +327,16 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
 
 def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarray,
                   method: EvolutionMethod) -> np.ndarray:
-    """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R), by the
-    resolved method: from the factored spectrum, or one Krylov column per row."""
+    """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R): from the
+    factored spectrum, or the heat coefficients times the moments
+    T_k(x)[rows][:, rows] of one recurrence on the rows' unit vectors."""
     if method.resolve(op) == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
-    cols = [cols[:, rows] for _, cols in _krylov_columns(op, rows, times, method)]
-    return np.transpose(cols, (1, 2, 0))
+    lam = estimate_lambda_max(op)
+    coef = _heat_coefficients(lam, times, method.tolerance)
+    units = sp.identity(op.n_nodes, format="csc")[:, rows].toarray()
+    moments = [t_k[rows] for t_k in _chebyshev_terms(op, lam, units, coef.shape[1])]
+    return np.tensordot(coef, moments, axes=1)
 
 
 @dataclass(frozen=True)

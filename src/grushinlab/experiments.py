@@ -141,8 +141,8 @@ def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
     if not stages:
         raise ConfigError("knobs.stages: required")
     coeffs = CoefficientField(cfg.params)
-    # bind every stage first, so that a bad stage fails before any stage runs
-    runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)
+    # check every stage first, so that a bad stage fails before any stage runs
+    runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
             for k, stage in enumerate(stages)]
     rows = [row for run in runs for row in run()]
     rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
@@ -150,28 +150,31 @@ def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
 
 def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, counts, times,
                  slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
-                 guard_level=1e-6, label=None) -> list:
-    """Stage k of a decay run; returns its decay.csv rows."""
+                 guard_level=1e-6, label=None):
+    """Checks stage k of a decay run and builds its grid; returns its run (decay.csv rows)."""
     _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
     if isinstance(candidates, str):
         _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
     label = f"stage{k}" if label is None else label
-    grid = build_grid(cfg.params, extents, counts)
-    op = assemble(grid, coeffs, boundary)
-    cands = _decay_candidates(op, candidates)
-    bdist = None
-    if guard:
-        graph = MetricGraph(grid, coeffs, 2)
-        guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
-        field = graph.field_from_nodes(op.kept[np.asarray(guard_rows)])
-        bdist = float(field.distances[_boundary_nodes(grid)].min())
-    res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
-                           guard=guard_level, method=cfg.method)
-    rep["fitted"][f"{label}_slope"] = res.slope
-    if res.refused_times:
-        rep["fitted"][f"{label}_refused_times"] = list(res.refused_times)
-    rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
-    return [[t, s, res.slope, label] for t, s in zip(res.times, res.sup_diag)]
+    grid = build(build_grid, f"knobs.stages[{k}]", {"extents": extents, "counts": counts}, cfg.params)
+
+    def run() -> list:
+        op = assemble(grid, coeffs, boundary)
+        cands = _decay_candidates(op, candidates)
+        bdist = None
+        if guard:
+            graph = MetricGraph(grid, coeffs, 2)
+            guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
+            field = graph.field_from_nodes(op.kept[np.asarray(guard_rows)])
+            bdist = float(field.distances[_boundary_nodes(grid)].min())
+        res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
+                               guard=guard_level, method=cfg.method)
+        rep["fitted"][f"{label}_slope"] = res.slope
+        if res.refused_times:
+            rep["fitted"][f"{label}_refused_times"] = list(res.refused_times)
+        rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
+        return [[t, s, res.slope, label] for t, s in zip(res.times, res.sup_diag)]
+    return run
 
 
 # --------------------------------------------------------------------- distance

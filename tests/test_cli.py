@@ -66,12 +66,29 @@ def test_cli_misspelled_config_key_exits_2_naming_it(tmp_path, capsys, section, 
 def test_int_and_float_spellings_hash_equal():
     ints = dict(FAST_CONFIG, params={"n": 1, "m": 0, "delta1": 0, "delta2": 1},
                 method={"kind": "auto", "max_exact_dimension": 4500.0})
-    floats = dict(FAST_CONFIG, params={"n": 1, "m": 0, "delta1": 0.0, "delta2": 1.0},
+    floats = dict(FAST_CONFIG, params={"n": 1.0, "m": 0.0, "delta1": 0.0, "delta2": 1.0},
                   method={"max_exact_dimension": 4500})
     assert ExperimentConfig.from_dict(ints).hash() == ExperimentConfig.from_dict(floats).hash()
     # n and m default to 1 and 0, and a null method to its defaults
     bare = dict(floats, params={"delta2": 1.0}, method=None)
     assert ExperimentConfig.from_dict(bare).hash() == ExperimentConfig.from_dict(ints).hash()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("params", "n", 1.5), ("params", "n", True), ("params", "m", -1),
+    ("method", "max_exact_dimension", 4500.9), ("method", "max_exact_dimension", 0),
+    ("method", "max_exact_dimension", True), ("method", "max_exact_dimension", -5),
+])
+def test_cli_non_integral_count_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    bad = json.loads(json.dumps(FAST_CONFIG))
+    bad[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(bad))
+    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    kind = "non-negative" if key == "m" else "positive"
+    assert f"{section}.{key} must be a {kind} integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -253,6 +270,27 @@ def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
     assert "GRUSHINLAB_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env, expected", [(None, "77", 77), ("5", "77", 5)])
+def test_suite_seed_flag_and_variable(tmp_path, monkeypatch, flag, env, expected):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps([FAST_CONFIG]))
+    monkeypatch.setenv("GRUSHINLAB_SEED", env)
+    argv = ["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")]
+    assert main(argv + (["--seed", flag] if flag else [])) == 0
+    stored = json.loads((tmp_path / "suite" / "tiny" / "report.json").read_text())
+    assert stored["config"]["seed"] == expected
+
+
+def test_suite_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps([FAST_CONFIG]))
+    monkeypatch.setenv("GRUSHINLAB_SEED", "abc")
+    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
+    assert code == 2
+    assert "GRUSHINLAB_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()
+
+
 def test_suite_rejects_non_integer_workers_variable(tmp_path, capsys, monkeypatch):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps([FAST_CONFIG]))
@@ -347,6 +385,16 @@ def test_cli_decay_without_stages_exits_2(tmp_path, capsys):
     assert "knobs.stages: required" in capsys.readouterr().err
 
 
+def test_every_decay_stage_is_checked_before_any_stage_runs(monkeypatch):
+    assembled = []
+    monkeypatch.setattr(experiments, "assemble", lambda *a, **k: assembled.append(a))
+    raw = _manifest_entry("c03_decay_1d")
+    raw["knobs"]["stages"][1]["boundary"] = "half_line_postive"
+    with pytest.raises(ConfigError, match=r"knobs.stages\[1\].boundary: 'half_line_postive'"):
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert assembled == []
+
+
 @pytest.mark.parametrize("raw", acceptance_manifest(), ids=lambda raw: raw["name"])
 def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # binds without running: the manifest and the signatures must not drift apart
@@ -378,6 +426,7 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("heat_kernel", ["oracle"], "gauss_free_spce",
      "knobs.oracle: 'gauss_free_spce' is not one of [None, 'gauss_free_space']"),
     ("wave", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
+    ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
     ("decay", ["stages", 0, "candidates"], "degeneracy_lin",
      "knobs.stages[0].candidates: 'degeneracy_lin' is not one of ['all', 'degeneracy_line']"),
     ("conservation", ["boundary"], "neumann", "knobs.boundary: 'neumann' is not one of"),

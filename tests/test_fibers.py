@@ -21,7 +21,7 @@ from grushinlab.discretization import (
 )
 from grushinlab.evolution import (
     EvolutionMethod,
-    _krylov_columns,
+    _region_block,
     apply_semigroup,
     ondiagonal_decay,
 )
@@ -203,13 +203,16 @@ def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
     v /= np.linalg.norm(v)
     krylov = apply_semigroup(op, v, t, KRYLOV)
     assert np.abs(krylov - spec.apply(v, t)).max() <= KRYLOV_ERROR
-    # one Chebyshev pass per candidate serves every time; the sup is taken
-    # over K_t(x; x) = column / node weight
+    # one block recurrence over the candidates serves every time; the sup is
+    # taken over K_t(x; x) = diagonal entry / node weight
     times = [t / 4.0, t / 2.0, t]
     cands = np.arange(0, op.n_nodes, 2)
     sup = ondiagonal_decay(op, times, candidates=cands, method=KRYLOV).sup_diag
     exact = spec.diagonal(times)[:, cands].max(axis=1) / op.node_weight
     assert np.abs(sup - exact).max() <= KRYLOV_ERROR / op.node_weight
+    # the exact method reads explicit candidates off the factored block
+    block_sup = ondiagonal_decay(op, times, candidates=cands, method=EXACT).sup_diag
+    assert np.abs(block_sup - exact).max() <= _tolerance(op, t) / op.node_weight
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
@@ -231,7 +234,24 @@ def test_krylov_error_within_the_proven_bound(n, m, boundary, data, t):
 def test_krylov_one_pass_equals_single_time_calls(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     times = [t / 100.0, t / 3.0, t]
-    j = op.n_nodes // 2
-    _, cols = next(_krylov_columns(op, [j], times, KRYLOV))
-    for s, col in zip(times, cols):
-        assert np.abs(col - apply_semigroup(op, np.eye(op.n_nodes)[j], s, KRYLOV)).max() <= 1e-13
+    rows = np.arange(op.n_nodes // 2, op.n_nodes, 3)
+    block = _region_block(op, rows, np.array(times), KRYLOV)
+    for s, B in zip(times, block):
+        cols = [apply_semigroup(op, np.eye(op.n_nodes)[j], s, KRYLOV)[rows] for j in rows]
+        assert np.abs(B - np.transpose(cols)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_krylov_block_matches_dense_oracle(n, m, boundary, data, t):
+    # every entry of exp(-tA)[rows][:, rows], off-diagonals included; each
+    # column is part of exp(-tA) e_j, whose error the tail bounds by tolerance
+    op = data.draw(operators(n, m, boundary))
+    lam, Phi = _oracle(op)
+    times = np.array([t / 10.0, t])
+    rows = np.arange(1, op.n_nodes, 2)
+    block = _region_block(op, rows, times, KRYLOV)
+    oracle = np.stack([_semigroup(lam, Phi, s)[np.ix_(rows, rows)] for s in times])
+    err = np.linalg.norm(block - oracle, axis=1)  # per time and column
+    assert err.max() <= KRYLOV.tolerance + 1e-12
