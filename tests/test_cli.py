@@ -426,12 +426,12 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("heat_kernel", ["oracle"], "gauss_free_spce",
      "knobs.oracle: 'gauss_free_spce' is not one of [None, 'gauss_free_space']"),
     ("wave", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
-    ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
     ("decay", ["stages", 0, "candidates"], "degeneracy_lin",
      "knobs.stages[0].candidates: 'degeneracy_lin' is not one of ['all', 'degeneracy_line']"),
     ("conservation", ["boundary"], "neumann", "knobs.boundary: 'neumann' is not one of"),
     ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "centre_b": 1.5, "halfwidth": 0.5}],
      "knobs.pairs[0].centre_b: unknown field"),
+    ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)
