@@ -71,6 +71,8 @@ def _load_config_dict(kind: str, args) -> dict:
     path = args.config or _env("CONFIG")
     if path:
         raw = _load_json(path)
+        if not isinstance(raw, dict):
+            raise ConfigError("config: expected an object")
     else:
         raw = next(e for e in acceptance_manifest() if e["name"] == DEFAULT_ENTRIES[kind])
     if raw.get("experiment") is None:
@@ -85,6 +87,18 @@ def _load_config_dict(kind: str, args) -> dict:
     if out:
         raw["out"] = out
     return raw
+
+
+def _manifest(loaded) -> list[dict]:
+    """The configs of a manifest document: a list of objects, or an object
+    holding one as ``experiments``."""
+    entries = loaded.get("experiments") if isinstance(loaded, dict) else loaded
+    if not isinstance(entries, list):
+        raise ConfigError("experiments: expected a list of config objects")
+    for k, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"experiments[{k}]: expected an object")
+    return entries
 
 
 def _run_single(raw: dict, default_out: str) -> dict:
@@ -165,8 +179,7 @@ def main(argv=None) -> int:
             if args.manifest == "acceptance":
                 manifest = acceptance_manifest()
             else:
-                loaded = _load_json(args.manifest)
-                manifest = loaded["experiments"] if isinstance(loaded, dict) else loaded
+                manifest = _manifest(_load_json(args.manifest))
             seed = args.seed if args.seed is not None else _env_int("SEED")
             if seed is not None:
                 for raw in manifest:

@@ -20,11 +20,14 @@ a Kronecker sum  A = A1 (x) I + sum_j diag(g2_j) (x) L2_j  with L2_j the unit
 Neumann path Laplacian of x2 axis j.  Assembly therefore integrates the x1
 block only: the x1 faces give the fiber operator A1, each x2 face has
 conductance g2_j = c2(|x1|) / h_j^2 at its x1 node, and the matrix is built
-from these factors, which the operator keeps (``fiber``).  The exact
-spectrum is factored from them (:class:`FiberSpectrum`): orthonormal cosine
-vectors along x2 times the eigenpairs of one small x1 fiber per x2 mode.
-A segment's |x1|^2 is fixed by its x1 start (:func:`segment_quadratic`), so
-the metric graph integrates its edges once per x1 start as well.
+from these factors, which the operator keeps (``fiber``).  Every entry is a
+per-x1 value broadcast over x2, so the matrix is written straight into CSR,
+one slot (neighbour direction or diagonal) at a time, without COO triples
+of the whole matrix.  The exact spectrum is factored from the factors
+(:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times the
+eigenpairs of one small x1 fiber per x2 mode.  A segment's |x1|^2 is fixed
+by its x1 start (:func:`segment_quadratic`), so the metric graph integrates
+its edges once per x1 start as well and fills its CSR the same way.
 
 Assembled operators are immutable and safe to share between threads.
 """
@@ -440,15 +443,34 @@ def _faces(counts, axis: int):
             np.take(idx, np.arange(1, counts[axis]), axis).ravel())
 
 
-def _symmetric(rows, cols, vals, diag) -> sp.csr_matrix:
-    """CSR matrix of the off-diagonal entries (rows, cols, vals), mirrored,
-    plus every diagonal entry (explicit zeros included)."""
-    d = np.arange(diag.size)
-    mat = sp.coo_matrix((np.concatenate([vals, vals, diag]),
-                         (np.concatenate([rows, cols, d]), np.concatenate([cols, rows, d]))),
-                        shape=(diag.size, diag.size)).tocsr()
-    mat.sum_duplicates()
-    return mat
+def _csr(shape, slots) -> sp.csr_matrix:
+    """Square CSR matrix on n1 * n2 rows (row = x1 index * n2 + x2 index),
+    filled slot by slot.
+
+    A slot (r1, r2, step, vals) gives every row r1[a] * n2 + r2[i] one entry,
+    at column row + step with value vals, both broadcast to
+    (len(r1), len(r2)).  The entries are counted per row, the arrays are
+    allocated once, and each slot is written through a per-row cursor, so
+    with the slots in column order the result is canonical.
+    """
+    n1, n2 = shape
+    size = n1 * n2
+    cursor = np.zeros(size, dtype=np.int64)
+    for r1, r2, _, _ in slots:
+        cursor[(r1[:, None] * n2 + r2).ravel()] += 1
+    nnz = int(cursor.sum())
+    idx = np.int32 if max(nnz, size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=idx)
+    np.cumsum(cursor, out=indptr[1:])
+    cursor[:] = indptr[:-1]
+    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+    for r1, r2, step, vals in slots:
+        rows = r1[:, None] * n2 + r2
+        at = cursor[rows.ravel()]
+        cursor[rows.ravel()] = at + 1
+        indices[at] = (rows + step).ravel()
+        data[at] = np.broadcast_to(vals, rows.shape).ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_truncation") -> DivergenceFormOperator:
@@ -460,8 +482,8 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     half-line truncations drop such faces entirely (natural restriction of
     the form, which preserves zero row sums).
 
-    The matrix is the Kronecker sum of the factors (A1, g2), each diagonal
-    entry summed face by face, axis by axis.
+    The matrix is the Kronecker sum of the factors (A1, g2), filled slot by
+    slot into CSR, each diagonal entry summed face by face, axis by axis.
     """
     if coeffs.params != grid.params:
         raise ValueError("grid and coefficient field disagree on parameters")
@@ -475,7 +497,9 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     new_index = -np.ones(keep.size, dtype=np.int64)
     new_index[kept1] = np.arange(n1)
 
-    rows, cols, vals = [], [], []
+    # x1 neighbours as (rows, column - row, value); the lower ones in axis
+    # order and the upper ones in reverse, which is column order in every row
+    lower, upper = [], []
     diag = np.zeros(n1)
     for axis in range(n):
         _, *q = segment_quadratic(grid, np.eye(n, dtype=np.int64)[axis])
@@ -487,35 +511,39 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
         both = (ki >= 0) & (kj >= 0)
         np.add.at(diag, ki[both], gf[both])
         np.add.at(diag, kj[both], gf[both])
-        rows.append(ki[both])
-        cols.append(kj[both])
-        vals.append(-gf[both])
+        lower.append((kj[both], ki[both] - kj[both], -gf[both]))
+        upper.insert(0, (ki[both], kj[both] - ki[both], -gf[both]))
         if boundary == "dirichlet_origin":
             into_i = (ki >= 0) & (kj < 0)
             into_j = (kj >= 0) & (ki < 0)
             np.add.at(diag, ki[into_i], gf[into_i])
             np.add.at(diag, kj[into_j], gf[into_j])
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    A1 = _symmetric(rows, cols, vals, diag)
     q_kept = [q.ravel()[kept1] for q in (qa, qb, r2)]
     g2 = tuple(_conductances(coeffs, 2, grid.spacings[n + j], *q_kept) for j in range(grid.params.m))
 
+    def kron_sum(x2, diagonal, x2_lower=(), x2_upper=()):
+        # the x1 neighbours, broadcast over the x2 nodes x2, outside the x2 ones
+        x1_lower, x1_upper = ([(r, x2, d[:, None] * x2.size, v[:, None]) for r, d, v in faces]
+                              for faces in (lower, upper))
+        return _csr((n1, x2.size), [*x1_lower, *x2_lower, (np.arange(n1), x2, 0, diagonal),
+                                    *x2_upper, *x1_upper])
+
+    A1 = kron_sum(np.zeros(1, dtype=np.int64), diag[:, None])
     # A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, row = x1 index * n2 + x2 index
     x2 = np.arange(n2)
-    rows, cols = [(rows[:, None] * n2 + x2).ravel()], [(cols[:, None] * n2 + x2).ravel()]
-    vals = [np.repeat(vals, n2)]
+    x2_lower, x2_upper = [], []
     full = np.broadcast_to(diag[:, None], (n1, n2))
     for j, g in enumerate(g2):
         lo, hi = _faces(x2_counts, j)
         live = np.nonzero(g > 0.0)[0]
-        rows.append((live[:, None] * n2 + lo).ravel())
-        cols.append((live[:, None] * n2 + hi).ravel())
-        vals.append(np.repeat(-g[live], lo.size))
+        stride = int(np.prod(x2_counts[j + 1:]))
+        x2_lower.append((live, hi, -stride, -g[live, None]))
+        x2_upper.insert(0, (live, lo, stride, -g[live, None]))
         # each node adds its forward face, then its backward face
         full = full + np.outer(g, np.isin(x2, lo)) + np.outer(g, np.isin(x2, hi))
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    A = kron_sum(x2, full, x2_lower, x2_upper) if g2 else A1
     return DivergenceFormOperator(
-        matrix=_symmetric(rows, cols, vals, full.ravel()),
+        matrix=A,
         grid=grid,
         coeffs=coeffs,
         boundary=boundary,

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .coefficients import CoefficientField, GrusinParameters, derive_exponents, piecewise_power
-from .discretization import Grid, segment_quadratic
+from .discretization import Grid, _csr, segment_quadratic
 from .quadrature import segment_integrals
 
 __all__ = [
@@ -143,8 +143,9 @@ class MetricGraph:
     """Weighted node graph of a grid under the degenerate metric.
 
     Building the graph is the expensive part (one quadrature sweep over the
-    x1 starts per stencil offset); Dijkstra runs from any number of sources
-    afterwards.
+    x1 starts per stencil offset); each offset's edges are then written
+    straight into the CSR edge matrix, one offset at a time.  Dijkstra runs
+    from any number of sources afterwards.
     """
 
     def __init__(self, grid: Grid, coeffs: CoefficientField, stencil_order: int = 2):
@@ -157,9 +158,11 @@ class MetricGraph:
         self._csr = self._build()
 
     def _edge_weights(self, off: np.ndarray):
-        """The edges with integer offset ``off`` and a finite metric length:
-        (start nodes, end nodes, lengths, number of infinite ones dropped).
-        Each length is integrated once per x1 start and serves every x2 start."""
+        """The edges with integer offset ``off`` and a finite metric length,
+        compactly: (kept x1 starts, x2 starts, one length per kept x1 start,
+        flat step, number of infinite ones dropped).  The edges run from
+        x1 start * n2 + x2 start (flat node index) to that plus the step;
+        each length is integrated once per x1 start and serves every x2 start."""
         grid, coeffs = self.grid, self.coeffs
         n = grid.params.n
         v = off * np.asarray(grid.spacings)
@@ -185,34 +188,29 @@ class MetricGraph:
         weights = segment_integrals(qa, qb, qc, integrand, sing).ravel()
         ok = np.isfinite(weights)
 
-        # valid start nodes: p and p + off both inside the grid, at flat
-        # index x1 index * n2 + x2 index
+        # valid starts: p and p + off both inside the grid
         x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
         starts2 = [np.arange(max(0, -o), c - max(0, o)) for c, o in zip(x2_counts, off[n:])]
         x1 = np.arange(int(np.prod(x1_counts))).reshape(x1_counts)[np.ix_(*starts1)].ravel()
         x2 = np.arange(int(np.prod(x2_counts))).reshape(x2_counts)[np.ix_(*starts2)].ravel()
-        idx = (x1[ok, None] * int(np.prod(x2_counts)) + x2).ravel()
         step = int(np.ravel_multi_index(tuple(np.maximum(off, 0)), grid.counts)
                    - np.ravel_multi_index(tuple(np.maximum(-off, 0)), grid.counts))
-        return idx, idx + step, np.repeat(weights[ok], x2.size), int((~ok).sum()) * x2.size
+        return x1[ok], x2, weights[ok], step, int((~ok).sum()) * x2.size
 
     def _build(self) -> sp.csr_matrix:
-        N = self.grid.n_nodes
+        n = self.grid.params.n
         counts = np.asarray(self.grid.counts)
         # an offset at least as long as its axis has no edge on this grid
         offsets = [off for off in stencil_offsets(self.grid.dim, self.stencil_order)
                    if np.all(np.abs(off) < counts)]
-        # one buffer with room for every edge, filled offset by offset, so no
-        # per-offset copies are concatenated (slots of dropped edges stay untouched)
-        size = sum(int(np.prod(counts - np.abs(off))) for off in offsets)
-        rows, cols, vals = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
-        k = 0
+        slots = []
         for off in offsets:
-            i, j, w, dropped = self._edge_weights(off)
+            x1, x2, w, step, dropped = self._edge_weights(off)
             self.dropped_edges += dropped
-            rows[k:k + i.size], cols[k:k + i.size], vals[k:k + i.size] = i, j, w
-            k += i.size
-        return sp.coo_matrix((vals[:k], (rows[:k], cols[:k])), shape=(N, N)).tocsr()
+            slots.append((x1, x2, step, w[:, None]))
+        # the offsets come in lexicographic order, which is column order in
+        # every row: flat indices of grid nodes order as their coordinates do
+        return _csr((int(np.prod(counts[:n])), int(np.prod(counts[n:]))), slots)
 
     @property
     def edge_matrix(self) -> sp.csr_matrix:

@@ -35,7 +35,6 @@ from .discretization import DivergenceFormOperator, Grid, form_value
 
 __all__ = [
     "MultiplierSpec",
-    "multiplier_value",
     "vf_volume",
     "bump",
     "random_bump_ensemble",
@@ -57,10 +56,6 @@ class MultiplierSpec:
         if self.scale <= 0:
             raise ValueError("scale constant must be positive")
 
-    @property
-    def branch(self) -> str:
-        return "local_dominant" if self.params.delta1 >= self.params.delta1p else "global_dominant"
-
     def f1(self, L):
         """Block-1 symbol as a function of L = |p1|^2 (array friendly)."""
         d1, d1p = self.params.delta1, self.params.delta1p
@@ -76,20 +71,6 @@ class MultiplierSpec:
         e = derive_exponents(self.params)
         L = np.asarray(L, dtype=float)
         return L**e.alphap * (1.0 + L) ** (e.alpha - e.alphap)
-
-
-def multiplier_value(spec: MultiplierSpec, p) -> float:
-    """F(p) for a frequency vector p in R^(n+m)."""
-    p = np.asarray(p, dtype=float)
-    params = spec.params
-    if p.shape != (params.dim,):
-        raise ValueError(f"expected a frequency vector with {params.dim} components")
-    L1 = float(p[: params.n] @ p[: params.n])
-    val = float(spec.f1(L1))
-    if params.m > 0:
-        L2 = float(p[params.n :] @ p[params.n :])
-        val += float(spec.f2(L2))
-    return spec.scale * val
 
 
 def _unit_ball_volume(k: int) -> float:

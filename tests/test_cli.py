@@ -308,6 +308,31 @@ def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
     assert str(mpath) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document, seed, named", [
+    ({"experiments": 3}, [], "experiments: "),
+    (3, [], "experiments: "),
+    ({"exp": []}, [], "experiments: "),
+    ([5], ["--seed", "3"], "experiments[0]: "),
+], ids=["experiments-not-a-list", "bare-number", "no-experiments-key", "entry-not-an-object"])
+def test_suite_rejects_manifest_of_the_wrong_shape(tmp_path, capsys, document, seed, named):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(document))
+    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")] + seed)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("document", [[1, 2], "x"])
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config: expected an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _manifest_entry(name):
     return next(raw for raw in acceptance_manifest() if raw["name"] == name)
 

@@ -1,17 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
+from test_fibers import CASES, SETTINGS, operators
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
+    _conductances,
+    _faces,
+    _kept_x1,
     assemble,
     build_grid,
     face_conductance,
     form_value,
+    segment_quadratic,
 )
+from grushinlab.geometry import MetricGraph, stencil_offsets
 
 EUCLID_1D = GrusinParameters(1, 0)
 
@@ -200,3 +210,135 @@ def test_assembled_matches_single_face_conductance():
         j = idx[i0 + 1, i1] if axis == 0 else idx[i0, i1 + 1]
         expected = face_conductance(cf, axis, pts[i], g.spacings[axis])
         assert -op.matrix[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+def _coo_reference(op):
+    """(A1, A) for ``op``'s grid, coefficients and boundary, built as COO
+    triples of the whole matrix and converted by scipy: every live face's
+    off-diagonal entry, mirrored, plus the diagonal summed face by face; the
+    x1 faces repeated over the x2 nodes for A."""
+    grid, coeffs, boundary = op.grid, op.coeffs, op.boundary
+    n = grid.params.n
+    x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
+    n2 = int(np.prod(x2_counts))
+    _, qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
+    kept1 = np.nonzero(_kept_x1(grid, boundary, r2).ravel())[0]
+    n1 = kept1.size
+    new_index = -np.ones(r2.size, dtype=np.int64)
+    new_index[kept1] = np.arange(n1)
+    rows, cols, vals, diag = [], [], [], np.zeros(n1)
+    for axis in range(n):
+        _, *q = segment_quadratic(grid, np.eye(n, dtype=np.int64)[axis])
+        gf = _conductances(coeffs, 1, grid.spacings[axis], *q).ravel()
+        i, j = _faces(x1_counts, axis)
+        live = gf > 0.0
+        i, j, gf = i[live], j[live], gf[live]
+        ki, kj = new_index[i], new_index[j]
+        both = (ki >= 0) & (kj >= 0)
+        np.add.at(diag, ki[both], gf[both])
+        np.add.at(diag, kj[both], gf[both])
+        rows.append(ki[both])
+        cols.append(kj[both])
+        vals.append(-gf[both])
+        if boundary == "dirichlet_origin":
+            into_i = (ki >= 0) & (kj < 0)
+            into_j = (kj >= 0) & (ki < 0)
+            np.add.at(diag, ki[into_i], gf[into_i])
+            np.add.at(diag, kj[into_j], gf[into_j])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+
+    def symmetric(rows, cols, vals, diag):
+        d = np.arange(diag.size)
+        return sp.coo_matrix((np.concatenate([vals, vals, diag]),
+                              (np.concatenate([rows, cols, d]), np.concatenate([cols, rows, d]))),
+                             shape=(diag.size,) * 2).tocsr()
+
+    A1 = symmetric(rows, cols, vals, diag)
+    g2 = [_conductances(coeffs, 2, grid.spacings[n + j], *(q.ravel()[kept1] for q in (qa, qb, r2)))
+          for j in range(grid.params.m)]
+    x2 = np.arange(n2)
+    rows, cols = [(rows[:, None] * n2 + x2).ravel()], [(cols[:, None] * n2 + x2).ravel()]
+    vals = [np.repeat(vals, n2)]
+    full = np.broadcast_to(diag[:, None], (n1, n2))
+    for j, g in enumerate(g2):
+        lo, hi = _faces(x2_counts, j)
+        live = np.nonzero(g > 0.0)[0]
+        rows.append((live[:, None] * n2 + lo).ravel())
+        cols.append((live[:, None] * n2 + hi).ravel())
+        vals.append(np.repeat(-g[live], lo.size))
+        full = full + np.outer(g, np.isin(x2, lo)) + np.outer(g, np.isin(x2, hi))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    return A1, symmetric(rows, cols, vals, full.ravel())
+
+
+def _graph_coo_reference(mg):
+    """``mg``'s edge matrix from COO triples of every edge, converted by
+    scipy; the compact per-offset edges are repeated over the x2 starts."""
+    grid = mg.grid
+    n2 = int(np.prod(grid.counts[grid.params.n:]))
+    rows, cols, vals = [], [], []
+    for off in stencil_offsets(grid.dim, mg.stencil_order):
+        if np.all(np.abs(off) < grid.counts):
+            x1, x2, w, step, _ = mg._edge_weights(off)
+            rows.append((x1[:, None] * n2 + x2).ravel())
+            cols.append(rows[-1] + step)
+            vals.append(np.repeat(w, x2.size))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+
+
+def _assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), part
+    # canonical as scipy computes it for a fresh matrix of the same arrays
+    assert sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape).has_canonical_format
+
+
+def _stores_every_diagonal(M):
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return np.array_equal(np.unique(rows[M.indices == rows]), np.arange(M.shape[0]))
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_csr_equals_the_coo_assembly_bit_for_bit(n, m, boundary, data):
+    op = data.draw(operators(n, m, boundary))
+    A1, A = _coo_reference(op)
+    _assert_same_csr(op.fiber[0], A1)
+    _assert_same_csr(op.matrix, A)
+    assert _stores_every_diagonal(op.fiber[0]) and _stores_every_diagonal(op.matrix)
+    mg = MetricGraph(op.grid, op.coeffs, data.draw(st.sampled_from([1, 2, 3])))
+    _assert_same_csr(mg.edge_matrix, _graph_coo_reference(mg))
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (2, 1)])
+def test_isolated_rows_store_an_explicit_zero_diagonal(n, m):
+    # delta1 >= 1/2: every x1 face of the origin's x1 node has conductance 0,
+    # and with delta2 = 1 so has every x2 face there
+    params = GrusinParameters(n, m, 0.75, 0.75, 1.0, 1.0)
+    op = assemble(build_grid(params, 1.0, 5), CoefficientField(params))
+    for M in (op.fiber[0], op.matrix):
+        lengths = np.diff(M.indptr)
+        isolated = np.nonzero(lengths == 1)[0]
+        assert isolated.size > 0 and _stores_every_diagonal(M)
+        assert np.array_equal(M.indices[M.indptr[isolated]], isolated)
+        assert np.all(M.data[M.indptr[isolated]] == 0.0)
+
+
+def test_builders_peak_memory_stays_within_two_and_a_half_outputs():
+    # c10's level-0 grid; the traced peak of each build, over the bytes of the
+    # CSR it returns (a whole-matrix COO build peaks at 3.5x and 3.8x)
+    params = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
+    grid = build_grid(params, 8.0, 257)
+    coeffs = CoefficientField(params)
+    for build, matrix in ((lambda: assemble(grid, coeffs), lambda op: op.matrix),
+                          (lambda: MetricGraph(grid, coeffs, 2), lambda mg: mg.edge_matrix)):
+        tracemalloc.start()
+        try:
+            M = matrix(build())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)

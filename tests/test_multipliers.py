@@ -7,7 +7,6 @@ from grushinlab.multipliers import (
     MultiplierSpec,
     hardy_check,
     nash_check,
-    multiplier_value,
     operator_inequality_checks,
     random_bump_ensemble,
     vf_volume,
@@ -17,13 +16,19 @@ CLASSICAL = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
 EUCLID_2D = GrusinParameters(1, 1)
 
 
+def _symbol(spec, p):
+    """F(p) = a (F1(|p1|^2) + F2(|p2|^2)) for a frequency vector p."""
+    p, n = np.asarray(p, dtype=float), spec.params.n
+    return spec.scale * (spec.f1(p[:n] @ p[:n]) + spec.f2(p[n:] @ p[n:]))
+
+
 def test_multiplier_value_examples():
     spec = MultiplierSpec(CLASSICAL)
-    assert multiplier_value(spec, [0.0, 0.0]) == 0.0
+    assert _symbol(spec, [0.0, 0.0]) == 0.0
     # alpha = alphap = 1/2 branch: F2 = |p2|, so F(0, 4) = 4
-    assert multiplier_value(spec, [0.0, 4.0]) == pytest.approx(4.0)
+    assert _symbol(spec, [0.0, 4.0]) == pytest.approx(4.0)
     # all deltas zero: the Laplacian symbol |p|^2
-    assert multiplier_value(MultiplierSpec(EUCLID_2D), [3.0, 4.0]) == pytest.approx(25.0)
+    assert _symbol(MultiplierSpec(EUCLID_2D), [3.0, 4.0]) == pytest.approx(25.0)
 
 
 def test_multiplier_monotone_and_zero_at_zero():
@@ -35,10 +40,12 @@ def test_multiplier_monotone_and_zero_at_zero():
 
 
 def test_multiplier_branches():
-    assert MultiplierSpec(GrusinParameters(1, 0, 0.5, 0.25)).branch == "local_dominant"
-    assert MultiplierSpec(GrusinParameters(1, 0, 0.25, 0.5)).branch == "global_dominant"
+    # local-dominant branch (delta1 >= delta1p): L^(1-delta1p) (1+L)^-(delta1-delta1p)
+    spec = MultiplierSpec(GrusinParameters(1, 0, 0.5, 0.25))
+    assert _symbol(spec, [2.0]) == pytest.approx(4.0**0.75 * 5.0**-0.25)
     # global-dominant branch is the sum of two powers
     spec = MultiplierSpec(GrusinParameters(1, 0, 0.25, 0.5))
+    assert _symbol(spec, [2.0]) == pytest.approx(4.0**0.75 + 4.0**0.5)
     assert spec.f1(4.0) == pytest.approx(4.0**0.75 + 4.0**0.5)
 
 
