@@ -34,6 +34,8 @@ from .evolution import (
 from .geometry import MetricGraph, ball_volume_table, closed_form_distance, doubling_exponent
 from .multipliers import (
     MultiplierSpec,
+    _hardy_args,
+    _inequality_args,
     bump,
     hardy_check,
     nash_check,
@@ -415,8 +417,8 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         if metric == "euclidean":
             d = _support_box_distance(grid, op.coords(), support)
         else:
-            graph = MetricGraph(grid, coeffs, 2)
-            d = graph.field_from_nodes(op.kept[support]).distances[op.kept]
+            # no graph is held while the wave propagates: only the distances are needed
+            d = MetricGraph(grid, coeffs, 2).field_from_nodes(op.kept[support]).distances[op.kept]
         results = finite_speed_check(op, d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
@@ -569,8 +571,18 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
             rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
 
 
+def _check_knobs(check, **knobs) -> None:
+    """Run a computation's argument ``check`` first: its ValueError names ``knobs.<name>``."""
+    try:
+        check(**knobs)
+    except ValueError as err:
+        raise ConfigError(f"knobs.{err}") from err
+
+
 def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,
               fraction_fail=4.0) -> None:
+    _check_knobs(_hardy_args, n=n, gamma=gamma, count=count, fraction_ok=fraction_ok,
+                 fraction_fail=fraction_fail)
     lam_ok, a_used = hardy_check(n, gamma, fraction_ok, count=count)
     lam_fail, _ = hardy_check(n, gamma, fraction_fail, count=count)
     rep["fitted"]["hardy_constant"] = a_used
@@ -586,6 +598,7 @@ def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fra
 
 def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *, trials=1000, dim=20,
                               gamma=0.3, violation_bound=-1e-10) -> None:
+    _check_knobs(_inequality_args, trials=trials, dim=dim, gamma=gamma)
     res = operator_inequality_checks(trials, dim, gamma, cfg.seed)
     rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
     rep["fitted"]["root_sum_worst"] = {str(k): v for k, v in res["root_sum"].items()}

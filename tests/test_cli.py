@@ -457,6 +457,14 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "centre_b": 1.5, "halfwidth": 0.5}],
      "knobs.pairs[0].centre_b: unknown field"),
     ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
+    ("c13_operator_inequalities", ["trials"], 0, "knobs.trials must be a positive integer"),
+    ("c13_operator_inequalities", ["dim"], 60, "knobs.dim must lie in 1..50"),
+    ("c13_operator_inequalities", ["dim"], 0, "knobs.dim must be a positive integer"),
+    ("c13_operator_inequalities", ["gamma"], 1.5, "knobs.gamma must lie in [0, 1]"),
+    ("c13_hardy", ["count"], 15, "knobs.count must be even"),
+    ("c13_hardy", ["gamma"], 2.0, "knobs.gamma must lie in"),
+    ("c13_hardy", ["fraction_ok"], -0.5, "knobs.fraction_ok must be non-negative"),
+    ("c13_hardy", ["fraction_fail"], -4.0, "knobs.fraction_fail must be non-negative"),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)
@@ -499,3 +507,14 @@ def test_a_type_error_inside_a_runner_is_not_a_config_error(monkeypatch):
                                       "knobs": {"t": 2.0}})
     with pytest.raises(TypeError, match="inside the runner at t=2.0"):
         run_experiment(cfg)
+
+
+def test_a_value_error_inside_a_checked_runner_is_not_a_config_error(monkeypatch):
+    def inequalities(trials, dim, gamma, seed):
+        raise ValueError(f"raised inside the computation at dim={dim}")
+
+    monkeypatch.setattr(experiments, "operator_inequality_checks", inequalities)
+    raw = _manifest_entry("c13_operator_inequalities")
+    with pytest.raises(ValueError, match="inside the computation at dim=20") as err:
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert not isinstance(err.value, ConfigError)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ def test_vf_volume_monotone_and_scale():
     # doubling the scale constant shrinks the sublevel set
     spec2 = MultiplierSpec(CLASSICAL, scale=2.0)
     assert vf_volume(spec2, 1.0) < vf_volume(spec, 1.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 0), (2, 1), (1, 2), (3, 0)])
+def test_vf_volume_of_radii_equals_scalar_calls_bit_for_bit(n, m):
+    from grushinlab.multipliers import _sublevel_radius, _unit_ball_volume
+
+    spec = MultiplierSpec(GrusinParameters(n, m, 0.5, 0.25, 1.5, 0.5), scale=2.7)
+    radii = np.geomspace(1e-4, 1e4, 33)
+    scalar = [vf_volume(spec, float(r)) for r in radii]
+    assert all(type(v) is float for v in scalar)
+    vols = vf_volume(spec, radii)
+    assert vols.shape == radii.shape
+    assert vols.tobytes() == np.array(scalar).tobytes()
+    assert vf_volume(spec, radii.reshape(1, 33)).tobytes() == vols.tobytes()
+    if m == 0:
+        # the block-1 ball in Python's float power, which numpy's vectorized
+        # power can miss by an ulp (n = 3)
+        q1 = [float(_sublevel_radius(spec.f1, r * r / spec.scale)[0]) for r in radii]
+        assert scalar == [_unit_ball_volume(n) * q**n for q in q1]
+    with pytest.raises(ValueError, match="radius"):
+        vf_volume(spec, np.array([1.0, 0.0]))
 
 
 def test_vf_volume_block_product_sandwich():
@@ -155,6 +178,21 @@ def test_nash_half_line_factor_four():
     negative = assemble(g, CoefficientField(params), "half_line_negative")
     with pytest.raises(ValueError, match="half_line_positive"):
         nash_check(negative, spec, members, r_grid=[1.0])
+
+
+@pytest.mark.parametrize("bad, named", [(np.nan, "member 2 is not finite"),
+                                        (np.inf, "member 2 is not finite"),
+                                        (None, "degenerate ensemble member 2")])
+def test_nash_rejects_a_member_that_is_not_finite_or_zero(bad, named):
+    g = build_grid(CLASSICAL, (2.0, 2.0), (65, 65))
+    op = assemble(g, CoefficientField(CLASSICAL))
+    members = random_bump_ensemble(g, 4, seed=7)
+    if bad is None:
+        members[2][:] = 0.0
+    else:
+        members[2][5, 60] = bad
+    with pytest.raises(ValueError, match=named):
+        nash_check(op, MultiplierSpec(CLASSICAL), members, r_grid=[0.5, 5.0])
 
 
 def test_bump_ensemble_respects_box_and_resolution():
@@ -250,3 +288,58 @@ def test_operator_inequalities_guards():
         operator_inequality_checks(10, 100, 0.5)
     with pytest.raises(ValueError, match="gamma"):
         operator_inequality_checks(10, 10, 1.5)
+    # each message is led by the argument's name (dim = 0 was an IndexError)
+    for trials, dim, named in [(0, 10, "trials must be a positive integer"),
+                               (2.5, 10, "trials must be a positive integer"),
+                               (10, 0, "dim must be a positive integer"),
+                               (10, 51, "dim must lie in 1..50")]:
+        with pytest.raises(ValueError, match=named):
+            operator_inequality_checks(trials, dim, 0.5)
+
+
+def _trial_loop_reference(trials, dim, gamma, seed):
+    """The operator-inequality checks one trial at a time, one eigh per matrix."""
+    rng = np.random.default_rng(seed)
+
+    def rand_psd():
+        G = rng.normal(size=(dim, dim))
+        return (G @ G.T) / dim
+
+    def matrix_funs(M, *fns):
+        lam, Q = np.linalg.eigh(M)
+        lam = np.clip(lam, 0.0, None)
+        return [(Q * fn(lam)) @ Q.T for fn in fns]
+
+    worst_res, worst_root = np.inf, {1: np.inf, 2: np.inf}
+    fns = [lambda lam: lam * (1.0 + lam) ** (-gamma)]
+    fns += [lambda lam, k=k: lam ** (0.5**k) for k in (1, 2)]
+    for _ in range(trials):
+        B = rand_psd()
+        A = B + rand_psd()
+        f_A, f_B, f_AB = (matrix_funs(X, *fns) for X in (A, B, A + B))
+        worst_res = min(worst_res, float(np.linalg.eigvalsh(f_A[0] - f_B[0])[0]))
+        for k in (1, 2):
+            rhs = 2.0 ** (-1.0 + 2.0 ** (-k)) * (f_A[k] + f_B[k])
+            worst_root[k] = min(worst_root[k], float(np.linalg.eigvalsh(f_AB[k] - rhs)[0]))
+    return {"resolvent_power": worst_res, "root_sum": worst_root}
+
+
+@pytest.mark.parametrize("dim, gamma", [(3, 0.0), (20, 0.3), (50, 1.0)])
+@pytest.mark.parametrize("trials", [1, 19, 20, 21, 45, 200])
+def test_stacked_trials_equal_the_trial_loop_bit_for_bit(trials, dim, gamma):
+    seed = 1000 * dim + trials
+    res = operator_inequality_checks(trials, dim, gamma, seed)
+    # repr round-trips a float exactly, so equal reprs are equal bits and types
+    assert repr(res) == repr(_trial_loop_reference(trials, dim, gamma, seed))
+
+
+def test_operator_inequalities_peak_memory_stays_small():
+    operator_inequality_checks(21, 20, 0.3)  # warm up numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        operator_inequality_checks(1000, 20, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # stacks of 20 peak at about 2.3 MB, one stack of all 1,000 trials at 74 MB
+    assert peak <= 4e6
