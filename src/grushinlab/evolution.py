@@ -118,10 +118,42 @@ def estimate_lambda_max(op: DivergenceFormOperator) -> float:
     return 2.0 * float(op.matrix.diagonal().max()) or 1.0
 
 
+# Rows whose stored diagonal ``_two_x`` looks up at once: its scratch stays
+# under 100 kB at any operator size.
+_DIAGONAL_ROWS = 1024
+
+
+def _two_x(op: DivergenceFormOperator, lam: float) -> sp.csr_matrix:
+    """2x = (4/lam) A - 2I as one copy of A: the copy's data scaled in place,
+    then its stored diagonal shifted by -2 in place, a block of rows at a
+    time.  Every assembled matrix stores its whole diagonal, so no entry is
+    inserted; a matrix that lacks one raises ValueError."""
+    two_x = op.matrix.copy()
+    two_x.data *= 4.0 / lam
+    indptr, indices = two_x.indptr, two_x.indices
+    for r0 in range(0, op.n_nodes, _DIAGONAL_ROWS):
+        r1 = min(r0 + _DIAGONAL_ROWS, op.n_nodes)
+        rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0:r1 + 1]))
+        at = indptr[r0] + np.flatnonzero(indices[indptr[r0]:indptr[r1]] == rows)
+        if at.size != r1 - r0:
+            raise ValueError(f"rows {r0}..{r1 - 1} do not each store one diagonal entry")
+        two_x.data[at] -= 2.0
+    return two_x
+
+
 def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, count: int):
     """Yield T_k(x) v, k < count, x = (2/lam) A - I, for a vector or an (N, R)
-    block v; each yielded array is overwritten two terms later."""
-    two_x = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    block v; each yielded array is overwritten two terms later.
+
+    2x is one copy of A (``_two_x``), so the recurrence holds A, 2x and its
+    vectors and nothing more.  Each stored entry of 2x is the float
+    (4/lam) A_ij - 2 delta_ij; where (4/lam) A_ii is exactly 2 that is 0.0,
+    and it stays stored.  It adds 0 * v_i = +-0 to its row's sum, which
+    starts at +0 and so is never -0, and leaves the sum as it is: every T_k v
+    is byte-identical to the recurrence on (4/lam) A - 2I with its exact
+    zeros pruned, for finite v.
+    """
+    two_x = _two_x(op, lam)
     t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
     yield t_prev
     for k in range(1, count):

@@ -411,15 +411,19 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
     rows = []
     for level in range(refinements):
         grid = cfg.grid(counts)
-        op = assemble(grid, coeffs)
-        v = bump(grid, center, [bump_width] * grid.dim).ravel()[op.kept]
+        # Stages, one large structure at a time: the bump and its support;
+        # the distances, whose metric graph (with the transpose its undirected
+        # Dijkstra copies) is dropped as soon as they are out; then the
+        # operator, which propagates the wave.  The Neumann operator keeps
+        # every grid node in grid order, so the grid's bump and distances are
+        # the operator's.
+        v = bump(grid, center, [bump_width] * grid.dim).ravel()
         support = np.nonzero(v > 0)[0]
         if metric == "euclidean":
-            d = _support_box_distance(grid, op.coords(), support)
+            d = _support_box_distance(grid, grid.coords(), support)
         else:
-            # no graph is held while the wave propagates: only the distances are needed
-            d = MetricGraph(grid, coeffs, 2).field_from_nodes(op.kept[support]).distances[op.kept]
-        results = finite_speed_check(op, d, v, times, epsilon)
+            d = MetricGraph(grid, coeffs, 2).field_from_nodes(support).distances
+        results = finite_speed_check(assemble(grid, coeffs), d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
         counts = _refine(counts)
@@ -563,10 +567,10 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
     rep["checks"].append(check("nash_margin", repA.worst_margin, ">=", 0.0))
     if vf_slopes:
         ve = derive_exponents(vf)
-        vspec = MultiplierSpec(vf)
-        for r0, expect, label in [(1e-3, ve.Dp, "vf_slope_small"), (1e3, ve.D, "vf_slope_large")]:
-            v0, v1 = vf_volume(vspec, r0), vf_volume(vspec, 1.3 * r0)
-            slope = np.log(v1 / v0) / np.log(1.3)
+        r0 = np.array([1e-3, 1e3])
+        v0, v1 = vf_volume(MultiplierSpec(vf), np.stack([r0, 1.3 * r0])).tolist()
+        for a, b, expect, label in zip(v0, v1, (ve.Dp, ve.D), ("vf_slope_small", "vf_slope_large")):
+            slope = np.log(b / a) / np.log(1.3)
             rep["fitted"][label] = slope
             rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
 

@@ -1,5 +1,9 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.config import ExperimentConfig
@@ -372,3 +376,58 @@ def test_degeneracy_line_candidates_in_every_dimension(n, m):
     expected = line + [[1.0] + [0.0] * (n + m - 1)]
     assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected))
     assert run_experiment(cfg)["fitted"]["line_slope"] < 0.0
+
+
+# (params, boundary, what the case must contain)
+TWO_X_CASES = {
+    # rows with (4/lam) A_ii == 2 exactly: the subtracted form prunes those entries
+    "neumann": (GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0), "neumann_truncation",
+                lambda A, old: old.nnz < A.nnz),
+    # the x1 = 0 column of 129 nodes eliminated
+    "dirichlet": (GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0), "dirichlet_origin",
+                  lambda A, old: A.shape[0] == 128 * 129),
+    # rows whose every face is dead, with a stored 0.0 diagonal
+    "isolated": (GrusinParameters(1, 1, 0.75, 0.75, 1.0, 1.0), "neumann_truncation",
+                 lambda A, old: bool(np.any(np.diff(A.indptr) == 1))),
+}
+
+
+@pytest.mark.parametrize("case", TWO_X_CASES)
+def test_two_x_equals_the_subtracted_form_bit_for_bit(case):
+    params, boundary, holds = TWO_X_CASES[case]
+    op = assemble(build_grid(params, 8.0, 129), CoefficientField(params), boundary)
+    A = op.matrix
+    arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    lam = evolution.estimate_lambda_max(op)
+    old = (4.0 / lam) * A - 2.0 * sp.identity(op.n_nodes, format="csr")
+    assert holds(A, old)
+    rng = np.random.default_rng(7)
+    for v in (rng.standard_normal(op.n_nodes), rng.standard_normal((op.n_nodes, 3))):
+        got = [t.copy() for t in evolution._chebyshev_terms(op, lam, v, 40)]
+        want = [v, 0.5 * (old @ v)]
+        while len(want) < 40:
+            want.append(old @ want[-1] - want[-2])
+        assert len(got) == 40
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, (A.data, A.indices, A.indptr)))
+
+    # an empty block, so the traced peak is that of building 2x; the
+    # subtracted form peaks at about 2.4x A's bytes
+    empty = np.empty((op.n_nodes, 0))
+    next(evolution._chebyshev_terms(op, lam, empty, 1))
+    tracemalloc.start()
+    try:
+        next(evolution._chebyshev_terms(op, lam, empty, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_two_x_needs_every_diagonal_stored():
+    params, boundary, _ = TWO_X_CASES["isolated"]
+    op = assemble(build_grid(params, 8.0, 33), CoefficientField(params), boundary)
+    pruned = op.matrix.copy()
+    pruned.eliminate_zeros()  # drops the isolated rows' 0.0 diagonals
+    with pytest.raises(ValueError, match="diagonal"):
+        evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0)

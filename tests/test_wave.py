@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +8,10 @@ from test_fibers import CASES, SETTINGS, operators
 
 from grushinlab import wave
 from grushinlab.coefficients import CoefficientField, GrusinParameters
+from grushinlab.config import ExperimentConfig
 from grushinlab.discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
 from grushinlab.evolution import EvolutionMethod
-from grushinlab.experiments import _support_box_distance
+from grushinlab.experiments import _support_box_distance, acceptance_manifest, run_experiment
 from grushinlab.geometry import MetricGraph
 from grushinlab.multipliers import bump
 from grushinlab.wave import (
@@ -261,6 +264,30 @@ def test_finite_speed_leakage_decreases_under_refinement():
         leaks.append(finite_speed_check(op, d, v, [1.0], 0.1)[0][0])
     assert leaks[1] <= leaks[0]
     assert leaks[1] < 1e-6
+
+
+def test_finite_speed_holds_one_large_structure_at_a_time():
+    # c10_speed_classical at one level of 129^2 nodes: the traced peak is the
+    # metric graph with the transpose its undirected Dijkstra copies, or the
+    # operator with 2x and the (2 times x state, velocity) accumulator, never
+    # both, plus six node vectors (bump, distances, recurrence vectors)
+    entry = next(e for e in acceptance_manifest() if e["name"] == "c10_speed_classical")
+    cfg = ExperimentConfig.from_dict({**entry, "grid": {**entry["grid"], "counts": 129},
+                                      "knobs": {**entry["knobs"], "refinements": 1}})
+    run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid, coeffs = cfg.grid(), CoefficientField(cfg.params)
+    graph, A = MetricGraph(grid, coeffs, 2).edge_matrix, assemble(grid, coeffs).matrix
+    nbytes = [M.data.nbytes + M.indices.nbytes + M.indptr.nbytes for M in (graph, A)]
+    vector = 8 * A.shape[0]
+    # measured: 3.5 MB against this bound of 4.0 MB; with the graph alive
+    # beside the operator the run peaks at 4.7 MB
+    assert peak <= max(2 * nbytes[0], 2 * nbytes[1] + 4 * vector) + 6 * vector
 
 
 def test_davies_gaffney_margins():
