@@ -193,27 +193,15 @@ class CoefficientField:
         if self.floor_radius < 0:
             raise ValueError("floor_radius must be >= 0")
 
-    def _clamped(self, r):
+    def block(self, k: int, r):
+        """c_k(|x1|), the coefficient of the x_k-block gradient term (k = 1, 2)."""
+        if k not in (1, 2):
+            raise ValueError("block index must be 1 or 2")
+        p = self.params
+        delta, deltap = (p.delta1, p.delta1p) if k == 1 else (p.delta2, p.delta2p)
         if self.floor_radius > 0.0:
-            return np.maximum(np.asarray(r, dtype=float), self.floor_radius)
-        return r
-
-    def block1(self, r):
-        """c1(|x1|) for the x1-block gradient term."""
-        p = self.params
-        return coefficient_profile(self._clamped(r), p.delta1, p.delta1p)
-
-    def block2(self, r):
-        """c2(|x1|) for the x2-block gradient term."""
-        p = self.params
-        return coefficient_profile(self._clamped(r), p.delta2, p.delta2p)
-
-    def block(self, k: int):
-        if k == 1:
-            return self.block1
-        if k == 2:
-            return self.block2
-        raise ValueError("block index must be 1 or 2")
+            r = np.maximum(np.asarray(r, dtype=float), self.floor_radius)
+        return coefficient_profile(r, delta, deltap)
 
     def singular_exponent(self, k: int) -> float:
         """Power of the r -> 0 degeneracy of block k (0 if frozen)."""

@@ -136,17 +136,20 @@ class Grid:
         return np.stack(cols, axis=-1)
 
     def flat_index(self, point) -> tuple[int, float]:
-        """Nearest node to ``point`` as a flat index, plus the snap distance."""
+        """Nearest node to ``point`` as a flat index, plus the snap distance;
+        a ValueError if that node is off the grid (more than half a cell out)."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point must have {self.dim} coordinates")
         idx = []
         snapped = []
         for i, x in enumerate(point):
-            ax = self.axis(i)
-            k = int(np.clip(round((x + self.extents[i]) / self.spacings[i]), 0, self.counts[i] - 1))
+            k = round((x + self.extents[i]) / self.spacings[i])
+            if not 0 <= k < self.counts[i]:
+                raise ValueError(f"point {point.tolist()} lies off the grid on axis {i}: "
+                                 f"more than half a cell outside +-{self.extents[i]}")
             idx.append(k)
-            snapped.append(ax[k])
+            snapped.append(self.axis(i)[k])
         flat = int(np.ravel_multi_index(tuple(idx), self.counts))
         snap = float(np.linalg.norm(np.asarray(snapped) - point))
         return flat, snap
@@ -194,11 +197,9 @@ def segment_quadratic(grid: Grid, off1) -> tuple:
 def _conductances(coeffs: CoefficientField, block: int, h: float, qa, qb, qc):
     """h^{-2} over the mean of c_block^{-1} along each segment (parametrized
     on [0, 1]); exactly 0 where that mean diverges."""
-    profile = coeffs.block(block)
-
     def inv_c(r):
         with np.errstate(divide="ignore"):
-            return 1.0 / profile(r)
+            return 1.0 / coeffs.block(block, r)
 
     mean_inv = segment_integrals(qa, qb, qc, inv_c, 2.0 * coeffs.singular_exponent(block))
     with np.errstate(divide="ignore"):
@@ -386,13 +387,14 @@ class DivergenceFormOperator:
         return self.grid.coords(self.kept)
 
     def node_index(self, point) -> int:
-        """Operator row of the kept node nearest to ``point``."""
+        """Operator row of the grid node nearest to ``point``; a ValueError
+        if the boundary removed that node."""
         flat, _ = self.grid.flat_index(point)
-        hits = np.nonzero(self.kept == flat)[0]
-        if hits.size:
-            return int(hits[0])
-        pts = self.coords()
-        return int(np.argmin(np.linalg.norm(pts - np.asarray(point, dtype=float), axis=1)))
+        row = int(np.searchsorted(self.kept, flat))  # kept is sorted
+        if row == self.kept.size or self.kept[row] != flat:
+            raise ValueError(f"point {np.asarray(point, dtype=float).tolist()} resolves to a "
+                             f"node the {self.boundary!r} boundary removed")
+        return row
 
     @property
     def fiber_shape(self) -> tuple[int, int]:
@@ -409,15 +411,16 @@ class DivergenceFormOperator:
     def dense_eig(self, max_dimension: int = 4500) -> FiberSpectrum:
         """Exact spectrum of the operator in factored form.  Cached.
 
-        Raises CapacityError when it does not fit (:meth:`fits_exact`).
+        Raises CapacityError when it does not fit (:meth:`fits_exact`), on
+        every call: a cached spectrum does not lift the ceiling.
         """
+        if not self.fits_exact(max_dimension):
+            n1, n2 = self.fiber_shape
+            raise CapacityError(
+                f"exact spectrum of {n2} fibers of {n1} x1 nodes stores "
+                f"{n2 * n1 * n1} floats > {max_dimension}^2"
+            )
         if self._eig is None:
-            if not self.fits_exact(max_dimension):
-                n1, n2 = self.fiber_shape
-                raise CapacityError(
-                    f"exact spectrum of {n2} fibers of {n1} x1 nodes stores "
-                    f"{n2 * n1 * n1} floats > {max_dimension}^2"
-                )
             self._eig = _factorize(self)
         return self._eig
 

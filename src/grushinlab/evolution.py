@@ -286,7 +286,6 @@ class GaussianUpperReport:
 
 def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
                          epsilon: float, exponent_cap: float = 16.0,
-                         kernel_floor: float = 1e-12,
                          method: EvolutionMethod = DEFAULT_METHOD) -> GaussianUpperReport:
     """Fitted constant of the volume-weighted Gaussian upper bound.
 
@@ -298,7 +297,7 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
 
     with the ball volumes counted on the same grid as the kernel, so both
     sides of the pairing degrade consistently under coarsening.  Pairs with
-    d^2/(4t) above ``exponent_cap`` or kernel values below ``kernel_floor``
+    d^2/(4t) above ``exponent_cap`` or kernel values at or below 1e-12
     are skipped (solver noise would otherwise ride the growing exponential).
 
     One kernel block over the sources per time gives the entries and the
@@ -313,7 +312,7 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
     vol = np.array([[ball_volume(source_fields[j], r) for r in np.sqrt(times)] for j in rows])
     d = np.array([[source_fields[i].distances[op.kept[j]] for i in rows] for j in rows])
     expo = (d * d)[:, None, :] / (4.0 * times[:, None])
-    a, q, b = np.nonzero((expo <= exponent_cap) & (K > kernel_floor) & np.isfinite(d)[:, None])
+    a, q, b = np.nonzero((expo <= exponent_cap) & (K > 1e-12) & np.isfinite(d)[:, None])
     val = K[a, q, b] * np.sqrt(vol[b, q] * vol[a, q]) * np.exp(expo[a, q, b] / (1.0 + epsilon))
     lower = float((K[np.arange(len(rows)), :, np.arange(len(rows))] * vol).min())
     k = int(np.argmax(val))  # never empty: a diagonal pair has d = 0 and K above the floor

@@ -31,7 +31,8 @@ from .evolution import (
     ondiagonal_decay,
     separation_check,
 )
-from .geometry import MetricGraph, ball_volume_table, closed_form_distance, doubling_exponent
+from .geometry import (MetricGraph, ball_volume, ball_volume_closed_form, closed_form_distance,
+                       doubling_exponent)
 from .multipliers import (
     MultiplierSpec,
     _hardy_args,
@@ -65,8 +66,13 @@ def _pair(*, center_a, center_b, halfwidth):
     return center_a, center_b, halfwidth
 
 
-def _refine(counts):
-    return tuple(2 * (c - 1) + 1 for c in counts)
+def _levels(cfg: ExperimentConfig, count: int):
+    """The configured grid, then each of ``count - 1`` refinements, each
+    halving every spacing of the one before."""
+    counts = cfg.grid_counts
+    for _ in range(count):
+        yield cfg.grid(counts)
+        counts = tuple(2 * (c - 1) + 1 for c in counts)
 
 
 def _boundary_nodes(grid):
@@ -74,9 +80,9 @@ def _boundary_nodes(grid):
     return np.setdiff1d(idx, idx[(slice(1, -1),) * grid.dim])
 
 
-def _spread_sources(op, n, rng, box_fraction=0.6):
+def _spread_sources(op, n, rng):
     coords = op.coords()
-    lim = np.asarray(op.grid.extents) * box_fraction
+    lim = np.asarray(op.grid.extents) * 0.6  # the central 60% of each axis
     inside = np.nonzero(np.all(np.abs(coords) <= lim, axis=1))[0]
     pick = rng.choice(inside, size=min(n, inside.size), replace=False)
     return np.sort(pick)
@@ -192,9 +198,7 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
 
     bands = []
-    counts = cfg.grid_counts
-    for level in range(2):
-        grid = cfg.grid(counts)
+    for level, grid in enumerate(_levels(cfg, 2)):
         graph = MetricGraph(grid, coeffs, stencil_order)
         rows = []
         ratios = []
@@ -215,7 +219,6 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
             "d_closed", "d_numeric", "ratio"]
         rep["csv"][f"distance_level{level}.csv"] = {"columns": cols, "rows": rows}
         rep["fitted"][f"band_level{level}"] = band
-        counts = _refine(counts)
     rep["checks"].append(check("band_finite", bands[0], "<", float("inf")))
     rep["checks"].append(check("band_refinement_stability", bands[1], "band_ratio", bands[0],
                                stability_factor))
@@ -224,12 +227,17 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
 # ----------------------------------------------------------------------- volume
 
 
-def _volume_csv(rep: dict, name: str, cfg: ExperimentConfig, center, tab) -> None:
-    closed = ball_volume_table(cfg.params, center, tab.radii).volumes
+def _volumes(rep: dict, name: str, cfg: ExperimentConfig, field, center, radii):
+    """Ball volumes of ``field`` counted over the sorted ``radii``, written to
+    CSV ``name`` beside the closed form at ``center``; returns (radii, volumes)."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    vols = np.array([ball_volume(field, r) for r in radii])
     rep["csv"][name] = {
         "columns": ["r", "volume_numeric", "volume_closed"],
-        "rows": [[r, v, cv] for r, v, cv in zip(tab.radii, tab.volumes, closed)],
+        "rows": [[r, v, ball_volume_closed_form(cfg.params, center, float(r))]
+                 for r, v in zip(radii, vols)],
     }
+    return radii, vols
 
 
 def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
@@ -242,9 +250,8 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
              build(_geomspace, "knobs.off_radii", off_radii), dim)]
     graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
     for tag, center, radii, expected in runs:
-        tab = ball_volume_table(graph.field_from_point(center), center, radii)
-        _volume_csv(rep, f"volume_{tag}.csv", cfg, center, tab)
-        slope = fit_loglog_slope(tab.radii, tab.volumes)
+        slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg,
+                                           graph.field_from_point(center), center, radii))
         rep["fitted"][f"{tag}_slope"] = slope
         rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
@@ -256,11 +263,10 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n
     bound = derive_exponents(cfg.params).doubling_dim + slack
     worst = -np.inf
     for center in centers:
-        tab = ball_volume_table(graph.field_from_point(center), center, radii)
-        expo = doubling_exponent(tab)
-        worst = max(worst, expo)
         tag = "_".join(f"{c:g}" for c in center)
-        _volume_csv(rep, f"volume_doubling_{tag}.csv", cfg, center, tab)
+        expo = doubling_exponent(*_volumes(rep, f"volume_doubling_{tag}.csv", cfg,
+                                           graph.field_from_point(center), center, radii))
+        worst = max(worst, expo)
         rep["fitted"][f"doubling_exponent_{tag}"] = expo
     rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))
 
@@ -301,13 +307,10 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
     coeffs = CoefficientField(cfg.params)
     ops_n, ops_d = [], []
-    counts = cfg.grid_counts
     rows = []
-    for _ in range(refinements):
-        grid = cfg.grid(counts)
+    for grid in _levels(cfg, refinements):
         ops_n.append(assemble(grid, coeffs))
         ops_d.append(assemble(grid, coeffs, "dirichlet_origin"))
-        counts = _refine(counts)
     res = separation_check(ops_n, ops_d, t, sources, cfg.method)
     for lvl, gap in enumerate(res.dirichlet_gaps):
         rows.append([lvl, ops_n[lvl].grid.counts[0], res.cross_kernel_extreme, gap])
@@ -352,9 +355,7 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
     prefactors = []
-    counts = cfg.grid_counts
-    for level in range(2):
-        grid = cfg.grid(counts)
+    for level, grid in enumerate(_levels(cfg, 2)):
         op_true = assemble(grid, coeffs)
         op_frozen = assemble(grid, frozen)
         region_rows = _region_rows(grid, lo, hi)
@@ -378,7 +379,6 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
             rep["checks"].append(
                 check("slope_vs_exponent", res.slope_vs_exponent, "<=", slope_bound))
         rep["fitted"][f"prefactor_level{level}"] = pref
-        counts = _refine(counts)
     rep["checks"].append(
         check("prefactor_refinement_stability", prefactors[1], "band_ratio", prefactors[0],
               stability_factor)
@@ -406,11 +406,9 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
     coeffs = CoefficientField(cfg.params)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
-    counts = cfg.grid_counts
     leak_by_level = []
     rows = []
-    for level in range(refinements):
-        grid = cfg.grid(counts)
+    for level, grid in enumerate(_levels(cfg, refinements)):
         # Stages, one large structure at a time: the bump and its support;
         # the distances, whose metric graph (with the transpose its undirected
         # Dijkstra copies) is dropped as soon as they are out; then the
@@ -426,7 +424,6 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         results = finite_speed_check(assemble(grid, coeffs), d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
-        counts = _refine(counts)
     rep["csv"]["wave.csv"] = {
         "columns": ["t", "leaked_fraction", "energy_drift", "refinement"], "rows": rows}
     rep["fitted"]["leak_by_level"] = leak_by_level
@@ -504,9 +501,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
                         exponent_cap=16.0, stability_factor=2.0) -> None:
     coeffs = CoefficientField(cfg.params)
     uppers, lowers = [], []
-    counts = cfg.grid_counts
-    for level in range(2):
-        grid = cfg.grid(counts)
+    for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
         rows = sorted(set(op.node_index(p) for p in sources))
@@ -520,7 +515,6 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
         if level == 0:
             rep["fitted"]["upper_argmax"] = list(upper.argmax)
             rep["fitted"]["upper_samples"] = upper.samples
-        counts = _refine(counts)
     rep["csv"]["gaussian_bounds.csv"] = {
         "columns": ["level", "upper_constant", "lower_constant"],
         "rows": [[k, a, b] for k, (a, b) in enumerate(zip(uppers, lowers))],

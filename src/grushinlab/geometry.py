@@ -16,9 +16,11 @@ Two routes to the control distance of the degenerate metric C^{-1}:
   integrated once per x1 start and shared by every x2 start.
 
 The two are equivalent up to constants; the experiments fit the constant
-band and test its stability under refinement.  Ball volumes come either from
-counting cells below a distance threshold or from the closed-form two-regime
-volume law (unit constants).
+band and test its stability under refinement.  Points are plain coordinate
+arrays of length n + m.  A ball volume is counted in cells below a distance
+threshold (``ball_volume``) or read from the closed-form two-regime volume
+law with unit constants (``ball_volume_closed_form``); the doubling exponent
+takes arrays of radii and volumes.
 
 Distance fields are immutable once built; independent sources may be solved
 concurrently.
@@ -38,53 +40,34 @@ from .discretization import Grid, _csr, segment_quadratic
 from .quadrature import segment_integrals
 
 __all__ = [
-    "Point",
     "DistanceField",
-    "BallVolumeTable",
     "MetricGraph",
     "delta_distance",
     "closed_form_distance",
     "ball_volume",
     "ball_volume_closed_form",
-    "ball_volume_table",
     "doubling_exponent",
     "stencil_offsets",
 ]
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of R^n x R^m split into its two blocks."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-
-    @staticmethod
-    def of(params: GrusinParameters, coords) -> "Point":
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (params.dim,):
-            raise ValueError(f"expected {params.dim} coordinates")
-        return Point(x1=coords[: params.n].copy(), x2=coords[params.n :].copy())
-
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2])
-
-
-def _as_point(params: GrusinParameters, p) -> Point:
-    if isinstance(p, Point):
-        return p
-    return Point.of(params, p)
+def _blocks(params: GrusinParameters, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (x1, x2) blocks of a point of R^n x R^m."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (params.dim,):
+        raise ValueError(f"expected {params.dim} coordinates")
+    return p[: params.n], p[params.n :]
 
 
 def delta_distance(params: GrusinParameters, x, y) -> float:
     """Block-2 part of the quasi-distance (the switching formula)."""
-    x = _as_point(params, x)
-    y = _as_point(params, y)
-    u = float(np.linalg.norm(x.x2 - y.x2))
+    x1, x2 = _blocks(params, x)
+    y1, y2 = _blocks(params, y)
+    u = float(np.linalg.norm(x2 - y2))
     if u == 0.0:
         return 0.0
     e = derive_exponents(params)
-    s = float(np.linalg.norm(x.x1) + np.linalg.norm(y.x1))
+    s = float(np.linalg.norm(x1) + np.linalg.norm(y1))
     if u <= piecewise_power(s, e.rho, e.rhop):
         return u / piecewise_power(s, params.delta2, params.delta2p)
     return piecewise_power(u, 1.0 - e.gamma, 1.0 - e.gammap)
@@ -92,13 +75,13 @@ def delta_distance(params: GrusinParameters, x, y) -> float:
 
 def closed_form_distance(params: GrusinParameters, x, y) -> float:
     """Two-scale closed-form quasi-distance; symmetric, zero iff x == y."""
-    x = _as_point(params, x)
-    y = _as_point(params, y)
-    du = float(np.linalg.norm(x.x1 - y.x1))
+    x1, _ = _blocks(params, x)
+    y1, _ = _blocks(params, y)
+    du = float(np.linalg.norm(x1 - y1))
     if du == 0.0:
         first = 0.0
     else:
-        s = float(np.linalg.norm(x.x1) + np.linalg.norm(y.x1))
+        s = float(np.linalg.norm(x1) + np.linalg.norm(y1))
         first = du / piecewise_power(s, params.delta1, params.delta1p)
     return first + delta_distance(params, x, y)
 
@@ -168,15 +151,14 @@ class MetricGraph:
         v = off * np.asarray(grid.spacings)
         w1 = float(np.sum(v[:n] ** 2))
         w2 = float(np.sum(v[n:] ** 2))
-        c1, c2 = coeffs.block1, coeffs.block2
 
         def integrand(r):
             with np.errstate(divide="ignore"):
                 val = 0.0
                 if w1 > 0.0:
-                    val = val + w1 / c1(r)
+                    val = val + w1 / coeffs.block(1, r)
                 if w2 > 0.0:
-                    val = val + w2 / c2(r)
+                    val = val + w2 / coeffs.block(2, r)
             return np.sqrt(val)
 
         sing = 0.0
@@ -246,8 +228,7 @@ class MetricGraph:
 def ball_volume(field: DistanceField, r: float) -> float:
     """Lebesgue measure of the ball {d < r}, counting whole cells.
 
-    Radii below the resolved scale return the single source cell measure;
-    ``ball_volume_table`` records a per-radius resolution flag.
+    Radii below the resolved scale return the single source cell measure.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -259,46 +240,22 @@ def ball_volume_closed_form(params: GrusinParameters, center, r: float) -> float
     """Two-regime closed-form ball volume with unit constants."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    center = _as_point(params, center)
+    x1, _ = _blocks(params, center)
     e = derive_exponents(params)
-    rx = float(np.linalg.norm(center.x1))
+    rx = float(np.linalg.norm(x1))
     crossover = piecewise_power(rx, 1.0 - params.delta1, 1.0 - params.delta1p)
     if r >= crossover:
         return piecewise_power(r, e.D, e.Dp)
     return r ** params.dim * piecewise_power(rx, e.beta, e.betap)
 
 
-@dataclass(frozen=True)
-class BallVolumeTable:
-    """Volumes over an increasing radius list, from a distance field or the
-    closed form."""
-
-    center: np.ndarray
-    radii: np.ndarray
-    volumes: np.ndarray
-    resolved: np.ndarray        # per radius: ball contains > 1 cell (field method)
-
-
-def ball_volume_table(source, center, radii) -> BallVolumeTable:
-    """Tabulate ball volumes; ``source`` is a DistanceField or a
-    GrusinParameters (closed-form method)."""
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if isinstance(source, DistanceField):
-        vols = np.array([ball_volume(source, r) for r in radii])
-        resolved = vols > source.grid.node_weight
-        center = np.asarray(center, dtype=float)
-        return BallVolumeTable(center, radii, vols, resolved)
-    vols = np.array([ball_volume_closed_form(source, center, r) for r in radii])
-    return BallVolumeTable(np.asarray(center, dtype=float), radii, vols, np.ones(len(radii), dtype=bool))
-
-
-def doubling_exponent(table: BallVolumeTable) -> float:
+def doubling_exponent(radii, volumes) -> float:
     """max over consecutive radius pairs of log2(V(2r) / V(r)).
 
     Requires at least 8 radii in geometric progression with ratio 2
     (spanning at least two decades) and nondecreasing volumes.
     """
-    r, v = table.radii, table.volumes
+    r, v = np.asarray(radii, dtype=float), np.asarray(volumes, dtype=float)
     if len(r) < 8:
         raise ValueError("need at least 8 radii")
     ratios = r[1:] / r[:-1]

@@ -1,16 +1,17 @@
 """Fourier-multiplier comparison forms: Nash inequalities, sublevel volumes,
 Hardy's inequality and the abstract operator inequalities.
 
-The comparison symbol is F(p) = a (F1(|p1|^2) + F2(|p2|^2)) with
+The comparison symbol is F(p) = F1(|p1|^2) + F2(|p2|^2) with
 
     F1(L) = L^(1-delta1p) (1+L)^-(delta1-delta1p)   if delta1 >= delta1p
     F1(L) = L^(1-delta1) + L^(1-delta1p)            if delta1 <= delta1p
     F2(L) = L^alphap (1+L)^(alpha-alphap)
 
 where alpha = (1-delta1)/(1+delta2-delta1) and likewise for the primed
-exponents.  The domination constant a relating the discrete Dirichlet form to
-the multiplier form is never assumed; it is always fitted on an ensemble of
-random bumps and reported.
+exponents.  The symbol carries no constant: the domination constant a with
+h(phi) >= a f(phi), relating the discrete Dirichlet form to the multiplier
+form, is never assumed; it is always fitted on an ensemble of random bumps
+and reported.
 
 The half-line (Neumann) variant evaluates the multiplier form through even
 reflection onto the symmetric full grid and carries the factor-4 volume term
@@ -47,14 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """Separable comparison symbol with a free scale constant."""
+    """Separable comparison symbol F1(|p1|^2) + F2(|p2|^2)."""
 
     params: GrusinParameters
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale constant must be positive")
 
     def f1(self, L):
         """Block-1 symbol as a function of L = |p1|^2 (array friendly)."""
@@ -124,7 +120,7 @@ def vf_volume(spec: MultiplierSpec, r):
     if not np.all(radii > 0):
         raise ValueError("radius must be positive")
     n, m = spec.params.n, spec.params.m
-    budget = (radii * radii / spec.scale).ravel()
+    budget = (radii * radii).ravel()
     p1_max = _sublevel_radius(spec.f1, budget)
     if m == 0:
         # Python's float power: numpy's vectorized one can differ by an ulp
@@ -155,14 +151,13 @@ def bump(grid: Grid, centers, widths) -> np.ndarray:
 
 
 def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
-                         margin_fraction: float = 0.25,
                          positive_axis0: bool = False) -> list[np.ndarray]:
     """Smooth compactly supported test bumps on the grid (full shape arrays).
 
     Each member is a :func:`bump` with random centers and widths (drawn
-    width first, then center, axis by axis); supports stay inside the box by
-    ``margin_fraction`` of each extent.  With ``positive_axis0`` the support
-    is placed in {x_0 > 0} (half-line ensembles).
+    width first, then center, axis by axis); supports keep a margin of a
+    quarter of each extent from the box boundary.  With ``positive_axis0``
+    the support is placed in {x_0 > 0} (half-line ensembles).
     """
     rng = np.random.default_rng(seed)
     members = []
@@ -171,7 +166,7 @@ def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
         for i in range(grid.dim):
             L = grid.extents[i]
             h = grid.spacings[i]
-            inner = (1.0 - margin_fraction) * L
+            inner = 0.75 * L
             wmin = max(6.0 * h, 0.05 * L)
             wmax = inner / 2.5 if positive_axis0 and i == 0 else inner / 2.0
             if wmin >= wmax:
@@ -215,10 +210,10 @@ def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
         Ls.append((freqs**2).reshape(shape))
         dp *= 2.0 * pi / (grid.counts[i] * grid.spacings[i])
     L1 = sum(Ls[: params.n])
-    fvals = spec.scale * spec.f1(L1)
+    fvals = spec.f1(L1)
     if params.m > 0:
         L2 = sum(Ls[params.n :])
-        fvals = fvals + spec.scale * spec.f2(L2)
+        fvals = fvals + spec.f2(L2)
     measure = dp / (2.0 * pi) ** d
     fhat2 = measure * np.abs(phat) ** 2
     l2 = float(np.sum(fhat2))
@@ -300,10 +295,10 @@ def _even_reflect_axis0(member: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hardy_operator(n: int, gamma: float, extent: float, count: int):
-    """Staggered-grid Dirichlet Laplacian on [-extent, extent]^n and |x|^(-2 gamma)."""
-    h = 2.0 * extent / count
-    axis = (np.arange(count) + 0.5) * h - extent
+def _hardy_operator(n: int, gamma: float, count: int):
+    """Staggered-grid Dirichlet Laplacian on [-1, 1]^n and |x|^(-2 gamma)."""
+    h = 2.0 / count
+    axis = (np.arange(count) + 0.5) * h - 1.0
     lap1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(count, count)) / (h * h)
     L = reduce(sp.kronsum, [lap1] * n)
     r2 = sum(x**2 for x in np.meshgrid(*([axis] * n), indexing="ij")).ravel()
@@ -325,11 +320,11 @@ def _hardy_args(n, gamma, **values) -> bool:
     return classical
 
 
-def hardy_check(n: int, gamma: float, fraction: float, extent: float = 1.0,
-                count: int = 14, coarse_count: int = 8):
+def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
+                coarse_count: int = 8):
     """Smallest eigenvalue of L^gamma - fraction * a * |x|^(-2 gamma).
 
-    Sparse Dirichlet Laplacian on a staggered grid over [-extent, extent]^n,
+    Sparse Dirichlet Laplacian on a staggered grid over [-1, 1]^n,
     even counts only (no node at the origin).  a = (n-2)^2 / 4 is optimal for
     gamma = 1, n >= 3; for fractional gamma, L^gamma is dense and a is fitted
     on a coarse pre-run (largest a keeping the difference PSD there).
@@ -337,11 +332,11 @@ def hardy_check(n: int, gamma: float, fraction: float, extent: float = 1.0,
     bound minus one, started from ones.  Returns (lambda_min, a_used).
     """
     classical = _hardy_args(n, gamma, fraction=fraction, count=count, coarse_count=coarse_count)
-    L, V = _hardy_operator(n, gamma, extent, count)
+    L, V = _hardy_operator(n, gamma, count)
     if classical:
         a = (n - 2) ** 2 / 4.0
     else:
-        Lc, Vc = _hardy_operator(n, gamma, extent, coarse_count)
+        Lc, Vc = _hardy_operator(n, gamma, coarse_count)
         [Lc], [L] = (_matrix_funs_psd(X.toarray(), lambda lam: lam**gamma) for X in (Lc, L))
         # largest a with L^gamma - a V >= 0 on the coarse grid
         a = float(eigh(Lc, np.diag(Vc), eigvals_only=True)[0])

@@ -5,10 +5,10 @@ averages (integrals of c^{-1}) reduce to integrals over a straight segment of
 a function f(r(s)) where r(s) = sqrt(qa s^2 + qb s + qc) is the distance of
 the moving point to the degeneracy set and f(r) ~ r^{-sing} as r -> 0.
 Segments whose interior touches r = 0 are split at the minimum and each half
-is integrated with a Gauss-Jacobi rule that absorbs the u^{-sing} weight
-exactly; everything else uses two Gauss-Legendre panels split at the radius
-minimum.  A divergent integral (sing >= 1 with the segment touching r = 0,
-or f infinite on a whole constant-radius segment) yields +inf.
+is integrated with a 6-node Gauss-Jacobi rule that absorbs the u^{-sing}
+weight exactly; everything else uses two 7-node Gauss-Legendre panels split
+at the radius minimum.  A divergent integral (sing >= 1 with the segment
+touching r = 0, or f infinite on a whole constant-radius segment) yields +inf.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def gauss_jacobi_01(k: int, sing: float):
     return 0.5 * (x + 1.0), (2.0 ** (sing - 1.0)) * w
 
 
-def segment_integrals(qa, qb, qc, f, sing: float, n_gauss: int = 7, n_jacobi: int = 6):
+def segment_integrals(qa, qb, qc, f, sing: float):
     """Integrate f(r(s)) over s in [0, 1] elementwise for a batch of segments.
 
     qa, qb, qc : arrays (broadcastable to a common shape) with
@@ -76,7 +76,7 @@ def segment_integrals(qa, qb, qc, f, sing: float, n_gauss: int = 7, n_jacobi: in
 
     smooth = ~touching
     if np.any(smooth):
-        u, w = gauss_legendre_01(n_gauss)
+        u, w = gauss_legendre_01(7)
         acc = np.zeros(smooth.sum())
         aa, bb, cc, ss = a[smooth], b[smooth], c[smooth], s_star[smooth]
         for lo, ln in ((np.zeros_like(ss), ss), (ss, 1.0 - ss)):
@@ -92,7 +92,7 @@ def segment_integrals(qa, qb, qc, f, sing: float, n_gauss: int = 7, n_jacobi: in
         if sing >= 1.0:
             val[touching] = np.inf
         else:
-            u, w = gauss_jacobi_01(n_jacobi, sing)
+            u, w = gauss_jacobi_01(6, sing)
             using = u**sing
             acc = np.zeros(touching.sum())
             aa, bb, cc, ss = a[touching], b[touching], c[touching], s_star[touching]

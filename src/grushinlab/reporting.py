@@ -92,7 +92,7 @@ def summary_lines(report: dict) -> list[str]:
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         bound = c["bound"]
-        detail = f"{c['value']:.6g} {c['op']} {bound:.6g}" if not isinstance(bound, str) else str(bound)
+        detail = f"{c['value']:.6g} {c['op']} {bound:.6g}"
         if c["op"] == "within":
             detail = f"{c['value']:.6g} == {bound:.6g} +- {c['tolerance']:.3g}"
         elif c["op"] == "band_ratio":

@@ -13,7 +13,7 @@ raises ``CapacityError``.  The energy drift |E(t) - E(0)| / E(0), with E(t) =
 w |u_t|^2 + w u.Au and E(0) = w v.Av from the matrix, checks the cut and the
 bound Lambda.  Grid dispersion makes propagation only approximately
 finite-speed, so the light-cone check measures the mass past an
-epsilon-inflated cone plus a two-cell stencil slack.
+epsilon-inflated cone plus a four-cell slack.
 """
 
 from __future__ import annotations
@@ -75,13 +75,14 @@ def cosine_propagator(op: DivergenceFormOperator, v, times) -> WaveState:
 
 
 def finite_speed_check(op: DivergenceFormOperator, support_distance, v, times,
-                       epsilon: float, stencil_order: int = 2) -> list[tuple[float, float]]:
+                       epsilon: float) -> list[tuple[float, float]]:
     """(leaked fraction, energy drift) per time, from one propagation.
 
     The leaked fraction is the mass of cos(t sqrt A) v beyond the inflated
-    light cone d <= (1 + epsilon) |t| plus a 2-cell stencil slack, relative
-    to that of v.  ``support_distance``: per-kept-node distance to the
-    support of v (from a geometry distance field).
+    light cone d <= (1 + epsilon) |t| plus a slack of 4 h (two cells per
+    step of the metric graph's order-2 stencil), relative to that of v.
+    ``support_distance``: per-kept-node distance to the support of v (from
+    a geometry distance field).
     """
     d = np.asarray(support_distance, dtype=float)
     if d.shape != (op.n_nodes,):  # cosine_propagator checks v
@@ -90,7 +91,7 @@ def finite_speed_check(op: DivergenceFormOperator, support_distance, v, times,
     if norm == 0.0:
         raise ValueError("initial state must be nonzero")
     state = cosine_propagator(op, v, times)
-    slack = 2.0 * max(op.grid.spacings) * stencil_order
+    slack = 4.0 * max(op.grid.spacings)
     out = []
     for t, u, drift in zip(times, state.current, state.energy_drift):
         outside = d > (1.0 + epsilon) * abs(t) + slack  # the cosine group is even in t

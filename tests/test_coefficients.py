@@ -132,8 +132,10 @@ def test_coefficient_field_frozen_floor():
     p = GrusinParameters(1, 1, 0.5, 0.0, 1.0, 1.0)
     plain = CoefficientField(p)
     frozen = CoefficientField(p, floor_radius=0.5)
-    assert frozen.block1(0.0) == plain.block1(0.5)
-    assert frozen.block2(0.1) == plain.block2(0.5)
-    assert frozen.block1(2.0) == plain.block1(2.0)
+    assert frozen.block(1, 0.0) == plain.block(1, 0.5)
+    assert frozen.block(2, 0.1) == plain.block(2, 0.5)
+    assert frozen.block(1, 2.0) == plain.block(1, 2.0)
+    with pytest.raises(ValueError, match="1 or 2"):
+        plain.block(3, 1.0)
     assert frozen.singular_exponent(1) == 0.0
     assert plain.singular_exponent(1) == 0.5

@@ -43,6 +43,17 @@ def test_build_grid_rejects_even_counts():
         build_grid(EUCLID_1D, 1.0, 4)
 
 
+def test_flat_index_rejects_a_point_off_the_grid():
+    g = build_grid(GrusinParameters(1, 1), 4.0, 9)  # h = 1
+    # within half a cell of the edge node (4, 0): snaps to it
+    flat, snap = g.flat_index([4.4, 0.0])
+    assert g.coords([flat])[0].tolist() == [4.0, 0.0] and snap == pytest.approx(0.4)
+    # past half a cell, the nearest index lies off the grid: no clamp to the edge
+    for point, axis in (([50.0, 0.0], 0), ([0.0, -4.6], 1)):
+        with pytest.raises(ValueError, match=f"off the grid on axis {axis}"):
+            g.flat_index(point)
+
+
 def test_face_conductance_uniform_medium():
     cf = CoefficientField(EUCLID_1D)
     h = 0.1
@@ -187,6 +198,22 @@ def test_dirichlet_origin_eliminates_plane_and_dominates():
     lam_n = np.linalg.eigvalsh(opn.matrix.toarray())[:10]
     lam_d = np.linalg.eigvalsh(opd.matrix.toarray())[:10]
     assert np.all(lam_d >= lam_n - 1e-10)
+
+
+def test_node_index_rejects_a_node_the_boundary_removed():
+    p = GrusinParameters(1, 1)
+    op = assemble(build_grid(p, 1.0, 33), CoefficientField(p), "dirichlet_origin")
+    row = op.node_index([0.5, 1.0])
+    assert op.coords()[row].tolist() == [0.5, 1.0]
+    # the x1 = 0 plane is eliminated: no silent move to the nearest kept node
+    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] resolves to a node the "
+                                         r"'dirichlet_origin' boundary removed"):
+        op.node_index([0.0, 1.0])
+    half = assemble(build_grid(EUCLID_1D, 1.0, 9), CoefficientField(EUCLID_1D),
+                    "half_line_positive")
+    assert half.node_index([0.0]) == 0
+    with pytest.raises(ValueError, match="'half_line_positive' boundary removed"):
+        half.node_index([-0.25])
 
 
 def test_half_line_restriction_conserves():

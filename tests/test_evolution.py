@@ -240,13 +240,16 @@ def test_separation_weakly_degenerate():
 
 
 def test_separation_without_cross_nodes_raises_named_error():
-    # a source on x1 = 0 has no node on the other side of itself
     params = GrusinParameters(1, 0, 0.25, 0.25)
     cf = CoefficientField(params)
     g = build_grid(params, 4.0, 41)
+    ops = [assemble(g, cf)], [assemble(g, cf, "dirichlet_origin")]
+    # a source on x1 = 0 has no Dirichlet node
+    with pytest.raises(ValueError, match="'dirichlet_origin' boundary removed"):
+        separation_check(*ops, 1.0, [[0.0]], EXACT)
+    # without a source, no node lies across x1 = 0 from one
     with pytest.raises(ValueError, match="across x1 = 0"):
-        separation_check([assemble(g, cf)], [assemble(g, cf, "dirichlet_origin")], 1.0,
-                         [[0.0]], EXACT)
+        separation_check(*ops, 1.0, [], EXACT)
 
 
 def test_separation_with_mismatched_grids_raises_named_error():

@@ -182,6 +182,16 @@ def test_size_predicate(n, m, boundary, data):
                         dataclasses.replace(small, kind="exact_eigendecomposition"))
 
 
+def test_cached_spectrum_keeps_the_storage_ceiling():
+    p = GrusinParameters(1, 1)
+    op = assemble(build_grid(p, 1.0, 33), CoefficientField(p))
+    spec = op.dense_eig(4500)
+    assert op.dense_eig(4500) is spec
+    # 33 fibers of 33 nodes store 35,937 floats, over a ceiling of 10^2
+    with pytest.raises(CapacityError, match="35937 floats > 10"):
+        op.dense_eig(10)
+
+
 def test_size_rule_on_one_dimensional_and_square_grids():
     p1 = GrusinParameters(1, 0)
     for count, kind in [(4499, "exact_eigendecomposition"), (4501, "krylov_exponential")]:

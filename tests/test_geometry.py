@@ -7,10 +7,8 @@ from grushinlab.coefficients import CoefficientField, GrusinParameters, derive_e
 from grushinlab.discretization import build_grid
 from grushinlab.geometry import (
     MetricGraph,
-    Point,
     ball_volume,
     ball_volume_closed_form,
-    ball_volume_table,
     closed_form_distance,
     delta_distance,
     doubling_exponent,
@@ -89,10 +87,15 @@ def test_closed_form_distance_symmetry():
         assert closed_form_distance(params, x, y) == closed_form_distance(params, y, x)
 
 
-def test_point_split():
-    p = Point.of(CLASSICAL, [1.5, -2.0])
-    assert p.x1.tolist() == [1.5] and p.x2.tolist() == [-2.0]
-    assert p.coords().tolist() == [1.5, -2.0]
+def test_closed_forms_reject_a_point_of_the_wrong_dimension():
+    # CLASSICAL lives on R^1 x R^1: every point has two coordinates
+    for bad in ([1.5], [1.5, -2.0, 0.0], [[1.5, -2.0]]):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            closed_form_distance(CLASSICAL, bad, [0.0, 0.0])
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            closed_form_distance(CLASSICAL, [0.0, 0.0], bad)
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            ball_volume_closed_form(CLASSICAL, bad, 0.5)
 
 
 def test_numerical_distance_source_is_zero_and_euclidean_band():
@@ -173,7 +176,6 @@ def _edge_oracle(grid, coeffs, order):
     h = np.asarray(grid.spacings)
     pts = grid.coords()
     index = np.arange(grid.n_nodes).reshape(grid.counts)
-    c1, c2 = coeffs.block1, coeffs.block2
     rows, cols, vals, dropped = [], [], [], 0
     for off in stencil_offsets(grid.dim, order):
         v = off * h
@@ -183,7 +185,8 @@ def _edge_oracle(grid, coeffs, order):
 
         def f(r):
             with np.errstate(divide="ignore"):
-                return np.sqrt((w1 / c1(r) if w1 else 0.0) + (w2 / c2(r) if w2 else 0.0))
+                return np.sqrt((w1 / coeffs.block(1, r) if w1 else 0.0)
+                               + (w2 / coeffs.block(2, r) if w2 else 0.0))
 
         for start in np.ndindex(*grid.counts):
             end = np.asarray(start) + off
@@ -253,9 +256,9 @@ def test_ball_volume_counting_and_floor():
     assert ball_volume(df, 1e-9) == w  # single-cell floor
     # Euclidean disc area within the lattice-counting error
     assert ball_volume(df, 0.8) == pytest.approx(np.pi * 0.64, rel=0.05)
-    tab = ball_volume_table(df, [0.0, 0.0], [1e-9, 0.3, 0.8])
-    assert not tab.resolved[0] and tab.resolved[2]
-    assert np.all(np.diff(tab.volumes) >= 0)
+    vols = [ball_volume(df, r) for r in (1e-9, 0.3, 0.8)]
+    assert vols[0] == w and vols[2] > w
+    assert np.all(np.diff(vols) >= 0)
 
 
 def test_ball_volume_closed_form_regimes():
@@ -277,13 +280,13 @@ def test_volume_slopes_both_regimes():
     e = derive_exponents(CLASSICAL)
     origin = mg.field_from_point([0.0, 0.0])
     radii = np.geomspace(0.5, 5.0, 9)
-    tab = ball_volume_table(origin, [0.0, 0.0], radii)
-    slope = np.polyfit(np.log(radii), np.log(tab.volumes), 1)[0]
+    vols = [ball_volume(origin, r) for r in radii]
+    slope = np.polyfit(np.log(radii), np.log(vols), 1)[0]
     assert slope == pytest.approx(e.D, rel=0.10)
     off = mg.field_from_point([1.0, 0.0])
     radii2 = np.geomspace(0.1, 1.0, 9)
-    tab2 = ball_volume_table(off, [1.0, 0.0], radii2)
-    slope2 = np.polyfit(np.log(radii2), np.log(tab2.volumes), 1)[0]
+    vols2 = [ball_volume(off, r) for r in radii2]
+    slope2 = np.polyfit(np.log(radii2), np.log(vols2), 1)[0]
     assert slope2 == pytest.approx(2.0, rel=0.10)
 
 
@@ -291,12 +294,13 @@ def test_doubling_exponent_validation_and_euclidean():
     g = build_grid(GrusinParameters(1, 0), 30.0, 12001)
     df = MetricGraph(g, CoefficientField(GrusinParameters(1, 0)), 2).field_from_point([0.0])
     radii = 0.02 * 2.0 ** np.arange(8)
-    tab = ball_volume_table(df, [0.0], radii)
-    assert doubling_exponent(tab) == pytest.approx(1.0, abs=0.15)
+    vols = [ball_volume(df, r) for r in radii]
+    assert doubling_exponent(radii, vols) == pytest.approx(1.0, abs=0.15)
     with pytest.raises(ValueError, match="at least 8"):
-        doubling_exponent(ball_volume_table(df, [0.0], radii[:4]))
+        doubling_exponent(radii[:4], vols[:4])
+    geometric = np.geomspace(0.02, 1.0, 8)
     with pytest.raises(ValueError, match="factor-2"):
-        doubling_exponent(ball_volume_table(df, [0.0], np.geomspace(0.02, 1.0, 8)))
+        doubling_exponent(geometric, [ball_volume(df, r) for r in geometric])
 
 
 def test_doubling_exponent_respects_dimension_bound():
@@ -304,6 +308,6 @@ def test_doubling_exponent_respects_dimension_bound():
     g = build_grid(params, 24.0, 49153)
     df = MetricGraph(g, CoefficientField(params), 2).field_from_point([0.0])
     radii = 0.1 * 2.0 ** np.arange(8)
-    tab = ball_volume_table(df, [0.0], radii)
+    vols = [ball_volume(df, r) for r in radii]
     e = derive_exponents(params)
-    assert doubling_exponent(tab) <= e.doubling_dim + 0.3
+    assert doubling_exponent(radii, vols) <= e.doubling_dim + 0.3

@@ -19,9 +19,9 @@ EUCLID_2D = GrusinParameters(1, 1)
 
 
 def _symbol(spec, p):
-    """F(p) = a (F1(|p1|^2) + F2(|p2|^2)) for a frequency vector p."""
+    """F(p) = F1(|p1|^2) + F2(|p2|^2) for a frequency vector p."""
     p, n = np.asarray(p, dtype=float), spec.params.n
-    return spec.scale * (spec.f1(p[:n] @ p[:n]) + spec.f2(p[n:] @ p[n:]))
+    return spec.f1(p[:n] @ p[:n]) + spec.f2(p[n:] @ p[n:])
 
 
 def test_multiplier_value_examples():
@@ -65,16 +65,17 @@ def test_vf_volume_monotone_and_scale():
     rs = np.geomspace(0.01, 100.0, 25)
     vols = np.array([vf_volume(spec, r) for r in rs])
     assert np.all(np.diff(vols) > 0)
-    # doubling the scale constant shrinks the sublevel set
-    spec2 = MultiplierSpec(CLASSICAL, scale=2.0)
-    assert vf_volume(spec2, 1.0) < vf_volume(spec, 1.0)
+    # F = |p1|^2 + |p2| is homogeneous under p -> (s p1, s^2 p2), so V_F(r) is
+    # r^D with D = 3 times the area of {p1^2 + |p2| < 1}, which is 8/3
+    assert vf_volume(spec, 2.0) == pytest.approx(8.0 * vf_volume(spec, 1.0), rel=1e-6)
+    assert vf_volume(spec, 1.0) == pytest.approx(8.0 / 3.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 0), (2, 1), (1, 2), (3, 0)])
 def test_vf_volume_of_radii_equals_scalar_calls_bit_for_bit(n, m):
     from grushinlab.multipliers import _sublevel_radius, _unit_ball_volume
 
-    spec = MultiplierSpec(GrusinParameters(n, m, 0.5, 0.25, 1.5, 0.5), scale=2.7)
+    spec = MultiplierSpec(GrusinParameters(n, m, 0.5, 0.25, 1.5, 0.5))
     radii = np.geomspace(1e-4, 1e4, 33)
     scalar = [vf_volume(spec, float(r)) for r in radii]
     assert all(type(v) is float for v in scalar)
@@ -85,7 +86,7 @@ def test_vf_volume_of_radii_equals_scalar_calls_bit_for_bit(n, m):
     if m == 0:
         # the block-1 ball in Python's float power, which numpy's vectorized
         # power can miss by an ulp (n = 3)
-        q1 = [float(_sublevel_radius(spec.f1, r * r / spec.scale)[0]) for r in radii]
+        q1 = [float(_sublevel_radius(spec.f1, r * r)[0]) for r in radii]
         assert scalar == [_unit_ball_volume(n) * q**n for q in q1]
     with pytest.raises(ValueError, match="radius"):
         vf_volume(spec, np.array([1.0, 0.0]))
@@ -246,7 +247,7 @@ def test_hardy_refinement_over_and_under_the_constant():
 
 
 def test_hardy_fractional_fitted_constant():
-    lam, a = hardy_check(2, 0.5, fraction=0.5, extent=1.0, count=20, coarse_count=10)
+    lam, a = hardy_check(2, 0.5, fraction=0.5, count=20, coarse_count=10)
     assert a > 0.0
     assert lam >= -1e-8
     # reference values from a dense eigvalsh of the same operator
