@@ -12,7 +12,6 @@ from .coefficients import (
     CoefficientField,
     DerivedExponents,
     GrusinParameters,
-    coefficient,
     coefficient_profile,
     derive_exponents,
     piecewise_power,
@@ -24,7 +23,6 @@ __all__ = [
     "CoefficientField",
     "DerivedExponents",
     "GrusinParameters",
-    "coefficient",
     "coefficient_profile",
     "derive_exponents",
     "piecewise_power",

@@ -28,7 +28,6 @@ __all__ = [
     "DerivedExponents",
     "CoefficientField",
     "piecewise_power",
-    "coefficient",
     "coefficient_profile",
     "derive_exponents",
 ]
@@ -67,12 +66,6 @@ def coefficient_profile(r, delta: float, deltap: float):
     if np.isscalar(r) or rr.ndim == 0:
         return float(out)
     return out
-
-
-def coefficient(x, delta: float, deltap: float) -> float:
-    """Coefficient at a point x in R^k, evaluated on |x|."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return coefficient_profile(float(np.linalg.norm(x)), delta, deltap)
 
 
 def _as_int(name: str, value, positive: bool) -> int:

@@ -116,16 +116,6 @@ class Grid:
     def axes(self) -> list[np.ndarray]:
         return [self.axis(i) for i in range(self.dim)]
 
-    def block1_radius_sq(self) -> np.ndarray:
-        """|x1|^2 on the full grid shape (broadcast sum over the x1 axes)."""
-        n = self.params.n
-        out = np.zeros(self.counts)
-        for i in range(n):
-            shape = [1] * self.dim
-            shape[i] = self.counts[i]
-            out = out + (self.axis(i) ** 2).reshape(shape)
-        return out
-
     def coords(self, flat_indices=None) -> np.ndarray:
         """(N, dim) coordinate array for the given flat indices (all nodes
         in C order when omitted)."""
@@ -408,7 +398,7 @@ class DivergenceFormOperator:
         n1, n2 = self.fiber_shape
         return n2 * n1 * n1 <= max_dimension * max_dimension
 
-    def dense_eig(self, max_dimension: int = 4500) -> FiberSpectrum:
+    def dense_eig(self, max_dimension: int) -> FiberSpectrum:
         """Exact spectrum of the operator in factored form.  Cached.
 
         Raises CapacityError when it does not fit (:meth:`fits_exact`), on

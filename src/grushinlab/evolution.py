@@ -284,13 +284,13 @@ class GaussianUpperReport:
     lower: float           # min over sources and times of K_t(x; x) |B(x; sqrt t)|
 
 
-def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
+def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, times,
                          epsilon: float, exponent_cap: float = 16.0,
                          method: EvolutionMethod = DEFAULT_METHOD) -> GaussianUpperReport:
     """Fitted constant of the volume-weighted Gaussian upper bound.
 
-    ``source_fields`` maps operator rows to the geodesic DistanceField of
-    that node; pairs are sampled from this set.  The fitted constant is the
+    ``source_distances`` maps operator rows to the geodesic distances from
+    that node (one per grid node); pairs are sampled from this set.  The fitted constant is the
     maximum over pairs (x, y) and times of
 
         K_t(x; y) * sqrt(|B(x; sqrt t)| |B(y; sqrt t)|) * exp(+d(x,y)^2 / (4 (1+eps) t))
@@ -305,12 +305,13 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_fields: dict, times,
     of K_t(x; x) |B(x; sqrt t)|: the single-cell box is the discrete
     stand-in for the averaged lower bound, so K_t(x; x) is read directly.
     """
-    rows = sorted(source_fields)
+    rows = sorted(source_distances)
     times = np.asarray(times, dtype=float)
     # K[a, q, b] = K_t(rows[b]; rows[a]) at t = times[q]: (source, time, other)
     K = np.transpose(_region_block(op, np.asarray(rows), times, method), (2, 0, 1)) / op.node_weight
-    vol = np.array([[ball_volume(source_fields[j], r) for r in np.sqrt(times)] for j in rows])
-    d = np.array([[source_fields[i].distances[op.kept[j]] for i in rows] for j in rows])
+    vol = np.array([[ball_volume(source_distances[j], r, op.node_weight) for r in np.sqrt(times)]
+                    for j in rows])
+    d = np.array([[source_distances[i][op.kept[j]] for i in rows] for j in rows])
     expo = (d * d)[:, None, :] / (4.0 * times[:, None])
     a, q, b = np.nonzero((expo <= exponent_cap) & (K > 1e-12) & np.isfinite(d)[:, None])
     val = K[a, q, b] * np.sqrt(vol[b, q] * vol[a, q]) * np.exp(expo[a, q, b] / (1.0 + epsilon))

@@ -163,6 +163,10 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
     if isinstance(candidates, str):
         _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
+    if guard and candidates == "all" and boundary == "dirichlet_origin":
+        # an "all" stage guards from the origin's node, the one node this boundary removes
+        raise ConfigError(f"knobs.stages[{k}].guard: an 'all'-candidates stage guards from the "
+                          f"origin, which the 'dirichlet_origin' boundary removes")
     label = f"stage{k}" if label is None else label
     grid = build(build_grid, f"knobs.stages[{k}]", {"extents": extents, "counts": counts}, cfg.params)
 
@@ -173,8 +177,8 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
         if guard:
             graph = MetricGraph(grid, coeffs, 2)
             guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
-            field = graph.field_from_nodes(op.kept[np.asarray(guard_rows)])
-            bdist = float(field.distances[_boundary_nodes(grid)].min())
+            d = graph.distances_from_nodes(op.kept[np.asarray(guard_rows)])
+            bdist = float(d[_boundary_nodes(grid)].min())
         res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
                                guard=guard_level, method=cfg.method)
         rep["fitted"][f"{label}_slope"] = res.slope
@@ -203,14 +207,16 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
         rows = []
         ratios = []
         for src in sources:
-            field = graph.field_from_point(src)
+            flat, _ = grid.flat_index(src)
+            snapped = grid.coords([flat])[0]
+            d = graph.distances_from_nodes(flat)
             for tgt in targets:
-                dc = closed_form_distance(cfg.params, field.source, tgt)
+                dc = closed_form_distance(cfg.params, snapped, tgt)
                 if dc < min_closed:
                     continue
-                dn = field.at(tgt)
+                dn = float(d[grid.flat_index(tgt)[0]])
                 ratios.append(dn / dc)
-                rows.append(list(field.source) + list(tgt) + [dc, dn, dn / dc])
+                rows.append(list(snapped) + list(tgt) + [dc, dn, dn / dc])
         ratios = np.asarray(ratios)
         band = float(max(ratios.max(), 1.0 / ratios.min()))
         bands.append(band)
@@ -227,11 +233,14 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
 # ----------------------------------------------------------------------- volume
 
 
-def _volumes(rep: dict, name: str, cfg: ExperimentConfig, field, center, radii):
-    """Ball volumes of ``field`` counted over the sorted ``radii``, written to
-    CSV ``name`` beside the closed form at ``center``; returns (radii, volumes)."""
+def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, radii):
+    """Ball volumes around ``center``'s node of ``graph`` counted over the sorted
+    ``radii``, written to CSV ``name`` beside the closed form at ``center``;
+    returns (radii, volumes)."""
+    grid = graph.grid
+    d = graph.distances_from_nodes(grid.flat_index(center)[0])
     radii = np.sort(np.asarray(radii, dtype=float))
-    vols = np.array([ball_volume(field, r) for r in radii])
+    vols = np.array([ball_volume(d, r, grid.node_weight) for r in radii])
     rep["csv"][name] = {
         "columns": ["r", "volume_numeric", "volume_closed"],
         "rows": [[r, v, ball_volume_closed_form(cfg.params, center, float(r))]
@@ -250,8 +259,7 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
              build(_geomspace, "knobs.off_radii", off_radii), dim)]
     graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
     for tag, center, radii, expected in runs:
-        slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg,
-                                           graph.field_from_point(center), center, radii))
+        slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg, graph, center, radii))
         rep["fitted"][f"{tag}_slope"] = slope
         rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
@@ -264,8 +272,8 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n
     worst = -np.inf
     for center in centers:
         tag = "_".join(f"{c:g}" for c in center)
-        expo = doubling_exponent(*_volumes(rep, f"volume_doubling_{tag}.csv", cfg,
-                                           graph.field_from_point(center), center, radii))
+        expo = doubling_exponent(*_volumes(rep, f"volume_doubling_{tag}.csv", cfg, graph,
+                                           center, radii))
         worst = max(worst, expo)
         rep["fitted"][f"doubling_exponent_{tag}"] = expo
     rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))
@@ -360,9 +368,8 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
         op_frozen = assemble(grid, frozen)
         region_rows = _region_rows(grid, lo, hi)
         graph = MetricGraph(grid, frozen, 2)
-        u_nodes = np.nonzero(grid.block1_radius_sq().ravel() <= (r_cut / 2.0) ** 2)[0]
-        dfield = graph.field_from_nodes(u_nodes)
-        rho = float(dfield.distances[op_true.kept][region_rows].min())
+        d = graph.distances_from_nodes(_region_rows(grid, 0.0, r_cut / 2.0))
+        rho = float(d[op_true.kept][region_rows].min())
         times = rho**2 / (4.0 * np.geomspace(exponent_range[1], exponent_range[0], n_times))
         res = kernel_comparison(op_true, op_frozen, region_rows, rho, times, cfg.method)
         # anchor the fitted prefactor at the largest time, where the
@@ -417,10 +424,13 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         # the operator's.
         v = bump(grid, center, [bump_width] * grid.dim).ravel()
         support = np.nonzero(v > 0)[0]
+        if support.size == 0:
+            raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
+                              f"node on the grid of {grid.counts} nodes")
         if metric == "euclidean":
             d = _support_box_distance(grid, grid.coords(), support)
         else:
-            d = MetricGraph(grid, coeffs, 2).field_from_nodes(support).distances
+            d = MetricGraph(grid, coeffs, 2).distances_from_nodes(support)
         results = finite_speed_check(assemble(grid, coeffs), d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
@@ -456,8 +466,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
         in_b = np.abs(coords - center_b) <= halfwidth
         rows_a = np.nonzero(in_a)[0]
         rows_b = np.nonzero(in_b)[0]
-        field = graph.field_from_nodes(op.kept[rows_a])
-        dab = float(field.distances[op.kept[rows_b]].min())
+        dab = float(graph.distances_from_nodes(op.kept[rows_a])[op.kept[rows_b]].min())
         for s in exponent_targets:
             t = dab**2 / (4.0 * s)
             margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], epsilon, cfg.method)
@@ -479,8 +488,6 @@ def _support_box_distance(grid, pts, support) -> np.ndarray:
     ``support``, for a support that is every grid node of its bounding box
     [lo, hi] (a product-form bump's is): the nearest one is the clamp of x
     into the box, at distance ||max(lo - x, 0) + max(x - hi, 0)||."""
-    if support.size == 0:
-        raise ValueError("the bump has no support nodes on this grid")
     sup = pts[support]
     lo, hi = sup.min(axis=0), sup.max(axis=0)
     box_nodes = np.prod([np.count_nonzero((ax >= a) & (ax <= b))
@@ -505,8 +512,8 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
         rows = sorted(set(op.node_index(p) for p in sources))
-        fields = {j: graph.field_from_nodes([op.kept[j]]) for j in rows}
-        upper = gaussian_upper_check(op, fields, times, epsilon,
+        dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
+        upper = gaussian_upper_check(op, dists, times, epsilon,
                                      exponent_cap=exponent_cap, method=cfg.method)
         uppers.append(upper.constant)
         lowers.append(upper.lower)

@@ -1,4 +1,4 @@
-"""Quasi-distance, geodesic distance fields, ball volumes and doubling.
+"""Quasi-distance, geodesic distances, ball volumes and doubling.
 
 Two routes to the control distance of the degenerate metric C^{-1}:
 
@@ -8,7 +8,7 @@ Two routes to the control distance of the degenerate metric C^{-1}:
   and |x2 - y2|^(1 - gamma, 1 - gammap) on the surface
   |x2 - y2| = (|x1| + |y1|)^(rho, rhop), on which the branches agree;
 
-* a shortest-path field on the grid graph whose edges are all coprime
+* shortest paths on the grid graph whose edges are all coprime
   integer offsets with max-norm <= stencil_order, weighted by the metric
   length of the straight segment, integral of
   sqrt(sum_k c_k^{-1} dx_k^2), evaluated with singularity-aware quadrature.
@@ -17,19 +17,17 @@ Two routes to the control distance of the degenerate metric C^{-1}:
 
 The two are equivalent up to constants; the experiments fit the constant
 band and test its stability under refinement.  Points are plain coordinate
-arrays of length n + m.  A ball volume is counted in cells below a distance
-threshold (``ball_volume``) or read from the closed-form two-regime volume
-law with unit constants (``ball_volume_closed_form``); the doubling exponent
-takes arrays of radii and volumes.
-
-Distance fields are immutable once built; independent sources may be solved
-concurrently.
+arrays of length n + m, and a geodesic distance is a flat array with one
+value per grid node (``MetricGraph.distances_from_nodes``).  A ball volume
+is counted in cells below a distance threshold (``ball_volume``) or read
+from the closed-form two-regime volume law with unit constants
+(``ball_volume_closed_form``); the doubling exponent takes arrays of radii
+and volumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +38,6 @@ from .discretization import Grid, _csr, segment_quadratic
 from .quadrature import segment_integrals
 
 __all__ = [
-    "DistanceField",
     "MetricGraph",
     "delta_distance",
     "closed_form_distance",
@@ -104,31 +101,13 @@ def stencil_offsets(dim: int, order: int) -> np.ndarray:
     return np.array(offs, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Per-node geodesic distances from a source (or source set)."""
-
-    grid: Grid
-    source: np.ndarray          # snapped source coordinates (empty for sets)
-    snap_error: float
-    distances: np.ndarray       # flat, one entry per grid node; +inf = unreachable
-
-    @property
-    def unreachable(self) -> int:
-        return int(np.sum(~np.isfinite(self.distances)))
-
-    def at(self, point) -> float:
-        flat, _ = self.grid.flat_index(np.asarray(point, dtype=float))
-        return float(self.distances[flat])
-
-
 class MetricGraph:
     """Weighted node graph of a grid under the degenerate metric.
 
     Building the graph is the expensive part (one quadrature sweep over the
     x1 starts per stencil offset); each offset's edges are then written
     straight into the CSR edge matrix, one offset at a time.  Dijkstra runs
-    from any number of sources afterwards.
+    from any non-empty set of source nodes afterwards.
     """
 
     def __init__(self, grid: Grid, coeffs: CoefficientField, stencil_order: int = 2):
@@ -200,40 +179,25 @@ class MetricGraph:
         return self._csr
 
     def distances_from_nodes(self, nodes) -> np.ndarray:
-        """min over the source set of the graph distance, per node."""
+        """Graph distance to the nearest of ``nodes`` (flat indices, at least
+        one), as a flat array with one value per grid node; +inf = unreachable."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-        return dijkstra(self._csr, directed=False, indices=nodes, min_only=len(nodes) > 1)
-
-    def field_from_point(self, point) -> DistanceField:
-        point = np.asarray(point, dtype=float)
-        flat, snap = self.grid.flat_index(point)
-        dist = self.distances_from_nodes([flat])
-        return DistanceField(
-            grid=self.grid,
-            source=self.grid.coords([flat])[0],
-            snap_error=snap,
-            distances=np.asarray(dist).ravel(),
-        )
-
-    def field_from_nodes(self, nodes) -> DistanceField:
-        dist = self.distances_from_nodes(nodes)
-        return DistanceField(
-            grid=self.grid,
-            source=np.empty(0),
-            snap_error=0.0,
-            distances=np.asarray(dist).ravel(),
-        )
+        if nodes.size == 0:
+            raise ValueError("distances_from_nodes needs at least one source node")
+        return dijkstra(self._csr, directed=False, indices=nodes,
+                        min_only=nodes.size > 1).ravel()
 
 
-def ball_volume(field: DistanceField, r: float) -> float:
-    """Lebesgue measure of the ball {d < r}, counting whole cells.
+def ball_volume(distances, r: float, cell: float) -> float:
+    """Lebesgue measure of the ball {d < r}, counting whole cells of measure
+    ``cell`` over the per-node ``distances``.
 
     Radii below the resolved scale return the single source cell measure.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    count = int(np.sum(field.distances < r))
-    return field.grid.node_weight * max(count, 1)
+    count = int(np.sum(distances < r))
+    return cell * max(count, 1)
 
 
 def ball_volume_closed_form(params: GrusinParameters, center, r: float) -> float:

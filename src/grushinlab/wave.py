@@ -82,7 +82,7 @@ def finite_speed_check(op: DivergenceFormOperator, support_distance, v, times,
     light cone d <= (1 + epsilon) |t| plus a slack of 4 h (two cells per
     step of the metric graph's order-2 stencil), relative to that of v.
     ``support_distance``: per-kept-node distance to the support of v (from
-    a geometry distance field).
+    ``MetricGraph.distances_from_nodes``).
     """
     d = np.asarray(support_distance, dtype=float)
     if d.shape != (op.n_nodes,):  # cosine_propagator checks v

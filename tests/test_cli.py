@@ -465,6 +465,11 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c13_hardy", ["gamma"], 2.0, "knobs.gamma must lie in"),
     ("c13_hardy", ["fraction_ok"], -0.5, "knobs.fraction_ok must be non-negative"),
     ("c13_hardy", ["fraction_fail"], -4.0, "knobs.fraction_fail must be non-negative"),
+    # an "all"-candidates stage guards from the origin, which dirichlet_origin removes
+    ("c03_decay_1d", ["stages", 1, "boundary"], "dirichlet_origin", "knobs.stages[1].guard: "),
+    # a bump with no support node, under the graph and the Euclidean metric
+    ("c10_speed_classical", ["bump_center"], [30.0, 0.0], "knobs.bump_center: "),
+    ("c10_speed_constant", ["bump_center"], [30.0, 0.0], "knobs.bump_center: "),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)

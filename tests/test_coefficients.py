@@ -4,7 +4,6 @@ import pytest
 from grushinlab.coefficients import (
     CoefficientField,
     GrusinParameters,
-    coefficient,
     coefficient_profile,
     derive_exponents,
     piecewise_power,
@@ -39,10 +38,10 @@ def test_piecewise_power_vectorized_matches_scalar():
 
 
 def test_coefficient_examples():
-    assert coefficient([3.7], 0.0, 0.0) == 1.0
-    assert coefficient([1.0], 0.5, 0.5) == 1.0
+    assert coefficient_profile(3.7, 0.0, 0.0) == 1.0
+    assert coefficient_profile(1.0, 0.5, 0.5) == 1.0
     # |x| = 2, delta = 1/4, deltap = 1/2: 2^(1/2) * 5^(1/4), direct evaluation
-    assert coefficient([2.0], 0.25, 0.5) == pytest.approx(2.114742526881128, rel=1e-14)
+    assert coefficient_profile(2.0, 0.25, 0.5) == pytest.approx(2.114742526881128, rel=1e-14)
 
 
 def test_coefficient_equivalence_band():

@@ -292,8 +292,7 @@ def test_kernel_comparison_decay_slope():
     rows = np.nonzero((coords >= 1.0) & (coords <= 2.0))[0]
     mg = MetricGraph(g, frozen, 2)
     u_nodes = np.nonzero(np.abs(g.coords()[:, 0]) <= 0.5)[0]
-    dfield = mg.field_from_nodes(u_nodes)
-    rho = float(dfield.distances[op_true.kept][rows].min())
+    rho = float(mg.distances_from_nodes(u_nodes)[op_true.kept][rows].min())
     times = np.geomspace(rho**2 / 64, rho**2 / 8, 6)
     rep = kernel_comparison(op_true, op_frozen, rows, rho, times)
     assert rep.slope_vs_exponent <= -0.8
@@ -324,9 +323,9 @@ def test_gaussian_upper_and_lower_constants_euclidean():
     g = op.grid
     mg = MetricGraph(g, op.coeffs, 2)
     sources = [op.node_index([0.0]), op.node_index([1.0])]
-    fields = {j: mg.field_from_nodes([op.kept[j]]) for j in sources}
+    dists = {j: mg.distances_from_nodes(op.kept[j]) for j in sources}
     times = [0.05, 0.2]
-    rep = gaussian_upper_check(op, fields, times, epsilon=0.1, method=EXACT)
+    rep = gaussian_upper_check(op, dists, times, epsilon=0.1, method=EXACT)
     # on the diagonal K_t(x;x) |B(x, sqrt t)| = (4 pi t)^{-1/2} * 2 sqrt(t) = pi^{-1/2}
     assert rep.constant == pytest.approx(np.pi**-0.5, rel=0.1)
     assert rep.argmax is not None
@@ -336,8 +335,9 @@ def test_gaussian_upper_and_lower_constants_euclidean():
     # the lower constant read off the upper check's columns is, bit for bit,
     # the one recomputed from fresh columns
     recomputed = min(
-        float(heat_kernel(op, j, t, EXACT).values[j] * ball_volume(f, float(np.sqrt(t))))
-        for j, f in fields.items() for t in times)
+        float(heat_kernel(op, j, t, EXACT).values[j]
+              * ball_volume(d, float(np.sqrt(t)), op.node_weight))
+        for j, d in dists.items() for t in times)
     assert b == recomputed
 
 
@@ -346,15 +346,16 @@ def test_far_field_kernel_below_gaussian_tail():
     op = _op_1d(GrusinParameters(1, 0, 0.5, 0.0), count=2049, L=8.0)
     mg = MetricGraph(op.grid, op.coeffs, 2)
     j = op.node_index([-2.0])
-    field = mg.field_from_nodes([op.kept[j]])
+    d = mg.distances_from_nodes(op.kept[j])
     t = 0.02
     target = np.sqrt(4 * t * 25.0)
-    dists = field.distances[op.kept]
+    dists = d[op.kept]
     i = int(np.argmin(np.abs(dists - target)))
     assert dists[i] ** 2 / (4 * t) == pytest.approx(25.0, rel=0.1)
     ks = heat_kernel(op, j, t, EXACT)
     prefactor = 1.0 / np.sqrt(
-        ball_volume(field, np.sqrt(t)) * ball_volume(mg.field_from_nodes([op.kept[i]]), np.sqrt(t))
+        ball_volume(d, np.sqrt(t), op.node_weight)
+        * ball_volume(mg.distances_from_nodes(op.kept[i]), np.sqrt(t), op.node_weight)
     )
     assert abs(ks.values[i]) < 1e-9 * prefactor
 

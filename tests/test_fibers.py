@@ -20,6 +20,7 @@ from grushinlab.discretization import (
     face_conductance,
 )
 from grushinlab.evolution import (
+    DEFAULT_METHOD,
     EvolutionMethod,
     _region_block,
     apply_semigroup,
@@ -64,7 +65,7 @@ def _tolerance(op, t):
 
 
 def _factored_matrix(op, t):
-    spec = op.dense_eig()
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
     return np.stack([spec.apply(e, t) for e in np.eye(op.n_nodes)], axis=1)
 
 
@@ -74,7 +75,7 @@ def _factored_matrix(op, t):
 def test_factored_spectrum_matches_dense_oracle(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     lam, Phi = _oracle(op)
-    spec = op.dense_eig()
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
     tol = _tolerance(op, t)
     factored = np.sort(np.concatenate([b[1].ravel() for b in spec.blocks]))
     assert np.abs(factored - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
@@ -161,7 +162,7 @@ def test_strong_degeneracy_cross_kernel_is_exactly_zero(n, m, boundary, data, t)
 def test_semigroup_property(n, m, boundary, data, t, s):
     op = data.draw(operators(n, m, boundary))
     v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
-    spec = op.dense_eig()
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
     both = spec.apply(spec.apply(v, s), t)
     assert np.abs(both - spec.apply(v, t + s)).max() <= 1e-12 * np.abs(v).max()
 
@@ -208,7 +209,7 @@ def test_size_rule_on_one_dimensional_and_square_grids():
 @given(data=st.data(), t=TIMES)
 def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
-    spec = op.dense_eig()
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
     v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
     v /= np.linalg.norm(v)
     krylov = apply_semigroup(op, v, t, KRYLOV)

@@ -21,6 +21,11 @@ EUCLID_2D = GrusinParameters(1, 1)
 POWER_HALF = GrusinParameters(1, 0, 0.5, 0.5)
 
 
+def _distances_from(mg, point):
+    """Graph distances from the grid node nearest to ``point``."""
+    return mg.distances_from_nodes(mg.grid.flat_index(point)[0])
+
+
 def test_stencil_offsets_counts():
     assert stencil_offsets(1, 2).tolist() == [[1]]
     offs2 = stencil_offsets(2, 2)
@@ -100,13 +105,13 @@ def test_closed_forms_reject_a_point_of_the_wrong_dimension():
 
 def test_numerical_distance_source_is_zero_and_euclidean_band():
     g = build_grid(EUCLID_2D, 2.0, 65)
-    df = MetricGraph(g, CoefficientField(EUCLID_2D), 2).field_from_point([0.0, 0.0])
-    assert df.at([0.0, 0.0]) == 0.0
-    assert df.unreachable == 0
+    d = _distances_from(MetricGraph(g, CoefficientField(EUCLID_2D), 2), [0.0, 0.0])
+    assert d[g.flat_index([0.0, 0.0])[0]] == 0.0
+    assert np.isfinite(d).all()
     pts = g.coords()
     eu = np.linalg.norm(pts, axis=1)
     mask = eu > 0.25
-    ratio = df.distances[mask] / eu[mask]
+    ratio = d[mask] / eu[mask]
     # order-2 stencil metrication stays below the 9% worst case
     assert ratio.min() >= 1.0 - 1e-9
     assert ratio.max() < 1.09
@@ -115,24 +120,34 @@ def test_numerical_distance_source_is_zero_and_euclidean_band():
 def test_numerical_distance_pure_power_quadrature_oracle():
     # d(0; x) for c = |s| matches the integral of s^{-1/2}: 2 sqrt(x)
     g = build_grid(POWER_HALF, 2.0, 513)
-    df = MetricGraph(g, CoefficientField(POWER_HALF), 2).field_from_point([0.0])
+    d = _distances_from(MetricGraph(g, CoefficientField(POWER_HALF), 2), [0.0])
     for x in (0.25, 0.5, 1.0, 2.0):
         oracle, _ = quad(lambda s: s**-0.5, 0, x, points=[0.0])
-        assert df.at([x]) == pytest.approx(oracle, rel=0.02)
+        assert d[g.flat_index([x])[0]] == pytest.approx(oracle, rel=0.02)
 
 
 def test_numerical_distance_snaps_source():
     g = build_grid(EUCLID_2D, 1.0, 11)
-    df = MetricGraph(g, CoefficientField(EUCLID_2D), 1).field_from_point([0.03, -0.07])
-    assert df.snap_error == pytest.approx(np.hypot(0.03, 0.07 - 0.0) - 0.0, abs=0.2)
-    assert df.at(df.source) == 0.0
+    flat, _ = g.flat_index([0.03, -0.07])
+    assert g.coords([flat])[0].tolist() == [0.0, 0.0]
+    d = MetricGraph(g, CoefficientField(EUCLID_2D), 1).distances_from_nodes(flat)
+    assert d[flat] == 0.0
+
+
+def test_distances_from_nodes_is_one_flat_array_and_needs_a_source():
+    g = build_grid(EUCLID_2D, 1.0, 11)
+    mg = MetricGraph(g, CoefficientField(EUCLID_2D), 2)
+    one = mg.distances_from_nodes(60)
+    assert one.shape == (g.n_nodes,)
+    assert np.array_equal(mg.distances_from_nodes([60]), one)
+    with pytest.raises(ValueError, match="at least one source node"):
+        mg.distances_from_nodes([])
 
 
 def test_monotone_refinement_in_stencil_order():
     g = build_grid(CLASSICAL, (2.0, 2.0), (41, 41))
     cf = CoefficientField(CLASSICAL)
-    fields = [MetricGraph(g, cf, k).field_from_point([0.0, 0.0]) for k in (1, 2, 3)]
-    d1, d2, d3 = (f.distances for f in fields)
+    d1, d2, d3 = (_distances_from(MetricGraph(g, cf, k), [0.0, 0.0]) for k in (1, 2, 3))
     assert np.all(d2 <= d1 + 1e-12)
     assert np.all(d3 <= d2 + 1e-12)
 
@@ -144,11 +159,12 @@ def test_equivalence_band_numerical_vs_closed_form():
     ratios = []
     for _ in range(12):
         src = rng.uniform(-1.5, 1.5, size=2)
-        field = mg.field_from_point(src)
+        flat, _ = g.flat_index(src)
+        d = mg.distances_from_nodes(flat)
         for _ in range(9):
             tgt = rng.uniform(-1.5, 1.5, size=2)
-            dn = field.at(tgt)
-            dc = closed_form_distance(CLASSICAL, field.source, tgt)
+            dn = d[g.flat_index(tgt)[0]]
+            dc = closed_form_distance(CLASSICAL, g.coords([flat])[0], tgt)
             if dc > 0.05:
                 ratios.append(dn / dc)
     ratios = np.asarray(ratios)
@@ -159,8 +175,7 @@ def test_equivalence_band_numerical_vs_closed_form():
 def test_triangle_inequality_along_edges():
     g = build_grid(CLASSICAL, (2.0, 2.0), (33, 33))
     mg = MetricGraph(g, CoefficientField(CLASSICAL), 2)
-    field = mg.field_from_point([0.5, -0.5])
-    d = field.distances
+    d = _distances_from(mg, [0.5, -0.5])
     coo = mg.edge_matrix.tocoo()
     lhs = d[coo.row]
     rhs = d[coo.col] + coo.data
@@ -251,12 +266,12 @@ def test_offsets_longer_than_an_axis_add_no_edges():
 
 def test_ball_volume_counting_and_floor():
     g = build_grid(EUCLID_2D, 1.0, 41)
-    df = MetricGraph(g, CoefficientField(EUCLID_2D), 2).field_from_point([0.0, 0.0])
+    d = _distances_from(MetricGraph(g, CoefficientField(EUCLID_2D), 2), [0.0, 0.0])
     w = g.node_weight
-    assert ball_volume(df, 1e-9) == w  # single-cell floor
+    assert ball_volume(d, 1e-9, w) == w  # single-cell floor
     # Euclidean disc area within the lattice-counting error
-    assert ball_volume(df, 0.8) == pytest.approx(np.pi * 0.64, rel=0.05)
-    vols = [ball_volume(df, r) for r in (1e-9, 0.3, 0.8)]
+    assert ball_volume(d, 0.8, w) == pytest.approx(np.pi * 0.64, rel=0.05)
+    vols = [ball_volume(d, r, w) for r in (1e-9, 0.3, 0.8)]
     assert vols[0] == w and vols[2] > w
     assert np.all(np.diff(vols) >= 0)
 
@@ -278,36 +293,36 @@ def test_volume_slopes_both_regimes():
     g = build_grid(CLASSICAL, (4.0, 10.0), (129, 1281))
     mg = MetricGraph(g, CoefficientField(CLASSICAL), 2)
     e = derive_exponents(CLASSICAL)
-    origin = mg.field_from_point([0.0, 0.0])
+    origin = _distances_from(mg, [0.0, 0.0])
     radii = np.geomspace(0.5, 5.0, 9)
-    vols = [ball_volume(origin, r) for r in radii]
+    vols = [ball_volume(origin, r, g.node_weight) for r in radii]
     slope = np.polyfit(np.log(radii), np.log(vols), 1)[0]
     assert slope == pytest.approx(e.D, rel=0.10)
-    off = mg.field_from_point([1.0, 0.0])
+    off = _distances_from(mg, [1.0, 0.0])
     radii2 = np.geomspace(0.1, 1.0, 9)
-    vols2 = [ball_volume(off, r) for r in radii2]
+    vols2 = [ball_volume(off, r, g.node_weight) for r in radii2]
     slope2 = np.polyfit(np.log(radii2), np.log(vols2), 1)[0]
     assert slope2 == pytest.approx(2.0, rel=0.10)
 
 
 def test_doubling_exponent_validation_and_euclidean():
     g = build_grid(GrusinParameters(1, 0), 30.0, 12001)
-    df = MetricGraph(g, CoefficientField(GrusinParameters(1, 0)), 2).field_from_point([0.0])
+    d = _distances_from(MetricGraph(g, CoefficientField(GrusinParameters(1, 0)), 2), [0.0])
     radii = 0.02 * 2.0 ** np.arange(8)
-    vols = [ball_volume(df, r) for r in radii]
+    vols = [ball_volume(d, r, g.node_weight) for r in radii]
     assert doubling_exponent(radii, vols) == pytest.approx(1.0, abs=0.15)
     with pytest.raises(ValueError, match="at least 8"):
         doubling_exponent(radii[:4], vols[:4])
     geometric = np.geomspace(0.02, 1.0, 8)
     with pytest.raises(ValueError, match="factor-2"):
-        doubling_exponent(geometric, [ball_volume(df, r) for r in geometric])
+        doubling_exponent(geometric, [ball_volume(d, r, g.node_weight) for r in geometric])
 
 
 def test_doubling_exponent_respects_dimension_bound():
     params = GrusinParameters(1, 0, 0.5, 0.0)
     g = build_grid(params, 24.0, 49153)
-    df = MetricGraph(g, CoefficientField(params), 2).field_from_point([0.0])
+    d = _distances_from(MetricGraph(g, CoefficientField(params), 2), [0.0])
     radii = 0.1 * 2.0 ** np.arange(8)
-    vols = [ball_volume(df, r) for r in radii]
+    vols = [ball_volume(d, r, g.node_weight) for r in radii]
     e = derive_exponents(params)
     assert doubling_exponent(radii, vols) <= e.doubling_dim + 0.3
