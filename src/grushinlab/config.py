@@ -89,15 +89,18 @@ def _require(cond: bool, path: str, message: str):
 def bind(fn, path: str, raw, *head) -> partial:
     """``fn(*head, **raw)``, not yet called, once the JSON object ``raw``
     binds to the parameters of ``fn`` after ``head``.  A name ``fn`` does
-    not declare, or a parameter without a default that ``raw`` leaves out,
-    is a ConfigError naming ``path.<name>``."""
+    not declare, a parameter without a default that ``raw`` leaves out, or
+    a field given as an empty list (a check with nothing to test) is a
+    ConfigError naming ``path.<name>``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     params = list(inspect.signature(fn).parameters.values())[len(head):]
     names = [p.name for p in params]
-    for name in raw:
+    for name, value in raw.items():
         _require(name in names, f"{path}.{name}".lstrip("."),
                  f"unknown field (expected one of {names})")
+        _require(not isinstance(value, (list, tuple)) or value, f"{path}.{name}".lstrip("."),
+                 "must not be empty")
     for p in params:
         _require(p.default is not p.empty or p.name in raw, f"{path}.{p.name}".lstrip("."),
                  "required")

@@ -25,6 +25,9 @@ T_k(x)[rows][:, rows] of one recurrence on the (N, R) block of unit vectors
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
+Every check takes operator rows, never points: config points are resolved
+by the experiment runners.  The separation check works on one grid's
+Neumann and Dirichlet operators, and its runner folds the levels.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .discretization import CapacityError, DivergenceFormOperator
 from .geometry import ball_volume
 
 __all__ = [
-    "CapacityError",
     "EvolutionMethod",
     "KernelSlice",
     "apply_semigroup",
@@ -215,15 +217,12 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
     return _chebyshev_sum(op, lam, v, _heat_coefficients(lam, [t], method.tolerance))[0]
 
 
-def heat_kernel(op: DivergenceFormOperator, source, t: float,
+def heat_kernel(op: DivergenceFormOperator, row: int, t: float,
                 method: EvolutionMethod = DEFAULT_METHOD) -> KernelSlice:
-    """Kernel column K_t(., y) for the node nearest to ``source``.
-
-    ``source`` may be a point (tuple of coordinates) or an operator row index.
-    """
+    """Kernel column K_t(., y) for the source y at operator row ``row``."""
     if t <= 0:
         raise ValueError("kernel slices require t > 0")
-    j = int(source) if np.isscalar(source) else op.node_index(source)
+    j = int(row)
     e = np.zeros(op.n_nodes)
     e[j] = 1.0
     col = apply_semigroup(op, e, t, method)
@@ -371,52 +370,27 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
     return np.tensordot(coef, moments, axes=1)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    strongly_degenerate: bool
-    cross_kernel_extreme: float   # max |K| over cross pairs (strong) or min K (weak)
-    dirichlet_gaps: tuple         # sup |K_Dir - K_Neu| per refinement level
+def separation_check(op_n: DivergenceFormOperator, op_d: DivergenceFormOperator, t: float,
+                     rows, method: EvolutionMethod = DEFAULT_METHOD) -> tuple[float, np.ndarray]:
+    """Dirichlet/Neumann comparison and the cross kernel on one grid.
 
-
-def separation_check(neumann_ops, dirichlet_ops, t: float, sources,
-                     method: EvolutionMethod = DEFAULT_METHOD) -> SeparationReport:
-    """Cross-kernel and Dirichlet/Neumann comparison over refinements.
-
-    ``neumann_ops`` / ``dirichlet_ops`` are matched refinement sequences on
-    the same extents.  The verdict convention follows the closed interval:
-    delta1 >= 1/2 counts as strongly degenerate.
+    ``op_n`` / ``op_d`` are the Neumann and ``dirichlet_origin`` operators of
+    one grid, and ``rows`` are source rows of ``op_d``.  Returns the gap
+    max |K_Dir - K_Neu| over the sources and the Dirichlet nodes, and the
+    Neumann kernel's values K_t(x; y) at every x across x1 = 0 from each
+    source y, concatenated.
     """
-    if len(neumann_ops) != len(dirichlet_ops) or not neumann_ops:
-        raise ValueError("need matched non-empty refinement sequences")
-    params = neumann_ops[0].grid.params
-    if params.n != 1:
+    if op_n.grid.params.n != 1:
         raise ValueError("separation checks require n = 1")
-    strong = params.delta1 >= 0.5
-    gaps = []
-    extreme = None
-    for opN, opD in zip(neumann_ops, dirichlet_ops):
-        # Dirichlet drops the x1 = 0 plane: its rows are the other Neumann rows
-        idxN = np.searchsorted(opN.kept, opD.kept)
-        if opN.grid != opD.grid or not np.array_equal(opN.kept[idxN], opD.kept):
-            raise ValueError("each Dirichlet operator must share its Neumann operator's grid")
-        coordsN = opN.coords()
-        gap = 0.0
-        for src in sources:
-            jN = opN.node_index(src)
-            jD = opD.node_index(src)
-            kN = heat_kernel(opN, jN, t, method)
-            kD = heat_kernel(opD, jD, t, method)
-            gap = max(gap, float(np.abs(kN.values[idxN] - kD.values).max()))
-            cross = coordsN[:, 0] * coordsN[jN, 0] < 0
-            vals = kN.values[cross]
-            if vals.size:
-                ext = float(np.abs(vals).max()) if strong else float(vals.min())
-                extreme = ext if extreme is None else (max(extreme, ext) if strong else min(extreme, ext))
-        gaps.append(gap)
-    if extreme is None:
-        raise ValueError("no source has nodes across x1 = 0: the cross-kernel is undefined")
-    return SeparationReport(
-        strongly_degenerate=strong,
-        cross_kernel_extreme=float(extreme),
-        dirichlet_gaps=tuple(gaps),
-    )
+    # Dirichlet drops the x1 = 0 plane: its rows are the other Neumann rows
+    idx = np.searchsorted(op_n.kept, op_d.kept)
+    if op_n.grid != op_d.grid or not np.array_equal(op_n.kept[idx], op_d.kept):
+        raise ValueError("the Dirichlet operator must share the Neumann operator's grid")
+    x1 = op_n.coords()[:, 0]
+    gap, cross = 0.0, []
+    for j in rows:
+        k_n = heat_kernel(op_n, idx[j], t, method)
+        k_d = heat_kernel(op_d, j, t, method)
+        gap = max(gap, float(np.abs(k_n.values[idx] - k_d.values).max()))
+        cross.append(k_n.values[x1 * x1[idx[j]] < 0])
+    return gap, np.concatenate(cross)

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .coefficients import CoefficientField, GrusinParameters, derive_exponents
+from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_exponents
 from .config import ConfigError, ExperimentConfig, bind, build
 from .discretization import BOUNDARY_MODES, assemble, build_grid
 from .evolution import (
@@ -34,7 +34,6 @@ from .evolution import (
 from .geometry import (MetricGraph, ball_volume, ball_volume_closed_form, closed_form_distance,
                        doubling_exponent)
 from .multipliers import (
-    MultiplierSpec,
     _hardy_args,
     _inequality_args,
     bump,
@@ -54,6 +53,20 @@ def _one_of(path: str, value, choices):
     """A ConfigError naming ``path`` unless ``value`` is one of ``choices``."""
     if value not in choices:
         raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
+
+
+def _check_knobs(check, **knobs) -> None:
+    """Run a computation's argument ``check`` first: its ValueError names ``knobs.<name>``."""
+    try:
+        check(**knobs)
+    except ValueError as err:
+        raise ConfigError(f"knobs.{err}") from err
+
+
+def _counts(**counts) -> None:
+    """A ConfigError naming ``knobs.<name>`` for a count that is not a positive integer."""
+    for name, value in counts.items():
+        _check_knobs(_as_int, name=name, value=value, positive=True)
 
 
 def _geomspace(*, lo, hi, n):
@@ -108,6 +121,7 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
                      n_sources=10, bound=1e-8, boundary="neumann_truncation") -> None:
     _one_of("knobs.boundary", boundary, BOUNDARY_MODES)
+    _counts(n_sources=n_sources)
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
     sources = _spread_sources(op, n_sources, rng)
@@ -146,8 +160,6 @@ def _decay_candidates(op, spec):
 
 
 def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
-    if not stages:
-        raise ConfigError("knobs.stages: required")
     coeffs = CoefficientField(cfg.params)
     # check every stage first, so that a bad stage fails before any stage runs
     runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
@@ -163,10 +175,13 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
     if isinstance(candidates, str):
         _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
-    if guard and candidates == "all" and boundary == "dirichlet_origin":
-        # an "all" stage guards from the origin's node, the one node this boundary removes
-        raise ConfigError(f"knobs.stages[{k}].guard: an 'all'-candidates stage guards from the "
-                          f"origin, which the 'dirichlet_origin' boundary removes")
+    # an "all" stage guards from the origin's node, and the degeneracy line
+    # starts there: the one node the dirichlet_origin boundary removes
+    if boundary == "dirichlet_origin" and (candidates == "degeneracy_line"
+                                           or guard and candidates == "all"):
+        knob = "guard" if candidates == "all" else "candidates"
+        raise ConfigError(f"knobs.stages[{k}].{knob}: a {candidates!r} stage reads the origin's "
+                          f"node, which the 'dirichlet_origin' boundary removes")
     label = f"stage{k}" if label is None else label
     grid = build(build_grid, f"knobs.stages[{k}]", {"extents": extents, "counts": counts}, cfg.params)
 
@@ -195,6 +210,7 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
                  box_fraction=0.5, stencil_order=2, min_closed=0.1,
                  stability_factor=1.25) -> None:
+    _counts(n_sources=n_sources, n_targets=n_targets)
     coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * box_fraction
@@ -217,6 +233,9 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
                 dn = float(d[grid.flat_index(tgt)[0]])
                 ratios.append(dn / dc)
                 rows.append(list(snapped) + list(tgt) + [dc, dn, dn / dc])
+        if not ratios:
+            raise ConfigError(f"knobs.min_closed: no pair of level {level} lies at a closed-form "
+                              f"distance of at least {min_closed}")
         ratios = np.asarray(ratios)
         band = float(max(ratios.max(), 1.0 / ratios.min()))
         bands.append(band)
@@ -289,7 +308,12 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
     _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
-    ks = heat_kernel(op, source, t, cfg.method)
+    j = op.node_index(source)
+    j2 = None if symmetry_point is None else op.node_index(symmetry_point)
+    if j2 == j:
+        raise ConfigError(f"knobs.symmetry_point: {list(symmetry_point)} resolves to the "
+                          f"source's node, so the symmetry check would test nothing")
+    ks = heat_kernel(op, j, t, cfg.method)
     coords = op.coords()
     rows = [list(coords[i]) + [ks.values[i]] for i in range(op.n_nodes)]
     cols = [f"x{i}" for i in range(cfg.params.dim)] + ["kernel"]
@@ -297,7 +321,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
     rep["checks"].append(check("mass_deviation", abs(1.0 - ks.mass()), "<=", mass_tol))
     rep["checks"].append(check("min_value", float(ks.values.min()), ">=", -1e-12))
     if symmetry_point is not None:
-        ks2 = heat_kernel(op, symmetry_point, t, cfg.method)
+        ks2 = heat_kernel(op, j2, t, cfg.method)
         gap = abs(ks.values[ks2.source_index] - ks2.values[ks.source_index])
         rep["checks"].append(check("symmetry_gap", gap, "<=", symmetry_tol))
     if oracle == "gauss_free_space":
@@ -314,28 +338,32 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
 def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
     coeffs = CoefficientField(cfg.params)
-    ops_n, ops_d = [], []
-    rows = []
+    counts, gaps, cross = [], [], []
     for grid in _levels(cfg, refinements):
-        ops_n.append(assemble(grid, coeffs))
-        ops_d.append(assemble(grid, coeffs, "dirichlet_origin"))
-    res = separation_check(ops_n, ops_d, t, sources, cfg.method)
-    for lvl, gap in enumerate(res.dirichlet_gaps):
-        rows.append([lvl, ops_n[lvl].grid.counts[0], res.cross_kernel_extreme, gap])
+        op_d = assemble(grid, coeffs, "dirichlet_origin")
+        rows = [op_d.node_index(p) for p in sources]
+        gap, values = separation_check(assemble(grid, coeffs), op_d, t, rows, cfg.method)
+        del op_d  # before the next level's operators are built
+        counts.append(grid.counts[0])
+        gaps.append(gap)
+        cross.append(values)
+    cross = np.concatenate(cross)
+    # the closed interval: delta1 >= 1/2 counts as strongly degenerate
+    strong = cfg.params.delta1 >= 0.5
+    extreme = float(np.abs(cross).max()) if strong else float(cross.min())
     rep["csv"]["separation.csv"] = {
         "columns": ["refinement", "count_axis0", "cross_kernel_extreme", "dirichlet_gap"],
-        "rows": rows,
+        "rows": [[lvl, c, extreme, gap] for lvl, (c, gap) in enumerate(zip(counts, gaps))],
     }
-    rep["fitted"]["cross_kernel_extreme"] = res.cross_kernel_extreme
-    rep["fitted"]["dirichlet_gaps"] = list(res.dirichlet_gaps)
-    gaps = res.dirichlet_gaps
-    if res.strongly_degenerate:
-        rep["checks"].append(check("cross_kernel_exactly_zero", abs(res.cross_kernel_extreme), "<=", 0.0))
+    rep["fitted"]["cross_kernel_extreme"] = extreme
+    rep["fitted"]["dirichlet_gaps"] = gaps
+    if strong:
+        rep["checks"].append(check("cross_kernel_exactly_zero", abs(extreme), "<=", 0.0))
         rep["checks"].append(check("dirichlet_gap_final", gaps[-1], "<=", strong_gap_bound))
         nonincreasing = all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))
         rep["checks"].append(check("dirichlet_gap_nonincreasing", 1.0 if nonincreasing else 0.0, ">=", 1.0))
     else:
-        rep["checks"].append(check("cross_kernel_min", res.cross_kernel_extreme, ">", 0.0))
+        rep["checks"].append(check("cross_kernel_min", extreme, ">", 0.0))
         rep["checks"].append(check("dirichlet_gap_lower", min(gaps), ">=", weak_gap_min))
 
 
@@ -344,9 +372,7 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
 
 def _region_rows(grid, lo, hi):
     """Nodes of ``grid`` (all kept) with lo <= |x1| <= hi."""
-    coords = grid.coords()
-    x1 = np.abs(coords[:, 0]) if grid.params.n == 1 else np.linalg.norm(
-        coords[:, : grid.params.n], axis=1)
+    x1 = np.linalg.norm(grid.coords()[:, : grid.params.n], axis=1)
     return np.nonzero((x1 >= lo) & (x1 <= hi))[0]
 
 
@@ -459,24 +485,22 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
     graph = MetricGraph(grid, coeffs, 2)
     coords = op.coords()[:, 0]
     rows = []
-    worst = -np.inf
-    samples = 0
     for center_a, center_b, halfwidth in pairs:
         in_a = np.abs(coords - center_a) <= halfwidth
         in_b = np.abs(coords - center_b) <= halfwidth
         rows_a = np.nonzero(in_a)[0]
         rows_b = np.nonzero(in_b)[0]
         dab = float(graph.distances_from_nodes(op.kept[rows_a])[op.kept[rows_b]].min())
-        for s in exponent_targets:
-            t = dab**2 / (4.0 * s)
-            margin = davies_gaffney_check(op, dab, rows_a, rows_b, [t], epsilon, cfg.method)
-            rows.append([center_a, center_b, dab, s, t, margin])
-            worst = max(worst, margin)
-            samples += 1
+        times = [dab**2 / (4.0 * s) for s in exponent_targets]
+        margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon, cfg.method)
+        rows += [[center_a, center_b, dab, s, t, m]
+                 for s, t, m in zip(exponent_targets, times, margins)]
     rep["csv"]["davies_gaffney.csv"] = {
         "columns": ["center_a", "center_b", "d_ab", "exponent_target", "t", "log_margin"],
         "rows": rows,
     }
+    worst = max(row[-1] for row in rows)
+    samples = len(rows)
     rep["fitted"]["worst_margin"] = worst
     rep["fitted"]["samples"] = samples
     rep["checks"].append(check("worst_margin", worst, "<", 0.0))
@@ -541,16 +565,15 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
 def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
              r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
              vf_params={"n": 1, "m": 1, "delta2": 1.0}) -> None:
+    _counts(ensemble=ensemble)
     radii = build(_geomspace, "knobs.r_grid", r_grid)
     if vf_slopes:
         vf = build(GrusinParameters, "knobs.vf_params", vf_params)
     grid = cfg.grid()
     coeffs = CoefficientField(cfg.params)
     op = assemble(grid, coeffs, "half_line_positive" if half_line else "neumann_truncation")
-    spec = MultiplierSpec(cfg.params)
     repA, repB = (
-        nash_check(op, spec, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line),
-                   radii)
+        nash_check(op, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line), radii)
         for seed in (cfg.seed, cfg.seed + 1))
     rep["csv"]["nash_ratios.csv"] = {
         "columns": ["trial", "ratio"],
@@ -569,19 +592,11 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
     if vf_slopes:
         ve = derive_exponents(vf)
         r0 = np.array([1e-3, 1e3])
-        v0, v1 = vf_volume(MultiplierSpec(vf), np.stack([r0, 1.3 * r0])).tolist()
+        v0, v1 = vf_volume(vf, np.stack([r0, 1.3 * r0])).tolist()
         for a, b, expect, label in zip(v0, v1, (ve.Dp, ve.D), ("vf_slope_small", "vf_slope_large")):
             slope = np.log(b / a) / np.log(1.3)
             rep["fitted"][label] = slope
             rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
-
-
-def _check_knobs(check, **knobs) -> None:
-    """Run a computation's argument ``check`` first: its ValueError names ``knobs.<name>``."""
-    try:
-        check(**knobs)
-    except ValueError as err:
-        raise ConfigError(f"knobs.{err}") from err
 
 
 def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,

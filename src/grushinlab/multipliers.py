@@ -8,7 +8,9 @@ The comparison symbol is F(p) = F1(|p1|^2) + F2(|p2|^2) with
     F2(L) = L^alphap (1+L)^(alpha-alphap)
 
 where alpha = (1-delta1)/(1+delta2-delta1) and likewise for the primed
-exponents.  The symbol carries no constant: the domination constant a with
+exponents: ``f1(params, L)`` and ``f2(params, L)`` are functions of the
+parameters alone, and ``nash_check`` reads them off the operator's grid.
+The symbol carries no constant: the domination constant a with
 h(phi) >= a f(phi), relating the discrete Dirichlet form to the multiplier
 form, is never assumed; it is always fitted on an ensemble of random bumps
 and reported.
@@ -23,7 +25,7 @@ Ensemble members are independent and deterministic given the recorded seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from math import gamma as gamma_fn, pi
 
 import numpy as np
@@ -35,7 +37,6 @@ from .coefficients import GrusinParameters, _as_int, derive_exponents
 from .discretization import DivergenceFormOperator, Grid, form_value
 
 __all__ = [
-    "MultiplierSpec",
     "vf_volume",
     "bump",
     "random_bump_ensemble",
@@ -46,27 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Separable comparison symbol F1(|p1|^2) + F2(|p2|^2)."""
+def f1(params: GrusinParameters, L):
+    """Block-1 symbol as a function of L = |p1|^2 (array friendly)."""
+    d1, d1p = params.delta1, params.delta1p
+    L = np.asarray(L, dtype=float)
+    if d1 >= d1p:
+        return L ** (1.0 - d1p) * (1.0 + L) ** (-(d1 - d1p))
+    return L ** (1.0 - d1) + L ** (1.0 - d1p)
 
-    params: GrusinParameters
 
-    def f1(self, L):
-        """Block-1 symbol as a function of L = |p1|^2 (array friendly)."""
-        d1, d1p = self.params.delta1, self.params.delta1p
-        L = np.asarray(L, dtype=float)
-        if d1 >= d1p:
-            out = L ** (1.0 - d1p) * (1.0 + L) ** (-(d1 - d1p))
-        else:
-            out = L ** (1.0 - d1) + L ** (1.0 - d1p)
-        return out
-
-    def f2(self, L):
-        """Block-2 symbol as a function of L = |p2|^2 (array friendly)."""
-        e = derive_exponents(self.params)
-        L = np.asarray(L, dtype=float)
-        return L**e.alphap * (1.0 + L) ** (e.alpha - e.alphap)
+def f2(params: GrusinParameters, L):
+    """Block-2 symbol as a function of L = |p2|^2 (array friendly)."""
+    e = derive_exponents(params)
+    L = np.asarray(L, dtype=float)
+    return L**e.alphap * (1.0 + L) ** (e.alpha - e.alphap)
 
 
 def _unit_ball_volume(k: int) -> float:
@@ -106,7 +100,7 @@ def _vf_rule():
     return u, w
 
 
-def vf_volume(spec: MultiplierSpec, r):
+def vf_volume(params: GrusinParameters, r):
     """Lebesgue measure of the sublevel set {p : F(p) < r^2}: a float for a
     scalar ``r``, an array of its shape for an array of radii (all solved in
     one elementwise pass, each equal bit for bit to its scalar call).
@@ -119,9 +113,9 @@ def vf_volume(spec: MultiplierSpec, r):
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > 0):
         raise ValueError("radius must be positive")
-    n, m = spec.params.n, spec.params.m
+    n, m = params.n, params.m
     budget = (radii * radii).ravel()
-    p1_max = _sublevel_radius(spec.f1, budget)
+    p1_max = _sublevel_radius(partial(f1, params), budget)
     if m == 0:
         # Python's float power: numpy's vectorized one can differ by an ulp
         vols = _unit_ball_volume(n) * np.array([q**n for q in p1_max.tolist()])
@@ -129,7 +123,7 @@ def vf_volume(spec: MultiplierSpec, r):
         # Gauss-Legendre on [0, p1_max] for the radial slice integral, one row per radius
         u, w = _vf_rule()
         s = p1_max[:, None] * u
-        q2 = _sublevel_radius(spec.f2, budget[:, None] - spec.f1(s * s))
+        q2 = _sublevel_radius(partial(f2, params), budget[:, None] - f1(params, s * s))
         integrand = n * _unit_ball_volume(n) * s ** (n - 1) * _unit_ball_volume(m) * q2**m
         vols = p1_max * np.sum(w * integrand, axis=1)
     return float(vols[0]) if radii.ndim == 0 else vols.reshape(radii.shape)
@@ -195,7 +189,7 @@ class NashReport:
     display: np.ndarray         # (r, lhs, rhs, rhs - lhs) rows of the min-ratio member
 
 
-def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
+def _transform_pieces(grid: Grid, member: np.ndarray):
     """(||phi||_2^2, ||phi||_1, f(phi)) through the unitary-convention DFT."""
     w = grid.node_weight
     d = grid.dim
@@ -210,10 +204,10 @@ def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
         Ls.append((freqs**2).reshape(shape))
         dp *= 2.0 * pi / (grid.counts[i] * grid.spacings[i])
     L1 = sum(Ls[: params.n])
-    fvals = spec.f1(L1)
+    fvals = f1(params, L1)
     if params.m > 0:
         L2 = sum(Ls[params.n :])
-        fvals = fvals + spec.f2(L2)
+        fvals = fvals + f2(params, L2)
     measure = dp / (2.0 * pi) ** d
     fhat2 = measure * np.abs(phat) ** 2
     l2 = float(np.sum(fhat2))
@@ -222,7 +216,7 @@ def _transform_pieces(grid: Grid, spec: MultiplierSpec, member: np.ndarray):
     return l2, l1, f_form
 
 
-def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members, r_grid) -> NashReport:
+def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
     """Fitted domination constant and Nash-display margins for an ensemble.
 
     ``members`` are full-grid arrays from :func:`random_bump_ensemble` on the
@@ -252,11 +246,11 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members, r_grid
             raise ValueError(f"ensemble member {k} is not finite")
         if reflect_axis0:
             kept = member.ravel()[op.kept]
-            full = _transform_pieces(grid, spec, _even_reflect_axis0(member))
+            full = _transform_pieces(grid, _even_reflect_axis0(member))
             l2, l1, f_form = (x / 2.0 for x in full)
         else:
             kept = member.ravel()
-            l2, l1, f_form = _transform_pieces(grid, spec, member)
+            l2, l1, f_form = _transform_pieces(grid, member)
         if f_form <= 0:
             raise ValueError(f"degenerate ensemble member {k} with zero multiplier form")
         h_form = form_value(op, kept)
@@ -267,7 +261,7 @@ def nash_check(op: DivergenceFormOperator, spec: MultiplierSpec, members, r_grid
     ratios = np.asarray(ratios)
     a_fit = float(ratios.min())
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
-    vols = vf_volume(spec, r_grid)
+    vols = vf_volume(grid.params, r_grid)
     worst = np.inf
     shown = int(np.argmin(ratios))
     for k, (l2, l1, h_form) in enumerate(pieces):

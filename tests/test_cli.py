@@ -470,6 +470,19 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # a bump with no support node, under the graph and the Euclidean metric
     ("c10_speed_classical", ["bump_center"], [30.0, 0.0], "knobs.bump_center: "),
     ("c10_speed_constant", ["bump_center"], [30.0, 0.0], "knobs.bump_center: "),
+    # the degeneracy line starts at the origin, which dirichlet_origin removes
+    ("c02_decay_classical", ["stages", 0, "boundary"], "dirichlet_origin",
+     "knobs.stages[0].candidates: "),
+    # a check with nothing to test
+    ("conservation", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
+    ("conservation", ["times"], [], "knobs.times: must not be empty"),
+    ("c06_doubling", ["centers"], [], "knobs.centers: must not be empty"),
+    ("decay", ["stages"], [], "knobs.stages: must not be empty"),
+    ("heat_kernel", ["symmetry_point"], [0.0], "knobs.symmetry_point: "),
+    ("c12_nash_full", ["ensemble"], 0, "knobs.ensemble must be a positive integer"),
+    ("distance", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
+    ("distance", ["n_targets"], 0, "knobs.n_targets must be a positive integer"),
+    ("distance", ["min_closed"], 100.0, "knobs.min_closed: "),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)

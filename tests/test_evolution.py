@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import ive, kve
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
-from grushinlab.config import ExperimentConfig
+from grushinlab.config import ConfigError, ExperimentConfig
 from grushinlab.discretization import assemble, build_grid
 from grushinlab import evolution
 from grushinlab.evolution import (
@@ -53,7 +54,7 @@ def test_free_space_gauss_kernel_oracle():
     # boundary mass is negligible
     op = _op_1d(count=1025)
     t = 0.1
-    ks = heat_kernel(op, [0.0], t, EXACT)
+    ks = heat_kernel(op, op.node_index([0.0]), t, EXACT)
     x = op.coords()[:, 0]
     oracle = (4 * np.pi * t) ** -0.5 * np.exp(-(x**2) / (4 * t))
     assert np.abs(ks.values - oracle).max() < 1e-3
@@ -63,7 +64,7 @@ def test_kernel_slice_invariants():
     params = GrusinParameters(1, 1, 0.25, 0.25, 0.5, 0.5)
     g = build_grid(params, (2.0, 2.0), (21, 21))
     op = assemble(g, CoefficientField(params))
-    ks = heat_kernel(op, [0.5, -0.3], 0.2, EXACT)
+    ks = heat_kernel(op, op.node_index([0.5, -0.3]), 0.2, EXACT)
     assert ks.values.min() >= -1e-12
     assert ks.mass() == pytest.approx(1.0, abs=1e-10)
     # symmetry K_t(x; y) = K_t(y; x)
@@ -104,7 +105,7 @@ def test_submarkov_property():
 
 def _mass_deviation(op, times, sources, method):
     """max over sources and times of |1 - sum_x w K_t(x; y)|."""
-    return max(abs(1.0 - heat_kernel(op, src, t, method).mass())
+    return max(abs(1.0 - heat_kernel(op, op.node_index(src), t, method).mass())
                for src in sources for t in times)
 
 
@@ -205,51 +206,47 @@ def test_dirichlet_dominated_by_neumann():
     xs_n = opn.coords()[:, 0]
     common = np.nonzero(np.abs(xs_n) > 0)[0]
     for t in (0.05, 0.5, 2.0):
-        kn = heat_kernel(opn, [1.0], t, EXACT)
-        kd = heat_kernel(opd, [1.0], t, EXACT)
+        kn = heat_kernel(opn, opn.node_index([1.0]), t, EXACT)
+        kd = heat_kernel(opd, opd.node_index([1.0]), t, EXACT)
         assert np.all(kd.values <= kn.values[common] + 1e-10)
 
 
-def test_separation_strongly_degenerate():
-    params = GrusinParameters(1, 0, 0.75, 0.75)
+def _separation_levels(params, counts=(101, 201, 401)):
+    """(gap, cross values) of each grid's separation check, source [1.0]."""
     cf = CoefficientField(params)
-    ops_n, ops_d = [], []
-    for count in (101, 201, 401):
+    out = []
+    for count in counts:
         g = build_grid(params, 4.0, count)
-        ops_n.append(assemble(g, cf))
-        ops_d.append(assemble(g, cf, "dirichlet_origin"))
-    rep = separation_check(ops_n, ops_d, 1.0, [[1.0]], EXACT)
-    assert rep.strongly_degenerate
-    assert rep.cross_kernel_extreme == 0.0  # exactly zero across x1 = 0
-    assert max(rep.dirichlet_gaps) <= 1e-12  # Dirichlet = Neumann here
-    assert all(a >= b - 1e-15 for a, b in zip(rep.dirichlet_gaps, rep.dirichlet_gaps[1:]))
+        opd = assemble(g, cf, "dirichlet_origin")
+        out.append(separation_check(assemble(g, cf), opd, 1.0, [opd.node_index([1.0])], EXACT))
+    return out
+
+
+def test_separation_strongly_degenerate():
+    levels = _separation_levels(GrusinParameters(1, 0, 0.75, 0.75))
+    gaps = [gap for gap, _ in levels]
+    assert all(np.all(cross == 0.0) and cross.size for _, cross in levels)  # exactly zero
+    assert max(gaps) <= 1e-12  # Dirichlet = Neumann here
+    assert all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_separation_weakly_degenerate():
-    params = GrusinParameters(1, 0, 0.25, 0.25)
-    cf = CoefficientField(params)
-    ops_n, ops_d = [], []
-    for count in (101, 201, 401):
-        g = build_grid(params, 4.0, count)
-        ops_n.append(assemble(g, cf))
-        ops_d.append(assemble(g, cf, "dirichlet_origin"))
-    rep = separation_check(ops_n, ops_d, 1.0, [[1.0]], EXACT)
-    assert not rep.strongly_degenerate
-    assert rep.cross_kernel_extreme > 0.0
-    assert min(rep.dirichlet_gaps) > 1e-3  # gap stays bounded away from zero
+    levels = _separation_levels(GrusinParameters(1, 0, 0.25, 0.25))
+    assert all(cross.min() > 0.0 for _, cross in levels)
+    assert min(gap for gap, _ in levels) > 1e-3  # gap stays bounded away from zero
 
 
 def test_separation_without_cross_nodes_raises_named_error():
-    params = GrusinParameters(1, 0, 0.25, 0.25)
-    cf = CoefficientField(params)
-    g = build_grid(params, 4.0, 41)
-    ops = [assemble(g, cf)], [assemble(g, cf, "dirichlet_origin")]
+    raw = {"experiment": "separation", "params": {"n": 1, "m": 0, "delta1": 0.25, "delta1p": 0.25},
+           "grid": {"extents": 4.0, "counts": 41}, "method": {"kind": "exact_eigendecomposition"},
+           "knobs": {"refinements": 1, "sources": [[1.0], [0.0]]}}
     # a source on x1 = 0 has no Dirichlet node
     with pytest.raises(ValueError, match="'dirichlet_origin' boundary removed"):
-        separation_check(*ops, 1.0, [[0.0]], EXACT)
+        run_experiment(ExperimentConfig.from_dict(raw))
     # without a source, no node lies across x1 = 0 from one
-    with pytest.raises(ValueError, match="across x1 = 0"):
-        separation_check(*ops, 1.0, [], EXACT)
+    raw["knobs"]["sources"] = []
+    with pytest.raises(ConfigError, match=r"knobs\.sources: must not be empty"):
+        run_experiment(ExperimentConfig.from_dict(raw))
 
 
 def test_separation_with_mismatched_grids_raises_named_error():
@@ -258,14 +255,14 @@ def test_separation_with_mismatched_grids_raises_named_error():
     neumann = assemble(build_grid(params, 4.0, 41), cf)
     dirichlet = assemble(build_grid(params, 4.0, 21), cf, "dirichlet_origin")
     with pytest.raises(ValueError, match="grid"):
-        separation_check([neumann], [dirichlet], 1.0, [[1.0]], EXACT)
+        separation_check(neumann, dirichlet, 1.0, [dirichlet.node_index([1.0])], EXACT)
 
 
 def test_boundary_convention_at_half():
     params = GrusinParameters(1, 0, 0.5, 0.5)
     g = build_grid(params, 4.0, 101)
     op = assemble(g, CoefficientField(params))
-    k = heat_kernel(op, [1.0], 1.0, EXACT)
+    k = heat_kernel(op, op.node_index([1.0]), 1.0, EXACT)
     xs = op.coords()[:, 0]
     assert np.abs(k.values[xs < 0]).max() == 0.0
 
@@ -435,3 +432,74 @@ def test_two_x_needs_every_diagonal_stored():
     pruned.eliminate_zeros()  # drops the isolated rows' 0.0 diagonals
     with pytest.raises(ValueError, match="diagonal"):
         evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0)
+
+
+def _power_kernel(a, t, x, y):
+    """Continuum heat kernel K_t(x, y) of d/dx |x|^a d/dx on the line, a < 2.
+
+    With b = 2 - a, X = |x|^b is (b^2 / 2) times a squared Bessel process of
+    index nu = 1/b - 1 run to s = b^2 t / 2, so on the half-line
+    K_t(x, y) = (1/2s) (Y/X)^(nu/2) e^(-(X+Y)/2s) I_(+-|nu|)(sqrt(XY)/s) b y^(b-1)
+    (Revuz & Yor, ch. XI): the reflecting kernel takes -|nu| for a < 1, the
+    killed one +|nu|, and both take +|nu| for a >= 1, where 0 is never
+    reached.  The line's kernel is (K_refl + sgn(xy) K_kill) / 2, so for
+    a >= 1 the cross term is exactly 0; for a < 1 it is written through
+    I_-nu - I_nu = (2/pi) sin(nu pi) K_nu, which cancels nothing.  The
+    scaled ive = I e^-z and kve = K e^z fold e^+-z into the exponent,
+    -(X+Y)/2s +- z = -(sqrt X -+ sqrt Y)^2 / 2s.
+    """
+    b = 2.0 - a
+    nu = 1.0 / b - 1.0
+    s = b * b * t / 2.0
+    X, Y = abs(x) ** b, abs(y) ** b
+    z = np.sqrt(X * Y) / s
+    pref = (Y / X) ** (nu / 2.0) / (2.0 * s) * b * abs(y) ** (b - 1.0)
+    if x * y > 0:
+        bessel = 0.5 * (ive(-abs(nu), z) + ive(abs(nu), z)) if a < 1.0 else ive(abs(nu), z)
+        return pref * np.exp(-(np.sqrt(X) - np.sqrt(Y)) ** 2 / (2.0 * s)) * bessel
+    if a >= 1.0:
+        return 0.0
+    bessel = np.sin(abs(nu) * np.pi) / np.pi * kve(abs(nu), z)
+    return pref * np.exp(-(np.sqrt(X) + np.sqrt(Y)) ** 2 / (2.0 * s)) * bessel
+
+
+def test_power_kernel_at_a_zero_is_the_free_space_gaussian():
+    # c14's grid and time; the helper's rounding is scipy's ive (about 4e-14)
+    t = 0.1
+    x = build_grid(GrusinParameters(1, 0), 8.0, 1025).coords()[:, 0]
+    x = x[x != 0.0]
+    for y in (0.5, -0.5, 1.0):
+        gauss = (4 * np.pi * t) ** -0.5 * np.exp(-((x - y) ** 2) / (4 * t))
+        helper = np.array([_power_kernel(0.0, t, xi, y) for xi in x])
+        assert np.abs(helper / gauss - 1.0).max() <= 5e-14
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.75])
+def test_power_coefficient_kernel_converges_to_the_continuum_dichotomy(delta):
+    # c = |x|^(2 delta), c07's source x = 1 and points y = -0.5 (across
+    # x1 = 0) and y = 0.5, t = 0.1, h = 0.02, 0.01, 0.005
+    params = GrusinParameters(1, 0, delta, delta)
+    t, a = 0.1, 2.0 * delta
+    cross, same = [], []
+    for count in (401, 801, 1601):
+        op = assemble(build_grid(params, 4.0, count), CoefficientField(params))
+        ks = heat_kernel(op, op.node_index([1.0]), t, EXACT)
+        cross.append(ks.values[op.node_index([-0.5])])
+        same.append(ks.values[op.node_index([0.5])])
+        if delta >= 0.5:
+            # strong degeneracy: the discrete cross kernel is exactly zero
+            assert np.all(ks.values[op.coords()[:, 0] < 0.0] == 0.0)
+
+    def orders(values, exact):
+        err = np.abs(np.asarray(values) / exact - 1.0)
+        return err, np.log2(err[:-1] / err[1:])
+
+    err, order = orders(same, _power_kernel(a, t, 1.0, 0.5))
+    assert err[-1] < 5e-5 and np.all(order > 1.9)  # second order
+    exact_cross = _power_kernel(a, t, 1.0, -0.5)
+    if delta >= 0.5:
+        assert exact_cross == 0.0 and cross == [0.0, 0.0, 0.0]
+    else:
+        assert exact_cross > 0.0
+        err, order = orders(cross, exact_cross)
+        assert err[-1] < 6e-3 and np.all(order > 1.9)

@@ -6,7 +6,8 @@ import pytest
 from grushinlab.coefficients import CoefficientField, GrusinParameters, derive_exponents
 from grushinlab.discretization import assemble, build_grid, form_value
 from grushinlab.multipliers import (
-    MultiplierSpec,
+    f1,
+    f2,
     hardy_check,
     nash_check,
     operator_inequality_checks,
@@ -20,48 +21,48 @@ EUCLID_2D = GrusinParameters(1, 1)
 
 def _symbol(spec, p):
     """F(p) = F1(|p1|^2) + F2(|p2|^2) for a frequency vector p."""
-    p, n = np.asarray(p, dtype=float), spec.params.n
-    return spec.f1(p[:n] @ p[:n]) + spec.f2(p[n:] @ p[n:])
+    p, n = np.asarray(p, dtype=float), spec.n
+    return f1(spec, p[:n] @ p[:n]) + f2(spec, p[n:] @ p[n:])
 
 
 def test_multiplier_value_examples():
-    spec = MultiplierSpec(CLASSICAL)
+    spec = CLASSICAL
     assert _symbol(spec, [0.0, 0.0]) == 0.0
     # alpha = alphap = 1/2 branch: F2 = |p2|, so F(0, 4) = 4
     assert _symbol(spec, [0.0, 4.0]) == pytest.approx(4.0)
     # all deltas zero: the Laplacian symbol |p|^2
-    assert _symbol(MultiplierSpec(EUCLID_2D), [3.0, 4.0]) == pytest.approx(25.0)
+    assert _symbol(EUCLID_2D, [3.0, 4.0]) == pytest.approx(25.0)
 
 
 def test_multiplier_monotone_and_zero_at_zero():
-    spec = MultiplierSpec(GrusinParameters(1, 1, 0.5, 0.25, 1.5, 0.5))
+    spec = GrusinParameters(1, 1, 0.5, 0.25, 1.5, 0.5)
     L = np.geomspace(1e-8, 1e8, 60)
-    assert np.all(np.diff(spec.f1(L)) > 0)
-    assert np.all(np.diff(spec.f2(L)) > 0)
-    assert spec.f1(0.0) == 0.0 and spec.f2(0.0) == 0.0
+    assert np.all(np.diff(f1(spec, L)) > 0)
+    assert np.all(np.diff(f2(spec, L)) > 0)
+    assert f1(spec, 0.0) == 0.0 and f2(spec, 0.0) == 0.0
 
 
 def test_multiplier_branches():
     # local-dominant branch (delta1 >= delta1p): L^(1-delta1p) (1+L)^-(delta1-delta1p)
-    spec = MultiplierSpec(GrusinParameters(1, 0, 0.5, 0.25))
+    spec = GrusinParameters(1, 0, 0.5, 0.25)
     assert _symbol(spec, [2.0]) == pytest.approx(4.0**0.75 * 5.0**-0.25)
     # global-dominant branch is the sum of two powers
-    spec = MultiplierSpec(GrusinParameters(1, 0, 0.25, 0.5))
+    spec = GrusinParameters(1, 0, 0.25, 0.5)
     assert _symbol(spec, [2.0]) == pytest.approx(4.0**0.75 + 4.0**0.5)
-    assert spec.f1(4.0) == pytest.approx(4.0**0.75 + 4.0**0.5)
+    assert f1(spec, 4.0) == pytest.approx(4.0**0.75 + 4.0**0.5)
 
 
 def test_vf_volume_euclidean_balls():
     # all deltas zero: the sublevel set is the Euclidean ball of radius r
-    assert vf_volume(MultiplierSpec(EUCLID_2D), 2.0) == pytest.approx(np.pi * 4.0, rel=1e-6)
+    assert vf_volume(EUCLID_2D, 2.0) == pytest.approx(np.pi * 4.0, rel=1e-6)
     three = GrusinParameters(2, 1)
-    assert vf_volume(MultiplierSpec(three), 1.0) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-6)
+    assert vf_volume(three, 1.0) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-6)
     one = GrusinParameters(1, 0)
-    assert vf_volume(MultiplierSpec(one), 3.0) == pytest.approx(6.0, rel=1e-9)
+    assert vf_volume(one, 3.0) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_vf_volume_monotone_and_scale():
-    spec = MultiplierSpec(CLASSICAL)
+    spec = CLASSICAL
     rs = np.geomspace(0.01, 100.0, 25)
     vols = np.array([vf_volume(spec, r) for r in rs])
     assert np.all(np.diff(vols) > 0)
@@ -75,7 +76,7 @@ def test_vf_volume_monotone_and_scale():
 def test_vf_volume_of_radii_equals_scalar_calls_bit_for_bit(n, m):
     from grushinlab.multipliers import _sublevel_radius, _unit_ball_volume
 
-    spec = MultiplierSpec(GrusinParameters(n, m, 0.5, 0.25, 1.5, 0.5))
+    spec = GrusinParameters(n, m, 0.5, 0.25, 1.5, 0.5)
     radii = np.geomspace(1e-4, 1e4, 33)
     scalar = [vf_volume(spec, float(r)) for r in radii]
     assert all(type(v) is float for v in scalar)
@@ -86,7 +87,7 @@ def test_vf_volume_of_radii_equals_scalar_calls_bit_for_bit(n, m):
     if m == 0:
         # the block-1 ball in Python's float power, which numpy's vectorized
         # power can miss by an ulp (n = 3)
-        q1 = [float(_sublevel_radius(spec.f1, r * r)[0]) for r in radii]
+        q1 = [float(_sublevel_radius(lambda L: f1(spec, L), r * r)[0]) for r in radii]
         assert scalar == [_unit_ball_volume(n) * q**n for q in q1]
     with pytest.raises(ValueError, match="radius"):
         vf_volume(spec, np.array([1.0, 0.0]))
@@ -97,12 +98,12 @@ def test_vf_volume_block_product_sandwich():
     # budget r^2/2 and the full product of block balls at budget r^2
     from grushinlab.multipliers import _sublevel_radius, _unit_ball_volume
 
-    spec = MultiplierSpec(CLASSICAL)
+    spec = CLASSICAL
     n, m = CLASSICAL.n, CLASSICAL.m
     for r in (0.1, 1.0, 10.0):
         def block_product(budget):
-            q1 = float(_sublevel_radius(spec.f1, budget)[0])
-            q2 = float(_sublevel_radius(spec.f2, budget)[0])
+            q1 = float(_sublevel_radius(lambda L: f1(spec, L), budget)[0])
+            q2 = float(_sublevel_radius(lambda L: f2(spec, L), budget)[0])
             return _unit_ball_volume(n) * q1**n * _unit_ball_volume(m) * q2**m
 
         v = vf_volume(spec, r)
@@ -114,7 +115,7 @@ def test_vf_volume_two_scale_slopes():
     # small-r slope -> Dp, large-r slope -> D, both within 5%
     params = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 0.0)  # D = 3, Dp = 2
     e = derive_exponents(params)
-    spec = MultiplierSpec(params)
+    spec = params
     for r0, expect in [(1e-3, e.Dp), (1e3, e.D)]:
         v0, v1 = vf_volume(spec, r0), vf_volume(spec, 1.3 * r0)
         slope = np.log(v1 / v0) / np.log(1.3)
@@ -125,9 +126,8 @@ def test_parseval_identity_constant_coefficients():
     # c = 1: the discrete form h(phi) matches sum |p|^2 |phat|^2 within O(h^2)
     g = build_grid(EUCLID_2D, (2.0, 2.0), (65, 65))
     op = assemble(g, CoefficientField(EUCLID_2D))
-    spec = MultiplierSpec(EUCLID_2D)
     members = random_bump_ensemble(g, 12, seed=123)
-    rep = nash_check(op, spec, members, r_grid=np.geomspace(0.5, 40.0, 25))
+    rep = nash_check(op, members, r_grid=np.geomspace(0.5, 40.0, 25))
     assert rep.parseval_gap < 1e-10
     assert np.all(np.abs(rep.ratios - 1.0) < 0.05)
     assert rep.worst_margin >= 0.0
@@ -136,14 +136,13 @@ def test_parseval_identity_constant_coefficients():
 def test_nash_classical_grusin_margin_and_stability():
     g = build_grid(CLASSICAL, (2.0, 2.0), (65, 65))
     op = assemble(g, CoefficientField(CLASSICAL))
-    spec = MultiplierSpec(CLASSICAL)
     members = random_bump_ensemble(g, 40, seed=7)
-    rep = nash_check(op, spec, members, r_grid=np.geomspace(0.3, 60.0, 30))
+    rep = nash_check(op, members, r_grid=np.geomspace(0.3, 60.0, 30))
     assert rep.fitted_constant > 0
     assert rep.worst_margin >= 0.0
     # fitted constant moves by < 25% when the ensemble doubles
     members2 = members + random_bump_ensemble(g, 40, seed=8)
-    rep2 = nash_check(op, spec, members2, r_grid=np.geomspace(0.3, 60.0, 30))
+    rep2 = nash_check(op, members2, r_grid=np.geomspace(0.3, 60.0, 30))
     assert rep2.fitted_constant <= rep.fitted_constant + 1e-12
     assert rep2.fitted_constant >= rep.fitted_constant / 1.25
 
@@ -153,7 +152,7 @@ def test_nash_display_rows():
     op = assemble(g, CoefficientField(CLASSICAL))
     members = random_bump_ensemble(g, 10, seed=7)
     r_grid = np.geomspace(0.3, 60.0, 30)
-    rep = nash_check(op, MultiplierSpec(CLASSICAL), members, r_grid=r_grid)
+    rep = nash_check(op, members, r_grid=r_grid)
     r, lhs, rhs, margin = rep.display.T
     assert rep.display.shape == (len(r_grid), 4)
     assert np.array_equal(r, rep.r_grid)
@@ -170,15 +169,14 @@ def test_nash_half_line_factor_four():
     params = GrusinParameters(1, 0, 0.75, 0.75)
     g = build_grid(params, 4.0, 513)
     op = assemble(g, CoefficientField(params), "half_line_positive")
-    spec = MultiplierSpec(params)
     members = random_bump_ensemble(g, 30, seed=21, positive_axis0=True)
-    rep = nash_check(op, spec, members, r_grid=np.geomspace(0.2, 50.0, 30))
+    rep = nash_check(op, members, r_grid=np.geomspace(0.2, 50.0, 30))
     assert rep.fitted_constant > 0
     assert rep.worst_margin >= 0.0
 
     negative = assemble(g, CoefficientField(params), "half_line_negative")
     with pytest.raises(ValueError, match="half_line_positive"):
-        nash_check(negative, spec, members, r_grid=[1.0])
+        nash_check(negative, members, r_grid=[1.0])
 
 
 @pytest.mark.parametrize("bad, named", [(np.nan, "member 2 is not finite"),
@@ -193,7 +191,7 @@ def test_nash_rejects_a_member_that_is_not_finite_or_zero(bad, named):
     else:
         members[2][5, 60] = bad
     with pytest.raises(ValueError, match=named):
-        nash_check(op, MultiplierSpec(CLASSICAL), members, r_grid=[0.5, 5.0])
+        nash_check(op, members, r_grid=[0.5, 5.0])
 
 
 def test_bump_ensemble_respects_box_and_resolution():
