@@ -17,6 +17,11 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   where the tail sum of |c_k| drops to the tolerance bounds the error by
   tolerance * |v| a priori; about sqrt(2 z ln(1/tol)) matvecs.  The wave
   layer sums cos(t sqrt A) through the same recurrence (``_chebyshev_sum``).
+  T_k(x) v is zero more than k hops from the support of v, so term k is
+  computed on the rows within k hops only, in an order sorted by that
+  distance (``_support_order``): the cost is proportional to the rows
+  reached, and every nonzero entry is bit for bit that of the recurrence
+  over all rows.
 
 Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
 time (``_region_block``): from the factors, or from the moments
@@ -36,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import daxpy
+from scipy.sparse import _sparsetools
+from scipy.sparse.csgraph import dijkstra
 from scipy.special import ive
 
 from .coefficients import _as_int, derive_exponents, piecewise_power
@@ -120,58 +127,127 @@ def estimate_lambda_max(op: DivergenceFormOperator) -> float:
     return 2.0 * float(op.matrix.diagonal().max()) or 1.0
 
 
-# Rows whose stored diagonal ``_two_x`` looks up at once: its scratch stays
-# under 100 kB at any operator size.
-_DIAGONAL_ROWS = 1024
+# Rows that ``_two_x`` moves at once: its scratch stays under 100 kB at any
+# operator size.
+_DIAGONAL_ROWS = 256
 
 
-def _two_x(op: DivergenceFormOperator, lam: float) -> sp.csr_matrix:
-    """2x = (4/lam) A - 2I as one copy of A: the copy's data scaled in place,
-    then its stored diagonal shifted by -2 in place, a block of rows at a
-    time.  Every assembled matrix stores its whole diagonal, so no entry is
-    inserted; a matrix that lacks one raises ValueError."""
-    two_x = op.matrix.copy()
-    two_x.data *= 4.0 / lam
-    indptr, indices = two_x.indptr, two_x.indices
+def _support_order(op: DivergenceFormOperator, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of a recurrence of ``count`` terms on a vector or block
+    whose nonzero rows are ``rows``: (pos, reach).
+
+    Row r goes to place pos[r] (int32).  Rows are sorted by their hop
+    distance from ``rows`` over A's stored pattern (symmetric, as A is), ties
+    in row order, and reach[k] counts the rows within k hops: T_k(x) v is
+    exactly zero past them.  Rows more than count - 1 hops away, or never
+    reached (cut off by dead faces), go last.  The pattern is a broadcast 1.0
+    on A's index arrays, so the only copy is the unit weights Dijkstra makes.
+    """
+    A = op.matrix
+    pattern = sp.csr_matrix((np.broadcast_to(1.0, A.data.shape), A.indices, A.indptr),
+                            shape=A.shape)
+    hops = dijkstra(pattern, indices=np.asarray(rows, dtype=np.int32), unweighted=True,
+                    min_only=True, limit=count - 1)
+    reach = np.cumsum(np.bincount(hops[np.isfinite(hops)].astype(np.intp), minlength=count))
+    pos = np.empty(op.n_nodes, dtype=np.int32)
+    pos[np.argsort(hops, kind="stable")] = np.arange(op.n_nodes, dtype=np.int32)
+    return pos, reach
+
+
+def _two_x(op: DivergenceFormOperator, lam: float, pos: np.ndarray) -> sp.csr_matrix:
+    """2x = (4/lam) A - 2I in the order ``pos`` (row r of A is row pos[r],
+    column j is column pos[j]), built straight from A a block of rows at a
+    time: each row keeps its entries in their stored order, each value is
+    A_ij * (4/lam), and the stored diagonal is shifted by -2.  Every
+    assembled matrix stores its whole diagonal, so no entry is inserted; a
+    matrix that lacks one raises ValueError."""
+    A = op.matrix
+    indptr = np.zeros_like(A.indptr)
+    indptr[1:][pos] = np.diff(A.indptr)
+    np.cumsum(indptr, out=indptr)
+    indices, data = np.empty_like(A.indices), np.empty_like(A.data)
     for r0 in range(0, op.n_nodes, _DIAGONAL_ROWS):
         r1 = min(r0 + _DIAGONAL_ROWS, op.n_nodes)
-        rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0:r1 + 1]))
-        at = indptr[r0] + np.flatnonzero(indices[indptr[r0]:indptr[r1]] == rows)
-        if at.size != r1 - r0:
+        s0, s1 = A.indptr[r0], A.indptr[r1]
+        lengths = np.diff(A.indptr[r0:r1 + 1])
+        # stored slot s of row r moves to indptr[pos[r]] + (s - A.indptr[r])
+        at = np.repeat(indptr[pos[r0:r1]] - A.indptr[r0:r1], lengths) + np.arange(s0, s1)
+        cols = pos[A.indices[s0:s1]]
+        vals = A.data[s0:s1] * (4.0 / lam)
+        diag = np.flatnonzero(cols == np.repeat(pos[r0:r1], lengths))
+        if diag.size != r1 - r0:
             raise ValueError(f"rows {r0}..{r1 - 1} do not each store one diagonal entry")
-        two_x.data[at] -= 2.0
-    return two_x
+        vals[diag] -= 2.0
+        indices[at] = cols
+        data[at] = vals
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
 
 
-def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, count: int):
-    """Yield T_k(x) v, k < count, x = (2/lam) A - I, for a vector or an (N, R)
-    block v; each yielded array is overwritten two terms later.
+def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
+    """m[:n] @ x for a vector or a C-ordered (N, R) block x, by the kernel
+    ``csr_matrix @`` runs, on the first n rows of m without copying them."""
+    y = np.zeros((n,) + x.shape[1:])
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n, m.shape[1], m.indptr, m.indices, m.data, x, y)
+    else:
+        _sparsetools.csr_matvecs(n, m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
+                                 x.ravel(), y.ravel())
+    return y
 
-    2x is one copy of A (``_two_x``), so the recurrence holds A, 2x and its
-    vectors and nothing more.  Each stored entry of 2x is the float
-    (4/lam) A_ij - 2 delta_ij; where (4/lam) A_ii is exactly 2 that is 0.0,
-    and it stays stored.  It adds 0 * v_i = +-0 to its row's sum, which
-    starts at +0 and so is never -0, and leaves the sum as it is: every T_k v
-    is byte-identical to the recurrence on (4/lam) A - 2I with its exact
-    zeros pruned, for finite v.
+
+def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos: np.ndarray,
+                     reach: np.ndarray):
+    """Yield T_k(x) v, k < len(reach), x = (2/lam) A - I, for a vector or an
+    (N, R) block v, all in the order ``pos`` of ``_support_order``: v is
+    given in it, and T_k is computed on its first reach[k] rows only, past
+    which it is exactly zero.
+
+    v itself is T_0, and the buffer of T_2, T_4, ...  Each yielded array is
+    overwritten two terms later.  2x is one copy of A (``_two_x``), so the
+    recurrence holds A, 2x and its vectors and nothing more.  Each stored
+    entry of 2x is the float (4/lam) A_ij - 2 delta_ij; where (4/lam) A_ii
+    is exactly 2 that is 0.0, and it stays stored.  It adds 0 * v_i = +-0 to
+    its row's sum, which starts at +0 and so is never -0, and leaves the sum
+    as it is.  So every nonzero entry of T_k v is
+    bit for bit that of the plain recurrence on (4/lam) A - 2I over all rows
+    with its exact zeros pruned, for finite v: a row within k hops sums the
+    same products in the same order, and one past them sums none.  Only the
+    sign of a zero may differ, which no norm or energy shows.
     """
-    two_x = _two_x(op, lam)
-    t_prev, t_cur = v.copy(), 0.5 * (two_x @ v)
+    two_x = _two_x(op, lam, pos)
+    t_prev, t_cur = v, np.zeros_like(v)
     yield t_prev
-    for k in range(1, count):
-        if k > 1:  # T_k = 2x T_{k-1} - T_{k-2}, written over T_{k-2}
-            t_prev, t_cur = t_cur, np.subtract(two_x @ t_cur, t_prev, out=t_prev)
+    for k in range(1, len(reach)):
+        n = reach[k]
+        if k == 1:
+            np.multiply(_head_matvec(two_x, t_prev, n), 0.5, out=t_cur[:n])
+        else:  # T_k = 2x T_{k-1} - T_{k-2}, written over T_{k-2}
+            np.subtract(_head_matvec(two_x, t_cur, n), t_prev[:n], out=t_prev[:n])
+            t_prev, t_cur = t_cur, t_prev
         yield t_cur
 
 
 def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of ``coef``."""
-    terms = _chebyshev_terms(op, lam, v, coef.shape[1])
+    """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of
+    ``coef``; the work is proportional to the rows each term reaches.
+
+    Each row of the accumulator takes c T_k(x) v on the term's reach by
+    ``daxpy``, the kernel BLAS's rank-1 update runs per column, so every
+    nonzero entry of the sum is bit for bit that of one rank-1 update per
+    term over all rows.
+    """
+    pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1])
+    vp = np.empty_like(v)
+    vp[pos] = v
+    terms = _chebyshev_terms(op, lam, vp, pos, reach)
     acc = np.outer(coef[:, 0], next(terms))
-    for t_k, c in zip(terms, coef.T[1:]):
-        dger(1.0, t_k, c, a=acc.T, overwrite_a=True)  # one rank-1 update
-    return acc
+    for k, t_k in enumerate(terms, start=1):
+        for row, c in zip(acc, coef[:, k]):
+            daxpy(t_k, row, n=reach[k], a=c)
+    # a C-ordered copy: a reduction over its rows (the wave's energy) sums
+    # in an order that follows the memory layout
+    return np.take(acc, pos, axis=1)
 
 
 def _heat_series_length(z: float, tol: float) -> int:
@@ -365,8 +441,11 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
     lam = estimate_lambda_max(op)
     coef = _heat_coefficients(lam, times, method.tolerance)
-    units = sp.identity(op.n_nodes, format="csc")[:, rows].toarray()
-    moments = [t_k[rows] for t_k in _chebyshev_terms(op, lam, units, coef.shape[1])]
+    pos, reach = _support_order(op, rows, coef.shape[1])
+    at = pos[rows]
+    units = np.zeros((op.n_nodes, at.size))
+    units[at, np.arange(at.size)] = 1.0
+    moments = [t_k[at] for t_k in _chebyshev_terms(op, lam, units, pos, reach)]
     return np.tensordot(coef, moments, axes=1)
 
 

@@ -69,6 +69,16 @@ def _counts(**counts) -> None:
         _check_knobs(_as_int, name=name, value=value, positive=True)
 
 
+def _resolve(path: str, lookup, point):
+    """``lookup(point)``, ``op.node_index`` or ``grid.flat_index``: a point
+    off the grid, or on a node the boundary removed, is a ConfigError
+    naming ``path``."""
+    try:
+        return lookup(point)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def _geomspace(*, lo, hi, n):
     """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically."""
     return np.geomspace(lo, hi, n)
@@ -141,7 +151,7 @@ def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.2
 # ------------------------------------------------------------------------ decay
 
 
-def _decay_candidates(op, spec):
+def _decay_candidates(op, spec, path):
     grid = op.grid
     if spec == "all":
         return None
@@ -156,7 +166,7 @@ def _decay_candidates(op, spec):
                     if abs(x2) <= 0.5 * grid.extents[n]]
         pts.append([grid.spacings[0]] + [0.0] * (grid.dim - 1))
         return sorted(set(op.node_index(p) for p in pts))
-    return sorted(set(op.node_index(p) for p in spec))
+    return sorted(set(_resolve(f"{path}[{i}]", op.node_index, p) for i, p in enumerate(spec)))
 
 
 def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
@@ -187,7 +197,7 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
 
     def run() -> list:
         op = assemble(grid, coeffs, boundary)
-        cands = _decay_candidates(op, candidates)
+        cands = _decay_candidates(op, candidates, f"knobs.stages[{k}].candidates")
         bdist = None
         if guard:
             graph = MetricGraph(grid, coeffs, 2)
@@ -211,6 +221,9 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
                  box_fraction=0.5, stencil_order=2, min_closed=0.1,
                  stability_factor=1.25) -> None:
     _counts(n_sources=n_sources, n_targets=n_targets)
+    # a box within the grid's, so every drawn point snaps to a node of every level
+    if not 0.0 < box_fraction <= 1.0:
+        raise ConfigError(f"knobs.box_fraction: {box_fraction!r} must lie in (0, 1]")
     coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * box_fraction
@@ -252,12 +265,12 @@ def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10
 # ----------------------------------------------------------------------- volume
 
 
-def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, radii):
-    """Ball volumes around ``center``'s node of ``graph`` counted over the sorted
-    ``radii``, written to CSV ``name`` beside the closed form at ``center``;
-    returns (radii, volumes)."""
+def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: int, radii):
+    """Ball volumes around ``node`` of ``graph``, the node of the point
+    ``center``, counted over the sorted ``radii``, written to CSV ``name``
+    beside the closed form at ``center``; returns (radii, volumes)."""
     grid = graph.grid
-    d = graph.distances_from_nodes(grid.flat_index(center)[0])
+    d = graph.distances_from_nodes(node)
     radii = np.sort(np.asarray(radii, dtype=float))
     vols = np.array([ball_volume(d, r, grid.node_weight) for r in radii])
     rep["csv"][name] = {
@@ -272,27 +285,34 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
                       origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
                       off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1) -> None:
     dim = cfg.params.dim
-    runs = [("origin", [0.0] * dim, build(_geomspace, "knobs.origin_radii", origin_radii),
-             derive_exponents(cfg.params).D),
-            ("offcenter", [1.0] + [0.0] * (dim - 1) if off_center is None else off_center,
+    grid = cfg.grid()
+    origin = [0.0] * dim
+    off_center = [1.0] + [0.0] * (dim - 1) if off_center is None else off_center
+    runs = [("origin", origin, grid.flat_index(origin)[0],
+             build(_geomspace, "knobs.origin_radii", origin_radii), derive_exponents(cfg.params).D),
+            ("offcenter", off_center, _resolve("knobs.off_center", grid.flat_index, off_center)[0],
              build(_geomspace, "knobs.off_radii", off_radii), dim)]
-    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
-    for tag, center, radii, expected in runs:
-        slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg, graph, center, radii))
+    graph = MetricGraph(grid, CoefficientField(cfg.params), stencil_order)
+    for tag, center, node, radii, expected in runs:
+        slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg, graph, center, node,
+                                           radii))
         rep["fitted"][f"{tag}_slope"] = slope
         rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
 
 def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n_radii=8,
                  centers=([0.0], [5.0]), slack=0.3) -> None:
-    graph = MetricGraph(cfg.grid(), CoefficientField(cfg.params), stencil_order)
+    grid = cfg.grid()
+    nodes = [_resolve(f"knobs.centers[{i}]", grid.flat_index, center)[0]
+             for i, center in enumerate(centers)]
+    graph = MetricGraph(grid, CoefficientField(cfg.params), stencil_order)
     radii = r0 * 2.0 ** np.arange(n_radii)
     bound = derive_exponents(cfg.params).doubling_dim + slack
     worst = -np.inf
-    for center in centers:
+    for center, node in zip(centers, nodes):
         tag = "_".join(f"{c:g}" for c in center)
         expo = doubling_exponent(*_volumes(rep, f"volume_doubling_{tag}.csv", cfg, graph,
-                                           center, radii))
+                                           center, node, radii))
         worst = max(worst, expo)
         rep["fitted"][f"doubling_exponent_{tag}"] = expo
     rep["checks"].append(check("doubling_exponent_max", worst, "<=", bound))
@@ -308,8 +328,9 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
     _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
-    j = op.node_index(source)
-    j2 = None if symmetry_point is None else op.node_index(symmetry_point)
+    j = _resolve("knobs.source", op.node_index, source)
+    j2 = None if symmetry_point is None else _resolve("knobs.symmetry_point", op.node_index,
+                                                      symmetry_point)
     if j2 == j:
         raise ConfigError(f"knobs.symmetry_point: {list(symmetry_point)} resolves to the "
                           f"source's node, so the symmetry check would test nothing")
@@ -337,11 +358,12 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
 
 def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
+    _counts(refinements=refinements)
     coeffs = CoefficientField(cfg.params)
     counts, gaps, cross = [], [], []
     for grid in _levels(cfg, refinements):
         op_d = assemble(grid, coeffs, "dirichlet_origin")
-        rows = [op_d.node_index(p) for p in sources]
+        rows = [_resolve(f"knobs.sources[{i}]", op_d.node_index, p) for i, p in enumerate(sources)]
         gap, values = separation_check(assemble(grid, coeffs), op_d, t, rows, cfg.method)
         del op_d  # before the next level's operators are built
         counts.append(grid.counts[0])
@@ -437,6 +459,9 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
                      times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
                      leak_bound=1e-6, drift_bound=1e-6) -> None:
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
+    _counts(refinements=refinements)
+    if not bump_width > 0:
+        raise ConfigError(f"knobs.bump_width: {bump_width!r} must be positive")
     coeffs = CoefficientField(cfg.params)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     leak_by_level = []
@@ -485,11 +510,14 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
     graph = MetricGraph(grid, coeffs, 2)
     coords = op.coords()[:, 0]
     rows = []
-    for center_a, center_b, halfwidth in pairs:
-        in_a = np.abs(coords - center_a) <= halfwidth
-        in_b = np.abs(coords - center_b) <= halfwidth
-        rows_a = np.nonzero(in_a)[0]
-        rows_b = np.nonzero(in_b)[0]
+    for k, (center_a, center_b, halfwidth) in enumerate(pairs):
+        rows_a = np.nonzero(np.abs(coords - center_a) <= halfwidth)[0]
+        rows_b = np.nonzero(np.abs(coords - center_b) <= halfwidth)[0]
+        shared = np.intersect1d(rows_a, rows_b).size
+        if not rows_a.size or not rows_b.size or shared:
+            raise ConfigError(f"knobs.pairs[{k}]: the sets |x1 - center| <= halfwidth must each "
+                              f"hold a grid node and share none, but hold {rows_a.size} and "
+                              f"{rows_b.size} nodes, {shared} shared")
         dab = float(graph.distances_from_nodes(op.kept[rows_a])[op.kept[rows_b]].min())
         times = [dab**2 / (4.0 * s) for s in exponent_targets]
         margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon, cfg.method)
@@ -535,7 +563,8 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
     for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
-        rows = sorted(set(op.node_index(p) for p in sources))
+        rows = sorted(set(_resolve(f"knobs.sources[{i}]", op.node_index, p)
+                          for i, p in enumerate(sources)))
         dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
         upper = gaussian_upper_check(op, dists, times, epsilon,
                                      exponent_cap=exponent_cap, method=cfg.method)

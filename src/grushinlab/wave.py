@@ -7,7 +7,9 @@ A_ii (Gershgorin), so x = (2/Lambda) A - I has spectrum in [-1, 1]; with z =
 J_2k(z) T_k(x), and J_n' = (J_n-1 - J_n+1) / 2 gives the velocity.  One
 recurrence T_k+1 = 2x T_k - T_k-1 to the largest |t|, the one the heat series
 runs (``evolution._chebyshev_sum``), serves every time, with about
-max|t| sqrt(Lambda) / 2 matvecs.  It stops after the last coefficient
+max|t| sqrt(Lambda) / 2 matvecs, each on the rows its term can reach from
+the support of v, so the cost is proportional to the rows reached.  It
+stops after the last coefficient
 above ``COEFFICIENT_CUT``; one above it at K_max = ceil(z/2 + 10 z^(1/3) + 20)
 raises ``CapacityError``.  The energy drift |E(t) - E(0)| / E(0), with E(t) =
 w |u_t|^2 + w u.Au and E(0) = w v.Av from the matrix, checks the cut and the

@@ -483,6 +483,30 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("distance", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
     ("distance", ["n_targets"], 0, "knobs.n_targets must be a positive integer"),
     ("distance", ["min_closed"], 100.0, "knobs.min_closed: "),
+    # a box that reaches past the grid, so a drawn point could lie off it
+    ("distance", ["box_fraction"], 1.5, "knobs.box_fraction: 1.5 must lie in (0, 1]"),
+    # a ladder of no grid levels
+    ("separation", ["refinements"], 0, "knobs.refinements must be a positive integer"),
+    ("c10_speed_classical", ["refinements"], 0, "knobs.refinements must be a positive integer"),
+    # a Davies-Gaffney pair with an empty set, or with sets that overlap or touch
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": 50.0, "center_b": 1.5, "halfwidth": 0.5}],
+     "knobs.pairs[0]: "),
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": -0.5}],
+     "knobs.pairs[0]: "),
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
+                                       {"center_a": 1.0, "center_b": 1.2, "halfwidth": 0.5}],
+     "knobs.pairs[1]: "),
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": -1.0, "center_b": 0.0, "halfwidth": 0.5}],
+     "knobs.pairs[0]: "),
+    # a bump of no width, or of a negative one
+    ("c10_speed_classical", ["bump_width"], 0.0, "knobs.bump_width: 0.0 must be positive"),
+    ("c10_speed_constant", ["bump_width"], -0.6, "knobs.bump_width: -0.6 must be positive"),
+    # a config point on a node the boundary removed, or off the grid
+    ("separation", ["sources"], [[1.0], [0.0]], "knobs.sources[1]: point [0.0] resolves"),
+    ("c02_decay_control", ["stages", 0, "boundary"], "dirichlet_origin",
+     "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves"),
+    ("heat_kernel", ["source"], [50.0], "knobs.source: point [50.0] lies off the grid"),
+    ("c06_doubling", ["centers"], [[0.0], [50.0]], "knobs.centers[1]: point [50.0] lies off"),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)

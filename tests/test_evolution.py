@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dger
 from scipy.special import ive, kve
+from test_fibers import CASES
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.config import ConfigError, ExperimentConfig
@@ -21,8 +23,10 @@ from grushinlab.evolution import (
     ondiagonal_decay,
     separation_check,
 )
-from grushinlab.experiments import _decay_candidates, run_experiment
+from grushinlab.experiments import _decay_candidates, acceptance_manifest, run_experiment
 from grushinlab.geometry import MetricGraph, ball_volume
+from grushinlab.multipliers import bump
+from grushinlab.wave import cosine_propagator
 
 EXACT = EvolutionMethod("exact_eigendecomposition")
 KRYLOV = EvolutionMethod("krylov_exponential", tolerance=1e-8)
@@ -372,11 +376,44 @@ def test_degeneracy_line_candidates_in_every_dimension(n, m):
         "experiment": "decay", "params": {"n": n, "m": m, "delta1": 0.25, "delta1p": 0.25},
         "method": {"kind": "exact_eigendecomposition"}, "knobs": {"stages": [stage]}})
     op = assemble(build_grid(cfg.params, 4.0, 9), CoefficientField(cfg.params))
-    got = op.coords()[_decay_candidates(op, "degeneracy_line")]
+    got = op.coords()[_decay_candidates(op, "degeneracy_line", "knobs.stages[0].candidates")]
     line = [[0.0] * n + [x2] + [0.0] * (m - 1) for x2 in (0.0, 1.0, -1.0, 2.0)] if m else [[0.0] * n]
     expected = line + [[1.0] + [0.0] * (n + m - 1)]
     assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected))
     assert run_experiment(cfg)["fitted"]["line_slope"] < 0.0
+
+
+def _plain_terms(op, lam, v, count):
+    """T_k(x) v, k < count, by the plain recurrence over every row, on
+    (4/lam) A - 2I with its exact zeros pruned: the oracle of the ordered one."""
+    old = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    terms = [v, 0.5 * (old @ v)]
+    while len(terms) < count:
+        terms.append(old @ terms[-1] - terms[-2])
+    return terms[:count]
+
+
+def _plain_sum(terms, coef):
+    """sum_k coef[:, k] T_k by one rank-1 dger update per term over every row."""
+    acc = np.outer(coef[:, 0], terms[0])
+    for t_k, c in zip(terms[1:], coef.T[1:]):
+        dger(1.0, t_k, c, a=acc.T, overwrite_a=True)
+    return acc
+
+
+def _same_bits(a, b):
+    """a and b bit for bit, with +0 and -0 counted as one (x + 0.0 maps -0 to
+    +0 and keeps every other float): the sign of a zero shows in no norm."""
+    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def _ordered_terms(op, lam, v, count):
+    """The ordered recurrence's terms for v (rows: its nonzero rows), in row order."""
+    rows = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
+    pos, reach = evolution._support_order(op, rows, count)
+    vp = np.empty_like(v)
+    vp[pos] = v
+    return [t_k[pos] for t_k in evolution._chebyshev_terms(op, lam, vp, pos, reach)]
 
 
 # (params, boundary, what the case must contain)
@@ -404,21 +441,19 @@ def test_two_x_equals_the_subtracted_form_bit_for_bit(case):
     assert holds(A, old)
     rng = np.random.default_rng(7)
     for v in (rng.standard_normal(op.n_nodes), rng.standard_normal((op.n_nodes, 3))):
-        got = [t.copy() for t in evolution._chebyshev_terms(op, lam, v, 40)]
-        want = [v, 0.5 * (old @ v)]
-        while len(want) < 40:
-            want.append(old @ want[-1] - want[-2])
+        got = _ordered_terms(op, lam, v, 40)
+        want = _plain_terms(op, lam, v, 40)
         assert len(got) == 40
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, (A.data, A.indices, A.indptr)))
 
-    # an empty block, so the traced peak is that of building 2x; the
-    # subtracted form peaks at about 2.4x A's bytes
+    # an empty block, so the traced peak is that of ordering the rows and
+    # building 2x; the subtracted form peaks at about 2.4x A's bytes
     empty = np.empty((op.n_nodes, 0))
-    next(evolution._chebyshev_terms(op, lam, empty, 1))
+    next(evolution._chebyshev_terms(op, lam, empty, *evolution._support_order(op, [], 1)))
     tracemalloc.start()
     try:
-        next(evolution._chebyshev_terms(op, lam, empty, 1))
+        next(evolution._chebyshev_terms(op, lam, empty, *evolution._support_order(op, [], 1)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,7 +466,111 @@ def test_two_x_needs_every_diagonal_stored():
     pruned = op.matrix.copy()
     pruned.eliminate_zeros()  # drops the isolated rows' 0.0 diagonals
     with pytest.raises(ValueError, match="diagonal"):
-        evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0)
+        evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0,
+                         np.arange(op.n_nodes, dtype=np.int32))
+
+
+def _ordering_grid(n, m, boundary, delta1):
+    """A grid of 9 x1 nodes (7 x2 nodes per x2 axis) in every (n, m, boundary) case."""
+    params = GrusinParameters(n, m, delta1, delta1, 1.0 if m else 0.0, 0.5 if m else 0.0)
+    counts = (9,) * n + (7,) * m
+    return assemble(build_grid(params, (2.0,) * (n + m), counts), CoefficientField(params),
+                    boundary)
+
+
+def _starts(op, rng):
+    """Start vectors: a corner row on the boundary with an interior row, the
+    last row alone, nothing at all; the zeros past each support hold -0."""
+    x1 = op.coords()[:, 0]
+    starts = []
+    for rows in ([0, int(np.argmin(np.abs(x1 - 0.5)))], [op.n_nodes - 1], []):
+        v = np.where(rng.random(op.n_nodes) < 0.5, -0.0, 0.0)
+        v[rows] = rng.standard_normal(len(rows))
+        starts.append(v)
+    return starts
+
+
+def _coefficients(rng, count):
+    """Random coefficient rows with +0 and -0 entries, and one of zeros only
+    (a velocity row at t = 0)."""
+    coef = rng.standard_normal((3, count))
+    coef[rng.random(coef.shape) < 0.2] = 0.0
+    coef[rng.random(coef.shape) < 0.1] = -0.0
+    coef[2] = -0.0 * coef[2]
+    return coef
+
+
+@pytest.mark.parametrize("delta1", [0.0, 0.75])  # 0.75: isolated rows and an unreachable half
+@pytest.mark.parametrize("n, m, boundary", CASES)
+def test_ordered_recurrence_equals_the_plain_one_bit_for_bit(n, m, boundary, delta1):
+    op = _ordering_grid(n, m, boundary, delta1)
+    lam = evolution.estimate_lambda_max(op)
+    rng = np.random.default_rng(op.n_nodes)
+    starts = _starts(op, rng)
+    block = np.stack(starts, axis=1)
+    for count in (1, 2, 5, 40):
+        coef = _coefficients(rng, count)
+        for v in starts + [block]:
+            want = _plain_terms(op, lam, v, count)
+            got = _ordered_terms(op, lam, v, count)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        for v in starts:
+            want = _plain_sum(_plain_terms(op, lam, v, count), coef)
+            assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), want)
+
+
+def test_ordered_sum_reads_no_stale_memory():
+    # every buffer the recurrence reads past its reach must be zeroed: dirty
+    # the freed blocks of each size it allocates, then repeat the call
+    params = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 0.5)
+    op = assemble(build_grid(params, 4.0, 33), CoefficientField(params))
+    lam = evolution.estimate_lambda_max(op)
+    rng = np.random.default_rng(3)
+    v = np.zeros(op.n_nodes)
+    v[op.n_nodes // 2] = 1.0
+    coef = _coefficients(rng, 30)
+    first = evolution._chebyshev_sum(op, lam, v, coef)
+    for n in range(1, op.n_nodes + 1, 7):
+        junk = [np.full(n, np.nan) for _ in range(8)]
+        del junk
+    second = evolution._chebyshev_sum(op, lam, v, coef)
+    assert first.tobytes() == second.tobytes()
+    assert _same_bits(first, _plain_sum(_plain_terms(op, lam, v, 30), coef))
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_head_matvec_equals_the_sliced_product_bit_for_bit(shape):
+    op = _ordering_grid(1, 1, "neumann_truncation", 0.25)
+    M = op.matrix
+    x = np.random.default_rng(5).standard_normal((op.n_nodes,) + shape)
+    for n in (0, 1, op.n_nodes // 3, op.n_nodes):
+        assert evolution._head_matvec(M, x, n).tobytes() == (M[:n] @ x).tobytes()
+
+
+@pytest.mark.parametrize("counts", [129, 257])
+def test_finite_speed_terms_touch_the_rows_they_reach(monkeypatch, counts):
+    # a count with no timing noise: the share of c10_speed_classical's N x K
+    # row operations that its terms compute (0.655 at 129^2, 0.630 at 257^2)
+    entry = next(e for e in acceptance_manifest() if e["name"] == "c10_speed_classical")
+    cfg = ExperimentConfig.from_dict({**entry, "grid": {**entry["grid"], "counts": counts}})
+    grid = cfg.grid()
+    op = assemble(grid, CoefficientField(cfg.params))
+    knobs = cfg.knobs
+    v = bump(grid, knobs["bump_center"], [knobs["bump_width"]] * grid.dim).ravel()
+    reaches = []
+    order = evolution._support_order
+
+    def spy(op, rows, count):
+        pos, reach = order(op, rows, count)
+        reaches.append(reach)
+        return pos, reach
+    monkeypatch.setattr(evolution, "_support_order", spy)
+    cosine_propagator(op, v, knobs["times"])
+    [reach] = reaches
+    assert reach.sum() / (op.n_nodes * reach.size) <= 0.66
+    if counts == 129:  # a vector with full support touches every row of every term
+        cosine_propagator(op, np.ones(op.n_nodes), knobs["times"])
+        assert reaches[1].sum() == op.n_nodes * reaches[1].size
 
 
 def _power_kernel(a, t, x, y):
