@@ -21,7 +21,12 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   computed on the rows within k hops only, in an order sorted by that
   distance (``_support_order``): the cost is proportional to the rows
   reached, and every nonzero entry is bit for bit that of the recurrence
-  over all rows.
+  over all rows.  The term loop runs with subnormals flushed to zero on
+  x86-64 Linux (``_flush_subnormals``): next to the degeneracy line the
+  terms underflow, and x86 computes subnormals in microcode.  Only
+  operations that meet a subnormal change, each by less than 2^-1022; 2x,
+  the coefficients and every reduction after the loop run in the caller's
+  mode.
 
 Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
 time (``_region_block``): from the factors, or from the moments
@@ -37,6 +42,11 @@ Neumann and Dirichlet operators, and its runner folds the levels.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +135,63 @@ def estimate_lambda_max(op: DivergenceFormOperator) -> float:
     diagonal, which sums the row's face conductances).
     """
     return 2.0 * float(op.matrix.diagonal().max()) or 1.0
+
+
+# MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6) bits
+_FTZ_DAZ = 0x8040
+_FLUSHES = sys.platform == "linux" and os.uname().machine == "x86_64"
+
+
+class _FenvT(ctypes.Structure):
+    """glibc's x86-64 fenv_t: 28 bytes of x87 state, then the SSE mxcsr."""
+
+    _fields_ = [("x87", ctypes.c_ubyte * 28), ("mxcsr", ctypes.c_uint)]
+
+
+@functools.cache
+def _libm() -> ctypes.CDLL:
+    """glibc's libm with fegetenv / fesetenv declared, loaded on first use:
+    finding it at import would add to every run's start-up."""
+    libm = ctypes.CDLL("libm.so.6")
+    for f in (libm.fegetenv, libm.fesetenv):
+        f.argtypes = [ctypes.POINTER(_FenvT)]
+        f.restype = ctypes.c_int
+    return libm
+
+
+@contextmanager
+def _flush_subnormals():
+    """Flush subnormals to zero on the calling thread inside the block (SSE
+    FTZ and DAZ), and restore the previous floating-point environment on
+    leaving it, by a return or an exception.
+
+    Next to the degeneracy line the terms of a Chebyshev series decay by
+    orders of magnitude per hop and underflow into subnormals, which x86
+    computes in microcode.  The mode changes only operations with a
+    subnormal operand or result: such an operand reads as 0 and such a
+    result is written as 0, each a change below 2^-1022 in magnitude; every
+    other operation gives the IEEE result.  MXCSR is per thread: the
+    suite's workers are processes, and with one BLAS thread ``daxpy`` runs
+    on the caller's thread (BLAS worker threads keep their own mode).  On
+    anything but x86-64 Linux (glibc's fenv_t) this does nothing, which
+    leaves IEEE gradual underflow: the same outputs up to those differences,
+    only slower.
+    """
+    if not _FLUSHES:
+        yield
+        return
+    libm = _libm()
+    saved = _FenvT()
+    if libm.fegetenv(saved):
+        raise OSError("fegetenv failed")
+    flushed = _FenvT.from_buffer_copy(saved)
+    flushed.mxcsr |= _FTZ_DAZ
+    if libm.fesetenv(flushed):
+        raise OSError("fesetenv failed")
+    try:
+        yield
+    finally:
+        libm.fesetenv(saved)
 
 
 # Rows that ``_two_x`` moves at once: its scratch stays under 100 kB at any
@@ -241,12 +308,12 @@ def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
     vp = np.empty_like(v)
     vp[pos] = v
     terms = _chebyshev_terms(op, lam, vp, pos, reach)
-    acc = np.outer(coef[:, 0], next(terms))
-    for k, t_k in enumerate(terms, start=1):
-        for row, c in zip(acc, coef[:, k]):
-            daxpy(t_k, row, n=reach[k], a=c)
-    # a C-ordered copy: a reduction over its rows (the wave's energy) sums
-    # in an order that follows the memory layout
+    t_0 = next(terms)  # builds 2x, outside the flush
+    with _flush_subnormals():
+        acc = np.outer(coef[:, 0], t_0)
+        for k, t_k in enumerate(terms, start=1):
+            for row, c in zip(acc, coef[:, k]):
+                daxpy(t_k, row, n=reach[k], a=c)
     return np.take(acc, pos, axis=1)
 
 
@@ -319,6 +386,22 @@ class DecayResult:
     refused_times: tuple
 
 
+def _admissible_times(times, boundary_distance: float | None, guard: float):
+    """:func:`ondiagonal_decay`'s time check: the sorted times whose boundary
+    tail exp(-boundary_distance^2 / (4t)) is at most ``guard`` (all of them
+    without a distance), and the refused rest; a ValueError led by
+    ``times`` if fewer than two remain."""
+    times = np.asarray(sorted(float(t) for t in times))
+    refused = ()
+    if boundary_distance is not None:
+        bad = np.exp(-(boundary_distance**2) / (4.0 * times)) > guard
+        refused = tuple(times[bad])
+        times = times[~bad]
+    if len(times) < 2:
+        raise ValueError("times: need at least two admissible times for a slope fit")
+    return times, refused
+
+
 def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
                      boundary_distance: float | None = None, guard: float = 1e-6,
                      method: EvolutionMethod = DEFAULT_METHOD) -> DecayResult:
@@ -331,14 +414,7 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
     and are excluded from the default sup.  Times whose boundary tail
     exp(-boundary_distance^2 / (4t)) exceeds ``guard`` are refused.
     """
-    times = np.asarray(sorted(float(t) for t in times))
-    refused = ()
-    if boundary_distance is not None:
-        bad = np.exp(-(boundary_distance**2) / (4.0 * times)) > guard
-        refused = tuple(times[bad])
-        times = times[~bad]
-    if len(times) < 2:
-        raise ValueError("need at least two admissible times for a slope fit")
+    times, refused = _admissible_times(times, boundary_distance, guard)
     if candidates is None:
         if method.resolve(op) != "exact_eigendecomposition":
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
@@ -445,7 +521,10 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
     at = pos[rows]
     units = np.zeros((op.n_nodes, at.size))
     units[at, np.arange(at.size)] = 1.0
-    moments = [t_k[at] for t_k in _chebyshev_terms(op, lam, units, pos, reach)]
+    terms = _chebyshev_terms(op, lam, units, pos, reach)
+    moments = [next(terms)[at]]  # builds 2x, outside the flush
+    with _flush_subnormals():
+        moments += [t_k[at] for t_k in terms]
     return np.tensordot(coef, moments, axes=1)
 
 

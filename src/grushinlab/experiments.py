@@ -24,6 +24,7 @@ from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_ex
 from .config import ConfigError, ExperimentConfig, bind, build
 from .discretization import BOUNDARY_MODES, assemble, build_grid
 from .evolution import (
+    _admissible_times,
     fit_loglog_slope,
     gaussian_upper_check,
     heat_kernel,
@@ -77,6 +78,20 @@ def _resolve(path: str, lookup, point):
         return lookup(point)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+def _resolve_all(path: str, lookup, points) -> list:
+    """``_resolve`` for each point of the list at ``path``; a point that
+    resolves to the node of an earlier one is a ConfigError naming it: the
+    two would run as one."""
+    nodes = []
+    for i, point in enumerate(points):
+        node = _resolve(f"{path}[{i}]", lookup, point)
+        if node in nodes:
+            raise ConfigError(f"{path}[{i}]: point {np.asarray(point, dtype=float).tolist()} "
+                              f"resolves to the node of {path}[{nodes.index(node)}]")
+        nodes.append(node)
+    return nodes
 
 
 def _geomspace(*, lo, hi, n):
@@ -166,7 +181,7 @@ def _decay_candidates(op, spec, path):
                     if abs(x2) <= 0.5 * grid.extents[n]]
         pts.append([grid.spacings[0]] + [0.0] * (grid.dim - 1))
         return sorted(set(op.node_index(p) for p in pts))
-    return sorted(set(_resolve(f"{path}[{i}]", op.node_index, p) for i, p in enumerate(spec)))
+    return sorted(_resolve_all(path, op.node_index, spec))
 
 
 def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
@@ -204,6 +219,10 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
             guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
             d = graph.distances_from_nodes(op.kept[np.asarray(guard_rows)])
             bdist = float(d[_boundary_nodes(grid)].min())
+        try:
+            _admissible_times(times, bdist, guard_level)
+        except ValueError as err:
+            raise ConfigError(f"knobs.stages[{k}].{err}") from err
         res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
                                guard=guard_level, method=cfg.method)
         rep["fitted"][f"{label}_slope"] = res.slope
@@ -270,8 +289,8 @@ def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: i
     ``center``, counted over the sorted ``radii``, written to CSV ``name``
     beside the closed form at ``center``; returns (radii, volumes)."""
     grid = graph.grid
-    d = graph.distances_from_nodes(node)
     radii = np.sort(np.asarray(radii, dtype=float))
+    d = graph.distances_from_nodes(node, limit=radii[-1])
     vols = np.array([ball_volume(d, r, grid.node_weight) for r in radii])
     rep["csv"][name] = {
         "columns": ["r", "volume_numeric", "volume_closed"],
@@ -303,8 +322,7 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
 def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n_radii=8,
                  centers=([0.0], [5.0]), slack=0.3) -> None:
     grid = cfg.grid()
-    nodes = [_resolve(f"knobs.centers[{i}]", grid.flat_index, center)[0]
-             for i, center in enumerate(centers)]
+    nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
     graph = MetricGraph(grid, CoefficientField(cfg.params), stencil_order)
     radii = r0 * 2.0 ** np.arange(n_radii)
     bound = derive_exponents(cfg.params).doubling_dim + slack
@@ -363,7 +381,7 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
     counts, gaps, cross = [], [], []
     for grid in _levels(cfg, refinements):
         op_d = assemble(grid, coeffs, "dirichlet_origin")
-        rows = [_resolve(f"knobs.sources[{i}]", op_d.node_index, p) for i, p in enumerate(sources)]
+        rows = _resolve_all("knobs.sources", op_d.node_index, sources)
         gap, values = separation_check(assemble(grid, coeffs), op_d, t, rows, cfg.method)
         del op_d  # before the next level's operators are built
         counts.append(grid.counts[0])
@@ -480,8 +498,9 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
                               f"node on the grid of {grid.counts} nodes")
         if metric == "euclidean":
             d = _support_box_distance(grid, grid.coords(), support)
-        else:
-            d = MetricGraph(grid, coeffs, 2).distances_from_nodes(support)
+        else:  # no cone of finite_speed_check reaches past its largest threshold
+            cone = (1.0 + epsilon) * max(abs(t) for t in times) + 4.0 * max(grid.spacings)
+            d = MetricGraph(grid, coeffs, 2).distances_from_nodes(support, limit=cone)
         results = finite_speed_check(assemble(grid, coeffs), d, v, times, epsilon)
         rows += [[t, leak, drift, level] for t, (leak, drift) in zip(times, results)]
         leak_by_level.append(max(leak for leak, _ in results))
@@ -563,8 +582,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
     for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
         graph = MetricGraph(grid, coeffs, 2)
-        rows = sorted(set(_resolve(f"knobs.sources[{i}]", op.node_index, p)
-                          for i, p in enumerate(sources)))
+        rows = sorted(_resolve_all("knobs.sources", op.node_index, sources))
         dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
         upper = gaussian_upper_check(op, dists, times, epsilon,
                                      exponent_cap=exponent_cap, method=cfg.method)

@@ -178,14 +178,17 @@ class MetricGraph:
         """Upper adjacency of finite edge weights (one entry per edge)."""
         return self._csr
 
-    def distances_from_nodes(self, nodes) -> np.ndarray:
+    def distances_from_nodes(self, nodes, limit: float = np.inf) -> np.ndarray:
         """Graph distance to the nearest of ``nodes`` (flat indices, at least
-        one), as a flat array with one value per grid node; +inf = unreachable."""
+        one), as a flat array with one value per grid node; +inf = unreachable,
+        or farther than ``limit``.  Every distance up to ``limit`` is exact:
+        the search stops there, and a reader that only compares distances
+        with values up to ``limit`` reads the same answers from +inf."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
         if nodes.size == 0:
             raise ValueError("distances_from_nodes needs at least one source node")
         return dijkstra(self._csr, directed=False, indices=nodes,
-                        min_only=nodes.size > 1).ravel()
+                        min_only=nodes.size > 1, limit=limit).ravel()
 
 
 def ball_volume(distances, r: float, cell: float) -> float:

@@ -507,6 +507,21 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
      "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves"),
     ("heat_kernel", ["source"], [50.0], "knobs.source: point [50.0] lies off the grid"),
     ("c06_doubling", ["centers"], [[0.0], [50.0]], "knobs.centers[1]: point [50.0] lies off"),
+    # two points of one list on one node, which would run as one point
+    ("c02_decay_control", ["stages", 0, "candidates"], [[0.0, 0.0], [0.5, 0.5], [0.51, 0.49]],
+     "knobs.stages[0].candidates[2]: point [0.51, 0.49] resolves to the node of "
+     "knobs.stages[0].candidates[1]"),
+    ("c07_separation_strong", ["sources"], [[1.0], [1.01]],
+     "knobs.sources[1]: point [1.01] resolves to the node of knobs.sources[0]"),
+    ("c08_gaussian_bounds", ["sources"], [[0.5, 0.5], [0.0, 1.5], [0.51, 0.49]],
+     "knobs.sources[2]: point [0.51, 0.49] resolves to the node of knobs.sources[0]"),
+    ("c06_doubling", ["centers"], [[0.0], [0.0002]],
+     "knobs.centers[1]: point [0.0002] resolves to the node of knobs.centers[0]"),
+    # a stage whose boundary guard leaves one time, or that gives one
+    ("c02_decay_control", ["stages", 0, "times"], [0.1, 20.0],
+     "knobs.stages[0].times: need at least two admissible times"),
+    ("c03_decay_1d", ["stages", 1, "times"], [1.0],
+     "knobs.stages[1].times: need at least two admissible times"),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)

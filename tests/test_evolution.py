@@ -573,6 +573,100 @@ def test_finite_speed_terms_touch_the_rows_they_reach(monkeypatch, counts):
         assert reaches[1].sum() == op.n_nodes * reaches[1].size
 
 
+# the flush-to-zero tests read SSE's MXCSR, which only x86-64 has
+x86_64 = pytest.mark.skipif(not evolution._FLUSHES, reason="flushes on x86-64 Linux only")
+TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float
+
+
+def _underflow_case():
+    """A heat-type sum whose plain IEEE result holds subnormal entries: a
+    unit start on the degeneracy line of c2 = |x1|^6, where the x2
+    couplings are orders of magnitude below Lambda, as next to c10's line at
+    513^2.  N = 2193 is small enough that BLAS runs each daxpy and dger on
+    the calling thread, whose mode the flush sets."""
+    params = GrusinParameters(1, 1, 0.0, 0.0, 3.0, 3.0)
+    op = assemble(build_grid(params, (4.0, 16.0), (17, 129)), CoefficientField(params))
+    v = np.zeros(op.n_nodes)
+    v[op.node_index([0.0, 0.0])] = 1.0
+    coef = np.vstack([np.ones(60), np.random.default_rng(0).standard_normal(60)])
+    return op, evolution.estimate_lambda_max(op), v, coef
+
+
+def _subnormals(a):
+    return int(np.count_nonzero((a != 0.0) & (np.abs(a) < TINY)))
+
+
+def _mxcsr_control():
+    """MXCSR's control bits (rounding, masks, FTZ, DAZ), not its sticky flags."""
+    env = evolution._FenvT()
+    assert evolution._libm().fegetenv(env) == 0
+    return env.mxcsr & 0xFFC0
+
+
+@x86_64
+def test_flushed_sum_has_no_subnormal_entry(monkeypatch):
+    op, lam, v, coef = _underflow_case()
+    flushed = evolution._chebyshev_sum(op, lam, v, coef)
+    monkeypatch.setattr(evolution, "_FLUSHES", False)
+    ieee = evolution._chebyshev_sum(op, lam, v, coef)
+    assert _subnormals(ieee) > 0
+    assert _subnormals(flushed) == 0
+    # every entry at or above 2^-1022 is unchanged, each subnormal one is 0
+    assert _same_bits(flushed, np.where(np.abs(ieee) < TINY, 0.0, ieee))
+
+
+@x86_64
+def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
+    op, lam, v, coef = _underflow_case()
+    with evolution._flush_subnormals():
+        want = _plain_sum(_plain_terms(op, lam, v, coef.shape[1]), coef)
+    assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), want)
+    # the block moments: the same terms, read at the rows
+    rows = np.asarray([op.node_index([0.0, 0.0]), op.node_index([0.5, 2.0])])
+    times = np.asarray([0.01, 0.02])
+    coef = evolution._heat_coefficients(lam, times, KRYLOV.tolerance)
+    with evolution._flush_subnormals():
+        units = np.eye(op.n_nodes)[:, rows]
+        want = [t_k[rows] for t_k in _plain_terms(op, lam, units, coef.shape[1])]
+    want = np.tensordot(coef, want, axes=1)
+    assert _same_bits(evolution._region_block(op, rows, times, KRYLOV), want)
+
+
+@x86_64
+def test_flush_restores_the_mode_after_a_return_and_after_an_exception(monkeypatch):
+    op, lam, v, coef = _underflow_case()
+    before = _mxcsr_control()
+    assert before & evolution._FTZ_DAZ == 0
+    with evolution._flush_subnormals():
+        assert _mxcsr_control() == before | evolution._FTZ_DAZ
+        assert np.float64(TINY) * 0.5 == 0.0
+    evolution._chebyshev_sum(op, lam, v, coef)
+    assert _mxcsr_control() == before
+    assert np.float64(TINY) * 0.5 > 0.0
+
+    def failing(*args, **kwargs):
+        raise FloatingPointError("inside the loop")
+    monkeypatch.setattr(evolution, "daxpy", failing)
+    with pytest.raises(FloatingPointError):
+        evolution._chebyshev_sum(op, lam, v, coef)
+    assert _mxcsr_control() == before
+    monkeypatch.setattr(evolution, "_head_matvec", failing)
+    with pytest.raises(FloatingPointError):
+        evolution._region_block(op, np.asarray([0, 1]), np.asarray([0.01]), KRYLOV)
+    assert _mxcsr_control() == before
+    assert np.float64(TINY) * 0.5 > 0.0
+
+
+def test_flush_is_a_no_op_elsewhere(monkeypatch):
+    # what any host other than x86-64 Linux runs: IEEE gradual underflow
+    monkeypatch.setattr(evolution, "_FLUSHES", False)
+    monkeypatch.setattr(evolution, "_libm", None)  # never loaded
+    with evolution._flush_subnormals():
+        assert np.float64(TINY) * 0.5 == TINY / 2.0 > 0.0
+    op, lam, v, coef = _underflow_case()
+    assert _subnormals(evolution._chebyshev_sum(op, lam, v, coef)) > 0
+
+
 def _power_kernel(a, t, x, y):
     """Continuum heat kernel K_t(x, y) of d/dx |x|^a d/dx on the line, a < 2.
 

@@ -144,6 +144,21 @@ def test_distances_from_nodes_is_one_flat_array_and_needs_a_source():
         mg.distances_from_nodes([])
 
 
+@pytest.mark.parametrize("nodes", [840, [0, 840, 1680]])
+def test_distances_up_to_the_limit_are_exact(nodes):
+    # past the limit +inf, up to it (a value equal to it included) the
+    # unlimited distances bit for bit
+    g = build_grid(CLASSICAL, (2.0, 2.0), (41, 41))
+    mg = MetricGraph(g, CoefficientField(CLASSICAL), 2)
+    full = mg.distances_from_nodes(nodes)
+    limit = float(np.median(full))
+    cut = mg.distances_from_nodes(nodes, limit=limit)
+    near = full <= limit
+    assert np.any(full == limit) and np.any(~near)
+    assert cut[near].tobytes() == full[near].tobytes()
+    assert np.all(np.isinf(cut[~near]))
+
+
 def test_monotone_refinement_in_stencil_order():
     g = build_grid(CLASSICAL, (2.0, 2.0), (41, 41))
     cf = CoefficientField(CLASSICAL)

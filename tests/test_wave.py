@@ -220,6 +220,22 @@ def test_finite_speed_is_even_in_time():
     assert finite_speed_check(op, d, v, [-1.0], 0.1) == [fwd]
 
 
+def test_energy_drift_does_not_follow_the_accumulator_layout(monkeypatch):
+    # the same values in a Fortran-ordered accumulator: a reduction that
+    # follows the memory layout would change the drift's bits
+    p = GrusinParameters(1, 0)
+    g = build_grid(p, 4.0, 257)
+    op = assemble(g, CoefficientField(p))
+    v = _bump(g.axis(0), 0.0, 0.5)
+    times = [1.0, -1.0, 0.5]
+    want = cosine_propagator(op, v, times).energy_drift
+    ordered = wave._chebyshev_sum
+    monkeypatch.setattr(wave, "_chebyshev_sum", lambda *a: np.asfortranarray(ordered(*a)))
+    got = cosine_propagator(op, v, times)
+    assert got.current.flags.f_contiguous or got.velocity.flags.f_contiguous
+    assert got.energy_drift.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("counts", [(257, 257), (513, 513)])
 def test_support_box_distance_is_nearest_support_node(counts):
     # the c10_speed_constant grids and bump
