@@ -21,12 +21,19 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   computed on the rows within k hops only, in an order sorted by that
   distance (``_support_order``): the cost is proportional to the rows
   reached, and every nonzero entry is bit for bit that of the recurrence
-  over all rows.  The term loop runs with subnormals flushed to zero on
-  x86-64 Linux (``_flush_subnormals``): next to the degeneracy line the
-  terms underflow, and x86 computes subnormals in microcode.  Only
-  operations that meet a subnormal change, each by less than 2^-1022; 2x,
-  the coefficients and every reduction after the loop run in the caller's
-  mode.
+  over all rows.  Every coefficient depends on |x1| only, so A commutes with
+  the x2 reflection (row a * n2 + i2 to a * n2 + n2 - 1 - i2), and a v that
+  equals its reflection exactly is folded (``_mirror_symmetric``): the
+  recurrence runs on one row per mirror pair, each reading its mirrored
+  columns at their representative's place, so every term is that of the
+  recurrence over all rows with its mirror rows overwritten by their
+  representatives' values, and the result is exactly mirror-symmetric.
+  Blocks of unit vectors never fold.  The term loop runs with subnormals
+  flushed to zero on x86-64 Linux (``_flush_subnormals``): next to the
+  degeneracy line the terms underflow, and x86 computes subnormals in
+  microcode.  Only operations that meet a subnormal change, each by less
+  than 2^-1022; 2x, the coefficients and every reduction after the loop run
+  in the caller's mode.
 
 Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
 time (``_region_block``): from the factors, or from the moments
@@ -199,60 +206,98 @@ def _flush_subnormals():
 _DIAGONAL_ROWS = 256
 
 
-def _support_order(op: DivergenceFormOperator, rows, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _mirror_symmetric(op: DivergenceFormOperator, v: np.ndarray) -> bool:
+    """Whether v equals its x2 reflection exactly (+0 and -0 count as
+    equal): the flat map i2 -> n2 - 1 - i2 on the rows a * n2 + i2, which
+    reflects every x2 axis at once.  Every coefficient depends on |x1| only,
+    so A commutes with the reflection, and every T_k(x) v of such a v is
+    mirror-symmetric too."""
+    view = v.reshape(op.fiber_shape)
+    return bool(np.array_equal(view, view[:, ::-1]))
+
+
+def _places(op: DivergenceFormOperator, fold: bool) -> tuple[int, int, int]:
+    """(n1, n2, half): the recurrence keeps the rows a * n2 + i2 with
+    i2 < half, one representative per mirror pair with ``fold`` (n2 is odd,
+    so the mid-line represents itself) and every row without it."""
+    n1, n2 = op.fiber_shape
+    return n1, n2, (n2 + 1) // 2 if fold else n2
+
+
+def _support_order(op: DivergenceFormOperator, rows, count: int,
+                   fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The row order of a recurrence of ``count`` terms on a vector or block
     whose nonzero rows are ``rows``: (pos, reach).
 
-    Row r goes to place pos[r] (int32).  Rows are sorted by their hop
-    distance from ``rows`` over A's stored pattern (symmetric, as A is), ties
-    in row order, and reach[k] counts the rows within k hops: T_k(x) v is
-    exactly zero past them.  Rows more than count - 1 hops away, or never
-    reached (cut off by dead faces), go last.  The pattern is a broadcast 1.0
-    on A's index arrays, so the only copy is the unit weights Dijkstra makes.
+    Row r goes to place pos[r] (int32).  The representative rows
+    (``_places``) are sorted by their hop distance from ``rows`` over A's
+    stored pattern (symmetric, as A is), ties in row order, and reach[k]
+    counts those within k hops: T_k(x) v is exactly zero past them.  Rows
+    more than count - 1 hops away, or never reached (cut off by dead faces),
+    go last.  With ``fold``, ``rows`` must be mirror-symmetric, and so then
+    are the hops: a row and its x2 mirror share one place.  The pattern is a
+    broadcast 1.0 on A's index arrays, so the only copy is the unit weights
+    Dijkstra makes.
     """
     A = op.matrix
     pattern = sp.csr_matrix((np.broadcast_to(1.0, A.data.shape), A.indices, A.indptr),
                             shape=A.shape)
     hops = dijkstra(pattern, indices=np.asarray(rows, dtype=np.int32), unweighted=True,
                     min_only=True, limit=count - 1)
+    n1, n2, half = _places(op, fold)
+    hops = hops.reshape(n1, n2)[:, :half].ravel()
     reach = np.cumsum(np.bincount(hops[np.isfinite(hops)].astype(np.intp), minlength=count))
-    pos = np.empty(op.n_nodes, dtype=np.int32)
-    pos[np.argsort(hops, kind="stable")] = np.arange(op.n_nodes, dtype=np.int32)
-    return pos, reach
+    places = np.empty(hops.size, dtype=np.int32)
+    places[np.argsort(hops, kind="stable")] = np.arange(hops.size, dtype=np.int32)
+    pos = np.empty((n1, n2), dtype=np.int32)
+    pos[:, :half] = places.reshape(n1, half)
+    pos[:, half:] = pos[:, :n2 - half][:, ::-1]  # each mirror takes its representative's place
+    return pos.ravel(), reach
 
 
-def _two_x(op: DivergenceFormOperator, lam: float, pos: np.ndarray) -> sp.csr_matrix:
-    """2x = (4/lam) A - 2I in the order ``pos`` (row r of A is row pos[r],
-    column j is column pos[j]), built straight from A a block of rows at a
-    time: each row keeps its entries in their stored order, each value is
-    A_ij * (4/lam), and the stored diagonal is shifted by -2.  Every
-    assembled matrix stores its whole diagonal, so no entry is inserted; a
-    matrix that lacks one raises ValueError."""
+def _two_x(op: DivergenceFormOperator, lam: float, pos: np.ndarray,
+           fold: bool = False) -> sp.csr_matrix:
+    """2x = (4/lam) A - 2I on the representative rows (``_places``) in the
+    order ``pos`` (row r of A is row pos[r], column j is column pos[j]),
+    built straight from A a block of rows at a time: each row keeps its
+    entries in their stored order, each value is A_ij * (4/lam), and the
+    stored diagonal (column j == row r) is shifted by -2.  With ``fold`` a
+    column and its mirror map to one place and stay two entries, which the
+    matvec sums in stored order.  Every assembled matrix stores its whole
+    diagonal, so no entry is inserted; a matrix that lacks one raises
+    ValueError."""
     A = op.matrix
-    indptr = np.zeros_like(A.indptr)
-    indptr[1:][pos] = np.diff(A.indptr)
+    n1, n2, half = _places(op, fold)
+    size = n1 * half
+    indptr = np.zeros(size + 1, dtype=A.indptr.dtype)
+    indptr[1:][pos.reshape(n1, n2)[:, :half]] = np.diff(A.indptr).reshape(n1, n2)[:, :half]
     np.cumsum(indptr, out=indptr)
-    indices, data = np.empty_like(A.indices), np.empty_like(A.data)
-    for r0 in range(0, op.n_nodes, _DIAGONAL_ROWS):
-        r1 = min(r0 + _DIAGONAL_ROWS, op.n_nodes)
-        s0, s1 = A.indptr[r0], A.indptr[r1]
-        lengths = np.diff(A.indptr[r0:r1 + 1])
+    indices, data = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
+    for p0 in range(0, size, _DIAGONAL_ROWS):
+        a, i2 = np.divmod(np.arange(p0, min(p0 + _DIAGONAL_ROWS, size)), half)
+        rows = a * n2 + i2
+        starts = A.indptr[rows]
+        lengths = A.indptr[rows + 1] - starts
         # stored slot s of row r moves to indptr[pos[r]] + (s - A.indptr[r])
-        at = np.repeat(indptr[pos[r0:r1]] - A.indptr[r0:r1], lengths) + np.arange(s0, s1)
-        cols = pos[A.indices[s0:s1]]
-        vals = A.data[s0:s1] * (4.0 / lam)
-        diag = np.flatnonzero(cols == np.repeat(pos[r0:r1], lengths))
-        if diag.size != r1 - r0:
-            raise ValueError(f"rows {r0}..{r1 - 1} do not each store one diagonal entry")
+        slots = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        at = slots + np.repeat(indptr[pos[rows]] - starts, lengths)
+        cols = A.indices[slots]
+        vals = A.data[slots] * (4.0 / lam)
+        diag = np.flatnonzero(cols == np.repeat(rows, lengths))
+        if diag.size != rows.size:
+            raise ValueError(f"rows {rows[0]}..{rows[-1]} do not each store one diagonal entry")
         vals[diag] -= 2.0
-        indices[at] = cols
+        indices[at] = pos[cols]
         data[at] = vals
-    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
     """m[:n] @ x for a vector or a C-ordered (N, R) block x, by the kernel
-    ``csr_matrix @`` runs, on the first n rows of m without copying them."""
+    ``csr_matrix @`` runs, on the first n rows of m without copying them.
+    The kernel reads raw buffers, so the sizes are checked first."""
+    if not 0 <= n <= m.shape[0] or x.shape[0] != m.shape[1]:
+        raise ValueError(f"head of {n} rows of a {m.shape} matrix times {x.shape}")
     y = np.zeros((n,) + x.shape[1:])
     if x.ndim == 1:
         _sparsetools.csr_matvec(n, m.shape[1], m.indptr, m.indices, m.data, x, y)
@@ -263,11 +308,11 @@ def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos: np.ndarray,
-                     reach: np.ndarray):
+                     reach: np.ndarray, fold: bool = False):
     """Yield T_k(x) v, k < len(reach), x = (2/lam) A - I, for a vector or an
-    (N, R) block v, all in the order ``pos`` of ``_support_order``: v is
-    given in it, and T_k is computed on its first reach[k] rows only, past
-    which it is exactly zero.
+    (N, R) block v, all in the order ``pos`` of ``_support_order`` (same
+    ``fold``): v is given in it, on its places only, and T_k is computed on
+    its first reach[k] rows only, past which it is exactly zero.
 
     v itself is T_0, and the buffer of T_2, T_4, ...  Each yielded array is
     overwritten two terms later.  2x is one copy of A (``_two_x``), so the
@@ -279,9 +324,13 @@ def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos:
     bit for bit that of the plain recurrence on (4/lam) A - 2I over all rows
     with its exact zeros pruned, for finite v: a row within k hops sums the
     same products in the same order, and one past them sums none.  Only the
-    sign of a zero may differ, which no norm or energy shows.
+    sign of a zero may differ, which no norm or energy shows.  With ``fold``
+    (a mirror-symmetric v) each representative row reads its mirrored
+    columns at their representative's place, so T_k is that of the plain
+    recurrence with each term's mirror rows overwritten by their
+    representatives' values, which differ from them by rounding only.
     """
-    two_x = _two_x(op, lam, pos)
+    two_x = _two_x(op, lam, pos, fold)
     t_prev, t_cur = v, np.zeros_like(v)
     yield t_prev
     for k in range(1, len(reach)):
@@ -297,17 +346,22 @@ def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos:
 def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
     """sum_k coef[:, k] T_k(x) v with x = (2/lam) A - I, one row per row of
-    ``coef``; the work is proportional to the rows each term reaches.
+    ``coef``; the work is proportional to the rows each term reaches, and
+    halves for a v that equals its x2 reflection (``_mirror_symmetric``):
+    the recurrence then runs on one row per mirror pair, and the result is
+    exactly mirror-symmetric.
 
     Each row of the accumulator takes c T_k(x) v on the term's reach by
     ``daxpy``, the kernel BLAS's rank-1 update runs per column, so every
     nonzero entry of the sum is bit for bit that of one rank-1 update per
-    term over all rows.
+    term over all rows (over the folded terms of ``_chebyshev_terms``).
     """
-    pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1])
-    vp = np.empty_like(v)
-    vp[pos] = v
-    terms = _chebyshev_terms(op, lam, vp, pos, reach)
+    fold = _mirror_symmetric(op, v)
+    pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1], fold)
+    n1, n2, half = _places(op, fold)
+    vp = np.empty(n1 * half)
+    vp[pos.reshape(n1, n2)[:, :half]] = v.reshape(n1, n2)[:, :half]
+    terms = _chebyshev_terms(op, lam, vp, pos, reach, fold)
     t_0 = next(terms)  # builds 2x, outside the flush
     with _flush_subnormals():
         acc = np.outer(coef[:, 0], t_0)

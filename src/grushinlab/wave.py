@@ -8,10 +8,11 @@ J_2k(z) T_k(x), and J_n' = (J_n-1 - J_n+1) / 2 gives the velocity.  One
 recurrence T_k+1 = 2x T_k - T_k-1 to the largest |t|, the one the heat series
 runs (``evolution._chebyshev_sum``), serves every time, with about
 max|t| sqrt(Lambda) / 2 matvecs, each on the rows its term can reach from
-the support of v, so the cost is proportional to the rows reached, with
-subnormals flushed to zero on x86-64 Linux (only operations that meet a
-subnormal change, each by less than 2^-1022; elsewhere the same sum,
-slower where it underflows).  It
+the support of v, so the cost is proportional to the rows reached, and on
+one row per mirror pair for a v that equals its x2 reflection exactly (the
+state is then exactly mirror-symmetric), with subnormals flushed to zero on
+x86-64 Linux (only operations that meet a subnormal change, each by less
+than 2^-1022; elsewhere the same sum, slower where it underflows).  It
 stops after the last coefficient
 above ``COEFFICIENT_CUT``; one above it at K_max = ceil(z/2 + 10 z^(1/3) + 20)
 raises ``CapacityError``.  The energy drift |E(t) - E(0)| / E(0), with E(t) =

@@ -407,6 +407,35 @@ def _same_bits(a, b):
     return (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
+def _mirror(op):
+    """The x2 reflection of the operator rows: a * n2 + i2 -> a * n2 + n2 - 1 - i2."""
+    return np.arange(op.n_nodes).reshape(op.fiber_shape)[:, ::-1].ravel()
+
+
+def _folded_terms(op, lam, v, count):
+    """The plain recurrence with each term's mirror rows (x2 index past the
+    mid-line) overwritten by their representatives' values: the oracle of a
+    mirror-symmetric start, which the folded recurrence computes once per
+    mirror pair."""
+    old = (4.0 / lam) * op.matrix - 2.0 * sp.identity(op.n_nodes, format="csr")
+    mirror = _mirror(op)
+    n2 = op.fiber_shape[1]
+    past = np.arange(op.n_nodes) % n2 > (n2 - 1) // 2
+
+    def fold(t):
+        t[past] = t[mirror[past]]
+        return t
+    terms = [fold(v.copy()), fold(0.5 * (old @ v))]
+    while len(terms) < count:
+        terms.append(fold(old @ terms[-1] - terms[-2]))
+    return terms[:count]
+
+
+def _symmetric(op, a):
+    """Whether every row of a equals its x2 reflection exactly."""
+    return np.array_equal(a, a[..., _mirror(op)])
+
+
 def _ordered_terms(op, lam, v, count):
     """The ordered recurrence's terms for v (rows: its nonzero rows), in row order."""
     rows = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
@@ -519,23 +548,42 @@ def test_ordered_recurrence_equals_the_plain_one_bit_for_bit(n, m, boundary, del
             assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), want)
 
 
+@pytest.mark.parametrize("delta1", [0.0, 0.75])
+@pytest.mark.parametrize("n, m, boundary", [c for c in CASES if c[1] >= 1])
+def test_assembled_operator_is_exactly_mirror_symmetric_in_x2(n, m, boundary, delta1):
+    # the premise of folding a mirror-symmetric start: A reflected in x2,
+    # rows and columns, is A byte for byte, and a node and its mirror share
+    # their x1 coordinates and negate their x2 ones exactly
+    op = _ordering_grid(n, m, boundary, delta1)
+    mirror = _mirror(op)
+    A = op.matrix.toarray()
+    assert A[np.ix_(mirror, mirror)].tobytes() == A.tobytes()
+    x = op.coords()
+    assert x[mirror, :n].tobytes() == x[:, :n].tobytes()
+    assert np.array_equal(x[mirror, n:], -x[:, n:])
+
+
 def test_ordered_sum_reads_no_stale_memory():
     # every buffer the recurrence reads past its reach must be zeroed: dirty
-    # the freed blocks of each size it allocates, then repeat the call
+    # the freed blocks of each size it allocates, then repeat the call.  A
+    # start at the centre is mirror-symmetric and folds; its twin one x2
+    # node off the mid-line does not
     params = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 0.5)
     op = assemble(build_grid(params, 4.0, 33), CoefficientField(params))
     lam = evolution.estimate_lambda_max(op)
     rng = np.random.default_rng(3)
-    v = np.zeros(op.n_nodes)
-    v[op.n_nodes // 2] = 1.0
     coef = _coefficients(rng, 30)
-    first = evolution._chebyshev_sum(op, lam, v, coef)
-    for n in range(1, op.n_nodes + 1, 7):
-        junk = [np.full(n, np.nan) for _ in range(8)]
-        del junk
-    second = evolution._chebyshev_sum(op, lam, v, coef)
-    assert first.tobytes() == second.tobytes()
-    assert _same_bits(first, _plain_sum(_plain_terms(op, lam, v, 30), coef))
+    for row, oracle in ((op.n_nodes // 2, _folded_terms), (op.n_nodes // 2 + 1, _plain_terms)):
+        v = np.zeros(op.n_nodes)
+        v[row] = 1.0
+        first = evolution._chebyshev_sum(op, lam, v, coef)
+        for n in range(1, op.n_nodes + 1, 7):
+            junk = [np.full(n, np.nan) for _ in range(8)]
+            del junk
+        second = evolution._chebyshev_sum(op, lam, v, coef)
+        assert first.tobytes() == second.tobytes()
+        assert _same_bits(first, _plain_sum(oracle(op, lam, v, 30), coef))
+        assert _symmetric(op, first) == (oracle is _folded_terms)
 
 
 @pytest.mark.parametrize("shape", [(), (3,)])
@@ -545,32 +593,51 @@ def test_head_matvec_equals_the_sliced_product_bit_for_bit(shape):
     x = np.random.default_rng(5).standard_normal((op.n_nodes,) + shape)
     for n in (0, 1, op.n_nodes // 3, op.n_nodes):
         assert evolution._head_matvec(M, x, n).tobytes() == (M[:n] @ x).tobytes()
+    # the kernel reads raw buffers: a head past the last row, or an x of
+    # another length, is refused before it runs
+    for m, y, n in ((M, x, op.n_nodes + 1), (M, x, -1), (M, x[1:], 1), (M[:-1], x, op.n_nodes)):
+        with pytest.raises(ValueError, match="head of"):
+            evolution._head_matvec(m, y, n)
 
 
 @pytest.mark.parametrize("counts", [129, 257])
 def test_finite_speed_terms_touch_the_rows_they_reach(monkeypatch, counts):
-    # a count with no timing noise: the share of c10_speed_classical's N x K
-    # row operations that its terms compute (0.655 at 129^2, 0.630 at 257^2)
-    entry = next(e for e in acceptance_manifest() if e["name"] == "c10_speed_classical")
-    cfg = ExperimentConfig.from_dict({**entry, "grid": {**entry["grid"], "counts": counts}})
-    grid = cfg.grid()
-    op = assemble(grid, CoefficientField(cfg.params))
-    knobs = cfg.knobs
-    v = bump(grid, knobs["bump_center"], [knobs["bump_width"]] * grid.dim).ravel()
+    # a count with no timing noise: the share of N x K row operations that
+    # the terms compute.  c10's bumps at (1, 0) are mirror-symmetric, so
+    # their terms run on one row per mirror pair: c10_speed_classical 0.331
+    # at 129^2 and 0.317 at 257^2, c10_speed_constant 0.063 and 0.049; a
+    # bump one x2 node off the mid-line touches every row it reaches: 0.655
+    # and 0.630 for the classical one, 0.124 and 0.097 for the constant one
     reaches = []
     order = evolution._support_order
 
-    def spy(op, rows, count):
-        pos, reach = order(op, rows, count)
+    def spy(*args):
+        pos, reach = order(*args)
         reaches.append(reach)
         return pos, reach
     monkeypatch.setattr(evolution, "_support_order", spy)
-    cosine_propagator(op, v, knobs["times"])
-    [reach] = reaches
-    assert reach.sum() / (op.n_nodes * reach.size) <= 0.66
+    for name, share, twin in (("c10_speed_classical", 0.335, 0.66),
+                              ("c10_speed_constant", 0.065, 0.125)):
+        entry = next(e for e in acceptance_manifest() if e["name"] == name)
+        cfg = ExperimentConfig.from_dict({**entry, "grid": {**entry["grid"], "counts": counts}})
+        grid = cfg.grid()
+        op = assemble(grid, CoefficientField(cfg.params))
+        knobs = cfg.knobs
+        center = np.asarray(knobs["bump_center"], dtype=float)
+        for shift, bound in ((0.0, share), (grid.spacings[1], twin)):
+            v = bump(grid, center + [0.0, shift], [knobs["bump_width"]] * grid.dim).ravel()
+            assert _symmetric(op, v) == (shift == 0.0)
+            reaches.clear()
+            cosine_propagator(op, v, knobs["times"])
+            [reach] = reaches
+            assert reach.sum() / (op.n_nodes * reach.size) <= bound
     if counts == 129:  # a vector with full support touches every row of every term
-        cosine_propagator(op, np.ones(op.n_nodes), knobs["times"])
-        assert reaches[1].sum() == op.n_nodes * reaches[1].size
+        n1, n2 = op.fiber_shape
+        for v, rows in ((np.ones(op.n_nodes), n1 * (n2 + 1) // 2),
+                        (np.arange(1.0, op.n_nodes + 1.0), op.n_nodes)):
+            reaches.clear()
+            cosine_propagator(op, v, knobs["times"])
+            assert reaches[0].sum() == rows * reaches[0].size
 
 
 # the flush-to-zero tests read SSE's MXCSR, which only x86-64 has
@@ -618,9 +685,13 @@ def test_flushed_sum_has_no_subnormal_entry(monkeypatch):
 @x86_64
 def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
     op, lam, v, coef = _underflow_case()
-    with evolution._flush_subnormals():
-        want = _plain_sum(_plain_terms(op, lam, v, coef.shape[1]), coef)
-    assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), want)
+    # the unit start on the degeneracy line folds; its twin one x2 node off
+    # the mid-line does not
+    twin = np.roll(v, 1)
+    for start, oracle in ((v, _folded_terms), (twin, _plain_terms)):
+        with evolution._flush_subnormals():
+            want = _plain_sum(oracle(op, lam, start, coef.shape[1]), coef)
+        assert _same_bits(evolution._chebyshev_sum(op, lam, start, coef), want)
     # the block moments: the same terms, read at the rows
     rows = np.asarray([op.node_index([0.0, 0.0]), op.node_index([0.5, 2.0])])
     times = np.asarray([0.01, 0.02])

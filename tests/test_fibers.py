@@ -24,6 +24,7 @@ from grushinlab.evolution import (
     EvolutionMethod,
     _region_block,
     apply_semigroup,
+    heat_kernel,
     ondiagonal_decay,
 )
 
@@ -224,6 +225,23 @@ def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
     # the exact method reads explicit candidates off the factored block
     block_sup = ondiagonal_decay(op, times, candidates=cands, method=EXACT).sup_diag
     assert np.abs(block_sup - exact).max() <= _tolerance(op, t) / op.node_weight
+
+
+@pytest.mark.parametrize("n, m, boundary", [c for c in CASES if c[1] >= 1])
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_krylov_kernel_from_a_mid_line_source_is_mirror_symmetric(n, m, boundary, data, t):
+    # a unit start on the x2 mid-line equals its x2 reflection, so the series
+    # runs on one row per mirror pair; the column it returns must still meet
+    # the proven bound and be exactly mirror-symmetric
+    op = data.draw(operators(n, m, boundary))
+    n1, n2 = op.fiber_shape
+    row = (n1 // 2) * n2 + (n2 - 1) // 2
+    col = heat_kernel(op, row, t, KRYLOV).values * op.node_weight
+    exact = op.dense_eig(DEFAULT_METHOD.max_exact_dimension).apply(np.eye(op.n_nodes)[row], t)
+    assert np.linalg.norm(col - exact) <= KRYLOV.tolerance + _tolerance(op, t)
+    view = col.reshape(n1, n2)
+    assert np.array_equal(view, view[:, ::-1])
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)

@@ -66,21 +66,26 @@ def test_propagator_matches_dense_oracle(n, m, boundary, data, times):
     op = data.draw(operators(n, m, boundary))
     lam, Phi = np.linalg.eigh(op.matrix.toarray())
     root = np.sqrt(np.clip(lam, 0.0, None))
-    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
-    c = Phi.T @ v
-    state = cosine_propagator(op, v, times)
-    assert np.array_equal(state.current[0], v) and not state.velocity[0].any()
     bound = estimate_lambda_max(op) or 1.0
-    scale = np.abs(v).max()
-    # energy identity: E(t) = w |u_t|^2 + w u.Au is w sum lam c^2 at every t
-    energy = op.node_weight * float(lam @ c**2)
-    energy_scale = op.node_weight * bound * float(v @ v)
-    for t, u, vel, drift in zip(times, state.current, state.velocity, state.energy_drift):
-        assert np.abs(u - Phi @ (np.cos(t * root) * c)).max() <= 1e-12 * scale
-        assert np.abs(vel - Phi @ (-root * np.sin(t * root) * c)).max() <= 1e-12 * scale * np.sqrt(bound)
-        e_t = op.node_weight * (vel @ vel + u @ (op.matrix @ u))
-        assert abs(e_t - energy) <= 1e-12 * energy_scale
-        assert drift <= 1e-12
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    starts = [v]
+    if m:  # symmetrized in x2, which the recurrence folds
+        mirror = np.arange(op.n_nodes).reshape(op.fiber_shape)[:, ::-1].ravel()
+        starts.append(v + v[mirror])
+    for v in starts:
+        c = Phi.T @ v
+        state = cosine_propagator(op, v, times)
+        assert np.array_equal(state.current[0], v) and not state.velocity[0].any()
+        scale = np.abs(v).max()
+        # energy identity: E(t) = w |u_t|^2 + w u.Au is w sum lam c^2 at every t
+        energy = op.node_weight * float(lam @ c**2)
+        energy_scale = op.node_weight * bound * float(v @ v)
+        for t, u, vel, drift in zip(times, state.current, state.velocity, state.energy_drift):
+            assert np.abs(u - Phi @ (np.cos(t * root) * c)).max() <= 1e-12 * scale
+            assert np.abs(vel - Phi @ (-root * np.sin(t * root) * c)).max() <= 1e-12 * scale * np.sqrt(bound)
+            e_t = op.node_weight * (vel @ vel + u @ (op.matrix @ u))
+            assert abs(e_t - energy) <= 1e-12 * energy_scale
+            assert drift <= 1e-12
 
 
 def test_multi_time_call_equals_single_time_calls():
