@@ -25,9 +25,11 @@ per-x1 value broadcast over x2, so the matrix is written straight into CSR,
 one slot (neighbour direction or diagonal) at a time, without COO triples
 of the whole matrix.  The exact spectrum is factored from the factors
 (:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times the
-eigenpairs of one small x1 fiber per x2 mode.  A segment's |x1|^2 is fixed
-by its x1 start (:func:`segment_quadratic`), so the metric graph integrates
-its edges once per x1 start as well and fills its CSR the same way.
+eigenpairs of one small x1 fiber per x2 mode; an n = 1 fiber that equals
+its x1 mirror image exactly is factored as its even and odd halves.  A
+segment's |x1|^2 is fixed by its x1 start (:func:`segment_quadratic`), so
+the metric graph integrates its edges once per x1 start as well and fills
+its CSR the same way.
 
 Assembled operators are immutable and safe to share between threads.
 """
@@ -242,7 +244,11 @@ class FiberSpectrum:
     every connected component of A1's coupling separately, and every
     evaluation works per component slice, so decoupled components never mix
     (their cross-kernel is exactly zero).  ``blocks`` holds one
-    (x1 rows, lam (n2, s), Phi (n2, s, s)) triple per component.
+    (x1 rows, lam (n2, s), Phi (n2, s, s)) triple per component; column l of
+    Phi[k] is the eigenvector of lam[k, l], in no set order.  A tridiagonal
+    fiber that equals its mirror image exactly (those of every delta1 = 0
+    Neumann operator) is factored as its even and odd halves and unfolded
+    into this layout.
     """
 
     n1: int
@@ -299,11 +305,10 @@ class FiberSpectrum:
         return out
 
 
-def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
-    """Diagonalize the x1 fiber of every x2 mode from the assembled factors
-    A1 and g2_j, per connected component of A1's coupling."""
-    n = op.grid.params.n
-    x2_counts = tuple(op.grid.counts[n:])
+def _mode_diagonals(op: DivergenceFormOperator) -> np.ndarray:
+    """Diagonal of the x1 fiber of every x2 mode k, shape (n2, n1): A1's
+    diagonal plus sum_j nu_{k_j} g2_j, nu the unit Neumann path eigenvalues."""
+    x2_counts = tuple(op.grid.counts[op.grid.params.n:])
     n1, n2 = op.fiber_shape
     A1, g2 = op.fiber
 
@@ -322,6 +327,49 @@ def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
         d = d + g
     for g in reversed(g2):
         d = d - g
+    return d + shift
+
+
+def _fiber_eigh(d: np.ndarray, e: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal fiber with diagonal d and off-diagonal
+    e; its orthonormal eigenvectors are written into the columns of Phi.
+
+    A fiber of odd length s = 2h + 1 >= 3 that equals its reversal exactly
+    commutes with the mirror i -> s - 1 - i and splits into an even and an
+    odd half (Cantoni & Butler 1976): the even half on nodes 0..h, with the
+    coupling to the middle node h scaled by sqrt 2, and the odd half on nodes
+    0..h-1.  Their eigenvectors, mirrored (the odd ones with a sign flip and
+    a zero middle), fill the even columns, then the odd ones.  Any other
+    fiber is factored whole.
+    """
+    s = d.size
+    h = s // 2
+    if s < 3 or s % 2 == 0 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
+        lam, Phi[...] = eigh_tridiagonal(d, e)
+        return lam
+    coupling = e[:h].copy()
+    coupling[-1] *= np.sqrt(2.0)
+    lam_even, even = eigh_tridiagonal(d[:h + 1], coupling)
+    lam_odd, odd = eigh_tridiagonal(d[:h], e[:h - 1])
+    np.multiply(even[:h], np.sqrt(0.5), out=Phi[:h, :h + 1])
+    Phi[h, :h + 1] = even[h]
+    np.multiply(odd, np.sqrt(0.5), out=Phi[:h, h + 1:])
+    Phi[h, h + 1:] = 0.0
+    Phi[h + 1:, :h + 1] = Phi[h - 1::-1, :h + 1]
+    np.negative(Phi[h - 1::-1, h + 1:], out=Phi[h + 1:, h + 1:])
+    return np.concatenate([lam_even, lam_odd])
+
+
+def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
+    """Diagonalize the x1 fiber of every x2 mode from the assembled factors
+    A1 and g2_j, per connected component of A1's coupling.  For n = 1 the
+    fibers are tridiagonal and each is factored by :func:`_fiber_eigh`, which
+    splits an exactly mirror-symmetric one into its even and odd halves."""
+    n = op.grid.params.n
+    x2_counts = tuple(op.grid.counts[n:])
+    n1, n2 = op.fiber_shape
+    A1 = op.fiber[0]
+    D = _mode_diagonals(op)
 
     ncomp, labels = connected_components(A1 != 0.0, directed=False)
     order = np.argsort(labels, kind="stable")
@@ -332,10 +380,10 @@ def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
             lam, Phi = np.empty((n2, s)), np.empty((n2, s, s))
             e = A1.diagonal(1)[rows[:-1]]
             for k in range(n2):
-                lam[k], Phi[k] = eigh_tridiagonal(d[rows] + shift[k, rows], e)
+                lam[k] = _fiber_eigh(D[k, rows], e, Phi[k])
         else:
             stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
-            stack[:, np.arange(s), np.arange(s)] = d[rows] + shift[:, rows]
+            stack[:, np.arange(s), np.arange(s)] = D[:, rows]
             lam, Phi = np.linalg.eigh(stack)
         blocks.append((rows, lam, Phi))
     return FiberSpectrum(

@@ -437,9 +437,11 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
         d = graph.distances_from_nodes(_region_rows(grid, 0.0, r_cut / 2.0))
         rho = float(d[op_true.kept][region_rows].min())
         times = rho**2 / (4.0 * np.geomspace(exponent_range[1], exponent_range[0], n_times))
-        res = kernel_comparison(op_true, op_frozen, region_rows, rho, times, cfg.method)
         # anchor the fitted prefactor at the largest time, where the
-        # difference is well above discretization noise
+        # difference is well above discretization noise; only level 0
+        # reports the whole curve, so finer levels read that time alone
+        res = kernel_comparison(op_true, op_frozen, region_rows, rho,
+                                times if level == 0 else times[-1:], cfg.method)
         pref = float(res.sup_diff[-1] / res.reference[-1])
         prefactors.append(pref)
         if level == 0:

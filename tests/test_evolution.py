@@ -10,7 +10,7 @@ from test_fibers import CASES
 
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.config import ConfigError, ExperimentConfig
-from grushinlab.discretization import assemble, build_grid
+from grushinlab.discretization import FiberSpectrum, assemble, build_grid
 from grushinlab import evolution
 from grushinlab.evolution import (
     CapacityError,
@@ -317,6 +317,41 @@ def test_kernel_comparison_honours_krylov():
     beyond = EvolutionMethod("krylov_exponential", tolerance=1e-8, max_exact_dimension=10)
     rep = kernel_comparison(op_true, op_frozen, rows, 1.0, times, beyond)
     assert np.array_equal(rep.sup_diff, krylov.sup_diff)
+
+
+def test_kernel_comparison_one_time_equals_its_slot_in_many():
+    # each time's block is its own product of the factors, so a call at the
+    # largest time alone gives the bits of that time in a call at all of them
+    params = GrusinParameters(1, 0, 0.5, 0.0)
+    g = build_grid(params, 6.0, 193)
+    op_true = assemble(g, CoefficientField(params))
+    op_frozen = assemble(g, CoefficientField(params, floor_radius=0.5))
+    x = op_true.coords()[:, 0]
+    rows = np.nonzero((x >= 1.0) & (x <= 2.0))[0]
+    times = 1.0 / (4.0 * np.geomspace(16.0, 2.0, 8))
+    every = kernel_comparison(op_true, op_frozen, rows, 1.0, times, EXACT)
+    last = kernel_comparison(op_true, op_frozen, rows, 1.0, times[-1:], EXACT)
+    assert last.sup_diff[0] == every.sup_diff[-1]
+    assert last.reference[0] == every.reference[-1]
+
+
+def test_compare_reads_one_time_on_refined_levels(monkeypatch):
+    # level 0 reports the whole curve; the refined level gives only the
+    # prefactor at the largest time, so it reads that time alone
+    calls = []
+    block = FiberSpectrum.block
+
+    def spy(self, rows, times):
+        calls.append((self.n1, len(times)))
+        return block(self, rows, times)
+
+    monkeypatch.setattr(FiberSpectrum, "block", spy)
+    raw = next(e for e in acceptance_manifest() if e["name"] == "c11_compare")
+    raw = dict(raw, grid={"extents": 6.0, "counts": 97}, knobs=dict(raw["knobs"], control=False))
+    rep = run_experiment(ExperimentConfig.from_dict(raw))
+    assert calls == [(97, 8), (97, 8), (193, 1), (193, 1)]  # frozen, then true, per level
+    assert len(rep["csv"]["compare.csv"]["rows"]) == 8
+    assert "prefactor_level1" in rep["fitted"]
 
 
 def test_gaussian_upper_and_lower_constants_euclidean():

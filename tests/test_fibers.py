@@ -10,11 +10,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from grushinlab import discretization
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     BOUNDARY_MODES,
     CapacityError,
+    _fiber_eigh,
+    _mode_diagonals,
     assemble,
     build_grid,
     face_conductance,
@@ -90,6 +94,89 @@ def test_factored_spectrum_matches_dense_oracle(n, m, boundary, data, t):
     assert np.abs(spec.block(rows, [t])[0] - oracle[np.ix_(rows, rows)]).max() <= tol
     if boundary != "dirichlet_origin":
         assert np.abs(S.sum(axis=0) - 1.0).max() <= tol
+
+
+def _fibers(op):
+    """Per-mode fiber diagonals (n2, n1) and the shared off-diagonal of an n = 1 operator."""
+    return _mode_diagonals(op), op.fiber[0].diagonal(1)
+
+
+def _eigh_sizes(monkeypatch):
+    """Record the size of every eigh_tridiagonal call the factorization makes."""
+    sizes = []
+
+    def spy(d, e):
+        sizes.append(d.size)
+        return eigh_tridiagonal(d, e)
+
+    monkeypatch.setattr(discretization, "eigh_tridiagonal", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n, m, boundary", [c for c in CASES
+                                            if c[0] == 1 and c[2] == "neumann_truncation"])
+@SETTINGS
+@given(data=st.data())
+def test_delta1_zero_fibers_are_exact_palindromes(n, m, boundary, data):
+    # the premise of the parity split: for delta1 = 0 every coefficient and
+    # every face integral is the same on both sides of x1 = 0, bit for bit
+    op = data.draw(operators(n, m, boundary, deltas=[0.0]))
+    D, e = _fibers(op)
+    assert np.array_equal(D, D[:, ::-1]) and np.array_equal(e, e[::-1])
+
+
+@pytest.mark.parametrize("delta1", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("floor_radius", [None, 0.5])
+def test_asymmetric_fibers_are_factored_whole(delta1, floor_radius):
+    # each x1 face is integrated from its own start, so for delta1 > 0 the
+    # mirror faces round differently and the fiber is not split: its
+    # eigenpairs are those of one plain eigh_tridiagonal, byte for byte
+    p = GrusinParameters(1, 0, delta1, delta1)
+    coeffs = CoefficientField(p) if floor_radius is None else CoefficientField(p, floor_radius)
+    op = assemble(build_grid(p, 4.0, 201), coeffs)
+    D, e = _fibers(op)
+    assert not np.array_equal(D[0], D[0, ::-1])
+    for rows, lam, Phi in op.dense_eig(DEFAULT_METHOD.max_exact_dimension).blocks:
+        plain_lam, plain_Phi = eigh_tridiagonal(D[0, rows], e[rows[:-1]])
+        assert np.array_equal(lam[0], plain_lam) and np.array_equal(Phi[0], plain_Phi)
+
+
+@pytest.mark.parametrize("count", [3, 5, 65, 1025])
+def test_split_fiber_eigenpairs_match_dense_oracle(count, monkeypatch):
+    # c14's fiber at 1,025 nodes: c = 1 on [-8, 8]
+    p = GrusinParameters(1, 0)
+    op = assemble(build_grid(p, 8.0, count), CoefficientField(p))
+    D, e = _fibers(op)
+    d = D[0]
+    sizes = _eigh_sizes(monkeypatch)
+    Phi = np.empty((count, count))
+    lam = _fiber_eigh(d, e, Phi)
+    assert sizes == [count // 2 + 1, count // 2]  # the even half, then the odd half
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    dense = np.linalg.eigvalsh(T)
+    bound = 1e-12 * max(1.0, np.abs(dense).max())
+    assert np.abs(np.sort(lam) - dense).max() <= bound
+    assert np.abs(T @ Phi - Phi * lam).max() <= bound
+    assert np.abs(Phi.T @ Phi - np.eye(count)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape, counts", [((1, 0), 65), ((1, 1), (33, 9))])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+def test_split_spectrum_matches_dense_oracle(shape, counts, t, monkeypatch):
+    p = GrusinParameters(*shape, 0.0, 0.0, 1.0, 0.5)
+    op = assemble(build_grid(p, 3.0, counts), CoefficientField(p))
+    sizes = _eigh_sizes(monkeypatch)
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    n1, n2 = op.fiber_shape
+    assert sizes == [n1 // 2 + 1, n1 // 2] * n2  # every fiber was split
+    lam, Phi = _oracle(op)
+    oracle = _semigroup(lam, Phi, t)
+    tol = _tolerance(op, t)
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    assert np.abs(spec.apply(v, t) - oracle @ v).max() <= tol * np.abs(v).sum()
+    assert np.abs(spec.diagonal([t])[0] - np.diag(oracle)).max() <= tol
+    rows = np.arange(1, op.n_nodes, 2)
+    assert np.abs(spec.block(rows, [t])[0] - oracle[np.ix_(rows, rows)]).max() <= tol
 
 
 def _face_by_face(op):
