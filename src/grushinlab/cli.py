@@ -13,6 +13,7 @@ as '-'.
 ``suite`` runs a manifest of configs (JSON list, or the built-in ``acceptance``
 manifest) on --workers N processes (GRUSHINLAB_WORKERS, default 1), --seed S
 (GRUSHINLAB_SEED) replacing every seed, and exits nonzero if any check fails;
+an entry whose config or knobs do not bind exits 2 before any entry runs;
 ``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
 when every check passed.
 """
@@ -26,7 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig
-from .experiments import acceptance_manifest, run_experiment
+from .experiments import _bind_experiment, acceptance_manifest, run_experiment
 from .reporting import summary_lines, write_report
 
 ENV_PREFIX = "GRUSHINLAB_"
@@ -111,10 +112,10 @@ def _run_single(raw: dict, default_out: str) -> dict:
 
 
 def run_suite(manifest: list[dict], out_dir: str, workers: int) -> dict:
-    reports = []
+    for raw in manifest:  # build and bind every entry first: a bad one runs and writes nothing
+        _bind_experiment(ExperimentConfig.from_dict(raw), {})
     if workers <= 1 or len(manifest) <= 1:
-        for raw in manifest:
-            reports.append(_run_single(raw, out_dir))
+        reports = [_run_single(raw, out_dir) for raw in manifest]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_single, raw, out_dir) for raw in manifest]

@@ -437,38 +437,21 @@ class DecayResult:
     times: np.ndarray
     sup_diag: np.ndarray
     slope: float
-    refused_times: tuple
-
-
-def _admissible_times(times, boundary_distance: float | None, guard: float):
-    """:func:`ondiagonal_decay`'s time check: the sorted times whose boundary
-    tail exp(-boundary_distance^2 / (4t)) is at most ``guard`` (all of them
-    without a distance), and the refused rest; a ValueError led by
-    ``times`` if fewer than two remain."""
-    times = np.asarray(sorted(float(t) for t in times))
-    refused = ()
-    if boundary_distance is not None:
-        bad = np.exp(-(boundary_distance**2) / (4.0 * times)) > guard
-        refused = tuple(times[bad])
-        times = times[~bad]
-    if len(times) < 2:
-        raise ValueError("times: need at least two admissible times for a slope fit")
-    return times, refused
 
 
 def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
-                     boundary_distance: float | None = None, guard: float = 1e-6,
                      method: EvolutionMethod = DEFAULT_METHOD) -> DecayResult:
-    """sup_x K_t(x; x) per time and its log-log slope.
+    """sup_x K_t(x; x) per time (sorted, at least two) and its log-log slope.
 
     ``candidates``: operator rows over which the sup is taken, read off one
     kernel block per time by either method.  Without them the exact method
     takes the full diagonal and the Krylov method raises.  Isolated cells
     (zero-degree rows, cut off by dead faces) hold their unit mass forever
-    and are excluded from the default sup.  Times whose boundary tail
-    exp(-boundary_distance^2 / (4t)) exceeds ``guard`` are refused.
+    and are excluded from the default sup.  The caller admits the times.
     """
-    times, refused = _admissible_times(times, boundary_distance, guard)
+    times = np.sort(np.asarray(times, dtype=float))
+    if len(times) < 2:
+        raise ValueError("times: need at least two times for a slope fit")
     if candidates is None:
         if method.resolve(op) != "exact_eigendecomposition":
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
@@ -477,8 +460,7 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
     else:
         diag = _region_block(op, np.asarray(candidates), times, method).diagonal(0, 1, 2)
     sup = diag.max(axis=1) / op.node_weight
-    return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup),
-                       refused_times=refused)
+    return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup))
 
 
 @dataclass(frozen=True)
@@ -489,9 +471,12 @@ class GaussianUpperReport:
     lower: float           # min over sources and times of K_t(x; x) |B(x; sqrt t)|
 
 
+_EXPONENT_CAP = 16.0  # the largest d^2/(4t) gaussian_upper_check samples
+
+
 def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, times,
-                         epsilon: float, exponent_cap: float = 16.0,
-                         method: EvolutionMethod = DEFAULT_METHOD) -> GaussianUpperReport:
+                         epsilon: float, method: EvolutionMethod = DEFAULT_METHOD
+                         ) -> GaussianUpperReport:
     """Fitted constant of the volume-weighted Gaussian upper bound.
 
     ``source_distances`` maps operator rows to the geodesic distances from
@@ -502,7 +487,7 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, tim
 
     with the ball volumes counted on the same grid as the kernel, so both
     sides of the pairing degrade consistently under coarsening.  Pairs with
-    d^2/(4t) above ``exponent_cap`` or kernel values at or below 1e-12
+    d^2/(4t) above ``_EXPONENT_CAP`` or kernel values at or below 1e-12
     are skipped (solver noise would otherwise ride the growing exponential).
 
     One kernel block over the sources per time gives the entries and the
@@ -518,7 +503,7 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, tim
                     for j in rows])
     d = np.array([[source_distances[i][op.kept[j]] for i in rows] for j in rows])
     expo = (d * d)[:, None, :] / (4.0 * times[:, None])
-    a, q, b = np.nonzero((expo <= exponent_cap) & (K > 1e-12) & np.isfinite(d)[:, None])
+    a, q, b = np.nonzero((expo <= _EXPONENT_CAP) & (K > 1e-12) & np.isfinite(d)[:, None])
     val = K[a, q, b] * np.sqrt(vol[b, q] * vol[a, q]) * np.exp(expo[a, q, b] / (1.0 + epsilon))
     lower = float((K[np.arange(len(rows)), :, np.arange(len(rows))] * vol).min())
     k = int(np.argmax(val))  # never empty: a diagonal pair has d = 0 and K above the floor

@@ -2,12 +2,14 @@
 
 Each runner fills in a report's named checks (each with its bound and pass
 flag), fitted constants and CSV tables.  Its keyword-only parameters are its
-knobs, with their defaults: ``config.bind`` checks ``cfg.knobs`` and every
-nested spec (decay stage, radius grid, Davies-Gaffney pair, ``vf_params``)
-against a signature, so an unknown or missing knob is a ConfigError naming
-it; so is a value outside a knob's enumerated choices (``_one_of``).
-``run_experiment`` picks the runner from ``_RUNNERS`` by experiment kind and
-``knobs.task`` and builds the report frame around it (config echo and hash,
+knobs, each set by some manifest entry (a value no entry changes is a
+constant beside its code): ``config.bind`` checks ``cfg.knobs`` and every
+nested spec (decay stage, radius grid, ``vf_params``) against a signature,
+so an unknown or missing knob is a ConfigError naming it; so is a value
+outside a knob's enumerated choices (``_one_of``).  A decay run checks and
+resolves every stage before any stage solves.  ``_bind_experiment`` picks
+the runner from ``_RUNNERS`` by experiment kind and ``knobs.task``;
+``run_experiment`` runs it in the report frame (config echo and hash,
 derived exponents, timings, the pass flag).  The acceptance manifest at the
 bottom freezes every tolerance of the verification suite; the tests, the
 ``suite`` subcommand and each subcommand's default run use it.
@@ -24,7 +26,6 @@ from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_ex
 from .config import ConfigError, ExperimentConfig, bind, build
 from .discretization import BOUNDARY_MODES, assemble, build_grid
 from .evolution import (
-    _admissible_times,
     fit_loglog_slope,
     gaussian_upper_check,
     heat_kernel,
@@ -99,11 +100,6 @@ def _geomspace(*, lo, hi, n):
     return np.geomspace(lo, hi, n)
 
 
-def _pair(*, center_a, center_b, halfwidth):
-    """A Davies-Gaffney pair spec: the sets |x1 - center| <= halfwidth."""
-    return center_a, center_b, halfwidth
-
-
 def _levels(cfg: ExperimentConfig, count: int):
     """The configured grid, then each of ``count - 1`` refinements, each
     halving every spacing of the one before."""
@@ -144,11 +140,10 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 
 
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
-                     n_sources=10, bound=1e-8, boundary="neumann_truncation") -> None:
-    _one_of("knobs.boundary", boundary, BOUNDARY_MODES)
+                     n_sources=10, bound=1e-8) -> None:
     _counts(n_sources=n_sources)
     rng = np.random.default_rng(cfg.seed)
-    op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
+    op = assemble(cfg.grid(), CoefficientField(cfg.params))
     sources = _spread_sources(op, n_sources, rng)
     rows = []
     worst = 0.0
@@ -167,6 +162,7 @@ def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.2
 
 
 def _decay_candidates(op, spec, path):
+    """The rows a decay stage takes its sup over (None: all), one per point."""
     grid = op.grid
     if spec == "all":
         return None
@@ -175,59 +171,66 @@ def _decay_candidates(op, spec, path):
         # x2 axis; one near-set control row ([h, 0, ...]) is kept, far
         # off-set rows would only drag the boundary guard down
         n, m = grid.params.n, grid.params.m
-        pts = [[0.0] * grid.dim]
+        spec = [[0.0] * grid.dim]
         if m:
-            pts += [[0.0] * n + [x2] + [0.0] * (m - 1) for x2 in (1.0, -1.0, 2.0)
-                    if abs(x2) <= 0.5 * grid.extents[n]]
-        pts.append([grid.spacings[0]] + [0.0] * (grid.dim - 1))
-        return sorted(set(op.node_index(p) for p in pts))
+            spec += [[0.0] * n + [x2] + [0.0] * (m - 1) for x2 in (1.0, -1.0, 2.0)
+                     if abs(x2) <= 0.5 * grid.extents[n]]
+        spec.append([grid.spacings[0]] + [0.0] * (grid.dim - 1))
     return sorted(_resolve_all(path, op.node_index, spec))
+
+
+_GUARD_LEVEL = 1e-6
+
+
+def _admissible_times(path: str, times, boundary_distance: float | None):
+    """The sorted times whose boundary tail exp(-boundary_distance^2 / (4t))
+    is at most _GUARD_LEVEL (all, without a distance) and the refused rest;
+    a ConfigError naming ``path`` if fewer than two are admitted."""
+    times = np.asarray(sorted(float(t) for t in times))
+    d2 = np.inf if boundary_distance is None else boundary_distance**2
+    ok = np.exp(-d2 / (4.0 * times)) <= _GUARD_LEVEL
+    if ok.sum() < 2:
+        raise ConfigError(f"{path}: need at least two admissible times for a slope fit")
+    return times[ok], tuple(times[~ok])
 
 
 def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
     coeffs = CoefficientField(cfg.params)
-    # check every stage first, so that a bad stage fails before any stage runs
+    # check and resolve every stage first, so that a bad stage fails before any stage solves
     runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
             for k, stage in enumerate(stages)]
-    rows = [row for run in runs for row in run()]
+    rows = []
+    while runs:  # each run is dropped once done, and its operator and spectrum with it
+        rows += runs.pop(0)()
     rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
 
 
 def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, counts, times,
                  slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
-                 guard_level=1e-6, label=None):
-    """Checks stage k of a decay run and builds its grid; returns its run (decay.csv rows)."""
+                 label=None):
+    """Checks stage k of a decay run, builds its operator, resolves its candidates
+    and admits its times; returns its run, which solves (decay.csv rows)."""
     _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
     if isinstance(candidates, str):
         _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
-    # an "all" stage guards from the origin's node, and the degeneracy line
-    # starts there: the one node the dirichlet_origin boundary removes
-    if boundary == "dirichlet_origin" and (candidates == "degeneracy_line"
-                                           or guard and candidates == "all"):
-        knob = "guard" if candidates == "all" else "candidates"
-        raise ConfigError(f"knobs.stages[{k}].{knob}: a {candidates!r} stage reads the origin's "
-                          f"node, which the 'dirichlet_origin' boundary removes")
     label = f"stage{k}" if label is None else label
     grid = build(build_grid, f"knobs.stages[{k}]", {"extents": extents, "counts": counts}, cfg.params)
+    op = assemble(grid, coeffs, boundary)
+    cands = _decay_candidates(op, candidates, f"knobs.stages[{k}].candidates")
+    bdist = None
+    if guard:
+        graph = MetricGraph(grid, coeffs, 2)
+        guard_rows = cands if cands is not None else [  # an "all" stage guards from the origin
+            _resolve(f"knobs.stages[{k}].guard", op.node_index, [0.0] * grid.dim)]
+        d = graph.distances_from_nodes(op.kept[np.asarray(guard_rows)])
+        bdist = float(d[_boundary_nodes(grid)].min())
+    times, refused = _admissible_times(f"knobs.stages[{k}].times", times, bdist)
 
     def run() -> list:
-        op = assemble(grid, coeffs, boundary)
-        cands = _decay_candidates(op, candidates, f"knobs.stages[{k}].candidates")
-        bdist = None
-        if guard:
-            graph = MetricGraph(grid, coeffs, 2)
-            guard_rows = cands if cands is not None else [op.node_index([0.0] * grid.dim)]
-            d = graph.distances_from_nodes(op.kept[np.asarray(guard_rows)])
-            bdist = float(d[_boundary_nodes(grid)].min())
-        try:
-            _admissible_times(times, bdist, guard_level)
-        except ValueError as err:
-            raise ConfigError(f"knobs.stages[{k}].{err}") from err
-        res = ondiagonal_decay(op, times, candidates=cands, boundary_distance=bdist,
-                               guard=guard_level, method=cfg.method)
+        res = ondiagonal_decay(op, times, candidates=cands, method=cfg.method)
         rep["fitted"][f"{label}_slope"] = res.slope
-        if res.refused_times:
-            rep["fitted"][f"{label}_refused_times"] = list(res.refused_times)
+        if refused:
+            rep["fitted"][f"{label}_refused_times"] = list(refused)
         rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
         return [[t, s, res.slope, label] for t, s in zip(res.times, res.sup_diag)]
     return run
@@ -236,16 +239,15 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
 # --------------------------------------------------------------------- distance
 
 
+_BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of every level
+
+
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
-                 box_fraction=0.5, stencil_order=2, min_closed=0.1,
-                 stability_factor=1.25) -> None:
+                 stencil_order=2, min_closed=0.1, stability_factor=1.25) -> None:
     _counts(n_sources=n_sources, n_targets=n_targets)
-    # a box within the grid's, so every drawn point snaps to a node of every level
-    if not 0.0 < box_fraction <= 1.0:
-        raise ConfigError(f"knobs.box_fraction: {box_fraction!r} must lie in (0, 1]")
     coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
-    lim = np.asarray(cfg.grid().extents) * box_fraction
+    lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
 
@@ -300,7 +302,7 @@ def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: i
     return radii, vols
 
 
-def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
+def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
                       origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
                       off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1) -> None:
     dim = cfg.params.dim
@@ -311,7 +313,7 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
              build(_geomspace, "knobs.origin_radii", origin_radii), derive_exponents(cfg.params).D),
             ("offcenter", off_center, _resolve("knobs.off_center", grid.flat_index, off_center)[0],
              build(_geomspace, "knobs.off_radii", off_radii), dim)]
-    graph = MetricGraph(grid, CoefficientField(cfg.params), stencil_order)
+    graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
     for tag, center, node, radii, expected in runs:
         slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg, graph, center, node,
                                            radii))
@@ -319,11 +321,11 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, stencil_order=2,
         rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
 
-def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n_radii=8,
-                 centers=([0.0], [5.0]), slack=0.3) -> None:
+def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers=([0.0], [5.0]),
+                 slack=0.3) -> None:
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
-    graph = MetricGraph(grid, CoefficientField(cfg.params), stencil_order)
+    graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
     radii = r0 * 2.0 ** np.arange(n_radii)
     bound = derive_exponents(cfg.params).doubling_dim + slack
     worst = -np.inf
@@ -339,13 +341,11 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, stencil_order=2, r0=0.1, n
 # ------------------------------------------------------------------ heat kernel
 
 
-def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1,
-                    boundary="neumann_truncation", mass_tol=1e-8, symmetry_point=None,
-                    symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
-    _one_of("knobs.boundary", boundary, BOUNDARY_MODES)
+def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mass_tol=1e-8,
+                    symmetry_point=None, symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
     _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
     source = [0.0] * cfg.params.dim if source is None else source
-    op = assemble(cfg.grid(), CoefficientField(cfg.params), boundary)
+    op = assemble(cfg.grid(), CoefficientField(cfg.params))
     j = _resolve("knobs.source", op.node_index, source)
     j2 = None if symmetry_point is None else _resolve("knobs.symmetry_point", op.node_index,
                                                       symmetry_point)
@@ -475,9 +475,12 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
 # ------------------------------------------------------------------------- wave
 
 
+_DRIFT_BOUND = 1e-6  # the relative energy drift a leapfrog run may show
+
+
 def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump_width=0.6,
                      times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
-                     leak_bound=1e-6, drift_bound=1e-6) -> None:
+                     leak_bound=1e-6) -> None:
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
     _counts(refinements=refinements)
     if not bump_width > 0:
@@ -514,31 +517,28 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         rep["checks"].append(
             check("leak_decreases_under_refinement", leak_by_level[-1], "<=", leak_by_level[0]))
     drift_max = max(r[2] for r in rows)
-    rep["checks"].append(check("energy_drift", drift_max, "<", drift_bound))
+    rep["checks"].append(check("energy_drift", drift_max, "<", _DRIFT_BOUND))
+
+
+# (center_a, center_b, halfwidth): the disjoint sets |x1 - center| <= halfwidth
+_DG_PAIRS = ((-2.5, 1.5, 0.5), (-1.5, 1.5, 0.4), (-3.0, 3.0, 0.5), (1.2, 3.2, 0.3))
 
 
 def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
-                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0),
-                       pairs=({"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
-                              {"center_a": -1.5, "center_b": 1.5, "halfwidth": 0.4},
-                              {"center_a": -3.0, "center_b": 3.0, "halfwidth": 0.5},
-                              {"center_a": 1.2, "center_b": 3.2, "halfwidth": 0.3}),
-                       min_samples=20) -> None:
-    pairs = [build(_pair, f"knobs.pairs[{k}]", spec) for k, spec in enumerate(pairs)]
+                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20) -> None:
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
-    graph = MetricGraph(grid, coeffs, 2)
     coords = op.coords()[:, 0]
+    sets = {(c, w): np.nonzero(np.abs(coords - c) <= w)[0] for *cs, w in _DG_PAIRS for c in cs}
+    for (c, w), nodes in sets.items():
+        if not nodes.size:
+            raise ConfigError(f"grid: the Davies-Gaffney set |x1 - c| <= {w} at c = {c} holds "
+                              f"no node of the grid of {grid.counts} nodes")
+    graph = MetricGraph(grid, coeffs, 2)
     rows = []
-    for k, (center_a, center_b, halfwidth) in enumerate(pairs):
-        rows_a = np.nonzero(np.abs(coords - center_a) <= halfwidth)[0]
-        rows_b = np.nonzero(np.abs(coords - center_b) <= halfwidth)[0]
-        shared = np.intersect1d(rows_a, rows_b).size
-        if not rows_a.size or not rows_b.size or shared:
-            raise ConfigError(f"knobs.pairs[{k}]: the sets |x1 - center| <= halfwidth must each "
-                              f"hold a grid node and share none, but hold {rows_a.size} and "
-                              f"{rows_b.size} nodes, {shared} shared")
+    for center_a, center_b, w in _DG_PAIRS:
+        rows_a, rows_b = sets[center_a, w], sets[center_b, w]
         dab = float(graph.distances_from_nodes(op.kept[rows_a])[op.kept[rows_b]].min())
         times = [dab**2 / (4.0 * s) for s in exponent_targets]
         margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon, cfg.method)
@@ -575,19 +575,24 @@ def _support_box_distance(grid, pts, support) -> np.ndarray:
 # --------------------------------------------------------- gaussian bound checks
 
 
+_GAUSSIAN_SOURCES = ([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0], [2.0, 1.0], [-1.5, -1.0],
+                     [0.5, 0.5], [3.0, 0.0])
+
+
 def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
-                        sources=([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0],
-                                 [2.0, 1.0], [-1.5, -1.0], [0.5, 0.5], [3.0, 0.0]),
-                        exponent_cap=16.0, stability_factor=2.0) -> None:
+                        stability_factor=2.0) -> None:
     coeffs = CoefficientField(cfg.params)
     uppers, lowers = [], []
     for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
+        try:
+            rows = sorted(_resolve_all("sources", op.node_index, _GAUSSIAN_SOURCES))
+        except ConfigError as err:
+            raise ConfigError(f"grid: level {level} of {grid.counts} nodes cannot hold the "
+                              f"Gaussian-bound {err}") from err
         graph = MetricGraph(grid, coeffs, 2)
-        rows = sorted(_resolve_all("knobs.sources", op.node_index, sources))
         dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
-        upper = gaussian_upper_check(op, dists, times, epsilon,
-                                     exponent_cap=exponent_cap, method=cfg.method)
+        upper = gaussian_upper_check(op, dists, times, epsilon, method=cfg.method)
         uppers.append(upper.constant)
         lowers.append(upper.lower)
         rep["fitted"][f"upper_constant_level{level}"] = upper.constant
@@ -701,13 +706,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the config's (experiment, knobs.task) runner and return its report.
-
-    The other knobs bind to the runner's keyword-only parameters before it
-    starts.  The runner fills in checks, fitted constants and CSV tables;
-    the report frame, the total time and the pass flag are set here.
-    """
+def _bind_experiment(cfg: ExperimentConfig, rep: dict):
+    """The config's (experiment, knobs.task) runner for report ``rep``, not
+    yet called, its other knobs bound to the runner's keyword-only
+    parameters: an unknown task or knob, or a required knob left out, is a
+    ConfigError here."""
     tasks = _RUNNERS[cfg.experiment]
     knobs = dict(cfg.knobs)
     task = knobs.pop("task", next(iter(tasks)))
@@ -715,9 +718,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         valid = [t for t in tasks if t is not None]
         raise ConfigError(f"knobs.task: {task!r} is not a task of {cfg.experiment!r}; "
                           f"leave it out or use one of {valid}")
+    return bind(tasks[task], "knobs", knobs, cfg, rep)
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run the config's (experiment, knobs.task) runner and return its report.
+
+    The runner fills in checks, fitted constants and CSV tables; the report
+    frame, the total time and the pass flag are set here.
+    """
     t0 = time.time()
     rep = _report_skeleton(cfg)
-    bind(tasks[task], "knobs", knobs, cfg, rep)()
+    _bind_experiment(cfg, rep)()
     rep["timings"]["total_s"] = time.time() - t0
     rep["passed"] = all_passed(rep["checks"])
     return rep

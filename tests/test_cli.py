@@ -1,5 +1,6 @@
 import inspect
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ def test_number_formatting_is_17_digits():
 def test_suite_empty_manifest_passes(tmp_path):
     aggregate = run_suite([], str(tmp_path), workers=1)
     assert aggregate["passed"] and aggregate["experiments"] == []
+
+
+def test_suite_binds_every_entry_before_it_runs_any(tmp_path, capsys, monkeypatch):
+    ran = _stub_runners(monkeypatch)
+    bad = _manifest_entry("c01_conservation_1d")
+    bad["knobs"]["n_sourcez"] = 10
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([_manifest_entry("c03_decay_1d"), bad]))
+    code = main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "knobs.n_sourcez: unknown field" in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_reports_failing_member(tmp_path):
@@ -410,14 +424,64 @@ def test_cli_decay_without_stages_exits_2(tmp_path, capsys):
     assert "knobs.stages: required" in capsys.readouterr().err
 
 
+def _decay_spy(monkeypatch):
+    solved = []
+    monkeypatch.setattr(experiments, "ondiagonal_decay", lambda *a, **k: solved.append(a))
+    return solved
+
+
 def test_every_decay_stage_is_checked_before_any_stage_runs(monkeypatch):
-    assembled = []
-    monkeypatch.setattr(experiments, "assemble", lambda *a, **k: assembled.append(a))
+    solved = _decay_spy(monkeypatch)
     raw = _manifest_entry("c03_decay_1d")
     raw["knobs"]["stages"][1]["boundary"] = "half_line_postive"
     with pytest.raises(ConfigError, match=r"knobs.stages\[1\].boundary: 'half_line_postive'"):
         run_experiment(ExperimentConfig.from_dict(raw))
-    assert assembled == []
+    assert solved == []
+
+
+def test_every_decay_stage_admits_its_times_before_any_stage_solves(monkeypatch):
+    # the guard keeps 10 but refuses 1e6, whose boundary tail is near 1
+    solved = _decay_spy(monkeypatch)
+    raw = _manifest_entry("c03_decay_1d")
+    raw["knobs"]["stages"][1]["times"] = [10.0, 1e6]
+    with pytest.raises(ConfigError, match=r"knobs.stages\[1\].times: need at least two admissible"):
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert solved == []
+
+
+def test_a_decay_stage_releases_its_operator_once_solved(monkeypatch):
+    # the next stage's solve must not hold the last one's operator and spectrum
+    solved, solve = [], experiments.ondiagonal_decay
+
+    def spy(op, *args, **kwargs):
+        assert [ref() for ref in solved] == [None] * len(solved)
+        solved.append(weakref.ref(op))
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ondiagonal_decay", spy)
+    stages = [{"extents": 4.0, "counts": c, "times": [0.1, 0.2], "slope": -0.5, "tol": 10.0}
+              for c in (65, 129, 33)]
+    run_experiment(ExperimentConfig.from_dict({
+        "experiment": "decay", "params": {"n": 1, "m": 0},
+        "method": {"kind": "exact_eigendecomposition"}, "knobs": {"stages": stages}}))
+    assert len(solved) == 3
+
+
+def test_every_runner_knob_is_set_by_some_manifest_entry():
+    # a knob no entry sets has one value in use: it belongs beside its code as a constant
+    set_by = set()
+    for raw in acceptance_manifest():
+        knobs = dict(raw["knobs"])
+        tasks = experiments._RUNNERS[raw["experiment"]]
+        runner = tasks[knobs.pop("task", next(iter(tasks)))]
+        set_by |= {(runner, name) for name in knobs}
+        set_by |= {(experiments._decay_stage, name) for stage in knobs.get("stages", [])
+                   for name in stage}
+    runners = [r for tasks in experiments._RUNNERS.values() for r in tasks.values()]
+    never = [f"{fn.__name__}.{p.name}" for fn in runners + [experiments._decay_stage]
+             for p in inspect.signature(fn).parameters.values()
+             if p.kind is p.KEYWORD_ONLY and (fn, p.name) not in set_by]
+    assert never == []
 
 
 @pytest.mark.parametrize("raw", acceptance_manifest(), ids=lambda raw: raw["name"])
@@ -431,8 +495,6 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     for name in ("origin_radii", "off_radii", "r_grid"):
         if name in knobs:
             bind(experiments._geomspace, f"knobs.{name}", knobs[name])
-    for k, pair in enumerate(knobs.get("pairs", [])):
-        bind(experiments._pair, f"knobs.pairs[{k}]", pair)
     if "vf_params" in knobs:
         bind(GrusinParameters, "knobs.vf_params", knobs["vf_params"])
 
@@ -453,9 +515,6 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("wave", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
     ("decay", ["stages", 0, "candidates"], "degeneracy_lin",
      "knobs.stages[0].candidates: 'degeneracy_lin' is not one of ['all', 'degeneracy_line']"),
-    ("conservation", ["boundary"], "neumann", "knobs.boundary: 'neumann' is not one of"),
-    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "centre_b": 1.5, "halfwidth": 0.5}],
-     "knobs.pairs[0].centre_b: unknown field"),
     ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
     ("c13_operator_inequalities", ["trials"], 0, "knobs.trials must be a positive integer"),
     ("c13_operator_inequalities", ["dim"], 60, "knobs.dim must lie in 1..50"),
@@ -472,7 +531,7 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c10_speed_constant", ["bump_center"], [30.0, 0.0], "knobs.bump_center: "),
     # the degeneracy line starts at the origin, which dirichlet_origin removes
     ("c02_decay_classical", ["stages", 0, "boundary"], "dirichlet_origin",
-     "knobs.stages[0].candidates: "),
+     "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves to a node the 'dirichlet_origin'"),
     # a check with nothing to test
     ("conservation", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
     ("conservation", ["times"], [], "knobs.times: must not be empty"),
@@ -483,21 +542,15 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("distance", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
     ("distance", ["n_targets"], 0, "knobs.n_targets must be a positive integer"),
     ("distance", ["min_closed"], 100.0, "knobs.min_closed: "),
-    # a box that reaches past the grid, so a drawn point could lie off it
-    ("distance", ["box_fraction"], 1.5, "knobs.box_fraction: 1.5 must lie in (0, 1]"),
+    # a knob that became a constant beside its code is refused, not silently ignored
+    ("conservation", ["boundary"], "neumann_truncation", "knobs.boundary: unknown field"),
+    ("distance", ["box_fraction"], 0.5, "knobs.box_fraction: unknown field"),
+    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5}],
+     "knobs.pairs: unknown field"),
+    ("c08_gaussian_bounds", ["sources"], [[0.5, 0.5], [0.0, 1.5]], "knobs.sources: unknown field"),
     # a ladder of no grid levels
     ("separation", ["refinements"], 0, "knobs.refinements must be a positive integer"),
     ("c10_speed_classical", ["refinements"], 0, "knobs.refinements must be a positive integer"),
-    # a Davies-Gaffney pair with an empty set, or with sets that overlap or touch
-    ("c09_davies_gaffney", ["pairs"], [{"center_a": 50.0, "center_b": 1.5, "halfwidth": 0.5}],
-     "knobs.pairs[0]: "),
-    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": -0.5}],
-     "knobs.pairs[0]: "),
-    ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5},
-                                       {"center_a": 1.0, "center_b": 1.2, "halfwidth": 0.5}],
-     "knobs.pairs[1]: "),
-    ("c09_davies_gaffney", ["pairs"], [{"center_a": -1.0, "center_b": 0.0, "halfwidth": 0.5}],
-     "knobs.pairs[0]: "),
     # a bump of no width, or of a negative one
     ("c10_speed_classical", ["bump_width"], 0.0, "knobs.bump_width: 0.0 must be positive"),
     ("c10_speed_constant", ["bump_width"], -0.6, "knobs.bump_width: -0.6 must be positive"),
@@ -513,8 +566,6 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
      "knobs.stages[0].candidates[1]"),
     ("c07_separation_strong", ["sources"], [[1.0], [1.01]],
      "knobs.sources[1]: point [1.01] resolves to the node of knobs.sources[0]"),
-    ("c08_gaussian_bounds", ["sources"], [[0.5, 0.5], [0.0, 1.5], [0.51, 0.49]],
-     "knobs.sources[2]: point [0.51, 0.49] resolves to the node of knobs.sources[0]"),
     ("c06_doubling", ["centers"], [[0.0], [0.0002]],
      "knobs.centers[1]: point [0.0002] resolves to the node of knobs.centers[0]"),
     # a stage whose boundary guard leaves one time, or that gives one
@@ -538,6 +589,26 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, na
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a grid too coarse or too small for a runner's constant points
+@pytest.mark.parametrize("entry, grid, named", [
+    ("c09_davies_gaffney", {"extents": 8.0, "counts": 3},
+     "grid: the Davies-Gaffney set |x1 - c| <= 0.5 at c = -2.5 holds no node of the grid of (3,)"),
+    ("c08_gaussian_bounds", {"extents": 6.0, "counts": 9},
+     "grid: level 0 of (9, 9) nodes cannot hold the Gaussian-bound sources[6]: point [0.5, 0.5] "
+     "resolves to the node of sources[0]"),
+])
+def test_cli_grid_that_cannot_hold_a_constant_point_exits_2(tmp_path, capsys, entry, grid, named):
+    raw = _manifest_entry(entry)
+    raw["grid"] = grid
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main([raw["experiment"].replace("_", "-"), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -23,7 +23,8 @@ from grushinlab.evolution import (
     ondiagonal_decay,
     separation_check,
 )
-from grushinlab.experiments import _decay_candidates, acceptance_manifest, run_experiment
+from grushinlab.experiments import (_admissible_times, _decay_candidates, acceptance_manifest,
+                                   run_experiment)
 from grushinlab.geometry import MetricGraph, ball_volume
 from grushinlab.multipliers import bump
 from grushinlab.wave import cosine_propagator
@@ -163,13 +164,15 @@ def test_ondiagonal_decay_euclidean_slope():
     assert res.slope == pytest.approx(-0.5, abs=0.05)
 
 
-def test_ondiagonal_decay_guard_refuses_contaminated_times():
-    op = _op_1d(count=129, L=4.0)
-    res = ondiagonal_decay(
-        op, [0.01, 0.1, 10.0, 40.0], boundary_distance=4.0, guard=1e-6, method=EXACT
-    )
-    assert 40.0 in res.refused_times and 10.0 in res.refused_times
-    assert 0.01 not in res.refused_times
+def test_admission_refuses_contaminated_times():
+    _, refused = _admissible_times("knobs.stages[0].times", [0.01, 0.1, 10.0, 40.0], 4.0)
+    assert 40.0 in refused and 10.0 in refused
+    assert 0.01 not in refused
+
+
+def test_admission_without_a_distance_admits_every_time_sorted():
+    admitted, refused = _admissible_times("knobs.stages[0].times", [40.0, 0.01, 1.0], None)
+    assert admitted.tolist() == [0.01, 1.0, 40.0] and refused == ()
 
 
 def test_ondiagonal_decay_krylov_needs_candidates():
@@ -416,6 +419,15 @@ def test_degeneracy_line_candidates_in_every_dimension(n, m):
     expected = line + [[1.0] + [0.0] * (n + m - 1)]
     assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected))
     assert run_experiment(cfg)["fitted"]["line_slope"] < 0.0
+
+
+def test_degeneracy_line_points_that_share_a_node_are_a_config_error():
+    # x2 spacing 2: the line's points (0, 1) and (0, -1) snap to the origin's node
+    params = GrusinParameters(1, 1, delta2=1.0, delta2p=1.0)
+    op = assemble(build_grid(params, 8.0, [257, 9]), CoefficientField(params))
+    with pytest.raises(ConfigError, match=r"knobs.stages\[0\].candidates\[1\]: point \[0.0, 1.0\] "
+                                          r"resolves to the node of knobs.stages\[0\].candidates\[0\]"):
+        _decay_candidates(op, "degeneracy_line", "knobs.stages[0].candidates")
 
 
 def _plain_terms(op, lam, v, count):
