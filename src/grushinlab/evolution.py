@@ -201,8 +201,7 @@ def _flush_subnormals():
         libm.fesetenv(saved)
 
 
-# Rows that ``_two_x`` moves at once: its scratch stays under 100 kB at any
-# operator size.
+# Rows that ``_two_x`` builds at once: its scratch stays under 100 kB.
 _DIAGONAL_ROWS = 256
 
 
@@ -216,80 +215,66 @@ def _mirror_symmetric(op: DivergenceFormOperator, v: np.ndarray) -> bool:
     return bool(np.array_equal(view, view[:, ::-1]))
 
 
-def _places(op: DivergenceFormOperator, fold: bool) -> tuple[int, int, int]:
-    """(n1, n2, half): the recurrence keeps the rows a * n2 + i2 with
-    i2 < half, one representative per mirror pair with ``fold`` (n2 is odd,
-    so the mid-line represents itself) and every row without it."""
-    n1, n2 = op.fiber_shape
-    return n1, n2, (n2 + 1) // 2 if fold else n2
-
-
 def _support_order(op: DivergenceFormOperator, rows, count: int,
-                   fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The row order of a recurrence of ``count`` terms on a vector or block
-    whose nonzero rows are ``rows``: (pos, reach).
+                   fold: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The only maker of the recurrence's row order, for ``count`` terms on
+    a vector or block whose nonzero rows are ``rows``: (order, pos, reach).
 
-    Row r goes to place pos[r] (int32).  The representative rows
-    (``_places``) are sorted by their hop distance from ``rows`` over A's
-    stored pattern (symmetric, as A is), ties in row order, and reach[k]
-    counts those within k hops: T_k(x) v is exactly zero past them.  Rows
-    more than count - 1 hops away, or never reached (cut off by dead faces),
-    go last.  With ``fold``, ``rows`` must be mirror-symmetric, and so then
-    are the hops: a row and its x2 mirror share one place.  The pattern is a
-    broadcast 1.0 on A's index arrays, so the only copy is the unit weights
-    Dijkstra makes.
+    The places are the rows a * n2 + i2 with i2 < half: every row, or with
+    ``fold`` one per x2 mirror pair (n2 is odd; the mid-line is its own).
+    They are sorted by hop distance from ``rows`` over A's stored pattern
+    (symmetric, as A is), ties in row order; rows past count - 1 hops or
+    never reached go last.  order[p] is the row at place p, pos[r] (int32)
+    the place of every row r, and reach[k] counts the places within k hops,
+    past which T_k(x) v is exactly zero.  With ``fold``, ``rows`` must be
+    mirror-symmetric, so the hops are too and a row's x2 mirror shares its
+    place.  The pattern is a broadcast 1.0 on A's index arrays, so the only
+    copy is the unit weights Dijkstra makes.
     """
     A = op.matrix
     pattern = sp.csr_matrix((np.broadcast_to(1.0, A.data.shape), A.indices, A.indptr),
                             shape=A.shape)
     hops = dijkstra(pattern, indices=np.asarray(rows, dtype=np.int32), unweighted=True,
                     min_only=True, limit=count - 1)
-    n1, n2, half = _places(op, fold)
-    hops = hops.reshape(n1, n2)[:, :half].ravel()
+    n1, n2 = op.fiber_shape
+    half = (n2 + 1) // 2 if fold else n2
+    kept = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)[:, :half].ravel()
+    hops = hops[kept]
     reach = np.cumsum(np.bincount(hops[np.isfinite(hops)].astype(np.intp), minlength=count))
-    places = np.empty(hops.size, dtype=np.int32)
-    places[np.argsort(hops, kind="stable")] = np.arange(hops.size, dtype=np.int32)
+    order = kept[np.argsort(hops, kind="stable")]
     pos = np.empty((n1, n2), dtype=np.int32)
-    pos[:, :half] = places.reshape(n1, half)
+    pos.ravel()[order] = np.arange(order.size, dtype=np.int32)
     pos[:, half:] = pos[:, :n2 - half][:, ::-1]  # each mirror takes its representative's place
-    return pos.ravel(), reach
+    return order, pos.ravel(), reach
 
 
-def _two_x(op: DivergenceFormOperator, lam: float, pos: np.ndarray,
-           fold: bool = False) -> sp.csr_matrix:
-    """2x = (4/lam) A - 2I on the representative rows (``_places``) in the
-    order ``pos`` (row r of A is row pos[r], column j is column pos[j]),
-    built straight from A a block of rows at a time: each row keeps its
-    entries in their stored order, each value is A_ij * (4/lam), and the
-    stored diagonal (column j == row r) is shifted by -2.  With ``fold`` a
-    column and its mirror map to one place and stay two entries, which the
-    matvec sums in stored order.  Every assembled matrix stores its whole
-    diagonal, so no entry is inserted; a matrix that lacks one raises
+def _two_x(op: DivergenceFormOperator, lam: float, order: np.ndarray,
+           pos: np.ndarray) -> sp.csr_matrix:
+    """2x = (4/lam) A - 2I in the order of ``_support_order``: row p is row
+    order[p] of A and column j is column pos[j].  A block of places at a
+    time, their rows of A are gathered by scipy's row-indexing kernel (A is
+    never written), entries in stored order; each value becomes
+    A_ij * (4/lam), the stored diagonal is shifted by -2, and the columns
+    are renamed to places.  On a folded order a column and its mirror are
+    two entries at one place, which the matvec sums in stored order.  Every
+    assembled matrix stores its whole diagonal; one that lacks one raises
     ValueError."""
     A = op.matrix
-    n1, n2, half = _places(op, fold)
-    size = n1 * half
-    indptr = np.zeros(size + 1, dtype=A.indptr.dtype)
-    indptr[1:][pos.reshape(n1, n2)[:, :half]] = np.diff(A.indptr).reshape(n1, n2)[:, :half]
-    np.cumsum(indptr, out=indptr)
+    indptr = np.zeros(order.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.diff(A.indptr)[order], out=indptr[1:])
     indices, data = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
-    for p0 in range(0, size, _DIAGONAL_ROWS):
-        a, i2 = np.divmod(np.arange(p0, min(p0 + _DIAGONAL_ROWS, size)), half)
-        rows = a * n2 + i2
-        starts = A.indptr[rows]
-        lengths = A.indptr[rows + 1] - starts
-        # stored slot s of row r moves to indptr[pos[r]] + (s - A.indptr[r])
-        slots = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        at = slots + np.repeat(indptr[pos[rows]] - starts, lengths)
-        cols = A.indices[slots]
-        vals = A.data[slots] * (4.0 / lam)
-        diag = np.flatnonzero(cols == np.repeat(rows, lengths))
+    for p0 in range(0, order.size, _DIAGONAL_ROWS):
+        rows = order[p0:p0 + _DIAGONAL_ROWS]
+        lo, hi = indptr[p0], indptr[p0 + rows.size]
+        cols, vals = indices[lo:hi], data[lo:hi]
+        _sparsetools.csr_row_index(rows.size, rows, A.indptr, A.indices, A.data, cols, vals)
+        vals *= 4.0 / lam
+        diag = np.flatnonzero(cols == np.repeat(rows, np.diff(indptr[p0:p0 + rows.size + 1])))
         if diag.size != rows.size:
-            raise ValueError(f"rows {rows[0]}..{rows[-1]} do not each store one diagonal entry")
+            raise ValueError(f"rows at places {p0}..{p0 + rows.size - 1} lack a diagonal entry")
         vals[diag] -= 2.0
-        indices[at] = pos[cols]
-        data[at] = vals
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+        cols[:] = pos[cols]
+    return sp.csr_matrix((data, indices, indptr), shape=(order.size, order.size))
 
 
 def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
@@ -307,12 +292,12 @@ def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos: np.ndarray,
-                     reach: np.ndarray, fold: bool = False):
+def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, order: np.ndarray,
+                     pos: np.ndarray, reach: np.ndarray):
     """Yield T_k(x) v, k < len(reach), x = (2/lam) A - I, for a vector or an
-    (N, R) block v, all in the order ``pos`` of ``_support_order`` (same
-    ``fold``): v is given in it, on its places only, and T_k is computed on
-    its first reach[k] rows only, past which it is exactly zero.
+    (N, R) block v in the order (order, pos, reach) of ``_support_order``:
+    v has one row per place, and T_k is computed on its first reach[k]
+    places only, past which it is exactly zero.
 
     v itself is T_0, and the buffer of T_2, T_4, ...  Each yielded array is
     overwritten two terms later.  2x is one copy of A (``_two_x``), so the
@@ -320,17 +305,17 @@ def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, pos:
     entry of 2x is the float (4/lam) A_ij - 2 delta_ij; where (4/lam) A_ii
     is exactly 2 that is 0.0, and it stays stored.  It adds 0 * v_i = +-0 to
     its row's sum, which starts at +0 and so is never -0, and leaves the sum
-    as it is.  So every nonzero entry of T_k v is
-    bit for bit that of the plain recurrence on (4/lam) A - 2I over all rows
-    with its exact zeros pruned, for finite v: a row within k hops sums the
-    same products in the same order, and one past them sums none.  Only the
-    sign of a zero may differ, which no norm or energy shows.  With ``fold``
-    (a mirror-symmetric v) each representative row reads its mirrored
-    columns at their representative's place, so T_k is that of the plain
-    recurrence with each term's mirror rows overwritten by their
-    representatives' values, which differ from them by rounding only.
+    as it is.  So every nonzero entry of T_k v is bit for bit that of the
+    plain recurrence on (4/lam) A - 2I over all rows with its exact zeros
+    pruned, for finite v: a row within k hops sums the same products in the
+    same order, and one past them sums none.  Only the sign of a zero may
+    differ, which no norm or energy shows.  On a folded order (a
+    mirror-symmetric v) each representative row reads its mirrored columns
+    at their representative's place, so T_k is that of the plain recurrence
+    with each term's mirror rows overwritten by their representatives'
+    values, which differ from them by rounding only.
     """
-    two_x = _two_x(op, lam, pos, fold)
+    two_x = _two_x(op, lam, order, pos)
     t_prev, t_cur = v, np.zeros_like(v)
     yield t_prev
     for k in range(1, len(reach)):
@@ -356,12 +341,9 @@ def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
     nonzero entry of the sum is bit for bit that of one rank-1 update per
     term over all rows (over the folded terms of ``_chebyshev_terms``).
     """
-    fold = _mirror_symmetric(op, v)
-    pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1], fold)
-    n1, n2, half = _places(op, fold)
-    vp = np.empty(n1 * half)
-    vp[pos.reshape(n1, n2)[:, :half]] = v.reshape(n1, n2)[:, :half]
-    terms = _chebyshev_terms(op, lam, vp, pos, reach, fold)
+    order, pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1],
+                                       _mirror_symmetric(op, v))
+    terms = _chebyshev_terms(op, lam, v[order], order, pos, reach)
     t_0 = next(terms)  # builds 2x, outside the flush
     with _flush_subnormals():
         acc = np.outer(coef[:, 0], t_0)
@@ -556,11 +538,11 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
     lam = estimate_lambda_max(op)
     coef = _heat_coefficients(lam, times, method.tolerance)
-    pos, reach = _support_order(op, rows, coef.shape[1])
+    order, pos, reach = _support_order(op, rows, coef.shape[1])
     at = pos[rows]
     units = np.zeros((op.n_nodes, at.size))
     units[at, np.arange(at.size)] = 1.0
-    terms = _chebyshev_terms(op, lam, units, pos, reach)
+    terms = _chebyshev_terms(op, lam, units, order, pos, reach)
     moments = [next(terms)[at]]  # builds 2x, outside the flush
     with _flush_subnormals():
         moments += [t_k[at] for t_k in terms]

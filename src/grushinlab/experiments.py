@@ -6,8 +6,9 @@ knobs, each set by some manifest entry (a value no entry changes is a
 constant beside its code): ``config.bind`` checks ``cfg.knobs`` and every
 nested spec (decay stage, radius grid, ``vf_params``) against a signature,
 so an unknown or missing knob is a ConfigError naming it; so is a value
-outside a knob's enumerated choices (``_one_of``).  A decay run checks and
-resolves every stage before any stage solves.  ``_bind_experiment`` picks
+outside a knob's enumerated choices (``_one_of``), or a time that is not
+positive (``_positive``).  A decay run checks and resolves every stage, and
+a separation run every level, before any solves.  ``_bind_experiment`` picks
 the runner from ``_RUNNERS`` by experiment kind and ``knobs.task``;
 ``run_experiment`` runs it in the report frame (config echo and hash,
 derived exponents, timings, the pass flag).  The acceptance manifest at the
@@ -69,6 +70,16 @@ def _counts(**counts) -> None:
     """A ConfigError naming ``knobs.<name>`` for a count that is not a positive integer."""
     for name, value in counts.items():
         _check_knobs(_as_int, name=name, value=value, positive=True)
+
+
+def _positive(path: str, value) -> None:
+    """A ConfigError naming ``path`` (``path[i]`` in a list) for a value
+    that is not positive: a width, or a time (a kernel needs t > 0)."""
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _positive(f"{path}[{i}]", v)
+    elif not value > 0:
+        raise ConfigError(f"{path}: {value!r} must be positive")
 
 
 def _resolve(path: str, lookup, point):
@@ -142,6 +153,7 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
                      n_sources=10, bound=1e-8) -> None:
     _counts(n_sources=n_sources)
+    _positive("knobs.times", times)
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
     sources = _spread_sources(op, n_sources, rng)
@@ -211,6 +223,7 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     """Checks stage k of a decay run, builds its operator, resolves its candidates
     and admits its times; returns its run, which solves (decay.csv rows)."""
     _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
+    _positive(f"knobs.stages[{k}].times", times)
     if isinstance(candidates, str):
         _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
     label = f"stage{k}" if label is None else label
@@ -344,6 +357,7 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers
 def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mass_tol=1e-8,
                     symmetry_point=None, symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
     _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
+    _positive("knobs.t", t)
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
     j = _resolve("knobs.source", op.node_index, source)
@@ -377,14 +391,16 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
 def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
     _counts(refinements=refinements)
+    _positive("knobs.t", t)
     coeffs = CoefficientField(cfg.params)
+    # every level resolves its sources before the first level solves
+    ops = [assemble(grid, coeffs, "dirichlet_origin") for grid in _levels(cfg, refinements)]
+    rows = [_resolve_all("knobs.sources", op_d.node_index, sources) for op_d in ops]
     counts, gaps, cross = [], [], []
-    for grid in _levels(cfg, refinements):
-        op_d = assemble(grid, coeffs, "dirichlet_origin")
-        rows = _resolve_all("knobs.sources", op_d.node_index, sources)
-        gap, values = separation_check(assemble(grid, coeffs), op_d, t, rows, cfg.method)
-        del op_d  # before the next level's operators are built
-        counts.append(grid.counts[0])
+    for k in range(refinements):
+        op_d, ops[k] = ops[k], None  # the level before is dropped, with its spectrum
+        gap, values = separation_check(assemble(op_d.grid, coeffs), op_d, t, rows[k], cfg.method)
+        counts.append(op_d.grid.counts[0])
         gaps.append(gap)
         cross.append(values)
     cross = np.concatenate(cross)
@@ -483,8 +499,7 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
                      leak_bound=1e-6) -> None:
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
     _counts(refinements=refinements)
-    if not bump_width > 0:
-        raise ConfigError(f"knobs.bump_width: {bump_width!r} must be positive")
+    _positive("knobs.bump_width", bump_width)
     coeffs = CoefficientField(cfg.params)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     leak_by_level = []
@@ -581,6 +596,7 @@ _GAUSSIAN_SOURCES = ([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0], [2.0, 1.0]
 
 def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
                         stability_factor=2.0) -> None:
+    _positive("knobs.times", times)
     coeffs = CoefficientField(cfg.params)
     uppers, lowers = [], []
     for level, grid in enumerate(_levels(cfg, 2)):

@@ -573,6 +573,15 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
      "knobs.stages[0].times: need at least two admissible times"),
     ("c03_decay_1d", ["stages", 1, "times"], [1.0],
      "knobs.stages[1].times: need at least two admissible times"),
+    # a time at or below 0, where no kernel is defined
+    ("c01_conservation_1d", ["times"], [0.01, 0.0], "knobs.times[1]: 0.0 must be positive"),
+    ("c14_free_space_oracle", ["t"], 0.0, "knobs.t: 0.0 must be positive"),
+    ("c08_gaussian_bounds", ["times"], [0.1, -0.2, 0.4], "knobs.times[1]: -0.2 must be positive"),
+    ("c07_separation_weak", ["t"], -1.0, "knobs.t: -1.0 must be positive"),
+    ("c02_decay_control", ["stages", 0, "times"], [0.0, 0.5, 1.0],
+     "knobs.stages[0].times[0]: 0.0 must be positive"),
+    ("c02_decay_control", ["stages", 0, "times"], [0.5, -0.1, 1.0],
+     "knobs.stages[0].times[1]: -0.1 must be positive"),
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)
@@ -591,6 +600,23 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, na
     code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_separation_resolves_every_level_before_the_first_solves(tmp_path, capsys, monkeypatch):
+    # [1.019] and [1.021] snap to two nodes of level 0 (spacing 0.04) and to
+    # one node of level 1 (spacing 0.02)
+    calls = []
+    monkeypatch.setattr(experiments, "separation_check", lambda *args: calls.append(args))
+    raw = _manifest_entry("c07_separation_weak")
+    raw["knobs"]["sources"] = [[1.019], [1.021]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main(["separation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("knobs.sources[1]: point [1.021] resolves to the node of knobs.sources[0]"
+            in capsys.readouterr().err)
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 

@@ -486,10 +486,8 @@ def _symmetric(op, a):
 def _ordered_terms(op, lam, v, count):
     """The ordered recurrence's terms for v (rows: its nonzero rows), in row order."""
     rows = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
-    pos, reach = evolution._support_order(op, rows, count)
-    vp = np.empty_like(v)
-    vp[pos] = v
-    return [t_k[pos] for t_k in evolution._chebyshev_terms(op, lam, vp, pos, reach)]
+    order, pos, reach = evolution._support_order(op, rows, count)
+    return [t_k[pos] for t_k in evolution._chebyshev_terms(op, lam, v[order], order, pos, reach)]
 
 
 # (params, boundary, what the case must contain)
@@ -541,9 +539,9 @@ def test_two_x_needs_every_diagonal_stored():
     op = assemble(build_grid(params, 8.0, 33), CoefficientField(params), boundary)
     pruned = op.matrix.copy()
     pruned.eliminate_zeros()  # drops the isolated rows' 0.0 diagonals
+    rows = np.arange(op.n_nodes, dtype=np.int32)
     with pytest.raises(ValueError, match="diagonal"):
-        evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0,
-                         np.arange(op.n_nodes, dtype=np.int32))
+        evolution._two_x(dataclasses.replace(op, matrix=pruned), 2.0, rows, rows)
 
 
 def _ordering_grid(n, m, boundary, delta1):
@@ -610,6 +608,46 @@ def test_assembled_operator_is_exactly_mirror_symmetric_in_x2(n, m, boundary, de
     assert np.array_equal(x[mirror, n:], -x[:, n:])
 
 
+def _hops(op, rows):
+    """The hop distance of every row from ``rows`` over A's stored pattern,
+    by breadth-first sweeps of the dense pattern (inf: never reached)."""
+    pattern = op.matrix.toarray() != 0
+    hops = np.full(op.n_nodes, np.inf)
+    front = np.isin(np.arange(op.n_nodes), rows)
+    k = 0
+    while front.any():
+        hops[front] = k
+        front = pattern[front].any(axis=0) & np.isinf(hops)
+        k += 1
+    return hops
+
+
+@pytest.mark.parametrize("delta1", [0.0, 0.75])
+@pytest.mark.parametrize("n, m, boundary", CASES)
+def test_support_order_sorts_the_places_by_hops_and_gives_mirrors_one_place(n, m, boundary,
+                                                                            delta1):
+    # a mirror-symmetric support: two corners of the first x1 node and two of
+    # the last; with 3 terms the hops past 2 go last, as do the rows that
+    # delta1 = 0.75 cuts off, all in row order
+    op = _ordering_grid(n, m, boundary, delta1)
+    n1, n2 = op.fiber_shape
+    mirror = _mirror(op)
+    rows = np.unique([0, mirror[0], op.n_nodes - 1, mirror[-1]])
+    count = 3
+    for fold in (False, True):
+        order, pos, reach = evolution._support_order(op, rows, count, fold)
+        half = (n2 + 1) // 2 if fold else n2
+        kept = np.arange(op.n_nodes).reshape(n1, n2)[:, :half].ravel()
+        hops = _hops(op, rows)[kept]
+        hops[hops > count - 1] = np.inf
+        assert pos.dtype == np.int32 and pos.shape == (op.n_nodes,)
+        assert np.array_equal(pos[order], np.arange(kept.size))
+        assert np.array_equal(order, kept[np.lexsort((kept, hops))])
+        assert np.array_equal(reach, [np.count_nonzero(hops <= k) for k in range(count)])
+        if fold:
+            assert np.array_equal(pos[mirror], pos)
+
+
 def test_ordered_sum_reads_no_stale_memory():
     # every buffer the recurrence reads past its reach must be zeroed: dirty
     # the freed blocks of each size it allocates, then repeat the call.  A
@@ -656,12 +694,12 @@ def test_finite_speed_terms_touch_the_rows_they_reach(monkeypatch, counts):
     # bump one x2 node off the mid-line touches every row it reaches: 0.655
     # and 0.630 for the classical one, 0.124 and 0.097 for the constant one
     reaches = []
-    order = evolution._support_order
+    support_order = evolution._support_order
 
     def spy(*args):
-        pos, reach = order(*args)
+        order, pos, reach = support_order(*args)
         reaches.append(reach)
-        return pos, reach
+        return order, pos, reach
     monkeypatch.setattr(evolution, "_support_order", spy)
     for name, share, twin in (("c10_speed_classical", 0.335, 0.66),
                               ("c10_speed_constant", 0.065, 0.125)):
