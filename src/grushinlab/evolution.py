@@ -28,17 +28,18 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
   columns at their representative's place, so every term is that of the
   recurrence over all rows with its mirror rows overwritten by their
   representatives' values, and the result is exactly mirror-symmetric.
-  Blocks of unit vectors never fold.  The term loop runs with subnormals
-  flushed to zero on x86-64 Linux (``_flush_subnormals``): next to the
-  degeneracy line the terms underflow, and x86 computes subnormals in
-  microcode.  Only operations that meet a subnormal change, each by less
-  than 2^-1022; 2x, the coefficients and every reduction after the loop run
-  in the caller's mode.
+  Every recurrence starts from one vector, and only that vector's symmetry
+  decides the fold.  The term loop runs with subnormals flushed to zero on
+  x86-64 Linux (``_flush_subnormals``): next to the degeneracy line the
+  terms underflow, and x86 computes subnormals in microcode.  Only
+  operations that meet a subnormal change, each by less than 2^-1022; 2x,
+  the coefficients and every reduction after the loop run in the caller's
+  mode.
 
 Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
 time (``_region_block``): from the factors, or from the moments
-T_k(x)[rows][:, rows] of one recurrence on the (N, R) block of unit vectors
-(kernel polynomial method; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).
+T_k(x)[rows] e_j of one series per source column e_j (kernel polynomial
+method; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
@@ -215,29 +216,28 @@ def _mirror_symmetric(op: DivergenceFormOperator, v: np.ndarray) -> bool:
     return bool(np.array_equal(view, view[:, ::-1]))
 
 
-def _support_order(op: DivergenceFormOperator, rows, count: int,
-                   fold: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The only maker of the recurrence's row order, for ``count`` terms on
-    a vector or block whose nonzero rows are ``rows``: (order, pos, reach).
-
-    The places are the rows a * n2 + i2 with i2 < half: every row, or with
-    ``fold`` one per x2 mirror pair (n2 is odd; the mid-line is its own).
-    They are sorted by hop distance from ``rows`` over A's stored pattern
-    (symmetric, as A is), ties in row order; rows past count - 1 hops or
-    never reached go last.  order[p] is the row at place p, pos[r] (int32)
-    the place of every row r, and reach[k] counts the places within k hops,
-    past which T_k(x) v is exactly zero.  With ``fold``, ``rows`` must be
-    mirror-symmetric, so the hops are too and a row's x2 mirror shares its
-    place.  The pattern is a broadcast 1.0 on A's index arrays, so the only
-    copy is the unit weights Dijkstra makes.
+def _support_order(op: DivergenceFormOperator, v: np.ndarray,
+                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The only maker of the recurrence's row order, for ``count`` terms
+    from the start vector v: (order, pos, reach).  The places are the rows
+    a * n2 + i2 with i2 < half: every row, or one per x2 mirror pair when v
+    equals its x2 reflection (``_mirror_symmetric``; n2 is odd, the mid-line
+    is its own mirror).  They are sorted by hop distance from v's nonzero
+    rows over A's stored pattern (symmetric, as A is), ties in row order;
+    rows past count - 1 hops or never reached go last.  order[p] is the row
+    at place p, pos[r] (int32) the place of every row r, and reach[k] counts
+    the places within k hops, past which T_k(x) v is exactly zero.  On a
+    folded order the hops are mirror-symmetric too, so a row's x2 mirror
+    shares its place.  The pattern is a broadcast 1.0 on A's index arrays,
+    so the only copy is the unit weights Dijkstra makes.
     """
     A = op.matrix
     pattern = sp.csr_matrix((np.broadcast_to(1.0, A.data.shape), A.indices, A.indptr),
                             shape=A.shape)
-    hops = dijkstra(pattern, indices=np.asarray(rows, dtype=np.int32), unweighted=True,
+    hops = dijkstra(pattern, indices=np.flatnonzero(v).astype(np.int32), unweighted=True,
                     min_only=True, limit=count - 1)
     n1, n2 = op.fiber_shape
-    half = (n2 + 1) // 2 if fold else n2
+    half = (n2 + 1) // 2 if _mirror_symmetric(op, v) else n2
     kept = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)[:, :half].ravel()
     hops = hops[kept]
     reach = np.cumsum(np.bincount(hops[np.isfinite(hops)].astype(np.intp), minlength=count))
@@ -278,54 +278,54 @@ def _two_x(op: DivergenceFormOperator, lam: float, order: np.ndarray,
 
 
 def _head_matvec(m: sp.csr_matrix, x: np.ndarray, n: int) -> np.ndarray:
-    """m[:n] @ x for a vector or a C-ordered (N, R) block x, by the kernel
-    ``csr_matrix @`` runs, on the first n rows of m without copying them.
-    The kernel reads raw buffers, so the sizes are checked first."""
-    if not 0 <= n <= m.shape[0] or x.shape[0] != m.shape[1]:
+    """m[:n] @ x for a vector x, by the kernel ``csr_matrix @`` runs, on the
+    first n rows of m without copying them.  The kernel reads raw buffers,
+    so the sizes are checked first."""
+    if not 0 <= n <= m.shape[0] or x.shape != (m.shape[1],):
         raise ValueError(f"head of {n} rows of a {m.shape} matrix times {x.shape}")
-    y = np.zeros((n,) + x.shape[1:])
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(n, m.shape[1], m.indptr, m.indices, m.data, x, y)
-    else:
-        _sparsetools.csr_matvecs(n, m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
-                                 x.ravel(), y.ravel())
+    y = np.zeros(n)
+    _sparsetools.csr_matvec(n, m.shape[1], m.indptr, m.indices, m.data, x, y)
     return y
 
 
-def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, order: np.ndarray,
-                     pos: np.ndarray, reach: np.ndarray):
-    """Yield T_k(x) v, k < len(reach), x = (2/lam) A - I, for a vector or an
-    (N, R) block v in the order (order, pos, reach) of ``_support_order``:
-    v has one row per place, and T_k is computed on its first reach[k]
-    places only, past which it is exactly zero.
+def _chebyshev_terms(op: DivergenceFormOperator, lam: float, v: np.ndarray, count: int):
+    """(pos, reach, terms) for ``count`` terms from the vector v: the order
+    of ``_support_order`` and a generator of T_k(x) v, x = (2/lam) A - I,
+    one entry per place (row r at pos[r]), each computed on its first
+    reach[k] places only, past which it is exactly zero.  2x is built before
+    this returns, so the generator runs the recurrence only.
 
-    v itself is T_0, and the buffer of T_2, T_4, ...  Each yielded array is
-    overwritten two terms later.  2x is one copy of A (``_two_x``), so the
-    recurrence holds A, 2x and its vectors and nothing more.  Each stored
-    entry of 2x is the float (4/lam) A_ij - 2 delta_ij; where (4/lam) A_ii
-    is exactly 2 that is 0.0, and it stays stored.  It adds 0 * v_i = +-0 to
-    its row's sum, which starts at +0 and so is never -0, and leaves the sum
-    as it is.  So every nonzero entry of T_k v is bit for bit that of the
-    plain recurrence on (4/lam) A - 2I over all rows with its exact zeros
-    pruned, for finite v: a row within k hops sums the same products in the
-    same order, and one past them sums none.  Only the sign of a zero may
-    differ, which no norm or energy shows.  On a folded order (a
+    v in place order is T_0, and the buffer of T_2, T_4, ...  Each yielded
+    array is overwritten two terms later.  2x is one copy of A (``_two_x``),
+    so the recurrence holds A, 2x and its vectors and nothing more.  Each
+    stored entry of 2x is the float (4/lam) A_ij - 2 delta_ij; where (4/lam)
+    A_ii is exactly 2 that is 0.0, and it stays stored.  It adds 0 * v_i =
+    +-0 to its row's sum, which starts at +0 and so is never -0, and leaves
+    the sum as it is.  So every nonzero entry of T_k v is bit for bit that
+    of the plain recurrence on (4/lam) A - 2I over all rows with its exact
+    zeros pruned, for finite v: a row within k hops sums the same products
+    in the same order, and one past them sums none.  Only the sign of a zero
+    may differ, which no norm or energy shows.  On a folded order (a
     mirror-symmetric v) each representative row reads its mirrored columns
     at their representative's place, so T_k is that of the plain recurrence
     with each term's mirror rows overwritten by their representatives'
     values, which differ from them by rounding only.
     """
+    order, pos, reach = _support_order(op, v, count)
     two_x = _two_x(op, lam, order, pos)
-    t_prev, t_cur = v, np.zeros_like(v)
-    yield t_prev
-    for k in range(1, len(reach)):
-        n = reach[k]
-        if k == 1:
-            np.multiply(_head_matvec(two_x, t_prev, n), 0.5, out=t_cur[:n])
-        else:  # T_k = 2x T_{k-1} - T_{k-2}, written over T_{k-2}
-            np.subtract(_head_matvec(two_x, t_cur, n), t_prev[:n], out=t_prev[:n])
-            t_prev, t_cur = t_cur, t_prev
-        yield t_cur
+
+    def terms():
+        t_prev, t_cur = v[order], np.zeros(order.size)
+        yield t_prev
+        for k in range(1, count):
+            n = reach[k]
+            if k == 1:
+                np.multiply(_head_matvec(two_x, t_prev, n), 0.5, out=t_cur[:n])
+            else:  # T_k = 2x T_{k-1} - T_{k-2}, written over T_{k-2}
+                np.subtract(_head_matvec(two_x, t_cur, n), t_prev[:n], out=t_prev[:n])
+                t_prev, t_cur = t_cur, t_prev
+            yield t_cur
+    return pos, reach, terms()
 
 
 def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
@@ -341,12 +341,9 @@ def _chebyshev_sum(op: DivergenceFormOperator, lam: float, v: np.ndarray,
     nonzero entry of the sum is bit for bit that of one rank-1 update per
     term over all rows (over the folded terms of ``_chebyshev_terms``).
     """
-    order, pos, reach = _support_order(op, np.flatnonzero(v), coef.shape[1],
-                                       _mirror_symmetric(op, v))
-    terms = _chebyshev_terms(op, lam, v[order], order, pos, reach)
-    t_0 = next(terms)  # builds 2x, outside the flush
+    pos, reach, terms = _chebyshev_terms(op, lam, v, coef.shape[1])
     with _flush_subnormals():
-        acc = np.outer(coef[:, 0], t_0)
+        acc = np.outer(coef[:, 0], next(terms))
         for k, t_k in enumerate(terms, start=1):
             for row, c in zip(acc, coef[:, k]):
                 daxpy(t_k, row, n=reach[k], a=c)
@@ -533,20 +530,21 @@ def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarra
                   method: EvolutionMethod) -> np.ndarray:
     """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R): from the
     factored spectrum, or the heat coefficients times the moments
-    T_k(x)[rows][:, rows] of one recurrence on the rows' unit vectors."""
+    T_k(x)[rows] e_j of one series per unit vector e_j, j in rows, each
+    folded by the rule of every start (kernel polynomial method)."""
     if method.resolve(op) == "exact_eigendecomposition":
         return op.dense_eig(method.max_exact_dimension).block(rows, times)
     lam = estimate_lambda_max(op)
     coef = _heat_coefficients(lam, times, method.tolerance)
-    order, pos, reach = _support_order(op, rows, coef.shape[1])
-    at = pos[rows]
-    units = np.zeros((op.n_nodes, at.size))
-    units[at, np.arange(at.size)] = 1.0
-    terms = _chebyshev_terms(op, lam, units, order, pos, reach)
-    moments = [next(terms)[at]]  # builds 2x, outside the flush
-    with _flush_subnormals():
-        moments += [t_k[at] for t_k in terms]
-    return np.tensordot(coef, moments, axes=1)
+    moments = []  # (column, k, row)
+    for j in rows:
+        e = np.zeros(op.n_nodes)
+        e[j] = 1.0
+        pos, _, terms = _chebyshev_terms(op, lam, e, coef.shape[1])
+        at = pos[rows]
+        with _flush_subnormals():
+            moments.append([t_k[at] for t_k in terms])
+    return (coef @ np.array(moments)).transpose(1, 2, 0)
 
 
 def separation_check(op_n: DivergenceFormOperator, op_d: DivergenceFormOperator, t: float,

@@ -121,8 +121,9 @@ def _levels(cfg: ExperimentConfig, count: int):
 
 
 def _boundary_nodes(grid):
-    idx = np.arange(grid.n_nodes).reshape(grid.counts)
-    return np.setdiff1d(idx, idx[(slice(1, -1),) * grid.dim])
+    edge = np.ones(grid.counts, dtype=bool)
+    edge[(slice(1, -1),) * grid.dim] = False
+    return np.flatnonzero(edge)
 
 
 def _spread_sources(op, n, rng):

@@ -484,10 +484,15 @@ def _symmetric(op, a):
 
 
 def _ordered_terms(op, lam, v, count):
-    """The ordered recurrence's terms for v (rows: its nonzero rows), in row order."""
-    rows = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
-    order, pos, reach = evolution._support_order(op, rows, count)
-    return [t_k[pos] for t_k in evolution._chebyshev_terms(op, lam, v[order], order, pos, reach)]
+    """The ordered recurrence's terms for v, in row order."""
+    pos, _, terms = evolution._chebyshev_terms(op, lam, v, count)
+    return [t_k[pos] for t_k in terms]
+
+
+def _unit(op, row):
+    e = np.zeros(op.n_nodes)
+    e[row] = 1.0
+    return e
 
 
 # (params, boundary, what the case must contain)
@@ -513,21 +518,23 @@ def test_two_x_equals_the_subtracted_form_bit_for_bit(case):
     lam = evolution.estimate_lambda_max(op)
     old = (4.0 / lam) * A - 2.0 * sp.identity(op.n_nodes, format="csr")
     assert holds(A, old)
-    rng = np.random.default_rng(7)
-    for v in (rng.standard_normal(op.n_nodes), rng.standard_normal((op.n_nodes, 3))):
-        got = _ordered_terms(op, lam, v, 40)
-        want = _plain_terms(op, lam, v, 40)
-        assert len(got) == 40
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    v = np.random.default_rng(7).standard_normal(op.n_nodes)
+    got = _ordered_terms(op, lam, v, 40)
+    want = _plain_terms(op, lam, v, 40)
+    assert len(got) == 40
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, (A.data, A.indices, A.indptr)))
 
-    # an empty block, so the traced peak is that of ordering the rows and
-    # building 2x; the subtracted form peaks at about 2.4x A's bytes
-    empty = np.empty((op.n_nodes, 0))
-    next(evolution._chebyshev_terms(op, lam, empty, *evolution._support_order(op, [], 1)))
+    # a unit start off the mid-line with one term, so the traced peak is
+    # that of ordering the rows and building the unfolded 2x, which happens
+    # before the terms are iterated; the subtracted form peaks at about 2.4x
+    # A's bytes
+    e = _unit(op, 0)
+    assert not _symmetric(op, e)
+    evolution._chebyshev_terms(op, lam, e, 1)
     tracemalloc.start()
     try:
-        next(evolution._chebyshev_terms(op, lam, empty, *evolution._support_order(op, [], 1)))
+        evolution._chebyshev_terms(op, lam, e, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -581,16 +588,13 @@ def test_ordered_recurrence_equals_the_plain_one_bit_for_bit(n, m, boundary, del
     lam = evolution.estimate_lambda_max(op)
     rng = np.random.default_rng(op.n_nodes)
     starts = _starts(op, rng)
-    block = np.stack(starts, axis=1)
     for count in (1, 2, 5, 40):
         coef = _coefficients(rng, count)
-        for v in starts + [block]:
-            want = _plain_terms(op, lam, v, count)
+        for v in starts:  # the empty start is mirror-symmetric and folds
+            want = (_folded_terms if _symmetric(op, v) else _plain_terms)(op, lam, v, count)
             got = _ordered_terms(op, lam, v, count)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
-        for v in starts:
-            want = _plain_sum(_plain_terms(op, lam, v, count), coef)
-            assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), want)
+            assert _same_bits(evolution._chebyshev_sum(op, lam, v, coef), _plain_sum(want, coef))
 
 
 @pytest.mark.parametrize("delta1", [0.0, 0.75])
@@ -626,16 +630,24 @@ def _hops(op, rows):
 @pytest.mark.parametrize("n, m, boundary", CASES)
 def test_support_order_sorts_the_places_by_hops_and_gives_mirrors_one_place(n, m, boundary,
                                                                             delta1):
-    # a mirror-symmetric support: two corners of the first x1 node and two of
-    # the last; with 3 terms the hops past 2 go last, as do the rows that
-    # delta1 = 0.75 cuts off, all in row order
+    # starts on two corners of the first x1 node and two of the last: one
+    # equals its x2 reflection and folds, the other has the same support but
+    # one value off its mirror's and does not (with m = 0 every start is its
+    # own reflection); with 3 terms the hops past 2 go last, as do the rows
+    # that delta1 = 0.75 cuts off, all in row order
     op = _ordering_grid(n, m, boundary, delta1)
     n1, n2 = op.fiber_shape
     mirror = _mirror(op)
     rows = np.unique([0, mirror[0], op.n_nodes - 1, mirror[-1]])
     count = 3
-    for fold in (False, True):
-        order, pos, reach = evolution._support_order(op, rows, count, fold)
+    symmetric = np.zeros(op.n_nodes)
+    symmetric[rows] = 1.0
+    lopsided = symmetric.copy()
+    lopsided[0] = 2.0
+    assert _symmetric(op, symmetric) and _symmetric(op, lopsided) == (m == 0)
+    for v in (symmetric, lopsided):
+        fold = _symmetric(op, v)
+        order, pos, reach = evolution._support_order(op, v, count)
         half = (n2 + 1) // 2 if fold else n2
         kept = np.arange(op.n_nodes).reshape(n1, n2)[:, :half].ravel()
         hops = _hops(op, rows)[kept]
@@ -671,16 +683,23 @@ def test_ordered_sum_reads_no_stale_memory():
         assert _symmetric(op, first) == (oracle is _folded_terms)
 
 
-@pytest.mark.parametrize("shape", [(), (3,)])
-def test_head_matvec_equals_the_sliced_product_bit_for_bit(shape):
+def test_head_matvec_equals_the_sliced_product_bit_for_bit():
     op = _ordering_grid(1, 1, "neumann_truncation", 0.25)
     M = op.matrix
-    x = np.random.default_rng(5).standard_normal((op.n_nodes,) + shape)
+    x = np.random.default_rng(5).standard_normal(op.n_nodes)
     for n in (0, 1, op.n_nodes // 3, op.n_nodes):
         assert evolution._head_matvec(M, x, n).tobytes() == (M[:n] @ x).tobytes()
-    # the kernel reads raw buffers: a head past the last row, or an x of
-    # another length, is refused before it runs
-    for m, y, n in ((M, x, op.n_nodes + 1), (M, x, -1), (M, x[1:], 1), (M[:-1], x, op.n_nodes)):
+
+
+def test_head_matvec_refuses_what_it_cannot_read():
+    # the kernel reads raw buffers: a head past the last row, an x of
+    # another length, or an x that is not a vector is refused before it runs
+    op = _ordering_grid(1, 1, "neumann_truncation", 0.25)
+    M = op.matrix
+    x = np.random.default_rng(5).standard_normal(op.n_nodes)
+    block = np.stack([x, x, x], axis=1)
+    for m, y, n in ((M, x, op.n_nodes + 1), (M, x, -1), (M, x[1:], 1), (M[:-1], x, op.n_nodes),
+                    (M, block, 1)):
         with pytest.raises(ValueError, match="head of"):
             evolution._head_matvec(m, y, n)
 
@@ -777,14 +796,18 @@ def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
         with evolution._flush_subnormals():
             want = _plain_sum(oracle(op, lam, start, coef.shape[1]), coef)
         assert _same_bits(evolution._chebyshev_sum(op, lam, start, coef), want)
-    # the block moments: the same terms, read at the rows
+    # the block: one series per column, read at the rows; the column of the
+    # source on the mid-line folds, the one off it does not
     rows = np.asarray([op.node_index([0.0, 0.0]), op.node_index([0.5, 2.0])])
     times = np.asarray([0.01, 0.02])
     coef = evolution._heat_coefficients(lam, times, KRYLOV.tolerance)
-    with evolution._flush_subnormals():
-        units = np.eye(op.n_nodes)[:, rows]
-        want = [t_k[rows] for t_k in _plain_terms(op, lam, units, coef.shape[1])]
-    want = np.tensordot(coef, want, axes=1)
+    moments = []
+    for row, oracle in zip(rows, (_folded_terms, _plain_terms)):
+        e = _unit(op, row)
+        assert _symmetric(op, e) == (oracle is _folded_terms)
+        with evolution._flush_subnormals():
+            moments.append([t_k[rows] for t_k in oracle(op, lam, e, coef.shape[1])])
+    want = (coef @ np.array(moments)).transpose(1, 2, 0)
     assert _same_bits(evolution._region_block(op, rows, times, KRYLOV), want)
 
 

@@ -302,7 +302,7 @@ def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
     v /= np.linalg.norm(v)
     krylov = apply_semigroup(op, v, t, KRYLOV)
     assert np.abs(krylov - spec.apply(v, t)).max() <= KRYLOV_ERROR
-    # one block recurrence over the candidates serves every time; the sup is
+    # one series per candidate serves every time; the sup is
     # taken over K_t(x; x) = diagonal entry / node weight
     times = [t / 4.0, t / 2.0, t]
     cands = np.arange(0, op.n_nodes, 2)
