@@ -13,7 +13,7 @@ as '-'.
 ``suite`` runs a manifest of configs (JSON list, or the built-in ``acceptance``
 manifest) on --workers N processes (GRUSHINLAB_WORKERS, default 1), --seed S
 (GRUSHINLAB_SEED) replacing every seed, and exits nonzero if any check fails;
-an entry whose config or knobs do not bind exits 2 before any entry runs;
+a config error in any entry exits 2 before any entry solves or writes;
 ``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
 when every check passed.
 """
@@ -27,7 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig
-from .experiments import _bind_experiment, acceptance_manifest, run_experiment
+from .experiments import acceptance_manifest, plan_experiment
 from .reporting import summary_lines, write_report
 
 ENV_PREFIX = "GRUSHINLAB_"
@@ -102,21 +102,26 @@ def _manifest(loaded) -> list[dict]:
     return entries
 
 
-def _run_single(raw: dict, default_out: str) -> dict:
-    cfg = ExperimentConfig.from_dict(raw)
-    report = run_experiment(cfg)
-    out_dir = cfg.out or default_out
-    path = write_report(os.path.join(out_dir, cfg.name), report)
-    report["report_path"] = path
+def _solve(cfg: ExperimentConfig, report: dict, solve, default_out: str) -> dict:
+    solve()
+    report["report_path"] = write_report(os.path.join(cfg.out or default_out, cfg.name), report)
     return report
 
 
+def _run_single(raw: dict, default_out: str) -> dict:
+    cfg = ExperimentConfig.from_dict(raw)
+    return _solve(cfg, *plan_experiment(cfg), default_out)
+
+
 def run_suite(manifest: list[dict], out_dir: str, workers: int) -> dict:
-    for raw in manifest:  # build and bind every entry first: a bad one runs and writes nothing
-        _bind_experiment(ExperimentConfig.from_dict(raw), {})
+    # plan every entry first: a bad one raises before any entry solves or writes
+    plans = [(cfg, *plan_experiment(cfg)) for cfg in map(ExperimentConfig.from_dict, manifest)]
     if workers <= 1 or len(manifest) <= 1:
-        reports = [_run_single(raw, out_dir) for raw in manifest]
+        reports = []
+        while plans:  # each plan is dropped once solved, with the operators it holds
+            reports.append(_solve(*plans.pop(0), out_dir))
     else:
+        plans.clear()  # each worker plans its own entry again
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_single, raw, out_dir) for raw in manifest]
             reports = [f.result() for f in futures]

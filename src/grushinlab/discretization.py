@@ -63,7 +63,6 @@ BOUNDARY_MODES = (
     "neumann_truncation",
     "dirichlet_origin",
     "half_line_positive",
-    "half_line_negative",
 )
 
 
@@ -469,11 +468,10 @@ def _kept_x1(grid: Grid, boundary: str, r2: np.ndarray) -> np.ndarray:
         return np.ones(r2.shape, dtype=bool)
     if boundary == "dirichlet_origin":
         return r2 > 0.0
-    if boundary in ("half_line_positive", "half_line_negative"):
+    if boundary == "half_line_positive":
         if grid.params.n != 1:
             raise ValueError("half-line boundaries require n = 1")
-        x = grid.axis(0)
-        return x >= 0.0 if boundary == "half_line_positive" else x <= 0.0
+        return grid.axis(0) >= 0.0
     raise ValueError(f"unknown boundary mode {boundary!r}; expected one of {BOUNDARY_MODES}")
 
 

@@ -1,19 +1,19 @@
 """Experiment implementations behind the CLI and the acceptance suite.
 
-Each runner fills in a report's named checks (each with its bound and pass
-flag), fitted constants and CSV tables.  Its keyword-only parameters are its
-knobs, each set by some manifest entry (a value no entry changes is a
-constant beside its code): ``config.bind`` checks ``cfg.knobs`` and every
-nested spec (decay stage, radius grid, ``vf_params``) against a signature,
-so an unknown or missing knob is a ConfigError naming it; so is a value
-outside a knob's enumerated choices (``_one_of``), or a time that is not
-positive (``_positive``).  A decay run checks and resolves every stage, and
-a separation run every level, before any solves.  ``_bind_experiment`` picks
-the runner from ``_RUNNERS`` by experiment kind and ``knobs.task``;
-``run_experiment`` runs it in the report frame (config echo and hash,
-derived exponents, timings, the pass flag).  The acceptance manifest at the
-bottom freezes every tolerance of the verification suite; the tests, the
-``suite`` subcommand and each subcommand's default run use it.
+Each runner, and each decay stage, is a generator split by one bare
+``yield``: its plan checks every knob value, resolves every config point and
+admits every time, so every ConfigError is raised before it; its solve fills
+in the report's named checks (each with its bound and pass flag), fitted
+constants and CSV tables.  Its keyword-only parameters are its knobs, each
+set by some manifest entry (a value no entry changes is a constant beside
+its code): ``config.bind`` checks ``cfg.knobs`` and every nested spec (decay
+stage, radius grid, ``vf_params``) against a signature, so an unknown or
+missing knob is a ConfigError naming it; so is a value outside a knob's
+enumerated choices (``_one_of``), or a time that is not positive
+(``_positive``).  ``plan_experiment`` picks the runner from ``_RUNNERS`` by
+experiment kind and ``knobs.task`` and plans it in the report frame (config
+echo and hash, derived exponents, timings, the pass flag).  The acceptance
+manifest at the bottom freezes every tolerance of the verification suite.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .evolution import (
 from .geometry import (MetricGraph, ball_volume, ball_volume_closed_form, closed_form_distance,
                        doubling_exponent)
 from .multipliers import (
+    _bump_widths,
     _hardy_args,
     _inequality_args,
     bump,
@@ -49,7 +50,7 @@ from .multipliers import (
 from .reporting import all_passed, check
 from .wave import davies_gaffney_check, finite_speed_check
 
-__all__ = ["run_experiment", "acceptance_manifest"]
+__all__ = ["plan_experiment", "run_experiment", "acceptance_manifest"]
 
 
 def _one_of(path: str, value, choices):
@@ -82,12 +83,12 @@ def _positive(path: str, value) -> None:
         raise ConfigError(f"{path}: {value!r} must be positive")
 
 
-def _resolve(path: str, lookup, point):
-    """``lookup(point)``, ``op.node_index`` or ``grid.flat_index``: a point
-    off the grid, or on a node the boundary removed, is a ConfigError
-    naming ``path``."""
+def _resolve(path: str, lookup, *args):
+    """``lookup(*args)``, ``op.node_index`` or ``grid.flat_index`` of a point
+    (or a check of the grid): a point off the grid, or on a node the
+    boundary removed, is a ConfigError naming ``path``."""
     try:
-        return lookup(point)
+        return lookup(*args)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -152,9 +153,10 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 
 
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
-                     n_sources=10, bound=1e-8) -> None:
+                     n_sources=10, bound=1e-8):
     _counts(n_sources=n_sources)
     _positive("knobs.times", times)
+    yield
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
     sources = _spread_sources(op, n_sources, rng)
@@ -207,47 +209,53 @@ def _admissible_times(path: str, times, boundary_distance: float | None):
     return times[ok], tuple(times[~ok])
 
 
-def run_decay(cfg: ExperimentConfig, rep: dict, *, stages) -> None:
+def run_decay(cfg: ExperimentConfig, rep: dict, *, stages):
     coeffs = CoefficientField(cfg.params)
-    # check and resolve every stage first, so that a bad stage fails before any stage solves
     runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
             for k, stage in enumerate(stages)]
-    rows = []
-    while runs:  # each run is dropped once done, and its operator and spectrum with it
-        rows += runs.pop(0)()
-    rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": rows}
+    for run in runs:  # every stage plans before any stage solves
+        next(run)
+    yield
+    rep["csv"]["decay.csv"] = {"columns": ["t", "sup_diag", "slope", "stage"], "rows": []}
+    while runs:  # each stage is dropped once solved, and its operator and spectrum with it
+        next(runs.pop(0), None)
+
+
+def _guard_distance(op, coeffs, rows, path: str) -> float:
+    """The metric distance from ``rows`` (None: the origin's row) to the grid's boundary."""
+    if rows is None:
+        rows = [_resolve(path, op.node_index, [0.0] * op.grid.dim)]
+    d = MetricGraph(op.grid, coeffs, 2).distances_from_nodes(op.kept[np.asarray(rows)])
+    return float(d[_boundary_nodes(op.grid)].min())
 
 
 def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, counts, times,
                  slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
                  label=None):
-    """Checks stage k of a decay run, builds its operator, resolves its candidates
-    and admits its times; returns its run, which solves (decay.csv rows)."""
-    _one_of(f"knobs.stages[{k}].boundary", boundary, BOUNDARY_MODES)
-    _positive(f"knobs.stages[{k}].times", times)
+    """Stage k of a decay run.  Its plan checks the stage, builds its operator,
+    resolves its candidates and admits its times; its solve adds its decay.csv rows."""
+    path = f"knobs.stages[{k}]"
+    _one_of(f"{path}.boundary", boundary, BOUNDARY_MODES)
+    _positive(f"{path}.times", times)
     if isinstance(candidates, str):
-        _one_of(f"knobs.stages[{k}].candidates", candidates, ("all", "degeneracy_line"))
+        _one_of(f"{path}.candidates", candidates, ("all", "degeneracy_line"))
     label = f"stage{k}" if label is None else label
-    grid = build(build_grid, f"knobs.stages[{k}]", {"extents": extents, "counts": counts}, cfg.params)
+    grid = build(build_grid, path, {"extents": extents, "counts": counts}, cfg.params)
     op = assemble(grid, coeffs, boundary)
-    cands = _decay_candidates(op, candidates, f"knobs.stages[{k}].candidates")
-    bdist = None
-    if guard:
-        graph = MetricGraph(grid, coeffs, 2)
-        guard_rows = cands if cands is not None else [  # an "all" stage guards from the origin
-            _resolve(f"knobs.stages[{k}].guard", op.node_index, [0.0] * grid.dim)]
-        d = graph.distances_from_nodes(op.kept[np.asarray(guard_rows)])
-        bdist = float(d[_boundary_nodes(grid)].min())
-    times, refused = _admissible_times(f"knobs.stages[{k}].times", times, bdist)
-
-    def run() -> list:
-        res = ondiagonal_decay(op, times, candidates=cands, method=cfg.method)
-        rep["fitted"][f"{label}_slope"] = res.slope
-        if refused:
-            rep["fitted"][f"{label}_refused_times"] = list(refused)
-        rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
-        return [[t, s, res.slope, label] for t, s in zip(res.times, res.sup_diag)]
-    return run
+    if candidates == "all" and (method := cfg.method.resolve(op)) != "exact_eigendecomposition":
+        raise ConfigError(f"{path}.candidates: 'all' reads the whole diagonal, which the "
+                          f"{method!r} method does not give; list the candidate points")
+    cands = _decay_candidates(op, candidates, f"{path}.candidates")
+    bdist = _guard_distance(op, coeffs, cands, f"{path}.guard") if guard else None
+    times, refused = _admissible_times(f"{path}.times", times, bdist)
+    yield
+    res = ondiagonal_decay(op, times, candidates=cands, method=cfg.method)
+    rep["fitted"][f"{label}_slope"] = res.slope
+    if refused:
+        rep["fitted"][f"{label}_refused_times"] = list(refused)
+    rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
+    rep["csv"]["decay.csv"]["rows"] += [[t, s, res.slope, label]
+                                        for t, s in zip(res.times, res.sup_diag)]
 
 
 # --------------------------------------------------------------------- distance
@@ -257,33 +265,35 @@ _BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of ever
 
 
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
-                 stencil_order=2, min_closed=0.1, stability_factor=1.25) -> None:
+                 stencil_order=2, min_closed=0.1, stability_factor=1.25):
     _counts(n_sources=n_sources, n_targets=n_targets)
-    coeffs = CoefficientField(cfg.params)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
-
-    bands = []
+    levels = []  # per level: its grid, and per source its node, point and (target, d_closed) pairs
     for level, grid in enumerate(_levels(cfg, 2)):
+        nodes = [grid.flat_index(src)[0] for src in sources]
+        snaps = [(flat, p, [(tgt, dc) for tgt in targets
+                            if (dc := closed_form_distance(cfg.params, p, tgt)) >= min_closed])
+                 for flat, p in zip(nodes, grid.coords(nodes))]
+        if not any(pairs for *_, pairs in snaps):
+            raise ConfigError(f"knobs.min_closed: no pair of level {level} lies at a closed-form "
+                              f"distance of at least {min_closed}")
+        levels.append((grid, snaps))
+    yield
+    coeffs = CoefficientField(cfg.params)
+    bands = []
+    for level, (grid, snaps) in enumerate(levels):
         graph = MetricGraph(grid, coeffs, stencil_order)
         rows = []
         ratios = []
-        for src in sources:
-            flat, _ = grid.flat_index(src)
-            snapped = grid.coords([flat])[0]
+        for flat, snapped, pairs in snaps:
             d = graph.distances_from_nodes(flat)
-            for tgt in targets:
-                dc = closed_form_distance(cfg.params, snapped, tgt)
-                if dc < min_closed:
-                    continue
+            for tgt, dc in pairs:
                 dn = float(d[grid.flat_index(tgt)[0]])
                 ratios.append(dn / dc)
                 rows.append(list(snapped) + list(tgt) + [dc, dn, dn / dc])
-        if not ratios:
-            raise ConfigError(f"knobs.min_closed: no pair of level {level} lies at a closed-form "
-                              f"distance of at least {min_closed}")
         ratios = np.asarray(ratios)
         band = float(max(ratios.max(), 1.0 / ratios.min()))
         bands.append(band)
@@ -318,7 +328,7 @@ def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: i
 
 def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
                       origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
-                      off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1) -> None:
+                      off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1):
     dim = cfg.params.dim
     grid = cfg.grid()
     origin = [0.0] * dim
@@ -327,6 +337,7 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
              build(_geomspace, "knobs.origin_radii", origin_radii), derive_exponents(cfg.params).D),
             ("offcenter", off_center, _resolve("knobs.off_center", grid.flat_index, off_center)[0],
              build(_geomspace, "knobs.off_radii", off_radii), dim)]
+    yield
     graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
     for tag, center, node, radii, expected in runs:
         slope = fit_loglog_slope(*_volumes(rep, f"volume_{tag}.csv", cfg, graph, center, node,
@@ -336,9 +347,10 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
 
 
 def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers=([0.0], [5.0]),
-                 slack=0.3) -> None:
+                 slack=0.3):
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
+    yield
     graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
     radii = r0 * 2.0 ** np.arange(n_radii)
     bound = derive_exponents(cfg.params).doubling_dim + slack
@@ -356,8 +368,11 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers
 
 
 def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mass_tol=1e-8,
-                    symmetry_point=None, symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3) -> None:
+                    symmetry_point=None, symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3):
     _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
+    if oracle and cfg.params != GrusinParameters():
+        raise ConfigError(f"knobs.oracle: {oracle!r} is the kernel of the 1-D free space "
+                          f"(n = 1, m = 0, every delta 0), not of params {asdict(cfg.params)}")
     _positive("knobs.t", t)
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
@@ -367,6 +382,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
     if j2 == j:
         raise ConfigError(f"knobs.symmetry_point: {list(symmetry_point)} resolves to the "
                           f"source's node, so the symmetry check would test nothing")
+    yield
     ks = heat_kernel(op, j, t, cfg.method)
     coords = op.coords()
     rows = [list(coords[i]) + [ks.values[i]] for i in range(op.n_nodes)]
@@ -390,13 +406,16 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
 
 
 def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
-                   sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3) -> None:
+                   sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3):
     _counts(refinements=refinements)
     _positive("knobs.t", t)
+    if cfg.params.n != 1:
+        raise ConfigError(f"params.n: separation compares the half-spaces x1 >= 0 and x1 <= 0, "
+                          f"so it needs n = 1, got {cfg.params.n}")
     coeffs = CoefficientField(cfg.params)
-    # every level resolves its sources before the first level solves
     ops = [assemble(grid, coeffs, "dirichlet_origin") for grid in _levels(cfg, refinements)]
     rows = [_resolve_all("knobs.sources", op_d.node_index, sources) for op_d in ops]
+    yield
     counts, gaps, cross = [], [], []
     for k in range(refinements):
         op_d, ops[k] = ops[k], None  # the level before is dropped, with its spectrum
@@ -435,13 +454,14 @@ def _region_rows(grid, lo, hi):
 
 def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0),
                 exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
-                control=True, control_tol=1e-10) -> None:
+                control=True, control_tol=1e-10):
     lo, hi = region
     if lo <= r_cut / 2.0:
         raise ConfigError(f"knobs.region: {list(region)} must stay outside the modified set "
                           f"|x1| <= r_cut / 2 = {r_cut / 2.0}")
     if _region_rows(cfg.grid(), lo, hi).size == 0:
         raise ConfigError(f"knobs.region: no grid node has |x1| in {list(region)}")
+    yield
     coeffs = CoefficientField(cfg.params)
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
@@ -497,12 +517,17 @@ _DRIFT_BOUND = 1e-6  # the relative energy drift a leapfrog run may show
 
 def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump_width=0.6,
                      times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
-                     leak_bound=1e-6) -> None:
+                     leak_bound=1e-6):
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
     _counts(refinements=refinements)
     _positive("knobs.bump_width", bump_width)
-    coeffs = CoefficientField(cfg.params)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
+    for grid in _levels(cfg, refinements):  # a plan holds no bump: each level makes its own
+        if not bump(grid, center, [bump_width] * grid.dim).any():
+            raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
+                              f"node on the grid of {grid.counts} nodes")
+    yield
+    coeffs = CoefficientField(cfg.params)
     leak_by_level = []
     rows = []
     for level, grid in enumerate(_levels(cfg, refinements)):
@@ -514,9 +539,6 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         # the operator's.
         v = bump(grid, center, [bump_width] * grid.dim).ravel()
         support = np.nonzero(v > 0)[0]
-        if support.size == 0:
-            raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
-                              f"node on the grid of {grid.counts} nodes")
         if metric == "euclidean":
             d = _support_box_distance(grid, grid.coords(), support)
         else:  # no cone of finite_speed_check reaches past its largest threshold
@@ -541,7 +563,7 @@ _DG_PAIRS = ((-2.5, 1.5, 0.5), (-1.5, 1.5, 0.4), (-3.0, 3.0, 0.5), (1.2, 3.2, 0.
 
 
 def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
-                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20) -> None:
+                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20):
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
@@ -551,6 +573,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
         if not nodes.size:
             raise ConfigError(f"grid: the Davies-Gaffney set |x1 - c| <= {w} at c = {c} holds "
                               f"no node of the grid of {grid.counts} nodes")
+    yield
     graph = MetricGraph(grid, coeffs, 2)
     rows = []
     for center_a, center_b, w in _DG_PAIRS:
@@ -596,18 +619,22 @@ _GAUSSIAN_SOURCES = ([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0], [2.0, 1.0]
 
 
 def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
-                        stability_factor=2.0) -> None:
+                        stability_factor=2.0):
     _positive("knobs.times", times)
     coeffs = CoefficientField(cfg.params)
-    uppers, lowers = [], []
+    levels = []  # per level: its operator and the rows of the sources
     for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
         try:
-            rows = sorted(_resolve_all("sources", op.node_index, _GAUSSIAN_SOURCES))
+            levels.append((op, sorted(_resolve_all("sources", op.node_index, _GAUSSIAN_SOURCES))))
         except ConfigError as err:
             raise ConfigError(f"grid: level {level} of {grid.counts} nodes cannot hold the "
                               f"Gaussian-bound {err}") from err
-        graph = MetricGraph(grid, coeffs, 2)
+    yield
+    uppers, lowers = [], []
+    for level in range(2):
+        (op, rows), levels[level] = levels[level], None  # the level before is dropped
+        graph = MetricGraph(op.grid, coeffs, 2)
         dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
         upper = gaussian_upper_check(op, dists, times, epsilon, method=cfg.method)
         uppers.append(upper.constant)
@@ -635,12 +662,14 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
 
 def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
              r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
-             vf_params={"n": 1, "m": 1, "delta2": 1.0}) -> None:
+             vf_params={"n": 1, "m": 1, "delta2": 1.0}):
     _counts(ensemble=ensemble)
     radii = build(_geomspace, "knobs.r_grid", r_grid)
     if vf_slopes:
         vf = build(GrusinParameters, "knobs.vf_params", vf_params)
     grid = cfg.grid()
+    _resolve("grid", _bump_widths, grid, half_line)
+    yield
     coeffs = CoefficientField(cfg.params)
     op = assemble(grid, coeffs, "half_line_positive" if half_line else "neumann_truncation")
     repA, repB = (
@@ -671,9 +700,10 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
 
 
 def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,
-              fraction_fail=4.0) -> None:
+              fraction_fail=4.0):
     _check_knobs(_hardy_args, n=n, gamma=gamma, count=count, fraction_ok=fraction_ok,
                  fraction_fail=fraction_fail)
+    yield
     lam_ok, a_used = hardy_check(n, gamma, fraction_ok, count=count)
     lam_fail, _ = hardy_check(n, gamma, fraction_fail, count=count)
     rep["fitted"]["hardy_constant"] = a_used
@@ -688,8 +718,9 @@ def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fra
 
 
 def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *, trials=1000, dim=20,
-                              gamma=0.3, violation_bound=-1e-10) -> None:
+                              gamma=0.3, violation_bound=-1e-10):
     _check_knobs(_inequality_args, trials=trials, dim=dim, gamma=gamma)
+    yield
     res = operator_inequality_checks(trials, dim, gamma, cfg.seed)
     rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
     rep["fitted"]["root_sum_worst"] = {str(k): v for k, v in res["root_sum"].items()}
@@ -723,32 +754,37 @@ _RUNNERS = {
 }
 
 
-def _bind_experiment(cfg: ExperimentConfig, rep: dict):
-    """The config's (experiment, knobs.task) runner for report ``rep``, not
-    yet called, its other knobs bound to the runner's keyword-only
-    parameters: an unknown task or knob, or a required knob left out, is a
-    ConfigError here."""
+def plan_experiment(cfg: ExperimentConfig):
+    """Bind the other knobs of the config's (experiment, knobs.task) runner and
+    run it to its ``yield``: every ConfigError is raised here.  Returns the
+    report and its solve, which resumes the runner and sets the total time
+    (plan and solve) and the pass flag."""
+    t0 = time.time()
+    _one_of("experiment", cfg.experiment, list(_RUNNERS))
     tasks = _RUNNERS[cfg.experiment]
     knobs = dict(cfg.knobs)
     task = knobs.pop("task", next(iter(tasks)))
-    if task not in tasks:
+    if task not in list(tasks):  # a list in place of a task name is refused, not hashed
         valid = [t for t in tasks if t is not None]
         raise ConfigError(f"knobs.task: {task!r} is not a task of {cfg.experiment!r}; "
                           f"leave it out or use one of {valid}")
-    return bind(tasks[task], "knobs", knobs, cfg, rep)
+    rep = _report_skeleton(cfg)
+    steps = bind(tasks[task], "knobs", knobs, cfg, rep)()
+    next(steps)
+    planned = time.time() - t0
+
+    def solve() -> None:
+        t1 = time.time()
+        next(steps, None)
+        rep["timings"]["total_s"] = planned + time.time() - t1
+        rep["passed"] = all_passed(rep["checks"])
+    return rep, solve
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the config's (experiment, knobs.task) runner and return its report.
-
-    The runner fills in checks, fitted constants and CSV tables; the report
-    frame, the total time and the pass flag are set here.
-    """
-    t0 = time.time()
-    rep = _report_skeleton(cfg)
-    _bind_experiment(cfg, rep)()
-    rep["timings"]["total_s"] = time.time() - t0
-    rep["passed"] = all_passed(rep["checks"])
+    """Plan, then solve, the config's run; returns its report."""
+    rep, solve = plan_experiment(cfg)
+    solve()
     return rep
 
 

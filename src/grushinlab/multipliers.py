@@ -144,6 +144,20 @@ def bump(grid: Grid, centers, widths) -> np.ndarray:
     return out
 
 
+def _bump_widths(grid: Grid, positive_axis0: bool = False) -> list[tuple[float, float]]:
+    """Per axis, the (narrowest, widest) width of an ensemble bump on
+    ``grid``; a ValueError if the grid is too coarse for the narrowest."""
+    bounds = []
+    for i, (L, h) in enumerate(zip(grid.extents, grid.spacings)):
+        wmin = max(6.0 * h, 0.05 * L)
+        wmax = 0.75 * L / (2.5 if positive_axis0 and i == 0 else 2.0)
+        if wmin >= wmax:
+            raise ValueError(f"resolution too coarse for the narrowest bump: axis {i} of "
+                             f"{grid.counts} nodes")
+        bounds.append((wmin, wmax))
+    return bounds
+
+
 def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
                          positive_axis0: bool = False) -> list[np.ndarray]:
     """Smooth compactly supported test bumps on the grid (full shape arrays).
@@ -154,23 +168,15 @@ def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
     the support is placed in {x_0 > 0} (half-line ensembles).
     """
     rng = np.random.default_rng(seed)
+    bounds = _bump_widths(grid, positive_axis0)
     members = []
     for _ in range(n_members):
         centers, widths = [], []
-        for i in range(grid.dim):
-            L = grid.extents[i]
-            h = grid.spacings[i]
-            inner = 0.75 * L
-            wmin = max(6.0 * h, 0.05 * L)
-            wmax = inner / 2.5 if positive_axis0 and i == 0 else inner / 2.0
-            if wmin >= wmax:
-                raise ValueError("resolution too coarse for the narrowest bump")
+        for i, (wmin, wmax) in enumerate(bounds):
+            inner = 0.75 * grid.extents[i]
             width = np.exp(rng.uniform(np.log(wmin), np.log(wmax)))
-            if positive_axis0 and i == 0:
-                lo, hi = width * 1.05, inner - width
-                if lo >= hi:
-                    raise ValueError("half-line bump does not fit in the box")
-                center = rng.uniform(lo, hi)
+            if positive_axis0 and i == 0:  # fits: width < 0.4 inner
+                center = rng.uniform(width * 1.05, inner - width)
             else:
                 center = rng.uniform(-(inner - width), inner - width)
             centers.append(center)
@@ -232,8 +238,6 @@ def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
     and the display of the member with the smallest ratio (the first one if
     tied) row by row.
     """
-    if op.boundary == "half_line_negative":
-        raise ValueError("nash_check reflects half_line_positive operators only")
     reflect_axis0 = op.boundary == "half_line_positive"
     volume_factor = 4.0 if reflect_axis0 else 1.0
     grid = op.grid

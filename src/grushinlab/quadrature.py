@@ -95,15 +95,14 @@ def segment_integrals(qa, qb, qc, f, sing: float):
             u, w = gauss_jacobi_01(6, sing)
             using = u**sing
             acc = np.zeros(touching.sum())
-            aa, bb, cc, ss = a[touching], b[touching], c[touching], s_star[touching]
-            qm = q_min[touching]
-            # halves [s*-len0, s*] and [s*, s*+len1]; r(s* + len*u) via the
-            # exact quadratic, which equals sqrt(a) * len * u when q_min = 0
-            for sign, ln in ((-1.0, ss), (1.0, 1.0 - ss)):
+            aa, ss, qm = a[touching], s_star[touching], q_min[touching]
+            # halves [s*-len0, s*] and [s*, s*+len1]; r(s* +- len*u) in the
+            # vertex form a (len u)^2 + q_min, which is sqrt(a) * len * u
+            # in floating point too when q_min = 0 (no cancellation)
+            for ln in (ss, 1.0 - ss):
                 part = np.zeros_like(acc)
                 for ui, wi, uis in zip(u, w, using):
-                    s = ss + sign * ln * ui
-                    r = np.sqrt(np.maximum(aa * s * s + bb * s + cc, qm))
+                    r = np.sqrt(aa * (ln * ui) ** 2 + qm)
                     part += wi * uis * f(r)
                 # zero-length halves evaluate f at the singular point; drop them
                 with np.errstate(invalid="ignore"):

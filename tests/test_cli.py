@@ -5,11 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
-from grushinlab import experiments
+from grushinlab import evolution, experiments, reporting, wave
 from grushinlab.cli import DEFAULT_ENTRIES, main, run_suite
 from grushinlab.coefficients import GrusinParameters
-from grushinlab.config import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, bind, config_hash
-from grushinlab.experiments import acceptance_manifest, run_experiment
+from grushinlab.config import ConfigError, ExperimentConfig, bind, config_hash
+from grushinlab.discretization import DivergenceFormOperator
+from grushinlab.experiments import acceptance_manifest, plan_experiment, run_experiment
 from grushinlab.reporting import format_number, write_report
 
 FAST_CONFIG = {
@@ -35,8 +36,8 @@ def test_config_rejects_out_of_range_delta():
 def test_config_rejects_unknown_experiment_and_fields():
     bad = json.loads(json.dumps(FAST_CONFIG))
     bad["experiment"] = "frobnicate"
-    with pytest.raises(ConfigError, match="experiment"):
-        ExperimentConfig.from_dict(bad)
+    with pytest.raises(ConfigError, match="experiment: 'frobnicate' is not one of"):
+        plan_experiment(ExperimentConfig.from_dict(bad))
     bad2 = json.loads(json.dumps(FAST_CONFIG))
     bad2["gridd"] = {}
     with pytest.raises(ConfigError, match="gridd"):
@@ -352,12 +353,14 @@ def _manifest_entry(name):
 
 
 def _stub_runners(monkeypatch):
-    """Replace every runner by one that records (experiment, task), takes
-    the real runner's knobs and adds no check; returns the record."""
+    """Replace every runner by one that takes the real runner's knobs, plans
+    nothing, records (experiment, task) when it solves and adds no check;
+    returns the record."""
     ran = []
 
     def stub(task, runner):
         def record(cfg, rep, **knobs):
+            yield
             ran.append((cfg.experiment, task))
         record.__signature__ = inspect.signature(runner)
         return record
@@ -369,7 +372,7 @@ def _stub_runners(monkeypatch):
 
 
 def test_every_kind_defaults_to_a_manifest_entry_of_that_kind():
-    assert sorted(DEFAULT_ENTRIES) == sorted(EXPERIMENT_KINDS)
+    assert sorted(DEFAULT_ENTRIES) == sorted(experiments._RUNNERS)
     for kind, name in DEFAULT_ENTRIES.items():
         assert _manifest_entry(name)["experiment"] == kind
 
@@ -640,6 +643,127 @@ def test_cli_grid_that_cannot_hold_a_constant_point_exits_2(tmp_path, capsys, en
     assert not (tmp_path / "out").exists()
 
 
+# (entry, {path: value}, message): one bad value for each check a plan makes
+PLAN_CHECKS = [
+    ("c01_conservation_1d", {("knobs", "n_sources"): 0}, "knobs.n_sources must be a positive"),
+    ("c01_conservation_1d", {("knobs", "times"): [0.01, 0.0]}, "knobs.times[1]: 0.0 must be"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "boundary"): "half_line_negative"},
+     "knobs.stages[1].boundary: 'half_line_negative' is not one of "
+     "['neumann_truncation', 'dirichlet_origin', 'half_line_positive']"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "counts"): 4000},
+     "knobs.stages[1]: node counts must be odd"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "boundary"): "dirichlet_origin"},
+     "knobs.stages[1].guard: "),
+    ("c03_decay_1d", {("knobs", "stages", 1, "times"): [10.0, 1e6]},
+     "knobs.stages[1].times: need at least two admissible times"),
+    ("c02_decay_control", {("knobs", "stages", 0, "candidates"): "all"},
+     "knobs.stages[0].candidates: 'all' reads the whole diagonal, which the "
+     "'krylov_exponential' method does not give"),
+    ("c02_decay_control", {("knobs", "stages", 0, "candidates"): "degeneracy_lin"},
+     "knobs.stages[0].candidates: 'degeneracy_lin' is not one of"),
+    ("c02_decay_control", {("knobs", "stages", 0, "candidates"): [[0.0, 0.0], [0.01, 0.0]]},
+     "knobs.stages[0].candidates[1]: point [0.01, 0.0] resolves to the node of"),
+    ("c02_decay_control", {("knobs", "stages", 0, "times"): [0.5, -0.1]},
+     "knobs.stages[0].times[1]: -0.1 must be positive"),
+    ("c02_decay_classical", {("knobs", "stages", 0, "boundary"): "dirichlet_origin"},
+     "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves to a node the 'dirichlet_origin'"),
+    ("c04_distance", {("knobs", "min_closed"): 100.0}, "knobs.min_closed: no pair of level 0"),
+    ("c04_distance", {("knobs", "n_targets"): 0}, "knobs.n_targets must be a positive integer"),
+    ("c04_distance", {("knobs", "n_sources"): 0}, "knobs.n_sources must be a positive integer"),
+    ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): 0.0}, "knobs.origin_radii: "),
+    ("c05_volume_slopes", {("knobs", "off_center"): [50.0, 0.0]},
+     "knobs.off_center: point [50.0, 0.0] lies off the grid"),
+    ("c06_doubling", {("knobs", "centers"): [[0.0], [0.0002]]},
+     "knobs.centers[1]: point [0.0002] resolves to the node of knobs.centers[0]"),
+    ("c06_doubling", {("knobs", "centers"): [[0.0], [50.0]]},
+     "knobs.centers[1]: point [50.0] lies off the grid"),
+    ("c07_separation_weak", {("knobs", "sources"): [[1.019], [1.021]]},
+     "knobs.sources[1]: point [1.021] resolves to the node of knobs.sources[0]"),
+    ("c07_separation_weak", {("knobs", "t"): -1.0}, "knobs.t: -1.0 must be positive"),
+    ("c07_separation_strong", {("knobs", "refinements"): 0}, "knobs.refinements must be a"),
+    ("c07_separation_strong", {("params", "n"): 2}, "params.n: separation compares the "
+     "half-spaces x1 >= 0 and x1 <= 0, so it needs n = 1, got 2"),
+    ("c08_gaussian_bounds", {("grid", "counts"): 9}, "grid: level 0 of (9, 9) nodes cannot hold"),
+    ("c08_gaussian_bounds", {("knobs", "times"): [0.1, -0.2]}, "knobs.times[1]: -0.2 must be"),
+    ("c09_davies_gaffney", {("grid", "counts"): 3}, "grid: the Davies-Gaffney set"),
+    ("c10_speed_classical", {("knobs", "bump_center"): [30.0, 0.0]}, "knobs.bump_center: the "
+     "bump at [30.0, 0.0] has no support node on the grid of (257, 257) nodes"),
+    ("c10_speed_constant", {("knobs", "bump_center"): [100, 0]}, "knobs.bump_center: "),
+    ("c10_speed_constant", {("knobs", "metric"): "graf"}, "knobs.metric: 'graf' is not one of"),
+    ("c10_speed_classical", {("knobs", "bump_width"): 0.0}, "knobs.bump_width: 0.0 must be"),
+    ("c10_speed_constant", {("knobs", "refinements"): 0}, "knobs.refinements must be a positive"),
+    ("c11_compare", {("knobs", "region"): [0.1, 0.4]}, "knobs.region: [0.1, 0.4] must stay"),
+    ("c11_compare", {("knobs", "region"): [50, 60]},
+     "knobs.region: no grid node has |x1| in [50, 60]"),
+    ("c12_nash_full", {("grid", "extents"): 2.0, ("grid", "counts"): 17},
+     "grid: resolution too coarse for the narrowest bump: axis 0 of (17, 17) nodes"),
+    ("c12_nash_full", {("knobs", "ensemble"): 0}, "knobs.ensemble must be a positive integer"),
+    ("c12_nash_full", {("knobs", "vf_params", "delta1"): 1.5}, "knobs.vf_params.delta1 must"),
+    ("c13_hardy", {("knobs", "count"): 15}, "knobs.count must be even"),
+    ("c13_hardy", {("knobs", "gamma"): 2.0}, "knobs.gamma must lie in"),
+    ("c13_operator_inequalities", {("knobs", "dim"): 60}, "knobs.dim must lie in 1..50"),
+    ("c13_operator_inequalities", {("knobs", "trials"): 0}, "knobs.trials must be a positive"),
+    ("c14_free_space_oracle", {("knobs", "source"): [50.0]}, "knobs.source: point [50.0] lies"),
+    ("c14_free_space_oracle", {("knobs", "symmetry_point"): [0.0]},
+     "knobs.symmetry_point: [0.0] resolves to the source's node"),
+    ("c14_free_space_oracle", {("knobs", "t"): 0.0}, "knobs.t: 0.0 must be positive"),
+    ("c14_free_space_oracle", {("knobs", "oracle"): "gauss"}, "knobs.oracle: 'gauss' is not"),
+    ("c14_free_space_oracle", {("params", "delta1"): 0.25},
+     "knobs.oracle: 'gauss_free_space' is the kernel of the 1-D free space"),
+    ("c14_free_space_oracle", {("params", "m"): 1, ("knobs", "source"): [0.0, 0.0],
+                               ("knobs", "symmetry_point"): [0.5, 0.0]},
+     "knobs.oracle: 'gauss_free_space' is the kernel of the 1-D free space"),
+    ("c13_hardy", {("knobs", "task"): "hardyy"}, "knobs.task: 'hardyy' is not a task of 'nash'"),
+    ("c13_hardy", {("knobs", "task"): ["hardy"]}, "knobs.task: ['hardy'] is not a task of 'nash'"),
+    ("c13_hardy", {("experiment",): "frobnicate"}, "experiment: 'frobnicate' is not one of"),
+]
+
+
+@pytest.mark.parametrize("entry, changes, named", PLAN_CHECKS,
+                         ids=[f"{e}-{'.'.join(map(str, path))}={value}" for e, changes, _
+                              in PLAN_CHECKS for path, value in list(changes.items())[-1:]])
+def test_suite_raises_a_later_entrys_bad_value_before_any_entry_solves(
+        tmp_path, capsys, monkeypatch, entry, changes, named):
+    solved = []  # the first entry's solve reads heat kernels; its plan reads none
+    monkeypatch.setattr(experiments, "heat_kernel", lambda *args: solved.append(args))
+    bad = _manifest_entry(entry)
+    for (*keys, last), value in changes.items():
+        node = bad
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([FAST_CONFIG, bad]))
+    code = main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert solved == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothing(monkeypatch):
+    called = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, record)
+
+    spy(DivergenceFormOperator, "dense_eig")
+    spy(evolution, "_chebyshev_terms")
+    spy(wave, "cosine_propagator")
+    spy(reporting, "write_report")
+    plans = {raw["name"]: plan_experiment(ExperimentConfig.from_dict(raw))
+             for raw in acceptance_manifest()}
+    assert len(plans) == 20 and called == []
+    rep, solve = plans["c14_free_space_oracle"]
+    solve()  # the spies see a solve
+    assert rep["passed"] and set(called) == {"dense_eig"}
+
+
 @pytest.mark.parametrize("kind", ["distance", "separation", "compare", "wave"])
 def test_cli_missing_grid_exits_2(tmp_path, capsys, kind):
     raw = _manifest_entry(DEFAULT_ENTRIES[kind])
@@ -654,6 +778,7 @@ def test_cli_missing_grid_exits_2(tmp_path, capsys, kind):
 
 def test_a_type_error_inside_a_runner_is_not_a_config_error(monkeypatch):
     def runner(cfg, rep, *, t=1.0):
+        yield
         raise TypeError(f"raised inside the runner at t={t}")
 
     monkeypatch.setitem(experiments._RUNNERS, "conservation", {None: runner})

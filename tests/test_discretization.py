@@ -70,6 +70,20 @@ def test_face_conductance_strong_degeneracy_straddling_zero():
     assert face_conductance(CoefficientField(phalf), 0, [-0.004], 0.01) == 0.0
 
 
+@pytest.mark.parametrize("start", [-0.5, -0.3], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("delta", [0.25, 0.45, 0.49, 0.499, 0.4999, 0.49999])
+def test_straddling_face_conductance_is_exact_to_rounding_below_the_threshold(delta, start):
+    # c1 = |x1|^(2 delta) when delta1p = delta1, so the mean of 1/c1 over the
+    # face [x, x + h] that straddles 0 is (a^e + b^e) / (e h), a = -x, b = x + h,
+    # e = 1 - 2 delta; its conductance tends to 0 as delta rises to 1/2
+    h = 0.02
+    x = start * h
+    e = 1.0 - 2.0 * delta
+    mean = ((-x) ** e + (x + h) ** e) / (e * h)
+    got = face_conductance(CoefficientField(GrusinParameters(1, 0, delta, delta)), 0, [x], h)
+    assert got == pytest.approx(1.0 / (h * h * mean), rel=1e-14, abs=0.0)
+
+
 def test_face_conductance_weak_degeneracy_quadrature_oracle():
     p = GrusinParameters(1, 0, 0.25, 0.5)
     cf = CoefficientField(p)

@@ -188,8 +188,7 @@ def _face_by_face(op):
     x1 = x[:, :grid.params.n]
     keep = {"neumann_truncation": np.ones(grid.n_nodes, dtype=bool),
             "dirichlet_origin": (x1 * x1).sum(axis=1) > 0.0,
-            "half_line_positive": x[:, 0] >= 0.0,
-            "half_line_negative": x[:, 0] <= 0.0}[boundary]
+            "half_line_positive": x[:, 0] >= 0.0}[boundary]
     kept = np.nonzero(keep)[0]
     row = -np.ones(grid.n_nodes, dtype=int)
     row[kept] = np.arange(kept.size)
