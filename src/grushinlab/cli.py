@@ -2,18 +2,18 @@
 
 Subcommands: distance, volume, heat-kernel, conservation, decay, separation,
 compare, wave, nash, suite, report.  Every experiment subcommand takes
---config PATH (JSON, see grushinlab.config), --out DIR and --seed S; flags
-override the config file, and the environment variables GRUSHINLAB_CONFIG /
-GRUSHINLAB_OUT / GRUSHINLAB_SEED mirror the flags (flags win).  Without
---config a subcommand runs a copy of its kind's entry of the acceptance
-manifest (DEFAULT_ENTRIES), frozen check bounds included, and writes it to
-<out>/<entry name>/.  Each subcommand is its experiment kind with '_' written
-as '-'.
+--config PATH (JSON, see grushinlab.config), --out DIR (default ./results)
+and --seed S, which replaces the config's seed.  Without --config a
+subcommand runs a copy of its kind's entry of the acceptance manifest
+(DEFAULT_ENTRIES), frozen check bounds included.  Each run writes to
+<out>/<name>/.  Each subcommand is its experiment kind with '_' written as
+'-'.  A flag is the only owner of its run setting: no environment variable
+is read, and a config holds no output directory ("out" is an unknown field).
 
-``suite`` runs a manifest of configs (JSON list, or the built-in ``acceptance``
-manifest) on --workers N processes (GRUSHINLAB_WORKERS, default 1), --seed S
-(GRUSHINLAB_SEED) replacing every seed, and exits nonzero if any check fails;
-a config error in any entry exits 2 before any entry solves or writes;
+``suite`` runs a manifest of configs (a JSON list of config objects, or the
+built-in ``acceptance`` manifest) on --workers N processes (N >= 1, default
+1), --seed S replacing every seed, and exits nonzero if any check fails; a
+config error in any entry exits 2 before any entry solves or writes;
 ``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
 when every check passed.
 """
@@ -30,8 +30,6 @@ from .config import ConfigError, ExperimentConfig
 from .experiments import acceptance_manifest, plan_experiment
 from .reporting import summary_lines, write_report
 
-ENV_PREFIX = "GRUSHINLAB_"
-
 # experiment kind -> the manifest entry its subcommand runs without --config
 DEFAULT_ENTRIES = {
     "conservation": "c01_conservation_1d",
@@ -46,20 +44,6 @@ DEFAULT_ENTRIES = {
 }
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_int(name: str, default=None):
-    value = _env(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError as err:
-        raise ConfigError(f"{ENV_PREFIX}{name}: expected an integer, got {value!r}") from err
-
-
 def _load_json(path: str):
     with open(path) as fh:
         try:
@@ -69,9 +53,8 @@ def _load_json(path: str):
 
 
 def _load_config_dict(kind: str, args) -> dict:
-    path = args.config or _env("CONFIG")
-    if path:
-        raw = _load_json(path)
+    if args.config:
+        raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise ConfigError("config: expected an object")
     else:
@@ -81,19 +64,13 @@ def _load_config_dict(kind: str, args) -> dict:
     if raw.get("experiment") != kind:
         raise ConfigError(f"experiment: config is for {raw.get('experiment')!r}, "
                           f"but the {kind!r} subcommand was invoked")
-    seed = args.seed if args.seed is not None else _env_int("SEED")
-    if seed is not None:
-        raw["seed"] = seed
-    out = args.out or _env("OUT")
-    if out:
-        raw["out"] = out
+    if args.seed is not None:
+        raw["seed"] = args.seed
     return raw
 
 
-def _manifest(loaded) -> list[dict]:
-    """The configs of a manifest document: a list of objects, or an object
-    holding one as ``experiments``."""
-    entries = loaded.get("experiments") if isinstance(loaded, dict) else loaded
+def _manifest(entries) -> list[dict]:
+    """The configs of a manifest document, which is a list of objects."""
     if not isinstance(entries, list):
         raise ConfigError("experiments: expected a list of config objects")
     for k, raw in enumerate(entries):
@@ -102,21 +79,23 @@ def _manifest(loaded) -> list[dict]:
     return entries
 
 
-def _solve(cfg: ExperimentConfig, report: dict, solve, default_out: str) -> dict:
+def _solve(cfg: ExperimentConfig, report: dict, solve, out_dir: str) -> dict:
     solve()
-    report["report_path"] = write_report(os.path.join(cfg.out or default_out, cfg.name), report)
+    report["report_path"] = write_report(os.path.join(out_dir, cfg.name), report)
     return report
 
 
-def _run_single(raw: dict, default_out: str) -> dict:
+def _run_single(raw: dict, out_dir: str) -> dict:
     cfg = ExperimentConfig.from_dict(raw)
-    return _solve(cfg, *plan_experiment(cfg), default_out)
+    return _solve(cfg, *plan_experiment(cfg), out_dir)
 
 
 def run_suite(manifest: list[dict], out_dir: str, workers: int) -> dict:
+    if workers < 1:
+        raise ConfigError(f"--workers: {workers} must be at least 1")
     # plan every entry first: a bad one raises before any entry solves or writes
     plans = [(cfg, *plan_experiment(cfg)) for cfg in map(ExperimentConfig.from_dict, manifest)]
-    if workers <= 1 or len(manifest) <= 1:
+    if workers == 1 or len(manifest) <= 1:
         reports = []
         while plans:  # each plan is dropped once solved, with the operators it holds
             reports.append(_solve(*plans.pop(0), out_dir))
@@ -155,13 +134,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind.replace("_", "-"),
                            help=f"run the {kind} experiment (default: manifest entry {entry})")
         p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", help="output directory (default ./results)")
+        p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("suite", help="run a manifest of experiments")
     p.add_argument("--manifest", default="acceptance",
                    help="JSON manifest path, or 'acceptance' for the built-in suite")
-    p.add_argument("--out", help="output directory (default ./results)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--out", default="results", help="output directory")
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
     p.add_argument("--seed", type=int, default=None, help="override every config's seed")
     p = sub.add_parser("report", help="pretty-print a stored report.json")
     p.add_argument("path", help="path to report.json or suite_report.json")
@@ -179,19 +158,16 @@ def main(argv=None) -> int:
         _print_report(stored)
         return 0 if stored.get("passed") else 1
 
-    out_dir = args.out or _env("OUT") or "results"
     if args.command == "suite":
         try:
             if args.manifest == "acceptance":
                 manifest = acceptance_manifest()
             else:
                 manifest = _manifest(_load_json(args.manifest))
-            seed = args.seed if args.seed is not None else _env_int("SEED")
-            if seed is not None:
+            if args.seed is not None:
                 for raw in manifest:
-                    raw["seed"] = seed
-            workers = args.workers if args.workers is not None else _env_int("WORKERS", 1)
-            aggregate = run_suite(manifest, out_dir, workers)
+                    raw["seed"] = args.seed
+            aggregate = run_suite(manifest, args.out, args.workers)
         except ConfigError as err:
             print(f"configuration error: {err}", file=sys.stderr)
             return 2
@@ -203,7 +179,7 @@ def main(argv=None) -> int:
     kind = args.command.replace("-", "_")
     try:
         raw = _load_config_dict(kind, args)
-        report = _run_single(raw, out_dir)
+        report = _run_single(raw, args.out)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

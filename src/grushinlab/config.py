@@ -10,7 +10,6 @@ Schema:
       "params":    GrusinParameters: {"n", "m", "delta1", "delta1p", "delta2", "delta2p"},
       "grid":      build_grid: {"extents": number | [per axis], "counts": int | [per axis]},
       "method":    EvolutionMethod: {"kind", "tolerance", "max_exact_dimension"},
-      "out":       output directory or null,
       "knobs":     the runner's settings (see below)
     }
 
@@ -20,6 +19,9 @@ on ``_from_fields``, "params" on GrusinParameters (n = 1, m = 0, every delta
 0), "method" on EvolutionMethod (an absent or null "method" is all its
 defaults).  An unknown key, a required key left out or a value the class
 rejects is a ConfigError naming its path ("params.delta_2: unknown field").
+A config is the experiment's identity and nothing else: how a run is
+launched (its output directory, worker count) belongs to the command line,
+so "out" is an unknown field like any other.
 
 "method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential",
 the name (kept for the frozen config hashes) of the Chebyshev series of
@@ -38,7 +40,8 @@ parameters, and their defaults are the runner's (grushinlab.experiments).
 An unknown experiment, a task the kind does not have, a knob the runner
 does not declare or a required knob left out is a ConfigError naming it
 when the experiment is planned (grushinlab.experiments.plan_experiment).
-Re-running the same config byte-reproduces all CSV output.
+Re-running the same config byte-reproduces all CSV output, and report.json
+up to its timings, alone or in a suite, on any worker count.
 """
 
 from __future__ import annotations
@@ -116,7 +119,6 @@ class ExperimentConfig:
     grid_counts: tuple[int, ...] | None
     method: EvolutionMethod
     seed: int
-    out: str | None
     name: str
     knobs: dict
 
@@ -137,7 +139,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "params": asdict(self.params),
             "method": asdict(self.method),
-            "out": self.out,
             "knobs": self.knobs,
         }
         if self.grid_extents is not None:
@@ -145,13 +146,10 @@ class ExperimentConfig:
         return out
 
     def hash(self) -> str:
-        # the output directory is a runtime knob, not part of the
-        # experiment's identity: results must not depend on it
-        hashed = {k: v for k, v in self.to_dict().items() if k != "out"}
-        return config_hash(hashed)
+        return config_hash(self.to_dict())
 
 
-def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, out=None, name=None,
+def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, name=None,
                  knobs=None) -> ExperimentConfig:
     """The top-level keys of a config document, with their defaults."""
     params = build(GrusinParameters, "params", params)
@@ -165,4 +163,4 @@ def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, out=
     return ExperimentConfig(experiment=experiment, params=params,
                             grid_extents=None if grid is None else grid.extents,
                             grid_counts=None if grid is None else grid.counts, method=method,
-                            seed=seed, out=out, name=name or experiment, knobs=dict(knobs))
+                            seed=seed, name=name or experiment, knobs=dict(knobs))

@@ -9,17 +9,20 @@ set by some manifest entry (a value no entry changes is a constant beside
 its code): ``config.bind`` checks ``cfg.knobs`` and every nested spec (decay
 stage, radius grid, ``vf_params``) against a signature, so an unknown or
 missing knob is a ConfigError naming it; so is a value outside a knob's
-enumerated choices (``_one_of``), or a time that is not positive
-(``_positive``).  ``plan_experiment`` picks the runner from ``_RUNNERS`` by
-experiment kind and ``knobs.task`` and plans it in the report frame (config
-echo and hash, derived exponents, timings, the pass flag).  The acceptance
-manifest at the bottom freezes every tolerance of the verification suite.
+enumerated choices (``_one_of``), a value a computation's own argument
+check refuses (``_check_knobs``, ``_resolve``), or a time, width or radius
+that is not a positive number (``_positive``).  ``plan_experiment`` picks
+the runner from ``_RUNNERS`` by experiment kind and ``knobs.task`` and plans
+it in the report frame (config echo and hash, derived exponents, timings,
+the pass flag).  The acceptance manifest at the bottom freezes every
+tolerance of the verification suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict
+from numbers import Real
 
 import numpy as np
 
@@ -34,8 +37,8 @@ from .evolution import (
     ondiagonal_decay,
     separation_check,
 )
-from .geometry import (MetricGraph, ball_volume, ball_volume_closed_form, closed_form_distance,
-                       doubling_exponent)
+from .geometry import (MetricGraph, _doubling_radii, ball_volume, ball_volume_closed_form,
+                       closed_form_distance, doubling_exponent)
 from .multipliers import (
     _bump_widths,
     _hardy_args,
@@ -75,18 +78,21 @@ def _counts(**counts) -> None:
 
 def _positive(path: str, value) -> None:
     """A ConfigError naming ``path`` (``path[i]`` in a list) for a value
-    that is not positive: a width, or a time (a kernel needs t > 0)."""
+    that is not a positive real number (a bool is not one): a width, a
+    radius, or a time (a kernel needs t > 0)."""
     if isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _positive(f"{path}[{i}]", v)
+    elif isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{path}: {value!r} is not a number")
     elif not value > 0:
         raise ConfigError(f"{path}: {value!r} must be positive")
 
 
 def _resolve(path: str, lookup, *args):
     """``lookup(*args)``, ``op.node_index`` or ``grid.flat_index`` of a point
-    (or a check of the grid): a point off the grid, or on a node the
-    boundary removed, is a ConfigError naming ``path``."""
+    (or a computation's check of its arguments): a point off the grid, or on
+    a node the boundary removed, is a ConfigError naming ``path``."""
     try:
         return lookup(*args)
     except ValueError as err:
@@ -108,8 +114,11 @@ def _resolve_all(path: str, lookup, points) -> list:
 
 
 def _geomspace(*, lo, hi, n):
-    """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically."""
-    return np.geomspace(lo, hi, n)
+    """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically from lo
+    to hi, both positive."""
+    _positive("lo", lo)
+    _positive("hi", hi)
+    return np.geomspace(lo, hi, _as_int("n", n, positive=True))
 
 
 def _levels(cfg: ExperimentConfig, count: int):
@@ -266,7 +275,7 @@ _BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of ever
 
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
                  stencil_order=2, min_closed=0.1, stability_factor=1.25):
-    _counts(n_sources=n_sources, n_targets=n_targets)
+    _counts(n_sources=n_sources, n_targets=n_targets, stencil_order=stencil_order)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
@@ -348,11 +357,13 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
 
 def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers=([0.0], [5.0]),
                  slack=0.3):
+    _positive("knobs.r0", r0)
+    _counts(n_radii=n_radii)
+    radii = _resolve("knobs.n_radii", _doubling_radii, r0 * 2.0 ** np.arange(n_radii))
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
     yield
     graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
-    radii = r0 * 2.0 ** np.arange(n_radii)
     bound = derive_exponents(cfg.params).doubling_dim + slack
     worst = -np.inf
     for center, node in zip(centers, nodes):
@@ -455,6 +466,8 @@ def _region_rows(grid, lo, hi):
 def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0),
                 exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
                 control=True, control_tol=1e-10):
+    _counts(n_times=n_times)
+    _positive("knobs.exponent_range", exponent_range)
     lo, hi = region
     if lo <= r_cut / 2.0:
         raise ConfigError(f"knobs.region: {list(region)} must stay outside the modified set "
@@ -523,7 +536,7 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
     _positive("knobs.bump_width", bump_width)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     for grid in _levels(cfg, refinements):  # a plan holds no bump: each level makes its own
-        if not bump(grid, center, [bump_width] * grid.dim).any():
+        if not _resolve("knobs.bump_center", bump, grid, center, [bump_width] * grid.dim).any():
             raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
                               f"node on the grid of {grid.counts} nodes")
     yield
@@ -564,6 +577,7 @@ _DG_PAIRS = ((-2.5, 1.5, 0.5), (-1.5, 1.5, 0.4), (-3.0, 3.0, 0.5), (1.2, 3.2, 0.
 
 def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
                        exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20):
+    _positive("knobs.exponent_targets", exponent_targets)  # d^2 / (4t): a positive time
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)

@@ -216,13 +216,10 @@ def ball_volume_closed_form(params: GrusinParameters, center, r: float) -> float
     return r ** params.dim * piecewise_power(rx, e.beta, e.betap)
 
 
-def doubling_exponent(radii, volumes) -> float:
-    """max over consecutive radius pairs of log2(V(2r) / V(r)).
-
-    Requires at least 8 radii in geometric progression with ratio 2
-    (spanning at least two decades) and nondecreasing volumes.
-    """
-    r, v = np.asarray(radii, dtype=float), np.asarray(volumes, dtype=float)
+def _doubling_radii(radii) -> np.ndarray:
+    """:func:`doubling_exponent`'s radius check: at least 8 radii in
+    geometric progression with ratio 2, spanning at least two decades."""
+    r = np.asarray(radii, dtype=float)
     if len(r) < 8:
         raise ValueError("need at least 8 radii")
     ratios = r[1:] / r[:-1]
@@ -230,6 +227,13 @@ def doubling_exponent(radii, volumes) -> float:
         raise ValueError("radii must be a factor-2 geometric sequence")
     if r[-1] / r[0] < 100.0:
         raise ValueError("radii must span at least two decades")
+    return r
+
+
+def doubling_exponent(radii, volumes) -> float:
+    """max over consecutive radius pairs of log2(V(2r) / V(r)), for radii
+    that pass :func:`_doubling_radii` and nondecreasing volumes."""
+    r, v = _doubling_radii(radii), np.asarray(volumes, dtype=float)
     if np.any(np.diff(v) < -1e-12 * v[:-1]):
         raise ValueError("volumes must be nondecreasing in r")
     return float(np.max(np.log2(v[1:] / v[:-1])))

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from grushinlab import evolution, experiments, reporting, wave
+from grushinlab import cli, evolution, experiments, reporting, wave
 from grushinlab.cli import DEFAULT_ENTRIES, main, run_suite
 from grushinlab.coefficients import GrusinParameters
 from grushinlab.config import ConfigError, ExperimentConfig, bind, config_hash
@@ -233,15 +233,43 @@ def test_cli_rejects_config_for_other_subcommand(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_env_overrides(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["conservation", "suite"])
+def test_a_config_that_sets_out_exits_2_naming_it(tmp_path, capsys, command):
+    # the output directory belongs to --out alone, not to the config
+    path = tmp_path / "cfg.json"
+    raw = dict(FAST_CONFIG, out=str(tmp_path / "elsewhere"))
+    path.write_text(json.dumps([raw] if command == "suite" else raw))
+    flag = "--manifest" if command == "suite" else "--config"
+    code = main([command, flag, str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "out: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+
+def test_one_config_writes_the_same_bytes_alone_and_in_a_suite(tmp_path):
+    # report.json's config echo carries nothing of how the run was launched
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(FAST_CONFIG))
-    monkeypatch.setenv("GRUSHINLAB_OUT", str(tmp_path / "envout"))
-    monkeypatch.setenv("GRUSHINLAB_SEED", "12345")
-    code = main(["conservation", "--config", str(cfg_path)])
-    assert code == 0
-    stored = json.loads((tmp_path / "envout" / "tiny" / "report.json").read_text())
-    assert stored["config"]["seed"] == 12345
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([FAST_CONFIG]))
+    assert main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "d1")]) == 0
+    assert main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "d2")]) == 0
+    _assert_same_outputs(tmp_path / "d1" / "tiny", tmp_path / "d2" / "tiny")
+
+
+def _assert_same_outputs(a_dir, b_dir):
+    """Every CSV of two runs byte for byte, and report.json up to its timings."""
+    names = sorted(p.name for p in a_dir.iterdir())
+    assert names == sorted(p.name for p in b_dir.iterdir())
+    assert "report.json" in names and any(name.endswith(".csv") for name in names)
+    for name in names:
+        a, b = (d / name for d in (a_dir, b_dir))
+        if name == "report.json":
+            a, b = (json.loads(p.read_text()) for p in (a, b))
+            assert a.pop("timings") and b.pop("timings")
+            assert a == b
+        else:
+            assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_malformed_delta_message(tmp_path, capsys):
@@ -256,16 +284,32 @@ def test_cli_malformed_delta_message(tmp_path, capsys):
 
 
 def test_suite_outputs_independent_of_worker_count(tmp_path):
-    manifest = [json.loads(json.dumps(FAST_CONFIG))]
+    # two entries, so that the two-worker suite runs them on a process pool
+    other = dict(FAST_CONFIG, name="other", seed=7)
+    manifest = [json.loads(json.dumps(FAST_CONFIG)), other]
     run_suite([dict(m) for m in manifest], str(tmp_path / "w1"), workers=1)
     run_suite([dict(m) for m in manifest], str(tmp_path / "w2"), workers=2)
-    a = (tmp_path / "w1" / "tiny" / "conservation.csv").read_bytes()
-    b = (tmp_path / "w2" / "tiny" / "conservation.csv").read_bytes()
-    assert a == b
+    for name in ("tiny", "other"):
+        _assert_same_outputs(tmp_path / "w1" / name, tmp_path / "w2" / name)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_suite_with_fewer_than_one_worker_exits_2_before_any_entry_plans(
+        tmp_path, capsys, monkeypatch, workers):
+    planned = []
+    monkeypatch.setattr(cli, "plan_experiment", lambda cfg: planned.append(cfg))
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps([FAST_CONFIG]))
+    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite"),
+                 "--workers", workers])
+    assert code == 2
+    assert f"--workers: {workers} must be at least 1" in capsys.readouterr().err
+    assert planned == []
+    assert not (tmp_path / "suite").exists()
 
 
 def test_suite_cli_with_manifest_file(tmp_path, capsys):
-    manifest = {"experiments": [json.loads(json.dumps(FAST_CONFIG))]}
+    manifest = [json.loads(json.dumps(FAST_CONFIG))]
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest))
     code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
@@ -276,43 +320,14 @@ def test_suite_cli_with_manifest_file(tmp_path, capsys):
     assert stored["passed"]
 
 
-def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(FAST_CONFIG))
-    monkeypatch.setenv("GRUSHINLAB_SEED", "abc")
-    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "GRUSHINLAB_SEED" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag, env, expected", [(None, "77", 77), ("5", "77", 5)])
-def test_suite_seed_flag_and_variable(tmp_path, monkeypatch, flag, env, expected):
+@pytest.mark.parametrize("flag, expected", [(None, 99), ("5", 5)])
+def test_suite_seed_flag_replaces_the_configs_seed(tmp_path, flag, expected):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps([FAST_CONFIG]))
-    monkeypatch.setenv("GRUSHINLAB_SEED", env)
     argv = ["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")]
     assert main(argv + (["--seed", flag] if flag else [])) == 0
     stored = json.loads((tmp_path / "suite" / "tiny" / "report.json").read_text())
     assert stored["config"]["seed"] == expected
-
-
-def test_suite_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
-    mpath = tmp_path / "manifest.json"
-    mpath.write_text(json.dumps([FAST_CONFIG]))
-    monkeypatch.setenv("GRUSHINLAB_SEED", "abc")
-    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
-    assert code == 2
-    assert "GRUSHINLAB_SEED" in capsys.readouterr().err
-    assert not (tmp_path / "suite").exists()
-
-
-def test_suite_rejects_non_integer_workers_variable(tmp_path, capsys, monkeypatch):
-    mpath = tmp_path / "manifest.json"
-    mpath.write_text(json.dumps([FAST_CONFIG]))
-    monkeypatch.setenv("GRUSHINLAB_WORKERS", "two")
-    code = main(["suite", "--manifest", str(mpath), "--out", str(tmp_path / "suite")])
-    assert code == 2
-    assert "GRUSHINLAB_WORKERS" in capsys.readouterr().err
 
 
 def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
@@ -328,7 +343,10 @@ def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
     (3, [], "experiments: "),
     ({"exp": []}, [], "experiments: "),
     ([5], ["--seed", "3"], "experiments[0]: "),
-], ids=["experiments-not-a-list", "bare-number", "no-experiments-key", "entry-not-an-object"])
+    # a manifest is a list: an object wrapping one is refused too
+    ({"experiments": [FAST_CONFIG]}, [], "experiments: expected a list of config objects"),
+], ids=["experiments-not-a-list", "bare-number", "no-experiments-key", "entry-not-an-object",
+        "list-wrapped-in-an-object"])
 def test_suite_rejects_manifest_of_the_wrong_shape(tmp_path, capsys, document, seed, named):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(document))
@@ -716,6 +734,34 @@ PLAN_CHECKS = [
     ("c13_hardy", {("knobs", "task"): "hardyy"}, "knobs.task: 'hardyy' is not a task of 'nash'"),
     ("c13_hardy", {("knobs", "task"): ["hardy"]}, "knobs.task: ['hardy'] is not a task of 'nash'"),
     ("c13_hardy", {("experiment",): "frobnicate"}, "experiment: 'frobnicate' is not one of"),
+    # a knob value of the wrong type: a string, a null or a bool for a number, a short point
+    ("c01_conservation_1d", {("knobs", "times"): ["a"]}, "knobs.times[0]: 'a' is not a number"),
+    ("c01_conservation_1d", {("knobs", "times"): [0.01, None]},
+     "knobs.times[1]: None is not a number"),
+    ("c01_conservation_1d", {("knobs", "times"): [True]}, "knobs.times[0]: True is not a number"),
+    ("c07_separation_weak", {("knobs", "t"): "1"}, "knobs.t: '1' is not a number"),
+    ("c10_speed_constant", {("knobs", "bump_center"): [1.0]},
+     "knobs.bump_center: point must have 2 coordinates"),
+    # a value the solve would refuse, refused by the plan
+    ("c04_distance", {("knobs", "stencil_order"): 0},
+     "knobs.stencil_order must be a positive integer"),
+    ("c06_doubling", {("knobs", "n_radii"): 3}, "knobs.n_radii: need at least 8 radii"),
+    ("c06_doubling", {("knobs", "r0"): 0.0}, "knobs.r0: 0.0 must be positive"),
+    ("c06_doubling", {("knobs", "r0"): -0.1}, "knobs.r0: -0.1 must be positive"),
+    ("c09_davies_gaffney", {("knobs", "exponent_targets"): [-4, 9]},
+     "knobs.exponent_targets[0]: -4 must be positive"),
+    ("c11_compare", {("knobs", "n_times"): 0}, "knobs.n_times must be a positive integer"),
+    ("c11_compare", {("knobs", "exponent_range"): [-2.0, 16.0]},
+     "knobs.exponent_range[0]: -2.0 must be positive"),
+    ("c11_compare", {("knobs", "exponent_range"): [2.0, 0.0]},
+     "knobs.exponent_range[1]: 0.0 must be positive"),
+    ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): -1},
+     "knobs.origin_radii: lo: -1 must be positive"),
+    ("c05_volume_slopes", {("knobs", "off_radii", "n"): 0},
+     "knobs.off_radii.n must be a positive integer"),
+    ("c12_nash_full", {("knobs", "r_grid", "hi"): -60.0},
+     "knobs.r_grid: hi: -60.0 must be positive"),
+    ("c12_nash_full", {("knobs", "r_grid", "lo"): -1}, "knobs.r_grid: lo: -1 must be positive"),
 ]
 
 

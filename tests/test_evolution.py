@@ -915,3 +915,38 @@ def test_power_coefficient_kernel_converges_to_the_continuum_dichotomy(delta):
         assert exact_cross > 0.0
         err, order = orders(cross, exact_cross)
         assert err[-1] < 6e-3 and np.all(order > 1.9)
+
+
+# the dichotomy as delta1 rises to 1/2 (delta1' = delta1): the finest level's
+# bound on the cross kernel's relative error, measured 1.0e-5, 1.0e-3,
+# 1.2e-2, 0.20 and 0.81 on 1,601 nodes (the error of the straddling face
+# tends to 1 at the threshold, where the continuum's conductance vanishes)
+_SWEEP_FINEST_ERROR = {0.25: 2e-5, 0.4: 2e-3, 0.45: 2e-2, 0.49: 0.3, 0.499: 0.9}
+
+
+def test_cross_kernel_falls_to_exactly_zero_at_the_dichotomys_threshold():
+    # c07's 1-D setup: Neumann box of extent 4, source x = 1, point y = -0.5
+    # across x1 = 0, t = 1, h = 0.02, 0.01, 0.005
+    t, x, y = 1.0, 1.0, -0.5
+    deltas = sorted(_SWEEP_FINEST_ERROR) + [0.5, 0.75]
+    exact, cross = [], []  # per delta: the continuum's cross kernel, the discrete per level
+    for delta in deltas:
+        params = GrusinParameters(1, 0, delta, delta)
+        exact.append(_power_kernel(2.0 * delta, t, x, y))
+        levels = []
+        for count in (401, 801, 1601):
+            op = assemble(build_grid(params, 4.0, count), CoefficientField(params))
+            levels.append(heat_kernel(op, op.node_index([x]), t, EXACT).values[op.node_index([y])])
+        cross.append(levels)
+    below = len(_SWEEP_FINEST_ERROR)
+    finest = [levels[-1] for levels in cross]
+    # strictly decreasing below 1/2, in the continuum and on the finest grid ...
+    assert np.all(np.diff(exact[:below]) < 0) and np.all(np.diff(finest[:below]) < 0)
+    assert finest[below - 1] > 0.0
+    # ... and exactly 0 from 1/2 on, on every level
+    assert exact[below:] == [0.0, 0.0] and cross[below:] == [[0.0] * 3] * 2
+    for delta, want, levels in zip(deltas, exact, cross[:below]):
+        err = np.abs(np.asarray(levels) / want - 1.0)
+        assert err[-1] <= _SWEEP_FINEST_ERROR[delta], (delta, err)
+        if delta >= 0.4:  # at 0.25 the error sits near 1e-5 and stops shrinking
+            assert np.all(np.diff(err) < 0), (delta, err)
