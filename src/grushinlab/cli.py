@@ -1,21 +1,18 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: ``grushinlab suite`` and ``grushinlab report``.
 
-Subcommands: distance, volume, heat-kernel, conservation, decay, separation,
-compare, wave, nash, suite, report.  Every experiment subcommand takes
---config PATH (JSON, see grushinlab.config), --out DIR (default ./results)
-and --seed S, which replaces the config's seed.  Without --config a
-subcommand runs a copy of its kind's entry of the acceptance manifest
-(DEFAULT_ENTRIES), frozen check bounds included.  Each run writes to
-<out>/<name>/.  Each subcommand is its experiment kind with '_' written as
-'-'.  A flag is the only owner of its run setting: no environment variable
-is read, and a config holds no output directory ("out" is an unknown field).
+``suite`` runs a manifest, a JSON list of config objects (see
+grushinlab.config) given by --manifest PATH, or the built-in frozen
+``acceptance`` manifest (the default).  One config runs as a one-element
+list.  Each config writes to <out>/<name>/ (--out DIR, default ./results),
+and the suite writes <out>/suite_report.json.  --workers N (N >= 1,
+default 1) runs the configs on N processes, and --seed S replaces every
+config's seed.  A flag is the only owner of its run setting: no
+environment variable is read, and a config holds no output directory
+("out" is an unknown field).  Every entry is planned before any solves, so
+a config error in any entry exits 2 before anything is written.
 
-``suite`` runs a manifest of configs (a JSON list of config objects, or the
-built-in ``acceptance`` manifest) on --workers N processes (N >= 1, default
-1), --seed S replacing every seed, and exits nonzero if any check fails; a
-config error in any entry exits 2 before any entry solves or writes;
-``report`` pretty-prints a stored report.json.  Exit status is 0 exactly
-when every check passed.
+``report`` pretty-prints a stored report.json or suite_report.json.  Exit
+status is 0 exactly when every check passed.
 """
 
 from __future__ import annotations
@@ -30,19 +27,6 @@ from .config import ConfigError, ExperimentConfig
 from .experiments import acceptance_manifest, plan_experiment
 from .reporting import summary_lines, write_report
 
-# experiment kind -> the manifest entry its subcommand runs without --config
-DEFAULT_ENTRIES = {
-    "conservation": "c01_conservation_1d",
-    "decay": "c03_decay_1d",
-    "distance": "c04_distance",
-    "volume": "c05_volume_slopes",
-    "heat_kernel": "c14_free_space_oracle",
-    "separation": "c07_separation_weak",
-    "compare": "c11_compare",
-    "wave": "c10_speed_constant",
-    "nash": "c12_nash_full",
-}
-
 
 def _load_json(path: str):
     with open(path) as fh:
@@ -50,23 +34,6 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: not valid JSON ({err})") from err
-
-
-def _load_config_dict(kind: str, args) -> dict:
-    if args.config:
-        raw = _load_json(args.config)
-        if not isinstance(raw, dict):
-            raise ConfigError("config: expected an object")
-    else:
-        raw = next(e for e in acceptance_manifest() if e["name"] == DEFAULT_ENTRIES[kind])
-    if raw.get("experiment") is None:
-        raw["experiment"] = kind
-    if raw.get("experiment") != kind:
-        raise ConfigError(f"experiment: config is for {raw.get('experiment')!r}, "
-                          f"but the {kind!r} subcommand was invoked")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return raw
 
 
 def _manifest(entries) -> list[dict]:
@@ -130,35 +97,24 @@ def main(argv=None) -> int:
         description="Desk-scale verification experiments for Grushin-type degenerate diffusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind, entry in DEFAULT_ENTRIES.items():
-        p = sub.add_parser(kind.replace("_", "-"),
-                           help=f"run the {kind} experiment (default: manifest entry {entry})")
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("suite", help="run a manifest of experiments")
     p.add_argument("--manifest", default="acceptance",
-                   help="JSON manifest path, or 'acceptance' for the built-in suite")
+                   help="path of a JSON list of configs, or 'acceptance' for the built-in suite")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
     p.add_argument("--seed", type=int, default=None, help="override every config's seed")
-    p = sub.add_parser("report", help="pretty-print a stored report.json")
+    p = sub.add_parser("report", help="pretty-print a stored report")
     p.add_argument("path", help="path to report.json or suite_report.json")
 
     args = parser.parse_args(argv)
 
     if args.command == "report":
         with open(args.path) as fh:
-            stored = json.load(fh)
-        if "experiments" in stored:
-            for entry in stored["experiments"]:
-                _print_report(entry)
-            print("SUITE:", "PASS" if stored["passed"] else "FAIL")
-            return 0 if stored["passed"] else 1
-        _print_report(stored)
-        return 0 if stored.get("passed") else 1
-
-    if args.command == "suite":
+            aggregate = json.load(fh)
+        if "experiments" not in aggregate:  # one experiment's report.json
+            _print_report(aggregate)
+            return 0 if aggregate.get("passed") else 1
+    else:
         try:
             if args.manifest == "acceptance":
                 manifest = acceptance_manifest()
@@ -171,23 +127,10 @@ def main(argv=None) -> int:
         except ConfigError as err:
             print(f"configuration error: {err}", file=sys.stderr)
             return 2
-        for entry in aggregate["experiments"]:
-            _print_report(entry)
-        print("SUITE:", "PASS" if aggregate["passed"] else "FAIL")
-        return 0 if aggregate["passed"] else 1
-
-    kind = args.command.replace("-", "_")
-    try:
-        raw = _load_config_dict(kind, args)
-        report = _run_single(raw, args.out)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    _print_report(report)
-    print("RESULT:", "PASS" if report["passed"] else "FAIL",
-          f"({report['report_path']})")
-    return 0 if report["passed"] else 1
-
+    for entry in aggregate["experiments"]:
+        _print_report(entry)
+    print("SUITE:", "PASS" if aggregate["passed"] else "FAIL")
+    return 0 if aggregate["passed"] else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -25,7 +25,8 @@ per-x1 value broadcast over x2, so the matrix is written straight into CSR,
 one slot (neighbour direction or diagonal) at a time, without COO triples
 of the whole matrix.  The exact spectrum is factored from the factors
 (:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times the
-eigenpairs of one small x1 fiber per x2 mode; an n = 1 fiber that equals
+eigenpairs of one small x1 fiber per x2 mode, each connected component of
+A1 factored when a read first needs it; an n = 1 fiber that equals
 its x1 mirror image exactly is factored as its even and odd halves.  A
 segment's |x1|^2 is fixed by its x1 start (:func:`segment_quadratic`), so
 the metric graph integrates its edges once per x1 start as well and fills
@@ -36,6 +37,7 @@ Assembled operators are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,24 +242,40 @@ class FiberSpectrum:
     The eigenvectors are orthonormal cosine vectors along the x2 axes
     (``cosines[j][i, k]``) times, for each x2 mode k, the eigenvectors of the
     x1 fiber A1 + diag(sum_j nu_{k_j} g2_j).  Each fiber is diagonalized on
-    every connected component of A1's coupling separately, and every
-    evaluation works per component slice, so decoupled components never mix
-    (their cross-kernel is exactly zero).  ``blocks`` holds one
-    (x1 rows, lam (n2, s), Phi (n2, s, s)) triple per component; column l of
-    Phi[k] is the eigenvector of lam[k, l], in no set order.  A tridiagonal
-    fiber that equals its mirror image exactly (those of every delta1 = 0
-    Neumann operator) is factored as its even and odd halves and unfolded
-    into this layout.
+    every connected component of A1's coupling separately (``components``
+    holds their sorted x1 rows), and every evaluation works per component
+    slice, so decoupled components never mix (their cross-kernel is exactly
+    zero).  A component is factored by ``factor`` on its first read, into
+    lam (n2, s) and Phi (n2, s, s); column l of Phi[k] is the eigenvector
+    of lam[k, l], in no set order.  ``apply`` skips a component its input
+    does not touch (the result there is +0.0), ``block`` factors only the
+    components its rows meet, and ``diagonal`` and ``blocks`` factor them
+    all.  A tridiagonal fiber that equals its mirror image exactly (those
+    of every delta1 = 0 Neumann operator) is factored as its even and odd
+    halves and unfolded into this layout.
     """
 
     n1: int
     x2_counts: tuple
     cosines: tuple
-    blocks: tuple
+    components: tuple
+    factor: Callable
+    _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n2(self) -> int:
         return int(np.prod(self.x2_counts))
+
+    def _eigenpairs(self, c: int) -> tuple:
+        """(lam, Phi) of component c, factored on its first read."""
+        if c not in self._factors:
+            self._factors[c] = self.factor(self.components[c])
+        return self._factors[c]
+
+    @property
+    def blocks(self) -> tuple:
+        """Every component as (x1 rows, lam, Phi), all of them factored."""
+        return tuple((rows, *self._eigenpairs(c)) for c, rows in enumerate(self.components))
 
     def _grid(self, W: np.ndarray) -> np.ndarray:
         return W.reshape((self.n1,) + self.x2_counts)
@@ -265,9 +283,13 @@ class FiberSpectrum:
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         """exp(-tA) v."""
         W = _along_x2(self._grid(v), self.cosines).reshape(self.n1, -1)
-        out = np.empty_like(W)
-        for rows, lam, Phi in self.blocks:
-            coef = (W[rows].T[:, None, :] @ Phi)[:, 0, :] * np.exp(-t * lam)
+        out = np.zeros_like(W)
+        for c, rows in enumerate(self.components):
+            w = W[rows]
+            if not w.any():
+                continue
+            lam, Phi = self._eigenpairs(c)
+            coef = (w.T[:, None, :] @ Phi)[:, 0, :] * np.exp(-t * lam)
             out[rows] = (Phi @ coef[:, :, None])[:, :, 0].T
         return _along_x2(self._grid(out), [C.T for C in self.cosines]).ravel()
 
@@ -292,10 +314,11 @@ class FiberSpectrum:
             for C, i in zip(self.cosines, np.unravel_index(i2, self.x2_counts)):
                 modes = (modes[:, :, None] * C[i][:, None, :]).reshape(rows.size, -1)
         out = np.zeros((len(times), rows.size, rows.size))
-        for x1_rows, lam, Phi in self.blocks:
+        for c, x1_rows in enumerate(self.components):
             sel = np.nonzero(np.isin(a, x1_rows))[0]
             if sel.size == 0:
                 continue
+            lam, Phi = self._eigenpairs(c)
             local = np.searchsorted(x1_rows, a[sel])
             P = (Phi[:, local, :] * modes[sel].T[:, :, None]).transpose(1, 0, 2)
             P = P.reshape(sel.size, -1)
@@ -360,36 +383,37 @@ def _fiber_eigh(d: np.ndarray, e: np.ndarray, Phi: np.ndarray) -> np.ndarray:
 
 
 def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
-    """Diagonalize the x1 fiber of every x2 mode from the assembled factors
-    A1 and g2_j, per connected component of A1's coupling.  For n = 1 the
-    fibers are tridiagonal and each is factored by :func:`_fiber_eigh`, which
-    splits an exactly mirror-symmetric one into its even and odd halves."""
+    """The spectrum of the x1 fiber of every x2 mode, from the assembled
+    factors A1 and g2_j, per connected component of A1's coupling, each
+    component factored on its first read.  For n = 1 the fibers are
+    tridiagonal and each is factored by :func:`_fiber_eigh`, which splits an
+    exactly mirror-symmetric one into its even and odd halves."""
     n = op.grid.params.n
     x2_counts = tuple(op.grid.counts[n:])
     n1, n2 = op.fiber_shape
     A1 = op.fiber[0]
     D = _mode_diagonals(op)
 
-    ncomp, labels = connected_components(A1 != 0.0, directed=False)
-    order = np.argsort(labels, kind="stable")
-    blocks = []
-    for rows in np.split(order, np.cumsum(np.bincount(labels, minlength=ncomp))[:-1]):
+    def factor(rows):
         s = rows.size
         if n == 1:  # tridiagonal fibers; a component is a run of consecutive rows
             lam, Phi = np.empty((n2, s)), np.empty((n2, s, s))
             e = A1.diagonal(1)[rows[:-1]]
             for k in range(n2):
                 lam[k] = _fiber_eigh(D[k, rows], e, Phi[k])
-        else:
-            stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
-            stack[:, np.arange(s), np.arange(s)] = D[:, rows]
-            lam, Phi = np.linalg.eigh(stack)
-        blocks.append((rows, lam, Phi))
+            return lam, Phi
+        stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
+        stack[:, np.arange(s), np.arange(s)] = D[:, rows]
+        return np.linalg.eigh(stack)
+
+    ncomp, labels = connected_components(A1 != 0.0, directed=False)
+    order = np.argsort(labels, kind="stable")
     return FiberSpectrum(
         n1=n1,
         x2_counts=x2_counts,
         cosines=tuple(_cosine_basis(c) for c in x2_counts),
-        blocks=tuple(blocks),
+        components=tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=ncomp))[:-1])),
+        factor=factor,
     )
 
 

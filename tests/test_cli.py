@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grushinlab import cli, evolution, experiments, reporting, wave
-from grushinlab.cli import DEFAULT_ENTRIES, main, run_suite
+from grushinlab.cli import main, run_suite
 from grushinlab.coefficients import GrusinParameters
 from grushinlab.config import ConfigError, ExperimentConfig, bind, config_hash
 from grushinlab.discretization import DivergenceFormOperator
@@ -22,6 +22,13 @@ FAST_CONFIG = {
     "method": {"kind": "exact_eigendecomposition"},
     "knobs": {"bound": 1e-8, "times": [0.05, 0.5], "n_sources": 3},
 }
+
+
+def _suite(tmp_path, *entries):
+    """``grushinlab suite`` on a manifest of ``entries``, writing to tmp_path/out; its exit code."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(list(entries)))
+    return main(["suite", "--manifest", str(path), "--out", str(tmp_path / "out")])
 
 
 def test_config_rejects_out_of_range_delta():
@@ -57,10 +64,7 @@ def test_config_grid_validation_path():
 def test_cli_misspelled_config_key_exits_2_naming_it(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(FAST_CONFIG))
     bad[section][key] = value
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(bad))
-    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, bad) == 2
     assert f"{section}.{key}: unknown field" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -84,10 +88,7 @@ def test_int_and_float_spellings_hash_equal():
 def test_cli_non_integral_count_exits_2_naming_it(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(FAST_CONFIG))
     bad[section][key] = value
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(bad))
-    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, bad) == 2
     kind = "non-negative" if key == "m" else "positive"
     assert f"{section}.{key} must be a {kind} integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -138,13 +139,6 @@ def test_to_dict_round_trip_reproduces_every_manifest_hash():
         assert again.hash() == MANIFEST_HASHES[raw["name"]], raw["name"]
 
 
-def test_worker_count_belongs_to_the_suite_only():
-    with pytest.raises(ConfigError, match="workers: unknown field"):
-        ExperimentConfig.from_dict(dict(FAST_CONFIG, workers=2))
-    with pytest.raises(SystemExit):
-        main(["conservation", "--workers", "2"])
-
-
 def test_reports_are_byte_reproducible(tmp_path):
     # every CSV byte for byte, and report.json up to its wall-clock timings
     cfg = ExperimentConfig.from_dict(FAST_CONFIG)
@@ -190,10 +184,7 @@ def test_suite_binds_every_entry_before_it_runs_any(tmp_path, capsys, monkeypatc
     ran = _stub_runners(monkeypatch)
     bad = _manifest_entry("c01_conservation_1d")
     bad["knobs"]["n_sourcez"] = 10
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps([_manifest_entry("c03_decay_1d"), bad]))
-    code = main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, _manifest_entry("c03_decay_1d"), bad) == 2
     assert "knobs.n_sourcez: unknown field" in capsys.readouterr().err
     assert ran == []
     assert not (tmp_path / "out").exists()
@@ -214,47 +205,25 @@ def test_suite_reports_failing_member(tmp_path):
 
 
 def test_cli_main_runs_config_and_exit_codes(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(FAST_CONFIG))
-    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    # one config runs as a one-element manifest
+    code = _suite(tmp_path, FAST_CONFIG)
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS] tiny :: mass_deviation_max" in out
-    # report round-trip
-    code2 = main(["report", str(tmp_path / "out" / "tiny" / "report.json")])
-    assert code2 == 0
+    # report round-trip, of the experiment's report and of the suite's
+    for stored in ("tiny/report.json", "suite_report.json"):
+        assert main(["report", str(tmp_path / "out" / stored)]) == 0
+        assert "[PASS] tiny :: mass_deviation_max" in capsys.readouterr().out
 
 
-def test_cli_rejects_config_for_other_subcommand(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(FAST_CONFIG))
-    code = main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["conservation", "suite"])
-def test_a_config_that_sets_out_exits_2_naming_it(tmp_path, capsys, command):
+@pytest.mark.parametrize("before", [[], [dict(FAST_CONFIG, name="good")]],
+                         ids=["alone", "after-a-good-entry"])
+def test_a_config_that_sets_out_exits_2_naming_it(tmp_path, capsys, before):
     # the output directory belongs to --out alone, not to the config
-    path = tmp_path / "cfg.json"
     raw = dict(FAST_CONFIG, out=str(tmp_path / "elsewhere"))
-    path.write_text(json.dumps([raw] if command == "suite" else raw))
-    flag = "--manifest" if command == "suite" else "--config"
-    code = main([command, flag, str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, *before, raw) == 2
     assert "out: unknown field" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
-
-
-def test_one_config_writes_the_same_bytes_alone_and_in_a_suite(tmp_path):
-    # report.json's config echo carries nothing of how the run was launched
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(FAST_CONFIG))
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps([FAST_CONFIG]))
-    assert main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "d1")]) == 0
-    assert main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "d2")]) == 0
-    _assert_same_outputs(tmp_path / "d1" / "tiny", tmp_path / "d2" / "tiny")
 
 
 def _assert_same_outputs(a_dir, b_dir):
@@ -275,12 +244,11 @@ def _assert_same_outputs(a_dir, b_dir):
 def test_cli_malformed_delta_message(tmp_path, capsys):
     bad = json.loads(json.dumps(FAST_CONFIG))
     bad["params"]["delta1"] = 1.2
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(bad))
-    code = main(["conservation", "--config", str(cfg_path)])
+    code = _suite(tmp_path, bad)
     err = capsys.readouterr().err
     assert code == 2
     assert "delta1" in err and "[0, 1)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_outputs_independent_of_worker_count(tmp_path):
@@ -356,16 +324,6 @@ def test_suite_rejects_manifest_of_the_wrong_shape(tmp_path, capsys, document, s
     assert not (tmp_path / "suite").exists()
 
 
-@pytest.mark.parametrize("document", [[1, 2], "x"])
-def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(document))
-    code = main(["conservation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "config: expected an object" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def _manifest_entry(name):
     return next(raw for raw in acceptance_manifest() if raw["name"] == name)
 
@@ -389,12 +347,6 @@ def _stub_runners(monkeypatch):
     return ran
 
 
-def test_every_kind_defaults_to_a_manifest_entry_of_that_kind():
-    assert sorted(DEFAULT_ENTRIES) == sorted(experiments._RUNNERS)
-    for kind, name in DEFAULT_ENTRIES.items():
-        assert _manifest_entry(name)["experiment"] == kind
-
-
 def test_every_manifest_entry_resolves_to_its_runner(monkeypatch):
     manifest = acceptance_manifest()
     assert all(callable(r) for tasks in experiments._RUNNERS.values() for r in tasks.values())
@@ -414,23 +366,15 @@ def test_a_config_without_a_task_runs_its_kinds_default(monkeypatch, kind, task)
     assert ran == [(kind, task)]
 
 
-def test_cli_default_run_is_the_manifest_entry(tmp_path, capsys):
-    code = main(["heat-kernel", "--out", str(tmp_path)])
-    assert code == 0
-    assert "RESULT: PASS" in capsys.readouterr().out
-    stored = json.loads((tmp_path / "c14_free_space_oracle" / "report.json").read_text())
-    assert stored["config_hash"] == MANIFEST_HASHES["c14_free_space_oracle"]
-
-
-@pytest.mark.parametrize("kind, task", [("volume", "slops"), ("wave", "finite"),
-                                        ("nash", "hardyy"), ("heat_kernel", "gaussian_bound"),
-                                        ("conservation", "mass")])
-def test_cli_unknown_task_exits_2(tmp_path, capsys, kind, task):
-    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+@pytest.mark.parametrize("entry, task", [("c05_volume_slopes", "slops"),
+                                         ("c10_speed_constant", "finite"),
+                                         ("c12_nash_full", "hardyy"),
+                                         ("c14_free_space_oracle", "gaussian_bound"),
+                                         ("c01_conservation_1d", "mass")])
+def test_cli_unknown_task_exits_2(tmp_path, capsys, entry, task):
+    raw = _manifest_entry(entry)
     raw["knobs"]["task"] = task
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    code = _suite(tmp_path, raw)
     err = capsys.readouterr().err
     assert code == 2
     assert "knobs.task" in err and repr(task) in err
@@ -438,10 +382,7 @@ def test_cli_unknown_task_exits_2(tmp_path, capsys, kind, task):
 
 
 def test_cli_decay_without_stages_exits_2(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"experiment": "decay", "params": {"n": 1, "m": 0}}))
-    code = main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, {"experiment": "decay", "params": {"n": 1, "m": 0}}) == 2
     assert "knobs.stages: required" in capsys.readouterr().err
 
 
@@ -520,23 +461,22 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
         bind(GrusinParameters, "knobs.vf_params", knobs["vf_params"])
 
 
-# ``entry`` is an experiment kind (its subcommand's default entry) or an entry name
 @pytest.mark.parametrize("entry, path, value, named", [
-    ("heat_kernel", ["oracle_tl"], 1e-30, "knobs.oracle_tl: unknown"),
-    ("decay", ["stages", 1, "guard_levl"], 1e-6, "knobs.stages[1].guard_levl: unknown"),
-    ("decay", ["stages", 0, "slope"], None, "knobs.stages[0].slope: required"),
-    ("compare", ["region"], [0.1, 0.4], "knobs.region: [0.1, 0.4] must stay outside"),
-    ("compare", ["region"], [7.0, 8.0], "knobs.region: no grid node"),
-    ("nash", ["r_grid", "hi"], None, "knobs.r_grid.hi: required"),
-    ("nash", ["r_grid", "hii"], 60.0, "knobs.r_grid.hii: unknown"),
-    ("nash", ["vf_params", "delta3"], 1.0, "knobs.vf_params.delta3: unknown"),
-    ("nash", ["vf_params", "delta1"], 1.5, "knobs.vf_params.delta1 must lie in [0, 1)"),
-    ("heat_kernel", ["oracle"], "gauss_free_spce",
+    ("c14_free_space_oracle", ["oracle_tl"], 1e-30, "knobs.oracle_tl: unknown"),
+    ("c03_decay_1d", ["stages", 1, "guard_levl"], 1e-6, "knobs.stages[1].guard_levl: unknown"),
+    ("c03_decay_1d", ["stages", 0, "slope"], None, "knobs.stages[0].slope: required"),
+    ("c11_compare", ["region"], [0.1, 0.4], "knobs.region: [0.1, 0.4] must stay outside"),
+    ("c11_compare", ["region"], [7.0, 8.0], "knobs.region: no grid node"),
+    ("c12_nash_full", ["r_grid", "hi"], None, "knobs.r_grid.hi: required"),
+    ("c12_nash_full", ["r_grid", "hii"], 60.0, "knobs.r_grid.hii: unknown"),
+    ("c12_nash_full", ["vf_params", "delta3"], 1.0, "knobs.vf_params.delta3: unknown"),
+    ("c12_nash_full", ["vf_params", "delta1"], 1.5, "knobs.vf_params.delta1 must lie in [0, 1)"),
+    ("c14_free_space_oracle", ["oracle"], "gauss_free_spce",
      "knobs.oracle: 'gauss_free_spce' is not one of [None, 'gauss_free_space']"),
-    ("wave", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
-    ("decay", ["stages", 0, "candidates"], "degeneracy_lin",
+    ("c10_speed_constant", ["metric"], "graf", "knobs.metric: 'graf' is not one of ['graph', 'euclidean']"),
+    ("c03_decay_1d", ["stages", 0, "candidates"], "degeneracy_lin",
      "knobs.stages[0].candidates: 'degeneracy_lin' is not one of ['all', 'degeneracy_line']"),
-    ("decay", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
+    ("c03_decay_1d", ["stages", 1, "counts"], 4000, "knobs.stages[1]: node counts must be odd"),
     ("c13_operator_inequalities", ["trials"], 0, "knobs.trials must be a positive integer"),
     ("c13_operator_inequalities", ["dim"], 60, "knobs.dim must lie in 1..50"),
     ("c13_operator_inequalities", ["dim"], 0, "knobs.dim must be a positive integer"),
@@ -554,32 +494,32 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c02_decay_classical", ["stages", 0, "boundary"], "dirichlet_origin",
      "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves to a node the 'dirichlet_origin'"),
     # a check with nothing to test
-    ("conservation", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
-    ("conservation", ["times"], [], "knobs.times: must not be empty"),
+    ("c01_conservation_1d", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
+    ("c01_conservation_1d", ["times"], [], "knobs.times: must not be empty"),
     ("c06_doubling", ["centers"], [], "knobs.centers: must not be empty"),
-    ("decay", ["stages"], [], "knobs.stages: must not be empty"),
-    ("heat_kernel", ["symmetry_point"], [0.0], "knobs.symmetry_point: "),
+    ("c03_decay_1d", ["stages"], [], "knobs.stages: must not be empty"),
+    ("c14_free_space_oracle", ["symmetry_point"], [0.0], "knobs.symmetry_point: "),
     ("c12_nash_full", ["ensemble"], 0, "knobs.ensemble must be a positive integer"),
-    ("distance", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
-    ("distance", ["n_targets"], 0, "knobs.n_targets must be a positive integer"),
-    ("distance", ["min_closed"], 100.0, "knobs.min_closed: "),
+    ("c04_distance", ["n_sources"], 0, "knobs.n_sources must be a positive integer"),
+    ("c04_distance", ["n_targets"], 0, "knobs.n_targets must be a positive integer"),
+    ("c04_distance", ["min_closed"], 100.0, "knobs.min_closed: "),
     # a knob that became a constant beside its code is refused, not silently ignored
-    ("conservation", ["boundary"], "neumann_truncation", "knobs.boundary: unknown field"),
-    ("distance", ["box_fraction"], 0.5, "knobs.box_fraction: unknown field"),
+    ("c01_conservation_1d", ["boundary"], "neumann_truncation", "knobs.boundary: unknown field"),
+    ("c04_distance", ["box_fraction"], 0.5, "knobs.box_fraction: unknown field"),
     ("c09_davies_gaffney", ["pairs"], [{"center_a": -2.5, "center_b": 1.5, "halfwidth": 0.5}],
      "knobs.pairs: unknown field"),
     ("c08_gaussian_bounds", ["sources"], [[0.5, 0.5], [0.0, 1.5]], "knobs.sources: unknown field"),
     # a ladder of no grid levels
-    ("separation", ["refinements"], 0, "knobs.refinements must be a positive integer"),
+    ("c07_separation_weak", ["refinements"], 0, "knobs.refinements must be a positive integer"),
     ("c10_speed_classical", ["refinements"], 0, "knobs.refinements must be a positive integer"),
     # a bump of no width, or of a negative one
     ("c10_speed_classical", ["bump_width"], 0.0, "knobs.bump_width: 0.0 must be positive"),
     ("c10_speed_constant", ["bump_width"], -0.6, "knobs.bump_width: -0.6 must be positive"),
     # a config point on a node the boundary removed, or off the grid
-    ("separation", ["sources"], [[1.0], [0.0]], "knobs.sources[1]: point [0.0] resolves"),
+    ("c07_separation_weak", ["sources"], [[1.0], [0.0]], "knobs.sources[1]: point [0.0] resolves"),
     ("c02_decay_control", ["stages", 0, "boundary"], "dirichlet_origin",
      "knobs.stages[0].candidates[0]: point [0.0, 0.0] resolves"),
-    ("heat_kernel", ["source"], [50.0], "knobs.source: point [50.0] lies off the grid"),
+    ("c14_free_space_oracle", ["source"], [50.0], "knobs.source: point [50.0] lies off the grid"),
     ("c06_doubling", ["centers"], [[0.0], [50.0]], "knobs.centers[1]: point [50.0] lies off"),
     # two points of one list on one node, which would run as one point
     ("c02_decay_control", ["stages", 0, "candidates"], [[0.0, 0.0], [0.5, 0.5], [0.51, 0.49]],
@@ -606,8 +546,7 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
 ])
 def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, named):
     # set the knob at ``path`` of the entry, or drop it (value None)
-    raw = _manifest_entry(DEFAULT_ENTRIES.get(entry, entry))
-    kind = raw["experiment"]
+    raw = _manifest_entry(entry)
     *keys, last = path
     node = raw["knobs"]
     for key in keys:
@@ -616,10 +555,7 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, na
         del node[last]
     else:
         node[last] = value
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    code = main([kind.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, raw) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -631,10 +567,7 @@ def test_separation_resolves_every_level_before_the_first_solves(tmp_path, capsy
     monkeypatch.setattr(experiments, "separation_check", lambda *args: calls.append(args))
     raw = _manifest_entry("c07_separation_weak")
     raw["knobs"]["sources"] = [[1.019], [1.021]]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    code = main(["separation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, raw) == 2
     assert ("knobs.sources[1]: point [1.021] resolves to the node of knobs.sources[0]"
             in capsys.readouterr().err)
     assert calls == []
@@ -652,11 +585,7 @@ def test_separation_resolves_every_level_before_the_first_solves(tmp_path, capsy
 def test_cli_grid_that_cannot_hold_a_constant_point_exits_2(tmp_path, capsys, entry, grid, named):
     raw = _manifest_entry(entry)
     raw["grid"] = grid
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    code = main([raw["experiment"].replace("_", "-"), "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, raw) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -762,6 +691,53 @@ PLAN_CHECKS = [
     ("c12_nash_full", {("knobs", "r_grid", "hi"): -60.0},
      "knobs.r_grid: hi: -60.0 must be positive"),
     ("c12_nash_full", {("knobs", "r_grid", "lo"): -1}, "knobs.r_grid: lo: -1 must be positive"),
+    # a bound, tolerance or other number knob that is not a real number
+    ("c01_conservation_1d", {("knobs", "bound"): "1e-8"}, "knobs.bound: '1e-8' is not a number"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "tol"): None},
+     "knobs.stages[1].tol: None is not a number"),
+    ("c03_decay_1d", {("knobs", "stages", 0, "slope"): "-1"},
+     "knobs.stages[0].slope: '-1' is not a number"),
+    ("c04_distance", {("knobs", "min_closed"): "0.1"}, "knobs.min_closed: '0.1' is not a number"),
+    ("c04_distance", {("knobs", "stability_factor"): [1.25]},
+     "knobs.stability_factor: [1.25] is not a number"),
+    ("c05_volume_slopes", {("knobs", "tol"): True}, "knobs.tol: True is not a number"),
+    ("c06_doubling", {("knobs", "slack"): "0.3"}, "knobs.slack: '0.3' is not a number"),
+    ("c07_separation_weak", {("knobs", "weak_gap_min"): "0.001"},
+     "knobs.weak_gap_min: '0.001' is not a number"),
+    ("c07_separation_strong", {("knobs", "strong_gap_bound"): None},
+     "knobs.strong_gap_bound: None is not a number"),
+    ("c08_gaussian_bounds", {("knobs", "epsilon"): "0.1"}, "knobs.epsilon: '0.1' is not a number"),
+    ("c08_gaussian_bounds", {("knobs", "stability_factor"): False},
+     "knobs.stability_factor: False is not a number"),
+    ("c09_davies_gaffney", {("knobs", "epsilon"): True}, "knobs.epsilon: True is not a number"),
+    ("c09_davies_gaffney", {("knobs", "min_samples"): "20"},
+     "knobs.min_samples: '20' is not a number"),
+    ("c10_speed_classical", {("knobs", "leak_bound"): True},
+     "knobs.leak_bound: True is not a number"),
+    ("c10_speed_constant", {("knobs", "epsilon"): "0.1"}, "knobs.epsilon: '0.1' is not a number"),
+    ("c11_compare", {("knobs", "r_cut"): "1"}, "knobs.r_cut: '1' is not a number"),
+    ("c11_compare", {("knobs", "slope_bound"): None}, "knobs.slope_bound: None is not a number"),
+    ("c11_compare", {("knobs", "stability_factor"): "2"},
+     "knobs.stability_factor: '2' is not a number"),
+    ("c11_compare", {("knobs", "control_tol"): True}, "knobs.control_tol: True is not a number"),
+    ("c12_nash_full", {("knobs", "stability_factor"): "1.25"},
+     "knobs.stability_factor: '1.25' is not a number"),
+    ("c13_hardy", {("knobs", "gamma"): "1.0"}, "knobs.gamma: '1.0' is not a number"),
+    ("c13_hardy", {("knobs", "fraction_ok"): "0.5"}, "knobs.fraction_ok: '0.5' is not a number"),
+    ("c13_operator_inequalities", {("knobs", "violation_bound"): "-1e-10"},
+     "knobs.violation_bound: '-1e-10' is not a number"),
+    ("c14_free_space_oracle", {("knobs", "mass_tol"): "1e-8"},
+     "knobs.mass_tol: '1e-8' is not a number"),
+    ("c14_free_space_oracle", {("knobs", "oracle_tol"): None},
+     "knobs.oracle_tol: None is not a number"),
+    # a pair knob that is not two numbers
+    ("c11_compare", {("knobs", "region"): [1, 2, 3]},
+     "knobs.region: [1, 2, 3] must be a list of two numbers"),
+    ("c11_compare", {("knobs", "region"): ["1", 2]}, "knobs.region[0]: '1' is not a number"),
+    ("c11_compare", {("knobs", "exponent_range"): [2.0]},
+     "knobs.exponent_range: [2.0] must be a list of two numbers"),
+    ("c11_compare", {("knobs", "exponent_range"): [2, 16, 30]},
+     "knobs.exponent_range: [2, 16, 30] must be a list of two numbers"),
 ]
 
 
@@ -778,10 +754,7 @@ def test_suite_raises_a_later_entrys_bad_value_before_any_entry_solves(
         for key in keys:
             node = node[key]
         node[last] = value
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps([FAST_CONFIG, bad]))
-    code = main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, FAST_CONFIG, bad) == 2
     assert named in capsys.readouterr().err
     assert solved == []
     assert not (tmp_path / "out").exists()
@@ -810,14 +783,12 @@ def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothin
     assert rep["passed"] and set(called) == {"dense_eig"}
 
 
-@pytest.mark.parametrize("kind", ["distance", "separation", "compare", "wave"])
-def test_cli_missing_grid_exits_2(tmp_path, capsys, kind):
-    raw = _manifest_entry(DEFAULT_ENTRIES[kind])
+@pytest.mark.parametrize("entry", ["c04_distance", "c07_separation_weak", "c11_compare",
+                                   "c10_speed_constant"])
+def test_cli_missing_grid_exits_2(tmp_path, capsys, entry):
+    raw = _manifest_entry(entry)
     del raw["grid"]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    code = main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
+    assert _suite(tmp_path, raw) == 2
     assert "grid: required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

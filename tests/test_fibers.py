@@ -17,6 +17,8 @@ from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     BOUNDARY_MODES,
     CapacityError,
+    _along_x2,
+    _factorize,
     _fiber_eigh,
     _mode_diagonals,
     assemble,
@@ -167,6 +169,7 @@ def test_split_spectrum_matches_dense_oracle(shape, counts, t, monkeypatch):
     op = assemble(build_grid(p, 3.0, counts), CoefficientField(p))
     sizes = _eigh_sizes(monkeypatch)
     spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    diagonal = spec.diagonal([t])[0]  # reads, so factors, every component
     n1, n2 = op.fiber_shape
     assert sizes == [n1 // 2 + 1, n1 // 2] * n2  # every fiber was split
     lam, Phi = _oracle(op)
@@ -174,9 +177,64 @@ def test_split_spectrum_matches_dense_oracle(shape, counts, t, monkeypatch):
     tol = _tolerance(op, t)
     v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
     assert np.abs(spec.apply(v, t) - oracle @ v).max() <= tol * np.abs(v).sum()
-    assert np.abs(spec.diagonal([t])[0] - np.diag(oracle)).max() <= tol
+    assert np.abs(diagonal - np.diag(oracle)).max() <= tol
     rows = np.arange(1, op.n_nodes, 2)
     assert np.abs(spec.block(rows, [t])[0] - oracle[np.ix_(rows, rows)]).max() <= tol
+
+
+@pytest.mark.parametrize("m, counts", [(0, 41), (1, (41, 5))])
+def test_a_one_sided_start_factors_one_component(m, counts, monkeypatch):
+    # delta1 = 1/2 cuts both faces at x1 = 0: the half-lines x1 < 0 and
+    # x1 > 0 and the origin are three components of A1, and a start on
+    # x1 > 0 is zero on the other two, so apply factors its own half only
+    p = GrusinParameters(1, m, 0.5, 0.5, 1.0 if m else 0.0, 0.5 if m else 0.0)
+    op = assemble(build_grid(p, 2.0, counts), CoefficientField(p))
+    factored = []
+
+    def spy(d, e, Phi):
+        factored.append(d.size)
+        return _fiber_eigh(d, e, Phi)
+
+    monkeypatch.setattr(discretization, "_fiber_eigh", spy)
+    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    n1, n2 = op.fiber_shape
+    assert len(spec.components) == 3 and factored == []
+    positive = op.coords()[:, 0] > 0.0
+    spec.apply(np.where(positive, 1.0, 0.0), 0.1)
+    assert factored == [n1 // 2] * n2
+    spec.block(np.nonzero(positive)[0][::3], [0.1])  # the same component: no new factor
+    assert factored == [n1 // 2] * n2
+    spec.diagonal([0.1])  # every component
+    assert sorted(factored) == sorted([n1 // 2] * 2 * n2 + [1] * n2)
+
+
+def _eager_apply(spec, v, t):
+    """exp(-tA) v with every component factored and applied, zero input or not."""
+    W = _along_x2(spec._grid(v), spec.cosines).reshape(spec.n1, -1)
+    out = np.empty_like(W)
+    for rows, lam, Phi in spec.blocks:
+        coef = (W[rows].T[:, None, :] @ Phi)[:, 0, :] * np.exp(-t * lam)
+        out[rows] = (Phi @ coef[:, :, None])[:, :, 0].T
+    return _along_x2(spec._grid(out), [C.T for C in spec.cosines]).ravel()
+
+
+@pytest.mark.parametrize("n, m, boundary", CASES)
+@SETTINGS
+@given(data=st.data(), t=TIMES)
+def test_lazy_spectrum_equals_the_eager_one_bit_for_bit(n, m, boundary, data, t):
+    # np.array_equal counts +0 and -0 as one
+    op = data.draw(operators(n, m, boundary))
+    eager = _factorize(op)
+    assert eager.blocks  # factors every component before any read
+    x1 = op.coords()[:, 0]
+    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
+    for side in (x1 < 0.0, x1 > 0.0, x1 >= 0.0, np.ones_like(x1, dtype=bool)):
+        start = np.where(side, v, 0.0)
+        assert np.array_equal(_factorize(op).apply(start, t), _eager_apply(eager, start, t))
+        rows = np.nonzero(side)[0]
+        if rows.size:
+            assert np.array_equal(_factorize(op).block(rows, [t]), eager.block(rows, [t]))
+    assert np.array_equal(_factorize(op).diagonal([t, 2 * t]), eager.diagonal([t, 2 * t]))
 
 
 def _face_by_face(op):
