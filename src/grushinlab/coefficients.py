@@ -68,10 +68,14 @@ def coefficient_profile(r, delta: float, deltap: float):
     return out
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _as_int(name: str, value, positive: bool) -> int:
     """An integral ``value`` (1.0 too, not True), positive or non-negative, as an int."""
-    if isinstance(value, bool) or not isinstance(value, Real) \
-            or not float(value).is_integer() or value < int(positive):
+    if not _is_real(value) or not float(value).is_integer() or value < int(positive):
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)

@@ -17,7 +17,10 @@ Each object binds by name to the signature of the class or function it
 builds (``bind``), so its defaults are written once, there: the top level's
 on ``_from_fields``, "params" on GrusinParameters (n = 1, m = 0, every delta
 0), "method" on EvolutionMethod (an absent or null "method" is all its
-defaults).  An unknown key, a required key left out or a value the class
+defaults).  A value's default is its kind: where it is a bool the value
+must be true or false, a number a number (not a bool), a list a list of
+elements of its first element's kind (``typed``).  An unknown key, a
+required key left out, a value of the wrong kind or a value the class
 rejects is a ConfigError naming its path ("params.delta_2: unknown field").
 A config is the experiment's identity and nothing else: how a run is
 launched (its output directory, worker count) belongs to the command line,
@@ -51,13 +54,15 @@ import json
 from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
+from numbers import Real
 from typing import Any
 
-from .coefficients import GrusinParameters
+from .coefficients import GrusinParameters, _is_real
 from .discretization import Grid, build_grid
 from .evolution import EvolutionMethod
 
-__all__ = ["ConfigError", "ExperimentConfig", "bind", "build", "canonical_json", "config_hash"]
+__all__ = ["ConfigError", "ExperimentConfig", "bind", "build", "canonical_json", "config_hash",
+           "typed"]
 
 
 class ConfigError(ValueError):
@@ -77,12 +82,29 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def typed(path: str, value, like) -> None:
+    """A ConfigError naming ``path`` unless ``value`` is of the kind of
+    ``like``: true or false for a bool, a real number that is not a bool for
+    an int or float, a list for a tuple or list, each element (``path[i]``)
+    of the kind of ``like[0]``.  Any other ``like`` (None, a string, a dict)
+    leaves the value to the code that reads it."""
+    if isinstance(like, bool):
+        _require(isinstance(value, bool), path, f"{value!r} is not true or false")
+    elif isinstance(like, Real):
+        _require(_is_real(value), path, f"{value!r} is not a number")
+    elif isinstance(like, (list, tuple)):
+        _require(isinstance(value, (list, tuple)), path, f"{value!r} is not a list")
+        for i, v in enumerate(value):
+            typed(f"{path}[{i}]", v, like[0])
+
+
 def bind(fn, path: str, raw, *head) -> partial:
     """``fn(*head, **raw)``, not yet called, once the JSON object ``raw``
     binds to the parameters of ``fn`` after ``head``.  A name ``fn`` does
-    not declare, a parameter without a default that ``raw`` leaves out, or
-    a field given as an empty list (a check with nothing to test) is a
-    ConfigError naming ``path.<name>``."""
+    not declare, a parameter without a default that ``raw`` leaves out, a
+    field given as an empty list (a check with nothing to test) or a value
+    not of its default's kind (``typed``) is a ConfigError naming
+    ``path.<name>``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     params = list(inspect.signature(fn).parameters.values())[len(head):]
@@ -93,8 +115,10 @@ def bind(fn, path: str, raw, *head) -> partial:
         _require(not isinstance(value, (list, tuple)) or value, f"{path}.{name}".lstrip("."),
                  "must not be empty")
     for p in params:
-        _require(p.default is not p.empty or p.name in raw, f"{path}.{p.name}".lstrip("."),
-                 "required")
+        at = f"{path}.{p.name}".lstrip(".")
+        _require(p.default is not p.empty or p.name in raw, at, "required")
+        if p.name in raw:
+            typed(at, raw[p.name], p.default)
     return partial(fn, *head, **raw)
 
 
@@ -158,6 +182,7 @@ def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, name
     method = build(EvolutionMethod, "method", {} if method is None else method)
     _require(isinstance(seed, int) and 0 <= seed < 2**63, "seed",
              "must be a non-negative 64-bit integer")
+    _require(name is None or isinstance(name, str), "name", f"{name!r} is not a string")
     knobs = {} if knobs is None else knobs
     _require(isinstance(knobs, dict), "knobs", "expected an object")
     return ExperimentConfig(experiment=experiment, params=params,

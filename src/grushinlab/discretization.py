@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
-from .coefficients import CoefficientField, GrusinParameters
+from .coefficients import CoefficientField, GrusinParameters, _as_int, _is_real
 from .quadrature import segment_integrals
 
 __all__ = [
@@ -128,12 +128,21 @@ class Grid:
         cols = [self.axis(i)[multi[i]] for i in range(self.dim)]
         return np.stack(cols, axis=-1)
 
-    def flat_index(self, point) -> tuple[int, float]:
-        """Nearest node to ``point`` as a flat index, plus the snap distance;
-        a ValueError if that node is off the grid (more than half a cell out)."""
+    def as_point(self, point) -> np.ndarray:
+        """``point`` as an array of its coordinates; a ValueError unless it
+        is a list of one number (a bool is not one) per axis."""
+        coords = point if isinstance(point, (list, tuple, np.ndarray)) else [point]
+        if not all(map(_is_real, coords)):
+            raise ValueError(f"point {point!r} is not a list of numbers")
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point must have {self.dim} coordinates")
+        return point
+
+    def flat_index(self, point) -> tuple[int, float]:
+        """Nearest node to ``point`` as a flat index, plus the snap distance;
+        a ValueError if that node is off the grid (more than half a cell out)."""
+        point = self.as_point(point)
         idx = []
         snapped = []
         for i, x in enumerate(point):
@@ -149,17 +158,17 @@ class Grid:
 
 
 def build_grid(params: GrusinParameters, extents, counts) -> Grid:
-    """Build a uniform grid; scalar extents/counts broadcast to every axis."""
+    """Build a uniform grid; scalar extents/counts broadcast to every axis.
+    An extent that is not a number, or a count that is not a positive
+    integer, is a ValueError naming it."""
     d = params.dim
-    if np.isscalar(extents):
-        extents = (float(extents),) * d
-    else:
-        extents = tuple(float(L) for L in extents)
-    if np.isscalar(counts):
-        counts = (int(counts),) * d
-    else:
-        counts = tuple(int(c) for c in counts)
-    return Grid(params=params, extents=extents, counts=counts)
+    extents = (extents,) * d if np.isscalar(extents) else tuple(extents)
+    counts = (counts,) * d if np.isscalar(counts) else tuple(counts)
+    for L in extents:
+        if not _is_real(L):
+            raise ValueError(f"extents must be a number, got {L!r}")
+    return Grid(params=params, extents=tuple(float(L) for L in extents),
+                counts=tuple(_as_int("counts", c, positive=True) for c in counts))
 
 
 def segment_quadratic(grid: Grid, off1) -> tuple:
@@ -307,12 +316,13 @@ class FiberSpectrum:
     def block(self, rows, times) -> np.ndarray:
         """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R), formed
         from the factors as P exp(-t lam) P^T."""
-        rows = np.asarray(rows)
+        rows = np.asarray(rows, dtype=int)
         a, i2 = np.divmod(rows, self.n2)
         modes = np.ones((rows.size, 1))
         if self.cosines:
             for C, i in zip(self.cosines, np.unravel_index(i2, self.x2_counts)):
-                modes = (modes[:, :, None] * C[i][:, None, :]).reshape(rows.size, -1)
+                modes = (modes[:, :, None] * C[i][:, None, :]).reshape(
+                    rows.size, modes.shape[1] * C.shape[1])
         out = np.zeros((len(times), rows.size, rows.size))
         for c, x1_rows in enumerate(self.components):
             sel = np.nonzero(np.isin(a, x1_rows))[0]

@@ -8,12 +8,11 @@ constants and CSV tables.  Its keyword-only parameters are its knobs, each
 set by some manifest entry (a value no entry changes is a constant beside
 its code): ``config.bind`` checks ``cfg.knobs`` and every nested spec (decay
 stage, radius grid, ``vf_params``) against a signature, so an unknown or
-missing knob is a ConfigError naming it; so is a value outside a knob's
-enumerated choices (``_one_of``), a value a computation's own argument
-check refuses (``_check_knobs``, ``_resolve``), a bound, tolerance or other
-number knob that is not a real number (``_reals``), a pair knob that is not
-two numbers (``_pair``), or a time, width or radius that is not a positive
-number (``_positive``).  ``plan_experiment`` picks
+missing knob, or a value not of its default's kind (``config.typed``: a
+bool, a number, a list), is a ConfigError naming it; so is a value outside
+a knob's enumerated choices (``_one_of``), a value a computation's own
+argument check refuses (``_check_knobs``, ``_resolve``), or a time, width
+or radius that is not a positive number (``_positive``).  ``plan_experiment`` picks
 the runner from ``_RUNNERS`` by experiment kind and ``knobs.task`` and plans
 it in the report frame (config echo and hash, derived exponents, timings,
 the pass flag).  The acceptance manifest at the bottom freezes every
@@ -24,12 +23,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from numbers import Real
 
 import numpy as np
 
 from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_exponents
-from .config import ConfigError, ExperimentConfig, bind, build
+from .config import ConfigError, ExperimentConfig, bind, build, typed
 from .discretization import BOUNDARY_MODES, assemble, build_grid
 from .evolution import (
     fit_loglog_slope,
@@ -78,38 +76,24 @@ def _counts(**counts) -> None:
         _check_knobs(_as_int, name=name, value=value, positive=True)
 
 
-def _real(path: str, value) -> None:
-    """A ConfigError naming ``path`` for a value that is not a real number
-    (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{path}: {value!r} is not a number")
-
-
-def _reals(path: str, **values) -> None:
-    """``_real`` for each bound, tolerance or other number knob ``<path>.<name>``."""
-    for name, value in values.items():
-        _real(f"{path}.{name}", value)
-
-
 def _pair(path: str, value):
-    """The two numbers of a pair knob ([lo, hi]); anything else is a ConfigError naming ``path``."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    """The two numbers of a pair knob ([lo, hi], a list of numbers by its
+    default); any other length is a ConfigError naming ``path``."""
+    if len(value) != 2:
         raise ConfigError(f"{path}: {value!r} must be a list of two numbers")
-    for i, v in enumerate(value):
-        _real(f"{path}[{i}]", v)
     return value
 
 
-def _positive(path: str, value) -> None:
+def _positive(path: str, value, like=None) -> None:
     """A ConfigError naming ``path`` (``path[i]`` in a list) for a value
-    that is not a positive real number: a width, a radius, or a time (a
-    kernel needs t > 0)."""
+    that is not positive: a width, a radius, or a time (a kernel needs
+    t > 0).  A value that no default types is typed by ``like`` first
+    (``config.typed``: 1.0 for a number, [1.0] for a list of them)."""
+    typed(path, value, like)
     if isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            _positive(f"{path}[{i}]", v)
-        return
-    _real(path, value)
-    if not value > 0:
+            _positive(f"{path}[{i}]", v, like[0] if like else None)
+    elif not value > 0:
         raise ConfigError(f"{path}: {value!r} must be positive")
 
 
@@ -140,8 +124,8 @@ def _resolve_all(path: str, lookup, points) -> list:
 def _geomspace(*, lo, hi, n):
     """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically from lo
     to hi, both positive."""
-    _positive("lo", lo)
-    _positive("hi", hi)
+    _positive("lo", lo, 1.0)
+    _positive("hi", hi, 1.0)
     return np.geomspace(lo, hi, _as_int("n", n, positive=True))
 
 
@@ -189,7 +173,6 @@ def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.2
                      n_sources=10, bound=1e-8):
     _counts(n_sources=n_sources)
     _positive("knobs.times", times)
-    _reals("knobs", bound=bound)
     yield
     rng = np.random.default_rng(cfg.seed)
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
@@ -244,6 +227,7 @@ def _admissible_times(path: str, times, boundary_distance: float | None):
 
 
 def run_decay(cfg: ExperimentConfig, rep: dict, *, stages):
+    typed("knobs.stages", stages, [{}])  # required, so no default types it
     coeffs = CoefficientField(cfg.params)
     runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
             for k, stage in enumerate(stages)]
@@ -270,10 +254,13 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     resolves its candidates and admits its times; its solve adds its decay.csv rows."""
     path = f"knobs.stages[{k}]"
     _one_of(f"{path}.boundary", boundary, BOUNDARY_MODES)
-    _positive(f"{path}.times", times)
-    _reals(path, slope=slope, tol=tol)
+    _positive(f"{path}.times", times, [1.0])
+    for name, value in (("slope", slope), ("tol", tol)):  # required, so no default types them
+        typed(f"{path}.{name}", value, 1.0)
     if isinstance(candidates, str):
         _one_of(f"{path}.candidates", candidates, ("all", "degeneracy_line"))
+    else:
+        typed(f"{path}.candidates", candidates, [[0.0]])
     label = f"stage{k}" if label is None else label
     grid = build(build_grid, path, {"extents": extents, "counts": counts}, cfg.params)
     op = assemble(grid, coeffs, boundary)
@@ -302,7 +289,6 @@ _BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of ever
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
                  stencil_order=2, min_closed=0.1, stability_factor=1.25):
     _counts(n_sources=n_sources, n_targets=n_targets, stencil_order=stencil_order)
-    _reals("knobs", min_closed=min_closed, stability_factor=stability_factor)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
@@ -365,7 +351,6 @@ def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: i
 def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
                       origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
                       off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1):
-    _reals("knobs", tol=tol)
     dim = cfg.params.dim
     grid = cfg.grid()
     origin = [0.0] * dim
@@ -387,7 +372,6 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers
                  slack=0.3):
     _positive("knobs.r0", r0)
     _counts(n_radii=n_radii)
-    _reals("knobs", slack=slack)
     radii = _resolve("knobs.n_radii", _doubling_radii, r0 * 2.0 ** np.arange(n_radii))
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
@@ -414,7 +398,6 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
         raise ConfigError(f"knobs.oracle: {oracle!r} is the kernel of the 1-D free space "
                           f"(n = 1, m = 0, every delta 0), not of params {asdict(cfg.params)}")
     _positive("knobs.t", t)
-    _reals("knobs", mass_tol=mass_tol, symmetry_tol=symmetry_tol, oracle_tol=oracle_tol)
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
     j = _resolve("knobs.source", op.node_index, source)
@@ -450,7 +433,6 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3):
     _counts(refinements=refinements)
     _positive("knobs.t", t)
-    _reals("knobs", strong_gap_bound=strong_gap_bound, weak_gap_min=weak_gap_min)
     if cfg.params.n != 1:
         raise ConfigError(f"params.n: separation compares the half-spaces x1 >= 0 and x1 <= 0, "
                           f"so it needs n = 1, got {cfg.params.n}")
@@ -498,8 +480,6 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
                 exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
                 control=True, control_tol=1e-10):
     _counts(n_times=n_times)
-    _reals("knobs", r_cut=r_cut, slope_bound=slope_bound, stability_factor=stability_factor,
-           control_tol=control_tol)
     _positive("knobs.exponent_range", _pair("knobs.exponent_range", exponent_range))
     lo, hi = _pair("knobs.region", region)
     if lo <= r_cut / 2.0:
@@ -567,7 +547,6 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
     _counts(refinements=refinements)
     _positive("knobs.bump_width", bump_width)
-    _reals("knobs", epsilon=epsilon, leak_bound=leak_bound)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     for grid in _levels(cfg, refinements):  # a plan holds no bump: each level makes its own
         if not _resolve("knobs.bump_center", bump, grid, center, [bump_width] * grid.dim).any():
@@ -612,7 +591,6 @@ _DG_PAIRS = ((-2.5, 1.5, 0.5), (-1.5, 1.5, 0.4), (-3.0, 3.0, 0.5), (1.2, 3.2, 0.
 def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
                        exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20):
     _positive("knobs.exponent_targets", exponent_targets)  # d^2 / (4t): a positive time
-    _reals("knobs", epsilon=epsilon, min_samples=min_samples)
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
@@ -670,7 +648,6 @@ _GAUSSIAN_SOURCES = ([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0], [2.0, 1.0]
 def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
                         stability_factor=2.0):
     _positive("knobs.times", times)
-    _reals("knobs", epsilon=epsilon, stability_factor=stability_factor)
     coeffs = CoefficientField(cfg.params)
     levels = []  # per level: its operator and the rows of the sources
     for level, grid in enumerate(_levels(cfg, 2)):
@@ -714,7 +691,6 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
              r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
              vf_params={"n": 1, "m": 1, "delta2": 1.0}):
     _counts(ensemble=ensemble)
-    _reals("knobs", stability_factor=stability_factor)
     radii = build(_geomspace, "knobs.r_grid", r_grid)
     if vf_slopes:
         vf = build(GrusinParameters, "knobs.vf_params", vf_params)
@@ -752,7 +728,6 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
 
 def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,
               fraction_fail=4.0):
-    _reals("knobs", gamma=gamma, fraction_ok=fraction_ok, fraction_fail=fraction_fail)
     _check_knobs(_hardy_args, n=n, gamma=gamma, count=count, fraction_ok=fraction_ok,
                  fraction_fail=fraction_fail)
     yield
@@ -771,7 +746,6 @@ def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fra
 
 def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *, trials=1000, dim=20,
                               gamma=0.3, violation_bound=-1e-10):
-    _reals("knobs", gamma=gamma, violation_bound=violation_bound)
     _check_knobs(_inequality_args, trials=trials, dim=dim, gamma=gamma)
     yield
     res = operator_inequality_checks(trials, dim, gamma, cfg.seed)

@@ -132,9 +132,7 @@ def vf_volume(params: GrusinParameters, r):
 def bump(grid: Grid, centers, widths) -> np.ndarray:
     """Product of one-dimensional C^infty bumps exp(-1/(1-u^2)),
     u = (x_i - centers[i]) / widths[i], as a full-shape grid array."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.shape != (grid.dim,):
-        raise ValueError(f"point must have {grid.dim} coordinates")
+    centers = grid.as_point(centers)
     out = np.ones(grid.counts)
     for i in range(grid.dim):
         u = (grid.axis(i) - centers[i]) / widths[i]

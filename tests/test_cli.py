@@ -84,13 +84,17 @@ def test_int_and_float_spellings_hash_equal():
     ("params", "n", 1.5), ("params", "n", True), ("params", "m", -1),
     ("method", "max_exact_dimension", 4500.9), ("method", "max_exact_dimension", 0),
     ("method", "max_exact_dimension", True), ("method", "max_exact_dimension", -5),
+    ("grid", "counts", 601.5),
 ])
 def test_cli_non_integral_count_exits_2_naming_it(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(FAST_CONFIG))
     bad[section][key] = value
     assert _suite(tmp_path, bad) == 2
     kind = "non-negative" if key == "m" else "positive"
-    assert f"{section}.{key} must be a {kind} integer" in capsys.readouterr().err
+    # a bool is refused by its kind before its range
+    named = (f"{section}.{key}: True is not a number" if value is True
+             else f"{section}.{key} must be a {kind} integer")
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -446,6 +450,64 @@ def test_every_runner_knob_is_set_by_some_manifest_entry():
     assert never == []
 
 
+def _knob_defaults():
+    """(manifest entry, knob path, default) for every keyword-only parameter
+    of every runner, in the first entry that runs it, and of the decay stage."""
+    runs = {}
+    for raw in acceptance_manifest():
+        tasks = experiments._RUNNERS[raw["experiment"]]
+        runs.setdefault(tasks[raw["knobs"].get("task", next(iter(tasks)))], raw["name"])
+    runs[experiments._decay_stage] = "c02_decay_control"
+    stage = ("knobs", "stages", 0)
+    return [(entry, (*(stage if fn is experiments._decay_stage else ("knobs",)), p.name),
+             p.default)
+            for fn, entry in runs.items() for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.KEYWORD_ONLY]
+
+
+def test_every_knob_default_is_of_a_kind_the_typing_rule_knows():
+    # bind types a value by its default: one of another kind would go unchecked
+    odd = [path for _, path, d in _knob_defaults()
+           if not (d is inspect.Parameter.empty or d is None
+                   or isinstance(d, (bool, int, float, str, dict))
+                   or isinstance(d, (list, tuple)) and len(d) > 0)]
+    assert odd == []
+
+
+def _wrong_kind(default):
+    """A value of another kind than ``default``, and the kind it is not;
+    None for a default that leaves the value to its reader."""
+    if isinstance(default, bool):
+        return "false", "true or false"
+    if isinstance(default, (int, float)):
+        return "1", "a number"
+    if isinstance(default, (list, tuple)):
+        return 1.0, "a list"
+    return None
+
+
+WRONG_KINDS = [(entry, path, *_wrong_kind(d)) for entry, path, d in _knob_defaults()
+               if _wrong_kind(d)]
+
+
+@pytest.mark.parametrize("entry, path, wrong, kind", WRONG_KINDS,
+                         ids=[f"{e}-{'.'.join(map(str, p))}" for e, p, *_ in WRONG_KINDS])
+def test_a_knob_value_not_of_its_defaults_kind_is_refused_before_anything_assembles(
+        monkeypatch, entry, path, wrong, kind):
+    assembled = []
+    monkeypatch.setattr(experiments, "assemble", lambda *args: assembled.append(args))
+    raw = _manifest_entry(entry)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = wrong
+    named = "knobs" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+    with pytest.raises(ConfigError) as err:
+        plan_experiment(ExperimentConfig.from_dict(raw))
+    assert str(err.value) == f"{named}: {wrong!r} is not {kind}"
+    assert assembled == []
+
+
 @pytest.mark.parametrize("raw", acceptance_manifest(), ids=lambda raw: raw["name"])
 def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # binds without running: the manifest and the signatures must not drift apart
@@ -738,6 +800,48 @@ PLAN_CHECKS = [
      "knobs.exponent_range: [2.0] must be a list of two numbers"),
     ("c11_compare", {("knobs", "exponent_range"): [2, 16, 30]},
      "knobs.exponent_range: [2, 16, 30] must be a list of two numbers"),
+    # a value not of its default's kind: a bool, a number, a list
+    ("c11_compare", {("knobs", "control"): "false"},
+     "knobs.control: 'false' is not true or false"),
+    ("c12_nash_half_line", {("knobs", "half_line"): 0}, "knobs.half_line: 0 is not true or false"),
+    ("c02_decay_control", {("knobs", "stages", 0, "guard"): "false"},
+     "knobs.stages[0].guard: 'false' is not true or false"),
+    ("c01_conservation_1d", {("knobs", "times"): 0.5}, "knobs.times: 0.5 is not a list"),
+    ("c09_davies_gaffney", {("knobs", "exponent_targets"): 4.0},
+     "knobs.exponent_targets: 4.0 is not a list"),
+    ("c06_doubling", {("knobs", "centers"): 5}, "knobs.centers: 5 is not a list"),
+    ("c06_doubling", {("knobs", "centers"): [5.0]}, "knobs.centers[0]: 5.0 is not a list"),
+    ("c07_separation_weak", {("knobs", "sources"): 5}, "knobs.sources: 5 is not a list"),
+    ("c14_free_space_oracle", {("knobs", "t"): [0.1]}, "knobs.t: [0.1] is not a number"),
+    ("c10_speed_classical", {("knobs", "bump_width"): [0.6]},
+     "knobs.bump_width: [0.6] is not a number"),
+    ("c06_doubling", {("knobs", "r0"): [0.1]}, "knobs.r0: [0.1] is not a number"),
+    ("c01_conservation_1d", {("seed",): True}, "seed: True is not a number"),
+    ("c01_conservation_1d", {("params", "delta1"): "0.25"},
+     "params.delta1: '0.25' is not a number"),
+    ("c01_conservation_1d", {("method", "tolerance"): "1e-6"},
+     "method.tolerance: '1e-6' is not a number"),
+    # a value no default types, typed where it is read: a stage's fields, the name, a radius
+    # spec's bounds, a config point, a grid
+    ("c02_decay_control", {("knobs", "stages", 0, "times"): 0.5},
+     "knobs.stages[0].times: 0.5 is not a list"),
+    ("c02_decay_control", {("knobs", "stages", 0, "candidates"): 5},
+     "knobs.stages[0].candidates: 5 is not a list"),
+    ("c01_conservation_1d", {("name",): 5}, "name: 5 is not a string"),
+    ("c03_decay_1d", {("knobs", "stages"): 5}, "knobs.stages: 5 is not a list"),
+    ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): [0.5]},
+     "knobs.origin_radii: lo: [0.5] is not a number"),
+    ("c14_free_space_oracle", {("knobs", "source"): {}},
+     "knobs.source: point {} is not a list of numbers"),
+    ("c14_free_space_oracle", {("knobs", "symmetry_point"): [True]},
+     "knobs.symmetry_point: point [True] is not a list of numbers"),
+    ("c10_speed_classical", {("knobs", "bump_center"): [True, 0.0]},
+     "knobs.bump_center: point [True, 0.0] is not a list of numbers"),
+    ("c01_conservation_1d", {("grid", "extents"): "6"}, "grid.extents must be a number, got '6'"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "extents"): "150"},
+     "knobs.stages[1].extents must be a number, got '150'"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "counts"): 4001.5},
+     "knobs.stages[1].counts must be a positive integer, got 4001.5"),
 ]
 
 
