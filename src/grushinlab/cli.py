@@ -4,12 +4,13 @@
 grushinlab.config) given by --manifest PATH, or the built-in frozen
 ``acceptance`` manifest (the default).  One config runs as a one-element
 list.  Each config writes to <out>/<name>/ (--out DIR, default ./results),
-and the suite writes <out>/suite_report.json.  --workers N (N >= 1,
-default 1) runs the configs on N processes, and --seed S replaces every
-config's seed.  A flag is the only owner of its run setting: no
-environment variable is read, and a config holds no output directory
-("out" is an unknown field).  Every entry is planned before any solves, so
-a config error in any entry exits 2 before anything is written.
+so two entries of one name are refused, and the suite writes
+<out>/suite_report.json.  --workers N (N >= 1, default 1) runs the configs
+on N processes, and --seed S replaces every config's seed.  A flag is the
+only owner of its run setting: no environment variable is read, and a
+config holds no output directory ("out" is an unknown field).  Every entry
+is planned before any solves, so a config error in any entry exits 2
+before anything is written.
 
 ``report`` pretty-prints a stored report.json or suite_report.json.  Exit
 status is 0 exactly when every check passed.
@@ -60,8 +61,14 @@ def _run_single(raw: dict, out_dir: str) -> dict:
 def run_suite(manifest: list[dict], out_dir: str, workers: int) -> dict:
     if workers < 1:
         raise ConfigError(f"--workers: {workers} must be at least 1")
+    configs = [ExperimentConfig.from_dict(raw) for raw in manifest]
+    names = [cfg.name for cfg in configs]
+    for k, name in enumerate(names):  # each entry writes to <out>/<name>/
+        if name in names[:k]:
+            raise ConfigError(f"experiments[{k}].name: {name!r} is already the name of "
+                              f"experiments[{names.index(name)}]")
     # plan every entry first: a bad one raises before any entry solves or writes
-    plans = [(cfg, *plan_experiment(cfg)) for cfg in map(ExperimentConfig.from_dict, manifest)]
+    plans = [(cfg, *plan_experiment(cfg)) for cfg in configs]
     if workers == 1 or len(manifest) <= 1:
         reports = []
         while plans:  # each plan is dropped once solved, with the operators it holds

@@ -26,13 +26,15 @@ A config is the experiment's identity and nothing else: how a run is
 launched (its output directory, worker count) belongs to the command line,
 so "out" is an unknown field like any other.
 
-"method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential",
-the name (kept for the frozen config hashes) of the Chebyshev series of
-exp(-tA).  "max_exact_dimension" is the storage ceiling of the exact method:
-its factored spectrum stores n2 * n1^2 floats (n2 x2 nodes, n1 kept x1
-nodes), which must not exceed max_exact_dimension^2; "auto" falls back to
-the series beyond it.  "tolerance" is the series' absolute error per unit
-|v|: it stops where the coefficient tail, a proven error bound, drops to it.
+"method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential".
+Every heat read takes the operator's factored spectrum, which stores
+n2 * n1^2 floats (n2 x2 nodes, n1 kept x1 nodes); past
+"max_exact_dimension"^2 of them a read raises CapacityError.  "auto" and
+"exact_eigendecomposition" are two names for that.  "krylov_exponential"
+(the name kept for the frozen config hashes) sets a decay run's candidate
+diagonal to one Chebyshev series of exp(-tA) per candidate, and any other
+experiment refuses it.  "tolerance" is that series' absolute error per
+entry: it stops where the coefficient tail, a proven error bound, drops to it.
 
 "knobs.task" selects the runner within an experiment kind: "slopes" or
 "doubling" (volume), "finite_speed" or "davies_gaffney" (wave), "nash",
@@ -180,12 +182,12 @@ def _from_fields(*, experiment, params, grid=None, method=None, seed=12345, name
     if grid is not None:
         grid = build(build_grid, "grid", grid, params)
     method = build(EvolutionMethod, "method", {} if method is None else method)
-    _require(isinstance(seed, int) and 0 <= seed < 2**63, "seed",
-             "must be a non-negative 64-bit integer")
+    _require(0 <= seed < 2**63 and float(seed).is_integer(), "seed",
+             f"must be a non-negative 64-bit integer, got {seed!r}")
     _require(name is None or isinstance(name, str), "name", f"{name!r} is not a string")
     knobs = {} if knobs is None else knobs
     _require(isinstance(knobs, dict), "knobs", "expected an object")
     return ExperimentConfig(experiment=experiment, params=params,
                             grid_extents=None if grid is None else grid.extents,
                             grid_counts=None if grid is None else grid.counts, method=method,
-                            seed=seed, name=name or experiment, knobs=dict(knobs))
+                            seed=int(seed), name=name or experiment, knobs=dict(knobs))

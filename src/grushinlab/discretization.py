@@ -473,20 +473,15 @@ class DivergenceFormOperator:
         n2 = int(np.prod(self.grid.counts[self.grid.params.n:]))
         return self.n_nodes // n2, n2
 
-    def fits_exact(self, max_dimension: int) -> bool:
-        """Whether the n2 * n1^2 floats of the factored spectrum fit the
-        ceiling max_dimension^2 (for m = 0: n_nodes <= max_dimension)."""
-        n1, n2 = self.fiber_shape
-        return n2 * n1 * n1 <= max_dimension * max_dimension
-
     def dense_eig(self, max_dimension: int) -> FiberSpectrum:
         """Exact spectrum of the operator in factored form.  Cached.
 
-        Raises CapacityError when it does not fit (:meth:`fits_exact`), on
-        every call: a cached spectrum does not lift the ceiling.
+        Raises CapacityError when its n2 * n1^2 floats exceed the ceiling
+        max_dimension^2 (for m = 0: n_nodes > max_dimension), on every call:
+        a cached spectrum does not lift the ceiling.
         """
-        if not self.fits_exact(max_dimension):
-            n1, n2 = self.fiber_shape
+        n1, n2 = self.fiber_shape
+        if n2 * n1 * n1 > max_dimension * max_dimension:
             raise CapacityError(
                 f"exact spectrum of {n2} fibers of {n1} x1 nodes stores "
                 f"{n2 * n1 * n1} floats > {max_dimension}^2"

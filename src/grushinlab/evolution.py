@@ -2,44 +2,42 @@
 
 The generator is the assembled face-sum matrix A itself (uniform node
 weights), so the semigroup is exp(-tA) and the kernel column for a source
-node j is K_t(., j) = exp(-tA) e_j / weight.  Two evaluation methods:
+node j is K_t(., j) = exp(-tA) e_j / weight.  Every read -- a vector, a
+kernel column, a block, the full diagonal -- takes the operator's factored
+spectrum (``DivergenceFormOperator.dense_eig``): cosine transforms along x2
+and one x1 fiber eigendecomposition per x2 mode, each split per connected
+component, so decoupled halves produce *exactly* zero cross-kernel.  Past
+its storage ceiling (n2 * n1^2 floats > max_exact_dimension^2) it raises
+CapacityError.
 
-* exact_eigendecomposition -- the operator's factored spectrum
-  (``DivergenceFormOperator.dense_eig``): cosine transforms along x2 and one
-  x1 fiber eigendecomposition per x2 mode, each split per connected
-  component, so decoupled halves produce *exactly* zero cross-kernel
-  (guard: n2 * n1^2 stored floats <= max_exact_dimension^2);
-* krylov_exponential -- the Chebyshev series of exp(-tA) in
-  x = (2/Lambda) A - I, Lambda = 2 max_i A_ii (Gershgorin), so the spectrum
-  of x lies in [-1, 1]: with z = t Lambda / 2, exp(-tA) = e^-z [I_0(z) +
-  2 sum_k (-1)^k I_k(z) T_k(x)] (Sachdeva & Vishnoi, Faster Algorithms via
-  Approximation Theory, 2014).  |T_k(x)| <= 1 on the spectrum, so cutting
-  where the tail sum of |c_k| drops to the tolerance bounds the error by
-  tolerance * |v| a priori; about sqrt(2 z ln(1/tol)) matvecs.  The wave
-  layer sums cos(t sqrt A) through the same recurrence (``_chebyshev_sum``).
-  T_k(x) v is zero more than k hops from the support of v, so term k is
-  computed on the rows within k hops only, in an order sorted by that
-  distance (``_support_order``): the cost is proportional to the rows
-  reached, and every nonzero entry is bit for bit that of the recurrence
-  over all rows.  Every coefficient depends on |x1| only, so A commutes with
-  the x2 reflection (row a * n2 + i2 to a * n2 + n2 - 1 - i2), and a v that
-  equals its reflection exactly is folded (``_mirror_symmetric``): the
-  recurrence runs on one row per mirror pair, each reading its mirrored
-  columns at their representative's place, so every term is that of the
-  recurrence over all rows with its mirror rows overwritten by their
-  representatives' values, and the result is exactly mirror-symmetric.
-  Every recurrence starts from one vector, and only that vector's symmetry
-  decides the fold.  The term loop runs with subnormals flushed to zero on
-  x86-64 Linux (``_flush_subnormals``): next to the degeneracy line the
-  terms underflow, and x86 computes subnormals in microcode.  Only
-  operations that meet a subnormal change, each by less than 2^-1022; 2x,
-  the coefficients and every reduction after the loop run in the caller's
-  mode.
-
-Checks that read a few kernel entries K_t(x_i; x_j) take one R x R block per
-time (``_region_block``): from the factors, or from the moments
-T_k(x)[rows] e_j of one series per source column e_j (kernel polynomial
-method; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).
+The one exception is a decay stage's candidate diagonal under the
+krylov_exponential method: one Chebyshev series of exp(-tA) per candidate
+e_j, read at its own entry only.  The series is in x = (2/Lambda) A - I,
+Lambda = 2 max_i A_ii (Gershgorin), so the spectrum of x lies in [-1, 1]:
+with z = t Lambda / 2, exp(-tA) = e^-z [I_0(z) + 2 sum_k (-1)^k I_k(z)
+T_k(x)] (Sachdeva & Vishnoi, Faster Algorithms via Approximation Theory,
+2014).  |T_k(x)| <= 1 on the spectrum, so cutting where the tail sum of
+|c_k| drops to the tolerance bounds the error by tolerance * |v| a priori;
+about sqrt(2 z ln(1/tol)) matvecs.  The wave layer sums cos(t sqrt A)
+through the same recurrence (``_chebyshev_sum``).
+T_k(x) v is zero more than k hops from the support of v, so term k is
+computed on the rows within k hops only, in an order sorted by that
+distance (``_support_order``): the cost is proportional to the rows
+reached, and every nonzero entry is bit for bit that of the recurrence
+over all rows.  Every coefficient depends on |x1| only, so A commutes with
+the x2 reflection (row a * n2 + i2 to a * n2 + n2 - 1 - i2), and a v that
+equals its reflection exactly is folded (``_mirror_symmetric``): the
+recurrence runs on one row per mirror pair, each reading its mirrored
+columns at their representative's place, so every term is that of the
+recurrence over all rows with its mirror rows overwritten by their
+representatives' values, and the result is exactly mirror-symmetric.
+Every recurrence starts from one vector, and only that vector's symmetry
+decides the fold.  The term loop runs with subnormals flushed to zero on
+x86-64 Linux (``_flush_subnormals``): next to the degeneracy line the
+terms underflow, and x86 computes subnormals in microcode.  Only
+operations that meet a subnormal change, each by less than 2^-1022; 2x,
+the coefficients and every reduction after the loop run in the caller's
+mode.
 
 Kernel slices for distinct (source, t) pairs are independent work items; the
 operator and its cached factored spectrum are immutable shared inputs.
@@ -86,12 +84,15 @@ __all__ = [
 class EvolutionMethod:
     """How to evaluate exp(-tA).
 
-    ``max_exact_dimension`` is the storage ceiling of the exact method: its
-    factored spectrum stores n2 * n1^2 floats (n2 x2 modes, fibers of n1 x1
-    nodes), which must not exceed max_exact_dimension^2.  ``auto`` resolves
-    to the exact method whenever that holds and to Krylov otherwise.
-    ``tolerance`` is the Krylov method's absolute error per unit |v|, a
-    proven bound: the tail of the truncated Chebyshev series.
+    ``max_exact_dimension`` is the storage ceiling of the factored spectrum,
+    which every heat read takes: it stores n2 * n1^2 floats (n2 x2 modes,
+    fibers of n1 x1 nodes), which must not exceed max_exact_dimension^2, or
+    the read raises CapacityError.  ``auto`` and ``exact_eigendecomposition``
+    mean the same thing; both names stay, as frozen config hashes carry them.
+    ``krylov_exponential`` changes one read only: a decay stage's candidate
+    diagonal, one Chebyshev series per candidate (``ondiagonal_decay``), with
+    ``tolerance`` its absolute error per entry, a proven bound: the tail of
+    the truncated series.
     """
 
     kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential
@@ -107,15 +108,6 @@ class EvolutionMethod:
             raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
-
-    def resolve(self, op: DivergenceFormOperator) -> str:
-        if self.kind != "auto":
-            return self.kind
-        return (
-            "exact_eigendecomposition"
-            if op.fits_exact(self.max_exact_dimension)
-            else "krylov_exponential"
-        )
 
 
 DEFAULT_METHOD = EvolutionMethod()
@@ -379,7 +371,8 @@ def _heat_coefficients(lam: float, times, tol: float) -> np.ndarray:
 
 def apply_semigroup(op: DivergenceFormOperator, v, t: float,
                     method: EvolutionMethod = DEFAULT_METHOD) -> np.ndarray:
-    """exp(-tA) v for the operator's generator A; t = 0 returns v."""
+    """exp(-tA) v for the operator's generator A, from its factored
+    spectrum; t = 0 returns v."""
     if t < 0:
         raise ValueError("time must be non-negative")
     v = np.asarray(v, dtype=float)
@@ -387,10 +380,7 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
         raise ValueError(f"vector length {v.shape} does not match {op.n_nodes} nodes")
     if t == 0.0:
         return v.copy()
-    if method.resolve(op) == "exact_eigendecomposition":
-        return op.dense_eig(method.max_exact_dimension).apply(v, t)
-    lam = estimate_lambda_max(op)
-    return _chebyshev_sum(op, lam, v, _heat_coefficients(lam, [t], method.tolerance))[0]
+    return op.dense_eig(method.max_exact_dimension).apply(v, t)
 
 
 def heat_kernel(op: DivergenceFormOperator, row: int, t: float,
@@ -422,24 +412,45 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
                      method: EvolutionMethod = DEFAULT_METHOD) -> DecayResult:
     """sup_x K_t(x; x) per time (sorted, at least two) and its log-log slope.
 
-    ``candidates``: operator rows over which the sup is taken, read off one
-    kernel block per time by either method.  Without them the exact method
-    takes the full diagonal and the Krylov method raises.  Isolated cells
-    (zero-degree rows, cut off by dead faces) hold their unit mass forever
-    and are excluded from the default sup.  The caller admits the times.
+    ``candidates``: operator rows over which the sup is taken, read off the
+    factored spectrum's diagonal, or under ``krylov_exponential`` off one
+    series per candidate (``_candidate_diagonal``), which needs them.
+    Without them the sup is over the full diagonal, less the isolated cells
+    (zero-degree rows, cut off by dead faces), which hold their unit mass
+    forever.  The caller admits the times.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if len(times) < 2:
         raise ValueError("times: need at least two times for a slope fit")
-    if candidates is None:
-        if method.resolve(op) != "exact_eigendecomposition":
+    if method.kind == "krylov_exponential":
+        if candidates is None:
             raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
-        live = np.nonzero(op.matrix.diagonal() > 0.0)[0]
-        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)[:, live]
+        diag = _candidate_diagonal(op, candidates, times, method.tolerance)
     else:
-        diag = _region_block(op, np.asarray(candidates), times, method).diagonal(0, 1, 2)
+        rows = np.nonzero(op.matrix.diagonal() > 0.0)[0] if candidates is None else candidates
+        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)[:, rows]
     sup = diag.max(axis=1) / op.node_weight
     return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup))
+
+
+def _candidate_diagonal(op: DivergenceFormOperator, rows, times: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """exp(-tA)_jj per time for each j in rows, shape (len(times), R): the
+    heat coefficients times the moments T_k(x)_jj of one series per unit
+    vector e_j, folded by the rule of its start, each read at its own entry
+    only (kernel polynomial method; Weisse et al., Rev. Mod. Phys. 78, 275,
+    2006).  Each entry's error is at most ``tol``: |T_k(x)_jj| <= 1."""
+    lam = estimate_lambda_max(op)
+    coef = _heat_coefficients(lam, times, tol)
+    diag = np.empty((len(times), len(rows)))
+    for i, j in enumerate(rows):
+        e = np.zeros(op.n_nodes)
+        e[j] = 1.0
+        pos, _, terms = _chebyshev_terms(op, lam, e, coef.shape[1])
+        with _flush_subnormals():
+            moments = [t_k[pos[j]] for t_k in terms]
+        diag[:, i] = coef @ np.array(moments)
+    return diag
 
 
 @dataclass(frozen=True)
@@ -477,7 +488,8 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, tim
     rows = sorted(source_distances)
     times = np.asarray(times, dtype=float)
     # K[a, q, b] = K_t(rows[b]; rows[a]) at t = times[q]: (source, time, other)
-    K = np.transpose(_region_block(op, np.asarray(rows), times, method), (2, 0, 1)) / op.node_weight
+    K = np.transpose(op.dense_eig(method.max_exact_dimension).block(np.asarray(rows), times),
+                     (2, 0, 1)) / op.node_weight
     vol = np.array([[ball_volume(source_distances[j], r, op.node_weight) for r in np.sqrt(times)]
                     for j in rows])
     d = np.array([[source_distances[i][op.kept[j]] for i in rows] for j in rows])
@@ -512,8 +524,8 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
     rows = np.asarray(region_rows)
     e = derive_exponents(op_true.grid.params)
     w = op_true.node_weight
-    E1 = _region_block(op_frozen, rows, times, method)
-    E2 = _region_block(op_true, rows, times, method)
+    E1 = op_frozen.dense_eig(method.max_exact_dimension).block(rows, times)
+    E2 = op_true.dense_eig(method.max_exact_dimension).block(rows, times)
     sup = np.abs(E1 - E2).max(axis=(1, 2)) / w
     s = times / rho**2
     ref = (1.0 / piecewise_power(s, e.D / 2.0, e.Dp / 2.0)) * np.sqrt(s) * np.exp(-1.0 / (4.0 * s))
@@ -524,27 +536,6 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
     else:
         slope = float("nan")
     return ComparisonReport(times=times, sup_diff=sup, reference=ref, slope_vs_exponent=slope)
-
-
-def _region_block(op: DivergenceFormOperator, rows: np.ndarray, times: np.ndarray,
-                  method: EvolutionMethod) -> np.ndarray:
-    """exp(-tA)[rows][:, rows] per time, shape (len(times), R, R): from the
-    factored spectrum, or the heat coefficients times the moments
-    T_k(x)[rows] e_j of one series per unit vector e_j, j in rows, each
-    folded by the rule of every start (kernel polynomial method)."""
-    if method.resolve(op) == "exact_eigendecomposition":
-        return op.dense_eig(method.max_exact_dimension).block(rows, times)
-    lam = estimate_lambda_max(op)
-    coef = _heat_coefficients(lam, times, method.tolerance)
-    moments = []  # (column, k, row)
-    for j in rows:
-        e = np.zeros(op.n_nodes)
-        e[j] = 1.0
-        pos, _, terms = _chebyshev_terms(op, lam, e, coef.shape[1])
-        at = pos[rows]
-        with _flush_subnormals():
-            moments.append([t_k[at] for t_k in terms])
-    return (coef @ np.array(moments)).transpose(1, 2, 0)
 
 
 def separation_check(op_n: DivergenceFormOperator, op_d: DivergenceFormOperator, t: float,

@@ -261,12 +261,14 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
         _one_of(f"{path}.candidates", candidates, ("all", "degeneracy_line"))
     else:
         typed(f"{path}.candidates", candidates, [[0.0]])
+    if candidates == "all" and cfg.method.kind == "krylov_exponential":
+        raise ConfigError(f"{path}.candidates: 'all' reads the whole diagonal, which the "
+                          "'krylov_exponential' method does not give; list the candidate points")
     label = f"stage{k}" if label is None else label
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}.label: {label!r} is not a string")
     grid = build(build_grid, path, {"extents": extents, "counts": counts}, cfg.params)
     op = assemble(grid, coeffs, boundary)
-    if candidates == "all" and (method := cfg.method.resolve(op)) != "exact_eigendecomposition":
-        raise ConfigError(f"{path}.candidates: 'all' reads the whole diagonal, which the "
-                          f"{method!r} method does not give; list the candidate points")
     cands = _decay_candidates(op, candidates, f"{path}.candidates")
     bdist = _guard_distance(op, coeffs, cands, f"{path}.guard") if guard else None
     times, refused = _admissible_times(f"{path}.times", times, bdist)
@@ -788,6 +790,9 @@ def plan_experiment(cfg: ExperimentConfig):
     (plan and solve) and the pass flag."""
     t0 = time.time()
     _one_of("experiment", cfg.experiment, list(_RUNNERS))
+    if cfg.method.kind == "krylov_exponential" and cfg.experiment != "decay":
+        raise ConfigError(f"method.kind: 'krylov_exponential' gives only a decay stage's "
+                          f"candidate diagonal, not a {cfg.experiment!r} run")
     tasks = _RUNNERS[cfg.experiment]
     knobs = dict(cfg.knobs)
     task = knobs.pop("task", next(iter(tasks)))

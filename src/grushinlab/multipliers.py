@@ -25,7 +25,7 @@ Ensemble members are independent and deterministic given the recorded seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from math import gamma as gamma_fn, pi
 
 import numpy as np
@@ -35,6 +35,7 @@ from scipy.sparse.linalg import eigsh
 
 from .coefficients import GrusinParameters, _as_int, derive_exponents
 from .discretization import DivergenceFormOperator, Grid, form_value
+from .quadrature import gauss_legendre_01
 
 __all__ = [
     "vf_volume",
@@ -89,17 +90,6 @@ def _sublevel_radius(f, budget) -> np.ndarray:
     return out
 
 
-@cache
-def _vf_rule():
-    """The 256-node Gauss-Legendre rule on [0, 1] of the radial slice integral,
-    read-only because every call shares it."""
-    from .quadrature import gauss_legendre_01
-
-    u, w = gauss_legendre_01(256)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
-
-
 def vf_volume(params: GrusinParameters, r):
     """Lebesgue measure of the sublevel set {p : F(p) < r^2}: a float for a
     scalar ``r``, an array of its shape for an array of radii (all solved in
@@ -121,7 +111,7 @@ def vf_volume(params: GrusinParameters, r):
         vols = _unit_ball_volume(n) * np.array([q**n for q in p1_max.tolist()])
     else:
         # Gauss-Legendre on [0, p1_max] for the radial slice integral, one row per radius
-        u, w = _vf_rule()
+        u, w = gauss_legendre_01(256)
         s = p1_max[:, None] * u
         q2 = _sublevel_radius(partial(f2, params), budget[:, None] - f1(params, s * s))
         integrand = n * _unit_ball_volume(n) * s ** (n - 1) * _unit_ball_volume(m) * q2**m

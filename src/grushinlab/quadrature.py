@@ -13,6 +13,8 @@ touching r = 0, or f infinite on a whole constant-radius segment) yields +inf.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -21,21 +23,28 @@ __all__ = ["segment_integrals", "gauss_legendre_01", "gauss_jacobi_01"]
 _TOUCH_RTOL = 1e-12
 
 
+def _frozen(x: np.ndarray, w: np.ndarray):
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@cache
 def gauss_legendre_01(k: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1].  Cached, so read-only."""
     x, w = roots_legendre(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
+@cache
 def gauss_jacobi_01(k: int, sing: float):
     """Nodes/weights integrating u^{-sing} * phi(u) on [0, 1] exactly for
-    polynomial phi.  Requires sing < 1."""
+    polynomial phi.  Requires sing < 1.  Cached, so read-only."""
     if not sing < 1.0:
         raise ValueError("singular exponent must be < 1 for a convergent rule")
     if sing == 0.0:
         return gauss_legendre_01(k)
     x, w = roots_jacobi(k, 0.0, -sing)
-    return 0.5 * (x + 1.0), (2.0 ** (sing - 1.0)) * w
+    return _frozen(0.5 * (x + 1.0), (2.0 ** (sing - 1.0)) * w)
 
 
 def segment_integrals(qa, qb, qc, f, sing: float):

@@ -73,7 +73,7 @@ def test_int_and_float_spellings_hash_equal():
     ints = dict(FAST_CONFIG, params={"n": 1, "m": 0, "delta1": 0, "delta2": 1},
                 method={"kind": "auto", "max_exact_dimension": 4500.0})
     floats = dict(FAST_CONFIG, params={"n": 1.0, "m": 0.0, "delta1": 0.0, "delta2": 1.0},
-                  method={"max_exact_dimension": 4500})
+                  method={"max_exact_dimension": 4500}, seed=99.0)
     assert ExperimentConfig.from_dict(ints).hash() == ExperimentConfig.from_dict(floats).hash()
     # n and m default to 1 and 0, and a null method to its defaults
     bare = dict(floats, params={"delta2": 1.0}, method=None)
@@ -84,16 +84,18 @@ def test_int_and_float_spellings_hash_equal():
     ("params", "n", 1.5), ("params", "n", True), ("params", "m", -1),
     ("method", "max_exact_dimension", 4500.9), ("method", "max_exact_dimension", 0),
     ("method", "max_exact_dimension", True), ("method", "max_exact_dimension", -5),
-    ("grid", "counts", 601.5),
+    ("grid", "counts", 601.5), (None, "seed", 5.5), (None, "seed", True), (None, "seed", -1),
+    (None, "seed", 2**63), (None, "seed", 1e19),
 ])
 def test_cli_non_integral_count_exits_2_naming_it(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(FAST_CONFIG))
-    bad[section][key] = value
+    (bad if section is None else bad[section])[key] = value
     assert _suite(tmp_path, bad) == 2
-    kind = "non-negative" if key == "m" else "positive"
+    at = key if section is None else f"{section}.{key}"
+    kind = {"m": "non-negative", "seed": "non-negative 64-bit"}.get(key, "positive")
     # a bool is refused by its kind before its range
-    named = (f"{section}.{key}: True is not a number" if value is True
-             else f"{section}.{key} must be a {kind} integer")
+    named = (f"{at}: True is not a number" if value is True
+             else f"{at}{': ' if section is None else ' '}must be a {kind} integer")
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -191,6 +193,18 @@ def test_suite_binds_every_entry_before_it_runs_any(tmp_path, capsys, monkeypatc
     assert _suite(tmp_path, _manifest_entry("c03_decay_1d"), bad) == 2
     assert "knobs.n_sourcez: unknown field" in capsys.readouterr().err
     assert ran == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_refuses_two_entries_of_one_name_before_any_plans(tmp_path, capsys, monkeypatch):
+    # both would write to <out>/<name>/, and the second would overwrite the first
+    planned = []
+    monkeypatch.setattr(cli, "plan_experiment", lambda cfg: planned.append(cfg.name))
+    again = dict(_manifest_entry("c01_conservation_1d"), seed=999)
+    assert _suite(tmp_path, _manifest_entry("c01_conservation_1d"), FAST_CONFIG, again) == 2
+    assert ("experiments[2].name: 'c01_conservation_1d' is already the name of experiments[0]"
+            in capsys.readouterr().err)
+    assert planned == []
     assert not (tmp_path / "out").exists()
 
 
@@ -668,6 +682,22 @@ PLAN_CHECKS = [
     ("c02_decay_control", {("knobs", "stages", 0, "candidates"): "all"},
      "knobs.stages[0].candidates: 'all' reads the whole diagonal, which the "
      "'krylov_exponential' method does not give"),
+    ("c02_decay_control", {("knobs", "stages", 0, "label"): 5},
+     "knobs.stages[0].label: 5 is not a string"),
+    # the series gives a decay stage's candidate diagonal only
+    ("c01_conservation_1d", {("method", "kind"): "krylov_exponential"},
+     "method.kind: 'krylov_exponential' gives only a decay stage's candidate diagonal, not a "
+     "'conservation' run"),
+    ("c04_distance", {("method",): {"kind": "krylov_exponential"}},
+     "not a 'distance' run"),
+    ("c05_volume_slopes", {("method",): {"kind": "krylov_exponential"}}, "not a 'volume' run"),
+    ("c07_separation_strong", {("method", "kind"): "krylov_exponential"},
+     "not a 'separation' run"),
+    ("c08_gaussian_bounds", {("method", "kind"): "krylov_exponential"},
+     "not a 'heat_kernel' run"),
+    ("c09_davies_gaffney", {("method", "kind"): "krylov_exponential"}, "not a 'wave' run"),
+    ("c11_compare", {("method", "kind"): "krylov_exponential"}, "not a 'compare' run"),
+    ("c13_hardy", {("method",): {"kind": "krylov_exponential"}}, "not a 'nash' run"),
     ("c02_decay_control", {("knobs", "stages", 0, "candidates"): "degeneracy_lin"},
      "knobs.stages[0].candidates: 'degeneracy_lin' is not one of"),
     ("c02_decay_control", {("knobs", "stages", 0, "candidates"): [[0.0, 0.0], [0.01, 0.0]]},

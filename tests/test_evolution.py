@@ -77,16 +77,6 @@ def test_kernel_slice_invariants():
     assert ks.values[other.source_index] == pytest.approx(other.values[ks.source_index], abs=1e-10)
 
 
-def test_methods_agree():
-    op = _op_1d(count=257)
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=op.n_nodes)
-    t = 0.4
-    exact = apply_semigroup(op, v, t, EXACT)
-    krylov = apply_semigroup(op, v, t, KRYLOV)
-    assert np.abs(exact - krylov).max() < 1e-7
-
-
 def test_semigroup_property_and_contractivity():
     op = _op_1d(GrusinParameters(1, 0, 0.5, 0.0), count=257)
     rng = np.random.default_rng(17)
@@ -114,14 +104,13 @@ def _mass_deviation(op, times, sources, method):
                for src in sources for t in times)
 
 
-def test_conservation_report_exact_and_krylov():
+def test_column_mass_is_conserved():
     params = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
     g = build_grid(params, (4.0, 4.0), (41, 41))
     op = assemble(g, CoefficientField(params))
     sources = [[0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]]
     times = [0.05, 0.2, 1.0]
     assert _mass_deviation(op, times, sources, EXACT) <= 1e-10
-    assert _mass_deviation(op, [0.2], [[1.0, 1.0]], KRYLOV) <= 1e-6
 
 
 def test_conservation_broken_by_dirichlet_origin():
@@ -139,23 +128,11 @@ def test_capacity_guard():
         apply_semigroup(op, v, 0.1, EvolutionMethod("exact_eigendecomposition", max_exact_dimension=100))
 
 
-def test_krylov_column_mass_deviation_is_within_tolerance():
-    # zero row sums make 1^T T_k(x) e_j = (-1)^k, so a column's mass is
-    # 1 minus the tail of the cut series, which is at most the tolerance
-    params = GrusinParameters(1, 1, 0.25, 0.25, 1.0, 1.0)
-    op2 = assemble(build_grid(params, (4.0, 4.0), (41, 41)), CoefficientField(params))
-    op1 = _op_1d(GrusinParameters(1, 0, 0.75, 0.75), count=257, boundary="half_line_positive")
-    times = [1e-3, 0.2, 5.0, 100.0]
-    assert _mass_deviation(op2, times, [[0.0, 0.0], [1.0, 1.0]], KRYLOV) <= KRYLOV.tolerance
-    assert _mass_deviation(op1, times, [[0.0], [3.0]], KRYLOV) <= KRYLOV.tolerance
-
-
 def test_too_short_heat_series_raises_capacity_error(monkeypatch):
     op = _op_1d(count=129)
-    v = np.ones(op.n_nodes) + np.cos(op.coords()[:, 0] * 40.0)
     monkeypatch.setattr(evolution, "_heat_series_length", lambda z, tol: 5)
     with pytest.raises(CapacityError, match="heat series tail .* K_max = 5"):
-        apply_semigroup(op, v, 1.0, KRYLOV)
+        ondiagonal_decay(op, [0.5, 1.0], candidates=[op.node_index([0.0])], method=KRYLOV)
 
 
 def test_ondiagonal_decay_euclidean_slope():
@@ -301,25 +278,6 @@ def test_kernel_comparison_decay_slope():
     rep = kernel_comparison(op_true, op_frozen, rows, rho, times)
     assert rep.slope_vs_exponent <= -0.8
     assert np.all(np.diff(rep.sup_diff) > 0)  # smaller t, smaller difference
-
-
-def test_kernel_comparison_honours_krylov():
-    params = GrusinParameters(1, 0, 0.5, 0.0)
-    g = build_grid(params, 6.0, 193)
-    op_true = assemble(g, CoefficientField(params))
-    op_frozen = assemble(g, CoefficientField(params, floor_radius=0.5))
-    x = op_true.coords()[:, 0]
-    rows = np.nonzero((x >= 1.0) & (x <= 2.0))[0]
-    times = [0.05, 0.2, 0.5]
-    exact = kernel_comparison(op_true, op_frozen, rows, 1.0, times, EXACT)
-    krylov = kernel_comparison(op_true, op_frozen, rows, 1.0, times, KRYLOV)
-    assert not np.array_equal(krylov.sup_diff, exact.sup_diff)  # the series, not the spectrum
-    err = np.abs(krylov.sup_diff - exact.sup_diff).max() * op_true.node_weight
-    assert err <= 10.0 * KRYLOV.tolerance
-    # beyond the exact storage ceiling Krylov runs instead of raising
-    beyond = EvolutionMethod("krylov_exponential", tolerance=1e-8, max_exact_dimension=10)
-    rep = kernel_comparison(op_true, op_frozen, rows, 1.0, times, beyond)
-    assert np.array_equal(rep.sup_diff, krylov.sup_diff)
 
 
 def test_kernel_comparison_one_time_equals_its_slot_in_many():
@@ -796,19 +754,19 @@ def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
         with evolution._flush_subnormals():
             want = _plain_sum(oracle(op, lam, start, coef.shape[1]), coef)
         assert _same_bits(evolution._chebyshev_sum(op, lam, start, coef), want)
-    # the block: one series per column, read at the rows; the column of the
-    # source on the mid-line folds, the one off it does not
+    # the candidate diagonal: one series per candidate, read at its own row;
+    # the candidate on the mid-line folds, the one off it does not
     rows = np.asarray([op.node_index([0.0, 0.0]), op.node_index([0.5, 2.0])])
     times = np.asarray([0.01, 0.02])
     coef = evolution._heat_coefficients(lam, times, KRYLOV.tolerance)
-    moments = []
-    for row, oracle in zip(rows, (_folded_terms, _plain_terms)):
+    want = np.empty((times.size, rows.size))
+    for i, (row, oracle) in enumerate(zip(rows, (_folded_terms, _plain_terms))):
         e = _unit(op, row)
         assert _symmetric(op, e) == (oracle is _folded_terms)
         with evolution._flush_subnormals():
-            moments.append([t_k[rows] for t_k in oracle(op, lam, e, coef.shape[1])])
-    want = (coef @ np.array(moments)).transpose(1, 2, 0)
-    assert _same_bits(evolution._region_block(op, rows, times, KRYLOV), want)
+            moments = [t_k[row] for t_k in oracle(op, lam, e, coef.shape[1])]
+        want[:, i] = coef @ np.array(moments)
+    assert _same_bits(evolution._candidate_diagonal(op, rows, times, KRYLOV.tolerance), want)
 
 
 @x86_64
@@ -831,7 +789,7 @@ def test_flush_restores_the_mode_after_a_return_and_after_an_exception(monkeypat
     assert _mxcsr_control() == before
     monkeypatch.setattr(evolution, "_head_matvec", failing)
     with pytest.raises(FloatingPointError):
-        evolution._region_block(op, np.asarray([0, 1]), np.asarray([0.01]), KRYLOV)
+        evolution._candidate_diagonal(op, [0, 1], np.asarray([0.01]), KRYLOV.tolerance)
     assert _mxcsr_control() == before
     assert np.float64(TINY) * 0.5 > 0.0
 

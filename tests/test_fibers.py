@@ -1,8 +1,8 @@
 """Property tests of the factored exact spectrum (``dense_eig``) against a
 dense eigendecomposition oracle built here, and of the Chebyshev heat series
-(the Krylov method) against both, on small grids in every boundary mode."""
+of a decay stage's candidate diagonal (the Krylov method) against both, on
+small grids in every boundary mode."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from grushinlab import discretization
+from grushinlab import discretization, evolution
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     BOUNDARY_MODES,
@@ -28,9 +28,8 @@ from grushinlab.discretization import (
 from grushinlab.evolution import (
     DEFAULT_METHOD,
     EvolutionMethod,
-    _region_block,
+    _candidate_diagonal,
     apply_semigroup,
-    heat_kernel,
     ondiagonal_decay,
 )
 
@@ -41,8 +40,6 @@ DELTA1 = [0.0, 0.25, 0.5, 0.75]
 TIMES = st.floats(-4.0, 2.0).map(lambda e: 10.0**e)
 EXACT = EvolutionMethod("exact_eigendecomposition")
 KRYLOV = EvolutionMethod("krylov_exponential", tolerance=1e-8)
-# error-to-tolerance ratio of test_evolution.test_methods_agree: 1e-7 at 1e-8
-KRYLOV_ERROR = 10.0 * KRYLOV.tolerance
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 
 
@@ -324,16 +321,16 @@ def test_semigroup_property(n, m, boundary, data, t, s):
 @SETTINGS
 @given(data=st.data())
 def test_size_predicate(n, m, boundary, data):
+    # every kind reads the factored spectrum: past the ceiling it raises
     op = data.draw(operators(n, m, boundary))
     n1, n2 = op.fiber_shape
     stored = n2 * n1 * n1
     tight = math.isqrt(stored - 1) + 1       # smallest ceiling that fits
-    assert EvolutionMethod(max_exact_dimension=tight).resolve(op) == "exact_eigendecomposition"
-    small = EvolutionMethod(max_exact_dimension=tight - 1)
-    assert small.resolve(op) == "krylov_exponential"
-    with pytest.raises(CapacityError):
-        apply_semigroup(op, np.ones(op.n_nodes), 0.1,
-                        dataclasses.replace(small, kind="exact_eigendecomposition"))
+    v = np.ones(op.n_nodes)
+    for kind in ("auto", "exact_eigendecomposition"):
+        apply_semigroup(op, v, 0.1, EvolutionMethod(kind, max_exact_dimension=tight))
+        with pytest.raises(CapacityError, match=f"{stored} floats > {tight - 1}\\^2"):
+            apply_semigroup(op, v, 0.1, EvolutionMethod(kind, max_exact_dimension=tight - 1))
 
 
 def test_cached_spectrum_keeps_the_storage_ceiling():
@@ -346,67 +343,84 @@ def test_cached_spectrum_keeps_the_storage_ceiling():
         op.dense_eig(10)
 
 
-def test_size_rule_on_one_dimensional_and_square_grids():
+def test_size_rule_on_one_dimensional_and_square_grids(monkeypatch):
+    # an auto read past the ceiling raises, naming the floats, and runs no series
+    monkeypatch.setattr(evolution, "_chebyshev_terms", None)
     p1 = GrusinParameters(1, 0)
-    for count, kind in [(4499, "exact_eigendecomposition"), (4501, "krylov_exponential")]:
-        op = assemble(build_grid(p1, 8.0, count), CoefficientField(p1))
-        assert EvolutionMethod().resolve(op) == kind
+    op = assemble(build_grid(p1, 8.0, 4499), CoefficientField(p1))
+    assert op.dense_eig(DEFAULT_METHOD.max_exact_dimension).n1 == 4499
+    op = assemble(build_grid(p1, 8.0, 4501), CoefficientField(p1))
+    with pytest.raises(CapacityError, match="stores 20259001 floats > 4500\\^2"):
+        apply_semigroup(op, np.eye(op.n_nodes)[0], 0.1, EvolutionMethod())
     p2 = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
     op = assemble(build_grid(p2, 6.0, 129), CoefficientField(p2))
     assert op.fiber_shape == (129, 129)
-    assert EvolutionMethod().resolve(op) == "exact_eigendecomposition"
+    assert op.dense_eig(DEFAULT_METHOD.max_exact_dimension).n1 == 129
+
+
+def _oracle_diagonal(op, times):
+    """exp(-tA)_jj per time and row, by the dense oracle."""
+    lam, Phi = _oracle(op)
+    return np.stack([np.diag(_semigroup(lam, Phi, s)) for s in times])
+
+
+# the proven bound of an entry of the candidate diagonal, with 1e-12 for
+# the rounding of the oracle and of the recurrence
+KRYLOV_ERROR = KRYLOV.tolerance + 1e-12
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
 @SETTINGS
 @given(data=st.data(), t=TIMES)
 def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
+    # one series per candidate serves every time; the sup is taken over
+    # K_t(x; x) = diagonal entry / node weight, by either method
     op = data.draw(operators(n, m, boundary))
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
-    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
-    v /= np.linalg.norm(v)
-    krylov = apply_semigroup(op, v, t, KRYLOV)
-    assert np.abs(krylov - spec.apply(v, t)).max() <= KRYLOV_ERROR
-    # one series per candidate serves every time; the sup is
-    # taken over K_t(x; x) = diagonal entry / node weight
     times = [t / 4.0, t / 2.0, t]
     cands = np.arange(0, op.n_nodes, 2)
+    oracle = _oracle_diagonal(op, times)[:, cands].max(axis=1) / op.node_weight
     sup = ondiagonal_decay(op, times, candidates=cands, method=KRYLOV).sup_diag
-    exact = spec.diagonal(times)[:, cands].max(axis=1) / op.node_weight
-    assert np.abs(sup - exact).max() <= KRYLOV_ERROR / op.node_weight
-    # the exact method reads explicit candidates off the factored block
-    block_sup = ondiagonal_decay(op, times, candidates=cands, method=EXACT).sup_diag
-    assert np.abs(block_sup - exact).max() <= _tolerance(op, t) / op.node_weight
+    assert np.abs(sup - oracle).max() <= KRYLOV_ERROR / op.node_weight
+    exact = ondiagonal_decay(op, times, candidates=cands, method=EXACT).sup_diag
+    assert np.abs(exact - oracle).max() <= _tolerance(op, t) / op.node_weight
 
 
 @pytest.mark.parametrize("n, m, boundary", [c for c in CASES if c[1] >= 1])
 @SETTINGS
 @given(data=st.data(), t=TIMES)
-def test_krylov_kernel_from_a_mid_line_source_is_mirror_symmetric(n, m, boundary, data, t):
-    # a unit start on the x2 mid-line equals its x2 reflection, so the series
-    # runs on one row per mirror pair; the column it returns must still meet
-    # the proven bound and be exactly mirror-symmetric
+def test_krylov_diagonal_at_a_mid_line_candidate_is_folded(n, m, boundary, data, t):
+    # a unit start on the x2 mid-line equals its x2 reflection, so its series
+    # runs on one row per mirror pair, and its twin one x2 node off the line
+    # on every row; both entries must meet the proven bound
     op = data.draw(operators(n, m, boundary))
     n1, n2 = op.fiber_shape
     row = (n1 // 2) * n2 + (n2 - 1) // 2
-    col = heat_kernel(op, row, t, KRYLOV).values * op.node_weight
-    exact = op.dense_eig(DEFAULT_METHOD.max_exact_dimension).apply(np.eye(op.n_nodes)[row], t)
-    assert np.linalg.norm(col - exact) <= KRYLOV.tolerance + _tolerance(op, t)
-    view = col.reshape(n1, n2)
-    assert np.array_equal(view, view[:, ::-1])
+    places = []
+    support_order = evolution._support_order
+
+    def spy(*args):
+        order, pos, reach = support_order(*args)
+        places.append(order.size)
+        return order, pos, reach
+    times = [t / 2.0, t]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_support_order", spy)
+        diag = _candidate_diagonal(op, [row, row + 1], times, KRYLOV.tolerance)
+    assert places == [n1 * (n2 + 1) // 2, n1 * n2]
+    assert np.abs(diag - _oracle_diagonal(op, times)[:, [row, row + 1]]).max() <= KRYLOV_ERROR
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
 @SETTINGS
 @given(data=st.data(), t=TIMES)
 def test_krylov_error_within_the_proven_bound(n, m, boundary, data, t):
+    # a loose tolerance cuts the series early, and every entry, each start
+    # folded or not, must still lie within it of the oracle
     op = data.draw(operators(n, m, boundary))
-    lam, Phi = _oracle(op)
-    v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
-    err = np.linalg.norm(apply_semigroup(op, v, t, KRYLOV) - _semigroup(lam, Phi, t) @ v)
-    # the tail bound itself, with 1e-4 of it for the rounding of the oracle
-    # and the recurrence: errors reach 0.98 of the bound on these grids
-    assert err <= (KRYLOV.tolerance + 1e-12) * np.linalg.norm(v)
+    rows = np.arange(0, op.n_nodes, 4)
+    tol = 1e-4
+    err = np.abs(_candidate_diagonal(op, rows, [t], tol) - _oracle_diagonal(op, [t])[:, rows])
+    assert err.max() <= tol + 1e-12
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
@@ -416,23 +430,19 @@ def test_krylov_one_pass_equals_single_time_calls(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     times = [t / 100.0, t / 3.0, t]
     rows = np.arange(op.n_nodes // 2, op.n_nodes, 3)
-    block = _region_block(op, rows, np.array(times), KRYLOV)
-    for s, B in zip(times, block):
-        cols = [apply_semigroup(op, np.eye(op.n_nodes)[j], s, KRYLOV)[rows] for j in rows]
-        assert np.abs(B - np.transpose(cols)).max() <= 1e-13
+    diag = _candidate_diagonal(op, rows, times, KRYLOV.tolerance)
+    for s, d in zip(times, diag):
+        assert np.abs(d - _candidate_diagonal(op, rows, [s], KRYLOV.tolerance)[0]).max() <= 1e-13
+    assert np.abs(diag - _oracle_diagonal(op, times)[:, rows]).max() <= KRYLOV_ERROR
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
 @SETTINGS
 @given(data=st.data(), t=TIMES)
-def test_krylov_block_matches_dense_oracle(n, m, boundary, data, t):
-    # every entry of exp(-tA)[rows][:, rows], off-diagonals included; each
-    # column is part of exp(-tA) e_j, whose error the tail bounds by tolerance
+def test_krylov_diagonal_matches_dense_oracle(n, m, boundary, data, t):
+    # each entry is (exp(-tA) e_j)_j, whose error the tail bounds by tolerance
     op = data.draw(operators(n, m, boundary))
-    lam, Phi = _oracle(op)
     times = np.array([t / 10.0, t])
     rows = np.arange(1, op.n_nodes, 2)
-    block = _region_block(op, rows, times, KRYLOV)
-    oracle = np.stack([_semigroup(lam, Phi, s)[np.ix_(rows, rows)] for s in times])
-    err = np.linalg.norm(block - oracle, axis=1)  # per time and column
-    assert err.max() <= KRYLOV.tolerance + 1e-12
+    diag = _candidate_diagonal(op, rows, times, KRYLOV.tolerance)
+    assert np.abs(diag - _oracle_diagonal(op, times)[:, rows]).max() <= KRYLOV_ERROR

@@ -19,6 +19,19 @@ def test_gauss_jacobi_01_absorbs_singularity():
         assert np.sum(w * u**k) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("rule, args", [(gauss_legendre_01, (7,)), (gauss_legendre_01, (256,)),
+                                        (gauss_jacobi_01, (6, 0.7)), (gauss_jacobi_01, (6, 0.0))])
+def test_a_cached_rule_is_shared_and_read_only(rule, args):
+    # every caller gets the same arrays, so none may write to them
+    u, w = rule(*args)
+    assert rule(*args)[0] is u
+    for a in (u, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
 def test_segment_integrals_constant_radius():
     # qa = 0: the integrand is constant along the segment
     val = segment_integrals(0.0, 0.0, 4.0, lambda r: r**2 + 1.0, 0.0)
