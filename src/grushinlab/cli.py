@@ -13,7 +13,8 @@ is planned before any solves, so a config error in any entry exits 2
 before anything is written.
 
 ``report`` pretty-prints a stored report.json or suite_report.json.  Exit
-status is 0 exactly when every check passed.
+status is 0 exactly when every check passed, 1 when one failed, and 2 for a
+config error or an input file that cannot be read or is not valid JSON.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .reporting import summary_lines, write_report
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON ({err})") from err
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot be read ({err.strerror})") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: not valid JSON ({err})") from err
 
 
 def _manifest(entries) -> list[dict]:
@@ -115,14 +118,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "report":
-        with open(args.path) as fh:
-            aggregate = json.load(fh)
-        if "experiments" not in aggregate:  # one experiment's report.json
-            _print_report(aggregate)
-            return 0 if aggregate.get("passed") else 1
-    else:
-        try:
+    try:
+        if args.command == "report":
+            aggregate = _load_json(args.path)
+        else:
             if args.manifest == "acceptance":
                 manifest = acceptance_manifest()
             else:
@@ -131,9 +130,12 @@ def main(argv=None) -> int:
                 for raw in manifest:
                     raw["seed"] = args.seed
             aggregate = run_suite(manifest, args.out, args.workers)
-        except ConfigError as err:
-            print(f"configuration error: {err}", file=sys.stderr)
-            return 2
+    except ConfigError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    if "experiments" not in aggregate:  # one experiment's report.json
+        _print_report(aggregate)
+        return 0 if aggregate.get("passed") else 1
     for entry in aggregate["experiments"]:
         _print_report(entry)
     print("SUITE:", "PASS" if aggregate["passed"] else "FAIL")

@@ -18,6 +18,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -69,8 +70,8 @@ def coefficient_profile(r, delta: float, deltap: float):
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """Whether ``value`` is a finite real number; a bool, an infinity or a NaN is not."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _as_int(name: str, value, positive: bool) -> int:

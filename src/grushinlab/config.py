@@ -27,14 +27,15 @@ launched (its output directory, worker count) belongs to the command line,
 so "out" is an unknown field like any other.
 
 "method.kind" is "auto", "exact_eigendecomposition" or "krylov_exponential".
-Every heat read takes the operator's factored spectrum, which stores
-n2 * n1^2 floats (n2 x2 nodes, n1 kept x1 nodes); past
-"max_exact_dimension"^2 of them a read raises CapacityError.  "auto" and
+Every heat read takes the operator's factored spectrum; "auto" and
 "exact_eigendecomposition" are two names for that.  "krylov_exponential"
 (the name kept for the frozen config hashes) sets a decay run's candidate
 diagonal to one Chebyshev series of exp(-tA) per candidate, and any other
 experiment refuses it.  "tolerance" is that series' absolute error per
 entry: it stops where the coefficient tail, a proven error bound, drops to it.
+"max_exact_dimension" takes one value, 4500, the spectrum's storage ceiling
+``discretization.MAX_EXACT_DIMENSION``, which every config hash carries; the
+plans check the ceiling (grushinlab.experiments).
 
 "knobs.task" selects the runner within an experiment kind: "slopes" or
 "doubling" (volume), "finite_speed" or "davies_gaffney" (wave), "nash",
@@ -61,10 +62,9 @@ from typing import Any
 
 from .coefficients import GrusinParameters, _is_real
 from .discretization import Grid, build_grid
-from .evolution import EvolutionMethod
 
-__all__ = ["ConfigError", "ExperimentConfig", "bind", "build", "canonical_json", "config_hash",
-           "typed"]
+__all__ = ["ConfigError", "EvolutionMethod", "ExperimentConfig", "bind", "build",
+           "canonical_json", "config_hash", "typed"]
 
 
 class ConfigError(ValueError):
@@ -135,6 +135,27 @@ def build(fn, path: str, raw, *head):
         field = str(err).split(" ", 1)[0]
         sep = "." if field in inspect.signature(fn).parameters else ": "
         raise ConfigError(f"{path}{sep}{err}") from err
+
+
+@dataclass(frozen=True)
+class EvolutionMethod:
+    """How a run evaluates exp(-tA): a config's "method" (see the schema above)."""
+
+    kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential
+    tolerance: float = 1e-8
+    max_exact_dimension: int = 4500  # the ceiling every config hash echoes; no other value
+
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        if self.max_exact_dimension != 4500:
+            raise ValueError(f"max_exact_dimension must be 4500, the storage ceiling of the "
+                             f"factored spectrum, got {self.max_exact_dimension!r}")
+        object.__setattr__(self, "max_exact_dimension", 4500)  # an int: 4500.0 hashes as 4500
+        kinds = ("auto", "exact_eigendecomposition", "krylov_exponential")
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+        if not 0 < self.tolerance < 1:
+            raise ValueError("tolerance must lie in (0, 1)")
 
 
 @dataclass

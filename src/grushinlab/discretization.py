@@ -69,7 +69,11 @@ BOUNDARY_MODES = (
 
 
 class CapacityError(RuntimeError):
-    """A method guard (storage ceiling, heat or wave Chebyshev series length) was exceeded."""
+    """A solver guard (storage ceiling, heat or wave Chebyshev series length) was exceeded."""
+
+
+# The factored spectrum stores n2 * n1^2 floats, at most MAX_EXACT_DIMENSION^2.
+MAX_EXACT_DIMENSION = 4500
 
 
 @dataclass(frozen=True)
@@ -473,18 +477,18 @@ class DivergenceFormOperator:
         n2 = int(np.prod(self.grid.counts[self.grid.params.n:]))
         return self.n_nodes // n2, n2
 
-    def dense_eig(self, max_dimension: int) -> FiberSpectrum:
+    def dense_eig(self) -> FiberSpectrum:
         """Exact spectrum of the operator in factored form.  Cached.
 
-        Raises CapacityError when its n2 * n1^2 floats exceed the ceiling
-        max_dimension^2 (for m = 0: n_nodes > max_dimension), on every call:
-        a cached spectrum does not lift the ceiling.
+        Raises CapacityError when its n2 * n1^2 floats exceed
+        MAX_EXACT_DIMENSION^2 (for m = 0: n_nodes > MAX_EXACT_DIMENSION), on
+        every call: a cached spectrum does not lift the ceiling.
         """
         n1, n2 = self.fiber_shape
-        if n2 * n1 * n1 > max_dimension * max_dimension:
+        if n2 * n1 * n1 > MAX_EXACT_DIMENSION * MAX_EXACT_DIMENSION:
             raise CapacityError(
                 f"exact spectrum of {n2} fibers of {n1} x1 nodes stores "
-                f"{n2 * n1 * n1} floats > {max_dimension}^2"
+                f"{n2 * n1 * n1} floats > {MAX_EXACT_DIMENSION}^2"
             )
         if self._eig is None:
             self._eig = _factorize(self)

@@ -6,14 +6,14 @@ node j is K_t(., j) = exp(-tA) e_j / weight.  Every read -- a vector, a
 kernel column, a block, the full diagonal -- takes the operator's factored
 spectrum (``DivergenceFormOperator.dense_eig``): cosine transforms along x2
 and one x1 fiber eigendecomposition per x2 mode, each split per connected
-component, so decoupled halves produce *exactly* zero cross-kernel.  Past
-its storage ceiling (n2 * n1^2 floats > max_exact_dimension^2) it raises
-CapacityError.
+component, so decoupled halves produce *exactly* zero cross-kernel.  A
+read takes the operator alone (no method argument), and past the spectrum's
+storage ceiling, n2 * n1^2 floats > MAX_EXACT_DIMENSION^2, raises CapacityError.
 
-The one exception is a decay stage's candidate diagonal under the
-krylov_exponential method: one Chebyshev series of exp(-tA) per candidate
-e_j, read at its own entry only.  The series is in x = (2/Lambda) A - I,
-Lambda = 2 max_i A_ii (Gershgorin), so the spectrum of x lies in [-1, 1]:
+The one exception is a decay diagonal given a tolerance: one Chebyshev
+series of exp(-tA) per candidate e_j, read at its own entry only.  The
+series is in x = (2/Lambda) A - I, Lambda = 2 max_i A_ii (Gershgorin), so
+the spectrum of x lies in [-1, 1]:
 with z = t Lambda / 2, exp(-tA) = e^-z [I_0(z) + 2 sum_k (-1)^k I_k(z)
 T_k(x)] (Sachdeva & Vishnoi, Faster Algorithms via Approximation Theory,
 2014).  |T_k(x)| <= 1 on the spectrum, so cutting where the tail sum of
@@ -62,12 +62,11 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import dijkstra
 from scipy.special import ive
 
-from .coefficients import _as_int, derive_exponents, piecewise_power
+from .coefficients import derive_exponents, piecewise_power
 from .discretization import CapacityError, DivergenceFormOperator
 from .geometry import ball_volume
 
 __all__ = [
-    "EvolutionMethod",
     "KernelSlice",
     "apply_semigroup",
     "estimate_lambda_max",
@@ -78,39 +77,6 @@ __all__ = [
     "separation_check",
     "fit_loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class EvolutionMethod:
-    """How to evaluate exp(-tA).
-
-    ``max_exact_dimension`` is the storage ceiling of the factored spectrum,
-    which every heat read takes: it stores n2 * n1^2 floats (n2 x2 modes,
-    fibers of n1 x1 nodes), which must not exceed max_exact_dimension^2, or
-    the read raises CapacityError.  ``auto`` and ``exact_eigendecomposition``
-    mean the same thing; both names stay, as frozen config hashes carry them.
-    ``krylov_exponential`` changes one read only: a decay stage's candidate
-    diagonal, one Chebyshev series per candidate (``ondiagonal_decay``), with
-    ``tolerance`` its absolute error per entry, a proven bound: the tail of
-    the truncated series.
-    """
-
-    kind: str = "auto"  # auto | exact_eigendecomposition | krylov_exponential
-    tolerance: float = 1e-8
-    max_exact_dimension: int = 4500
-
-    def __post_init__(self):
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "max_exact_dimension",
-                           _as_int("max_exact_dimension", self.max_exact_dimension, positive=True))
-        kinds = ("auto", "exact_eigendecomposition", "krylov_exponential")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
-        if not 0 < self.tolerance < 1:
-            raise ValueError("tolerance must lie in (0, 1)")
-
-
-DEFAULT_METHOD = EvolutionMethod()
 
 
 @dataclass(frozen=True)
@@ -369,8 +335,7 @@ def _heat_coefficients(lam: float, times, tol: float) -> np.ndarray:
     return coef[:, : int((tail > tol).sum(axis=1).max())]
 
 
-def apply_semigroup(op: DivergenceFormOperator, v, t: float,
-                    method: EvolutionMethod = DEFAULT_METHOD) -> np.ndarray:
+def apply_semigroup(op: DivergenceFormOperator, v, t: float) -> np.ndarray:
     """exp(-tA) v for the operator's generator A, from its factored
     spectrum; t = 0 returns v."""
     if t < 0:
@@ -380,18 +345,17 @@ def apply_semigroup(op: DivergenceFormOperator, v, t: float,
         raise ValueError(f"vector length {v.shape} does not match {op.n_nodes} nodes")
     if t == 0.0:
         return v.copy()
-    return op.dense_eig(method.max_exact_dimension).apply(v, t)
+    return op.dense_eig().apply(v, t)
 
 
-def heat_kernel(op: DivergenceFormOperator, row: int, t: float,
-                method: EvolutionMethod = DEFAULT_METHOD) -> KernelSlice:
+def heat_kernel(op: DivergenceFormOperator, row: int, t: float) -> KernelSlice:
     """Kernel column K_t(., y) for the source y at operator row ``row``."""
     if t <= 0:
         raise ValueError("kernel slices require t > 0")
     j = int(row)
     e = np.zeros(op.n_nodes)
     e[j] = 1.0
-    col = apply_semigroup(op, e, t, method)
+    col = apply_semigroup(op, e, t)
     return KernelSlice(source_index=j, t=t, values=col / op.node_weight, weight=op.node_weight)
 
 
@@ -409,26 +373,26 @@ class DecayResult:
 
 
 def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
-                     method: EvolutionMethod = DEFAULT_METHOD) -> DecayResult:
+                     tolerance: float | None = None) -> DecayResult:
     """sup_x K_t(x; x) per time (sorted, at least two) and its log-log slope.
 
     ``candidates``: operator rows over which the sup is taken, read off the
-    factored spectrum's diagonal, or under ``krylov_exponential`` off one
-    series per candidate (``_candidate_diagonal``), which needs them.
-    Without them the sup is over the full diagonal, less the isolated cells
-    (zero-degree rows, cut off by dead faces), which hold their unit mass
-    forever.  The caller admits the times.
+    factored spectrum's diagonal, or, given a ``tolerance``, off one series
+    per candidate (``_candidate_diagonal``), each entry within it, which
+    needs them.  Without them the sup is over the full diagonal, less the
+    isolated cells (zero-degree rows, cut off by dead faces), which hold
+    their unit mass forever.  The caller admits the times.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if len(times) < 2:
         raise ValueError("times: need at least two times for a slope fit")
-    if method.kind == "krylov_exponential":
+    if tolerance is not None:
         if candidates is None:
-            raise ValueError("krylov on-diagonal decay requires an explicit candidate set")
-        diag = _candidate_diagonal(op, candidates, times, method.tolerance)
+            raise ValueError("a series on-diagonal decay requires an explicit candidate set")
+        diag = _candidate_diagonal(op, candidates, times, tolerance)
     else:
         rows = np.nonzero(op.matrix.diagonal() > 0.0)[0] if candidates is None else candidates
-        diag = op.dense_eig(method.max_exact_dimension).diagonal(times)[:, rows]
+        diag = op.dense_eig().diagonal(times)[:, rows]
     sup = diag.max(axis=1) / op.node_weight
     return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup))
 
@@ -465,8 +429,7 @@ _EXPONENT_CAP = 16.0  # the largest d^2/(4t) gaussian_upper_check samples
 
 
 def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, times,
-                         epsilon: float, method: EvolutionMethod = DEFAULT_METHOD
-                         ) -> GaussianUpperReport:
+                         epsilon: float) -> GaussianUpperReport:
     """Fitted constant of the volume-weighted Gaussian upper bound.
 
     ``source_distances`` maps operator rows to the geodesic distances from
@@ -488,8 +451,7 @@ def gaussian_upper_check(op: DivergenceFormOperator, source_distances: dict, tim
     rows = sorted(source_distances)
     times = np.asarray(times, dtype=float)
     # K[a, q, b] = K_t(rows[b]; rows[a]) at t = times[q]: (source, time, other)
-    K = np.transpose(op.dense_eig(method.max_exact_dimension).block(np.asarray(rows), times),
-                     (2, 0, 1)) / op.node_weight
+    K = np.transpose(op.dense_eig().block(np.asarray(rows), times), (2, 0, 1)) / op.node_weight
     vol = np.array([[ball_volume(source_distances[j], r, op.node_weight) for r in np.sqrt(times)]
                     for j in rows])
     d = np.array([[source_distances[i][op.kept[j]] for i in rows] for j in rows])
@@ -511,8 +473,7 @@ class ComparisonReport:
 
 
 def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceFormOperator,
-                      region_rows: np.ndarray, rho: float, times,
-                      method: EvolutionMethod = DEFAULT_METHOD) -> ComparisonReport:
+                      region_rows: np.ndarray, rho: float, times) -> ComparisonReport:
     """sup over the region of |K_frozen - K_true| per time, with the
     reference curve V(t^2/rho^2)^{-1} (rho^2/t)^{-1/2} exp(-rho^2/(4t)).
 
@@ -524,8 +485,8 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
     rows = np.asarray(region_rows)
     e = derive_exponents(op_true.grid.params)
     w = op_true.node_weight
-    E1 = op_frozen.dense_eig(method.max_exact_dimension).block(rows, times)
-    E2 = op_true.dense_eig(method.max_exact_dimension).block(rows, times)
+    E1 = op_frozen.dense_eig().block(rows, times)
+    E2 = op_true.dense_eig().block(rows, times)
     sup = np.abs(E1 - E2).max(axis=(1, 2)) / w
     s = times / rho**2
     ref = (1.0 / piecewise_power(s, e.D / 2.0, e.Dp / 2.0)) * np.sqrt(s) * np.exp(-1.0 / (4.0 * s))
@@ -539,7 +500,7 @@ def kernel_comparison(op_true: DivergenceFormOperator, op_frozen: DivergenceForm
 
 
 def separation_check(op_n: DivergenceFormOperator, op_d: DivergenceFormOperator, t: float,
-                     rows, method: EvolutionMethod = DEFAULT_METHOD) -> tuple[float, np.ndarray]:
+                     rows) -> tuple[float, np.ndarray]:
     """Dirichlet/Neumann comparison and the cross kernel on one grid.
 
     ``op_n`` / ``op_d`` are the Neumann and ``dirichlet_origin`` operators of
@@ -557,8 +518,8 @@ def separation_check(op_n: DivergenceFormOperator, op_d: DivergenceFormOperator,
     x1 = op_n.coords()[:, 0]
     gap, cross = 0.0, []
     for j in rows:
-        k_n = heat_kernel(op_n, idx[j], t, method)
-        k_d = heat_kernel(op_d, j, t, method)
+        k_n = heat_kernel(op_n, idx[j], t)
+        k_d = heat_kernel(op_d, j, t)
         gap = max(gap, float(np.abs(k_n.values[idx] - k_d.values).max()))
         cross.append(k_n.values[x1 * x1[idx[j]] < 0])
     return gap, np.concatenate(cross)

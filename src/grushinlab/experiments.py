@@ -28,7 +28,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_exponents
 from .config import ConfigError, ExperimentConfig, bind, build, typed
-from .discretization import BOUNDARY_MODES, assemble, build_grid
+from .discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
 from .evolution import (
     fit_loglog_slope,
     gaussian_upper_check,
@@ -98,12 +98,12 @@ def _positive(path: str, value, like=None) -> None:
 
 
 def _resolve(path: str, lookup, *args):
-    """``lookup(*args)``, ``op.node_index`` or ``grid.flat_index`` of a point
-    (or a computation's check of its arguments): a point off the grid, or on
-    a node the boundary removed, is a ConfigError naming ``path``."""
+    """``lookup(*args)``: ``op.node_index`` or ``grid.flat_index`` of a point,
+    a computation's check of its arguments, or ``op.dense_eig``'s storage
+    ceiling; a ValueError or CapacityError is a ConfigError naming ``path``."""
     try:
         return lookup(*args)
-    except ValueError as err:
+    except (ValueError, CapacityError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
@@ -173,15 +173,16 @@ def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.2
                      n_sources=10, bound=1e-8):
     _counts(n_sources=n_sources)
     _positive("knobs.times", times)
+    op = assemble(cfg.grid(), CoefficientField(cfg.params))
+    _resolve("grid", op.dense_eig)
     yield
     rng = np.random.default_rng(cfg.seed)
-    op = assemble(cfg.grid(), CoefficientField(cfg.params))
     sources = _spread_sources(op, n_sources, rng)
     rows = []
     worst = 0.0
     for j in sources:
         for t in times:
-            ks = heat_kernel(op, int(j), float(t), cfg.method)
+            ks = heat_kernel(op, int(j), float(t))
             dev = abs(1.0 - ks.mass())
             worst = max(worst, dev)
             rows.append([int(j), t, dev])
@@ -261,7 +262,8 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
         _one_of(f"{path}.candidates", candidates, ("all", "degeneracy_line"))
     else:
         typed(f"{path}.candidates", candidates, [[0.0]])
-    if candidates == "all" and cfg.method.kind == "krylov_exponential":
+    tolerance = cfg.method.tolerance if cfg.method.kind == "krylov_exponential" else None
+    if candidates == "all" and tolerance is not None:
         raise ConfigError(f"{path}.candidates: 'all' reads the whole diagonal, which the "
                           "'krylov_exponential' method does not give; list the candidate points")
     label = f"stage{k}" if label is None else label
@@ -269,11 +271,13 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
         raise ConfigError(f"{path}.label: {label!r} is not a string")
     grid = build(build_grid, path, {"extents": extents, "counts": counts}, cfg.params)
     op = assemble(grid, coeffs, boundary)
+    if tolerance is None:
+        _resolve(path, op.dense_eig)
     cands = _decay_candidates(op, candidates, f"{path}.candidates")
     bdist = _guard_distance(op, coeffs, cands, f"{path}.guard") if guard else None
     times, refused = _admissible_times(f"{path}.times", times, bdist)
     yield
-    res = ondiagonal_decay(op, times, candidates=cands, method=cfg.method)
+    res = ondiagonal_decay(op, times, candidates=cands, tolerance=tolerance)
     rep["fitted"][f"{label}_slope"] = res.slope
     if refused:
         rep["fitted"][f"{label}_refused_times"] = list(refused)
@@ -402,6 +406,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
     _positive("knobs.t", t)
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
+    _resolve("grid", op.dense_eig)
     j = _resolve("knobs.source", op.node_index, source)
     j2 = None if symmetry_point is None else _resolve("knobs.symmetry_point", op.node_index,
                                                       symmetry_point)
@@ -409,7 +414,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
         raise ConfigError(f"knobs.symmetry_point: {list(symmetry_point)} resolves to the "
                           f"source's node, so the symmetry check would test nothing")
     yield
-    ks = heat_kernel(op, j, t, cfg.method)
+    ks = heat_kernel(op, j, t)
     coords = op.coords()
     rows = [list(coords[i]) + [ks.values[i]] for i in range(op.n_nodes)]
     cols = [f"x{i}" for i in range(cfg.params.dim)] + ["kernel"]
@@ -417,7 +422,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
     rep["checks"].append(check("mass_deviation", abs(1.0 - ks.mass()), "<=", mass_tol))
     rep["checks"].append(check("min_value", float(ks.values.min()), ">=", -1e-12))
     if symmetry_point is not None:
-        ks2 = heat_kernel(op, j2, t, cfg.method)
+        ks2 = heat_kernel(op, j2, t)
         gap = abs(ks.values[ks2.source_index] - ks2.values[ks.source_index])
         rep["checks"].append(check("symmetry_gap", gap, "<=", symmetry_tol))
     if oracle == "gauss_free_space":
@@ -441,11 +446,12 @@ def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
     coeffs = CoefficientField(cfg.params)
     ops = [assemble(grid, coeffs, "dirichlet_origin") for grid in _levels(cfg, refinements)]
     rows = [_resolve_all("knobs.sources", op_d.node_index, sources) for op_d in ops]
+    _resolve("grid", assemble(ops[-1].grid, coeffs).dense_eig)  # the largest spectrum read
     yield
     counts, gaps, cross = [], [], []
     for k in range(refinements):
         op_d, ops[k] = ops[k], None  # the level before is dropped, with its spectrum
-        gap, values = separation_check(assemble(op_d.grid, coeffs), op_d, t, rows[k], cfg.method)
+        gap, values = separation_check(assemble(op_d.grid, coeffs), op_d, t, rows[k])
         counts.append(op_d.grid.counts[0])
         gaps.append(gap)
         cross.append(values)
@@ -489,8 +495,10 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
                           f"|x1| <= r_cut / 2 = {r_cut / 2.0}")
     if _region_rows(cfg.grid(), lo, hi).size == 0:
         raise ConfigError(f"knobs.region: no grid node has |x1| in {list(region)}")
-    yield
     coeffs = CoefficientField(cfg.params)
+    *_, finest = _levels(cfg, 2)
+    _resolve("grid", assemble(finest, coeffs).dense_eig)  # the largest spectrum read
+    yield
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
     prefactors = []
@@ -506,7 +514,7 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
         # difference is well above discretization noise; only level 0
         # reports the whole curve, so finer levels read that time alone
         res = kernel_comparison(op_true, op_frozen, region_rows, rho,
-                                times if level == 0 else times[-1:], cfg.method)
+                                times if level == 0 else times[-1:])
         pref = float(res.sup_diff[-1] / res.reference[-1])
         prefactors.append(pref)
         if level == 0:
@@ -530,7 +538,7 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
         op_a = assemble(grid0, c0)
         op_b = assemble(grid0, CoefficientField(params0, floor_radius=r_cut / 2.0))
         res0 = kernel_comparison(op_a, op_b, _region_rows(grid0, lo, hi), rho=1.0,
-                                 times=[0.05, 0.2], method=cfg.method)
+                                 times=[0.05, 0.2])
         rep["fitted"]["control_sup_diff"] = float(res0.sup_diff.max())
         rep["checks"].append(
             check("identical_coefficients_control", float(res0.sup_diff.max()), "<=", control_tol)
@@ -596,6 +604,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
+    _resolve("grid", op.dense_eig)
     coords = op.coords()[:, 0]
     sets = {(c, w): np.nonzero(np.abs(coords - c) <= w)[0] for *cs, w in _DG_PAIRS for c in cs}
     for (c, w), nodes in sets.items():
@@ -609,7 +618,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
         rows_a, rows_b = sets[center_a, w], sets[center_b, w]
         dab = float(graph.distances_from_nodes(op.kept[rows_a])[op.kept[rows_b]].min())
         times = [dab**2 / (4.0 * s) for s in exponent_targets]
-        margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon, cfg.method)
+        margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon)
         rows += [[center_a, center_b, dab, s, t, m]
                  for s, t, m in zip(exponent_targets, times, margins)]
     rep["csv"]["davies_gaffney.csv"] = {
@@ -654,6 +663,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
     levels = []  # per level: its operator and the rows of the sources
     for level, grid in enumerate(_levels(cfg, 2)):
         op = assemble(grid, coeffs)
+        _resolve("grid", op.dense_eig)
         try:
             levels.append((op, sorted(_resolve_all("sources", op.node_index, _GAUSSIAN_SOURCES))))
         except ConfigError as err:
@@ -665,7 +675,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
         (op, rows), levels[level] = levels[level], None  # the level before is dropped
         graph = MetricGraph(op.grid, coeffs, 2)
         dists = {j: graph.distances_from_nodes(op.kept[j]) for j in rows}
-        upper = gaussian_upper_check(op, dists, times, epsilon, method=cfg.method)
+        upper = gaussian_upper_check(op, dists, times, epsilon)
         uppers.append(upper.constant)
         lowers.append(upper.lower)
         rep["fitted"][f"upper_constant_level{level}"] = upper.constant

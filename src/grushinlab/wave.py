@@ -31,8 +31,7 @@ import numpy as np
 from scipy.special import jv
 
 from .discretization import CapacityError, DivergenceFormOperator, form_value
-from .evolution import (DEFAULT_METHOD, EvolutionMethod, _chebyshev_sum, apply_semigroup,
-                        estimate_lambda_max)
+from .evolution import _chebyshev_sum, apply_semigroup, estimate_lambda_max
 
 __all__ = [
     "WaveState",
@@ -109,8 +108,7 @@ def finite_speed_check(op: DivergenceFormOperator, support_distance, v, times,
 
 
 def davies_gaffney_check(op: DivergenceFormOperator, set_distance: float,
-                         rows_a, rows_b, times, epsilon: float,
-                         method: EvolutionMethod = DEFAULT_METHOD) -> list[float]:
+                         rows_a, rows_b, times, epsilon: float) -> list[float]:
     """Log-margin of the L2 off-diagonal bound at each of the given times:
 
         log |<1_A, S_t 1_B>| + d(A;B)^2 / (4 t (1+epsilon)) - log(||1_A|| ||1_B||);
@@ -129,7 +127,7 @@ def davies_gaffney_check(op: DivergenceFormOperator, set_distance: float,
     norms = np.log(np.sqrt(w * rows_a.size) * np.sqrt(w * rows_b.size))
     margins = []
     for t in times:
-        st_b = apply_semigroup(op, ind_b, float(t), method)
+        st_b = apply_semigroup(op, ind_b, float(t))
         val = abs(w * float(ind_a @ st_b))
         logval = np.log(val) if val > 0 else -np.inf
         margins.append(float(logval + set_distance**2 / (4.0 * t * (1.0 + epsilon)) - norms))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import weakref
@@ -5,11 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from grushinlab import cli, evolution, experiments, reporting, wave
+from grushinlab import cli, discretization, evolution, experiments, reporting, wave
 from grushinlab.cli import main, run_suite
 from grushinlab.coefficients import GrusinParameters
-from grushinlab.config import ConfigError, ExperimentConfig, bind, config_hash
-from grushinlab.discretization import DivergenceFormOperator
+from grushinlab.config import ConfigError, EvolutionMethod, ExperimentConfig, bind, config_hash
+from grushinlab.discretization import FiberSpectrum
 from grushinlab.experiments import acceptance_manifest, plan_experiment, run_experiment
 from grushinlab.reporting import format_number, write_report
 
@@ -84,6 +85,7 @@ def test_int_and_float_spellings_hash_equal():
     ("params", "n", 1.5), ("params", "n", True), ("params", "m", -1),
     ("method", "max_exact_dimension", 4500.9), ("method", "max_exact_dimension", 0),
     ("method", "max_exact_dimension", True), ("method", "max_exact_dimension", -5),
+    ("method", "max_exact_dimension", 100),
     ("grid", "counts", 601.5), (None, "seed", 5.5), (None, "seed", True), (None, "seed", -1),
     (None, "seed", 2**63), (None, "seed", 1e19),
 ])
@@ -93,11 +95,17 @@ def test_cli_non_integral_count_exits_2_naming_it(tmp_path, capsys, section, key
     assert _suite(tmp_path, bad) == 2
     at = key if section is None else f"{section}.{key}"
     kind = {"m": "non-negative", "seed": "non-negative 64-bit"}.get(key, "positive")
-    # a bool is refused by its kind before its range
+    # a bool is refused by its kind before its range; the storage ceiling takes one value
     named = (f"{at}: True is not a number" if value is True
+             else f"{at} must be 4500, the storage ceiling of the factored spectrum, got {value!r}"
+             if key == "max_exact_dimension"
              else f"{at}{': ' if section is None else ' '}must be a {kind} integer")
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_method_echoes_the_storage_ceiling():
+    assert EvolutionMethod().max_exact_dimension == discretization.MAX_EXACT_DIMENSION
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -324,6 +332,24 @@ def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
     assert str(mpath) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, text, named", [
+    ("suite", "missing.json", None, "cannot be read (No such file or directory)"),
+    ("report", "missing.json", None, "cannot be read (No such file or directory)"),
+    ("report", "bad.json", "{not json", "not valid JSON"),
+], ids=["suite-missing-manifest", "report-missing-file", "report-invalid-json"])
+def test_a_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, command, name, text,
+                                                       named):
+    # exit 1 means a check failed; an input that cannot be read is a usage error
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    argv = (["suite", "--manifest", str(path), "--out", str(tmp_path / "out")]
+            if command == "suite" else ["report", str(path)])
+    assert main(argv) == 2
+    assert f"configuration error: {path}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("document, seed, named", [
     ({"experiments": 3}, [], "experiments: "),
     (3, [], "experiments: "),
@@ -447,10 +473,23 @@ def test_a_decay_stage_releases_its_operator_once_solved(monkeypatch):
     assert len(solved) == 3
 
 
+def _takes_one_value(field) -> bool:
+    """Whether the method field refuses a value other than its default
+    (half of it: the probe needs a number)."""
+    if not isinstance(field.default, (int, float)):
+        return False
+    try:
+        EvolutionMethod(**{field.name: field.default / 2})
+    except ValueError:
+        return True
+    return False
+
+
 def test_every_runner_knob_is_set_by_some_manifest_entry():
     # a knob no entry sets has one value in use: it belongs beside its code as a constant
     set_by = set()
     for raw in acceptance_manifest():
+        set_by |= {(EvolutionMethod, name) for name in raw.get("method") or {}}
         knobs = dict(raw["knobs"])
         tasks = experiments._RUNNERS[raw["experiment"]]
         runner = tasks[knobs.pop("task", next(iter(tasks)))]
@@ -461,6 +500,9 @@ def test_every_runner_knob_is_set_by_some_manifest_entry():
     never = [f"{fn.__name__}.{p.name}" for fn in runners + [experiments._decay_stage]
              for p in inspect.signature(fn).parameters.values()
              if p.kind is p.KEYWORD_ONLY and (fn, p.name) not in set_by]
+    # so is a method field, unless it takes one value only (an echo in every config hash)
+    never += [f"method.{f.name}" for f in dataclasses.fields(EvolutionMethod)
+              if (EvolutionMethod, f.name) not in set_by and not _takes_one_value(f)]
     assert never == []
 
 
@@ -872,6 +914,30 @@ PLAN_CHECKS = [
      "knobs.stages[1].extents must be a number, got '150'"),
     ("c03_decay_1d", {("knobs", "stages", 1, "counts"): 4001.5},
      "knobs.stages[1].counts must be a positive integer, got 4001.5"),
+    # a number that is not finite (JSON's Infinity and NaN)
+    ("c01_conservation_1d", {("grid", "extents"): float("inf")},
+     "grid.extents must be a number, got inf"),
+    ("c01_conservation_1d", {("params", "delta2"): float("inf")},
+     "params.delta2: inf is not a number"),
+    ("c14_free_space_oracle", {("knobs", "source"): [float("inf")]},
+     "knobs.source: point [inf] is not a list of numbers"),
+    ("c01_conservation_1d", {("knobs", "bound"): float("nan")}, "knobs.bound: nan is not a number"),
+    # an operator past the factored spectrum's storage ceiling, on each heat runner's grid
+    ("c01_conservation_1d", {("grid", "counts"): 4501, ("method", "kind"): "auto"},
+     "grid: exact spectrum of 1 fibers of 4501 x1 nodes stores 20259001 floats > 4500^2"),
+    ("c14_free_space_oracle", {("grid", "counts"): 4501},
+     "grid: exact spectrum of 1 fibers of 4501 x1 nodes stores 20259001 floats > 4500^2"),
+    ("c09_davies_gaffney", {("grid", "counts"): 4501},
+     "grid: exact spectrum of 1 fibers of 4501 x1 nodes stores 20259001 floats > 4500^2"),
+    ("c03_decay_1d", {("knobs", "stages", 0, "counts"): 9001},  # 4,501 kept on the half-line
+     "knobs.stages[0]: exact spectrum of 1 fibers of 4501 x1 nodes stores 20259001 floats"),
+    # the finest level's Neumann operator: 1,201 -> 4,801 and 2,301 -> 4,601 nodes
+    ("c07_separation_weak", {("grid", "counts"): 1201},
+     "grid: exact spectrum of 1 fibers of 4801 x1 nodes stores 23049601 floats > 4500^2"),
+    ("c11_compare", {("grid", "counts"): 2301},
+     "grid: exact spectrum of 1 fibers of 4601 x1 nodes stores 21169201 floats > 4500^2"),
+    ("c08_gaussian_bounds", {("grid", "counts"): 137},
+     "grid: exact spectrum of 273 fibers of 273 x1 nodes stores 20346417 floats > 4500^2"),
 ]
 
 
@@ -894,6 +960,16 @@ def test_suite_raises_a_later_entrys_bad_value_before_any_entry_solves(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_series_decay_stage_reads_past_the_storage_ceiling():
+    # under krylov_exponential a stage reads one series per candidate, not the spectrum
+    stage = {"extents": 8.0, "counts": 4501, "times": [0.1, 0.2], "candidates": [[0.0]],
+             "slope": -0.5, "tol": 0.1}
+    rep = run_experiment(ExperimentConfig.from_dict({
+        "experiment": "decay", "params": {"n": 1, "m": 0},
+        "method": {"kind": "krylov_exponential"}, "knobs": {"stages": [stage]}}))
+    assert rep["passed"]
+
+
 def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothing(monkeypatch):
     called = []
 
@@ -905,7 +981,7 @@ def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothin
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, record)
 
-    spy(DivergenceFormOperator, "dense_eig")
+    spy(FiberSpectrum, "_eigenpairs")  # a plan checks the ceiling, but factors no component
     spy(evolution, "_chebyshev_terms")
     spy(wave, "cosine_propagator")
     spy(reporting, "write_report")
@@ -914,7 +990,7 @@ def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothin
     assert len(plans) == 20 and called == []
     rep, solve = plans["c14_free_space_oracle"]
     solve()  # the spies see a solve
-    assert rep["passed"] and set(called) == {"dense_eig"}
+    assert rep["passed"] and set(called) == {"_eigenpairs"}
 
 
 @pytest.mark.parametrize("entry", ["c04_distance", "c07_separation_weak", "c11_compare",

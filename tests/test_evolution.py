@@ -11,10 +11,9 @@ from test_fibers import CASES
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.config import ConfigError, ExperimentConfig
 from grushinlab.discretization import FiberSpectrum, assemble, build_grid
-from grushinlab import evolution
+from grushinlab import discretization, evolution
 from grushinlab.evolution import (
     CapacityError,
-    EvolutionMethod,
     apply_semigroup,
     fit_loglog_slope,
     gaussian_upper_check,
@@ -29,8 +28,7 @@ from grushinlab.geometry import MetricGraph, ball_volume
 from grushinlab.multipliers import bump
 from grushinlab.wave import cosine_propagator
 
-EXACT = EvolutionMethod("exact_eigendecomposition")
-KRYLOV = EvolutionMethod("krylov_exponential", tolerance=1e-8)
+TOLERANCE = 1e-8  # the heat series' absolute error per diagonal entry
 
 
 def _op_1d(params=GrusinParameters(1, 0), L=8.0, count=513, boundary="neumann_truncation"):
@@ -50,7 +48,7 @@ def test_constant_vector_is_invariant():
     op = _op_1d(count=129)
     one = np.ones(op.n_nodes)
     for t in (0.01, 0.5, 3.0):
-        out = apply_semigroup(op, one, t, EXACT)
+        out = apply_semigroup(op, one, t)
         assert np.abs(out - 1.0).max() < 1e-10
 
 
@@ -59,7 +57,7 @@ def test_free_space_gauss_kernel_oracle():
     # boundary mass is negligible
     op = _op_1d(count=1025)
     t = 0.1
-    ks = heat_kernel(op, op.node_index([0.0]), t, EXACT)
+    ks = heat_kernel(op, op.node_index([0.0]), t)
     x = op.coords()[:, 0]
     oracle = (4 * np.pi * t) ** -0.5 * np.exp(-(x**2) / (4 * t))
     assert np.abs(ks.values - oracle).max() < 1e-3
@@ -69,11 +67,11 @@ def test_kernel_slice_invariants():
     params = GrusinParameters(1, 1, 0.25, 0.25, 0.5, 0.5)
     g = build_grid(params, (2.0, 2.0), (21, 21))
     op = assemble(g, CoefficientField(params))
-    ks = heat_kernel(op, op.node_index([0.5, -0.3]), 0.2, EXACT)
+    ks = heat_kernel(op, op.node_index([0.5, -0.3]), 0.2)
     assert ks.values.min() >= -1e-12
     assert ks.mass() == pytest.approx(1.0, abs=1e-10)
     # symmetry K_t(x; y) = K_t(y; x)
-    other = heat_kernel(op, int(np.argmax(ks.values > ks.values.mean())), 0.2, EXACT)
+    other = heat_kernel(op, int(np.argmax(ks.values > ks.values.mean())), 0.2)
     assert ks.values[other.source_index] == pytest.approx(other.values[ks.source_index], abs=1e-10)
 
 
@@ -82,8 +80,8 @@ def test_semigroup_property_and_contractivity():
     rng = np.random.default_rng(17)
     v = rng.normal(size=op.n_nodes)
     for t1, t2 in [(0.05, 0.2), (0.3, 0.7)]:
-        once = apply_semigroup(op, v, t1 + t2, EXACT)
-        twice = apply_semigroup(op, apply_semigroup(op, v, t1, EXACT), t2, EXACT)
+        once = apply_semigroup(op, v, t1 + t2)
+        twice = apply_semigroup(op, apply_semigroup(op, v, t1), t2)
         assert np.abs(once - twice).max() < 1e-10
         assert np.linalg.norm(once) <= np.linalg.norm(v) + 1e-12
 
@@ -93,14 +91,14 @@ def test_submarkov_property():
     x = op.coords()[:, 0]
     v = np.clip(1.0 - np.abs(x) / 2.0, 0.0, 1.0)
     for t in (0.1, 1.0):
-        out = apply_semigroup(op, v, t, EXACT)
+        out = apply_semigroup(op, v, t)
         assert out.min() >= -1e-10
         assert out.max() <= 1.0 + 1e-10
 
 
-def _mass_deviation(op, times, sources, method):
+def _mass_deviation(op, times, sources):
     """max over sources and times of |1 - sum_x w K_t(x; y)|."""
-    return max(abs(1.0 - heat_kernel(op, op.node_index(src), t, method).mass())
+    return max(abs(1.0 - heat_kernel(op, op.node_index(src), t).mass())
                for src in sources for t in times)
 
 
@@ -110,34 +108,35 @@ def test_column_mass_is_conserved():
     op = assemble(g, CoefficientField(params))
     sources = [[0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]]
     times = [0.05, 0.2, 1.0]
-    assert _mass_deviation(op, times, sources, EXACT) <= 1e-10
+    assert _mass_deviation(op, times, sources) <= 1e-10
 
 
 def test_conservation_broken_by_dirichlet_origin():
     params = GrusinParameters(1, 0, 0.25, 0.25)
     g = build_grid(params, 4.0, 257)
     opd = assemble(g, CoefficientField(params), "dirichlet_origin")
-    dev = _mass_deviation(opd, [1.0], [[0.5]], EXACT)
+    dev = _mass_deviation(opd, [1.0], [[0.5]])
     assert dev > 1e-3  # mass is killed at the origin for delta1 < 1/2
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     op = _op_1d(count=513)
     v = np.ones(op.n_nodes)
-    with pytest.raises(CapacityError):
-        apply_semigroup(op, v, 0.1, EvolutionMethod("exact_eigendecomposition", max_exact_dimension=100))
+    monkeypatch.setattr(discretization, "MAX_EXACT_DIMENSION", 100)
+    with pytest.raises(CapacityError, match="stores 263169 floats > 100\\^2"):
+        apply_semigroup(op, v, 0.1)
 
 
 def test_too_short_heat_series_raises_capacity_error(monkeypatch):
     op = _op_1d(count=129)
     monkeypatch.setattr(evolution, "_heat_series_length", lambda z, tol: 5)
     with pytest.raises(CapacityError, match="heat series tail .* K_max = 5"):
-        ondiagonal_decay(op, [0.5, 1.0], candidates=[op.node_index([0.0])], method=KRYLOV)
+        ondiagonal_decay(op, [0.5, 1.0], candidates=[op.node_index([0.0])], tolerance=TOLERANCE)
 
 
 def test_ondiagonal_decay_euclidean_slope():
     op = _op_1d(count=1025, L=10.0)
-    res = ondiagonal_decay(op, np.geomspace(0.02, 0.2, 6), method=EXACT)
+    res = ondiagonal_decay(op, np.geomspace(0.02, 0.2, 6))
     assert res.slope == pytest.approx(-0.5, abs=0.05)
 
 
@@ -155,9 +154,9 @@ def test_admission_without_a_distance_admits_every_time_sorted():
 def test_ondiagonal_decay_krylov_needs_candidates():
     op = _op_1d(count=513)
     with pytest.raises(ValueError, match="candidate"):
-        ondiagonal_decay(op, [0.1, 0.2], method=KRYLOV)
+        ondiagonal_decay(op, [0.1, 0.2], tolerance=TOLERANCE)
     j = op.node_index([0.0])
-    res = ondiagonal_decay(op, np.geomspace(0.05, 0.2, 4), candidates=[j], method=KRYLOV)
+    res = ondiagonal_decay(op, np.geomspace(0.05, 0.2, 4), candidates=[j], tolerance=TOLERANCE)
     assert res.slope == pytest.approx(-0.5, abs=0.05)
 
 
@@ -190,8 +189,8 @@ def test_dirichlet_dominated_by_neumann():
     xs_n = opn.coords()[:, 0]
     common = np.nonzero(np.abs(xs_n) > 0)[0]
     for t in (0.05, 0.5, 2.0):
-        kn = heat_kernel(opn, opn.node_index([1.0]), t, EXACT)
-        kd = heat_kernel(opd, opd.node_index([1.0]), t, EXACT)
+        kn = heat_kernel(opn, opn.node_index([1.0]), t)
+        kd = heat_kernel(opd, opd.node_index([1.0]), t)
         assert np.all(kd.values <= kn.values[common] + 1e-10)
 
 
@@ -202,7 +201,7 @@ def _separation_levels(params, counts=(101, 201, 401)):
     for count in counts:
         g = build_grid(params, 4.0, count)
         opd = assemble(g, cf, "dirichlet_origin")
-        out.append(separation_check(assemble(g, cf), opd, 1.0, [opd.node_index([1.0])], EXACT))
+        out.append(separation_check(assemble(g, cf), opd, 1.0, [opd.node_index([1.0])]))
     return out
 
 
@@ -239,14 +238,14 @@ def test_separation_with_mismatched_grids_raises_named_error():
     neumann = assemble(build_grid(params, 4.0, 41), cf)
     dirichlet = assemble(build_grid(params, 4.0, 21), cf, "dirichlet_origin")
     with pytest.raises(ValueError, match="grid"):
-        separation_check(neumann, dirichlet, 1.0, [dirichlet.node_index([1.0])], EXACT)
+        separation_check(neumann, dirichlet, 1.0, [dirichlet.node_index([1.0])])
 
 
 def test_boundary_convention_at_half():
     params = GrusinParameters(1, 0, 0.5, 0.5)
     g = build_grid(params, 4.0, 101)
     op = assemble(g, CoefficientField(params))
-    k = heat_kernel(op, op.node_index([1.0]), 1.0, EXACT)
+    k = heat_kernel(op, op.node_index([1.0]), 1.0)
     xs = op.coords()[:, 0]
     assert np.abs(k.values[xs < 0]).max() == 0.0
 
@@ -290,8 +289,8 @@ def test_kernel_comparison_one_time_equals_its_slot_in_many():
     x = op_true.coords()[:, 0]
     rows = np.nonzero((x >= 1.0) & (x <= 2.0))[0]
     times = 1.0 / (4.0 * np.geomspace(16.0, 2.0, 8))
-    every = kernel_comparison(op_true, op_frozen, rows, 1.0, times, EXACT)
-    last = kernel_comparison(op_true, op_frozen, rows, 1.0, times[-1:], EXACT)
+    every = kernel_comparison(op_true, op_frozen, rows, 1.0, times)
+    last = kernel_comparison(op_true, op_frozen, rows, 1.0, times[-1:])
     assert last.sup_diff[0] == every.sup_diff[-1]
     assert last.reference[0] == every.reference[-1]
 
@@ -322,7 +321,7 @@ def test_gaussian_upper_and_lower_constants_euclidean():
     sources = [op.node_index([0.0]), op.node_index([1.0])]
     dists = {j: mg.distances_from_nodes(op.kept[j]) for j in sources}
     times = [0.05, 0.2]
-    rep = gaussian_upper_check(op, dists, times, epsilon=0.1, method=EXACT)
+    rep = gaussian_upper_check(op, dists, times, epsilon=0.1)
     # on the diagonal K_t(x;x) |B(x, sqrt t)| = (4 pi t)^{-1/2} * 2 sqrt(t) = pi^{-1/2}
     assert rep.constant == pytest.approx(np.pi**-0.5, rel=0.1)
     assert rep.argmax is not None
@@ -332,7 +331,7 @@ def test_gaussian_upper_and_lower_constants_euclidean():
     # the lower constant read off the upper check's columns is, bit for bit,
     # the one recomputed from fresh columns
     recomputed = min(
-        float(heat_kernel(op, j, t, EXACT).values[j]
+        float(heat_kernel(op, j, t).values[j]
               * ball_volume(d, float(np.sqrt(t)), op.node_weight))
         for j, d in dists.items() for t in times)
     assert b == recomputed
@@ -349,7 +348,7 @@ def test_far_field_kernel_below_gaussian_tail():
     dists = d[op.kept]
     i = int(np.argmin(np.abs(dists - target)))
     assert dists[i] ** 2 / (4 * t) == pytest.approx(25.0, rel=0.1)
-    ks = heat_kernel(op, j, t, EXACT)
+    ks = heat_kernel(op, j, t)
     prefactor = 1.0 / np.sqrt(
         ball_volume(d, np.sqrt(t), op.node_weight)
         * ball_volume(mg.distances_from_nodes(op.kept[i]), np.sqrt(t), op.node_weight)
@@ -758,7 +757,7 @@ def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
     # the candidate on the mid-line folds, the one off it does not
     rows = np.asarray([op.node_index([0.0, 0.0]), op.node_index([0.5, 2.0])])
     times = np.asarray([0.01, 0.02])
-    coef = evolution._heat_coefficients(lam, times, KRYLOV.tolerance)
+    coef = evolution._heat_coefficients(lam, times, TOLERANCE)
     want = np.empty((times.size, rows.size))
     for i, (row, oracle) in enumerate(zip(rows, (_folded_terms, _plain_terms))):
         e = _unit(op, row)
@@ -766,7 +765,7 @@ def test_flushed_ordered_sum_equals_the_plain_one_under_the_same_mode():
         with evolution._flush_subnormals():
             moments = [t_k[row] for t_k in oracle(op, lam, e, coef.shape[1])]
         want[:, i] = coef @ np.array(moments)
-    assert _same_bits(evolution._candidate_diagonal(op, rows, times, KRYLOV.tolerance), want)
+    assert _same_bits(evolution._candidate_diagonal(op, rows, times, TOLERANCE), want)
 
 
 @x86_64
@@ -789,7 +788,7 @@ def test_flush_restores_the_mode_after_a_return_and_after_an_exception(monkeypat
     assert _mxcsr_control() == before
     monkeypatch.setattr(evolution, "_head_matvec", failing)
     with pytest.raises(FloatingPointError):
-        evolution._candidate_diagonal(op, [0, 1], np.asarray([0.01]), KRYLOV.tolerance)
+        evolution._candidate_diagonal(op, [0, 1], np.asarray([0.01]), TOLERANCE)
     assert _mxcsr_control() == before
     assert np.float64(TINY) * 0.5 > 0.0
 
@@ -853,7 +852,7 @@ def test_power_coefficient_kernel_converges_to_the_continuum_dichotomy(delta):
     cross, same = [], []
     for count in (401, 801, 1601):
         op = assemble(build_grid(params, 4.0, count), CoefficientField(params))
-        ks = heat_kernel(op, op.node_index([1.0]), t, EXACT)
+        ks = heat_kernel(op, op.node_index([1.0]), t)
         cross.append(ks.values[op.node_index([-0.5])])
         same.append(ks.values[op.node_index([0.5])])
         if delta >= 0.5:
@@ -894,7 +893,7 @@ def test_cross_kernel_falls_to_exactly_zero_at_the_dichotomys_threshold():
         levels = []
         for count in (401, 801, 1601):
             op = assemble(build_grid(params, 4.0, count), CoefficientField(params))
-            levels.append(heat_kernel(op, op.node_index([x]), t, EXACT).values[op.node_index([y])])
+            levels.append(heat_kernel(op, op.node_index([x]), t).values[op.node_index([y])])
         cross.append(levels)
     below = len(_SWEEP_FINEST_ERROR)
     finest = [levels[-1] for levels in cross]

@@ -26,8 +26,6 @@ from grushinlab.discretization import (
     face_conductance,
 )
 from grushinlab.evolution import (
-    DEFAULT_METHOD,
-    EvolutionMethod,
     _candidate_diagonal,
     apply_semigroup,
     ondiagonal_decay,
@@ -38,8 +36,7 @@ CASES = [(n, m, b) for n, m in SHAPES for b in BOUNDARY_MODES
          if n == 1 or not b.startswith("half_line")]
 DELTA1 = [0.0, 0.25, 0.5, 0.75]
 TIMES = st.floats(-4.0, 2.0).map(lambda e: 10.0**e)
-EXACT = EvolutionMethod("exact_eigendecomposition")
-KRYLOV = EvolutionMethod("krylov_exponential", tolerance=1e-8)
+TOLERANCE = 1e-8  # the heat series' absolute error per diagonal entry
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 
 
@@ -69,7 +66,7 @@ def _tolerance(op, t):
 
 
 def _factored_matrix(op, t):
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    spec = op.dense_eig()
     return np.stack([spec.apply(e, t) for e in np.eye(op.n_nodes)], axis=1)
 
 
@@ -79,7 +76,7 @@ def _factored_matrix(op, t):
 def test_factored_spectrum_matches_dense_oracle(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     lam, Phi = _oracle(op)
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    spec = op.dense_eig()
     tol = _tolerance(op, t)
     factored = np.sort(np.concatenate([b[1].ravel() for b in spec.blocks]))
     assert np.abs(factored - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
@@ -135,7 +132,7 @@ def test_asymmetric_fibers_are_factored_whole(delta1, floor_radius):
     op = assemble(build_grid(p, 4.0, 201), coeffs)
     D, e = _fibers(op)
     assert not np.array_equal(D[0], D[0, ::-1])
-    for rows, lam, Phi in op.dense_eig(DEFAULT_METHOD.max_exact_dimension).blocks:
+    for rows, lam, Phi in op.dense_eig().blocks:
         plain_lam, plain_Phi = eigh_tridiagonal(D[0, rows], e[rows[:-1]])
         assert np.array_equal(lam[0], plain_lam) and np.array_equal(Phi[0], plain_Phi)
 
@@ -165,7 +162,7 @@ def test_split_spectrum_matches_dense_oracle(shape, counts, t, monkeypatch):
     p = GrusinParameters(*shape, 0.0, 0.0, 1.0, 0.5)
     op = assemble(build_grid(p, 3.0, counts), CoefficientField(p))
     sizes = _eigh_sizes(monkeypatch)
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    spec = op.dense_eig()
     diagonal = spec.diagonal([t])[0]  # reads, so factors, every component
     n1, n2 = op.fiber_shape
     assert sizes == [n1 // 2 + 1, n1 // 2] * n2  # every fiber was split
@@ -193,7 +190,7 @@ def test_a_one_sided_start_factors_one_component(m, counts, monkeypatch):
         return _fiber_eigh(d, e, Phi)
 
     monkeypatch.setattr(discretization, "_fiber_eigh", spy)
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    spec = op.dense_eig()
     n1, n2 = op.fiber_shape
     assert len(spec.components) == 3 and factored == []
     positive = op.coords()[:, 0] > 0.0
@@ -209,8 +206,7 @@ def test_a_one_sided_start_factors_one_component(m, counts, monkeypatch):
 @pytest.mark.parametrize("rows", [[], np.array([], dtype=int)])
 def test_an_empty_block_is_empty(m, counts, rows):
     p = GrusinParameters(1, m, 0.25, 0.25)
-    spec = assemble(build_grid(p, 2.0, counts), CoefficientField(p)).dense_eig(
-        DEFAULT_METHOD.max_exact_dimension)
+    spec = assemble(build_grid(p, 2.0, counts), CoefficientField(p)).dense_eig()
     assert np.array_equal(spec.block(rows, [0.1, 0.2]), np.zeros((2, 0, 0)))
 
 
@@ -301,7 +297,7 @@ def test_strong_degeneracy_cross_kernel_is_exactly_zero(n, m, boundary, data, t)
     for j in sources:
         e = np.zeros(op.n_nodes)
         e[j] = 1.0
-        col = apply_semigroup(op, e, t, EXACT)
+        col = apply_semigroup(op, e, t)
         cross = col[part != part[j]]
         assert cross.size and np.all(cross == 0.0)
 
@@ -312,7 +308,7 @@ def test_strong_degeneracy_cross_kernel_is_exactly_zero(n, m, boundary, data, t)
 def test_semigroup_property(n, m, boundary, data, t, s):
     op = data.draw(operators(n, m, boundary))
     v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
-    spec = op.dense_eig(DEFAULT_METHOD.max_exact_dimension)
+    spec = op.dense_eig()
     both = spec.apply(spec.apply(v, s), t)
     assert np.abs(both - spec.apply(v, t + s)).max() <= 1e-12 * np.abs(v).max()
 
@@ -321,41 +317,51 @@ def test_semigroup_property(n, m, boundary, data, t, s):
 @SETTINGS
 @given(data=st.data())
 def test_size_predicate(n, m, boundary, data):
-    # every kind reads the factored spectrum: past the ceiling it raises
+    # every read takes the factored spectrum: past the ceiling it raises
     op = data.draw(operators(n, m, boundary))
     n1, n2 = op.fiber_shape
     stored = n2 * n1 * n1
     tight = math.isqrt(stored - 1) + 1       # smallest ceiling that fits
     v = np.ones(op.n_nodes)
-    for kind in ("auto", "exact_eigendecomposition"):
-        apply_semigroup(op, v, 0.1, EvolutionMethod(kind, max_exact_dimension=tight))
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis runs many examples per test call
+        mp.setattr(discretization, "MAX_EXACT_DIMENSION", tight)
+        apply_semigroup(op, v, 0.1)
+        mp.setattr(discretization, "MAX_EXACT_DIMENSION", tight - 1)
         with pytest.raises(CapacityError, match=f"{stored} floats > {tight - 1}\\^2"):
-            apply_semigroup(op, v, 0.1, EvolutionMethod(kind, max_exact_dimension=tight - 1))
+            apply_semigroup(op, v, 0.1)
 
 
-def test_cached_spectrum_keeps_the_storage_ceiling():
+def test_cached_spectrum_keeps_the_storage_ceiling(monkeypatch):
     p = GrusinParameters(1, 1)
     op = assemble(build_grid(p, 1.0, 33), CoefficientField(p))
-    spec = op.dense_eig(4500)
-    assert op.dense_eig(4500) is spec
+    spec = op.dense_eig()
+    assert op.dense_eig() is spec
     # 33 fibers of 33 nodes store 35,937 floats, over a ceiling of 10^2
+    monkeypatch.setattr(discretization, "MAX_EXACT_DIMENSION", 10)
     with pytest.raises(CapacityError, match="35937 floats > 10"):
-        op.dense_eig(10)
+        op.dense_eig()
 
 
 def test_size_rule_on_one_dimensional_and_square_grids(monkeypatch):
-    # an auto read past the ceiling raises, naming the floats, and runs no series
+    # a read past the ceiling raises, naming the floats, and runs no series
     monkeypatch.setattr(evolution, "_chebyshev_terms", None)
     p1 = GrusinParameters(1, 0)
     op = assemble(build_grid(p1, 8.0, 4499), CoefficientField(p1))
-    assert op.dense_eig(DEFAULT_METHOD.max_exact_dimension).n1 == 4499
+    assert op.dense_eig().n1 == 4499
     op = assemble(build_grid(p1, 8.0, 4501), CoefficientField(p1))
     with pytest.raises(CapacityError, match="stores 20259001 floats > 4500\\^2"):
-        apply_semigroup(op, np.eye(op.n_nodes)[0], 0.1, EvolutionMethod())
+        apply_semigroup(op, np.eye(op.n_nodes)[0], 0.1)
     p2 = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
     op = assemble(build_grid(p2, 6.0, 129), CoefficientField(p2))
     assert op.fiber_shape == (129, 129)
-    assert op.dense_eig(DEFAULT_METHOD.max_exact_dimension).n1 == 129
+    assert op.dense_eig().n1 == 129
+    # m = 1 at the real ceiling: 271 fibers of 271 nodes fit, 273 of 273 do not
+    # (dense_eig factors no component, so each costs its assembly only)
+    op = assemble(build_grid(p2, 6.0, 271), CoefficientField(p2))
+    assert op.dense_eig().n1 == 271  # 19,902,511 floats
+    op = assemble(build_grid(p2, 6.0, 273), CoefficientField(p2))
+    with pytest.raises(CapacityError, match="stores 20346417 floats > 4500\\^2"):
+        op.dense_eig()
 
 
 def _oracle_diagonal(op, times):
@@ -366,7 +372,7 @@ def _oracle_diagonal(op, times):
 
 # the proven bound of an entry of the candidate diagonal, with 1e-12 for
 # the rounding of the oracle and of the recurrence
-KRYLOV_ERROR = KRYLOV.tolerance + 1e-12
+KRYLOV_ERROR = TOLERANCE + 1e-12
 
 
 @pytest.mark.parametrize("n, m, boundary", CASES)
@@ -379,9 +385,9 @@ def test_krylov_matches_factored_spectrum(n, m, boundary, data, t):
     times = [t / 4.0, t / 2.0, t]
     cands = np.arange(0, op.n_nodes, 2)
     oracle = _oracle_diagonal(op, times)[:, cands].max(axis=1) / op.node_weight
-    sup = ondiagonal_decay(op, times, candidates=cands, method=KRYLOV).sup_diag
+    sup = ondiagonal_decay(op, times, candidates=cands, tolerance=TOLERANCE).sup_diag
     assert np.abs(sup - oracle).max() <= KRYLOV_ERROR / op.node_weight
-    exact = ondiagonal_decay(op, times, candidates=cands, method=EXACT).sup_diag
+    exact = ondiagonal_decay(op, times, candidates=cands).sup_diag
     assert np.abs(exact - oracle).max() <= _tolerance(op, t) / op.node_weight
 
 
@@ -405,7 +411,7 @@ def test_krylov_diagonal_at_a_mid_line_candidate_is_folded(n, m, boundary, data,
     times = [t / 2.0, t]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_support_order", spy)
-        diag = _candidate_diagonal(op, [row, row + 1], times, KRYLOV.tolerance)
+        diag = _candidate_diagonal(op, [row, row + 1], times, TOLERANCE)
     assert places == [n1 * (n2 + 1) // 2, n1 * n2]
     assert np.abs(diag - _oracle_diagonal(op, times)[:, [row, row + 1]]).max() <= KRYLOV_ERROR
 
@@ -430,9 +436,9 @@ def test_krylov_one_pass_equals_single_time_calls(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     times = [t / 100.0, t / 3.0, t]
     rows = np.arange(op.n_nodes // 2, op.n_nodes, 3)
-    diag = _candidate_diagonal(op, rows, times, KRYLOV.tolerance)
+    diag = _candidate_diagonal(op, rows, times, TOLERANCE)
     for s, d in zip(times, diag):
-        assert np.abs(d - _candidate_diagonal(op, rows, [s], KRYLOV.tolerance)[0]).max() <= 1e-13
+        assert np.abs(d - _candidate_diagonal(op, rows, [s], TOLERANCE)[0]).max() <= 1e-13
     assert np.abs(diag - _oracle_diagonal(op, times)[:, rows]).max() <= KRYLOV_ERROR
 
 
@@ -444,5 +450,5 @@ def test_krylov_diagonal_matches_dense_oracle(n, m, boundary, data, t):
     op = data.draw(operators(n, m, boundary))
     times = np.array([t / 10.0, t])
     rows = np.arange(1, op.n_nodes, 2)
-    diag = _candidate_diagonal(op, rows, times, KRYLOV.tolerance)
+    diag = _candidate_diagonal(op, rows, times, TOLERANCE)
     assert np.abs(diag - _oracle_diagonal(op, times)[:, rows]).max() <= KRYLOV_ERROR

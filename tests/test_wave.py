@@ -10,7 +10,6 @@ from grushinlab import wave
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.config import ExperimentConfig
 from grushinlab.discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
-from grushinlab.evolution import EvolutionMethod
 from grushinlab.experiments import _support_box_distance, acceptance_manifest, run_experiment
 from grushinlab.geometry import MetricGraph
 from grushinlab.multipliers import bump
@@ -21,7 +20,6 @@ from grushinlab.wave import (
     finite_speed_check,
 )
 
-EXACT = EvolutionMethod("exact_eigendecomposition")
 
 
 def _bump(x, center, width):
@@ -321,7 +319,7 @@ def test_davies_gaffney_margins():
     dist = mg.distances_from_nodes(op.kept[rows_a])[op.kept]
     dab = float(dist[rows_b].min())
     times = dab**2 / (4.0 * np.array([4.0, 9.0, 16.0]))
-    margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon=0.2, method=EXACT)
+    margins = davies_gaffney_check(op, dab, rows_a, rows_b, times, epsilon=0.2)
     assert len(margins) == len(times) and max(margins) < 0.0
     # A = B is rejected
     with pytest.raises(ValueError, match="disjoint"):
@@ -336,5 +334,5 @@ def test_davies_gaffney_trivial_bound_same_set_distance_zero():
     rows_a = np.nonzero((x > -1.0) & (x < -0.5))[0]
     rows_b = np.nonzero((x > 0.5) & (x < 1.0))[0]
     # with d = 0 the bound is |<1_A, S_t 1_B>| <= ||1_A|| ||1_B||, always true
-    [margin] = davies_gaffney_check(op, 0.0, rows_a, rows_b, [0.3], 0.2, EXACT)
+    [margin] = davies_gaffney_check(op, 0.0, rows_a, rows_b, [0.3], 0.2)
     assert margin <= 0.0
