@@ -50,6 +50,23 @@ def _manifest(entries) -> list[dict]:
     return entries
 
 
+def _report(path: str, doc) -> dict:
+    """A stored report document: one experiment's report, or a suite report
+    whose ``experiments`` list holds them.  Each has ``checks``, and the
+    document has ``passed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a report object, not {type(doc).__name__}")
+    if "passed" not in doc:
+        raise ConfigError(f"{path}: expected a report object with 'passed'")
+    entries = doc.get("experiments", [doc])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{path}: experiments: expected a list of report objects")
+    for entry in entries:
+        if not isinstance(entry.get("checks"), list):
+            raise ConfigError(f"{path}: expected a report object with a 'checks' list")
+    return doc
+
+
 def _solve(cfg: ExperimentConfig, report: dict, solve, out_dir: str) -> dict:
     solve()
     report["report_path"] = write_report(os.path.join(out_dir, cfg.name), report)
@@ -120,7 +137,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "report":
-            aggregate = _load_json(args.path)
+            aggregate = _report(args.path, _load_json(args.path))
         else:
             if args.manifest == "acceptance":
                 manifest = acceptance_manifest()

@@ -369,12 +369,12 @@ def fit_loglog_slope(x, y) -> float:
 class DecayResult:
     times: np.ndarray
     sup_diag: np.ndarray
-    slope: float
 
 
 def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
                      tolerance: float | None = None) -> DecayResult:
-    """sup_x K_t(x; x) per time (sorted, at least two) and its log-log slope.
+    """sup_x K_t(x; x) per time (sorted, at least two); the caller fits its
+    log-log slope once every sup lies above its error.
 
     ``candidates``: operator rows over which the sup is taken, read off the
     factored spectrum's diagonal, or, given a ``tolerance``, off one series
@@ -393,8 +393,7 @@ def ondiagonal_decay(op: DivergenceFormOperator, times, candidates=None,
     else:
         rows = np.nonzero(op.matrix.diagonal() > 0.0)[0] if candidates is None else candidates
         diag = op.dense_eig().diagonal(times)[:, rows]
-    sup = diag.max(axis=1) / op.node_weight
-    return DecayResult(times=times, sup_diag=sup, slope=fit_loglog_slope(times, sup))
+    return DecayResult(times=times, sup_diag=diag.max(axis=1) / op.node_weight)
 
 
 def _candidate_diagonal(op: DivergenceFormOperator, rows, times: np.ndarray,

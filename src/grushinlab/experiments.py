@@ -278,11 +278,19 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     times, refused = _admissible_times(f"{path}.times", times, bdist)
     yield
     res = ondiagonal_decay(op, times, candidates=cands, tolerance=tolerance)
-    rep["fitted"][f"{label}_slope"] = res.slope
+    # a log-log fit needs every sup above its error: the series tolerance on
+    # the diagonal entries, over the node weight, or zero for the spectrum
+    floor = tolerance or 0.0
+    for t, sup in zip(res.times, res.sup_diag):
+        if sup <= floor / op.node_weight:
+            raise ConfigError(f"{path}.times: at t = {t:g} the sup {sup:.3g} is at or below "
+                              f"the tolerance {floor:g} over the node weight")
+    fitted = fit_loglog_slope(res.times, res.sup_diag)
+    rep["fitted"][f"{label}_slope"] = fitted
     if refused:
         rep["fitted"][f"{label}_refused_times"] = list(refused)
-    rep["checks"].append(check(f"{label}_slope", res.slope, "within", slope, tol))
-    rep["csv"]["decay.csv"]["rows"] += [[t, s, res.slope, label]
+    rep["checks"].append(check(f"{label}_slope", fitted, "within", slope, tol))
+    rep["csv"]["decay.csv"]["rows"] += [[t, s, fitted, label]
                                         for t, s in zip(res.times, res.sup_diag)]
 
 

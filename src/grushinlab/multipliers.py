@@ -19,7 +19,10 @@ The half-line (Neumann) variant evaluates the multiplier form through even
 reflection onto the symmetric full grid and carries the factor-4 volume term
 in its Nash display.
 
-Ensemble members are independent and deterministic given the recorded seed.
+Ensemble members are independent and deterministic given the recorded seed;
+``nash_check`` builds the symbol on the frequency grid once for all of them.
+``hardy_check`` solves its eigenproblems on one octant of the box, which is
+exact: their lowest eigenvectors are even in every coordinate.
 """
 
 from __future__ import annotations
@@ -186,12 +189,14 @@ class NashReport:
     display: np.ndarray         # (r, lhs, rhs, rhs - lhs) rows of the min-ratio member
 
 
-def _transform_pieces(grid: Grid, member: np.ndarray):
-    """(||phi||_2^2, ||phi||_1, f(phi)) through the unitary-convention DFT."""
+def _transform_pieces(grid: Grid):
+    """The member map phi -> (||phi||_2^2, ||phi||_1, f(phi)) through the
+    unitary-convention DFT on ``grid``.  The symbol f(p) on the frequency
+    grid, the measure dp/(2 pi)^d and the node weight depend on the grid
+    alone, so they are built here once for every member."""
     w = grid.node_weight
     d = grid.dim
     params = grid.params
-    phat = w * np.fft.fftn(member)
     dp = 1.0
     Ls = []
     for i in range(d):
@@ -206,11 +211,13 @@ def _transform_pieces(grid: Grid, member: np.ndarray):
         L2 = sum(Ls[params.n :])
         fvals = fvals + f2(params, L2)
     measure = dp / (2.0 * pi) ** d
-    fhat2 = measure * np.abs(phat) ** 2
-    l2 = float(np.sum(fhat2))
-    l1 = float(w * np.abs(member).sum())
-    f_form = float(np.sum(fvals * fhat2))
-    return l2, l1, f_form
+
+    def pieces(member: np.ndarray):
+        fhat2 = measure * np.abs(w * np.fft.fftn(member)) ** 2
+        l1 = float(w * np.abs(member).sum())
+        return float(np.sum(fhat2)), l1, float(np.sum(fvals * fhat2))
+
+    return pieces
 
 
 def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
@@ -233,6 +240,7 @@ def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
     volume_factor = 4.0 if reflect_axis0 else 1.0
     grid = op.grid
     d = grid.dim
+    transform = _transform_pieces(grid)
     ratios = []
     pieces = []
     parseval_gap = 0.0
@@ -241,11 +249,10 @@ def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
             raise ValueError(f"ensemble member {k} is not finite")
         if reflect_axis0:
             kept = member.ravel()[op.kept]
-            full = _transform_pieces(grid, _even_reflect_axis0(member))
-            l2, l1, f_form = (x / 2.0 for x in full)
+            l2, l1, f_form = (x / 2.0 for x in transform(_even_reflect_axis0(member)))
         else:
             kept = member.ravel()
-            l2, l1, f_form = _transform_pieces(grid, member)
+            l2, l1, f_form = transform(member)
         if f_form <= 0:
             raise ValueError(f"degenerate ensemble member {k} with zero multiplier form")
         h_form = form_value(op, kept)
@@ -285,10 +292,16 @@ def _even_reflect_axis0(member: np.ndarray) -> np.ndarray:
 
 
 def _hardy_operator(n: int, gamma: float, count: int):
-    """Staggered-grid Dirichlet Laplacian on [-1, 1]^n and |x|^(-2 gamma)."""
+    """Staggered-grid Dirichlet Laplacian on [-1, 1]^n and |x|^(-2 gamma),
+    restricted to the functions even in every coordinate: the (count/2)^n
+    nodes with x > 0 on each axis, in the orthonormal basis of normalised
+    reflection-orbit sums.  The 1-D row next to the mirror plane holds 1/h^2,
+    since its mirror neighbour u_-1 equals u_0."""
     h = 2.0 / count
-    axis = (np.arange(count) + 0.5) * h - 1.0
-    lap1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(count, count)) / (h * h)
+    half = count // 2
+    axis = ((np.arange(count) + 0.5) * h - 1.0)[half:]  # the full grid's nodes, bit for bit
+    lap1 = sp.diags([-1.0, np.r_[1.0, np.full(half - 1, 2.0)], -1.0], [-1, 0, 1],
+                    shape=(half, half)) / (h * h)
     L = reduce(sp.kronsum, [lap1] * n)
     r2 = sum(x**2 for x in np.meshgrid(*([axis] * n), indexing="ij")).ravel()
     return L, r2 ** (-gamma)
@@ -296,7 +309,8 @@ def _hardy_operator(n: int, gamma: float, count: int):
 
 def _hardy_args(n, gamma, **values) -> bool:
     """:func:`hardy_check`'s argument check, each message led by the name: a
-    ``*count`` must be even, a fraction non-negative.  True if classical."""
+    ``*count`` must be even, ``count`` at least 4, a fraction non-negative.
+    True if classical."""
     n = _as_int("n", n, positive=True)
     classical = gamma == 1.0 and n >= 3
     if not classical and not (0.0 <= gamma < min(1.0, n / 2.0)):
@@ -306,6 +320,8 @@ def _hardy_args(n, gamma, **values) -> bool:
             raise ValueError(f"{name} must be non-negative")
         if name.endswith("count") and _as_int(name, value, positive=True) % 2:
             raise ValueError(f"{name} must be even: an odd count puts a node at the origin")
+    if values.get("count", 4) < 4:  # ARPACK's k = 1 needs two unknowns
+        raise ValueError("count must be at least 4: one octant needs two nodes per axis")
     return classical
 
 
@@ -319,6 +335,17 @@ def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
     on a coarse pre-run (largest a keeping the difference PSD there).
     lambda_min is ARPACK's shift-invert eigenvalue next to Gershgorin's lower
     bound minus one, started from ones.  Returns (lambda_min, a_used).
+
+    Both eigenproblems are solved on one octant (``_hardy_operator``), which
+    is exact.  Box and potential are invariant under every reflection
+    x_i -> -x_i, so the functions even in every coordinate form an invariant
+    subspace of L, and (L|even)^gamma = L^gamma|even.  M = L^gamma - f a V is
+    symmetric and irreducible with off-diagonals <= 0 (e^{-tL} >= 0
+    entrywise makes L^gamma's so), so its lowest eigenvector is simple and
+    positive (Perron-Frobenius; Horn & Johnson, Matrix Analysis, ch. 8),
+    hence equal to each of its reflections: it is even.  The coarse fit's
+    V^{-1/2} L^gamma V^{-1/2} is alike.  (gamma = 0 makes M diagonal, its
+    values repeating over each reflection orbit.)
     """
     classical = _hardy_args(n, gamma, fraction=fraction, count=count, coarse_count=coarse_count)
     L, V = _hardy_operator(n, gamma, count)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -336,7 +337,17 @@ def test_suite_rejects_manifest_that_is_not_json(tmp_path, capsys):
     ("suite", "missing.json", None, "cannot be read (No such file or directory)"),
     ("report", "missing.json", None, "cannot be read (No such file or directory)"),
     ("report", "bad.json", "{not json", "not valid JSON"),
-], ids=["suite-missing-manifest", "report-missing-file", "report-invalid-json"])
+    # a report is an object with 'passed', and its experiments are report objects
+    ("report", "number.json", "3", "expected a report object, not int"),
+    ("report", "list.json", "[]", "expected a report object, not list"),
+    ("report", "empty.json", "{}", "expected a report object with 'passed'"),
+    ("report", "suite.json", '{"experiments": 3, "passed": true}',
+     "experiments: expected a list of report objects"),
+    ("report", "entry.json", '{"experiments": [{"name": "a"}], "passed": true}',
+     "expected a report object with a 'checks' list"),
+], ids=["suite-missing-manifest", "report-missing-file", "report-invalid-json",
+        "report-number", "report-list", "report-empty", "report-experiments-number",
+        "report-entry-without-checks"])
 def test_a_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, command, name, text,
                                                        named):
     # exit 1 means a check failed; an input that cannot be read is a usage error
@@ -781,6 +792,7 @@ PLAN_CHECKS = [
     ("c12_nash_full", {("knobs", "ensemble"): 0}, "knobs.ensemble must be a positive integer"),
     ("c12_nash_full", {("knobs", "vf_params", "delta1"): 1.5}, "knobs.vf_params.delta1 must"),
     ("c13_hardy", {("knobs", "count"): 15}, "knobs.count must be even"),
+    ("c13_hardy", {("knobs", "count"): 2}, "knobs.count must be at least 4"),
     ("c13_hardy", {("knobs", "gamma"): 2.0}, "knobs.gamma must lie in"),
     ("c13_operator_inequalities", {("knobs", "dim"): 60}, "knobs.dim must lie in 1..50"),
     ("c13_operator_inequalities", {("knobs", "trials"): 0}, "knobs.trials must be a positive"),
@@ -968,6 +980,21 @@ def test_a_series_decay_stage_reads_past_the_storage_ceiling():
         "experiment": "decay", "params": {"n": 1, "m": 0},
         "method": {"kind": "krylov_exponential"}, "knobs": {"stages": [stage]}}))
     assert rep["passed"]
+
+
+def test_a_decay_stage_refuses_a_sup_at_or_below_its_tolerance():
+    # at t = 100 the 3-node Dirichlet diagonal lies far below the series
+    # tolerance (the series reads -1e-9): a named error, not a NaN slope
+    stage = {"extents": 2.0, "counts": 3, "boundary": "dirichlet_origin", "times": [1.0, 100.0],
+             "candidates": [[1.0]], "slope": -0.5, "tol": 10.0}
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "decay", "params": {"n": 1, "m": 0},
+        "method": {"kind": "krylov_exponential"}, "knobs": {"stages": [stage]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"knobs.stages\[0\].times: at t = 100 the sup .* is at "
+                           r"or below the tolerance 1e-08 over the node weight"):
+            run_experiment(cfg)
 
 
 def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothing(monkeypatch):

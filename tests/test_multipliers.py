@@ -3,8 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh
+
+from grushinlab import multipliers
 from grushinlab.coefficients import CoefficientField, GrusinParameters, derive_exponents
+from grushinlab.config import ExperimentConfig
 from grushinlab.discretization import assemble, build_grid, form_value
+from grushinlab.experiments import acceptance_manifest, run_experiment
 from grushinlab.multipliers import (
     f1,
     f2,
@@ -164,6 +169,54 @@ def test_nash_display_rows():
     assert margin.min() >= rep.worst_margin
 
 
+def _per_member_pieces(grid):
+    """The member map with the symbol, the measure and the node weight built
+    again for every member."""
+    def pieces(member):
+        w, d, params = grid.node_weight, grid.dim, grid.params
+        phat = w * np.fft.fftn(member)
+        dp = 1.0
+        Ls = []
+        for i in range(d):
+            freqs = 2.0 * np.pi * np.fft.fftfreq(grid.counts[i], d=grid.spacings[i])
+            shape = [1] * d
+            shape[i] = grid.counts[i]
+            Ls.append((freqs**2).reshape(shape))
+            dp *= 2.0 * np.pi / (grid.counts[i] * grid.spacings[i])
+        fvals = f1(params, sum(Ls[: params.n]))
+        if params.m > 0:
+            fvals = fvals + f2(params, sum(Ls[params.n :]))
+        fhat2 = dp / (2.0 * np.pi) ** d * np.abs(phat) ** 2
+        return (float(np.sum(fhat2)), float(w * np.abs(member).sum()),
+                float(np.sum(fvals * fhat2)))
+    return pieces
+
+
+@pytest.mark.parametrize("params, extents, counts, boundary", [
+    (CLASSICAL, (2.0, 2.0), (41, 41), "neumann_truncation"),
+    (GrusinParameters(1, 0, 0.75, 0.75), 4.0, 65, "half_line_positive")])
+def test_nash_symbol_built_once_equals_the_per_member_symbol_bit_for_bit(
+        monkeypatch, params, extents, counts, boundary):
+    g = build_grid(params, extents, counts)
+    op = assemble(g, CoefficientField(params), boundary)
+    members = random_bump_ensemble(g, 6, seed=5, positive_axis0=boundary != "neumann_truncation")
+    r_grid = np.geomspace(0.3, 60.0, 7)
+    rep = nash_check(op, members, r_grid)
+    with monkeypatch.context() as m:
+        m.setattr(multipliers, "_transform_pieces", _per_member_pieces)
+        ref = nash_check(op, members, r_grid)
+    assert rep.ratios.tobytes() == ref.ratios.tobytes()
+    assert repr(rep.worst_margin) == repr(ref.worst_margin)
+    assert rep.display.tobytes() == ref.display.tobytes()
+    # f1 runs once per call: the volumes, its other reader, are stubbed out
+    calls = []
+    vols = multipliers.vf_volume(params, rep.r_grid)
+    monkeypatch.setattr(multipliers, "vf_volume", lambda *args: vols)
+    monkeypatch.setattr(multipliers, "f1", lambda *args: calls.append(args) or f1(*args))
+    assert nash_check(op, members, r_grid).display.tobytes() == rep.display.tobytes()
+    assert len(calls) == 1
+
+
 def test_nash_half_line_factor_four():
     # n = 1, delta in [1/2, 1): Neumann multiplier via even reflection
     params = GrusinParameters(1, 0, 0.75, 0.75)
@@ -211,16 +264,64 @@ def test_hardy_classical_constants():
     assert lam_over < 0.0
 
 
-def _dense_hardy_lambda_min(n, count, fraction, extent=1.0):
-    """Reference lambda_min: the Laplacian as a dense sum of np.kron terms."""
-    h = 2.0 * extent / count
-    axis = (np.arange(count) + 0.5) * h - extent
+def _dense_hardy(n, count, gamma=1.0):
+    """The unfolded staggered Dirichlet L^gamma over [-1, 1]^n, dense (the
+    Laplacian as a sum of np.kron terms, its power by eigh), and
+    |x|^(-2 gamma) at its count^n nodes."""
+    h = 2.0 / count
+    axis = (np.arange(count) + 0.5) * h - 1.0
     lap1 = (2.0 * np.eye(count) - np.eye(count, k=1) - np.eye(count, k=-1)) / (h * h)
     L = sum(np.kron(np.kron(np.eye(count**i), lap1), np.eye(count ** (n - 1 - i)))
             for i in range(n))
+    if gamma != 1.0:
+        lam, Q = np.linalg.eigh(L)
+        L = (Q * lam**gamma) @ Q.T
     r2 = sum(x**2 for x in np.meshgrid(*([axis] * n), indexing="ij")).ravel()
-    a = (n - 2) ** 2 / 4.0
-    return np.linalg.eigvalsh(L - fraction * a * np.diag(1.0 / r2))[0]
+    return L, r2 ** (-gamma)
+
+
+def _dense_hardy_lambda_min(n, count, fraction):
+    """Reference lambda_min of the unfolded classical operator."""
+    L, V = _dense_hardy(n, count)
+    return np.linalg.eigvalsh(L - fraction * (n - 2) ** 2 / 4.0 * np.diag(V))[0]
+
+
+@pytest.mark.parametrize("n, gamma, count, fraction", [
+    (3, 1.0, 8, 0.0), (3, 1.0, 8, 0.5), (3, 1.0, 8, 4.0), (2, 0.5, 10, 0.5)])
+def test_hardy_lowest_eigenvector_is_even_in_every_coordinate(n, gamma, count, fraction):
+    # the fold's premise, on the unfolded operator: Perron-Frobenius makes the
+    # lowest eigenvector simple and positive, so each reflection fixes it
+    L, V = _dense_hardy(n, count, gamma)
+    a = hardy_check(n, gamma, fraction, count=count)[1]
+    lam, Q = np.linalg.eigh(L - fraction * a * np.diag(V))
+    v = Q[:, 0].reshape((count,) * n)
+    assert lam[1] - lam[0] > 1e-3 * abs(lam[0]) + 1e-3
+    assert np.all(np.abs(v) > 0.0) and abs(v.sum()) == np.abs(v).sum()
+    for axis in range(n):
+        assert np.abs(v - np.flip(v, axis)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("count", [8, 10])
+def test_hardy_fractional_octant_matches_the_unfolded_dense_power(count):
+    # the octant L^gamma and its coarse fit against the unfolded count^2 ones
+    Lc, Vc = _dense_hardy(2, 8, 0.5)
+    a_ref = eigh(Lc, np.diag(Vc), eigvals_only=True)[0]
+    L, V = _dense_hardy(2, count, 0.5)
+    for fraction in (0.5, 1.5):
+        lam, a = hardy_check(2, 0.5, fraction, count=count)
+        assert abs(a - a_ref) <= 1e-12 * a_ref
+        ref = np.linalg.eigvalsh(L - fraction * a_ref * np.diag(V))[0]
+        assert abs(lam - ref) <= 1e-10 * abs(ref)
+
+
+def test_c13_hardy_solves_on_one_octant(monkeypatch):
+    # the acceptance entry's n = 3, count = 14 operator has 7^3 rows, not 14^3
+    shapes = []
+    solve = multipliers.eigsh
+    monkeypatch.setattr(multipliers, "eigsh", lambda M, **kw: shapes.append(M.shape) or solve(M, **kw))
+    raw = next(raw for raw in acceptance_manifest() if raw["name"] == "c13_hardy")
+    assert run_experiment(ExperimentConfig.from_dict(raw))["passed"]
+    assert shapes == [(343, 343)] * 2
 
 
 @pytest.mark.parametrize("n, count", [(3, 6), (3, 8), (3, 10), (4, 6)])
@@ -258,6 +359,8 @@ def test_hardy_validation():
         hardy_check(4, 1.0, fraction=0.5, count=5)  # node at the origin
     with pytest.raises(ValueError, match="even"):
         hardy_check(2, 0.5, fraction=0.5, coarse_count=9)
+    with pytest.raises(ValueError, match="count must be at least 4"):
+        hardy_check(3, 1.0, fraction=0.5, count=2)  # a one-node octant
 
 
 def test_operator_inequalities_random_pairs():
