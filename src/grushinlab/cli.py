@@ -13,8 +13,9 @@ is planned before any solves, so a config error in any entry exits 2
 before anything is written.
 
 ``report`` pretty-prints a stored report.json or suite_report.json.  Exit
-status is 0 exactly when every check passed, 1 when one failed, and 2 for a
-config error or an input file that cannot be read or is not valid JSON.
+status is 0 exactly when every check passed, 1 when one failed or a solver
+guard only a solve sees raised ``CapacityError``, and 2 for a config error
+or an input file that cannot be read or is not valid JSON.
 """
 
 from __future__ import annotations

@@ -23,21 +23,22 @@ conductance g2_j = c2(|x1|) / h_j^2 at its x1 node, and the matrix is built
 from these factors, which the operator keeps (``fiber``).  Every entry is a
 per-x1 value broadcast over x2, so the matrix is written straight into CSR,
 one slot (neighbour direction or diagonal) at a time, without COO triples
-of the whole matrix.  The exact spectrum is factored from the factors
-(:class:`FiberSpectrum`): orthonormal cosine vectors along x2 times the
-eigenpairs of one small x1 fiber per x2 mode, each connected component of
-A1 factored when a read first needs it; an n = 1 fiber that equals
-its x1 mirror image exactly is factored as its even and odd halves.  A
-segment's |x1|^2 is fixed by its x1 start (:func:`segment_quadratic`), so
-the metric graph integrates its edges once per x1 start as well and fills
-its CSR the same way.
+of the whole matrix.  The exact spectrum, ``FiberSpectrum(op)``, is
+constructed from the operator's factors without reading the matrix back:
+orthonormal cosine vectors along x2 times the eigenpairs of one small x1
+fiber per x2 mode, each connected component of A1 factored when a read
+first needs it; an n = 1 fiber that equals its x1 mirror image exactly is
+factored as its even and odd halves.  One enumeration, ``_starts``, gives
+the nodes p whose neighbour p + off is on the grid, for assembly's faces
+and the metric graph's edges alike.  A segment's |x1|^2 is fixed by its x1
+start (:func:`segment_quadratic`), so the metric graph integrates its edges
+once per x1 start as well and fills its CSR the same way.
 
 Assembled operators are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,9 @@ BOUNDARY_MODES = (
 
 
 class CapacityError(RuntimeError):
-    """A solver guard (storage ceiling, heat or wave Chebyshev series length) was exceeded."""
+    """A solver guard was exceeded: the storage ceiling, a heat or wave
+    Chebyshev series length, or a decay stage's sup at or below the series
+    tolerance over the node weight (seen only once the stage is solved)."""
 
 
 # The factored spectrum stores n2 * n1^2 floats, at most MAX_EXACT_DIMENSION^2.
@@ -175,29 +178,35 @@ def build_grid(params: GrusinParameters, extents, counts) -> Grid:
                 counts=tuple(_as_int("counts", c, positive=True) for c in counts))
 
 
+def _starts(counts, off) -> np.ndarray:
+    """C-ordered flat indices of the nodes p of a grid of ``counts`` nodes
+    whose neighbour p + off (integer offset, in grid spacings) is on the
+    grid too; [0] for no axes."""
+    idx = np.arange(int(np.prod(counts))).reshape(counts)
+    return np.ravel(idx[tuple(slice(max(0, -o), max(0, c - o)) for c, o in zip(counts, off))])
+
+
 def segment_quadratic(grid: Grid, off1) -> tuple:
     """Straight segments from every x1 node p with p + off1 on the grid to
     p + off1 (integer offset ``off1`` on the x1 axes, in grid spacings).
 
-    Returns the start index range on each x1 axis and the coefficients of
-    |x1(s)|^2 = qa s^2 + qb s + qc, s in [0, 1], each shaped like the block
-    of x1 starts.  The x1 start alone fixes the quadratic, so one block
-    serves every x2 start alike.
+    Returns the coefficients of |x1(s)|^2 = qa s^2 + qb s + qc, s in [0, 1],
+    each shaped like the block of x1 starts (``_starts`` in C order).  The
+    x1 start alone fixes the quadratic, so one block serves every x2 start
+    alike.
     """
     n = grid.params.n
     v = np.asarray(off1) * np.asarray(grid.spacings[:n])
-    starts, qb, qc = [], 0.0, 0.0
+    qb, qc = 0.0, 0.0
     for i in range(n):
-        c, o = grid.counts[i], int(off1[i])
-        starts.append(np.arange(max(0, -o), c - max(0, o)))
-        x = grid.axis(i)[starts[i]]
+        x = grid.axis(i)[_starts(grid.counts[i:i + 1], off1[i:i + 1])]
         sh = [1] * n
         sh[i] = x.size
         qc = qc + (x**2).reshape(sh)
         qb = qb + (2.0 * v[i] * x).reshape(sh)
-    shape = tuple(s.size for s in starts)
+    shape = np.shape(qc)
     qa = np.full(shape, float(np.sum(v**2)))
-    return starts, qa, np.broadcast_to(qb, shape), np.broadcast_to(qc, shape)
+    return qa, np.broadcast_to(qb, shape), np.broadcast_to(qc, shape)
 
 
 def _conductances(coeffs: CoefficientField, block: int, h: float, qa, qb, qc):
@@ -247,9 +256,9 @@ def _along_x2(V: np.ndarray, mats) -> np.ndarray:
     return V
 
 
-@dataclass(frozen=True)
 class FiberSpectrum:
-    """Exact spectrum of A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, factored.
+    """Exact spectrum of A = A1 (x) I + sum_j diag(g2_j) (x) L2_j, factored
+    from the factors (A1, g2) an assembled operator keeps (``op.fiber``).
 
     Operator rows are ordered (x1 node a, x2 node i2), row = a * n2 + i2.
     The eigenvectors are orthonormal cosine vectors along the x2 axes
@@ -258,31 +267,45 @@ class FiberSpectrum:
     every connected component of A1's coupling separately (``components``
     holds their sorted x1 rows), and every evaluation works per component
     slice, so decoupled components never mix (their cross-kernel is exactly
-    zero).  A component is factored by ``factor`` on its first read, into
-    lam (n2, s) and Phi (n2, s, s); column l of Phi[k] is the eigenvector
-    of lam[k, l], in no set order.  ``apply`` skips a component its input
-    does not touch (the result there is +0.0), ``block`` factors only the
-    components its rows meet, and ``diagonal`` and ``blocks`` factor them
-    all.  A tridiagonal fiber that equals its mirror image exactly (those
-    of every delta1 = 0 Neumann operator) is factored as its even and odd
-    halves and unfolded into this layout.
+    zero).  A component is factored on its first read (``_eigenpairs``),
+    into lam (n2, s) and Phi (n2, s, s); column l of Phi[k] is the
+    eigenvector of lam[k, l], in no set order.  ``apply`` skips a component
+    its input does not touch (the result there is +0.0), ``block`` factors
+    only the components its rows meet, and ``diagonal`` and ``blocks``
+    factor them all.  For n = 1 the fibers are tridiagonal and each is
+    factored by :func:`_fiber_eigh`, which splits one that equals its
+    mirror image exactly (those of every delta1 = 0 Neumann operator) into
+    its even and odd halves; for n > 1 a component's fibers are stacked and
+    factored by one ``np.linalg.eigh``.
     """
 
-    n1: int
-    x2_counts: tuple
-    cosines: tuple
-    components: tuple
-    factor: Callable
-    _factors: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n2(self) -> int:
-        return int(np.prod(self.x2_counts))
+    def __init__(self, op: DivergenceFormOperator):
+        self.n1, self.n2 = op.fiber_shape
+        self.x2_counts = tuple(op.grid.counts[op.grid.params.n:])
+        self.cosines = tuple(_cosine_basis(c) for c in self.x2_counts)
+        self._tridiagonal = op.grid.params.n == 1
+        self._A1 = op.fiber[0]
+        self._D = _mode_diagonals(op)
+        ncomp, labels = connected_components(self._A1 != 0.0, directed=False)
+        order = np.argsort(labels, kind="stable")
+        self.components = tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=ncomp))[:-1]))
+        self._factors = {}
 
     def _eigenpairs(self, c: int) -> tuple:
         """(lam, Phi) of component c, factored on its first read."""
         if c not in self._factors:
-            self._factors[c] = self.factor(self.components[c])
+            rows = self.components[c]
+            s = rows.size
+            if self._tridiagonal:  # a component is a run of consecutive rows
+                lam, Phi = np.empty((self.n2, s)), np.empty((self.n2, s, s))
+                e = self._A1.diagonal(1)[rows[:-1]]
+                for k in range(self.n2):
+                    lam[k] = _fiber_eigh(self._D[k, rows], e, Phi[k])
+            else:
+                stack = np.repeat(self._A1[rows][:, rows].toarray()[None], self.n2, axis=0)
+                stack[:, np.arange(s), np.arange(s)] = self._D[:, rows]
+                lam, Phi = np.linalg.eigh(stack)
+            self._factors[c] = lam, Phi
         return self._factors[c]
 
     @property
@@ -396,41 +419,6 @@ def _fiber_eigh(d: np.ndarray, e: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return np.concatenate([lam_even, lam_odd])
 
 
-def _factorize(op: DivergenceFormOperator) -> FiberSpectrum:
-    """The spectrum of the x1 fiber of every x2 mode, from the assembled
-    factors A1 and g2_j, per connected component of A1's coupling, each
-    component factored on its first read.  For n = 1 the fibers are
-    tridiagonal and each is factored by :func:`_fiber_eigh`, which splits an
-    exactly mirror-symmetric one into its even and odd halves."""
-    n = op.grid.params.n
-    x2_counts = tuple(op.grid.counts[n:])
-    n1, n2 = op.fiber_shape
-    A1 = op.fiber[0]
-    D = _mode_diagonals(op)
-
-    def factor(rows):
-        s = rows.size
-        if n == 1:  # tridiagonal fibers; a component is a run of consecutive rows
-            lam, Phi = np.empty((n2, s)), np.empty((n2, s, s))
-            e = A1.diagonal(1)[rows[:-1]]
-            for k in range(n2):
-                lam[k] = _fiber_eigh(D[k, rows], e, Phi[k])
-            return lam, Phi
-        stack = np.repeat(A1[rows][:, rows].toarray()[None], n2, axis=0)
-        stack[:, np.arange(s), np.arange(s)] = D[:, rows]
-        return np.linalg.eigh(stack)
-
-    ncomp, labels = connected_components(A1 != 0.0, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return FiberSpectrum(
-        n1=n1,
-        x2_counts=x2_counts,
-        cosines=tuple(_cosine_basis(c) for c in x2_counts),
-        components=tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=ncomp))[:-1])),
-        factor=factor,
-    )
-
-
 @dataclass
 class DivergenceFormOperator:
     """Sparse symmetric PSD matrix of the discrete Dirichlet form.
@@ -491,7 +479,7 @@ class DivergenceFormOperator:
                 f"{n2 * n1 * n1} floats > {MAX_EXACT_DIMENSION}^2"
             )
         if self._eig is None:
-            self._eig = _factorize(self)
+            self._eig = FiberSpectrum(self)
         return self._eig
 
 
@@ -506,13 +494,6 @@ def _kept_x1(grid: Grid, boundary: str, r2: np.ndarray) -> np.ndarray:
             raise ValueError("half-line boundaries require n = 1")
         return grid.axis(0) >= 0.0
     raise ValueError(f"unknown boundary mode {boundary!r}; expected one of {BOUNDARY_MODES}")
-
-
-def _faces(counts, axis: int):
-    """Flat indices (lo, hi) of the node pairs one step apart along ``axis``."""
-    idx = np.arange(int(np.prod(counts))).reshape(counts)
-    return (np.take(idx, np.arange(counts[axis] - 1), axis).ravel(),
-            np.take(idx, np.arange(1, counts[axis]), axis).ravel())
 
 
 def _csr(shape, slots) -> sp.csr_matrix:
@@ -562,7 +543,7 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     n = grid.params.n
     x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
     n2 = int(np.prod(x2_counts))
-    _, qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
+    qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
     keep = _kept_x1(grid, boundary, r2).ravel()
     kept1 = np.nonzero(keep)[0]
     n1 = kept1.size
@@ -573,12 +554,11 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     # order and the upper ones in reverse, which is column order in every row
     lower, upper = [], []
     diag = np.zeros(n1)
-    for axis in range(n):
-        _, *q = segment_quadratic(grid, np.eye(n, dtype=np.int64)[axis])
-        gf = _conductances(coeffs, 1, grid.spacings[axis], *q).ravel()
-        i, j = _faces(x1_counts, axis)
+    for axis, off in enumerate(np.eye(n, dtype=np.int64)):
+        gf = _conductances(coeffs, 1, grid.spacings[axis], *segment_quadratic(grid, off)).ravel()
         live = gf > 0.0
-        i, j, gf = i[live], j[live], gf[live]
+        i, gf = _starts(x1_counts, off)[live], gf[live]
+        j = i + int(np.prod(x1_counts[axis + 1:]))
         ki, kj = new_index[i], new_index[j]
         both = (ki >= 0) & (kj >= 0)
         np.add.at(diag, ki[both], gf[both])
@@ -606,9 +586,10 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     x2_lower, x2_upper = [], []
     full = np.broadcast_to(diag[:, None], (n1, n2))
     for j, g in enumerate(g2):
-        lo, hi = _faces(x2_counts, j)
-        live = np.nonzero(g > 0.0)[0]
+        lo = _starts(x2_counts, np.eye(len(g2), dtype=np.int64)[j])
         stride = int(np.prod(x2_counts[j + 1:]))
+        hi = lo + stride
+        live = np.nonzero(g > 0.0)[0]
         x2_lower.append((live, hi, -stride, -g[live, None]))
         x2_upper.insert(0, (live, lo, stride, -g[live, None]))
         # each node adds its forward face, then its backward face

@@ -198,6 +198,9 @@ def _decay_candidates(op, spec, path):
     """The rows a decay stage takes its sup over (None: all), one per point."""
     grid = op.grid
     if spec == "all":
+        if not (op.matrix.diagonal() > 0.0).any():
+            raise ConfigError(f"{path}: 'all' takes the sup over the rows that are not "
+                              "isolated cells, and this operator has none")
         return None
     if spec == "degeneracy_line":
         # the sup lives on the degeneracy set {x1 = 0}, sampled along the first
@@ -218,7 +221,11 @@ _GUARD_LEVEL = 1e-6
 def _admissible_times(path: str, times, boundary_distance: float | None):
     """The sorted times whose boundary tail exp(-boundary_distance^2 / (4t))
     is at most _GUARD_LEVEL (all, without a distance) and the refused rest;
-    a ConfigError naming ``path`` if fewer than two are admitted."""
+    a ConfigError naming ``path`` if fewer than two are admitted, or naming
+    ``path[i]`` if times[i] repeats an earlier time (the fit would count it twice)."""
+    for i, t in enumerate(times):
+        if t in times[:i]:
+            raise ConfigError(f"{path}[{i}]: {t!r} repeats {path}[{list(times).index(t)}]")
     times = np.asarray(sorted(float(t) for t in times))
     d2 = np.inf if boundary_distance is None else boundary_distance**2
     ok = np.exp(-d2 / (4.0 * times)) <= _GUARD_LEVEL
@@ -252,7 +259,8 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
                  slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
                  label=None):
     """Stage k of a decay run.  Its plan checks the stage, builds its operator,
-    resolves its candidates and admits its times; its solve adds its decay.csv rows."""
+    resolves its candidates and admits its times; its solve adds its decay.csv
+    rows, or raises CapacityError for a sup at or below the series tolerance."""
     path = f"knobs.stages[{k}]"
     _one_of(f"{path}.boundary", boundary, BOUNDARY_MODES)
     _positive(f"{path}.times", times, [1.0])
@@ -283,8 +291,8 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
     floor = tolerance or 0.0
     for t, sup in zip(res.times, res.sup_diag):
         if sup <= floor / op.node_weight:
-            raise ConfigError(f"{path}.times: at t = {t:g} the sup {sup:.3g} is at or below "
-                              f"the tolerance {floor:g} over the node weight")
+            raise CapacityError(f"{path}.times: at t = {t:g} the sup {sup:.3g} is at or below "
+                                f"the tolerance {floor:g} over the node weight")
     fitted = fit_loglog_slope(res.times, res.sup_diag)
     rep["fitted"][f"{label}_slope"] = fitted
     if refused:
@@ -506,6 +514,11 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
     coeffs = CoefficientField(cfg.params)
     *_, finest = _levels(cfg, 2)
     _resolve("grid", assemble(finest, coeffs).dense_eig)  # the largest spectrum read
+    _positive("knobs.r_cut", r_cut)
+    if n_times < 2:
+        raise ConfigError(f"knobs.n_times: {n_times} must be at least 2 for a slope fit")
+    if not exponent_range[0] < exponent_range[1]:
+        raise ConfigError(f"knobs.exponent_range: {list(exponent_range)} must be increasing")
     yield
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
@@ -570,6 +583,7 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
         if not _resolve("knobs.bump_center", bump, grid, center, [bump_width] * grid.dim).any():
             raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
                               f"node on the grid of {grid.counts} nodes")
+    _positive("knobs.epsilon", epsilon)
     yield
     coeffs = CoefficientField(cfg.params)
     leak_by_level = []
@@ -619,6 +633,7 @@ def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
         if not nodes.size:
             raise ConfigError(f"grid: the Davies-Gaffney set |x1 - c| <= {w} at c = {c} holds "
                               f"no node of the grid of {grid.counts} nodes")
+    _positive("knobs.epsilon", epsilon)
     yield
     graph = MetricGraph(grid, coeffs, 2)
     rows = []
@@ -677,6 +692,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
         except ConfigError as err:
             raise ConfigError(f"grid: level {level} of {grid.counts} nodes cannot hold the "
                               f"Gaussian-bound {err}") from err
+    _positive("knobs.epsilon", epsilon)
     yield
     uppers, lowers = [], []
     for level in range(2):

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .coefficients import CoefficientField, GrusinParameters, derive_exponents, piecewise_power
-from .discretization import Grid, _csr, segment_quadratic
+from .discretization import Grid, _csr, _starts, segment_quadratic
 from .quadrature import segment_integrals
 
 __all__ = [
@@ -145,15 +145,10 @@ class MetricGraph:
             sing = max(sing, coeffs.singular_exponent(1))
         if w2 > 0.0:
             sing = max(sing, coeffs.singular_exponent(2))
-        starts1, qa, qb, qc = segment_quadratic(grid, off[:n])
-        weights = segment_integrals(qa, qb, qc, integrand, sing).ravel()
+        weights = segment_integrals(*segment_quadratic(grid, off[:n]), integrand, sing).ravel()
         ok = np.isfinite(weights)
-
-        # valid starts: p and p + off both inside the grid
-        x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
-        starts2 = [np.arange(max(0, -o), c - max(0, o)) for c, o in zip(x2_counts, off[n:])]
-        x1 = np.arange(int(np.prod(x1_counts))).reshape(x1_counts)[np.ix_(*starts1)].ravel()
-        x2 = np.arange(int(np.prod(x2_counts))).reshape(x2_counts)[np.ix_(*starts2)].ravel()
+        x1 = _starts(grid.counts[:n], off[:n])
+        x2 = _starts(grid.counts[n:], off[n:])
         step = int(np.ravel_multi_index(tuple(np.maximum(off, 0)), grid.counts)
                    - np.ravel_multi_index(tuple(np.maximum(-off, 0)), grid.counts))
         return x1[ok], x2, weights[ok], step, int((~ok).sum()) * x2.size

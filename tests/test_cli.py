@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -7,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from grushinlab import cli, discretization, evolution, experiments, reporting, wave
+from grushinlab import cli, config, discretization, evolution, experiments, reporting, wave
 from grushinlab.cli import main, run_suite
 from grushinlab.coefficients import GrusinParameters
 from grushinlab.config import ConfigError, EvolutionMethod, ExperimentConfig, bind, config_hash
-from grushinlab.discretization import FiberSpectrum
+from grushinlab.discretization import CapacityError, FiberSpectrum
 from grushinlab.experiments import acceptance_manifest, plan_experiment, run_experiment
 from grushinlab.reporting import format_number, write_report
 
@@ -950,6 +951,24 @@ PLAN_CHECKS = [
      "grid: exact spectrum of 1 fibers of 4601 x1 nodes stores 21169201 floats > 4500^2"),
     ("c08_gaussian_bounds", {("grid", "counts"): 137},
      "grid: exact spectrum of 273 fibers of 273 x1 nodes stores 20346417 floats > 4500^2"),
+    # a decay stage the solve could not fit: no row to take the sup over, a time counted twice
+    ("c03_decay_1d", {("knobs", "stages", 0, "counts"): 3},  # delta1 = 1/2: both nodes isolated
+     "knobs.stages[0].candidates: 'all' takes the sup over the rows that are not isolated "
+     "cells, and this operator has none"),
+    ("c03_decay_1d", {("knobs", "stages", 0, "times"): [0.1, 0.1]},
+     "knobs.stages[0].times[1]: 0.1 repeats knobs.stages[0].times[0]"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "times"): [20.0, 10.0, 20.0]},
+     "knobs.stages[1].times[2]: 20.0 repeats knobs.stages[1].times[0]"),
+    # a slack or compare knob the solve would divide by, or fit, badly
+    ("c08_gaussian_bounds", {("knobs", "epsilon"): -0.1}, "knobs.epsilon: -0.1 must be positive"),
+    ("c09_davies_gaffney", {("knobs", "epsilon"): -1}, "knobs.epsilon: -1 must be positive"),
+    ("c10_speed_classical", {("knobs", "epsilon"): -0.5}, "knobs.epsilon: -0.5 must be positive"),
+    ("c10_speed_constant", {("knobs", "epsilon"): 0.0}, "knobs.epsilon: 0.0 must be positive"),
+    ("c11_compare", {("knobs", "r_cut"): -1}, "knobs.r_cut: -1 must be positive"),
+    ("c11_compare", {("knobs", "r_cut"): 0}, "knobs.r_cut: 0 must be positive"),
+    ("c11_compare", {("knobs", "n_times"): 1}, "knobs.n_times: 1 must be at least 2"),
+    ("c11_compare", {("knobs", "exponent_range"): [16.0, 2.0]},
+     "knobs.exponent_range: [16.0, 2.0] must be increasing"),
 ]
 
 
@@ -982,19 +1001,32 @@ def test_a_series_decay_stage_reads_past_the_storage_ceiling():
     assert rep["passed"]
 
 
+# at t = 100 the 3-node Dirichlet diagonal lies far below the series tolerance
+# (the series reads -1e-9)
+FLOOR_ENTRY = {
+    "name": "floor", "experiment": "decay", "params": {"n": 1, "m": 0},
+    "method": {"kind": "krylov_exponential"},
+    "knobs": {"stages": [{"extents": 2.0, "counts": 3, "boundary": "dirichlet_origin",
+                          "times": [1.0, 100.0], "candidates": [[1.0]], "slope": -0.5,
+                          "tol": 10.0}]},
+}
+
+
 def test_a_decay_stage_refuses_a_sup_at_or_below_its_tolerance():
-    # at t = 100 the 3-node Dirichlet diagonal lies far below the series
-    # tolerance (the series reads -1e-9): a named error, not a NaN slope
-    stage = {"extents": 2.0, "counts": 3, "boundary": "dirichlet_origin", "times": [1.0, 100.0],
-             "candidates": [[1.0]], "slope": -0.5, "tol": 10.0}
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "decay", "params": {"n": 1, "m": 0},
-        "method": {"kind": "krylov_exponential"}, "knobs": {"stages": [stage]}})
+    # a named error, not a NaN slope
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=r"knobs.stages\[0\].times: at t = 100 the sup .* is at "
-                           r"or below the tolerance 1e-08 over the node weight"):
-            run_experiment(cfg)
+        with pytest.raises(CapacityError, match=r"knobs.stages\[0\].times: at t = 100 the sup "
+                           r".* is at or below the tolerance 1e-08 over the node weight"):
+            run_experiment(ExperimentConfig.from_dict(FLOOR_ENTRY))
+
+
+def test_a_guard_only_a_solve_sees_is_a_solver_guard_not_a_config_error(tmp_path):
+    # the entry before has written its files by then, and a config error
+    # (exit 2) means that nothing was written
+    with pytest.raises(CapacityError, match="at t = 100 the sup"):
+        _suite(tmp_path, FAST_CONFIG, FLOOR_ENTRY)
+    assert (tmp_path / "out" / "tiny" / "report.json").exists()
 
 
 def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothing(monkeypatch):
@@ -1018,6 +1050,45 @@ def test_planning_every_manifest_entry_factors_sums_propagates_and_writes_nothin
     rep, solve = plans["c14_free_space_oracle"]
     solve()  # the spies see a solve
     assert rep["passed"] and set(called) == {"_eigenpairs"}
+
+
+def _raises(node, names) -> bool:
+    """Whether ``node`` raises ConfigError or calls, by name, one of ``names``."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "ConfigError"
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def _config_error_raisers(trees) -> set:
+    """Names of the functions of ``trees`` that raise ConfigError, themselves
+    or through a call to another such function."""
+    funcs = [f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)]
+    names = set()
+    while True:
+        more = {f.name for f in funcs if any(_raises(node, names) for node in ast.walk(f))}
+        if more == names:
+            return names
+        names = more
+
+
+def test_no_runner_or_stage_raises_a_config_error_after_its_plan():
+    # a plan ends at the bare ``yield``: a ConfigError raised after it, or a
+    # call to a function that raises one, would exit 2 after files are written
+    trees = [ast.parse(inspect.getsource(module)) for module in (experiments, config)]
+    raisers = _config_error_raisers(trees)
+    planned, late = set(), []
+    for f in trees[0].body:
+        bare = [k for k, stmt in enumerate(getattr(f, "body", [])) if isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Yield) and stmt.value.value is None]
+        if isinstance(f, ast.FunctionDef) and bare:
+            assert len(bare) == 1, f"{f.name} has {len(bare)} bare yields"
+            planned.add(f.name)
+            late += [f"experiments.py:{node.lineno} in {f.name}" for stmt in f.body[bare[0] + 1:]
+                     for node in ast.walk(stmt) if _raises(node, raisers)]
+    runners = {r.__name__ for tasks in experiments._RUNNERS.values() for r in tasks.values()}
+    assert runners | {"_decay_stage"} <= planned
+    assert late == []
 
 
 @pytest.mark.parametrize("entry", ["c04_distance", "c07_separation_weak", "c11_compare",

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse.csgraph import connected_components
@@ -13,8 +13,8 @@ from test_fibers import CASES, SETTINGS, operators
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     _conductances,
-    _faces,
     _kept_x1,
+    _starts,
     assemble,
     build_grid,
     face_conductance,
@@ -253,6 +253,33 @@ def test_assembled_matches_single_face_conductance():
         assert -op.matrix[i, j] == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_starts_are_every_node_whose_offset_neighbour_is_on_the_grid(data):
+    # brute force over every node p, in C order; offsets up to one past the axis
+    counts = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    off = np.array([data.draw(st.integers(-c - 1, c + 1)) for c in counts], dtype=np.int64)
+    want = [np.ravel_multi_index(p, counts) for p in np.ndindex(*counts)
+            if all(0 <= a + o < c for a, o, c in zip(p, off, counts))]
+    got = _starts(counts, off)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("counts, off, want", [
+    ((), (), [0]),  # no x2 axes (m = 0): the one x2 node
+    ((), np.zeros(0, dtype=np.int64), [0]),
+    ((5,), (0,), [0, 1, 2, 3, 4]),
+    ((5,), (2,), [0, 1, 2]),
+    ((5,), (-2,), [2, 3, 4]),
+    ((5,), (5,), []),
+    ((3, 4), (1, -1), [1, 2, 3, 5, 6, 7]),
+    ((3, 4), (0, 1), [0, 1, 2, 4, 5, 6, 8, 9, 10]),
+    ((2, 2, 3), (-1, 0, 2), [6, 9]),
+])
+def test_starts_of_fixed_grids(counts, off, want):
+    assert _starts(counts, off).tolist() == want
+
+
 def _coo_reference(op):
     """(A1, A) for ``op``'s grid, coefficients and boundary, built as COO
     triples of the whole matrix and converted by scipy: every live face's
@@ -262,16 +289,17 @@ def _coo_reference(op):
     n = grid.params.n
     x1_counts, x2_counts = grid.counts[:n], grid.counts[n:]
     n2 = int(np.prod(x2_counts))
-    _, qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
+    qa, qb, r2 = segment_quadratic(grid, np.zeros(n, dtype=np.int64))
     kept1 = np.nonzero(_kept_x1(grid, boundary, r2).ravel())[0]
     n1 = kept1.size
     new_index = -np.ones(r2.size, dtype=np.int64)
     new_index[kept1] = np.arange(n1)
     rows, cols, vals, diag = [], [], [], np.zeros(n1)
     for axis in range(n):
-        _, *q = segment_quadratic(grid, np.eye(n, dtype=np.int64)[axis])
-        gf = _conductances(coeffs, 1, grid.spacings[axis], *q).ravel()
-        i, j = _faces(x1_counts, axis)
+        off = np.eye(n, dtype=np.int64)[axis]
+        gf = _conductances(coeffs, 1, grid.spacings[axis], *segment_quadratic(grid, off)).ravel()
+        i = _starts(x1_counts, off)
+        j = i + int(np.prod(x1_counts[axis + 1:]))
         live = gf > 0.0
         i, j, gf = i[live], j[live], gf[live]
         ki, kj = new_index[i], new_index[j]
@@ -302,7 +330,8 @@ def _coo_reference(op):
     vals = [np.repeat(vals, n2)]
     full = np.broadcast_to(diag[:, None], (n1, n2))
     for j, g in enumerate(g2):
-        lo, hi = _faces(x2_counts, j)
+        lo = _starts(x2_counts, np.eye(len(g2), dtype=np.int64)[j])
+        hi = lo + int(np.prod(x2_counts[j + 1:]))
         live = np.nonzero(g > 0.0)[0]
         rows.append((live[:, None] * n2 + lo).ravel())
         cols.append((live[:, None] * n2 + hi).ravel())

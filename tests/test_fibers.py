@@ -17,8 +17,8 @@ from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     BOUNDARY_MODES,
     CapacityError,
+    FiberSpectrum,
     _along_x2,
-    _factorize,
     _fiber_eigh,
     _mode_diagonals,
     assemble,
@@ -226,16 +226,16 @@ def _eager_apply(spec, v, t):
 def test_lazy_spectrum_equals_the_eager_one_bit_for_bit(n, m, boundary, data, t):
     # np.array_equal counts +0 and -0 as one
     op = data.draw(operators(n, m, boundary))
-    eager = _factorize(op)
+    eager = FiberSpectrum(op)
     assert eager.blocks  # factors every component before any read
     x1 = op.coords()[:, 0]
     v = np.random.default_rng(op.n_nodes).normal(size=op.n_nodes)
     for side in (x1 < 0.0, x1 > 0.0, x1 >= 0.0, np.ones_like(x1, dtype=bool)):
         start = np.where(side, v, 0.0)
-        assert np.array_equal(_factorize(op).apply(start, t), _eager_apply(eager, start, t))
+        assert np.array_equal(FiberSpectrum(op).apply(start, t), _eager_apply(eager, start, t))
         rows = np.nonzero(side)[0]
-        assert np.array_equal(_factorize(op).block(rows, [t]), eager.block(rows, [t]))
-    assert np.array_equal(_factorize(op).diagonal([t, 2 * t]), eager.diagonal([t, 2 * t]))
+        assert np.array_equal(FiberSpectrum(op).block(rows, [t]), eager.block(rows, [t]))
+    assert np.array_equal(FiberSpectrum(op).diagonal([t, 2 * t]), eager.diagonal([t, 2 * t]))
 
 
 def _face_by_face(op):
