@@ -14,8 +14,9 @@ before anything is written.
 
 ``report`` pretty-prints a stored report.json or suite_report.json.  Exit
 status is 0 exactly when every check passed, 1 when one failed or a solver
-guard only a solve sees raised ``CapacityError``, and 2 for a config error
-or an input file that cannot be read or is not valid JSON.
+guard only a solve sees raised ``CapacityError`` (printed as ``solver guard:
+<message>``; the entries solved before it keep their outputs), and 2 for a
+config error or an input file that cannot be read or is not valid JSON.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig
+from .discretization import CapacityError
 from .experiments import acceptance_manifest, plan_experiment
 from .reporting import summary_lines, write_report
 
@@ -151,6 +153,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except CapacityError as err:  # raised by a solve: the entries before it keep their outputs
+        print(f"solver guard: {err}", file=sys.stderr)
+        return 1
     if "experiments" not in aggregate:  # one experiment's report.json
         _print_report(aggregate)
         return 0 if aggregate.get("passed") else 1

@@ -21,16 +21,19 @@ Neumann path Laplacian of x2 axis j.  Assembly therefore integrates the x1
 block only: the x1 faces give the fiber operator A1, each x2 face has
 conductance g2_j = c2(|x1|) / h_j^2 at its x1 node, and the matrix is built
 from these factors, which the operator keeps (``fiber``).  Every entry is a
-per-x1 value broadcast over x2, so the matrix is written straight into CSR,
-one slot (neighbour direction or diagonal) at a time, without COO triples
-of the whole matrix.  The exact spectrum, ``FiberSpectrum(op)``, is
-constructed from the operator's factors without reading the matrix back:
-orthonormal cosine vectors along x2 times the eigenpairs of one small x1
-fiber per x2 mode, each connected component of A1 factored when a read
+per-x1 value broadcast over x2, so the matrix is written straight into CSR
+(``_csr``), a block of whole x1 rows at a time: the block's rows are a
+dense stencil of slots (neighbour directions and the diagonal), the same
+on every x1 row but a few, which compresses into the CSR arrays, without
+COO triples of the whole matrix.  The exact spectrum, ``FiberSpectrum(op)``,
+is constructed from the operator's factors without reading the matrix
+back: orthonormal cosine vectors along x2 times the eigenpairs of one small
+x1 fiber per x2 mode, each connected component of A1 factored when a read
 first needs it; an n = 1 fiber that equals its x1 mirror image exactly is
-factored as its even and odd halves.  One enumeration, ``_starts``, gives
-the nodes p whose neighbour p + off is on the grid, for assembly's faces
-and the metric graph's edges alike.  A segment's |x1|^2 is fixed by its x1
+factored as its even and odd halves, each tridiagonal solve by LAPACK's
+``stevd`` (``_stevd``).  One enumeration, ``_starts``, gives the nodes p
+whose neighbour p + off is on the grid, for assembly's faces and the metric
+graph's edges alike.  A segment's |x1|^2 is fixed by its x1
 start (:func:`segment_quadratic`), so the metric graph integrates its edges
 once per x1 start as well and fills its CSR the same way.
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .coefficients import CoefficientField, GrusinParameters, _as_int, _is_real
@@ -389,6 +392,21 @@ def _mode_diagonals(op: DivergenceFormOperator) -> np.ndarray:
     return d + shift
 
 
+def _stevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, by LAPACK's ``stevd`` (the
+    routine and arguments scipy's ``eigh_tridiagonal(d, e)`` uses for a full
+    spectrum, named here so that the bytes do not rest on its default); a
+    1-node matrix is its own eigenpair, as there."""
+    if d.size == 1:
+        return d.copy(), np.ones((1, 1))
+    stevd, = get_lapack_funcs(("stevd",), (d, e))
+    lam, vecs, info = stevd(d, e, compute_v=1)
+    if info:
+        raise LinAlgError(f"stevd failed on a {d.size}-node fiber (info = {info})")
+    return lam, vecs
+
+
 def _fiber_eigh(d: np.ndarray, e: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     """Eigenvalues of the tridiagonal fiber with diagonal d and off-diagonal
     e; its orthonormal eigenvectors are written into the columns of Phi.
@@ -399,17 +417,17 @@ def _fiber_eigh(d: np.ndarray, e: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     coupling to the middle node h scaled by sqrt 2, and the odd half on nodes
     0..h-1.  Their eigenvectors, mirrored (the odd ones with a sign flip and
     a zero middle), fill the even columns, then the odd ones.  Any other
-    fiber is factored whole.
+    fiber is factored whole.  Each factorization is one ``_stevd``.
     """
     s = d.size
     h = s // 2
     if s < 3 or s % 2 == 0 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
-        lam, Phi[...] = eigh_tridiagonal(d, e)
+        lam, Phi[...] = _stevd(d, e)
         return lam
     coupling = e[:h].copy()
     coupling[-1] *= np.sqrt(2.0)
-    lam_even, even = eigh_tridiagonal(d[:h + 1], coupling)
-    lam_odd, odd = eigh_tridiagonal(d[:h], e[:h - 1])
+    lam_even, even = _stevd(d[:h + 1], coupling)
+    lam_odd, odd = _stevd(d[:h], e[:h - 1])
     np.multiply(even[:h], np.sqrt(0.5), out=Phi[:h, :h + 1])
     Phi[h, :h + 1] = even[h]
     np.multiply(odd, np.sqrt(0.5), out=Phi[:h, h + 1:])
@@ -496,33 +514,81 @@ def _kept_x1(grid: Grid, boundary: str, r2: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown boundary mode {boundary!r}; expected one of {BOUNDARY_MODES}")
 
 
+# Stencil cells (x1 rows x n2 x slots) that ``_csr`` fills at once: its
+# scratch of about 30 bytes a cell stays under 2 MB.
+_CSR_CELLS = 1 << 16
+
+
 def _csr(shape, slots) -> sp.csr_matrix:
     """Square CSR matrix on n1 * n2 rows (row = x1 index * n2 + x2 index),
-    filled slot by slot.
+    written a block of whole x1 rows at a time.
 
     A slot (r1, r2, step, vals) gives every row r1[a] * n2 + r2[i] one entry,
-    at column row + step with value vals, both broadcast to
-    (len(r1), len(r2)).  The entries are counted per row, the arrays are
-    allocated once, and each slot is written through a per-row cursor, so
-    with the slots in column order the result is canonical.
+    at column row + step with value vals; r1 and r2 ascend without repeats,
+    step is a scalar or one value per r1 entry, and vals is a scalar, one
+    value per r1 entry, or an (n1, n2) array for a slot on every row.  The
+    rows of slot s are the outer product of an x1 mask and an x2 mask, so a
+    block's rows, in CSR order, are a dense (rows, n2, slots) stencil.  Its
+    mask (the x2 masks) and columns (each slot's first step) are the same
+    on every x1 row but a few (``odd``: a slot missing, or a step other than
+    its first), which are then corrected; the values are each x1 row's,
+    broadcast over x2.  The mask compresses the stencil straight into the
+    block's stretch of the CSR arrays.  With the slots in column order the
+    result is canonical.
     """
     n1, n2 = shape
-    size = n1 * n2
-    cursor = np.zeros(size, dtype=np.int64)
-    for r1, r2, _, _ in slots:
-        cursor[(r1[:, None] * n2 + r2).ravel()] += 1
-    nnz = int(cursor.sum())
+    size, count = n1 * n2, len(slots)
+    nnz = sum(len(r1) * len(r2) for r1, r2, _, _ in slots)
     idx = np.int32 if max(nnz, size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(size + 1, dtype=idx)
-    np.cumsum(cursor, out=indptr[1:])
-    cursor[:] = indptr[:-1]
+    # column s: slot s's x1 and x2 masks, its first step, each x1 row's
+    # step less that one, and each x1 row's value
+    in1, in2 = np.zeros((n1, count), dtype=bool), np.zeros((n2, count), dtype=bool)
+    common, shift = np.zeros(count, dtype=idx), np.zeros((n1, count), dtype=idx)
+    vals, wide = np.zeros((n1, count)), []
+    for s, (r1, r2, step, val) in enumerate(slots):
+        in1[r1, s] = True
+        in2[r2, s] = True
+        if np.ndim(step):
+            step = np.ravel(step)
+            common[s] = step[0] if step.size else 0
+            shift[r1, s] = step - common[s]
+        else:
+            common[s] = step
+        if np.ndim(val) == 2 and np.shape(val)[1] > 1:
+            wide.append((s, val))
+        else:
+            vals[r1, s] = np.ravel(val)
+    odd = ~in1.all(axis=1) | shift.any(axis=1)
+    rows = max(1, min(n1, _CSR_CELLS // max(1, n2 * count)))
+    regular = np.arange(rows * n2, dtype=idx).reshape(rows, n2, 1) + common
+    per_row = in2.sum(axis=1, dtype=idx)
+    mask, cols = np.empty((rows, n2, count), dtype=bool), np.empty((rows, n2, count), dtype=idx)
+    counts = np.empty((rows, n2), dtype=idx)
+    indptr = np.empty(size + 1, dtype=idx)
+    indptr[0] = 0
     indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
-    for r1, r2, step, vals in slots:
-        rows = r1[:, None] * n2 + r2
-        at = cursor[rows.ravel()]
-        cursor[rows.ravel()] = at + 1
-        indices[at] = (rows + step).ravel()
-        data[at] = np.broadcast_to(vals, rows.shape).ravel()
+    at = 0
+    for a0 in range(0, n1, rows):
+        b = min(rows, n1 - a0)
+        m, c, k = mask[:b], cols[:b], counts[:b]
+        m[...] = in2
+        np.add(regular[:b], a0 * n2, out=c)
+        k[...] = per_row
+        d = np.flatnonzero(odd[a0:a0 + b])
+        if d.size:
+            m[d] &= in1[a0 + d, None, :]
+            c[d] += shift[a0 + d, None, :]
+            k[d] = m[d].sum(axis=2, dtype=idx)
+        ends = indptr[a0 * n2 + 1:(a0 + b) * n2 + 1]
+        np.cumsum(k.ravel(), out=ends)
+        ends += at
+        end = int(ends[-1])
+        indices[at:end] = c[m]
+        v = np.repeat(vals[a0:a0 + b], n2, axis=0).reshape(b, n2, count)
+        for s, val in wide:
+            v[:, :, s] = val[a0:a0 + b]
+        data[at:end] = v[m]
+        at = end
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
@@ -535,8 +601,9 @@ def assemble(grid: Grid, coeffs: CoefficientField, boundary: str = "neumann_trun
     half-line truncations drop such faces entirely (natural restriction of
     the form, which preserves zero row sums).
 
-    The matrix is the Kronecker sum of the factors (A1, g2), filled slot by
-    slot into CSR, each diagonal entry summed face by face, axis by axis.
+    The matrix is the Kronecker sum of the factors (A1, g2), written into
+    CSR by ``_csr`` from one slot per neighbour direction and one for the
+    diagonal, each diagonal entry summed face by face, axis by axis.
     """
     if coeffs.params != grid.params:
         raise ValueError("grid and coefficient field disagree on parameters")

@@ -22,10 +22,11 @@ about sqrt(2 z ln(1/tol)) matvecs.  The wave layer sums cos(t sqrt A)
 through the same recurrence (``_chebyshev_sum``).
 T_k(x) v is zero more than k hops from the support of v, so term k is
 computed on the rows within k hops only, in an order sorted by that
-distance (``_support_order``): the cost is proportional to the rows
-reached, and every nonzero entry is bit for bit that of the recurrence
-over all rows.  Every coefficient depends on |x1| only, so A commutes with
-the x2 reflection (row a * n2 + i2 to a * n2 + n2 - 1 - i2), and a v that
+distance (``_support_order``, the hops from one breadth-first pass,
+``_hops``): the cost is proportional to the rows reached, and every
+nonzero entry is bit for bit that of the recurrence over all rows.  Every
+coefficient depends on |x1| only, so A commutes with the x2 reflection
+(row a * n2 + i2 to a * n2 + n2 - 1 - i2), and a v that
 equals its reflection exactly is folded (``_mirror_symmetric``): the
 recurrence runs on one row per mirror pair, each reading its mirrored
 columns at their representative's place, so every term is that of the
@@ -59,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 from scipy.sparse import _sparsetools
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.special import ive
 
 from .coefficients import derive_exponents, piecewise_power
@@ -161,7 +162,7 @@ def _flush_subnormals():
 
 
 # Rows that ``_two_x`` builds at once: its scratch stays under 100 kB.
-_DIAGONAL_ROWS = 256
+_DIAGONAL_ROWS = 1024
 
 
 def _mirror_symmetric(op: DivergenceFormOperator, v: np.ndarray) -> bool:
@@ -174,6 +175,36 @@ def _mirror_symmetric(op: DivergenceFormOperator, v: np.ndarray) -> bool:
     return bool(np.array_equal(view, view[:, ::-1]))
 
 
+def _hops(A: sp.csr_matrix, v: np.ndarray, count: int) -> np.ndarray:
+    """Hop distance (int32) of every row from v's nonzero rows over A's
+    stored pattern (symmetric, as A is), or ``count`` for a row more than
+    count - 1 hops away or never reached.
+
+    One breadth-first pass (scipy's) runs from a super-source row N joined
+    to v's nonzero rows: A's index arrays with that row appended, and a
+    broadcast 1.0 as data.  Each level of the pass follows the one before
+    it in the visit order and holds the children of that level's rows, so
+    the level ends come from the children counts in visit order, one level
+    at a time.
+    """
+    N = A.shape[0]
+    starts = np.flatnonzero(v).astype(A.indices.dtype)
+    indptr = np.append(A.indptr, A.indptr[-1] + starts.size)
+    graph = sp.csr_matrix((np.broadcast_to(1.0, indptr[-1]), np.concatenate([A.indices, starts]),
+                           indptr), shape=(N + 1, N + 1))
+    visits, parent = breadth_first_order(graph, N, directed=True, return_predecessors=True)
+    # the level ending at visit e (e visits into the order) is followed by
+    # one that ends at 1 + the number of children of those e visits
+    level_end = np.concatenate([[1], 1 + np.cumsum(np.bincount(parent[visits[1:]],
+                                                              minlength=N + 1)[visits])])
+    ends = [1]  # the super-source's level; its children, v's rows, are 0 hops away
+    while len(ends) <= count and ends[-1] < visits.size:
+        ends.append(int(level_end[ends[-1]]))
+    hops = np.full(N + 1, count, dtype=np.int32)
+    hops[visits[1:ends[-1]]] = np.repeat(np.arange(len(ends) - 1, dtype=np.int32), np.diff(ends))
+    return hops[:N]
+
+
 def _support_order(op: DivergenceFormOperator, v: np.ndarray,
                    count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The only maker of the recurrence's row order, for ``count`` terms
@@ -181,24 +212,18 @@ def _support_order(op: DivergenceFormOperator, v: np.ndarray,
     a * n2 + i2 with i2 < half: every row, or one per x2 mirror pair when v
     equals its x2 reflection (``_mirror_symmetric``; n2 is odd, the mid-line
     is its own mirror).  They are sorted by hop distance from v's nonzero
-    rows over A's stored pattern (symmetric, as A is), ties in row order;
-    rows past count - 1 hops or never reached go last.  order[p] is the row
-    at place p, pos[r] (int32) the place of every row r, and reach[k] counts
-    the places within k hops, past which T_k(x) v is exactly zero.  On a
-    folded order the hops are mirror-symmetric too, so a row's x2 mirror
-    shares its place.  The pattern is a broadcast 1.0 on A's index arrays,
-    so the only copy is the unit weights Dijkstra makes.
+    rows over A's stored pattern (``_hops``), ties in row order; rows past
+    count - 1 hops or never reached go last.  order[p] is the row at place
+    p, pos[r] (int32) the place of every row r, and reach[k] counts the
+    places within k hops, past which T_k(x) v is exactly zero.  On a folded
+    order the hops are mirror-symmetric too, so a row's x2 mirror shares its
+    place.
     """
-    A = op.matrix
-    pattern = sp.csr_matrix((np.broadcast_to(1.0, A.data.shape), A.indices, A.indptr),
-                            shape=A.shape)
-    hops = dijkstra(pattern, indices=np.flatnonzero(v).astype(np.int32), unweighted=True,
-                    min_only=True, limit=count - 1)
     n1, n2 = op.fiber_shape
     half = (n2 + 1) // 2 if _mirror_symmetric(op, v) else n2
     kept = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)[:, :half].ravel()
-    hops = hops[kept]
-    reach = np.cumsum(np.bincount(hops[np.isfinite(hops)].astype(np.intp), minlength=count))
+    hops = _hops(op.matrix, v, count)[kept]
+    reach = np.cumsum(np.bincount(hops, minlength=count + 1)[:count])
     order = kept[np.argsort(hops, kind="stable")]
     pos = np.empty((n1, n2), dtype=np.int32)
     pos.ravel()[order] = np.arange(order.size, dtype=np.int32)

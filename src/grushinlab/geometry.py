@@ -105,9 +105,9 @@ class MetricGraph:
     """Weighted node graph of a grid under the degenerate metric.
 
     Building the graph is the expensive part (one quadrature sweep over the
-    x1 starts per stencil offset); each offset's edges are then written
-    straight into the CSR edge matrix, one offset at a time.  Dijkstra runs
-    from any non-empty set of source nodes afterwards.
+    x1 starts per stencil offset); each offset's edges are then one slot of
+    the CSR edge matrix, which ``_csr`` writes a block of x1 rows at a time.
+    Dijkstra runs from any non-empty set of source nodes afterwards.
     """
 
     def __init__(self, grid: Grid, coeffs: CoefficientField, stencil_order: int = 2):

@@ -1021,11 +1021,14 @@ def test_a_decay_stage_refuses_a_sup_at_or_below_its_tolerance():
             run_experiment(ExperimentConfig.from_dict(FLOOR_ENTRY))
 
 
-def test_a_guard_only_a_solve_sees_is_a_solver_guard_not_a_config_error(tmp_path):
-    # the entry before has written its files by then, and a config error
-    # (exit 2) means that nothing was written
-    with pytest.raises(CapacityError, match="at t = 100 the sup"):
-        _suite(tmp_path, FAST_CONFIG, FLOOR_ENTRY)
+def test_a_guard_only_a_solve_sees_is_a_solver_guard_not_a_config_error(tmp_path, capsys):
+    # a clean exit 1 naming the guard, not a traceback; the entry before has
+    # written its files by then, and a config error (exit 2) means that
+    # nothing was written
+    assert _suite(tmp_path, FAST_CONFIG, FLOOR_ENTRY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver guard: knobs.stages[0].times: at t = 100 the sup")
+    assert "Traceback" not in err
     assert (tmp_path / "out" / "tiny" / "report.json").exists()
 
 

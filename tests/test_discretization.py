@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from test_fibers import CASES, SETTINGS, operators
 
+from grushinlab import discretization, geometry
 from grushinlab.coefficients import CoefficientField, GrusinParameters
 from grushinlab.discretization import (
     _conductances,
@@ -370,16 +371,58 @@ def _stores_every_diagonal(M):
     return np.array_equal(np.unique(rows[M.indices == rows]), np.arange(M.shape[0]))
 
 
+def _blocked(mp, rows):
+    """Make every ``_csr`` call under the monkeypatch ``mp`` fill ``rows``
+    x1 rows per block."""
+    real = discretization._csr
+
+    def blocked(shape, slots):
+        cells = discretization._CSR_CELLS
+        discretization._CSR_CELLS = rows * shape[1] * len(slots)
+        try:
+            return real(shape, slots)
+        finally:
+            discretization._CSR_CELLS = cells
+    mp.setattr(discretization, "_csr", blocked)
+    mp.setattr(geometry, "_csr", blocked)
+
+
 @pytest.mark.parametrize("n, m, boundary", CASES)
 @SETTINGS
 @given(data=st.data())
 def test_csr_equals_the_coo_assembly_bit_for_bit(n, m, boundary, data):
-    op = data.draw(operators(n, m, boundary))
+    # in blocks of 1 to 3 x1 rows, or at the default size (one block on these
+    # grids): block boundaries fall among the rows written alone, the ends
+    # of the x1 range, dead faces (delta1 = 0.75) that cut slots and, for
+    # n = 2 and dirichlet_origin, the neighbours of the eliminated node,
+    # whose steps differ from the slot's first
+    rows = data.draw(st.sampled_from([None, 1, 2, 3]))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            _blocked(mp, rows)
+        op = data.draw(operators(n, m, boundary))
+        mg = MetricGraph(op.grid, op.coeffs, data.draw(st.sampled_from([1, 2, 3])))
     A1, A = _coo_reference(op)
     _assert_same_csr(op.fiber[0], A1)
     _assert_same_csr(op.matrix, A)
     assert _stores_every_diagonal(op.fiber[0]) and _stores_every_diagonal(op.matrix)
-    mg = MetricGraph(op.grid, op.coeffs, data.draw(st.sampled_from([1, 2, 3])))
+    _assert_same_csr(mg.edge_matrix, _graph_coo_reference(mg))
+
+
+@pytest.mark.parametrize("n, m, counts", [(1, 1, (129, 129)), (2, 1, (33, 33, 9)),
+                                          (1, 2, (65, 17, 17))])
+def test_csr_of_grids_larger_than_one_block_equals_the_coo_assembly(n, m, counts):
+    # dead faces at x1 = 0 and the origin's x1 node eliminated, at the
+    # default block size: two or more blocks per matrix
+    params = GrusinParameters(n, m, 0.75, 0.75, 1.0, 1.0)
+    grid = build_grid(params, 1.0, counts)
+    op = assemble(grid, CoefficientField(params), "dirichlet_origin")
+    n1, n2 = op.fiber_shape
+    assert n1 > discretization._CSR_CELLS // (n2 * (2 * (n + m) + 1))
+    A1, A = _coo_reference(op)
+    _assert_same_csr(op.fiber[0], A1)
+    _assert_same_csr(op.matrix, A)
+    mg = MetricGraph(grid, op.coeffs, 2)
     _assert_same_csr(mg.edge_matrix, _graph_coo_reference(mg))
 
 

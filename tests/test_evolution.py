@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -590,25 +591,30 @@ def test_support_order_sorts_the_places_by_hops_and_gives_mirrors_one_place(n, m
     # starts on two corners of the first x1 node and two of the last: one
     # equals its x2 reflection and folds, the other has the same support but
     # one value off its mirror's and does not (with m = 0 every start is its
-    # own reflection); with 3 terms the hops past 2 go last, as do the rows
-    # that delta1 = 0.75 cuts off, all in row order
+    # own reflection); with 3 terms the hops past 2 go last, and with as
+    # many terms as rows none does but the rows never reached: those that
+    # delta1 = 0.75 cuts off between the starts' two components, in row order
     op = _ordering_grid(n, m, boundary, delta1)
     n1, n2 = op.fiber_shape
     mirror = _mirror(op)
     rows = np.unique([0, mirror[0], op.n_nodes - 1, mirror[-1]])
-    count = 3
     symmetric = np.zeros(op.n_nodes)
     symmetric[rows] = 1.0
     lopsided = symmetric.copy()
     lopsided[0] = 2.0
     assert _symmetric(op, symmetric) and _symmetric(op, lopsided) == (m == 0)
-    for v in (symmetric, lopsided):
+    if boundary == "neumann_truncation":
+        assert np.isinf(_hops(op, rows)).any() == (delta1 == 0.75)
+    for v, count in itertools.product((symmetric, lopsided), (3, op.n_nodes)):
         fold = _symmetric(op, v)
         order, pos, reach = evolution._support_order(op, v, count)
         half = (n2 + 1) // 2 if fold else n2
         kept = np.arange(op.n_nodes).reshape(n1, n2)[:, :half].ravel()
-        hops = _hops(op, rows)[kept]
+        hops = _hops(op, rows)
         hops[hops > count - 1] = np.inf
+        assert np.array_equal(evolution._hops(op.matrix, v, count),
+                              np.where(np.isinf(hops), count, hops))
+        hops = hops[kept]
         assert pos.dtype == np.int32 and pos.shape == (op.n_nodes,)
         assert np.array_equal(pos[order], np.arange(kept.size))
         assert np.array_equal(order, kept[np.lexsort((kept, hops))])

@@ -98,15 +98,43 @@ def _fibers(op):
 
 
 def _eigh_sizes(monkeypatch):
-    """Record the size of every eigh_tridiagonal call the factorization makes."""
+    """Record the size of every tridiagonal eigensolve the factorization makes."""
     sizes = []
+    stevd = discretization._stevd
 
     def spy(d, e):
         sizes.append(d.size)
-        return eigh_tridiagonal(d, e)
+        return stevd(d, e)
 
-    monkeypatch.setattr(discretization, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(discretization, "_stevd", spy)
     return sizes
+
+
+@pytest.mark.parametrize("delta1, count", [(0.0, 3), (0.0, 65), (0.25, 65)])
+def test_fiber_factorizations_are_stevd_bit_for_bit(delta1, count, monkeypatch):
+    # the LAPACK routine is named, so the bytes do not rest on scipy's choice
+    # for lapack_driver="auto": every solve is eigh_tridiagonal's with
+    # lapack_driver="stevd", byte for byte, on a split fiber (delta1 = 0; at
+    # 3 nodes its odd half has 1 node), a whole one, and 1- and 2-node ones
+    p = GrusinParameters(1, 0, delta1, delta1)
+    op = assemble(build_grid(p, 2.0, count), CoefficientField(p))
+    D, e = _fibers(op)
+    h = count // 2
+    coupling = e[:h].copy()
+    coupling[-1] *= np.sqrt(2.0)
+    for d, off in ((D[0], e), (D[0][:h + 1], coupling), (D[0][:h], e[:h - 1]),
+                   (D[0][:1], e[:0]), (D[0][:2], e[:1])):
+        want = eigh_tridiagonal(d, off, lapack_driver="stevd")
+        got = discretization._stevd(d, off)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    for d, off in ((D[0], e), (D[0][:1], e[:0]), (D[0][:2], e[:1])):
+        Phi, ref_Phi = np.empty((d.size, d.size)), np.empty((d.size, d.size))
+        lam = _fiber_eigh(d, off, Phi)
+        with monkeypatch.context() as mp:
+            mp.setattr(discretization, "_stevd",
+                       lambda d, e: eigh_tridiagonal(d, e, lapack_driver="stevd"))
+            ref_lam = _fiber_eigh(d, off, ref_Phi)
+        assert lam.tobytes() == ref_lam.tobytes() and Phi.tobytes() == ref_Phi.tobytes()
 
 
 @pytest.mark.parametrize("n, m, boundary", [c for c in CASES
