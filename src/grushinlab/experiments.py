@@ -41,6 +41,7 @@ from .geometry import (MetricGraph, _doubling_radii, ball_volume, ball_volume_cl
                        closed_form_distance, doubling_exponent)
 from .multipliers import (
     _bump_widths,
+    _ensemble_args,
     _hardy_args,
     _inequality_args,
     bump,
@@ -62,10 +63,11 @@ def _one_of(path: str, value, choices):
         raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
 
 
-def _check_knobs(check, **knobs) -> None:
-    """Run a computation's argument ``check`` first: its ValueError names ``knobs.<name>``."""
+def _check_knobs(check, **knobs):
+    """Run a computation's argument ``check`` first: its ValueError names
+    ``knobs.<name>``.  Returns what the check returns."""
     try:
-        check(**knobs)
+        return check(**knobs)
     except ValueError as err:
         raise ConfigError(f"knobs.{err}") from err
 
@@ -726,7 +728,7 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
 def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
              r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
              vf_params={"n": 1, "m": 1, "delta2": 1.0}):
-    _counts(ensemble=ensemble)
+    ensemble = _check_knobs(_ensemble_args, ensemble=ensemble)
     radii = build(_geomspace, "knobs.r_grid", r_grid)
     if vf_slopes:
         vf = build(GrusinParameters, "knobs.vf_params", vf_params)
@@ -735,8 +737,10 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
     yield
     coeffs = CoefficientField(cfg.params)
     op = assemble(grid, coeffs, "half_line_positive" if half_line else "neumann_truncation")
+    vols = vf_volume(cfg.params, np.sort(radii))  # both seeds read one solve
     repA, repB = (
-        nash_check(op, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line), radii)
+        nash_check(op, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line), radii,
+                   vols)
         for seed in (cfg.seed, cfg.seed + 1))
     rep["csv"]["nash_ratios.csv"] = {
         "columns": ["trial", "ratio"],

@@ -19,8 +19,13 @@ The half-line (Neumann) variant evaluates the multiplier form through even
 reflection onto the symmetric full grid and carries the factor-4 volume term
 in its Nash display.
 
-Ensemble members are independent and deterministic given the recorded seed;
-``nash_check`` builds the symbol on the frequency grid once for all of them.
+Ensemble members are independent and deterministic given the recorded seed.
+Each is a product of one-dimensional bump profiles, and each operator a
+Kronecker sum of its kept factors, so ``nash_check`` never forms a member on
+the grid: every member's norms, multiplier form and Dirichlet form are exact
+sums of products of per-axis quantities (one-dimensional DFTs, the x1 fiber
+operator's quadratic form, x2 differences), taken for the whole ensemble in
+one pass over (members, count) stacks.
 ``hardy_check`` solves its eigenproblems on one octant of the box, which is
 exact: their lowest eigenvectors are even in every coordinate.
 """
@@ -37,7 +42,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .coefficients import GrusinParameters, _as_int, derive_exponents
-from .discretization import DivergenceFormOperator, Grid, form_value
+from .discretization import DivergenceFormOperator, Grid
 from .quadrature import gauss_legendre_01
 
 __all__ = [
@@ -122,20 +127,22 @@ def vf_volume(params: GrusinParameters, r):
     return float(vols[0]) if radii.ndim == 0 else vols.reshape(radii.shape)
 
 
+def _bump_profiles(x: np.ndarray, centers, widths) -> np.ndarray:
+    """One-dimensional C^infty bumps exp(-1/(1-u^2)), u = (x - c) / w, zero
+    for |u| >= 1: one row per (center c, width w) pair, one column per x."""
+    u = (x - np.asarray(centers)[:, None]) / np.asarray(widths)[:, None]
+    prof = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return prof
+
+
 def bump(grid: Grid, centers, widths) -> np.ndarray:
-    """Product of one-dimensional C^infty bumps exp(-1/(1-u^2)),
-    u = (x_i - centers[i]) / widths[i], as a full-shape grid array."""
+    """Product bump on the grid as a full-shape array: the outer product of
+    one :func:`_bump_profiles` row per axis."""
     centers = grid.as_point(centers)
-    out = np.ones(grid.counts)
-    for i in range(grid.dim):
-        u = (grid.axis(i) - centers[i]) / widths[i]
-        prof = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        shape = [1] * grid.dim
-        shape[i] = grid.counts[i]
-        out = out * prof.reshape(shape)
-    return out
+    return reduce(np.multiply.outer, [_bump_profiles(grid.axis(i), centers[i:i + 1],
+                                                     widths[i:i + 1])[0] for i in range(grid.dim)])
 
 
 def _bump_widths(grid: Grid, positive_axis0: bool = False) -> list[tuple[float, float]]:
@@ -152,31 +159,49 @@ def _bump_widths(grid: Grid, positive_axis0: bool = False) -> list[tuple[float, 
     return bounds
 
 
+# Members per ensemble: 50 times the manifest's 200.  At the manifest's
+# largest ensemble grid (513 nodes per axis) one profile stack then holds
+# 41 MB, and its transform twice that.
+MAX_ENSEMBLE = 10_000
+
+
+def _count(name: str, value, ceiling: int, guard: str) -> int:
+    """``value`` as an int in 1..ceiling, each message led by ``name``."""
+    count = _as_int(name, value, positive=True)
+    if count > ceiling:
+        raise ValueError(f"{name} must lie in 1..{ceiling} ({guard} guard), got {value!r}")
+    return count
+
+
+def _ensemble_args(ensemble) -> int:
+    """The ensemble size as an int in 1..MAX_ENSEMBLE, its message led by the name."""
+    return _count("ensemble", ensemble, MAX_ENSEMBLE, "work")
+
+
 def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
                          positive_axis0: bool = False) -> list[np.ndarray]:
-    """Smooth compactly supported test bumps on the grid (full shape arrays).
+    """Smooth compactly supported test bumps on the grid, as one factor
+    stack per axis: axis i is a (n_members, counts[i]) array of
+    :func:`_bump_profiles`, and member k is the product bump of the k-th
+    rows (:func:`bump` at its centers and widths).
 
-    Each member is a :func:`bump` with random centers and widths (drawn
-    width first, then center, axis by axis); supports keep a margin of a
-    quarter of each extent from the box boundary.  With ``positive_axis0``
-    the support is placed in {x_0 > 0} (half-line ensembles).
+    Centers and widths are drawn width first, then center, axis by axis,
+    member by member (``Generator.uniform(lo, hi)`` is ``lo + (hi - lo)``
+    times one ``random()`` draw, so one ``random`` call draws them all);
+    supports keep a margin of a quarter of each extent from the box
+    boundary.  With ``positive_axis0`` the support is placed in {x_0 > 0}
+    (half-line ensembles).
     """
     rng = np.random.default_rng(seed)
-    bounds = _bump_widths(grid, positive_axis0)
-    members = []
-    for _ in range(n_members):
-        centers, widths = [], []
-        for i, (wmin, wmax) in enumerate(bounds):
-            inner = 0.75 * grid.extents[i]
-            width = np.exp(rng.uniform(np.log(wmin), np.log(wmax)))
-            if positive_axis0 and i == 0:  # fits: width < 0.4 inner
-                center = rng.uniform(width * 1.05, inner - width)
-            else:
-                center = rng.uniform(-(inner - width), inner - width)
-            centers.append(center)
-            widths.append(width)
-        members.append(bump(grid, centers, widths))
-    return members
+    log_lo, log_hi = np.log(_bump_widths(grid, positive_axis0)).T
+    u = rng.random((n_members, grid.dim, 2))
+    widths = np.exp(log_lo + (log_hi - log_lo) * u[:, :, 0])
+    hi = 0.75 * np.asarray(grid.extents) - widths
+    lo = -hi
+    if positive_axis0:  # fits: width < 0.4 of 0.75 extents[0]
+        lo[:, 0] = widths[:, 0] * 1.05
+    centers = lo + (hi - lo) * u[:, :, 1]
+    return [_bump_profiles(grid.axis(i), centers[:, i], widths[:, i]) for i in range(grid.dim)]
 
 
 @dataclass(frozen=True)
@@ -189,105 +214,118 @@ class NashReport:
     display: np.ndarray         # (r, lhs, rhs, rhs - lhs) rows of the min-ratio member
 
 
-def _transform_pieces(grid: Grid):
-    """The member map phi -> (||phi||_2^2, ||phi||_1, f(phi)) through the
-    unitary-convention DFT on ``grid``.  The symbol f(p) on the frequency
-    grid, the measure dp/(2 pi)^d and the node weight depend on the grid
-    alone, so they are built here once for every member."""
+def _block(stacks) -> np.ndarray:
+    """Per member, the outer product of one block's factor rows, flattened in
+    C order: (K, product of the block's counts)."""
+    return reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(len(x), -1), stacks)
+
+
+def _member_pieces(op: DivergenceFormOperator, stacks):
+    """(sum fhat2, ||phi||_1, f(phi), h(phi), ||phi||_2^2) of every member
+    phi = p_0 (x) ... (x) p_{d-1} of the factor ``stacks``, each a (K,) array.
+
+    The unitary-convention DFT of a product is the product of the axes'
+    DFTs, so with a_i = |fft(p_i)|^2 and A1, A2 the x1-block and x2-block
+    outer products of the a_i, and c = w^2 dp / (2 pi)^d:
+
+        sum fhat2    = c prod_i sum a_i
+        f(phi)       = c [sum f1(L1) A1 * sum A2 + sum A1 * sum f2(L2) A2]
+        ||phi||_1    = w prod_i sum |p_i|
+
+    The operator is the Kronecker sum A1 (x) I + sum_j diag(g2_j) (x) L_j of
+    its kept factors (``op.fiber``), L_j the unit Neumann path Laplacian
+    along x2 axis j, so with phi1 the x1-block product on the kept x1 nodes
+    and phi2 the x2-block one:
+
+        h(phi)       = w [(phi1 A1 phi1)(phi2.phi2) + sum_j (g2_j.phi1^2)(phi2 L_j phi2)]
+        ||phi||_2^2  = w (phi1.phi1)(phi2.phi2)
+
+    where phi2 L_j phi2 = sum diff(p_{n+j})^2 prod_{i != j} |p_{n+i}|^2.  On
+    the half line the first three are taken of the even reflection of the
+    axis-0 factor onto the symmetric full grid, and halved.
+    """
+    grid = op.grid
+    params, n = grid.params, grid.params.n
     w = grid.node_weight
-    d = grid.dim
-    params = grid.params
-    dp = 1.0
-    Ls = []
-    for i in range(d):
-        freqs = 2.0 * pi * np.fft.fftfreq(grid.counts[i], d=grid.spacings[i])
-        shape = [1] * d
-        shape[i] = grid.counts[i]
-        Ls.append((freqs**2).reshape(shape))
-        dp *= 2.0 * pi / (grid.counts[i] * grid.spacings[i])
-    L1 = sum(Ls[: params.n])
-    fvals = f1(params, L1)
+    spectral, half = list(stacks), 1.0
+    if op.boundary == "half_line_positive":
+        spectral[0], half = _even_reflect(stacks[0]), 0.5
+    axes = list(zip(grid.counts, grid.spacings))
+    freq2 = [(2.0 * pi * np.fft.fftfreq(count, d=h)) ** 2 for count, h in axes]
+    dp = np.prod([2.0 * pi / (count * h) for count, h in axes])
+    c = half * w * w * dp / (2.0 * pi) ** grid.dim
+    a = [np.abs(np.fft.fft(p, axis=1)) ** 2 for p in spectral]
+    sums = [x.sum(axis=1) for x in a]
+    sum1, sum2 = np.prod(sums[:n], axis=0), np.prod(sums[n:], axis=0)
+    outer_sum = partial(reduce, lambda x, y: np.add.outer(x, y).ravel())
+    f_form = _block(a[:n]) @ f1(params, outer_sum(freq2[:n])) * sum2
     if params.m > 0:
-        L2 = sum(Ls[params.n :])
-        fvals = fvals + f2(params, L2)
-    measure = dp / (2.0 * pi) ** d
+        f_form = f_form + sum1 * (_block(a[n:]) @ f2(params, outer_sum(freq2[n:])))
+    l1 = half * w * np.prod([np.abs(p).sum(axis=1) for p in spectral], axis=0)
 
-    def pieces(member: np.ndarray):
-        fhat2 = measure * np.abs(w * np.fft.fftn(member)) ** 2
-        l1 = float(w * np.abs(member).sum())
-        return float(np.sum(fhat2)), l1, float(np.sum(fvals * fhat2))
+    (A1, g2), n2 = op.fiber, op.fiber_shape[1]
+    phi1 = _block(stacks[:n])[:, op.kept[::n2] // n2]  # on the kept x1 nodes
+    sq2 = [np.einsum("ki,ki->k", p, p) for p in stacks[n:]]
+    norm2 = np.prod(sq2, axis=0)
+    h_form = np.einsum("ki,ik->k", phi1, A1 @ phi1.T) * norm2
+    for j, g in enumerate(g2):
+        others = np.prod(sq2[:j] + sq2[j + 1:], axis=0)
+        path = (np.diff(stacks[n + j], axis=1) ** 2).sum(axis=1) * others  # phi2 L_j phi2
+        h_form = h_form + (phi1 * phi1 @ g) * path
+    direct = w * np.einsum("ki,ki->k", phi1, phi1) * norm2
+    return c * sum1 * sum2, l1, c * f_form, w * h_form, direct
 
-    return pieces
 
-
-def nash_check(op: DivergenceFormOperator, members, r_grid) -> NashReport:
+def nash_check(op: DivergenceFormOperator, members, r_grid, volumes=None) -> NashReport:
     """Fitted domination constant and Nash-display margins for an ensemble.
 
-    ``members`` are full-grid arrays from :func:`random_bump_ensemble` on the
-    operator's grid.  For a ``half_line_positive`` operator the members lie
-    in {x_0 > 0}, the operator lives on the restriction and the transform is
-    taken of the even reflection on the symmetric full grid; the volume
-    factor is then 4, else 1.  The display checked for every member and
-    every r is
+    ``members`` are the factor stacks of :func:`random_bump_ensemble` on the
+    operator's grid, and every member's pieces come from them in one pass
+    (:func:`_member_pieces`).  For a ``half_line_positive`` operator the
+    members lie in {x_0 > 0}, the operator lives on the restriction and the
+    transform is taken of the even reflection on the symmetric full grid;
+    the volume factor is then 4, else 1.  The display checked for every
+    member and every r is
 
         ||phi||_2^2 <= r^{-2} h(phi)/a  +  volume_factor (2 pi)^{-d} V_F(r) ||phi||_1^2
 
     with a the fitted constant; the worst margin (rhs - lhs) is returned,
     and the display of the member with the smallest ratio (the first one if
-    tied) row by row.
+    tied) row by row.  ``volumes`` is V_F at the sorted ``r_grid``, for
+    ensembles that share one solve; it is solved here when left out.
     """
-    reflect_axis0 = op.boundary == "half_line_positive"
-    volume_factor = 4.0 if reflect_axis0 else 1.0
+    volume_factor = 4.0 if op.boundary == "half_line_positive" else 1.0
     grid = op.grid
-    d = grid.dim
-    transform = _transform_pieces(grid)
-    ratios = []
-    pieces = []
-    parseval_gap = 0.0
-    for k, member in enumerate(members):
-        if not np.isfinite(member).all():
-            raise ValueError(f"ensemble member {k} is not finite")
-        if reflect_axis0:
-            kept = member.ravel()[op.kept]
-            l2, l1, f_form = (x / 2.0 for x in transform(_even_reflect_axis0(member)))
-        else:
-            kept = member.ravel()
-            l2, l1, f_form = transform(member)
-        if f_form <= 0:
-            raise ValueError(f"degenerate ensemble member {k} with zero multiplier form")
-        h_form = form_value(op, kept)
-        direct_l2 = float(grid.node_weight * (kept @ kept))
-        parseval_gap = max(parseval_gap, abs(l2 - direct_l2) / direct_l2)
-        ratios.append(h_form / f_form)
-        pieces.append((l2, l1, h_form))
-    ratios = np.asarray(ratios)
+    finite = np.logical_and.reduce([np.isfinite(p).all(axis=1) for p in members])
+    if not finite.all():
+        raise ValueError(f"ensemble member {int(np.argmin(finite))} is not finite")
+    l2, l1, f_form, h_form, direct_l2 = _member_pieces(op, members)
+    if not (f_form > 0).all():
+        raise ValueError(f"degenerate ensemble member {int(np.argmin(f_form > 0))} with zero "
+                         f"multiplier form")
+    ratios = h_form / f_form
     a_fit = float(ratios.min())
-    r_grid = np.asarray(sorted(float(r) for r in r_grid))
-    vols = vf_volume(grid.params, r_grid)
-    worst = np.inf
+    r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    vols = vf_volume(grid.params, r_grid) if volumes is None else volumes
+    rhs = (h_form[:, None] / (a_fit * r_grid**2)
+           + volume_factor * (2.0 * pi) ** (-grid.dim) * vols * l1[:, None] ** 2)
     shown = int(np.argmin(ratios))
-    for k, (l2, l1, h_form) in enumerate(pieces):
-        rhs = h_form / (a_fit * r_grid**2) + volume_factor * (2.0 * pi) ** (-d) * vols * l1**2
-        worst = min(worst, float((rhs - l2).min()))
-        if k == shown:
-            display = np.column_stack([r_grid, np.full_like(r_grid, l2), rhs, rhs - l2])
     return NashReport(
         ratios=ratios,
         fitted_constant=a_fit,
         r_grid=r_grid,
-        worst_margin=worst,
-        parseval_gap=parseval_gap,
-        display=display,
+        worst_margin=float((rhs - l2[:, None]).min()),
+        parseval_gap=float((np.abs(l2 - direct_l2) / direct_l2).max()),
+        display=np.column_stack([r_grid, np.full_like(r_grid, l2[shown]), rhs[shown],
+                                 rhs[shown] - l2[shown]]),
     )
 
 
-def _even_reflect_axis0(member: np.ndarray) -> np.ndarray:
-    """phi(x) -> phi(|x|) along axis 0 for arrays on symmetric odd grids."""
-    out = member.copy()
-    c = member.shape[0]
-    half = (c - 1) // 2
-    upper = out[half:]               # x >= 0, includes the 0 plane
-    out[:half] = upper[1:][::-1]
+def _even_reflect(stack: np.ndarray) -> np.ndarray:
+    """p(x) -> p(|x|) for each row of a stack on a symmetric odd axis."""
+    out = stack.copy()
+    half = (stack.shape[1] - 1) // 2
+    out[:, :half] = stack[:, half + 1:][:, ::-1]
     return out
 
 
@@ -307,22 +345,25 @@ def _hardy_operator(n: int, gamma: float, count: int):
     return L, r2 ** (-gamma)
 
 
-def _hardy_args(n, gamma, **values) -> bool:
+def _hardy_args(n, gamma, **values) -> tuple[int, dict, bool]:
     """:func:`hardy_check`'s argument check, each message led by the name: a
     ``*count`` must be even, ``count`` at least 4, a fraction non-negative.
-    True if classical."""
+    Returns n and each count as ints, and whether classical."""
     n = _as_int("n", n, positive=True)
     classical = gamma == 1.0 and n >= 3
     if not classical and not (0.0 <= gamma < min(1.0, n / 2.0)):
         raise ValueError("gamma must lie in [0, min(1, n/2)), or equal 1 with n >= 3")
+    counts = {}
     for name, value in values.items():
         if not name.endswith("count") and not 0.0 <= value:
             raise ValueError(f"{name} must be non-negative")
-        if name.endswith("count") and _as_int(name, value, positive=True) % 2:
-            raise ValueError(f"{name} must be even: an odd count puts a node at the origin")
-    if values.get("count", 4) < 4:  # ARPACK's k = 1 needs two unknowns
+        if name.endswith("count"):
+            counts[name] = _as_int(name, value, positive=True)
+            if counts[name] % 2:
+                raise ValueError(f"{name} must be even: an odd count puts a node at the origin")
+    if counts.get("count", 4) < 4:  # ARPACK's k = 1 needs two unknowns
         raise ValueError("count must be at least 4: one octant needs two nodes per axis")
-    return classical
+    return n, counts, classical
 
 
 def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
@@ -347,12 +388,13 @@ def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
     V^{-1/2} L^gamma V^{-1/2} is alike.  (gamma = 0 makes M diagonal, its
     values repeating over each reflection orbit.)
     """
-    classical = _hardy_args(n, gamma, fraction=fraction, count=count, coarse_count=coarse_count)
-    L, V = _hardy_operator(n, gamma, count)
+    n, counts, classical = _hardy_args(n, gamma, fraction=fraction, count=count,
+                                       coarse_count=coarse_count)
+    L, V = _hardy_operator(n, gamma, counts["count"])
     if classical:
         a = (n - 2) ** 2 / 4.0
     else:
-        Lc, Vc = _hardy_operator(n, gamma, coarse_count)
+        Lc, Vc = _hardy_operator(n, gamma, counts["coarse_count"])
         [Lc], [L] = (_matrix_funs_psd(X.toarray(), lambda lam: lam**gamma) for X in (Lc, L))
         # largest a with L^gamma - a V >= 0 on the coarse grid
         a = float(eigh(Lc, np.diag(Vc), eigvals_only=True)[0])
@@ -372,15 +414,19 @@ def _matrix_funs_psd(M: np.ndarray, *fns) -> list[np.ndarray]:
 
 # trials per stack: one stack of all 1,000 is no faster and lifts the peak by 70 MB
 _TRIAL_STACK = 20
+# 100 times the manifest's 1,000 trials, about 25 s at dim 20; memory stays
+# one stack's
+MAX_TRIALS = 100_000
 
 
-def _inequality_args(trials, dim, gamma) -> None:
-    """:func:`operator_inequality_checks`' argument check, each message led by the name."""
-    _as_int("trials", trials, positive=True)
-    if _as_int("dim", dim, positive=True) > 50:
-        raise ValueError(f"dim must lie in 1..50 (dimension guard), got {dim!r}")
+def _inequality_args(trials, dim, gamma) -> tuple[int, int]:
+    """:func:`operator_inequality_checks`' argument check, each message led by
+    the name.  Returns trials and dim as ints."""
+    trials = _count("trials", trials, MAX_TRIALS, "work")
+    dim = _count("dim", dim, 50, "dimension")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
+    return trials, dim
 
 
 def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 0) -> dict:
@@ -394,7 +440,7 @@ def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 
     and decomposed in stacks of 20: a stack of all 1,000 trials at dim 20 is
     no faster and lifts the traced peak from 2 to 74 MB.
     """
-    _inequality_args(trials, dim, gamma)
+    trials, dim = _inequality_args(trials, dim, gamma)
     rng = np.random.default_rng(seed)
     fns = [lambda lam: lam * (1.0 + lam) ** (-gamma)]
     fns += [lambda lam, k=k: lam ** (0.5**k) for k in (1, 2)]

@@ -615,6 +615,15 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c13_hardy", ["gamma"], 2.0, "knobs.gamma must lie in"),
     ("c13_hardy", ["fraction_ok"], -0.5, "knobs.fraction_ok must be non-negative"),
     ("c13_hardy", ["fraction_fail"], -4.0, "knobs.fraction_fail must be non-negative"),
+    # a count past its work guard, which would allocate or loop without end
+    ("c12_nash_full", ["ensemble"], 1e300,
+     "knobs.ensemble must lie in 1..10000 (work guard), got 1e+300"),
+    ("c12_nash_half_line", ["ensemble"], 10001,
+     "knobs.ensemble must lie in 1..10000 (work guard), got 10001"),
+    ("c13_operator_inequalities", ["trials"], 1e300,
+     "knobs.trials must lie in 1..100000 (work guard), got 1e+300"),
+    ("c13_operator_inequalities", ["trials"], 100001,
+     "knobs.trials must lie in 1..100000 (work guard), got 100001"),
     # an "all"-candidates stage guards from the origin, which dirichlet_origin removes
     ("c03_decay_1d", ["stages", 1, "boundary"], "dirichlet_origin", "knobs.stages[1].guard: "),
     # a bump with no support node, under the graph and the Euclidean metric
@@ -688,6 +697,31 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, na
     assert _suite(tmp_path, raw) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry, knob, value", [
+    ("c12_nash_full", "ensemble", 200.0), ("c12_nash_half_line", "ensemble", 200.0),
+    ("c13_operator_inequalities", "trials", 1000.0), ("c13_operator_inequalities", "dim", 20.0),
+    ("c13_hardy", "count", 14.0), ("c13_hardy", "n", 3.0)])
+def test_an_integral_float_count_solves_as_its_int_spelling(tmp_path, entry, knob, value):
+    # every CSV row and report.json apart from the config echo, its hash and timings
+    raw = _manifest_entry(entry)
+    spelled = json.loads(json.dumps(raw))
+    spelled["knobs"][knob] = value
+    assert isinstance(raw["knobs"][knob], int) and raw["knobs"][knob] == value
+    for tag, doc in (("int", raw), ("float", spelled)):
+        write_report(tmp_path / tag, run_experiment(ExperimentConfig.from_dict(doc)))
+    names = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+    for name in names:
+        a, b = ((tmp_path / tag / name).read_text() for tag in ("int", "float"))
+        if name == "report.json":
+            a, b = (json.loads(text) for text in (a, b))
+            for key in ("config", "config_hash", "timings"):
+                a.pop(key), b.pop(key)
+            assert a == b, name
+        else:
+            assert a.split("\n", 1)[1] == b.split("\n", 1)[1], name
 
 
 def test_separation_resolves_every_level_before_the_first_solves(tmp_path, capsys, monkeypatch):
@@ -797,6 +831,8 @@ PLAN_CHECKS = [
     ("c13_hardy", {("knobs", "gamma"): 2.0}, "knobs.gamma must lie in"),
     ("c13_operator_inequalities", {("knobs", "dim"): 60}, "knobs.dim must lie in 1..50"),
     ("c13_operator_inequalities", {("knobs", "trials"): 0}, "knobs.trials must be a positive"),
+    ("c12_nash_half_line", {("knobs", "ensemble"): 1e300}, "knobs.ensemble must lie in 1..10000"),
+    ("c13_operator_inequalities", {("knobs", "trials"): 1e300}, "knobs.trials must lie in"),
     ("c14_free_space_oracle", {("knobs", "source"): [50.0]}, "knobs.source: point [50.0] lies"),
     ("c14_free_space_oracle", {("knobs", "symmetry_point"): [0.0]},
      "knobs.symmetry_point: [0.0] resolves to the source's node"),

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_nash_classical_grusin_margin_and_stability():
     assert rep.fitted_constant > 0
     assert rep.worst_margin >= 0.0
     # fitted constant moves by < 25% when the ensemble doubles
-    members2 = members + random_bump_ensemble(g, 40, seed=8)
+    members2 = [np.concatenate(pair) for pair in zip(members, random_bump_ensemble(g, 40, seed=8))]
     rep2 = nash_check(op, members2, r_grid=np.geomspace(0.3, 60.0, 30))
     assert rep2.fitted_constant <= rep.fitted_constant + 1e-12
     assert rep2.fitted_constant >= rep.fitted_constant / 1.25
@@ -162,59 +163,209 @@ def test_nash_display_rows():
     assert rep.display.shape == (len(r_grid), 4)
     assert np.array_equal(r, rep.r_grid)
     # lhs is ||phi||_2^2 of the min-ratio member, the same for every r
-    worst = members[int(np.argmin(rep.ratios))].ravel()
+    worst = _member(members, int(np.argmin(rep.ratios))).ravel()
     assert np.all(lhs == lhs[0])
     assert lhs[0] == pytest.approx(g.node_weight * (worst @ worst), rel=1e-10)
     assert np.array_equal(margin, rhs - lhs)
     assert margin.min() >= rep.worst_margin
 
 
-def _per_member_pieces(grid):
-    """The member map with the symbol, the measure and the node weight built
-    again for every member."""
+def _member(stacks, k):
+    """Member k of an ensemble on the grid: the outer product of its rows."""
+    return reduce(np.multiply.outer, [p[k] for p in stacks])
+
+
+def _bump_loop(grid, centers, widths):
+    """The product bump built axis by axis on the full grid, one profile
+    multiplied in per axis: the oracle of ``bump``'s outer product."""
+    centers = grid.as_point(centers)
+    out = np.ones(grid.counts)
+    for i in range(grid.dim):
+        u = (grid.axis(i) - centers[i]) / widths[i]
+        prof = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        prof[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        shape = [1] * grid.dim
+        shape[i] = grid.counts[i]
+        out = out * prof.reshape(shape)
+    return out
+
+
+def _ensemble_loop(grid, n_members, seed, positive_axis0=False):
+    """Full-grid ensemble members drawn one scalar at a time: width, then
+    center, axis by axis, member by member."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(n_members):
+        centers, widths = [], []
+        for i, (wmin, wmax) in enumerate(multipliers._bump_widths(grid, positive_axis0)):
+            inner = 0.75 * grid.extents[i]
+            width = np.exp(rng.uniform(np.log(wmin), np.log(wmax)))
+            if positive_axis0 and i == 0:
+                center = rng.uniform(width * 1.05, inner - width)
+            else:
+                center = rng.uniform(-(inner - width), inner - width)
+            centers.append(center)
+            widths.append(width)
+        members.append(_bump_loop(grid, centers, widths))
+    return members
+
+
+def _transform_pieces(grid):
+    """The member map phi -> (||phi||_2^2, ||phi||_1, f(phi)) through the
+    unitary-convention n-dimensional DFT of the full-grid member."""
+    w, d, params = grid.node_weight, grid.dim, grid.params
+    dp = 1.0
+    Ls = []
+    for i in range(d):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(grid.counts[i], d=grid.spacings[i])
+        shape = [1] * d
+        shape[i] = grid.counts[i]
+        Ls.append((freqs**2).reshape(shape))
+        dp *= 2.0 * np.pi / (grid.counts[i] * grid.spacings[i])
+    fvals = f1(params, sum(Ls[: params.n]))
+    if params.m > 0:
+        fvals = fvals + f2(params, sum(Ls[params.n :]))
+    measure = dp / (2.0 * np.pi) ** d
+
     def pieces(member):
-        w, d, params = grid.node_weight, grid.dim, grid.params
-        phat = w * np.fft.fftn(member)
-        dp = 1.0
-        Ls = []
-        for i in range(d):
-            freqs = 2.0 * np.pi * np.fft.fftfreq(grid.counts[i], d=grid.spacings[i])
-            shape = [1] * d
-            shape[i] = grid.counts[i]
-            Ls.append((freqs**2).reshape(shape))
-            dp *= 2.0 * np.pi / (grid.counts[i] * grid.spacings[i])
-        fvals = f1(params, sum(Ls[: params.n]))
-        if params.m > 0:
-            fvals = fvals + f2(params, sum(Ls[params.n :]))
-        fhat2 = dp / (2.0 * np.pi) ** d * np.abs(phat) ** 2
-        return (float(np.sum(fhat2)), float(w * np.abs(member).sum()),
-                float(np.sum(fvals * fhat2)))
+        fhat2 = measure * np.abs(w * np.fft.fftn(member)) ** 2
+        return float(np.sum(fhat2)), float(w * np.abs(member).sum()), float(np.sum(fvals * fhat2))
     return pieces
+
+
+def _even_reflect_axis0(member):
+    """phi(x) -> phi(|x|) along axis 0 for arrays on symmetric odd grids."""
+    out = member.copy()
+    half = (member.shape[0] - 1) // 2
+    out[:half] = out[half:][1:][::-1]
+    return out
+
+
+def _full_grid_pieces(op, members):
+    """(sum fhat2, ||phi||_1, f(phi), h(phi), ||phi||_2^2) of each full-grid
+    member: the n-dimensional DFT, and the assembled matrix's quadratic form
+    (``form_value``) on the kept nodes."""
+    transform = _transform_pieces(op.grid)
+    rows = []
+    for member in members:
+        kept = member.ravel()[op.kept]
+        if op.boundary == "half_line_positive":
+            spectral = [x / 2.0 for x in transform(_even_reflect_axis0(member))]
+        else:
+            spectral = list(transform(member))
+        rows.append(spectral + [form_value(op, kept), op.grid.node_weight * (kept @ kept)])
+    return np.array(rows).T
+
+
+def _full_grid_nash(op, members, r_grid):
+    """The Nash report from the full-grid pieces: (ratios, worst margin,
+    display, parseval gap)."""
+    l2, l1, f_form, h_form, direct = _full_grid_pieces(op, members)
+    ratios = h_form / f_form
+    a_fit = ratios.min()
+    r = np.sort(np.asarray(r_grid, dtype=float))
+    factor = 4.0 if op.boundary == "half_line_positive" else 1.0
+    vols = vf_volume(op.grid.params, r)
+    rhs = h_form[:, None] / (a_fit * r**2) + factor * (2.0 * np.pi) ** (-op.grid.dim) * vols * l1[:, None] ** 2
+    k = int(np.argmin(ratios))
+    display = np.column_stack([r, np.full_like(r, l2[k]), rhs[k], rhs[k] - l2[k]])
+    return ratios, (rhs - l2[:, None]).min(), display, (np.abs(l2 - direct) / direct).max()
+
+
+# (params, extents, counts, boundary): every block shape the pieces factor
+ORACLE_CASES = [
+    (GrusinParameters(1, 1, 0.5, 0.25, 1.5, 0.5), (2.0, 2.0), (41, 41), "neumann_truncation"),
+    (GrusinParameters(1, 1, 0.25, 0.0, 1.0, 1.0), (2.0, 2.0), (41, 41), "dirichlet_origin"),
+    (GrusinParameters(1, 0, 0.75, 0.75), 4.0, 129, "half_line_positive"),
+    (GrusinParameters(2, 0, 0.5, 0.25), (2.0, 1.5), (37, 41), "neumann_truncation"),
+    (GrusinParameters(1, 2, 0.25, 0.5, 1.0, 0.5), (2.0, 2.0, 1.5), (37, 41, 35),
+     "neumann_truncation"),
+]
+
+
+def _oracle_case(params, extents, counts, boundary, members=7):
+    g = build_grid(params, extents, counts)
+    op = assemble(g, CoefficientField(params), boundary)
+    half = boundary == "half_line_positive"
+    return op, random_bump_ensemble(g, members, seed=5, positive_axis0=half), \
+        _ensemble_loop(g, members, seed=5, positive_axis0=half)
+
+
+@pytest.mark.parametrize("params, extents, counts, boundary", ORACLE_CASES)
+def test_ensemble_members_equal_the_full_grid_bumps_bit_for_bit(params, extents, counts, boundary):
+    op, stacks, full = _oracle_case(params, extents, counts, boundary)
+    assert [p.shape for p in stacks] == [(7, c) for c in op.grid.counts]
+    for k, member in enumerate(full):
+        assert _member(stacks, k).tobytes() == member.tobytes()
+
+
+@pytest.mark.parametrize("params, extents, counts, boundary", ORACLE_CASES)
+def test_tensor_pieces_match_the_full_grid_oracle(params, extents, counts, boundary):
+    op, stacks, full = _oracle_case(params, extents, counts, boundary)
+    pieces = np.array(multipliers._member_pieces(op, stacks))
+    ref = _full_grid_pieces(op, full)
+    assert (np.abs(pieces - ref) <= 1e-13 * np.abs(ref)).all()
+    r_grid = np.geomspace(0.3, 60.0, 9)[::-1]
+    rep = nash_check(op, stacks, r_grid)
+    ratios, worst, display, gap = _full_grid_nash(op, full, r_grid)
+    assert np.abs(rep.ratios - ratios).max() <= 1e-13 * ratios.max()
+    assert abs(rep.worst_margin - worst) <= 1e-13 * abs(worst)
+    assert np.abs(rep.display - display).max() <= 1e-13 * np.abs(display).max()
+    # the gap is itself relative (rounding residue, about 1e-15)
+    assert abs(rep.parseval_gap - gap) <= 1e-13
+
+
+def test_bump_is_the_outer_product_of_its_profiles_bit_for_bit():
+    for params, extents, counts, centers, widths in [
+            (CLASSICAL, (4.0, 4.0), (257, 257), [1.0, 0.0], [0.6, 0.6]),
+            (GrusinParameters(1, 0), 3.0, 101, [0.5], [1]),
+            (GrusinParameters(2, 1), (2.0, 1.0, 3.0), (41, 21, 61), [0.1, -0.2, 1.0], [0.5, 0.3, 2])]:
+        g = build_grid(params, extents, counts)
+        profiles = [multipliers._bump_profiles(g.axis(i), [centers[i]], [widths[i]])[0]
+                    for i in range(g.dim)]
+        b = multipliers.bump(g, centers, widths)
+        assert b.shape == g.counts
+        assert b.tobytes() == reduce(np.multiply.outer, profiles).tobytes()
+        assert b.tobytes() == _bump_loop(g, centers, widths).tobytes()
 
 
 @pytest.mark.parametrize("params, extents, counts, boundary", [
     (CLASSICAL, (2.0, 2.0), (41, 41), "neumann_truncation"),
+    (GrusinParameters(1, 2, 0.25, 0.5, 1.0, 0.5), (2.0, 2.0, 1.5), (37, 41, 35),
+     "neumann_truncation"),
     (GrusinParameters(1, 0, 0.75, 0.75), 4.0, 65, "half_line_positive")])
-def test_nash_symbol_built_once_equals_the_per_member_symbol_bit_for_bit(
-        monkeypatch, params, extents, counts, boundary):
+def test_nash_symbol_is_evaluated_once_per_call(monkeypatch, params, extents, counts, boundary):
     g = build_grid(params, extents, counts)
     op = assemble(g, CoefficientField(params), boundary)
     members = random_bump_ensemble(g, 6, seed=5, positive_axis0=boundary != "neumann_truncation")
     r_grid = np.geomspace(0.3, 60.0, 7)
     rep = nash_check(op, members, r_grid)
-    with monkeypatch.context() as m:
-        m.setattr(multipliers, "_transform_pieces", _per_member_pieces)
-        ref = nash_check(op, members, r_grid)
-    assert rep.ratios.tobytes() == ref.ratios.tobytes()
-    assert repr(rep.worst_margin) == repr(ref.worst_margin)
-    assert rep.display.tobytes() == ref.display.tobytes()
-    # f1 runs once per call: the volumes, its other reader, are stubbed out
+    # given V_F, nash_check solves none; f1 and f2 each run once, on the
+    # block frequencies, whatever the ensemble's size
+    vols = vf_volume(params, rep.r_grid)
     calls = []
-    vols = multipliers.vf_volume(params, rep.r_grid)
-    monkeypatch.setattr(multipliers, "vf_volume", lambda *args: vols)
-    monkeypatch.setattr(multipliers, "f1", lambda *args: calls.append(args) or f1(*args))
-    assert nash_check(op, members, r_grid).display.tobytes() == rep.display.tobytes()
-    assert len(calls) == 1
+    monkeypatch.setattr(multipliers, "vf_volume", lambda *args: calls.append("vf_volume"))
+    monkeypatch.setattr(multipliers, "f1", lambda *args: calls.append("f1") or f1(*args))
+    monkeypatch.setattr(multipliers, "f2", lambda *args: calls.append("f2") or f2(*args))
+    again = nash_check(op, members, r_grid, vols)
+    assert again.display.tobytes() == rep.display.tobytes()
+    assert again.ratios.tobytes() == rep.ratios.tobytes()
+    assert calls == ["f1"] + ["f2"] * (params.m > 0)
+
+
+def test_both_nash_seeds_read_one_vf_solve(monkeypatch):
+    # c12_nash_full solves V_F on its r_grid once, and once for its slopes
+    from grushinlab import experiments
+
+    shapes = []
+    solve = multipliers.vf_volume
+    for module in (multipliers, experiments):
+        monkeypatch.setattr(module, "vf_volume",
+                            lambda params, r: shapes.append(np.shape(r)) or solve(params, r))
+    raw = next(raw for raw in acceptance_manifest() if raw["name"] == "c12_nash_full")
+    assert run_experiment(ExperimentConfig.from_dict(raw))["passed"]
+    assert shapes == [(30,), (2, 2)]
 
 
 def test_nash_half_line_factor_four():
@@ -235,10 +386,12 @@ def test_nash_rejects_a_member_that_is_not_finite_or_zero(bad, named):
     g = build_grid(CLASSICAL, (2.0, 2.0), (65, 65))
     op = assemble(g, CoefficientField(CLASSICAL))
     members = random_bump_ensemble(g, 4, seed=7)
+    # member 2's x2 factor; a non-finite member 3 is found first either way
     if bad is None:
-        members[2][:] = 0.0
+        members[1][2] = 0.0
     else:
-        members[2][5, 60] = bad
+        members[1][2, 60] = bad
+        members[0][3, 5] = bad
     with pytest.raises(ValueError, match=named):
         nash_check(op, members, r_grid=[0.5, 5.0])
 
@@ -246,9 +399,13 @@ def test_nash_rejects_a_member_that_is_not_finite_or_zero(bad, named):
 def test_bump_ensemble_respects_box_and_resolution():
     g = build_grid(EUCLID_2D, (2.0, 2.0), (65, 65))
     members = random_bump_ensemble(g, 5, seed=1)
-    for m in members:
-        assert m.shape == g.counts
-        assert m[0].max() == 0.0 and m[-1].max() == 0.0
+    # every member vanishes on the box boundary: each of its factors at both ends
+    for i, p in enumerate(members):
+        assert p.shape == (5, g.counts[i])
+        assert p[:, 0].max() == 0.0 and p[:, -1].max() == 0.0
+        assert (p[:, 1:-1].max(axis=1) > 0.0).all()
+    half = random_bump_ensemble(g, 5, seed=1, positive_axis0=True)[0]
+    assert half[:, : (g.counts[0] + 1) // 2].max() == 0.0  # supports in x_0 > 0
     tiny = build_grid(EUCLID_2D, (1.0, 1.0), (5, 5))
     with pytest.raises(ValueError, match="resolution"):
         random_bump_ensemble(tiny, 1, seed=0)
