@@ -82,6 +82,14 @@ def _as_int(name: str, value, positive: bool) -> int:
     return int(value)
 
 
+def _count(name: str, value, ceiling: int, guard: str) -> int:
+    """``value`` as an int in 1..ceiling, each message led by ``name``."""
+    count = _as_int(name, value, positive=True)
+    if count > ceiling:
+        raise ValueError(f"{name} must lie in 1..{ceiling} ({guard} guard), got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class GrusinParameters:
     """Degeneracy exponents (n, m, delta1, delta1p, delta2, delta2p).

@@ -21,12 +21,13 @@ tolerance of the verification suite.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict
 
 import numpy as np
 
-from .coefficients import CoefficientField, GrusinParameters, _as_int, derive_exponents
+from .coefficients import CoefficientField, GrusinParameters, _as_int, _count, derive_exponents
 from .config import ConfigError, ExperimentConfig, bind, build, typed
 from .discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
 from .evolution import (
@@ -72,10 +73,17 @@ def _check_knobs(check, **knobs):
         raise ConfigError(f"knobs.{err}") from err
 
 
-def _counts(**counts) -> None:
-    """A ConfigError naming ``knobs.<name>`` for a count that is not a positive integer."""
-    for name, value in counts.items():
-        _check_knobs(_as_int, name=name, value=value, positive=True)
+# Sources, targets, times or radii of one run: ten times the manifest's
+# largest such count (11 targets).  c04 at 100 sources and 100 targets
+# plans 20,000 closed-form distances and runs 200 Dijkstra passes, about 3 s.
+MAX_POINTS = 100
+
+
+def _counts(**counts) -> list[int]:
+    """Each count as an int in 1..MAX_POINTS (work guard), in order; a
+    ConfigError naming ``knobs.<name>`` for any other value."""
+    return [_check_knobs(_count, name=name, value=value, ceiling=MAX_POINTS, guard="work")
+            for name, value in counts.items()]
 
 
 def _pair(path: str, value):
@@ -131,6 +139,28 @@ def _geomspace(*, lo, hi, n):
     return np.geomspace(lo, hi, _as_int("n", n, positive=True))
 
 
+# Nodes of a refinement ladder's finest level: four times c10's finest
+# (513^2), so one more refinement of c10 (1025^2 nodes) fits.
+MAX_LEVEL_NODES = 4 * 513**2
+
+
+def _ladder(cfg: ExperimentConfig, refinements) -> int:
+    """``knobs.refinements``, the number of ``_levels``, as an int; a
+    ConfigError naming it unless it is a positive integer whose finest level
+    holds at most MAX_LEVEL_NODES nodes (work guard), counted from the
+    config alone.  An axis of c nodes has (c - 1) 2^(refinements - 1) + 1
+    there; every axis has c >= 3, so past a shift of the ceiling's bit
+    length one axis alone holds more than the ceiling, and the shift stops
+    there."""
+    count = _check_knobs(_as_int, name="refinements", value=refinements, positive=True)
+    shift = min(count - 1, MAX_LEVEL_NODES.bit_length())
+    counts = cfg.grid().counts
+    if math.prod(((c - 1) << shift) + 1 for c in counts) > MAX_LEVEL_NODES:
+        raise ConfigError(f"knobs.refinements: the finest of {refinements!r} levels of the grid "
+                          f"of {counts} nodes holds more than {MAX_LEVEL_NODES} nodes (work guard)")
+    return count
+
+
 def _levels(cfg: ExperimentConfig, count: int):
     """The configured grid, then each of ``count - 1`` refinements, each
     halving every spacing of the one before."""
@@ -173,7 +203,7 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 
 def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
                      n_sources=10, bound=1e-8):
-    _counts(n_sources=n_sources)
+    (n_sources,) = _counts(n_sources=n_sources)
     _positive("knobs.times", times)
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
     _resolve("grid", op.dense_eig)
@@ -312,7 +342,8 @@ _BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of ever
 
 def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
                  stencil_order=2, min_closed=0.1, stability_factor=1.25):
-    _counts(n_sources=n_sources, n_targets=n_targets, stencil_order=stencil_order)
+    n_sources, n_targets = _counts(n_sources=n_sources, n_targets=n_targets)
+    stencil_order = _check_knobs(_as_int, name="stencil_order", value=stencil_order, positive=True)
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
@@ -395,7 +426,7 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
 def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers=([0.0], [5.0]),
                  slack=0.3):
     _positive("knobs.r0", r0)
-    _counts(n_radii=n_radii)
+    (n_radii,) = _counts(n_radii=n_radii)
     radii = _resolve("knobs.n_radii", _doubling_radii, r0 * 2.0 ** np.arange(n_radii))
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
@@ -456,7 +487,7 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
 
 def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
                    sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3):
-    _counts(refinements=refinements)
+    refinements = _ladder(cfg, refinements)
     _positive("knobs.t", t)
     if cfg.params.n != 1:
         raise ConfigError(f"params.n: separation compares the half-spaces x1 >= 0 and x1 <= 0, "
@@ -505,7 +536,7 @@ def _region_rows(grid, lo, hi):
 def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0),
                 exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
                 control=True, control_tol=1e-10):
-    _counts(n_times=n_times)
+    (n_times,) = _counts(n_times=n_times)
     _positive("knobs.exponent_range", _pair("knobs.exponent_range", exponent_range))
     lo, hi = _pair("knobs.region", region)
     if lo <= r_cut / 2.0:
@@ -578,7 +609,7 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
                      times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
                      leak_bound=1e-6):
     _one_of("knobs.metric", metric, ("graph", "euclidean"))
-    _counts(refinements=refinements)
+    refinements = _ladder(cfg, refinements)
     _positive("knobs.bump_width", bump_width)
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
     for grid in _levels(cfg, refinements):  # a plan holds no bump: each level makes its own

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .coefficients import GrusinParameters, _as_int, derive_exponents
+from .coefficients import GrusinParameters, _as_int, _count, derive_exponents
 from .discretization import DivergenceFormOperator, Grid
 from .quadrature import gauss_legendre_01
 
@@ -78,23 +78,41 @@ def _unit_ball_volume(k: int) -> float:
 
 def _sublevel_radius(f, budget) -> np.ndarray:
     """sup { q >= 0 : f(q^2) <= budget } elementwise, for strictly increasing
-    f with f(0) = 0 (vectorized bracket doubling plus bisection)."""
+    f with f(0) = 0 (vectorized bracket doubling plus bisection); 0 where the
+    budget is not positive.
+
+    Each pass evaluates f on the elements that can still move, and each
+    element's arithmetic is that of the plain loop of up to 600 doublings
+    and 80 bisection steps.  An element stops doubling once f(hi^2) exceeds
+    its budget or hi reaches 1e150, and never doubles again.  Once a
+    bisection midpoint equals lo or hi, the step leaves the bracket as it
+    was or closes it to [mid, mid], and every later step computes the same
+    midpoint and changes nothing: the element is at its fixed point and
+    leaves.  The loop ends when no element is left, or after 80 steps.
+    """
     budget = np.atleast_1d(np.asarray(budget, dtype=float))
-    hi = np.ones_like(budget)
-    pos = budget > 0.0
+    out = np.zeros(budget.shape)
+    live = np.flatnonzero(budget > 0.0)
+    b = budget.ravel()[live]
+    lo, hi = np.zeros_like(b), np.ones_like(b)
+    grow = np.arange(b.size)
     for _ in range(600):
-        grow = pos & (np.asarray(f(hi * hi), dtype=float) <= budget) & (hi < 1e150)
-        if not grow.any():
+        h = hi[grow]
+        grow = grow[(np.asarray(f(h * h), dtype=float) <= b[grow]) & (h < 1e150)]
+        if not grow.size:
             break
         hi[grow] *= 2.0
-    lo = np.zeros_like(budget)
     for _ in range(80):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        below = np.asarray(f(mid * mid), dtype=float) <= budget
-        lo[below] = mid[below]
-        hi[~below] = mid[~below]
-    out = 0.5 * (lo + hi)
-    out[~pos] = 0.0
+        below = np.asarray(f(mid * mid), dtype=float) <= b
+        moving = (mid != lo) & (mid != hi)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if not moving.all():
+            out.flat[live[~moving]] = 0.5 * (lo[~moving] + hi[~moving])
+            live, lo, hi, b = live[moving], lo[moving], hi[moving], b[moving]
+    out.flat[live] = 0.5 * (lo + hi)
     return out
 
 
@@ -163,14 +181,6 @@ def _bump_widths(grid: Grid, positive_axis0: bool = False) -> list[tuple[float, 
 # largest ensemble grid (513 nodes per axis) one profile stack then holds
 # 41 MB, and its transform twice that.
 MAX_ENSEMBLE = 10_000
-
-
-def _count(name: str, value, ceiling: int, guard: str) -> int:
-    """``value`` as an int in 1..ceiling, each message led by ``name``."""
-    count = _as_int(name, value, positive=True)
-    if count > ceiling:
-        raise ValueError(f"{name} must lie in 1..{ceiling} ({guard} guard), got {value!r}")
-    return count
 
 
 def _ensemble_args(ensemble) -> int:
@@ -395,7 +405,7 @@ def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
         a = (n - 2) ** 2 / 4.0
     else:
         Lc, Vc = _hardy_operator(n, gamma, counts["coarse_count"])
-        [Lc], [L] = (_matrix_funs_psd(X.toarray(), lambda lam: lam**gamma) for X in (Lc, L))
+        Lc, L = (_matrix_fun(*_psd_eigh(X.toarray()), lambda lam: lam**gamma) for X in (Lc, L))
         # largest a with L^gamma - a V >= 0 on the coarse grid
         a = float(eigh(Lc, np.diag(Vc), eigvals_only=True)[0])
     M = (sp.csc_matrix(L) - fraction * a * sp.diags(V)).tocsc()
@@ -405,16 +415,20 @@ def hardy_check(n: int, gamma: float, fraction: float, count: int = 14,
     return float(lam[0]), float(a)
 
 
-def _matrix_funs_psd(M: np.ndarray, *fns) -> list[np.ndarray]:
-    """fn(M) for each fn from one eigh per symmetric matrix of the stack M, clipped at 0."""
+def _psd_eigh(M: np.ndarray):
+    """One eigh per symmetric matrix of the stack M: (eigenvalues clipped at 0, eigenvectors)."""
     lam, Q = np.linalg.eigh(M)
-    lam = np.clip(lam, 0.0, None)
-    return [(Q * fn(lam)[..., None, :]) @ Q.swapaxes(-1, -2) for fn in fns]
+    return np.clip(lam, 0.0, None), Q
+
+
+def _matrix_fun(lam: np.ndarray, Q: np.ndarray, fn) -> np.ndarray:
+    """Q fn(lam) Q^T for each eigendecomposition (lam, Q) of a stack."""
+    return (Q * fn(lam)[..., None, :]) @ Q.swapaxes(-1, -2)
 
 
 # trials per stack: one stack of all 1,000 is no faster and lifts the peak by 70 MB
 _TRIAL_STACK = 20
-# 100 times the manifest's 1,000 trials, about 25 s at dim 20; memory stays
+# 100 times the manifest's 1,000 trials, about 20 s at dim 20; memory stays
 # one stack's
 MAX_TRIALS = 100_000
 
@@ -429,6 +443,22 @@ def _inequality_args(trials, dim, gamma) -> tuple[int, int]:
     return trials, dim
 
 
+def _above(D: np.ndarray, w: float) -> bool:
+    """True if the Cholesky factorization of D - (w + tau) I, with
+    tau = sqrt(eps) (||D||_F + |w|) per matrix, exists for the whole stack
+    D, which proves that ``eigvalsh`` computes a lowest eigenvalue above w
+    for every matrix (:func:`operator_inequality_checks`); False if it fails
+    or w is not finite."""
+    if not np.isfinite(w):
+        return False
+    tau = np.sqrt(np.finfo(float).eps) * (np.linalg.norm(D, axis=(1, 2)) + abs(w))
+    try:
+        np.linalg.cholesky(D - (w + tau)[:, None, None] * np.eye(D.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 0) -> dict:
     """Worst violations of the two operator-monotonicity inequalities.
 
@@ -439,20 +469,35 @@ def operator_inequality_checks(trials: int, dim: int, gamma: float, seed: int = 
     machine precision.  Trials (B = G G^T / dim, then A - B alike) are drawn
     and decomposed in stacks of 20: a stack of all 1,000 trials at dim 20 is
     no faster and lifts the traced peak from 2 to 74 MB.
+
+    Each output is a running minimum over the stacks, and a stack runs
+    ``eigvalsh`` on an inequality's differences D only when it may lower
+    that minimum w (``_above``; the first stack always runs it).  The skip
+    is exact.  If Cholesky of D - sigma I, sigma = w + tau, succeeds in
+    floating point, D - sigma I + E is positive definite with
+    ||E||_2 <= c n^2 eps ||D - sigma I||_2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 10; Demmel 1989), so
+    lambda_min(D) > sigma - ||E||_2; and the computed eigvalsh(D)[0] lies
+    within c n eps ||D||_2 of lambda_min(D).  At n <= 50 (the dim ceiling)
+    n^2 eps is about 5.5e-13, while tau = sqrt(eps) (||D||_F + |w|) is
+    about 1.5e-8 of ||D||_2 + |w|, more than 10^4 times both errors.  So
+    every skipped matrix's eigvalsh value exceeds w, and the minimum is the
+    same float.  f0's A + B matrix is never read, so it is not formed.
     """
     trials, dim = _inequality_args(trials, dim, gamma)
     rng = np.random.default_rng(seed)
-    fns = [lambda lam: lam * (1.0 + lam) ** (-gamma)]
-    fns += [lambda lam, k=k: lam ** (0.5**k) for k in (1, 2)]
     worst = np.full(3, np.inf)
     for start in range(0, trials, _TRIAL_STACK):
         G = rng.normal(size=(min(_TRIAL_STACK, trials - start), 2, dim, dim))
         P = (G @ G.swapaxes(-1, -2)) / dim
         B, A = P[:, 0], P[:, 0] + P[:, 1]
-        f = _matrix_funs_psd(np.stack([A, B, A + B], axis=1), *fns)
-        diffs = [f[0][:, 0] - f[0][:, 1]]
-        diffs += [f[k][:, 2] - 2.0 ** (-1.0 + 2.0 ** (-k)) * (f[k][:, 0] + f[k][:, 1])
-                  for k in (1, 2)]
-        lowest = np.linalg.eigvalsh(np.stack(diffs, axis=1))[..., 0]
-        worst = np.minimum(worst, lowest.min(axis=0))
+        lam, Q = _psd_eigh(np.stack([A, B, A + B], axis=1))
+        f0 = _matrix_fun(lam[:, :2], Q[:, :2], lambda lam: lam * (1.0 + lam) ** (-gamma))
+        diffs = [f0[:, 0] - f0[:, 1]]
+        for k in (1, 2):
+            f = _matrix_fun(lam, Q, lambda lam: lam ** (0.5**k))
+            diffs.append(f[:, 2] - 2.0 ** (-1.0 + 2.0 ** (-k)) * (f[:, 0] + f[:, 1]))
+        for i, D in enumerate(diffs):
+            if not _above(D, worst[i]):
+                worst[i] = np.minimum(worst[i], np.linalg.eigvalsh(D)[:, 0].min())
     return {"resolvent_power": float(worst[0]), "root_sum": {1: float(worst[1]), 2: float(worst[2])}}

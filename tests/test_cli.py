@@ -651,6 +651,26 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # a ladder of no grid levels
     ("c07_separation_weak", ["refinements"], 0, "knobs.refinements must be a positive integer"),
     ("c10_speed_classical", ["refinements"], 0, "knobs.refinements must be a positive integer"),
+    # a count past its work guard, bound as an int: a ladder finer without end, or
+    # an allocation of 1e300 points
+    ("c07_separation_weak", ["refinements"], 1e300,
+     "knobs.refinements: the finest of 1e+300 levels of the grid of (201,) nodes holds more "
+     "than 1052676 nodes (work guard)"),
+    ("c07_separation_strong", ["refinements"], 1e300, "knobs.refinements: the finest of 1e+300"),
+    ("c10_speed_classical", ["refinements"], 1e300,
+     "knobs.refinements: the finest of 1e+300 levels of the grid of (257, 257) nodes"),
+    ("c10_speed_constant", ["refinements"], 4,
+     "knobs.refinements: the finest of 4 levels of the grid of (257, 257) nodes holds more "
+     "than 1052676 nodes (work guard)"),
+    ("c01_conservation_1d", ["n_sources"], 1e300,
+     "knobs.n_sources must lie in 1..100 (work guard), got 1e+300"),
+    ("c04_distance", ["n_sources"], 1e300,
+     "knobs.n_sources must lie in 1..100 (work guard), got 1e+300"),
+    ("c04_distance", ["n_targets"], 1e300,
+     "knobs.n_targets must lie in 1..100 (work guard), got 1e+300"),
+    ("c04_distance", ["n_targets"], 101, "knobs.n_targets must lie in 1..100 (work guard), got 101"),
+    ("c11_compare", ["n_times"], 1e300, "knobs.n_times must lie in 1..100 (work guard), got 1e+300"),
+    ("c06_doubling", ["n_radii"], 1e300, "knobs.n_radii must lie in 1..100 (work guard), got 1e+300"),
     # a bump of no width, or of a negative one
     ("c10_speed_classical", ["bump_width"], 0.0, "knobs.bump_width: 0.0 must be positive"),
     ("c10_speed_constant", ["bump_width"], -0.6, "knobs.bump_width: -0.6 must be positive"),
@@ -699,10 +719,39 @@ def test_cli_bad_knob_exits_2_naming_it(tmp_path, capsys, entry, path, value, na
     assert not (tmp_path / "out").exists()
 
 
+# (entry, knob, value): a count spelled as an integral float, which the plan binds as an int
+BOUND_COUNTS = [
+    ("c01_conservation_1d", "n_sources", 10.0), ("c04_distance", "n_sources", 10.0),
+    ("c04_distance", "n_targets", 11.0), ("c04_distance", "stencil_order", 2.0),
+    ("c06_doubling", "n_radii", 8.0), ("c07_separation_strong", "refinements", 3.0),
+    ("c07_separation_weak", "refinements", 3.0)]
+PLANNED_COUNTS = [("c10_speed_classical", "refinements", 2.0),
+                  ("c10_speed_constant", "refinements", 2.0), ("c11_compare", "n_times", 8.0)]
+
+
+@pytest.mark.parametrize("entry, knob, value", BOUND_COUNTS + PLANNED_COUNTS)
+def test_a_runner_binds_an_integral_float_count_as_its_int(entry, knob, value):
+    raw = _manifest_entry(entry)
+    assert isinstance(raw["knobs"][knob], int) and raw["knobs"][knob] == value
+    raw["knobs"][knob] = value
+    _, solve = plan_experiment(ExperimentConfig.from_dict(raw))
+    # the runner, suspended at its plan's yield, holds the value its solve reads
+    runner = inspect.getclosurevars(solve).nonlocals["steps"]
+    bound = inspect.getgeneratorlocals(runner)[knob]
+    assert type(bound) is int and bound == value
+
+
+def test_the_refinement_ceiling_admits_one_more_level_of_c10():
+    raw = _manifest_entry("c10_speed_classical")
+    raw["knobs"]["refinements"] = 3  # the finest level 1025^2 = 1050625 nodes
+    plan_experiment(ExperimentConfig.from_dict(raw))
+    assert 1025**2 <= experiments.MAX_LEVEL_NODES < 2049**2
+
+
 @pytest.mark.parametrize("entry, knob, value", [
     ("c12_nash_full", "ensemble", 200.0), ("c12_nash_half_line", "ensemble", 200.0),
     ("c13_operator_inequalities", "trials", 1000.0), ("c13_operator_inequalities", "dim", 20.0),
-    ("c13_hardy", "count", 14.0), ("c13_hardy", "n", 3.0)])
+    ("c13_hardy", "count", 14.0), ("c13_hardy", "n", 3.0), *BOUND_COUNTS])
 def test_an_integral_float_count_solves_as_its_int_spelling(tmp_path, entry, knob, value):
     # every CSV row and report.json apart from the config echo, its hash and timings
     raw = _manifest_entry(entry)

@@ -6,7 +6,7 @@ import pytest
 
 from scipy.linalg import eigh
 
-from grushinlab import multipliers
+from grushinlab import experiments, multipliers
 from grushinlab.coefficients import CoefficientField, GrusinParameters, derive_exponents
 from grushinlab.config import ExperimentConfig
 from grushinlab.discretization import assemble, build_grid, form_value
@@ -20,6 +20,7 @@ from grushinlab.multipliers import (
     random_bump_ensemble,
     vf_volume,
 )
+from grushinlab.quadrature import gauss_legendre_01
 
 CLASSICAL = GrusinParameters(1, 1, 0.0, 0.0, 1.0, 1.0)
 EUCLID_2D = GrusinParameters(1, 1)
@@ -126,6 +127,59 @@ def test_vf_volume_two_scale_slopes():
         v0, v1 = vf_volume(spec, r0), vf_volume(spec, 1.3 * r0)
         slope = np.log(v1 / v0) / np.log(1.3)
         assert slope == pytest.approx(expect, rel=0.05)
+
+
+def _sublevel_radius_loop(f, budget):
+    """The bracket doubling and bisection with no early exit: every element
+    is evaluated in every pass, up to 600 doublings, then 80 bisection steps."""
+    budget = np.atleast_1d(np.asarray(budget, dtype=float))
+    hi = np.ones_like(budget)
+    pos = budget > 0.0
+    for _ in range(600):
+        grow = pos & (np.asarray(f(hi * hi), dtype=float) <= budget) & (hi < 1e150)
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    lo = np.zeros_like(budget)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(f(mid * mid), dtype=float) <= budget
+        lo[below] = mid[below]
+        hi[~below] = mid[~below]
+    out = 0.5 * (lo + hi)
+    out[~pos] = 0.0
+    return out
+
+
+def test_vf_volume_equals_the_plain_loop_on_the_manifest_calls(monkeypatch):
+    # c12_nash_full's display and slope radii, c12_nash_half_line's display radii
+    calls = []
+    monkeypatch.setattr(experiments, "vf_volume",
+                        lambda params, r: calls.append((params, np.array(r))) or vf_volume(params, r))
+    for raw in acceptance_manifest():
+        if raw["name"] in ("c12_nash_full", "c12_nash_half_line"):
+            run_experiment(ExperimentConfig.from_dict(raw))
+    assert len(calls) == 3
+    fast = [vf_volume(params, r).tobytes() for params, r in calls]
+    monkeypatch.setattr(multipliers, "_sublevel_radius", _sublevel_radius_loop)
+    assert [vf_volume(params, r).tobytes() for params, r in calls] == fast
+
+
+@pytest.mark.parametrize("params", [CLASSICAL, GrusinParameters(1, 1, 0.0, 0.0, 1.0, 0.0),
+                                    GrusinParameters(1, 1, 0.5, 0.25, 1.5, 0.5)])
+def test_sublevel_radius_equals_the_plain_loop_bit_for_bit(params):
+    from grushinlab.multipliers import _sublevel_radius
+
+    edges = np.array([0.0, -0.0, -1.0, np.nan, 1e300, np.inf, 5e-324, 1e-300, 1.0, 1e10])
+    # vf_volume's (radii, 256) block-2 budgets at c12's display radii
+    radii = np.geomspace(0.3, 60.0, 30)
+    s = _sublevel_radius_loop(lambda L: f1(params, L), radii**2)[:, None] * gauss_legendre_01(256)[0]
+    block = (radii**2)[:, None] - f1(params, s * s)
+    for f in (f1, f2):
+        for budget in (edges, block, radii**2):
+            fast = _sublevel_radius(lambda L: f(params, L), budget)
+            assert fast.shape == np.atleast_1d(budget).shape
+            assert fast.tobytes() == _sublevel_radius_loop(lambda L: f(params, L), budget).tobytes()
 
 
 def test_parseval_identity_constant_coefficients():
@@ -531,10 +585,10 @@ def test_operator_inequalities_equal_pair_is_zero():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(8, 8))
     B = G @ G.T / 8
-    from grushinlab.multipliers import _matrix_funs_psd
+    from grushinlab.multipliers import _matrix_fun, _psd_eigh
 
     phi = lambda lam: lam * (1.0 + lam) ** (-0.3)
-    diff = _matrix_funs_psd(B, phi)[0] - _matrix_funs_psd(B, phi)[0]
+    diff = _matrix_fun(*_psd_eigh(B), phi) - _matrix_fun(*_psd_eigh(B), phi)
     assert np.abs(diff).max() == 0.0
 
 
@@ -579,13 +633,30 @@ def _trial_loop_reference(trials, dim, gamma, seed):
     return {"resolvent_power": worst_res, "root_sum": worst_root}
 
 
-@pytest.mark.parametrize("dim, gamma", [(3, 0.0), (20, 0.3), (50, 1.0)])
-@pytest.mark.parametrize("trials", [1, 19, 20, 21, 45, 200])
-def test_stacked_trials_equal_the_trial_loop_bit_for_bit(trials, dim, gamma):
-    seed = 1000 * dim + trials
+# (trials, dim, gamma, seed): small stacks and their remainders, then
+# c13_operator_inequalities' config at its seed and two more
+TRIAL_CASES = [(trials, dim, gamma, 1000 * dim + trials)
+               for dim, gamma in [(3, 0.0), (20, 0.3), (50, 1.0)]
+               for trials in [1, 19, 20, 21, 45, 200]]
+TRIAL_CASES += [(1000, 20, 0.3, seed) for seed in (1302, 1303, 1304)]
+
+
+@pytest.mark.parametrize("trials, dim, gamma, seed", TRIAL_CASES)
+def test_stacked_trials_equal_the_trial_loop_bit_for_bit(trials, dim, gamma, seed):
+    # the loop runs eigvalsh on every trial, so it is also the unscreened oracle
     res = operator_inequality_checks(trials, dim, gamma, seed)
     # repr round-trips a float exactly, so equal reprs are equal bits and types
     assert repr(res) == repr(_trial_loop_reference(trials, dim, gamma, seed))
+
+
+def test_the_cholesky_screen_skips_most_eigvalsh_calls(monkeypatch):
+    # c13's config: 50 stacks of 20 trials, 3 inequalities each
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda D: calls.append(len(D)) or eigvalsh(D))
+    operator_inequality_checks(1000, 20, 0.3, 1302)
+    assert 3 <= len(calls) <= 20  # the first stack runs all three
+    assert calls == [20] * len(calls)
 
 
 def test_operator_inequalities_peak_memory_stays_small():
