@@ -90,6 +90,12 @@ def _count(name: str, value, ceiling: int, guard: str) -> int:
     return count
 
 
+# Axes of R^n x R^m: twice the manifest's largest (3).  A grid of n + m
+# axes holds at least 3^(n+m) nodes, and a metric graph of the runners'
+# stencil order 2 walks 5^(n+m) offsets in Python (15,625 at 6 axes).
+MAX_DIMENSION = 6
+
+
 @dataclass(frozen=True)
 class GrusinParameters:
     """Degeneracy exponents (n, m, delta1, delta1p, delta2, delta2p).
@@ -97,8 +103,9 @@ class GrusinParameters:
     n >= 1 is the dimension of the x1 block carrying the degeneracy,
     m >= 0 the dimension of the x2 block (m = 0 gives the one-dimensional
     example).  The primed exponents govern behaviour at infinity.
-    Constraints: delta1, delta1p in [0, 1); delta2, delta2p >= 0.  The
-    exponents are stored as floats, so 0 and 0.0 make equal parameters.
+    Constraints: n + m <= MAX_DIMENSION; delta1, delta1p in [0, 1);
+    delta2, delta2p >= 0.  The exponents are stored as floats, so 0 and 0.0
+    make equal parameters.
     """
 
     n: int = 1
@@ -111,8 +118,11 @@ class GrusinParameters:
     def __post_init__(self):
         for name in ("delta1", "delta1p", "delta2", "delta2p"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "n", _as_int("n", self.n, positive=True))
-        object.__setattr__(self, "m", _as_int("m", self.m, positive=False))
+        object.__setattr__(self, "n", _count("n", self.n, MAX_DIMENSION, "dimension"))
+        if self.n + _as_int("m", self.m, positive=False) > MAX_DIMENSION:
+            raise ValueError(f"m must lie in 0..{MAX_DIMENSION - self.n} (dimension guard: "
+                             f"n + m <= {MAX_DIMENSION}), got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         for name in ("delta1", "delta1p"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):

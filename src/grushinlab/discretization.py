@@ -42,6 +42,7 @@ Assembled operators are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
-from .coefficients import CoefficientField, GrusinParameters, _as_int, _is_real
+from .coefficients import CoefficientField, GrusinParameters, _count, _is_real
 from .quadrature import segment_integrals
 
 __all__ = [
@@ -81,6 +82,10 @@ class CapacityError(RuntimeError):
 # The factored spectrum stores n2 * n1^2 floats, at most MAX_EXACT_DIMENSION^2.
 MAX_EXACT_DIMENSION = 4500
 
+# Nodes of one grid, a refinement ladder's finest level included: four times
+# c10's finest (513^2), so one more refinement of c10 (1025^2 nodes) fits.
+MAX_LEVEL_NODES = 4 * 513**2
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -104,6 +109,9 @@ class Grid:
         for c in self.counts:
             if c < 3 or c % 2 == 0:
                 raise ValueError(f"node counts must be odd and >= 3, got {c}")
+        if math.prod(self.counts) > MAX_LEVEL_NODES:
+            raise ValueError(f"counts must hold at most {MAX_LEVEL_NODES} nodes in all (work "
+                             f"guard), got {self.counts}")
 
     @property
     def dim(self) -> int:
@@ -169,8 +177,8 @@ class Grid:
 
 def build_grid(params: GrusinParameters, extents, counts) -> Grid:
     """Build a uniform grid; scalar extents/counts broadcast to every axis.
-    An extent that is not a number, or a count that is not a positive
-    integer, is a ValueError naming it."""
+    An extent that is not a number, or a count that is not an integer in
+    1..MAX_LEVEL_NODES, is a ValueError naming it."""
     d = params.dim
     extents = (extents,) * d if np.isscalar(extents) else tuple(extents)
     counts = (counts,) * d if np.isscalar(counts) else tuple(counts)
@@ -178,7 +186,7 @@ def build_grid(params: GrusinParameters, extents, counts) -> Grid:
         if not _is_real(L):
             raise ValueError(f"extents must be a number, got {L!r}")
     return Grid(params=params, extents=tuple(float(L) for L in extents),
-                counts=tuple(_as_int("counts", c, positive=True) for c in counts))
+                counts=tuple(_count("counts", c, MAX_LEVEL_NODES, "work") for c in counts))
 
 
 def _starts(counts, off) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Experiment implementations behind the CLI and the acceptance suite.
 
 Each runner, and each decay stage, is a generator split by one bare
-``yield``: its plan checks every knob value, resolves every config point and
-admits every time, so every ConfigError is raised before it; its solve fills
-in the report's named checks (each with its bound and pass flag), fitted
-constants and CSV tables.  Its keyword-only parameters are its knobs, each
-set by some manifest entry (a value no entry changes is a constant beside
-its code): ``config.bind`` checks ``cfg.knobs`` and every nested spec (decay
-stage, radius grid, ``vf_params``) against a signature, so an unknown or
-missing knob, or a value not of its default's kind (``config.typed``: a
-bool, a number, a list), is a ConfigError naming it; so is a value outside
-a knob's enumerated choices (``_one_of``), a value a computation's own
-argument check refuses (``_check_knobs``, ``_resolve``), or a time, width
-or radius that is not a positive number (``_positive``).  ``plan_experiment`` picks
+``yield``: its plan resolves every config point, admits every time and
+checks what only a built object or a relation between values decides (a
+point's node, the storage ceiling, a bump's support, c11's region against
+``r_cut``, Hardy's ``gamma`` against ``n``), so every ConfigError is raised
+before it; its solve fills in the report's named checks (each with its
+bound and pass flag), fitted constants and CSV tables.  Its keyword-only
+parameters are its knobs, each set by some manifest entry (a value no entry
+changes is a constant beside its code), and each declares its domain
+beside its default (``Annotated[type, domain]``, ``grushinlab.config``):
+``config.bind`` binds ``cfg.knobs`` and every nested spec (decay stage,
+radius spec, ``vf_params``) as their domains convert them (a count as an
+int, a radius spec as its radii), so an unknown or missing knob or a value
+outside its domain is a ConfigError naming it.  ``plan_experiment`` picks
 the runner from ``_RUNNERS`` by experiment kind and ``knobs.task`` and plans
 it in the report frame (config echo and hash, derived exponents, timings,
 the pass flag).  The acceptance manifest at the bottom freezes every
@@ -21,15 +22,18 @@ tolerance of the verification suite.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict
+from functools import partial
+from typing import Annotated
 
 import numpy as np
 
-from .coefficients import CoefficientField, GrusinParameters, _as_int, _count, derive_exponents
-from .config import ConfigError, ExperimentConfig, bind, build, typed
-from .discretization import BOUNDARY_MODES, CapacityError, assemble, build_grid
+from .coefficients import MAX_DIMENSION, CoefficientField, GrusinParameters, derive_exponents
+from .config import (MAX_POINTS, Bool, ConfigError, ExperimentConfig, Number, Point, Points,
+                     Positive, Positives, Tally, Text, bind, build, list_of, natural, one_of,
+                     real, resolve)
+from .discretization import BOUNDARY_MODES, MAX_LEVEL_NODES, CapacityError, assemble, build_grid
 from .evolution import (
     fit_loglog_slope,
     gaussian_upper_check,
@@ -41,10 +45,11 @@ from .evolution import (
 from .geometry import (MetricGraph, _doubling_radii, ball_volume, ball_volume_closed_form,
                        closed_form_distance, doubling_exponent)
 from .multipliers import (
+    MAX_HARDY_UNKNOWNS,
+    MAX_TRIAL_DIM,
+    MAX_TRIALS,
     _bump_widths,
-    _ensemble_args,
     _hardy_args,
-    _inequality_args,
     bump,
     hardy_check,
     nash_check,
@@ -58,72 +63,13 @@ from .wave import davies_gaffney_check, finite_speed_check
 __all__ = ["plan_experiment", "run_experiment", "acceptance_manifest"]
 
 
-def _one_of(path: str, value, choices):
-    """A ConfigError naming ``path`` unless ``value`` is one of ``choices``."""
-    if value not in choices:
-        raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
-
-
-def _check_knobs(check, **knobs):
-    """Run a computation's argument ``check`` first: its ValueError names
-    ``knobs.<name>``.  Returns what the check returns."""
-    try:
-        return check(**knobs)
-    except ValueError as err:
-        raise ConfigError(f"knobs.{err}") from err
-
-
-# Sources, targets, times or radii of one run: ten times the manifest's
-# largest such count (11 targets).  c04 at 100 sources and 100 targets
-# plans 20,000 closed-form distances and runs 200 Dijkstra passes, about 3 s.
-MAX_POINTS = 100
-
-
-def _counts(**counts) -> list[int]:
-    """Each count as an int in 1..MAX_POINTS (work guard), in order; a
-    ConfigError naming ``knobs.<name>`` for any other value."""
-    return [_check_knobs(_count, name=name, value=value, ceiling=MAX_POINTS, guard="work")
-            for name, value in counts.items()]
-
-
-def _pair(path: str, value):
-    """The two numbers of a pair knob ([lo, hi], a list of numbers by its
-    default); any other length is a ConfigError naming ``path``."""
-    if len(value) != 2:
-        raise ConfigError(f"{path}: {value!r} must be a list of two numbers")
-    return value
-
-
-def _positive(path: str, value, like=None) -> None:
-    """A ConfigError naming ``path`` (``path[i]`` in a list) for a value
-    that is not positive: a width, a radius, or a time (a kernel needs
-    t > 0).  A value that no default types is typed by ``like`` first
-    (``config.typed``: 1.0 for a number, [1.0] for a list of them)."""
-    typed(path, value, like)
-    if isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _positive(f"{path}[{i}]", v, like[0] if like else None)
-    elif not value > 0:
-        raise ConfigError(f"{path}: {value!r} must be positive")
-
-
-def _resolve(path: str, lookup, *args):
-    """``lookup(*args)``: ``op.node_index`` or ``grid.flat_index`` of a point,
-    a computation's check of its arguments, or ``op.dense_eig``'s storage
-    ceiling; a ValueError or CapacityError is a ConfigError naming ``path``."""
-    try:
-        return lookup(*args)
-    except (ValueError, CapacityError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
 def _resolve_all(path: str, lookup, points) -> list:
-    """``_resolve`` for each point of the list at ``path``; a point that
+    """``resolve`` for each point of the list at ``path``; a point that
     resolves to the node of an earlier one is a ConfigError naming it: the
     two would run as one."""
     nodes = []
     for i, point in enumerate(points):
-        node = _resolve(f"{path}[{i}]", lookup, point)
+        node = resolve(f"{path}[{i}]", lookup, point)
         if node in nodes:
             raise ConfigError(f"{path}[{i}]: point {np.asarray(point, dtype=float).tolist()} "
                               f"resolves to the node of {path}[{nodes.index(node)}]")
@@ -131,43 +77,22 @@ def _resolve_all(path: str, lookup, points) -> list:
     return nodes
 
 
-def _geomspace(*, lo, hi, n):
-    """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically from lo
-    to hi, both positive."""
-    _positive("lo", lo, 1.0)
-    _positive("hi", hi, 1.0)
-    return np.geomspace(lo, hi, _as_int("n", n, positive=True))
+def _geomspace(*, lo: Positive, hi: Positive, n: Tally):
+    """A radius spec {"lo", "hi", "n"}: n radii spaced geometrically from lo to hi."""
+    return np.geomspace(lo, hi, n)
 
 
-# Nodes of a refinement ladder's finest level: four times c10's finest
-# (513^2), so one more refinement of c10 (1025^2 nodes) fits.
-MAX_LEVEL_NODES = 4 * 513**2
+Radii = Annotated[np.ndarray, partial(build, _geomspace)]
 
-
-def _ladder(cfg: ExperimentConfig, refinements) -> int:
-    """``knobs.refinements``, the number of ``_levels``, as an int; a
-    ConfigError naming it unless it is a positive integer whose finest level
-    holds at most MAX_LEVEL_NODES nodes (work guard), counted from the
-    config alone.  An axis of c nodes has (c - 1) 2^(refinements - 1) + 1
-    there; every axis has c >= 3, so past a shift of the ceiling's bit
-    length one axis alone holds more than the ceiling, and the shift stops
-    there."""
-    count = _check_knobs(_as_int, name="refinements", value=refinements, positive=True)
-    shift = min(count - 1, MAX_LEVEL_NODES.bit_length())
-    counts = cfg.grid().counts
-    if math.prod(((c - 1) << shift) + 1 for c in counts) > MAX_LEVEL_NODES:
-        raise ConfigError(f"knobs.refinements: the finest of {refinements!r} levels of the grid "
-                          f"of {counts} nodes holds more than {MAX_LEVEL_NODES} nodes (work guard)")
-    return count
-
-
-def _levels(cfg: ExperimentConfig, count: int):
+def _ladder(cfg: ExperimentConfig, count: int, path: str = "grid") -> list:
     """The configured grid, then each of ``count - 1`` refinements, each
-    halving every spacing of the one before."""
-    counts = cfg.grid_counts
-    for _ in range(count):
-        yield cfg.grid(counts)
+    halving every spacing of the one before; a level past the grid's node
+    ceiling (``Grid``) is a ConfigError naming ``path``."""
+    counts, grids = cfg.grid_counts, [cfg.grid()]
+    for _ in range(count - 1):
         counts = tuple(2 * (c - 1) + 1 for c in counts)
+        grids.append(resolve(path, cfg.grid, counts))
+    return grids
 
 
 def _boundary_nodes(grid):
@@ -201,12 +126,11 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------- conservation
 
 
-def run_conservation(cfg: ExperimentConfig, rep: dict, *, times=(0.01, 0.05, 0.25, 1.0, 4.0),
-                     n_sources=10, bound=1e-8):
-    (n_sources,) = _counts(n_sources=n_sources)
-    _positive("knobs.times", times)
+def run_conservation(cfg: ExperimentConfig, rep: dict, *,
+                     times: Positives = (0.01, 0.05, 0.25, 1.0, 4.0), n_sources: Tally = 10,
+                     bound: Number = 1e-8):
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
-    _resolve("grid", op.dense_eig)
+    resolve("grid", op.dense_eig)
     yield
     rng = np.random.default_rng(cfg.seed)
     sources = _spread_sources(op, n_sources, rng)
@@ -266,8 +190,7 @@ def _admissible_times(path: str, times, boundary_distance: float | None):
     return times[ok], tuple(times[~ok])
 
 
-def run_decay(cfg: ExperimentConfig, rep: dict, *, stages):
-    typed("knobs.stages", stages, [{}])  # required, so no default types it
+def run_decay(cfg: ExperimentConfig, rep: dict, *, stages: Annotated[list, list_of(None)]):
     coeffs = CoefficientField(cfg.params)
     runs = [bind(_decay_stage, f"knobs.stages[{k}]", stage, cfg, rep, coeffs, k)()
             for k, stage in enumerate(stages)]
@@ -282,37 +205,32 @@ def run_decay(cfg: ExperimentConfig, rep: dict, *, stages):
 def _guard_distance(op, coeffs, rows, path: str) -> float:
     """The metric distance from ``rows`` (None: the origin's row) to the grid's boundary."""
     if rows is None:
-        rows = [_resolve(path, op.node_index, [0.0] * op.grid.dim)]
+        rows = [resolve(path, op.node_index, [0.0] * op.grid.dim)]
     d = MetricGraph(op.grid, coeffs, 2).distances_from_nodes(op.kept[np.asarray(rows)])
     return float(d[_boundary_nodes(op.grid)].min())
 
 
-def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, counts, times,
-                 slope, tol, boundary="neumann_truncation", candidates="all", guard=False,
-                 label=None):
-    """Stage k of a decay run.  Its plan checks the stage, builds its operator,
-    resolves its candidates and admits its times; its solve adds its decay.csv
-    rows, or raises CapacityError for a sup at or below the series tolerance."""
+def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *,
+                 extents: Annotated[list, list_of(real(positive=True), or_one=True)],
+                 counts: Annotated[list, list_of(natural(MAX_LEVEL_NODES), or_one=True)],
+                 times: Positives, slope: Number, tol: Number,
+                 boundary: Annotated[str, one_of(*BOUNDARY_MODES)] = "neumann_truncation",
+                 candidates: Annotated[list, one_of("all", "degeneracy_line",
+                                                    other=list_of(list_of(real())))] = "all",
+                 guard: Bool = False, label: Text = None):
+    """Stage k of a decay run.  Its plan builds its operator, resolves its
+    candidates and admits its times; its solve adds its decay.csv rows, or
+    raises CapacityError for a sup at or below the series tolerance."""
     path = f"knobs.stages[{k}]"
-    _one_of(f"{path}.boundary", boundary, BOUNDARY_MODES)
-    _positive(f"{path}.times", times, [1.0])
-    for name, value in (("slope", slope), ("tol", tol)):  # required, so no default types them
-        typed(f"{path}.{name}", value, 1.0)
-    if isinstance(candidates, str):
-        _one_of(f"{path}.candidates", candidates, ("all", "degeneracy_line"))
-    else:
-        typed(f"{path}.candidates", candidates, [[0.0]])
     tolerance = cfg.method.tolerance if cfg.method.kind == "krylov_exponential" else None
     if candidates == "all" and tolerance is not None:
         raise ConfigError(f"{path}.candidates: 'all' reads the whole diagonal, which the "
                           "'krylov_exponential' method does not give; list the candidate points")
     label = f"stage{k}" if label is None else label
-    if not isinstance(label, str):
-        raise ConfigError(f"{path}.label: {label!r} is not a string")
     grid = build(build_grid, path, {"extents": extents, "counts": counts}, cfg.params)
     op = assemble(grid, coeffs, boundary)
     if tolerance is None:
-        _resolve(path, op.dense_eig)
+        resolve(path, op.dense_eig)
     cands = _decay_candidates(op, candidates, f"{path}.candidates")
     bdist = _guard_distance(op, coeffs, cands, f"{path}.guard") if guard else None
     times, refused = _admissible_times(f"{path}.times", times, bdist)
@@ -340,16 +258,21 @@ def _decay_stage(cfg: ExperimentConfig, rep: dict, coeffs, k: int, *, extents, c
 _BOX_FRACTION = 0.5  # points drawn within the grid's box snap to a node of every level
 
 
-def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources=10, n_targets=10,
-                 stencil_order=2, min_closed=0.1, stability_factor=1.25):
-    n_sources, n_targets = _counts(n_sources=n_sources, n_targets=n_targets)
-    stencil_order = _check_knobs(_as_int, name="stencil_order", value=stencil_order, positive=True)
+# The metric graph's stencil order: four times c04's 2.  At c04's finer level
+# (129^2 nodes) order 8 walks 17^2 offsets, keeps 88 and builds in 0.07 s.
+MAX_STENCIL_ORDER = 8
+
+
+def run_distance(cfg: ExperimentConfig, rep: dict, *, n_sources: Tally = 10,
+                 n_targets: Tally = 10,
+                 stencil_order: Annotated[int, natural(MAX_STENCIL_ORDER)] = 2,
+                 min_closed: Number = 0.1, stability_factor: Number = 1.25):
     rng = np.random.default_rng(cfg.seed)
     lim = np.asarray(cfg.grid().extents) * _BOX_FRACTION
     sources = rng.uniform(-lim, lim, size=(n_sources, cfg.params.dim))
     targets = rng.uniform(-lim, lim, size=(n_targets, cfg.params.dim))
     levels = []  # per level: its grid, and per source its node, point and (target, d_closed) pairs
-    for level, grid in enumerate(_levels(cfg, 2)):
+    for level, grid in enumerate(_ladder(cfg, 2)):
         nodes = [grid.flat_index(src)[0] for src in sources]
         snaps = [(flat, p, [(tgt, dc) for tgt in targets
                             if (dc := closed_form_distance(cfg.params, p, tgt)) >= min_closed])
@@ -403,17 +326,17 @@ def _volumes(rep: dict, name: str, cfg: ExperimentConfig, graph, center, node: i
     return radii, vols
 
 
-def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
-                      origin_radii={"lo": 0.5, "hi": 5.0, "n": 9}, off_center=None,
-                      off_radii={"lo": 0.1, "hi": 1.0, "n": 9}, tol=0.1):
+def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *, off_center: Point = None,
+                      origin_radii: Radii = {"lo": 0.5, "hi": 5.0, "n": 9},
+                      off_radii: Radii = {"lo": 0.1, "hi": 1.0, "n": 9}, tol: Number = 0.1):
     dim = cfg.params.dim
     grid = cfg.grid()
     origin = [0.0] * dim
     off_center = [1.0] + [0.0] * (dim - 1) if off_center is None else off_center
-    runs = [("origin", origin, grid.flat_index(origin)[0],
-             build(_geomspace, "knobs.origin_radii", origin_radii), derive_exponents(cfg.params).D),
-            ("offcenter", off_center, _resolve("knobs.off_center", grid.flat_index, off_center)[0],
-             build(_geomspace, "knobs.off_radii", off_radii), dim)]
+    runs = [("origin", origin, grid.flat_index(origin)[0], origin_radii,
+             derive_exponents(cfg.params).D),
+            ("offcenter", off_center, resolve("knobs.off_center", grid.flat_index, off_center)[0],
+             off_radii, dim)]
     yield
     graph = MetricGraph(grid, CoefficientField(cfg.params), 2)
     for tag, center, node, radii, expected in runs:
@@ -423,11 +346,9 @@ def run_volume_slopes(cfg: ExperimentConfig, rep: dict, *,
         rep["checks"].append(check(f"{tag}_slope", slope, "within", expected, tol * expected))
 
 
-def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers=([0.0], [5.0]),
-                 slack=0.3):
-    _positive("knobs.r0", r0)
-    (n_radii,) = _counts(n_radii=n_radii)
-    radii = _resolve("knobs.n_radii", _doubling_radii, r0 * 2.0 ** np.arange(n_radii))
+def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0: Positive = 0.1, n_radii: Tally = 8,
+                 centers: Points = ([0.0], [5.0]), slack: Number = 0.3):
+    radii = resolve("knobs.n_radii", _doubling_radii, r0 * 2.0 ** np.arange(n_radii))
     grid = cfg.grid()
     nodes = _resolve_all("knobs.centers", lambda center: grid.flat_index(center)[0], centers)
     yield
@@ -446,18 +367,18 @@ def run_doubling(cfg: ExperimentConfig, rep: dict, *, r0=0.1, n_radii=8, centers
 # ------------------------------------------------------------------ heat kernel
 
 
-def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mass_tol=1e-8,
-                    symmetry_point=None, symmetry_tol=1e-8, oracle=None, oracle_tol=1e-3):
-    _one_of("knobs.oracle", oracle, (None, "gauss_free_space"))
+def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source: Point = None,
+                    t: Positive = 0.1, mass_tol: Number = 1e-8, symmetry_point: Point = None,
+                    symmetry_tol: Number = 1e-8, oracle_tol: Number = 1e-3,
+                    oracle: Annotated[str, one_of(None, "gauss_free_space")] = None):
     if oracle and cfg.params != GrusinParameters():
         raise ConfigError(f"knobs.oracle: {oracle!r} is the kernel of the 1-D free space "
                           f"(n = 1, m = 0, every delta 0), not of params {asdict(cfg.params)}")
-    _positive("knobs.t", t)
     source = [0.0] * cfg.params.dim if source is None else source
     op = assemble(cfg.grid(), CoefficientField(cfg.params))
-    _resolve("grid", op.dense_eig)
-    j = _resolve("knobs.source", op.node_index, source)
-    j2 = None if symmetry_point is None else _resolve("knobs.symmetry_point", op.node_index,
+    resolve("grid", op.dense_eig)
+    j = resolve("knobs.source", op.node_index, source)
+    j2 = None if symmetry_point is None else resolve("knobs.symmetry_point", op.node_index,
                                                       symmetry_point)
     if j2 == j:
         raise ConfigError(f"knobs.symmetry_point: {list(symmetry_point)} resolves to the "
@@ -485,17 +406,18 @@ def run_heat_kernel(cfg: ExperimentConfig, rep: dict, *, source=None, t=0.1, mas
 # ------------------------------------------------------------------- separation
 
 
-def run_separation(cfg: ExperimentConfig, rep: dict, *, refinements=3, t=1.0,
-                   sources=([1.0], [-0.5]), strong_gap_bound=1e-12, weak_gap_min=1e-3):
-    refinements = _ladder(cfg, refinements)
-    _positive("knobs.t", t)
+def run_separation(cfg: ExperimentConfig, rep: dict, *,
+                   refinements: Annotated[int, natural()] = 3, t: Positive = 1.0,
+                   sources: Points = ([1.0], [-0.5]), strong_gap_bound: Number = 1e-12,
+                   weak_gap_min: Number = 1e-3):
+    grids = _ladder(cfg, refinements, "knobs.refinements")
     if cfg.params.n != 1:
         raise ConfigError(f"params.n: separation compares the half-spaces x1 >= 0 and x1 <= 0, "
                           f"so it needs n = 1, got {cfg.params.n}")
     coeffs = CoefficientField(cfg.params)
-    ops = [assemble(grid, coeffs, "dirichlet_origin") for grid in _levels(cfg, refinements)]
+    ops = [assemble(grid, coeffs, "dirichlet_origin") for grid in grids]
     rows = [_resolve_all("knobs.sources", op_d.node_index, sources) for op_d in ops]
-    _resolve("grid", assemble(ops[-1].grid, coeffs).dense_eig)  # the largest spectrum read
+    resolve("grid", assemble(ops[-1].grid, coeffs).dense_eig)  # the largest spectrum read
     yield
     counts, gaps, cross = [], [], []
     for k in range(refinements):
@@ -533,30 +455,29 @@ def _region_rows(grid, lo, hi):
     return np.nonzero((x1 >= lo) & (x1 <= hi))[0]
 
 
-def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0),
-                exponent_range=(2.0, 16.0), n_times=8, slope_bound=-0.8, stability_factor=2.0,
-                control=True, control_tol=1e-10):
-    (n_times,) = _counts(n_times=n_times)
-    _positive("knobs.exponent_range", _pair("knobs.exponent_range", exponent_range))
-    lo, hi = _pair("knobs.region", region)
+def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut: Positive = 1.0,
+                region: Annotated[list, list_of(real(), pair=True)] = (1.0, 2.0),
+                exponent_range: Annotated[list, list_of(real(positive=True), pair=True)] = (
+                    2.0, 16.0),
+                n_times: Annotated[int, natural(MAX_POINTS, least=2)] = 8,
+                slope_bound: Number = -0.8, stability_factor: Number = 2.0, control: Bool = True,
+                control_tol: Number = 1e-10):
+    lo, hi = region
     if lo <= r_cut / 2.0:
         raise ConfigError(f"knobs.region: {list(region)} must stay outside the modified set "
                           f"|x1| <= r_cut / 2 = {r_cut / 2.0}")
     if _region_rows(cfg.grid(), lo, hi).size == 0:
         raise ConfigError(f"knobs.region: no grid node has |x1| in {list(region)}")
     coeffs = CoefficientField(cfg.params)
-    *_, finest = _levels(cfg, 2)
-    _resolve("grid", assemble(finest, coeffs).dense_eig)  # the largest spectrum read
-    _positive("knobs.r_cut", r_cut)
-    if n_times < 2:
-        raise ConfigError(f"knobs.n_times: {n_times} must be at least 2 for a slope fit")
+    grids = _ladder(cfg, 2)
+    resolve("grid", assemble(grids[-1], coeffs).dense_eig)  # the largest spectrum read
     if not exponent_range[0] < exponent_range[1]:
         raise ConfigError(f"knobs.exponent_range: {list(exponent_range)} must be increasing")
     yield
     frozen = CoefficientField(cfg.params, floor_radius=r_cut / 2.0)
 
     prefactors = []
-    for level, grid in enumerate(_levels(cfg, 2)):
+    for level, grid in enumerate(grids):
         op_true = assemble(grid, coeffs)
         op_frozen = assemble(grid, frozen)
         region_rows = _region_rows(grid, lo, hi)
@@ -605,23 +526,22 @@ def run_compare(cfg: ExperimentConfig, rep: dict, *, r_cut=1.0, region=(1.0, 2.0
 _DRIFT_BOUND = 1e-6  # the relative energy drift a leapfrog run may show
 
 
-def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump_width=0.6,
-                     times=(1.0, 2.0), epsilon=0.1, metric="graph", refinements=2,
-                     leak_bound=1e-6):
-    _one_of("knobs.metric", metric, ("graph", "euclidean"))
-    refinements = _ladder(cfg, refinements)
-    _positive("knobs.bump_width", bump_width)
+def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center: Point = None,
+                     bump_width: Positive = 0.6,
+                     times: Annotated[list, list_of(real())] = (1.0, 2.0), epsilon: Positive = 0.1,
+                     metric: Annotated[str, one_of("graph", "euclidean")] = "graph",
+                     refinements: Annotated[int, natural()] = 2, leak_bound: Number = 1e-6):
+    grids = _ladder(cfg, refinements, "knobs.refinements")
     center = [1.0] + [0.0] * (cfg.params.dim - 1) if bump_center is None else bump_center
-    for grid in _levels(cfg, refinements):  # a plan holds no bump: each level makes its own
-        if not _resolve("knobs.bump_center", bump, grid, center, [bump_width] * grid.dim).any():
+    for grid in grids:  # a plan holds no bump: each level makes its own
+        if not resolve("knobs.bump_center", bump, grid, center, [bump_width] * grid.dim).any():
             raise ConfigError(f"knobs.bump_center: the bump at {list(center)} has no support "
                               f"node on the grid of {grid.counts} nodes")
-    _positive("knobs.epsilon", epsilon)
     yield
     coeffs = CoefficientField(cfg.params)
     leak_by_level = []
     rows = []
-    for level, grid in enumerate(_levels(cfg, refinements)):
+    for level, grid in enumerate(grids):
         # Stages, one large structure at a time: the bump and its support;
         # the distances, whose metric graph (with the transpose its undirected
         # Dijkstra copies) is dropped as soon as they are out; then the
@@ -653,20 +573,19 @@ def run_finite_speed(cfg: ExperimentConfig, rep: dict, *, bump_center=None, bump
 _DG_PAIRS = ((-2.5, 1.5, 0.5), (-1.5, 1.5, 0.4), (-3.0, 3.0, 0.5), (1.2, 3.2, 0.3))
 
 
-def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon=0.2,
-                       exponent_targets=(4.0, 9.0, 16.0, 25.0, 36.0), min_samples=20):
-    _positive("knobs.exponent_targets", exponent_targets)  # d^2 / (4t): a positive time
+def run_davies_gaffney(cfg: ExperimentConfig, rep: dict, *, epsilon: Positive = 0.2,
+                       exponent_targets: Positives = (4.0, 9.0, 16.0, 25.0, 36.0),
+                       min_samples: Number = 20):
     coeffs = CoefficientField(cfg.params)
     grid = cfg.grid()
     op = assemble(grid, coeffs)
-    _resolve("grid", op.dense_eig)
+    resolve("grid", op.dense_eig)
     coords = op.coords()[:, 0]
     sets = {(c, w): np.nonzero(np.abs(coords - c) <= w)[0] for *cs, w in _DG_PAIRS for c in cs}
     for (c, w), nodes in sets.items():
         if not nodes.size:
             raise ConfigError(f"grid: the Davies-Gaffney set |x1 - c| <= {w} at c = {c} holds "
                               f"no node of the grid of {grid.counts} nodes")
-    _positive("knobs.epsilon", epsilon)
     yield
     graph = MetricGraph(grid, coeffs, 2)
     rows = []
@@ -712,20 +631,18 @@ _GAUSSIAN_SOURCES = ([0.0, 0.0], [0.0, 1.5], [0.0, -3.0], [1.0, 0.0], [2.0, 1.0]
                      [0.5, 0.5], [3.0, 0.0])
 
 
-def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=(0.1, 0.2, 0.4),
-                        stability_factor=2.0):
-    _positive("knobs.times", times)
+def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon: Positive = 0.1,
+                        times: Positives = (0.1, 0.2, 0.4), stability_factor: Number = 2.0):
     coeffs = CoefficientField(cfg.params)
     levels = []  # per level: its operator and the rows of the sources
-    for level, grid in enumerate(_levels(cfg, 2)):
+    for level, grid in enumerate(_ladder(cfg, 2)):
         op = assemble(grid, coeffs)
-        _resolve("grid", op.dense_eig)
+        resolve("grid", op.dense_eig)
         try:
             levels.append((op, sorted(_resolve_all("sources", op.node_index, _GAUSSIAN_SOURCES))))
         except ConfigError as err:
             raise ConfigError(f"grid: level {level} of {grid.counts} nodes cannot hold the "
                               f"Gaussian-bound {err}") from err
-    _positive("knobs.epsilon", epsilon)
     yield
     uppers, lowers = [], []
     for level in range(2):
@@ -756,21 +673,26 @@ def run_gaussian_bounds(cfg: ExperimentConfig, rep: dict, *, epsilon=0.1, times=
 # ------------------------------------------------------------------------- nash
 
 
-def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
-             r_grid={"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor=1.25, vf_slopes=True,
-             vf_params={"n": 1, "m": 1, "delta2": 1.0}):
-    ensemble = _check_knobs(_ensemble_args, ensemble=ensemble)
-    radii = build(_geomspace, "knobs.r_grid", r_grid)
-    if vf_slopes:
-        vf = build(GrusinParameters, "knobs.vf_params", vf_params)
+# Members per ensemble: 50 times the manifest's 200.  At the manifest's
+# largest ensemble grid (513 nodes per axis) one profile stack then holds
+# 41 MB, and its transform twice that.
+MAX_ENSEMBLE = 10_000
+
+
+def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line: Bool = False,
+             ensemble: Annotated[int, natural(MAX_ENSEMBLE)] = 200,
+             r_grid: Radii = {"lo": 0.3, "hi": 60.0, "n": 30}, stability_factor: Number = 1.25,
+             vf_slopes: Bool = True,
+             vf_params: Annotated[GrusinParameters, partial(build, GrusinParameters)] = {
+                 "n": 1, "m": 1, "delta2": 1.0}):
     grid = cfg.grid()
-    _resolve("grid", _bump_widths, grid, half_line)
+    resolve("grid", _bump_widths, grid, half_line)
     yield
     coeffs = CoefficientField(cfg.params)
     op = assemble(grid, coeffs, "half_line_positive" if half_line else "neumann_truncation")
-    vols = vf_volume(cfg.params, np.sort(radii))  # both seeds read one solve
+    vols = vf_volume(cfg.params, np.sort(r_grid))  # both seeds read one solve
     repA, repB = (
-        nash_check(op, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line), radii,
+        nash_check(op, random_bump_ensemble(grid, ensemble, seed, positive_axis0=half_line), r_grid,
                    vols)
         for seed in (cfg.seed, cfg.seed + 1))
     rep["csv"]["nash_ratios.csv"] = {
@@ -788,19 +710,21 @@ def run_nash(cfg: ExperimentConfig, rep: dict, *, half_line=False, ensemble=200,
                                repA.fitted_constant, stability_factor))
     rep["checks"].append(check("nash_margin", repA.worst_margin, ">=", 0.0))
     if vf_slopes:
-        ve = derive_exponents(vf)
+        ve = derive_exponents(vf_params)
         r0 = np.array([1e-3, 1e3])
-        v0, v1 = vf_volume(vf, np.stack([r0, 1.3 * r0])).tolist()
+        v0, v1 = vf_volume(vf_params, np.stack([r0, 1.3 * r0])).tolist()
         for a, b, expect, label in zip(v0, v1, (ve.Dp, ve.D), ("vf_slope_small", "vf_slope_large")):
             slope = np.log(b / a) / np.log(1.3)
             rep["fitted"][label] = slope
             rep["checks"].append(check(label, slope, "within", expect, 0.05 * expect))
 
 
-def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fraction_ok=0.5,
-              fraction_fail=4.0):
-    _check_knobs(_hardy_args, n=n, gamma=gamma, count=count, fraction_ok=fraction_ok,
-                 fraction_fail=fraction_fail)
+def run_hardy(cfg: ExperimentConfig, rep: dict, *,
+              n: Annotated[int, natural(MAX_DIMENSION, "dimension")] = 3, gamma: Number = 1.0,
+              count: Annotated[int, natural(2 * MAX_HARDY_UNKNOWNS)] = 14,
+              fraction_ok: Number = 0.5, fraction_fail: Number = 4.0):
+    resolve("knobs", _hardy_args, n=n, gamma=gamma, count=count, fraction_ok=fraction_ok,
+            fraction_fail=fraction_fail)
     yield
     lam_ok, a_used = hardy_check(n, gamma, fraction_ok, count=count)
     lam_fail, _ = hardy_check(n, gamma, fraction_fail, count=count)
@@ -815,9 +739,11 @@ def run_hardy(cfg: ExperimentConfig, rep: dict, *, n=3, gamma=1.0, count=14, fra
     rep["checks"].append(check("over_constant_fails", lam_fail, "<", 0.0))
 
 
-def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *, trials=1000, dim=20,
-                              gamma=0.3, violation_bound=-1e-10):
-    _check_knobs(_inequality_args, trials=trials, dim=dim, gamma=gamma)
+def run_operator_inequalities(cfg: ExperimentConfig, rep: dict, *,
+                              trials: Annotated[int, natural(MAX_TRIALS)] = 1000,
+                              dim: Annotated[int, natural(MAX_TRIAL_DIM, "dimension")] = 20,
+                              gamma: Annotated[float, real(within=(0, 1))] = 0.3,
+                              violation_bound: Number = -1e-10):
     yield
     res = operator_inequality_checks(trials, dim, gamma, cfg.seed)
     rep["fitted"]["resolvent_power_worst"] = res["resolvent_power"]
@@ -858,7 +784,7 @@ def plan_experiment(cfg: ExperimentConfig):
     report and its solve, which resumes the runner and sets the total time
     (plan and solve) and the pass flag."""
     t0 = time.time()
-    _one_of("experiment", cfg.experiment, list(_RUNNERS))
+    one_of(*_RUNNERS)("experiment", cfg.experiment)
     if cfg.method.kind == "krylov_exponential" and cfg.experiment != "decay":
         raise ConfigError(f"method.kind: 'krylov_exponential' gives only a decay stage's "
                           f"candidate diagonal, not a {cfg.experiment!r} run")

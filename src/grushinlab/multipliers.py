@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .coefficients import GrusinParameters, _as_int, _count, derive_exponents
+from .coefficients import MAX_DIMENSION, GrusinParameters, _as_int, _count, derive_exponents
 from .discretization import DivergenceFormOperator, Grid
 from .quadrature import gauss_legendre_01
 
@@ -175,17 +175,6 @@ def _bump_widths(grid: Grid, positive_axis0: bool = False) -> list[tuple[float, 
                              f"{grid.counts} nodes")
         bounds.append((wmin, wmax))
     return bounds
-
-
-# Members per ensemble: 50 times the manifest's 200.  At the manifest's
-# largest ensemble grid (513 nodes per axis) one profile stack then holds
-# 41 MB, and its transform twice that.
-MAX_ENSEMBLE = 10_000
-
-
-def _ensemble_args(ensemble) -> int:
-    """The ensemble size as an int in 1..MAX_ENSEMBLE, its message led by the name."""
-    return _count("ensemble", ensemble, MAX_ENSEMBLE, "work")
 
 
 def random_bump_ensemble(grid: Grid, n_members: int, seed: int,
@@ -355,11 +344,19 @@ def _hardy_operator(n: int, gamma: float, count: int):
     return L, r2 ** (-gamma)
 
 
+# Unknowns of one Hardy octant, (count/2)^n: five times c13's 343 (count 14
+# at n = 3).  A fractional gamma's dense L^gamma at (24/2)^3 = 1,728 unknowns
+# is one 1,728^2 eigensolve, about 2 s and 0.2 GB.  A count above twice the
+# ceiling passes it at no n.
+MAX_HARDY_UNKNOWNS = 1728
+
+
 def _hardy_args(n, gamma, **values) -> tuple[int, dict, bool]:
-    """:func:`hardy_check`'s argument check, each message led by the name: a
-    ``*count`` must be even, ``count`` at least 4, a fraction non-negative.
+    """:func:`hardy_check`'s argument check, each message led by the name: n
+    at most MAX_DIMENSION, a ``*count`` even and with (count/2)^n at most
+    MAX_HARDY_UNKNOWNS, ``count`` at least 4, a fraction non-negative.
     Returns n and each count as ints, and whether classical."""
-    n = _as_int("n", n, positive=True)
+    n = _count("n", n, MAX_DIMENSION, "dimension")
     classical = gamma == 1.0 and n >= 3
     if not classical and not (0.0 <= gamma < min(1.0, n / 2.0)):
         raise ValueError("gamma must lie in [0, min(1, n/2)), or equal 1 with n >= 3")
@@ -371,6 +368,9 @@ def _hardy_args(n, gamma, **values) -> tuple[int, dict, bool]:
             counts[name] = _as_int(name, value, positive=True)
             if counts[name] % 2:
                 raise ValueError(f"{name} must be even: an odd count puts a node at the origin")
+            if (counts[name] // 2) ** n > MAX_HARDY_UNKNOWNS:
+                raise ValueError(f"{name} puts ({value!r} / 2)^{n} unknowns on one octant, more "
+                                 f"than {MAX_HARDY_UNKNOWNS} (work guard)")
     if counts.get("count", 4) < 4:  # ARPACK's k = 1 needs two unknowns
         raise ValueError("count must be at least 4: one octant needs two nodes per axis")
     return n, counts, classical
@@ -431,13 +431,16 @@ _TRIAL_STACK = 20
 # 100 times the manifest's 1,000 trials, about 20 s at dim 20; memory stays
 # one stack's
 MAX_TRIALS = 100_000
+# Matrix size of a trial, under which _above's skip is exact (see
+# operator_inequality_checks)
+MAX_TRIAL_DIM = 50
 
 
 def _inequality_args(trials, dim, gamma) -> tuple[int, int]:
     """:func:`operator_inequality_checks`' argument check, each message led by
     the name.  Returns trials and dim as ints."""
     trials = _count("trials", trials, MAX_TRIALS, "work")
-    dim = _count("dim", dim, 50, "dimension")
+    dim = _count("dim", dim, MAX_TRIAL_DIM, "dimension")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     return trials, dim

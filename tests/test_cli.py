@@ -518,6 +518,17 @@ def test_every_runner_knob_is_set_by_some_manifest_entry():
     assert never == []
 
 
+def test_every_knob_declares_a_domain():
+    # bind checks and converts a value by the domain declared beside its default
+    runners = [r for tasks in experiments._RUNNERS.values() for r in tasks.values()]
+    bare = [f"{fn.__name__}.{p.name}"
+            for fn in runners + [experiments._decay_stage, experiments._geomspace]
+            for p in inspect.signature(fn, eval_str=True).parameters.values()
+            if p.kind is p.KEYWORD_ONLY and not callable(getattr(p.annotation, "__metadata__",
+                                                                 [None])[0])]
+    assert bare == []
+
+
 def _knob_defaults():
     """(manifest entry, knob path, default) for every keyword-only parameter
     of every runner, in the first entry that runs it, and of the decay stage."""
@@ -654,14 +665,15 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     # a count past its work guard, bound as an int: a ladder finer without end, or
     # an allocation of 1e300 points
     ("c07_separation_weak", ["refinements"], 1e300,
-     "knobs.refinements: the finest of 1e+300 levels of the grid of (201,) nodes holds more "
-     "than 1052676 nodes (work guard)"),
-    ("c07_separation_strong", ["refinements"], 1e300, "knobs.refinements: the finest of 1e+300"),
+     "knobs.refinements: counts must lie in 1..1052676 (work guard), got 1638401"),
+    ("c07_separation_strong", ["refinements"], 1e300,
+     "knobs.refinements: counts must lie in 1..1052676 (work guard), got 1638401"),
     ("c10_speed_classical", ["refinements"], 1e300,
-     "knobs.refinements: the finest of 1e+300 levels of the grid of (257, 257) nodes"),
+     "knobs.refinements: counts must hold at most 1052676 nodes in all (work guard), got "
+     "(2049, 2049)"),
     ("c10_speed_constant", ["refinements"], 4,
-     "knobs.refinements: the finest of 4 levels of the grid of (257, 257) nodes holds more "
-     "than 1052676 nodes (work guard)"),
+     "knobs.refinements: counts must hold at most 1052676 nodes in all (work guard), got "
+     "(2049, 2049)"),
     ("c01_conservation_1d", ["n_sources"], 1e300,
      "knobs.n_sources must lie in 1..100 (work guard), got 1e+300"),
     ("c04_distance", ["n_sources"], 1e300,
@@ -671,6 +683,32 @@ def test_manifest_knobs_bind_to_their_runners_signature(raw):
     ("c04_distance", ["n_targets"], 101, "knobs.n_targets must lie in 1..100 (work guard), got 101"),
     ("c11_compare", ["n_times"], 1e300, "knobs.n_times must lie in 1..100 (work guard), got 1e+300"),
     ("c06_doubling", ["n_radii"], 1e300, "knobs.n_radii must lie in 1..100 (work guard), got 1e+300"),
+    # a count past its work or dimension guard: a stencil walk of (2k+1)^n
+    # offsets, a (200, n) radius array, an octant of (count/2)^n unknowns
+    ("c04_distance", ["stencil_order"], 1e300,
+     "knobs.stencil_order must lie in 1..8 (work guard), got 1e+300"),
+    ("c04_distance", ["stencil_order"], 10**4,
+     "knobs.stencil_order must lie in 1..8 (work guard), got 10000"),
+    ("c12_nash_half_line", ["r_grid", "n"], 10**6,
+     "knobs.r_grid.n must lie in 1..100 (work guard), got 1000000"),
+    ("c05_volume_slopes", ["origin_radii", "n"], 10**5,
+     "knobs.origin_radii.n must lie in 1..100 (work guard), got 100000"),
+    ("c13_hardy", ["count"], 1e300, "knobs.count must lie in 1..3456 (work guard), got 1e+300"),
+    ("c13_hardy", ["count"], 2000,
+     "knobs.count puts (2000 / 2)^3 unknowns on one octant, more than 1728 (work guard)"),
+    ("c13_hardy", ["count"], 26,
+     "knobs.count puts (26 / 2)^3 unknowns on one octant, more than 1728 (work guard)"),
+    ("c13_hardy", ["n"], 40, "knobs.n must lie in 1..6 (dimension guard), got 40"),
+    ("c12_nash_full", ["vf_params", "m"], 10**6,
+     "knobs.vf_params.m must lie in 0..5 (dimension guard: n + m <= 6), got 1000000"),
+    ("c01_conservation_1d", ["times"], [0.5] * 101,
+     "knobs.times: 101 entries, more than 100 (work guard)"),
+    # a decay stage's grid past the node ceiling, counted before it is built
+    ("c02_decay_control", ["stages", 0, "counts"], 1027,
+     "knobs.stages[0].counts must hold at most 1052676 nodes in all (work guard), got "
+     "(1027, 1027)"),
+    ("c03_decay_1d", ["stages", 1, "counts"], 1e300,
+     "knobs.stages[1].counts must lie in 1..1052676 (work guard), got 1e+300"),
     # a bump of no width, or of a negative one
     ("c10_speed_classical", ["bump_width"], 0.0, "knobs.bump_width: 0.0 must be positive"),
     ("c10_speed_constant", ["bump_width"], -0.6, "knobs.bump_width: -0.6 must be positive"),
@@ -846,7 +884,8 @@ PLAN_CHECKS = [
     ("c04_distance", {("knobs", "min_closed"): 100.0}, "knobs.min_closed: no pair of level 0"),
     ("c04_distance", {("knobs", "n_targets"): 0}, "knobs.n_targets must be a positive integer"),
     ("c04_distance", {("knobs", "n_sources"): 0}, "knobs.n_sources must be a positive integer"),
-    ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): 0.0}, "knobs.origin_radii: "),
+    ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): 0.0},
+     "knobs.origin_radii.lo: 0.0 must be positive"),
     ("c05_volume_slopes", {("knobs", "off_center"): [50.0, 0.0]},
      "knobs.off_center: point [50.0, 0.0] lies off the grid"),
     ("c06_doubling", {("knobs", "centers"): [[0.0], [0.0002]]},
@@ -917,12 +956,12 @@ PLAN_CHECKS = [
     ("c11_compare", {("knobs", "exponent_range"): [2.0, 0.0]},
      "knobs.exponent_range[1]: 0.0 must be positive"),
     ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): -1},
-     "knobs.origin_radii: lo: -1 must be positive"),
+     "knobs.origin_radii.lo: -1 must be positive"),
     ("c05_volume_slopes", {("knobs", "off_radii", "n"): 0},
      "knobs.off_radii.n must be a positive integer"),
     ("c12_nash_full", {("knobs", "r_grid", "hi"): -60.0},
-     "knobs.r_grid: hi: -60.0 must be positive"),
-    ("c12_nash_full", {("knobs", "r_grid", "lo"): -1}, "knobs.r_grid: lo: -1 must be positive"),
+     "knobs.r_grid.hi: -60.0 must be positive"),
+    ("c12_nash_full", {("knobs", "r_grid", "lo"): -1}, "knobs.r_grid.lo: -1 must be positive"),
     # a bound, tolerance or other number knob that is not a real number
     ("c01_conservation_1d", {("knobs", "bound"): "1e-8"}, "knobs.bound: '1e-8' is not a number"),
     ("c03_decay_1d", {("knobs", "stages", 1, "tol"): None},
@@ -991,6 +1030,9 @@ PLAN_CHECKS = [
      "params.delta1: '0.25' is not a number"),
     ("c01_conservation_1d", {("method", "tolerance"): "1e-6"},
      "method.tolerance: '1e-6' is not a number"),
+    ("c01_conservation_1d", {("method", "kind"): "exact"},
+     "method.kind: 'exact' is not one of ['auto', 'exact_eigendecomposition', "
+     "'krylov_exponential']"),
     # a value no default types, typed where it is read: a stage's fields, the name, a radius
     # spec's bounds, a config point, a grid
     ("c02_decay_control", {("knobs", "stages", 0, "times"): 0.5},
@@ -1000,7 +1042,7 @@ PLAN_CHECKS = [
     ("c01_conservation_1d", {("name",): 5}, "name: 5 is not a string"),
     ("c03_decay_1d", {("knobs", "stages"): 5}, "knobs.stages: 5 is not a list"),
     ("c05_volume_slopes", {("knobs", "origin_radii", "lo"): [0.5]},
-     "knobs.origin_radii: lo: [0.5] is not a number"),
+     "knobs.origin_radii.lo: [0.5] is not a number"),
     ("c14_free_space_oracle", {("knobs", "source"): {}},
      "knobs.source: point {} is not a list of numbers"),
     ("c14_free_space_oracle", {("knobs", "symmetry_point"): [True]},
@@ -1009,7 +1051,11 @@ PLAN_CHECKS = [
      "knobs.bump_center: point [True, 0.0] is not a list of numbers"),
     ("c01_conservation_1d", {("grid", "extents"): "6"}, "grid.extents must be a number, got '6'"),
     ("c03_decay_1d", {("knobs", "stages", 1, "extents"): "150"},
-     "knobs.stages[1].extents must be a number, got '150'"),
+     "knobs.stages[1].extents: '150' is not a number"),
+    ("c03_decay_1d", {("knobs", "stages", 1, "extents"): -150},
+     "knobs.stages[1].extents: -150 must be positive"),
+    ("c02_decay_control", {("knobs", "stages", 0, "counts"): [129, "129"]},
+     "knobs.stages[0].counts[1]: '129' is not a number"),
     ("c03_decay_1d", {("knobs", "stages", 1, "counts"): 4001.5},
      "knobs.stages[1].counts must be a positive integer, got 4001.5"),
     # a number that is not finite (JSON's Infinity and NaN)
@@ -1020,6 +1066,17 @@ PLAN_CHECKS = [
     ("c14_free_space_oracle", {("knobs", "source"): [float("inf")]},
      "knobs.source: point [inf] is not a list of numbers"),
     ("c01_conservation_1d", {("knobs", "bound"): float("nan")}, "knobs.bound: nan is not a number"),
+    # a dimension or a grid past its ceiling, refused before anything is built
+    ("c01_conservation_1d", {("params", "n"): 10**6},
+     "params.n must lie in 1..6 (dimension guard), got 1000000"),
+    ("c04_distance", {("params", "m"): 10**6},
+     "params.m must lie in 0..5 (dimension guard: n + m <= 6), got 1000000"),
+    ("c01_conservation_2d", {("grid", "counts"): 1027},
+     "grid.counts must hold at most 1052676 nodes in all (work guard), got (1027, 1027)"),
+    ("c06_doubling", {("grid", "counts"): 1e300},
+     "grid.counts must lie in 1..1052676 (work guard), got 1e+300"),
+    ("c04_distance", {("grid", "counts"): 1025},  # its second level, 2049^2 nodes
+     "grid: counts must hold at most 1052676 nodes in all (work guard), got (2049, 2049)"),
     # an operator past the factored spectrum's storage ceiling, on each heat runner's grid
     ("c01_conservation_1d", {("grid", "counts"): 4501, ("method", "kind"): "auto"},
      "grid: exact spectrum of 1 fibers of 4501 x1 nodes stores 20259001 floats > 4500^2"),
